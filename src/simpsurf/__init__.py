@@ -24,7 +24,7 @@ from .homology import (ChainVector, CochainVector, CupForm, HomologySummary,
                        property_a_brute_force)
 from .io import (FormatError, complex_from_dict, complex_to_dict, dump_complex,
                  dumps_complex, load_complex, load_functionals,
-                 load_named_complex)
+                 load_group_profile, load_named_complex)
 from .reduction import (EliminationResult, PreservationSpec, ReductionTrace,
                         collapse_all, eliminate_maximal_edges, kill_step,
                         simplify_pipeline)

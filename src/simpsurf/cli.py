@@ -16,16 +16,17 @@ from pathlib import Path
 from typing import Optional
 
 from .bounds import (EXCEPTIONAL_SURFACES, SPHERE, ComplexityCertificate,
-                     EulerBoundsReport, GroupProfile, NotApplicableError,
+                     EulerBoundsReport, NotApplicableError,
                      SurfaceId, complexity_certificate, euler_bounds_check,
                      free_product_lower_bound, minimal_triangle_count,
                      parse_surface_id, truncated_euler_characteristic,
                      vertex_floor)
+from .catalog_data import MINIMAL_TRIANGULATIONS
 from .complex2 import Complex2
 from .homology import (betti_numbers, chain_support, cup_pairing_on_h1,
                        has_property_a, homology_summary)
 from .io import (FormatError, complex_to_dict, dump_complex, dumps_complex,
-                 load_functionals, load_named_complex)
+                 load_functionals, load_group_profile, load_named_complex)
 from .reduction import PreservationSpec, ReductionTrace, simplify_pipeline
 from .search import complexes_with_one_triple_edge, min_triangles_for_surface
 from .surfaces import (ClassificationResult, catalog, classify,
@@ -37,9 +38,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_CERTIFICATION = 4
-
-_CATALOG_NAMES = ("S2", "N1", "M1", "N2", "N3", "M2")
-
 
 # ------------------------------------------------------------ shared pieces
 
@@ -269,34 +267,6 @@ def _cmd_reduce(args) -> int:
 
 # ------------------------------------------------------------ bounds
 
-def _load_profile(path: str) -> GroupProfile:
-    source = str(path)
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(
-            f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise FormatError(f"{source}: expected an object")
-    unknown = sorted(set(data) - {"name", "h1", "h2", "property_a",
-                                  "presentation_note"})
-    if unknown:
-        raise FormatError(f"{source}: unknown keys {unknown}")
-    try:
-        name, h1, h2, prop = (data["name"], data["h1"], data["h2"],
-                              data["property_a"])
-    except KeyError as exc:
-        raise FormatError(f"{source}: missing key {exc.args[0]!r}") from exc
-    note = data.get("presentation_note", "")
-    if (not isinstance(name, str) or not isinstance(note, str)
-            or not isinstance(prop, bool)
-            or any(isinstance(h, bool) or not isinstance(h, int) or h < 0
-                   for h in (h1, h2))):
-        raise FormatError(f"{source}: expected name: str, h1/h2: int >= 0, "
-                          "property_a: bool")
-    return GroupProfile(name, h1, h2, prop, note)
-
-
 def _bounds_surface(surface: SurfaceId, as_json: bool) -> int:
     chi = surface.euler_characteristic
     payload: dict = {"surface": _surface_payload(surface),
@@ -322,12 +292,8 @@ def _bounds_surface(surface: SurfaceId, as_json: bool) -> int:
 
 
 def _bounds_profile(path: str, as_json: bool) -> int:
-    profile = _load_profile(path)
-    try:
-        bound = free_product_lower_bound(profile)
-    except NotApplicableError as exc:
-        print(f"not applicable: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    profile = load_group_profile(path)
+    bound = free_product_lower_bound(profile)
     payload = {"group": profile.name, "h1": profile.h1, "h2": profile.h2,
                "property_a": profile.property_a,
                "truncated_chi": truncated_euler_characteristic(profile),
@@ -378,7 +344,7 @@ def _cmd_catalog(args) -> int:
             sys.stdout.write(text)
         return EXIT_OK
     rows = []
-    for name in _CATALOG_NAMES:
+    for name in MINIMAL_TRIANGULATIONS:
         surface = parse_surface_id(name)
         k = catalog(surface)
         rows.append({"name": name, "chi": surface.euler_characteristic,
@@ -483,7 +449,9 @@ def run_report(name: str, k: Complex2,
 
     verdicts: list[str] = []
     if trace.input_disconnected:
-        verdicts.append("input is disconnected; the pipeline did not run")
+        verdicts.append("input is disconnected; the pipeline ran on every "
+                        "component and the free-product reading holds per "
+                        "component")
     certificate: Optional[ComplexityCertificate] = None
     if cls.is_surface:
         surface = cls.surface

@@ -12,13 +12,18 @@ vertex order: for a triangle v0 < v1 < v2,
 
 Only the induced pairing on cohomology classes is contractual; cochain
 level values depend on this ordering convention.
+
+Over F2, H^2 = Hom(H_2, F2), so the class of a 2-cochain w is fixed by its
+values on a basis of 2-cycles.  The H^2 basis is chosen dual to the
+summary's 2-cycle basis, which makes the H^2 coordinates of [w] simply
+the values w(z_j); no basis of C^2 is ever built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .complex2 import Complex2, canon_edge, canon_triangle
 from .gf2 import Gf2Matrix, Gf2Span, Gf2Vector, extend_to_basis
@@ -139,15 +144,16 @@ class HomologySummary:
     """Betti numbers plus deterministic representative bases.
 
     cycle_reps[d] spans the reduced homology in dimension d; cocycle_reps[d]
-    does the same for cohomology.  The summary also carries the fixed
-    coordinatization of 2-cochain classes used by h2_coordinates.
+    does the same for cohomology.  In dimension 2 the two bases are dual:
+    cocycle_reps[2][i] is the indicator of one triangle, the i-th pivot of
+    the reduced row echelon form of the 2-cycle space, and cycle_reps[2][j]
+    is the reduced 2-cycle with cocycle_reps[2][i](cycle_reps[2][j]) equal
+    to 1 exactly when i == j.  h2_coordinates reads classes in this basis.
     """
 
     betti: tuple[int, int, int]
     cycle_reps: dict[int, tuple[ChainVector, ...]]
     cocycle_reps: dict[int, tuple[CochainVector, ...]]
-    _coboundary2: Gf2Span = field(repr=False)
-    _h2_solver: Optional[Gf2Matrix] = field(repr=False)
     _n_triangles: int = field(repr=False)
 
     @property
@@ -207,46 +213,31 @@ def homology_summary(k: Complex2) -> HomologySummary:
     cocycle1_vecs = extend_to_basis(cob1, cob1 + cocycles1)[len(cob1):]
     cocycle1 = tuple(CochainVector(1, v) for v in cocycle1_vecs)
 
-    cycle2 = tuple(ChainVector(2, v) for v in z2)
+    # dimension 2, by duality H^2 = Hom(H_2): the RREF of the kernel of d2
+    # gives single-triangle cocycles (its pivots) and the 2-cycles dual to them
+    z2_rows, pivots = Gf2Matrix.from_rows(z2, k.n_triangles)._rref()
+    cycle2 = tuple(ChainVector(2, Gf2Vector(k.n_triangles, r)) for r in z2_rows)
+    cocycle2 = tuple(CochainVector(2, Gf2Vector(k.n_triangles, 1 << p)) for p in pivots)
 
-    # dimension-2 cohomology coordinates: complete im(delta1) to all of C^2
-    cob2_span = Gf2Span(k.n_triangles)
-    cob2 = []
-    for row in d2.rows():            # row j of d2 is delta1 of the j-th edge
-        if cob2_span.add(row):
-            cob2.append(row)
-    std = [Gf2Vector(k.n_triangles, 1 << i) for i in range(k.n_triangles)]
-    completed = extend_to_basis(cob2, cob2 + std)
-    h2_vecs = completed[len(cob2):]
-    cocycle2 = tuple(CochainVector(2, v) for v in h2_vecs)
-    if k.n_triangles:
-        solver = Gf2Matrix.from_rows(completed, k.n_triangles).transpose()
-    else:
-        solver = None
-
-    assert len(cycle1) == b1 and len(cocycle1) == b1 and len(h2_vecs) == b2
+    assert len(cycle1) == b1 and len(cocycle1) == b1 and len(pivots) == b2
     return HomologySummary(
         betti=(b0, b1, b2),
         cycle_reps={0: tuple(cycle0), 1: cycle1, 2: cycle2},
         cocycle_reps={0: tuple(cocycle0), 1: cocycle1, 2: cocycle2},
-        _coboundary2=cob2_span,
-        _h2_solver=solver,
         _n_triangles=k.n_triangles,
     )
 
 
 def h2_coordinates(summary: HomologySummary, w: CochainVector) -> Gf2Vector:
-    """Coordinates of a 2-cochain's class in the summary's H^2 basis."""
+    """Coordinates of a 2-cochain's class in the summary's H^2 basis.
+
+    By duality they are the cochain's values on the 2-cycles cycle_reps[2].
+    """
     if w.dimension != 2:
         raise ValueError(f"expected a 2-cochain, got dimension {w.dimension}")
     if w.coeffs.length != summary._n_triangles:
         raise ValueError("cochain does not match the summarized complex")
-    if summary.b2 == 0 or summary._h2_solver is None:
-        return Gf2Vector(summary.b2)
-    x = summary._h2_solver.solve(w.coeffs)
-    assert x is not None  # the columns form a basis of C^2
-    base_dim = summary._n_triangles - summary.b2
-    return Gf2Vector(summary.b2, x.bits >> base_dim)
+    return Gf2Vector.from_coeffs([w.evaluate(z) for z in summary.cycle_reps[2]])
 
 
 def cup_product(k: Complex2, a: CochainVector, b: CochainVector) -> CochainVector:

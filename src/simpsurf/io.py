@@ -14,6 +14,9 @@ fixpoint and output files are diffable and golden-testable.
 
 A functional file is a JSON list of functionals, each a list of triangle
 vertex-triples carrying coefficient 1.
+
+A group profile file is one object with keys name, h1, h2, property_a and
+an optional presentation_note.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import json
 from pathlib import Path
 from typing import Optional, Union
 
+from .bounds import GroupProfile
 from .complex2 import Complex2, Label, label_key
 from .reduction import PreservationSpec
 
@@ -33,6 +37,7 @@ __all__ = [
     "dumps_complex",
     "load_complex",
     "load_functionals",
+    "load_group_profile",
     "load_named_complex",
 ]
 
@@ -160,3 +165,28 @@ def load_functionals(path: Pathish) -> PreservationSpec:
         return PreservationSpec.from_triangle_lists(lists)
     except ValueError as exc:
         raise FormatError(f"{source}: {exc}") from exc
+
+
+def load_group_profile(path: Pathish) -> GroupProfile:
+    """Read a group profile: name, h1, h2, property_a, optional note."""
+    source = str(path)
+    data = _parse_json(Path(path).read_text(), source)
+    if not isinstance(data, dict):
+        raise FormatError(f"{source}: expected an object")
+    unknown = sorted(set(data) - {"name", "h1", "h2", "property_a",
+                                  "presentation_note"})
+    if unknown:
+        raise FormatError(f"{source}: unknown keys {unknown}")
+    try:
+        name, h1, h2, prop = (data["name"], data["h1"], data["h2"],
+                              data["property_a"])
+    except KeyError as exc:
+        raise FormatError(f"{source}: missing key {exc.args[0]!r}") from exc
+    note = data.get("presentation_note", "")
+    if (not isinstance(name, str) or not isinstance(note, str)
+            or not isinstance(prop, bool)
+            or any(isinstance(h, bool) or not isinstance(h, int) or h < 0
+                   for h in (h1, h2))):
+        raise FormatError(f"{source}: expected name: str, h1/h2: int >= 0, "
+                          "property_a: bool")
+    return GroupProfile(name, h1, h2, prop, note)

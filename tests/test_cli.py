@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from simpsurf.cli import main
+from simpsurf.cli import main, run_report
+from simpsurf.complex2 import Complex2
 from simpsurf.io import dump_complex, dumps_complex, load_complex
 
-from _fixtures import sphere, torus, torus_circle_sphere, torus_with_circle
+from _fixtures import (TORUS_TRIS, sphere, torus, torus_circle_sphere,
+                       torus_with_circle)
 
 
 def run(capsys, *argv):
@@ -65,6 +67,16 @@ def test_cup_form_json(capsys, torus_file):
     assert code == 0
     assert payload["rank"] == 2 and payload["nondegenerate"]
     assert payload["entries"][0][1] == [1]
+
+
+def test_cup_form_json_vector_valued(capsys, wedge_file):
+    # b2 = 2; entries frozen from the completion of im(delta1) to C^2
+    code, out, _ = run(capsys, "cup-form", wedge_file, "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["b2"] == 2 and "rank" not in payload
+    assert payload["entries"] == [[[0, 0], [0, 0], [0, 0]],
+                                  [[0, 0], [0, 0], [1, 0]],
+                                  [[0, 0], [1, 0], [0, 0]]]
 
 
 def test_property_a(capsys, torus_file):
@@ -125,10 +137,14 @@ def test_bounds_profile(capsys, tmp_path):
                              "property_a": False}))
     code, _, err = run(capsys, "bounds", "--profile", str(f))
     assert code == 3
+    assert err == "not applicable: F2: cup-pairing property missing or unknown\n"
     f.write_text(json.dumps({"name": "x", "h1": -1, "h2": 0,
                              "property_a": True}))
     code, _, err = run(capsys, "bounds", "--profile", str(f))
     assert code == 2
+    f.write_text("{")
+    code, _, err = run(capsys, "bounds", "--profile", str(f))
+    assert code == 2 and "line 1 column 2" in err
 
 
 def test_bounds_complex_and_source_validation(capsys, torus_file):
@@ -206,6 +222,19 @@ def test_report_marks_inapplicable_without_crashing(capsys, tmp_path):
     assert not payload["euler_bounds"]["applicable"]
     assert payload["certificate"] is None
     assert payload["pipeline"]["free_rank"] == 2
+
+
+def test_report_on_disconnected_input_says_the_pipeline_ran():
+    shifted = [tuple(v + 10 for v in t) for t in TORUS_TRIS]
+    k = Complex2.from_triangles(list(TORUS_TRIS) + shifted)
+    report = run_report("two-tori", k, target_rank=1)
+    assert report.trace.input_disconnected
+    assert len(report.trace.killed_triangles) == 1
+    assert len(report.trace.collapses) == 16
+    assert not any("did not run" in v for v in report.verdicts)
+    assert report.verdicts[0] == (
+        "input is disconnected; the pipeline ran on every component and "
+        "the free-product reading holds per component")
 
 
 def test_report_json_is_deterministic(capsys, wedge_file, spec_file):

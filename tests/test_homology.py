@@ -117,6 +117,55 @@ def test_h2_coordinates():
     assert h2_coordinates(s, shifted) == h2_coordinates(s, w)
 
 
+def cone_book(pages: int) -> Complex2:
+    """Cones over the circle 0-1-2; any two pages bound a sphere, b2 = pages - 1."""
+    return Complex2.from_triangles([t for a in range(10, 10 + pages)
+                                    for t in ((0, 1, a), (0, 2, a), (1, 2, a))])
+
+
+def test_h2_basis_is_dual_to_2_cycles():
+    for k, b2 in ((torus_circle_sphere(), 2), (cone_book(4), 3)):
+        s = homology_summary(k)
+        assert s.b2 == b2
+        d2 = boundary_matrix(k, 2)
+        for z in s.cycle_reps[2]:
+            assert d2.apply(z.coeffs).is_zero()
+        for i, a in enumerate(s.cocycle_reps[2]):
+            for j, z in enumerate(s.cycle_reps[2]):
+                assert a.evaluate(z) == (i == j)
+
+
+def test_h2_cocycle_reps_pinned():
+    # frozen from the completion of im(delta1) to a basis of C^2, a separate construction
+    k = torus_circle_sphere()
+    assert [chain_support(k, a) for a in homology_summary(k).cocycle_reps[2]] == [
+        ((0, 1, 3),), ((0, 101, 102),)]
+    k = cone_book(4)
+    assert [chain_support(k, a) for a in homology_summary(k).cocycle_reps[2]] == [
+        ((0, 1, 10),), ((0, 1, 11),), ((0, 1, 12),)]
+
+
+def test_h2_coordinates_vanish_exactly_on_coboundaries():
+    # independent route: a 2-cochain is a coboundary iff it lies in the row
+    # space of the boundary matrix d2 (row e of d2 is delta of edge e)
+    rng = random.Random(11)
+    for k in (torus(), rp2(), torus_circle_sphere(), cone_book(4)):
+        s = homology_summary(k)
+        d2 = boundary_matrix(k, 2)
+        coboundaries = Gf2Span(k.n_triangles)
+        for row in d2.rows():
+            coboundaries.add(row)
+        for trial in range(40):
+            bits = 0
+            for row in d2.rows():
+                if rng.getrandbits(1):
+                    bits ^= row.bits
+            if trial % 2:
+                bits ^= rng.getrandbits(k.n_triangles)
+            w = CochainVector(2, Gf2Vector(k.n_triangles, bits))
+            assert h2_coordinates(s, w).is_zero() == coboundaries.contains(w.coeffs)
+
+
 def test_chain_round_trip():
     k = torus()
     z = chain(k, 2, k.triangles[:3])

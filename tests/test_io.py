@@ -5,7 +5,8 @@ import pytest
 from simpsurf.complex2 import Complex2
 from simpsurf.io import (FormatError, complex_from_dict, complex_to_dict,
                          dump_complex, dumps_complex, load_complex,
-                         load_functionals, load_named_complex)
+                         load_functionals, load_group_profile,
+                         load_named_complex)
 
 from _fixtures import torus, torus_with_circle
 
@@ -107,3 +108,23 @@ def test_load_functionals_errors(tmp_path):
     f.write_text('[[[0, 1]]]')
     with pytest.raises(FormatError, match="functional 0"):
         load_functionals(f)
+
+
+def test_load_group_profile(tmp_path):
+    f = tmp_path / "profile.json"
+    f.write_text('{"name": "BS(3,5)", "h1": 2, "h2": 1, "property_a": true}')
+    profile = load_group_profile(f)
+    assert (profile.name, profile.h1, profile.h2, profile.property_a) == (
+        "BS(3,5)", 2, 1, True)
+    f.write_text('{"name": "x", "h1": 2,}')
+    with pytest.raises(FormatError, match="line 1 column 23"):
+        load_group_profile(f)
+    f.write_text('[]')
+    with pytest.raises(FormatError, match="expected an object"):
+        load_group_profile(f)
+    f.write_text('{"name": "x", "h1": 2, "h2": 1}')
+    with pytest.raises(FormatError, match="missing key 'property_a'"):
+        load_group_profile(f)
+    f.write_text('{"name": "x", "h1": true, "h2": 1, "property_a": true}')
+    with pytest.raises(FormatError, match="h1/h2: int >= 0"):
+        load_group_profile(f)
