@@ -25,8 +25,8 @@ from .homology import (ChainVector, CochainVector, CupForm, HomologySummary,
 from .io import (FormatError, complex_from_dict, complex_to_dict, dump_complex,
                  dumps_complex, load_complex, load_functionals,
                  load_group_profile, load_named_complex)
-from .reduction import (EliminationResult, PreservationSpec, ReductionTrace,
-                        collapse_all, eliminate_maximal_edges, kill_step,
+from .reduction import (PreservationSpec, ReductionTrace, collapse_all,
+                        eliminate_maximal_edges, kill_step,
                         simplify_pipeline)
 from .search import (SearchResult, canonical_form,
                      complexes_with_one_triple_edge, min_triangles_for_surface)

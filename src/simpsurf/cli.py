@@ -57,14 +57,14 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _complex_payload(k: Complex2) -> dict:
+def _complex_payload(k: Complex2, betti: tuple[int, int, int]) -> dict:
     return {"alpha": [k.n_vertices, k.n_edges, k.n_triangles],
             "chi": k.euler_characteristic(),
-            "betti": list(betti_numbers(k))}
+            "betti": list(betti)}
 
 
-def _complex_line(k: Complex2) -> str:
-    b0, b1, b2 = betti_numbers(k)
+def _complex_line(k: Complex2, betti: tuple[int, int, int]) -> str:
+    b0, b1, b2 = betti
     return (f"{k.n_vertices} vertices, {k.n_edges} edges, "
             f"{k.n_triangles} triangles; chi = {k.euler_characteristic()}; "
             f"betti = ({b0}, {b1}, {b2})")
@@ -80,9 +80,10 @@ def _face(f):
 
 
 def _trace_payload(trace: ReductionTrace) -> dict:
+    # the first and last snapshots are the pipeline's audited Betti numbers
     return {
-        "input": _complex_payload(trace.input_complex),
-        "result": _complex_payload(trace.result),
+        "input": _complex_payload(trace.input_complex, trace.snapshots[0][1]),
+        "result": _complex_payload(trace.result, trace.snapshots[-1][1]),
         "killed_triangles": [list(t) for t in trace.killed_triangles],
         "collapses": [[_face(face), list(coface)]
                       for face, coface in trace.collapses],
@@ -150,10 +151,11 @@ def _classification_line(res: ClassificationResult) -> str:
 
 def _cmd_homology(args) -> int:
     name, k = _load(args.file)
+    betti = betti_numbers(k)
     if args.json:
-        _print_json({"name": name, **_complex_payload(k)})
+        _print_json({"name": name, **_complex_payload(k, betti)})
     else:
-        print(f"{name}: {_complex_line(k)}")
+        print(f"{name}: {_complex_line(k, betti)}")
     return EXIT_OK
 
 
@@ -255,11 +257,12 @@ def _cmd_reduce(args) -> int:
         payload["result_complex"] = complex_to_dict(trace.result, out_name)
         _print_json(payload)
         return EXIT_OK
-    print(f"input K '{name}': {_complex_line(trace.input_complex)}")
+    print(f"input K '{name}': "
+          f"{_complex_line(trace.input_complex, trace.snapshots[0][1])}")
     print(f"pipeline: {_trace_line(trace)}")
     if args.verbose:
         _print_snapshots(trace)
-    print(f"reduced L: {_complex_line(trace.result)}")
+    print(f"reduced L: {_complex_line(trace.result, trace.snapshots[-1][1])}")
     if args.out:
         print(f"wrote {args.out}")
     return EXIT_OK
@@ -536,11 +539,12 @@ def _cmd_report(args) -> int:
         }
         _print_json(payload)
         return EXIT_OK if report.certified else EXIT_CERTIFICATION
-    print(f"input K '{name}': {_complex_line(k)}")
+    snapshots = report.trace.snapshots
+    print(f"input K '{name}': {_complex_line(k, snapshots[0][1])}")
     print(f"pipeline: {_trace_line(report.trace)}")
     if args.verbose:
         _print_snapshots(report.trace)
-    print(f"reduced L: {_complex_line(reduced)}")
+    print(f"reduced L: {_complex_line(reduced, snapshots[-1][1])}")
     print(f"classification: {_classification_line(report.classification)}")
     print(f"counting bounds: {_euler_line(report.euler)}")
     print("verdict:")

@@ -129,14 +129,20 @@ def boundary_matrix(k: Complex2, n: int) -> Gf2Matrix:
 
 def betti_numbers(k: Complex2) -> tuple[int, int, int]:
     """Reduced F2 Betti numbers (b0, b1, b2), without representatives."""
+    return _betti(k, boundary_matrix(k, 2).rank())
+
+
+def _betti(k: Complex2, rank2: int) -> tuple[int, int, int]:
+    """Reduced Betti numbers given the rank of the boundary map in dimension 2.
+
+    The boundary map in dimension 1 is the incidence matrix of a graph, of
+    rank alpha0 minus the number of components, so it needs no elimination.
+    """
     if k.n_vertices == 0:
         return (0, 0, 0)
-    r1 = boundary_matrix(k, 1).rank()
-    r2 = boundary_matrix(k, 2).rank()
-    b0 = len(k.connected_components()) - 1
-    b1 = (k.n_edges - r1) - r2
-    b2 = k.n_triangles - r2
-    return (b0, b1, b2)
+    components = len(k.connected_components())
+    rank1 = k.n_vertices - components
+    return (components - 1, k.n_edges - rank1 - rank2, k.n_triangles - rank2)
 
 
 @dataclass(eq=False)

@@ -8,26 +8,40 @@ deletions the fundamental group of the input is the free product of the
 output's fundamental group with a free group of rank m.
 
 The one invariant everything here is built around: the functionals stay
-surjective on the cycle space of 2-chains after every single step.  It is
-re-checked after each step, not just trusted, along with the Betti
-bookkeeping (kills lower b2 only, deletions lower b1 only).
+surjective on the cycle space of 2-chains after every single step.
+
+The pipeline edits one private working state and builds a Complex2 only
+at phase boundaries.  Each step is witnessed when it is made: a kill
+removes a triangle of a 2-cycle with zero boundary on which every
+functional vanishes, and the functionals' rank is re-checked on the kept
+cycle basis; a collapse has a face of degree one; a deletion has a path
+joining the endpoints without the edge; a contraction has none, and its
+endpoints share no neighbour.  Full rank audits run at the phase
+boundaries (the input, after the kills, the result).  They pin every
+per-step Betti snapshot, because each move shifts the numbers one way
+only: removing a triangle changes (b1, b2) by (0, -1) or (+1, 0),
+deleting an edge changes (b0, b1) by (0, -1) or (+1, 0), collapses and
+contractions change nothing, and surjectivity, once lost, cannot come
+back while the cycle space only shrinks.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from heapq import heappop, heappush
+from itertools import combinations
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .complex2 import Complex2, Triangle, canon_triangle
+from .complex2 import Complex2, Edge, Label, Triangle, canon_edge, canon_triangle, label_key
 from .gf2 import Gf2Matrix, Gf2Vector
-from .homology import CochainVector, betti_numbers, boundary_matrix, homology_summary
+from .homology import CochainVector, _betti, boundary_matrix, homology_summary
 
 __all__ = [
     "PreservationSpec",
     "kill_step",
     "collapse_all",
     "eliminate_maximal_edges",
-    "EliminationResult",
     "ReductionTrace",
     "simplify_pipeline",
 ]
@@ -82,16 +96,14 @@ class PreservationSpec:
     def rank(self) -> int:
         return len(self.supports)
 
+    def _masks(self, triangles: Sequence[Triangle]) -> list[int]:
+        """Each support as a bitmask over the positions of `triangles`."""
+        index = {t: j for j, t in enumerate(triangles)}
+        return [sum(1 << index[t] for t in sup if t in index) for sup in self.supports]
+
     def evaluation_matrix(self, k: Complex2) -> Gf2Matrix:
         """Row i evaluates functional i on the triangle basis of C2(k)."""
-        rows = []
-        for sup in self.supports:
-            bits = 0
-            for j, t in enumerate(k.triangles):
-                if t in sup:
-                    bits |= 1 << j
-            rows.append(bits)
-        return Gf2Matrix(len(self.supports), k.n_triangles, tuple(rows))
+        return Gf2Matrix(self.rank, k.n_triangles, self._masks(k.triangles))
 
     def _cycle_values(self, k: Complex2) -> tuple[Gf2Matrix, list[Gf2Vector]]:
         """Evaluations on a basis of the cycle space, column per basis cycle."""
@@ -143,6 +155,266 @@ def kill_step(k: Complex2, spec: PreservationSpec) -> tuple[Complex2, Triangle]:
     return k.remove_open_triangle(sigma), sigma
 
 
+# ------------------------------------------------------------ bit vectors
+
+def _bits(x: int) -> Iterator[int]:
+    """Positions of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _sum(vectors: Sequence[int], mask: int) -> int:
+    """The sum of vectors[j] over the set bits j of mask."""
+    total = 0
+    for j in _bits(mask):
+        total ^= vectors[j]
+    return total
+
+
+def _values(masks: Sequence[int], z: int) -> int:
+    """Bit i is functional i evaluated on the 2-chain z."""
+    return sum(1 << i for i, m in enumerate(masks) if (z & m).bit_count() & 1)
+
+
+def _rank_and_relation(values: Sequence[int]) -> tuple[int, Optional[int]]:
+    """The rank of the values, and the first linear relation among them.
+
+    The relation is a bitmask of positions: the first position j whose
+    value lies in the span of the earlier ones, plus the earlier positions
+    summing to it.  For values ev(z_j) this is the first vector of
+    Gf2Matrix.kernel_basis on the matrix with those columns.
+    """
+    rows: list[tuple[int, int]] = []
+    relation = None
+    for j, v in enumerate(values):
+        combination = 1 << j
+        for row, used in rows:
+            if v & row & -row:
+                v ^= row
+                combination ^= used
+        if v:
+            rows.append((v, combination))
+        elif relation is None:
+            relation = combination
+    return len(rows), relation
+
+
+def _cycle_basis(k: Complex2) -> tuple[list[int], tuple[int, int, int]]:
+    """The reduced 2-cycle basis of kernel_basis, and the Betti numbers.
+
+    This is the one elimination of a boundary audit; b2 is the basis size.
+    """
+    cycles = [z.bits for z in boundary_matrix(k, 2).kernel_basis()]
+    return cycles, _betti(k, k.n_triangles - len(cycles))
+
+
+def _spec_rank(spec: PreservationSpec, k: Complex2, cycles: Sequence[int]) -> int:
+    masks = spec._masks(k.triangles)
+    return _rank_and_relation([_values(masks, z) for z in cycles])[0]
+
+
+# ------------------------------------------------------------ kills
+
+def _kill_all(k: Complex2, spec: PreservationSpec, cycles: list[int]) -> list[int]:
+    """Kill invisible cycles until none is left; the killed triangle positions.
+
+    `cycles` is the basis kernel_basis gives for the 2-cycles of k: its
+    vectors have distinct highest bits, in increasing order, and each is
+    zero at the others' highest bits.  That normal form depends only on
+    the cycle space, so after a kill the list is replaced in place by the
+    normal form of the cycles avoiding the killed triangle, using the
+    vectors that contain it, and every kill is the one kill_step makes on
+    the complex at that point.  Positions stay those of k.triangles.
+    """
+    masks = spec._masks(k.triangles)
+    edge_index = {e: i for i, e in enumerate(k.edges)}
+    boundaries = [sum(1 << edge_index[e] for e in combinations(t, 2))
+                  for t in k.triangles]
+    values = [_values(masks, z) for z in cycles]
+    killed: list[int] = []
+    while True:
+        _, relation = _rank_and_relation(values)
+        if relation is None:
+            return killed
+        invisible = _sum(cycles, relation)
+        assert invisible and _sum(boundaries, invisible) == 0
+        assert _values(masks, invisible) == 0
+        sigma = next(_bits(invisible))
+        killed.append(sigma)
+        hit = [j for j, z in enumerate(cycles) if z >> sigma & 1]
+        lowest = hit[0]
+        for j in hit[1:]:
+            cycles[j] ^= cycles[lowest]
+            values[j] ^= values[lowest]
+        del cycles[lowest], values[lowest]
+        assert _rank_and_relation(values)[0] == spec.rank
+
+
+# ------------------------------------------------------------ collapses and edges
+
+def _edge_key(e: Edge):
+    return (label_key(e[0]), label_key(e[1]))
+
+
+class _WorkingComplex:
+    """The complex under collapse and edge elimination, edited in place.
+
+    Incidence is kept both ways: the triangles at each edge and the edges
+    at each vertex.  Three lazy min-heaps in canonical order hold the
+    candidate free edges, free vertices and maximal edges.  An entry is
+    pushed whenever a simplex may have become a candidate and is checked
+    against the incidence when popped, so every move is the canonically
+    first one available, as a scan of the rebuilt complex would find it.
+    """
+
+    def __init__(self, k: Complex2, spec: Optional[PreservationSpec]) -> None:
+        self.spec = spec  # renamed through each contraction
+        self.triangles = set(k.triangles)
+        self.tris_at_edge = {e: set(k.triangles_at_edge(e)) for e in k.edges}
+        self.edges_at_vertex = {v: set(k.edges_at_vertex(v)) for v in k.vertices}
+        self.free_edges: list = []
+        self.maximal_edges: list = []
+        self.free_vertices: list = []
+        for e in k.edges:
+            self._edge_changed(e)
+        for v in k.vertices:
+            self._vertex_changed(v)
+        self.collapses: list = []
+        self.contractions: list[Edge] = []
+        self.deleted: list[Edge] = []
+
+    def _edge_changed(self, e: Edge) -> None:
+        degree = len(self.tris_at_edge[e])
+        if degree == 1:
+            heappush(self.free_edges, (_edge_key(e), e))
+        elif degree == 0:
+            heappush(self.maximal_edges, (_edge_key(e), e))
+
+    def _vertex_changed(self, v: Label) -> None:
+        if len(self.edges_at_vertex[v]) == 1:
+            heappush(self.free_vertices, (label_key(v), v))
+
+    @staticmethod
+    def _first(heap: list, incidence: dict, degree: int):
+        """Pop the first candidate that has the given degree now, or None."""
+        while heap:
+            _, s = heappop(heap)
+            if s in incidence and len(incidence[s]) == degree:
+                return s
+        return None
+
+    def _remove_triangle(self, t: Triangle) -> None:
+        self.triangles.remove(t)
+        for f in combinations(t, 2):
+            self.tris_at_edge[f].remove(t)
+            self._edge_changed(f)
+
+    def _remove_edge(self, e: Edge) -> None:
+        assert not self.tris_at_edge.pop(e)
+        for v in e:
+            self.edges_at_vertex[v].remove(e)
+            self._vertex_changed(v)
+
+    def collapse(self) -> bool:
+        """Free-face collapses to a fixpoint, edges first; whether any was made."""
+        made = len(self.collapses)
+        while True:
+            e = self._first(self.free_edges, self.tris_at_edge, 1)
+            if e is not None:
+                (t,) = self.tris_at_edge[e]
+                self._remove_triangle(t)
+                self._remove_edge(e)
+                self.collapses.append((e, t))
+                continue
+            v = self._first(self.free_vertices, self.edges_at_vertex, 1)
+            if v is None:
+                return len(self.collapses) > made
+            (e,) = self.edges_at_vertex[v]
+            self._remove_edge(e)
+            del self.edges_at_vertex[v]
+            self.collapses.append((v, e))
+
+    def _path_avoiding(self, e: Edge) -> Optional[list[Label]]:
+        """A path from e[0] to e[1] that does not use e, by BFS, or None."""
+        start, goal = e
+        parent: dict = {start: None}
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for f in self.edges_at_vertex[u]:
+                w = f[1] if f[0] == u else f[0]
+                if f == e or w in parent:
+                    continue
+                parent[w] = u
+                if w == goal:
+                    path = [w]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    return path
+                queue.append(w)
+        return None
+
+    def _contract(self, e: Edge) -> None:
+        """Identify the endpoints of a bridge, renaming the star of the larger."""
+        keep, gone = e
+        self._remove_edge(e)
+        star = self.edges_at_vertex.pop(gone)
+        near = {w for f in self.edges_at_vertex[keep] for w in f}
+        # a common neighbour would be a path, and would make two edges one
+        assert not near & {w for f in star for w in f if w != gone}
+        renamed = {t: canon_triangle(*(keep if v == gone else v for v in t))
+                   for f in star for t in self.tris_at_edge[f]}
+        for t, u in renamed.items():
+            self.triangles.remove(t)
+            self.triangles.add(u)
+            opposite = self.tris_at_edge[tuple(v for v in t if v != gone)]
+            opposite.remove(t)
+            opposite.add(u)
+        for f in star:
+            w = f[1] if f[0] == gone else f[0]
+            g = canon_edge(keep, w)
+            self.tris_at_edge[g] = {renamed[t] for t in self.tris_at_edge.pop(f)}
+            self.edges_at_vertex[w].remove(f)
+            self.edges_at_vertex[w].add(g)
+            self.edges_at_vertex[keep].add(g)
+            self._edge_changed(g)
+        self._vertex_changed(keep)
+        if self.spec is not None:
+            self.spec = self.spec.mapped({gone: keep})
+
+    def eliminate(self, snapshots: list) -> None:
+        """Remove every maximal edge, then collapse, to a joint fixpoint.
+
+        The canonically first maximal edge goes each time: deleted when a
+        path joins its endpoints without it (b1 drops by one), contracted
+        otherwise (a homotopy equivalence).  Each move, and each run of
+        collapses, appends a snapshot whose Betti numbers follow from it.
+        """
+        while True:
+            b0, b1, b2 = snapshots[-1][1]
+            e = self._first(self.maximal_edges, self.tris_at_edge, 0)
+            if e is not None:
+                path = self._path_avoiding(e)
+                if path is not None:
+                    assert path[0] == e[1] and path[-1] == e[0] and len(path) > 2
+                    self._remove_edge(e)
+                    self.deleted.append(e)
+                    snapshots.append(("delete", (b0, b1 - 1, b2)))
+                else:
+                    self._contract(e)
+                    self.contractions.append(e)
+                    snapshots.append(("contract", (b0, b1, b2)))
+            elif self.collapse():
+                snapshots.append(("collapse", (b0, b1, b2)))
+            else:
+                return
+
+    def complex(self) -> Complex2:
+        return Complex2(self.edges_at_vertex, self.tris_at_edge, self.triangles)
+
+
 def collapse_all(k: Complex2) -> tuple[Complex2, tuple]:
     """Free-face collapses to a fixpoint; returns the (face, coface) pairs.
 
@@ -151,117 +423,25 @@ def collapse_all(k: Complex2) -> tuple[Complex2, tuple]:
     preferred and scanning is in canonical order.  Cycles of 2-chains are
     untouched: a cycle must vanish on the triangle of any free edge.
     """
-    pairs = []
-    while True:
-        free_edge = next((e for e in k.edges if k.edge_degree(e) == 1), None)
-        if free_edge is not None:
-            t = k.triangles_at_edge(free_edge)[0]
-            k = Complex2(k.vertices,
-                         (e for e in k.edges if e != free_edge),
-                         (u for u in k.triangles if u != t))
-            pairs.append((free_edge, t))
-            continue
-        free_vertex = next(
-            (v for v in k.vertices if len(k.edges_at_vertex(v)) == 1), None)
-        if free_vertex is not None:
-            e = k.edges_at_vertex(free_vertex)[0]
-            k = Complex2((v for v in k.vertices if v != free_vertex),
-                         (f for f in k.edges if f != e),
-                         k.triangles)
-            pairs.append((free_vertex, e))
-            continue
-        return k, tuple(pairs)
-
-
-@dataclass
-class EliminationResult:
-    """Outcome of draining maximal edges (and the collapses that follow)."""
-
-    result: Complex2
-    spec: Optional[PreservationSpec]  # input spec mapped through contractions
-    collapses: tuple
-    contractions: tuple
-    deleted_edges: tuple
-    snapshots: tuple
-
-    @property
-    def free_rank(self) -> int:
-        """Rank m of the split-off free factor: one circle per deleted edge."""
-        return len(self.deleted_edges)
-
-
-def eliminate_maximal_edges(k: Complex2,
-                            spec: Optional[PreservationSpec] = None) -> EliminationResult:
-    """Remove every triangle-free edge, then collapse, to a joint fixpoint.
-
-    A maximal edge whose endpoints fall into different components without
-    it is contracted (a homotopy equivalence); otherwise it closes a cycle
-    and is deleted, splitting off a circle wedge summand.  Functionals in
-    `spec`, when given, are renamed through each contraction.  The books
-    are asserted: b1 drops by exactly the number of deletions, b0 and b2
-    do not move, and the output has no free faces and no maximal edges.
-    """
-    b_in = betti_numbers(k)
-    chi_in = k.euler_characteristic()
-    collapses: list = []
-    contractions: list = []
-    deleted: list = []
-    snapshots: list = []
-    while True:
-        loose = k.maximal_edges()
-        if loose:
-            e = loose[0]
-            keep, gone = e
-            cut = k.delete_maximal_edge(e)
-            separated = all(
-                not (keep in comp and gone in comp)
-                for comp in cut.connected_components())
-            if separated:
-                k = k.contract_maximal_edge(e)
-                if spec is not None:
-                    spec = spec.mapped({gone: keep})
-                contractions.append(e)
-                snapshots.append(("contract", betti_numbers(k)))
-            else:
-                k = cut
-                deleted.append(e)
-                snapshots.append(("delete", betti_numbers(k)))
-            continue
-        k2, pairs = collapse_all(k)
-        if pairs:
-            k = k2
-            collapses.extend(pairs)
-            snapshots.append(("collapse", betti_numbers(k)))
-            continue
-        break
-
-    b_out = betti_numbers(k)
-    assert b_out == (b_in[0], b_in[1] - len(deleted), b_in[2])
-    assert k.euler_characteristic() == chi_in + len(deleted)
-    assert not k.maximal_edges()
-    assert all(k.edge_degree(e) != 1 for e in k.edges)
-    return EliminationResult(
-        result=k,
-        spec=spec,
-        collapses=tuple(collapses),
-        contractions=tuple(contractions),
-        deleted_edges=tuple(deleted),
-        snapshots=tuple(snapshots),
-    )
+    state = _WorkingComplex(k, None)
+    if not state.collapse():
+        return k, ()
+    return state.complex(), tuple(state.collapses)
 
 
 @dataclass
 class ReductionTrace:
-    """Everything the pipeline did, with the books that justify it.
+    """Everything a reduction did, with the books that justify it.
 
     Snapshots hold ("input" | "kill" | "collapse" | "contract" | "delete",
     (b0, b1, b2)) after each step; across the kill entries b0 and b1 stay
-    fixed while b2 steps down by one each time.
+    fixed while b2 steps down by one each time.  `spec` is None only from
+    eliminate_maximal_edges called without functionals.
     """
 
     input_complex: Complex2
     result: Complex2
-    spec: PreservationSpec  # final functionals, renamed through contractions
+    spec: Optional[PreservationSpec]  # final functionals, renamed through contractions
     killed_triangles: tuple[Triangle, ...]
     collapses: tuple
     contractions: tuple
@@ -273,6 +453,55 @@ class ReductionTrace:
     def free_rank(self) -> int:
         """Rank m of the split-off free factor: one circle per deleted edge."""
         return len(self.deleted_edges)
+
+
+def _finish(state: _WorkingComplex, k: Complex2, killed: Sequence[Triangle],
+            snapshots: list, rank: Optional[int]) -> ReductionTrace:
+    """Build the result and audit it against the input's books.
+
+    `rank` is the functionals' rank on the input's cycle space, which
+    every step must keep.
+    """
+    result = state.complex()
+    cycles, betti = _cycle_basis(result)
+    b0, b1, b2 = snapshots[0][1]
+    m = len(state.deleted)
+    assert betti == (b0, b1 - m, b2 - len(killed)) == snapshots[-1][1]
+    assert result.euler_characteristic() == k.euler_characteristic() - len(killed) + m
+    assert not result.maximal_edges()
+    assert all(len(result.triangles_at_edge(e)) != 1 for e in result.edges)
+    assert state.spec is None or _spec_rank(state.spec, result, cycles) == rank
+    return ReductionTrace(
+        input_complex=k,
+        result=result,
+        spec=state.spec,
+        killed_triangles=tuple(killed),
+        collapses=tuple(state.collapses),
+        contractions=tuple(state.contractions),
+        deleted_edges=tuple(state.deleted),
+        snapshots=tuple(snapshots),
+        input_disconnected=b0 > 0,
+    )
+
+
+def eliminate_maximal_edges(k: Complex2,
+                            spec: Optional[PreservationSpec] = None) -> ReductionTrace:
+    """Remove every triangle-free edge, then collapse, to a joint fixpoint.
+
+    A maximal edge whose endpoints fall into different components without
+    it is contracted (a homotopy equivalence); otherwise it closes a cycle
+    and is deleted, splitting off a circle wedge summand.  Functionals in
+    `spec`, when given, are renamed through each contraction.  The books
+    are audited: b1 drops by exactly the number of deletions, b0 and b2
+    do not move, the functionals keep their rank on the cycles, and the
+    output has no free faces and no maximal edges.  The trace has no kills.
+    """
+    cycles, betti = _cycle_basis(k)
+    rank = None if spec is None else _spec_rank(spec, k, cycles)
+    state = _WorkingComplex(k, spec)
+    snapshots: list = [("input", betti)]
+    state.eliminate(snapshots)
+    return _finish(state, k, (), snapshots, rank)
 
 
 def simplify_pipeline(k: Complex2, spec: Optional[PreservationSpec] = None,
@@ -292,43 +521,27 @@ def simplify_pipeline(k: Complex2, spec: Optional[PreservationSpec] = None,
         spec = PreservationSpec.dual_basis(k, target_rank)
     elif target_rank is not None and spec.rank != target_rank:
         raise ValueError("target_rank disagrees with the explicit spec")
-    if not spec.is_surjective_on_cycles(k):
+    cycles, betti = _cycle_basis(k)
+    if _spec_rank(spec, k, cycles) != spec.rank:
         raise ValueError("functionals are not surjective on the cycle space")
 
-    input_complex = k
-    snapshots: list = [("input", betti_numbers(k))]
-    killed: list[Triangle] = []
-    while _invisible_cycle(k, spec) is not None:
-        b_before = betti_numbers(k)
-        k, sigma = kill_step(k, spec)
-        killed.append(sigma)
-        b_after = betti_numbers(k)
-        snapshots.append(("kill", b_after))
-        assert b_after == (b_before[0], b_before[1], b_before[2] - 1)
-        assert spec.is_surjective_on_cycles(k)
+    killed = _kill_all(k, spec, cycles)
+    b0, b1, b2 = betti
+    snapshots: list = [("input", betti)]
+    snapshots += [("kill", (b0, b1, b2 - i)) for i in range(1, len(killed) + 1)]
+    after = k
+    if killed:
+        gone = set(killed)
+        kept = [j for j in range(k.n_triangles) if j not in gone]
+        after = Complex2(k.vertices, k.edges, [k.triangles[j] for j in kept])
+        fresh, betti = _cycle_basis(after)
+        position = {j: i for i, j in enumerate(kept)}
+        assert fresh == [sum(1 << position[j] for j in _bits(z)) for z in cycles]
+        assert betti == snapshots[-1][1]
+        assert _spec_rank(spec, after, fresh) == spec.rank
 
-    k, pairs = collapse_all(k)
-    if pairs:
-        snapshots.append(("collapse", betti_numbers(k)))
-    elimination = eliminate_maximal_edges(k, spec)
-    k = elimination.result
-    spec = elimination.spec
-    snapshots.extend(elimination.snapshots)
-    assert spec.is_surjective_on_cycles(k)
-
-    b_in = snapshots[0][1]
-    b_out = betti_numbers(k)
-    assert k.euler_characteristic() == (
-        input_complex.euler_characteristic() - len(killed) + elimination.free_rank)
-    assert b_out == (b_in[0], b_in[1] - elimination.free_rank, b_in[2] - len(killed))
-    return ReductionTrace(
-        input_complex=input_complex,
-        result=k,
-        spec=spec,
-        killed_triangles=tuple(killed),
-        collapses=pairs + elimination.collapses,
-        contractions=elimination.contractions,
-        deleted_edges=elimination.deleted_edges,
-        snapshots=tuple(snapshots),
-        input_disconnected=not input_complex.is_connected() and input_complex.n_vertices > 0,
-    )
+    state = _WorkingComplex(after, spec)
+    if state.collapse():
+        snapshots.append(("collapse", betti))
+    state.eliminate(snapshots)
+    return _finish(state, k, [k.triangles[j] for j in killed], snapshots, spec.rank)

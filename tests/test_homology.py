@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
 from _fixtures import rp2, sphere, torus, torus_circle_sphere, torus_with_circle
+from simpsurf.bounds import parse_surface_id
 from simpsurf.complex2 import Complex2
 from simpsurf.gf2 import Gf2Span, Gf2Vector
 from simpsurf.homology import (
@@ -21,6 +23,7 @@ from simpsurf.homology import (
     homology_summary,
     property_a_brute_force,
 )
+from simpsurf.surfaces import catalog
 
 
 def delta(k: Complex2, w):
@@ -71,6 +74,30 @@ def test_b2_computed_two_ways():
         kernel = len(boundary_matrix(k, 2).kernel_basis())
         cokernel = k.n_triangles - boundary_matrix(k, 2).transpose().rank()
         assert kernel == cokernel == betti_numbers(k)[2]
+
+
+def test_rank_d1_is_read_off_the_component_count():
+    # betti_numbers takes rank d1 = alpha0 - #components, never eliminating d1
+    cases = [sphere(), rp2(), torus(), torus_with_circle(), torus_circle_sphere(),
+             Complex2([])]
+    cases += [catalog(parse_surface_id(name))
+              for name in ("S2", "N1", "M1", "N2", "N3", "M2", "N4", "N5")]
+    rng = random.Random(20261017)
+    for _ in range(40):
+        n = rng.randrange(1, 9)
+        triples = list(combinations(range(n), 3))
+        pairs = list(combinations(range(n), 2))
+        tris = rng.sample(triples, rng.randrange(0, min(8, len(triples)) + 1))
+        loose = rng.sample(pairs, rng.randrange(0, min(5, len(pairs)) + 1))
+        cases.append(Complex2.from_triangles(tris, extra_edges=loose,
+                                             extra_vertices=range(n + 2)))
+    for k in cases:
+        components = len(k.connected_components())
+        r1 = boundary_matrix(k, 1).rank()
+        r2 = boundary_matrix(k, 2).rank()
+        assert r1 == k.n_vertices - components
+        assert betti_numbers(k) == (max(components - 1, 0),
+                                    k.n_edges - r1 - r2, k.n_triangles - r2)
 
 
 def test_summary_matches_betti_and_rep_counts():
