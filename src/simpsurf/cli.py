@@ -371,9 +371,9 @@ def _cmd_search(args) -> int:
               file=sys.stderr)
         return EXIT_PARSE
     n = args.max_vertices
+    surface = _parse_surface(args.surface) if args.surface else None
     try:
-        if args.surface:
-            surface = _parse_surface(args.surface)
+        if surface is not None:
             print(f"enumerating closed complexes on up to {n} vertices "
                   f"for {surface.name}", file=sys.stderr)
             res = min_triangles_for_surface(n, surface)
@@ -634,13 +634,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_catalog)
 
     p = sub.add_parser("search",
-                       help="exhaustive desk-scale searches with isomorph "
-                            "rejection")
+                       help="exhaustive desk-scale searches over small "
+                            "closed complexes")
     p.add_argument("--surface", metavar="ID",
-                   help="least triangle count of this surface")
+                   help="least triangle count of this surface; the state "
+                        "counts are raw closed states, not isomorphism "
+                        "classes")
     p.add_argument("--one-triple-edge", action="store_true",
                    help="look for a closed complex with exactly one "
-                        "degree-3 edge")
+                        "degree-3 edge, one per isomorphism class")
     p.add_argument("--max-vertices", type=int, required=True, metavar="N")
     _add_json_flag(p)
     p.set_defaults(func=_cmd_search)

@@ -38,11 +38,31 @@ _MAX_VERTICES = 8
 
 
 def canonical_form(k: Complex2) -> tuple:
-    """A relabeling-invariant key: the least (triangles, edges) pair.
+    """A relabeling-invariant key ``(n, triangles, edges)``.
 
-    Vertices are first partitioned by iterated neighbourhood refinement;
-    the minimum is then taken over the label permutations respecting the
-    partition.  Intended for the handful of vertices the searches use.
+    The key is the least ``(triangles, edges)`` pair, each a sorted tuple
+    of sorted label tuples, over the labelings of the vertices by
+    0..n-1 that respect a colour partition.  Vertices are first coloured
+    by iterated neighbourhood refinement; the cells, in colour order, own
+    consecutive label ranges, so only labelings that send each cell onto
+    its own range take part.
+
+    The minimum is found by depth-first branch and bound rather than by
+    trying every such labeling.  Labels 0, 1, 2, ... are placed in order,
+    each on an unused vertex of the cell owning it.  At a node with
+    labels 0..m-1 placed and more than one candidate for label m, every
+    triangle gets a bound tuple: its placed labels plus m for each
+    unplaced vertex, sorted.  Unplaced vertices can only receive labels
+    >= m, so each bound tuple is elementwise at most the triangle's tuple
+    in any completion, and sorting preserves that domination: the sorted
+    list of bound tuples is at most the triangle list of every labeling
+    below the node.  A node whose bound list is strictly greater than the
+    best triangle list found so far is cut.  Ties are kept, so the edge
+    list still decides between labelings with equal triangle lists, and
+    the key is exactly the minimum over all labelings the partition
+    allows.  A vertex-transitive complex no longer costs n! relabelings,
+    though the search still visits every labeling that ties the best
+    triangle list, which includes one per automorphism.
     """
     verts = k.vertices
     colors = {
@@ -64,28 +84,49 @@ def canonical_form(k: Complex2) -> tuple:
             break
         colors = new
 
-    groups: dict[int, list] = {}
+    n = len(verts)
+    cells: dict[int, list] = {}
     for v in verts:
-        groups.setdefault(colors[v], []).append(v)
-    ordered = [groups[c] for c in sorted(groups)]
-    offsets = []
-    base = 0
-    for g in ordered:
-        offsets.append(base)
-        base += len(g)
+        cells.setdefault(colors[v], []).append(v)
+    owner = []  # owner[m] is the cell whose vertices may take label m
+    for c in sorted(cells):
+        owner += [cells[c]] * len(cells[c])
+    label = dict.fromkeys(verts, n)  # n marks a vertex with no label yet
 
-    best = None
-    for perms in itertools.product(*(itertools.permutations(g) for g in ordered)):
-        relabel = {}
-        for off, perm in zip(offsets, perms):
-            for i, v in enumerate(perm):
-                relabel[v] = off + i
-        tris = tuple(sorted(tuple(sorted(relabel[v] for v in t)) for t in k.triangles))
-        edges = tuple(sorted(tuple(sorted(relabel[v] for v in e)) for e in k.edges))
-        key = (tris, edges)
-        if best is None or key < best:
-            best = key
-    return (k.n_vertices,) + (best if best is not None else ((), ()))
+    def triangle_list(lab: dict) -> list:
+        return sorted([tuple(sorted((lab[a], lab[b], lab[c])))
+                       for a, b, c in k.triangles])
+
+    best = None  # (triangle list, edge list) of the least labeling so far
+
+    def descend(m: int) -> None:
+        nonlocal best
+        forced = []  # labels with a single candidate, placed without a bound
+        while m < n:
+            free = [v for v in owner[m] if label[v] == n]
+            if len(free) > 1:
+                break
+            label[free[0]] = m
+            forced.append(free[0])
+            m += 1
+        if m == n:
+            t = triangle_list(label)
+            if best is None or t <= best[0]:
+                e = sorted([tuple(sorted((label[a], label[b])))
+                            for a, b in k.edges])
+                if best is None or (t, e) < best:
+                    best = (t, e)
+        elif best is None or triangle_list(
+                {v: x if x < m else m for v, x in label.items()}) <= best[0]:
+            for v in free:
+                label[v] = m
+                descend(m + 1)
+                label[v] = n
+        for v in forced:
+            label[v] = n
+
+    descend(0)
+    return (n, tuple(best[0]), tuple(best[1]))
 
 
 def _enumerate_closed(n_max: int, allow_one_triple: bool,

@@ -183,6 +183,9 @@ def test_search_commands(capsys):
     code, _, err = run(capsys, "search", "--surface", "N1",
                        "--max-vertices", "20")
     assert code == 3
+    code, _, err = run(capsys, "search", "--surface", "Q7",
+                       "--max-vertices", "6")
+    assert code == 2 and "unrecognized surface" in err
 
 
 def test_report_certifies_free_product(capsys, wedge_file, spec_file):
