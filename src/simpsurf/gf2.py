@@ -1,10 +1,16 @@
 """Dense bit-packed linear algebra over the two-element field.
 
 Vectors are Python ints used as bitsets (bit i = coordinate i), so a row
-operation is one XOR regardless of length.  Everything is deterministic:
-elimination always pivots on the first nonzero column using the lowest
-remaining row, kernel bases enumerate free columns in increasing order,
-and solve() sets free variables to zero.
+operation is one XOR regardless of length.
+
+There is one elimination, Gf2Span._reduce_bits.  A span maps each pivot p
+to a row whose lowest set bit is p; a vector is reduced by XOR-ing in the
+row of its lowest remaining pivot bit until no pivot bit is left.  Ranks,
+kernels, reduced row echelon forms and solve() all go through it.  The
+reduced row echelon form of a matrix depends only on its row space, so
+the order in which rows are eliminated never shows in any result: kernel
+bases enumerate free columns in increasing order, and solve() sets free
+variables to zero.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ __all__ = [
     "Gf2Vector",
     "Gf2Matrix",
     "Gf2Span",
-    "extend_to_basis",
 ]
 
 
@@ -159,71 +164,39 @@ class Gf2Matrix:
         return Gf2Matrix(self.n_rows + other.n_rows, self.n_cols, self._rows + other._rows)
 
     def _rref(self) -> tuple[list[int], list[int]]:
-        """Reduced row echelon form; returns (rows, pivot columns)."""
-        rows = list(self._rows)
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.n_cols):
-            pr = next((i for i in range(r, len(rows)) if rows[i] >> c & 1), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            for i in range(len(rows)):
-                if i != r and rows[i] >> c & 1:
-                    rows[i] ^= rows[r]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        return rows, pivots
+        """Reduced row echelon form; returns (rows, pivot columns).
+
+        Rows come in pivot order, padded with zero rows to n_rows.
+        """
+        span = Gf2Span(self.n_cols)
+        for r in self._rows:
+            span._add_bits(r)
+        pivots = list(_bits_up(span._mask))
+        rows = span._reduced_rows()
+        return rows + [0] * (self.n_rows - len(rows)), pivots
 
     def rank(self) -> int:
         return len(self._rref()[1])
 
     def kernel_basis(self) -> list[Gf2Vector]:
         """Deterministic basis of {x : M x = 0}, one vector per free column."""
-        rows, pivots = self._rref()
-        pivot_set = set(pivots)
-        basis = []
-        for f in range(self.n_cols):
-            if f in pivot_set:
-                continue
-            bits = 1 << f
-            for r, p in enumerate(pivots):
-                if rows[r] >> f & 1:
-                    bits |= 1 << p
-            basis.append(Gf2Vector(self.n_cols, bits))
-        return basis
+        return _kernel_from_rref(self.n_cols, *self._rref())
 
     def solve(self, b: Gf2Vector) -> Optional[Gf2Vector]:
-        """One solution of M x = b (free variables zero), or None."""
+        """One solution of M x = b (free variables zero), or None.
+
+        The right-hand side rides along as column n_cols; the system is
+        inconsistent exactly when that column becomes a pivot.
+        """
         if b.length != self.n_rows:
             raise ValueError(f"rhs length {b.length} != {self.n_rows} rows")
-        rows = list(self._rows)
-        rhs = b.to_coeffs()
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.n_cols):
-            pr = next((i for i in range(r, len(rows)) if rows[i] >> c & 1), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            rhs[r], rhs[pr] = rhs[pr], rhs[r]
-            for i in range(len(rows)):
-                if i != r and rows[i] >> c & 1:
-                    rows[i] ^= rows[r]
-                    rhs[i] ^= rhs[r]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        if any(rhs[i] and not rows[i] for i in range(len(rows))):
+        n = self.n_cols
+        augmented = Gf2Matrix(self.n_rows, n + 1, [r | (b.bits >> i & 1) << n
+                                                  for i, r in enumerate(self._rows)])
+        rows, pivots = augmented._rref()
+        if pivots and pivots[-1] == n:
             return None
-        bits = 0
-        for i, p in enumerate(pivots):
-            if rhs[i]:
-                bits |= 1 << p
-        return Gf2Vector(self.n_cols, bits)
+        return Gf2Vector(n, sum(1 << p for r, p in zip(rows, pivots) if r >> n & 1))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Gf2Matrix)
@@ -238,26 +211,53 @@ class Gf2Matrix:
 
 
 class Gf2Span:
-    """Incrementally built subspace kept in reduced echelon form.
+    """Incrementally built subspace, one row per pivot.
 
-    add() returns whether the vector enlarged the span, so this doubles
-    as a greedy independence filter; reduce() gives the canonical residue
-    of a vector modulo the span.
+    The row stored at pivot p has p as its lowest set bit.  add() returns
+    whether the vector enlarged the span, so this doubles as a greedy
+    independence filter; reduce() gives the canonical residue of a vector
+    modulo the span, the one that is zero at every pivot.
     """
 
     def __init__(self, length: int) -> None:
         self.length = length
         self._pivot_rows: dict[int, int] = {}
+        self._mask = 0  # bit p set exactly when p is a pivot
 
     @property
     def dim(self) -> int:
         return len(self._pivot_rows)
 
     def _reduce_bits(self, bits: int) -> int:
-        for p in sorted(self._pivot_rows):
-            if bits >> p & 1:
-                bits ^= self._pivot_rows[p]
+        # the one elimination: clear the lowest pivot bit left until none is;
+        # a row only adds bits above its pivot, so this ends
+        rows, mask = self._pivot_rows, self._mask
+        hit = bits & mask
+        while hit:
+            bits ^= rows[(hit & -hit).bit_length() - 1]
+            hit = bits & mask
         return bits
+
+    def _add_bits(self, bits: int) -> bool:
+        bits = self._reduce_bits(bits)
+        if not bits:
+            return False
+        p = _low_bit(bits)
+        self._pivot_rows[p] = bits
+        self._mask |= 1 << p
+        return True
+
+    def _reduced_rows(self) -> list[int]:
+        """The reduced row echelon form of the span, rows in pivot order.
+
+        One back-substitution pass from the highest pivot down: each row
+        is reduced by the rows above it, which are already reduced.
+        """
+        mask, self._mask = self._mask, 0
+        for p in reversed(list(_bits_up(mask))):
+            self._pivot_rows[p] = self._reduce_bits(self._pivot_rows[p])
+            self._mask |= 1 << p
+        return [self._pivot_rows[p] for p in _bits_up(mask)]
 
     def reduce(self, v: Gf2Vector) -> Gf2Vector:
         if v.length != self.length:
@@ -268,44 +268,30 @@ class Gf2Span:
         return self.reduce(v).is_zero()
 
     def add(self, v: Gf2Vector) -> bool:
-        bits = self.reduce(v).bits
-        if bits == 0:
-            return False
-        p = _low_bit(bits)
-        for q, row in self._pivot_rows.items():
-            if row >> p & 1:
-                self._pivot_rows[q] = row ^ bits
-        self._pivot_rows[p] = bits
-        return True
+        return self._add_bits(self.reduce(v).bits)
 
     def vectors(self) -> list[Gf2Vector]:
-        return [Gf2Vector(self.length, self._pivot_rows[p]) for p in sorted(self._pivot_rows)]
+        return [Gf2Vector(self.length, r) for r in self._reduced_rows()]
 
 
-def extend_to_basis(independent: Sequence[Gf2Vector],
-                    spanning: Sequence[Gf2Vector]) -> list[Gf2Vector]:
-    """Complete an independent family to a basis of span(spanning).
+def _bits_up(x: int) -> Iterator[int]:
+    """The set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
-    Vectors are drawn greedily from spanning in list order.  Raises if the
-    given family is dependent or not contained in span(spanning).
+
+def _kernel_from_rref(n_cols: int, rows: Sequence[int],
+                      pivots: Sequence[int]) -> list[Gf2Vector]:
+    """Kernel basis read off a reduced row echelon form, free columns in order.
+
+    The vector of free column f is f plus every pivot whose row has f set.
     """
-    if not independent and not spanning:
-        return []
-    length = (independent[0] if independent else spanning[0]).length
-    target = Gf2Span(length)
-    for v in spanning:
-        target.add(v)
-    span = Gf2Span(length)
-    basis = []
-    for v in independent:
-        if not target.contains(v):
-            raise ValueError(f"{v!r} is not in the span of the spanning family")
-        if not span.add(v):
-            raise ValueError(f"{v!r} is dependent on the preceding vectors")
-        basis.append(v)
-    for v in spanning:
-        if span.add(v):
-            basis.append(v)
-    if span.dim != target.dim:
-        raise AssertionError("completion missed the target span")
-    return basis
+    pivot_set = set(pivots)
+    kernel = [0] * n_cols
+    for r, p in zip(rows, pivots):
+        for f in _bits_up(r ^ (1 << p)):
+            kernel[f] |= 1 << p
+    return [Gf2Vector(n_cols, kernel[f] | 1 << f)
+            for f in range(n_cols) if f not in pivot_set]

@@ -26,7 +26,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .complex2 import Complex2, canon_edge, canon_triangle
-from .gf2 import Gf2Matrix, Gf2Span, Gf2Vector, extend_to_basis
+from .gf2 import Gf2Matrix, Gf2Span, Gf2Vector, _kernel_from_rref
 
 __all__ = [
     "ChainVector",
@@ -178,6 +178,19 @@ class HomologySummary:
 def homology_summary(k: Complex2) -> HomologySummary:
     """Reduced F2 homology of a 2-complex, with representative bases.
 
+    Each boundary map is eliminated once, and every basis is read off one
+    of the four eliminations:
+      * d1: its kernel is z1, the 1-cycles; its reduced rows span the
+        1-coboundaries (row v of d1 is delta0 of the indicator of v);
+      * d2 transposed: its kernel is the 1-cocycles; its reduced rows span
+        the 1-boundaries;
+      * d2: its kernel z2 is the 2-cycles, so b2 = len(z2) and rank d2 is
+        alpha2 - b2;
+      * z2: its reduced row echelon form gives the dual degree-2 bases.
+    cycle_reps[1] are the vectors of z1, in order, that are independent of
+    the 1-boundaries and the earlier picks; cocycle_reps[1] are the
+    1-cocycles picked the same way against the 1-coboundaries.
+
     The empty complex is reported as having no homology at all.
     """
     d1 = boundary_matrix(k, 1)
@@ -185,15 +198,13 @@ def homology_summary(k: Complex2) -> HomologySummary:
 
     comps = k.connected_components()
     b0 = max(len(comps) - 1, 0)
-    z1 = d1.kernel_basis()
-    image2 = Gf2Span(k.n_edges)
-    boundary_basis = []
-    for col in d2.transpose().rows():
-        if image2.add(col):
-            boundary_basis.append(col)
-    b1 = len(z1) - image2.dim
+    rows1, pivots1 = d1._rref()
+    rows2t, pivots2t = d2.transpose()._rref()
+    z1 = _kernel_from_rref(k.n_edges, rows1, pivots1)
+    cocycles1 = _kernel_from_rref(k.n_edges, rows2t, pivots2t)
     z2 = d2.kernel_basis()
     b2 = len(z2)
+    b1 = len(z1) - (k.n_triangles - b2)
 
     # dimension-0 representatives: one vertex per later component vs the first
     cycle0 = []
@@ -204,20 +215,10 @@ def homology_summary(k: Complex2) -> HomologySummary:
             cycle0.append(chain(k, 0, [comp[0], base]))
             cocycle0.append(cochain(k, 0, comp))
 
-    # dimension-1 homology: complete the boundary image inside the cycle space
-    cycle1_vecs = extend_to_basis(boundary_basis, boundary_basis + z1)[image2.dim:]
-    cycle1 = tuple(ChainVector(1, v) for v in cycle1_vecs)
-
-    # dimension-1 cohomology: complete the 0-coboundaries inside the cocycles.
-    # Row v of d1 is exactly delta0 applied to the indicator of v.
-    cob1 = []
-    cob1_span = Gf2Span(k.n_edges)
-    for row in d1.rows():
-        if cob1_span.add(row):
-            cob1.append(row)
-    cocycles1 = d2.transpose().kernel_basis()
-    cocycle1_vecs = extend_to_basis(cob1, cob1 + cocycles1)[len(cob1):]
-    cocycle1 = tuple(CochainVector(1, v) for v in cocycle1_vecs)
+    cycle1 = tuple(ChainVector(1, v) for v in
+                   _independent_modulo(k.n_edges, rows2t[:len(pivots2t)], z1))
+    cocycle1 = tuple(CochainVector(1, v) for v in
+                     _independent_modulo(k.n_edges, rows1[:len(pivots1)], cocycles1))
 
     # dimension 2, by duality H^2 = Hom(H_2): the RREF of the kernel of d2
     # gives single-triangle cocycles (its pivots) and the 2-cycles dual to them
@@ -232,6 +233,15 @@ def homology_summary(k: Complex2) -> HomologySummary:
         cocycle_reps={0: tuple(cocycle0), 1: cocycle1, 2: cocycle2},
         _n_triangles=k.n_triangles,
     )
+
+
+def _independent_modulo(length: int, seed: Iterable[int],
+                        candidates: Iterable[Gf2Vector]) -> list[Gf2Vector]:
+    """The candidates, in order, that enlarge the span of seed and the earlier picks."""
+    span = Gf2Span(length)
+    for bits in seed:
+        span.add(Gf2Vector(length, bits))
+    return [v for v in candidates if span.add(v)]
 
 
 def h2_coordinates(summary: HomologySummary, w: CochainVector) -> Gf2Vector:
@@ -252,11 +262,11 @@ def cup_product(k: Complex2, a: CochainVector, b: CochainVector) -> CochainVecto
         raise ValueError("cup product is defined here for pairs of 1-cochains")
     if a.coeffs.length != k.n_edges or b.coeffs.length != k.n_edges:
         raise ValueError("cochain does not match this complex")
+    position = {e: i for i, e in enumerate(k.edges)}
+    a_bits, b_bits = a.coeffs.bits, b.coeffs.bits
     bits = 0
     for j, (v0, v1, v2) in enumerate(k.triangles):
-        front = k.simplex_id((v0, v1)).index
-        back = k.simplex_id((v1, v2)).index
-        if a.coeffs.get(front) & b.coeffs.get(back):
+        if a_bits >> position[v0, v1] & b_bits >> position[v1, v2] & 1:
             bits |= 1 << j
     return CochainVector(2, Gf2Vector(k.n_triangles, bits))
 

@@ -51,12 +51,20 @@ class FormatError(ValueError):
 _COMPLEX_KEYS = {"name", "vertices", "edges", "triangles"}
 
 
-def _parse_json(text: str, source: str):
+def _read_json(path: Pathish):
+    """Parse one JSON file; any input that is not readable JSON is a FormatError.
+
+    Besides syntax errors this covers bytes that are not UTF-8, nesting too
+    deep to parse and integers longer than the interpreter will convert.
+    """
+    source = str(path)
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(
             f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{source}: not readable JSON: {exc}") from exc
 
 
 def _check_label(x, source: str) -> Label:
@@ -137,7 +145,7 @@ def dump_complex(k: Complex2, path: Pathish, name: Optional[str] = None) -> None
 def load_named_complex(path: Pathish) -> tuple[Optional[str], Complex2]:
     """Read a complex file; returns (declared name or None, complex)."""
     source = str(path)
-    data = _parse_json(Path(path).read_text(), source)
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise FormatError(f"{source}: top level must be a JSON object")
     return data.get("name"), complex_from_dict(data, source)
@@ -150,7 +158,7 @@ def load_complex(path: Pathish) -> Complex2:
 def load_functionals(path: Pathish) -> PreservationSpec:
     """Read preservation functionals: a JSON list of triangle lists."""
     source = str(path)
-    data = _parse_json(Path(path).read_text(), source)
+    data = _read_json(path)
     if not isinstance(data, list):
         raise FormatError(f"{source}: expected a list of functionals")
     lists = []
@@ -170,7 +178,7 @@ def load_functionals(path: Pathish) -> PreservationSpec:
 def load_group_profile(path: Pathish) -> GroupProfile:
     """Read a group profile: name, h1, h2, property_a, optional note."""
     source = str(path)
-    data = _parse_json(Path(path).read_text(), source)
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise FormatError(f"{source}: expected an object")
     unknown = sorted(set(data) - {"name", "h1", "h2", "property_a",

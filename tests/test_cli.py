@@ -48,7 +48,7 @@ def test_homology_text_and_json(capsys, torus_file):
                        "betti": [0, 2, 1]}
 
 
-def test_parse_failures_exit_2(capsys, tmp_path):
+def test_parse_failures_exit_2(capsys, tmp_path, torus_file):
     bad = tmp_path / "bad.json"
     bad.write_text('{"triangles": [[1, 1, 2]]}')
     code, _, err = run(capsys, "homology", str(bad))
@@ -59,6 +59,22 @@ def test_parse_failures_exit_2(capsys, tmp_path):
     broken.write_text("{")
     code, _, err = run(capsys, "homology", str(broken))
     assert code == 2 and "line 1" in err
+    # bytes that are not UTF-8, nesting deeper than the parser recurses,
+    # and an integer longer than the interpreter converts
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"name": "caf\xe9"}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"vertices": [' + "7" * 5000 + "]}")
+    for argv in (("homology", str(latin1)),
+                 ("reduce", torus_file, "--preserve", str(deep)),
+                 ("bounds", "--profile", str(deep)),
+                 ("homology", str(deep)),
+                 ("homology", str(huge))):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
 def test_cup_form_json(capsys, torus_file):

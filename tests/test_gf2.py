@@ -1,14 +1,87 @@
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from simpsurf.gf2 import Gf2Matrix, Gf2Span, Gf2Vector, extend_to_basis
+from simpsurf.gf2 import Gf2Matrix, Gf2Span, Gf2Vector
 
 
 def _random_matrix(rng: random.Random, n_rows: int, n_cols: int) -> Gf2Matrix:
     return Gf2Matrix(n_rows, n_cols, [rng.getrandbits(n_cols) for _ in range(n_rows)])
+
+
+# Oracles: a column sweep (pivot on the first nonzero column, clear it from
+# every other row), an independent route to the pivot-map elimination's answers.
+
+def _rref_sweep(m: Gf2Matrix) -> tuple[list[int], list[int]]:
+    rows = [r.bits for r in m.rows()]
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.n_cols):
+        pr = next((i for i in range(r, len(rows)) if rows[i] >> c & 1), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i] >> c & 1:
+                rows[i] ^= rows[r]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _kernel_sweep(m: Gf2Matrix) -> list[Gf2Vector]:
+    rows, pivots = _rref_sweep(m)
+    basis = []
+    for f in range(m.n_cols):
+        if f in pivots:
+            continue
+        bits = 1 << f
+        for r, p in enumerate(pivots):
+            if rows[r] >> f & 1:
+                bits |= 1 << p
+        basis.append(Gf2Vector(m.n_cols, bits))
+    return basis
+
+
+def _solve_sweep(m: Gf2Matrix, b: Gf2Vector) -> Optional[Gf2Vector]:
+    rows = [r.bits for r in m.rows()]
+    rhs = b.to_coeffs()
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.n_cols):
+        pr = next((i for i in range(r, len(rows)) if rows[i] >> c & 1), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rhs[r], rhs[pr] = rhs[pr], rhs[r]
+        for i in range(len(rows)):
+            if i != r and rows[i] >> c & 1:
+                rows[i] ^= rows[r]
+                rhs[i] ^= rhs[r]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    if any(rhs[i] and not rows[i] for i in range(len(rows))):
+        return None
+    return Gf2Vector(m.n_cols, sum(1 << p for i, p in enumerate(pivots) if rhs[i]))
+
+
+@st.composite
+def _matrices(draw) -> Gf2Matrix:
+    n_rows, n_cols = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    density = draw(st.sampled_from((0.03, 0.1, 0.3, 0.5, 0.9)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return Gf2Matrix(n_rows, n_cols, [
+        sum(1 << j for j in range(n_cols) if rng.random() < density)
+        for _ in range(n_rows)])
 
 
 def test_vector_basics():
@@ -93,24 +166,6 @@ def test_solve_dimension_mismatch():
         Gf2Matrix.identity(3).solve(Gf2Vector(2))
 
 
-def test_extend_to_basis_prefers_list_order():
-    e1 = Gf2Vector.from_coeffs([1, 0])
-    e2 = Gf2Vector.from_coeffs([0, 1])
-    both = Gf2Vector.from_coeffs([1, 1])
-    assert extend_to_basis([both], [e1, e2]) == [both, e1]
-    assert extend_to_basis([], [e1, both, e2]) == [e1, both]
-
-
-def test_extend_to_basis_errors():
-    e1 = Gf2Vector.from_coeffs([1, 0, 0])
-    e2 = Gf2Vector.from_coeffs([0, 1, 0])
-    e3 = Gf2Vector.from_coeffs([0, 0, 1])
-    with pytest.raises(ValueError):
-        extend_to_basis([e1, e1], [e1, e2])
-    with pytest.raises(ValueError):
-        extend_to_basis([e3], [e1, e2])
-
-
 def test_span_reduce_is_canonical():
     span = Gf2Span(4)
     span.add(Gf2Vector.from_coeffs([1, 1, 0, 0]))
@@ -127,3 +182,40 @@ def test_determinism():
     assert m.kernel_basis() == m.kernel_basis()
     b = Gf2Vector(6, 0)
     assert m.solve(b) == m.solve(b)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(m=_matrices(), data=st.data())
+def test_elimination_matches_the_column_sweep(m, data):
+    rows, pivots = _rref_sweep(m)
+    assert m._rref() == (rows, pivots)
+    assert m.rank() == len(pivots)
+    assert m.kernel_basis() == _kernel_sweep(m)
+    # a consistent right-hand side and an arbitrary one
+    x = Gf2Vector(m.n_cols, data.draw(st.integers(0, 2**m.n_cols - 1)))
+    for b in (m.apply(x), Gf2Vector(m.n_rows, data.draw(st.integers(0, 2**m.n_rows - 1)))):
+        assert m.solve(b) == _solve_sweep(m, b)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(m=_matrices(), data=st.data())
+def test_span_is_independent_of_insertion_order(m, data):
+    vectors = list(m.rows())
+    shuffled = data.draw(st.permutations(vectors))
+    spans = []
+    for order in (vectors, shuffled):
+        span = Gf2Span(m.n_cols)
+        for v in order:
+            span.add(v)
+        spans.append(span)
+    first, second = spans
+    rows, pivots = _rref_sweep(m)
+    assert first.vectors() == second.vectors() == [
+        Gf2Vector(m.n_cols, r) for r in rows[:len(pivots)]]
+    assert first.dim == second.dim == len(pivots)
+    for _ in range(5):
+        v = Gf2Vector(m.n_cols, data.draw(st.integers(0, 2**m.n_cols - 1)))
+        residue = first.reduce(v)
+        assert residue == second.reduce(v)
+        assert first.contains(v ^ residue)
+        assert not any(residue.get(p) for p in pivots)

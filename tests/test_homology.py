@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from _fixtures import rp2, sphere, torus, torus_circle_sphere, torus_with_circle
 from simpsurf.bounds import parse_surface_id
 from simpsurf.complex2 import Complex2
-from simpsurf.gf2 import Gf2Span, Gf2Vector
+from simpsurf.gf2 import Gf2Matrix, Gf2Span, Gf2Vector
 from simpsurf.homology import (
     CochainVector,
     betti_numbers,
@@ -23,7 +24,7 @@ from simpsurf.homology import (
     homology_summary,
     property_a_brute_force,
 )
-from simpsurf.surfaces import catalog
+from simpsurf.surfaces import attach_circle, catalog, wedge
 
 
 def delta(k: Complex2, w):
@@ -121,6 +122,77 @@ def test_cycle_reps_are_nonbounding_cycles():
         assert d1.apply(z.coeffs).is_zero()
         assert not boundaries.contains(z.coeffs)
         assert span.add(boundaries.reduce(z.coeffs))  # independent mod boundaries
+
+
+def _greedy_completion(length, seed, candidates):
+    """The candidates, in order, that enlarge the span of every seed vector.
+
+    The independent route to the degree-1 bases: the span is built from
+    every column of d2 (or row of d1), one by one, not from reduced rows.
+    """
+    span = Gf2Span(length)
+    for v in seed:
+        span.add(v)
+    return [v for v in candidates if span.add(v)]
+
+
+def _degree_one_cases():
+    cases = [catalog(parse_surface_id(name))
+             for name in ("S2", "N1", "M1", "N2", "N3", "M2", "N4", "N5")]
+    cases += [torus_circle_sphere(), Complex2([]),
+              Complex2.from_triangles([], extra_vertices=[0]),
+              Complex2.from_triangles(list(rp2().triangles) + [(50, 51, 52)],
+                                      extra_edges=[(60, 61)])]
+    rng = random.Random(20261018)
+    for _ in range(12):
+        base = catalog(parse_surface_id(rng.choice(("S2", "N1", "M1", "N2", "M2"))))
+        k = base
+        if rng.randrange(2):
+            k = Complex2.from_triangles(k.triangles[1:], extra_edges=k.edges)
+        for _ in range(rng.randrange(0, 3)):
+            k = attach_circle(k, rng.choice(k.vertices))
+        for j in range(rng.randrange(0, 3)):
+            bubble = sphere().relabeled({v: 1000 + 10 * j + v for v in range(4)})
+            k = wedge(k, rng.choice(base.vertices), bubble, 1000 + 10 * j)
+        cases.append(k)
+    return cases
+
+
+def test_degree_one_bases_match_the_greedy_completion():
+    for k in _degree_one_cases():
+        s = homology_summary(k)
+        d1, d2t = boundary_matrix(k, 1), boundary_matrix(k, 2).transpose()
+        cycles = _greedy_completion(k.n_edges, list(d2t.rows()), d1.kernel_basis())
+        cocycles = _greedy_completion(k.n_edges, list(d1.rows()), d2t.kernel_basis())
+        assert [z.coeffs for z in s.cycle_reps[1]] == cycles
+        assert [a.coeffs for a in s.cocycle_reps[1]] == cocycles
+        assert len(cycles) == len(cocycles) == s.b1
+
+
+def test_summary_eliminates_each_boundary_map_once(monkeypatch):
+    base = catalog(parse_surface_id("M3"))
+    bubble = sphere().relabeled({v: 1000 + v for v in range(4)})
+    k = attach_circle(wedge(base, base.vertices[0], bubble, 1000), base.vertices[5])
+    assert k.n_triangles >= 400
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Gf2Matrix, "_rref", counting("eliminations", Gf2Matrix._rref))
+    monkeypatch.setattr(Gf2Matrix, "rows", counting("row_walks", Gf2Matrix.rows))
+    monkeypatch.setattr(Gf2Span, "add", counting("span_adds", Gf2Span.add))
+    s = homology_summary(k)
+    assert s.betti == (0, 2 * 3 + 1, 2)  # M3, one circle, one sphere
+    # d1, d2, the transpose of d2 and the 2-cycle basis, once each
+    assert counts["eliminations"] <= 4
+    # no span is built over the columns of d2 or the rows of d1: the spans
+    # start from reduced rows, one per pivot, and take each candidate once
+    assert counts["row_walks"] == 0
+    assert counts["span_adds"] <= 2 * k.n_edges
 
 
 def test_cocycle_reps_are_cocycles():
