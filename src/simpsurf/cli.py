@@ -1,9 +1,11 @@
 """Command-line front door: loading, dispatch, and certificate reports.
 
-Exit codes separate the ways a run can go wrong: 0 success, 2 unreadable or
-malformed input, 3 violated precondition, 4 requested certification failed.
-Commands print text by default and a stable JSON document under --json; the
-pipeline is deterministic, so JSON output is golden-testable.
+Each command returns (exit code, JSON payload, text lines) and prints nothing
+to stdout.  main() alone prints the result, the payload under --json and the
+lines otherwise, and alone maps exceptions to exit codes: 0 success, 2
+unreadable or malformed input, 3 violated precondition, 4 requested
+certification failed.  The pipeline is deterministic, so JSON output is
+byte-deterministic and golden-testable.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -40,6 +42,10 @@ EXIT_PRECONDITION = 3
 EXIT_CERTIFICATION = 4
 
 # ------------------------------------------------------------ shared pieces
+
+# what every command returns: exit code, --json document, text lines
+_Result = tuple[int, Optional[dict], list[str]]
+
 
 def _parse_surface(text: str) -> SurfaceId:
     try:
@@ -95,22 +101,25 @@ def _trace_payload(trace: ReductionTrace) -> dict:
     }
 
 
-def _trace_line(trace: ReductionTrace) -> str:
-    return (f"killed {len(trace.killed_triangles)}; "
-            f"collapses {len(trace.collapses)}; "
-            f"contractions {len(trace.contractions)}; "
-            f"deleted edges {len(trace.deleted_edges)}; "
-            f"m = {trace.free_rank}")
-
-
-def _print_snapshots(trace: ReductionTrace) -> None:
-    for label, (b0, b1, b2) in trace.snapshots:
-        print(f"  {label:<9} betti = ({b0}, {b1}, {b2})")
-
-
-def _resolve_pipeline_args(args) -> tuple[Optional[PreservationSpec], Optional[int]]:
-    spec = load_functionals(args.preserve) if args.preserve else None
-    return spec, args.target_rank
+def _pipeline_lines(args, name: str, trace: ReductionTrace,
+                    findings: list[str]) -> list[str]:
+    """Text of a reduction run: K, the pipeline, L, what was found, -o."""
+    lines = [f"input K '{name}': "
+             f"{_complex_line(trace.input_complex, trace.snapshots[0][1])}",
+             f"pipeline: killed {len(trace.killed_triangles)}; "
+             f"collapses {len(trace.collapses)}; "
+             f"contractions {len(trace.contractions)}; "
+             f"deleted edges {len(trace.deleted_edges)}; "
+             f"m = {trace.free_rank}"]
+    if args.verbose:
+        lines += [f"  {label:<9} betti = ({b0}, {b1}, {b2})"
+                  for label, (b0, b1, b2) in trace.snapshots]
+    lines.append(
+        f"reduced L: {_complex_line(trace.result, trace.snapshots[-1][1])}")
+    lines += findings
+    if args.out:
+        lines.append(f"wrote {args.out}")
+    return lines
 
 
 def _certificate_payload(cert: ComplexityCertificate) -> dict:
@@ -123,13 +132,7 @@ def _certificate_payload(cert: ComplexityCertificate) -> dict:
 
 
 def _euler_payload(rep: EulerBoundsReport) -> dict:
-    return {"applicable": rep.applicable, "failures": list(rep.failures),
-            "chi": rep.chi,
-            "alpha0": rep.alpha0, "alpha0_floor": rep.alpha0_floor,
-            "alpha0_ok": rep.alpha0_ok,
-            "alpha2": rep.alpha2, "alpha2_floor": rep.alpha2_floor,
-            "alpha2_ok": rep.alpha2_ok,
-            "satisfied": rep.satisfied}
+    return {**asdict(rep), "satisfied": rep.satisfied}
 
 
 def _euler_line(rep: EulerBoundsReport) -> str:
@@ -141,6 +144,12 @@ def _euler_line(rep: EulerBoundsReport) -> str:
             f"alpha_2 = {rep.alpha2} >= {rep.alpha2_floor}{t2}")
 
 
+def _classification_payload(res: ClassificationResult) -> dict:
+    return {"is_surface": res.is_surface,
+            "failure_reason": res.failure_reason,
+            "surface": _surface_payload(res.surface) if res.is_surface else None}
+
+
 def _classification_line(res: ClassificationResult) -> str:
     if res.is_surface:
         return f"closed surface {res.surface.name}"
@@ -149,17 +158,14 @@ def _classification_line(res: ClassificationResult) -> str:
 
 # ------------------------------------------------------------ plain queries
 
-def _cmd_homology(args) -> int:
+def _cmd_homology(args) -> _Result:
     name, k = _load(args.file)
     betti = betti_numbers(k)
-    if args.json:
-        _print_json({"name": name, **_complex_payload(k, betti)})
-    else:
-        print(f"{name}: {_complex_line(k, betti)}")
-    return EXIT_OK
+    return (EXIT_OK, {"name": name, **_complex_payload(k, betti)},
+            [f"{name}: {_complex_line(k, betti)}"])
 
 
-def _cmd_cup_form(args) -> int:
+def _cmd_cup_form(args) -> _Result:
     name, k = _load(args.file)
     summary = homology_summary(k)
     form = cup_pairing_on_h1(k, summary)
@@ -167,185 +173,145 @@ def _cmd_cup_form(args) -> int:
     payload: dict = {"name": name, "b1": n, "b2": form.b2,
                      "entries": [[[e.get(c) for c in range(form.b2)]
                                   for e in row] for row in form.entries]}
-    if form.b2 <= 1:
-        payload["rank"] = form.rank()
-        payload["nondegenerate"] = form.rank() == n
-    if args.json:
-        _print_json(payload)
-        return EXIT_OK
-    print(f"{name}: cup pairing on H^1 (b1 = {n}, b2 = {form.b2})")
+    lines = [f"{name}: cup pairing on H^1 (b1 = {n}, b2 = {form.b2})"]
     if form.b2 > 1:
-        print("pairing is vector-valued; entries are H^2 coordinate vectors")
-        return EXIT_OK
-    for row in form.entries:
-        print("  " + " ".join(str(e.get(0)) if form.b2 else "0" for e in row))
-    print(f"rank = {payload['rank']}"
-          + (" (nondegenerate)" if payload["nondegenerate"] else ""))
-    return EXIT_OK
+        lines.append("pairing is vector-valued; entries are H^2 coordinate vectors")
+        return EXIT_OK, payload, lines
+    payload["rank"] = form.rank()
+    payload["nondegenerate"] = form.rank() == n
+    lines += ["  " + " ".join(str(e.get(0)) if form.b2 else "0" for e in row)
+              for row in form.entries]
+    lines.append(f"rank = {payload['rank']}"
+                 + (" (nondegenerate)" if payload["nondegenerate"] else ""))
+    return EXIT_OK, payload, lines
 
 
-def _cmd_property_a(args) -> int:
+def _cmd_property_a(args) -> _Result:
     name, k = _load(args.file)
     res = has_property_a(k)
     witness = (None if res.witness is None
                else [list(e) for e in chain_support(k, res.witness)])
-    if args.json:
-        _print_json({"name": name, "holds": res.holds,
-                     "radical_dimension": res.radical_dimension,
-                     "witness_edges": witness})
-    elif res.holds:
-        print(f"{name}: every nonzero H^1 class cups nontrivially (radical 0)")
+    payload = {"name": name, "holds": res.holds,
+               "radical_dimension": res.radical_dimension,
+               "witness_edges": witness}
+    if res.holds:
+        line = f"{name}: every nonzero H^1 class cups nontrivially (radical 0)"
     else:
-        print(f"{name}: property fails; radical dimension "
-              f"{res.radical_dimension}, witness cocycle on edges {witness}")
-    return EXIT_OK
+        line = (f"{name}: property fails; radical dimension "
+                f"{res.radical_dimension}, witness cocycle on edges {witness}")
+    return EXIT_OK, payload, [line]
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> _Result:
     name, k = _load(args.file)
     res = classify(k)
-    payload: dict = {"name": name, "is_surface": res.is_surface,
-                     "failure_reason": res.failure_reason,
-                     "surface": _surface_payload(res.surface) if res.is_surface else None}
+    payload: dict = {"name": name, **_classification_payload(res)}
+    lines = [f"{name}: {_classification_line(res)}"]
     if res.orientation_witness is not None:
-        payload["orientation_witness_verified"] = verify_orientation_witness(
-            k, res.orientation_witness)
-    code = EXIT_OK
-    if args.surface:
-        target = _parse_surface(args.surface)
-        rep = surface_hypotheses_report(k, target)
-        payload["hypotheses"] = {
-            "target": target.name,
-            "edge_degrees_ok": rep.edge_degrees_ok,
-            "betti": list(rep.betti),
-            "betti_ok": rep.betti_ok,
-            "cup_pairing_ok": rep.cup_pairing_ok,
-            "all_hypotheses_hold": rep.all_hypotheses_hold,
-            "classification_matches": rep.classification_matches,
-        }
-        if not rep.classification_matches:
-            code = EXIT_CERTIFICATION
-    if args.json:
-        _print_json(payload)
-        return code
-    print(f"{name}: {_classification_line(res)}")
-    if "orientation_witness_verified" in payload:
-        print(f"orientation witness verified: {payload['orientation_witness_verified']}")
-    if args.surface:
-        h = payload["hypotheses"]
-        print(f"against {h['target']}: edge degrees {h['edge_degrees_ok']}, "
-              f"betti {h['betti_ok']}, cup pairing {h['cup_pairing_ok']}, "
-              f"classification match {h['classification_matches']}")
-    return code
+        verified = verify_orientation_witness(k, res.orientation_witness)
+        payload["orientation_witness_verified"] = verified
+        lines.append(f"orientation witness verified: {verified}")
+    if not args.surface:
+        return EXIT_OK, payload, lines
+    target = _parse_surface(args.surface)
+    rep = surface_hypotheses_report(k, target)
+    payload["hypotheses"] = {
+        "target": target.name,
+        "edge_degrees_ok": rep.edge_degrees_ok,
+        "betti": list(rep.betti),
+        "betti_ok": rep.betti_ok,
+        "cup_pairing_ok": rep.cup_pairing_ok,
+        "all_hypotheses_hold": rep.all_hypotheses_hold,
+        "classification_matches": rep.classification_matches,
+    }
+    lines.append(f"against {target.name}: edge degrees {rep.edge_degrees_ok}, "
+                 f"betti {rep.betti_ok}, cup pairing {rep.cup_pairing_ok}, "
+                 f"classification match {rep.classification_matches}")
+    code = EXIT_OK if rep.classification_matches else EXIT_CERTIFICATION
+    return code, payload, lines
 
 
 # ------------------------------------------------------------ reduction
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> _Result:
     name, k = _load(args.file)
-    spec, target_rank = _resolve_pipeline_args(args)
-    try:
-        trace = simplify_pipeline(k, spec, target_rank=target_rank)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    out_name = f"{name}-reduced"
+    spec = load_functionals(args.preserve) if args.preserve else None
+    trace = simplify_pipeline(k, spec, target_rank=args.target_rank)
     if args.out:
-        dump_complex(trace.result, args.out, name=out_name)
-    if args.json:
-        payload = {"name": name, **_trace_payload(trace)}
-        payload["result_complex"] = complex_to_dict(trace.result, out_name)
-        _print_json(payload)
-        return EXIT_OK
-    print(f"input K '{name}': "
-          f"{_complex_line(trace.input_complex, trace.snapshots[0][1])}")
-    print(f"pipeline: {_trace_line(trace)}")
-    if args.verbose:
-        _print_snapshots(trace)
-    print(f"reduced L: {_complex_line(trace.result, trace.snapshots[-1][1])}")
-    if args.out:
-        print(f"wrote {args.out}")
-    return EXIT_OK
+        dump_complex(trace.result, args.out, name=f"{name}-reduced")
+    payload = {"name": name, **_trace_payload(trace),
+               "result_complex": complex_to_dict(trace.result,
+                                                 f"{name}-reduced")}
+    return EXIT_OK, payload, _pipeline_lines(args, name, trace, [])
 
 
 # ------------------------------------------------------------ bounds
 
-def _bounds_surface(surface: SurfaceId, as_json: bool) -> int:
+def _bounds_surface(surface: SurfaceId) -> _Result:
     chi = surface.euler_characteristic
+    cert = None if surface == SPHERE else complexity_certificate(surface)
     payload: dict = {"surface": _surface_payload(surface),
                      "vertex_floor": vertex_floor(chi),
                      "minimal_triangles": minimal_triangle_count(surface),
-                     "exceptional": surface in EXCEPTIONAL_SURFACES}
-    cert = None if surface == SPHERE else complexity_certificate(surface)
-    payload["certificate"] = None if cert is None else _certificate_payload(cert)
-    if as_json:
-        _print_json(payload)
-        return EXIT_OK
-    print(f"{surface.name}: chi = {chi}, vertex floor {payload['vertex_floor']}, "
-          f"minimal triangulation size {payload['minimal_triangles']}"
-          + (" (exceptional, +2 over the generic count)"
-             if payload["exceptional"] else ""))
+                     "exceptional": surface in EXCEPTIONAL_SURFACES,
+                     "certificate": None if cert is None
+                     else _certificate_payload(cert)}
+    lines = [f"{surface.name}: chi = {chi}, vertex floor {payload['vertex_floor']}, "
+             f"minimal triangulation size {payload['minimal_triangles']}"
+             + (" (exceptional, +2 over the generic count)"
+                if payload["exceptional"] else "")]
     if cert is None:
-        print("trivial fundamental group; no group-level triangle bound applies")
+        lines.append("trivial fundamental group; no group-level triangle bound applies")
     else:
-        print(f"kappa({cert.profile.name}) = {cert.triangle_complexity}: "
-              f"lower bound {cert.lower_bound}, "
-              f"catalog witness {cert.witness_alpha2}")
-    return EXIT_OK
+        lines.append(f"kappa({cert.profile.name}) = {cert.triangle_complexity}: "
+                     f"lower bound {cert.lower_bound}, "
+                     f"catalog witness {cert.witness_alpha2}")
+    return EXIT_OK, payload, lines
 
 
-def _bounds_profile(path: str, as_json: bool) -> int:
+def _bounds_profile(path: str) -> _Result:
     profile = load_group_profile(path)
     bound = free_product_lower_bound(profile)
     payload = {"group": profile.name, "h1": profile.h1, "h2": profile.h2,
                "property_a": profile.property_a,
                "truncated_chi": truncated_euler_characteristic(profile),
                "lower_bound": bound}
-    if as_json:
-        _print_json(payload)
-    else:
-        print(f"kappa({profile.name} * T) >= {bound} for every finitely "
-              f"presented T (truncated chi = {payload['truncated_chi']})")
-    return EXIT_OK
+    return EXIT_OK, payload, [
+        f"kappa({profile.name} * T) >= {bound} for every finitely "
+        f"presented T (truncated chi = {payload['truncated_chi']})"]
 
 
-def _bounds_complex(path: str, as_json: bool) -> int:
+def _bounds_complex(path: str) -> _Result:
     name, k = _load(path)
     rep = euler_bounds_check(k)
-    if as_json:
-        _print_json({"name": name, **_euler_payload(rep)})
-    else:
-        print(f"{name}: counting bounds {_euler_line(rep)}")
-    if rep.applicable and not rep.satisfied:
-        return EXIT_CERTIFICATION
-    return EXIT_OK
+    code = (EXIT_CERTIFICATION if rep.applicable and not rep.satisfied
+            else EXIT_OK)
+    return (code, {"name": name, **_euler_payload(rep)},
+            [f"{name}: counting bounds {_euler_line(rep)}"])
 
 
-def _cmd_bounds(args) -> int:
-    chosen = [x for x in (args.surface, args.profile, args.file) if x]
-    if len(chosen) != 1:
-        print("error: give exactly one of --surface, --profile, or a complex file",
-              file=sys.stderr)
-        return EXIT_PARSE
+def _cmd_bounds(args) -> _Result:
+    if len([x for x in (args.surface, args.profile, args.file) if x]) != 1:
+        raise FormatError(
+            "give exactly one of --surface, --profile, or a complex file")
     if args.surface:
-        return _bounds_surface(_parse_surface(args.surface), args.json)
+        return _bounds_surface(_parse_surface(args.surface))
     if args.profile:
-        return _bounds_profile(args.profile, args.json)
-    return _bounds_complex(args.file, args.json)
+        return _bounds_profile(args.profile)
+    return _bounds_complex(args.file)
 
 
 # ------------------------------------------------------------ catalog, search
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args) -> _Result:
     if args.surface:
+        # the complex file itself, even under --json
         surface = _parse_surface(args.surface)
         text = dumps_complex(catalog(surface), name=surface.name)
-        if args.out:
-            Path(args.out).write_text(text)
-            print(f"wrote {args.out}")
-        else:
-            sys.stdout.write(text)
-        return EXIT_OK
+        if not args.out:
+            return EXIT_OK, None, text.splitlines()
+        Path(args.out).write_text(text)
+        return EXIT_OK, None, [f"wrote {args.out}"]
     rows = []
     for name in MINIMAL_TRIANGULATIONS:
         surface = parse_surface_id(name)
@@ -354,61 +320,45 @@ def _cmd_catalog(args) -> int:
                      "orientable": surface.orientable,
                      "vertices": k.n_vertices, "triangles": k.n_triangles,
                      "minimal_triangles": minimal_triangle_count(surface)})
-    if args.json:
-        _print_json({"surfaces": rows})
-        return EXIT_OK
-    print("surface  chi  orientable  vertices  triangles")
-    for r in rows:
-        print(f"{r['name']:<7} {r['chi']:>4}  {str(r['orientable']):<10} "
-              f"{r['vertices']:>8}  {r['triangles']:>9}")
-    print("higher genera are built on demand from polygon schemes")
-    return EXIT_OK
+    lines = ["surface  chi  orientable  vertices  triangles"]
+    lines += [f"{r['name']:<7} {r['chi']:>4}  {str(r['orientable']):<10} "
+              f"{r['vertices']:>8}  {r['triangles']:>9}" for r in rows]
+    lines.append("higher genera are built on demand from polygon schemes")
+    return EXIT_OK, {"surfaces": rows}, lines
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> _Result:
     if bool(args.surface) == bool(args.one_triple_edge):
-        print("error: give exactly one of --surface or --one-triple-edge",
-              file=sys.stderr)
-        return EXIT_PARSE
+        raise FormatError("give exactly one of --surface or --one-triple-edge")
     n = args.max_vertices
-    surface = _parse_surface(args.surface) if args.surface else None
-    try:
-        if surface is not None:
-            print(f"enumerating closed complexes on up to {n} vertices "
-                  f"for {surface.name}", file=sys.stderr)
-            res = min_triangles_for_surface(n, surface)
-            payload = {"surface": surface.name, "max_vertices": n,
-                       "found": res.found, "min_triangles": res.min_triangles,
-                       "complete_states": res.complete_states,
-                       "target_states": res.target_states,
-                       "witness": (complex_to_dict(res.witness, surface.name)
-                                   if res.found else None)}
-            if args.json:
-                _print_json(payload)
-            elif res.found:
-                print(f"minimum = {res.min_triangles} triangles "
-                      f"({res.target_states} matching states, "
-                      f"{res.complete_states} closed states)")
-            else:
-                print(f"no {surface.name} triangulation within {n} vertices "
-                      f"({res.complete_states} closed states)")
-            return EXIT_OK
+    if args.one_triple_edge:
         print(f"enumerating near-closed complexes on up to {n} vertices "
               "with a single degree-3 edge", file=sys.stderr)
         found = complexes_with_one_triple_edge(n)
         payload = {"max_vertices": n, "count": len(found),
                    "complexes": [complex_to_dict(c) for c in found]}
-        if args.json:
-            _print_json(payload)
-        elif found:
-            print(f"{len(found)} complexes found")
-        else:
-            print(f"none up to {n} vertices: an odd total edge degree "
-                  "is unreachable")
-        return EXIT_OK
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        line = (f"{len(found)} complexes found" if found
+                else f"none up to {n} vertices: an odd total edge degree "
+                     "is unreachable")
+        return EXIT_OK, payload, [line]
+    surface = _parse_surface(args.surface)
+    print(f"enumerating closed complexes on up to {n} vertices "
+          f"for {surface.name}", file=sys.stderr)
+    res = min_triangles_for_surface(n, surface)
+    payload = {"surface": surface.name, "max_vertices": n,
+               "found": res.found, "min_triangles": res.min_triangles,
+               "complete_states": res.complete_states,
+               "target_states": res.target_states,
+               "witness": (complex_to_dict(res.witness, surface.name)
+                           if res.found else None)}
+    if res.found:
+        line = (f"minimum = {res.min_triangles} triangles "
+                f"({res.target_states} matching states, "
+                f"{res.complete_states} closed states)")
+    else:
+        line = (f"no {surface.name} triangulation within {n} vertices "
+                f"({res.complete_states} closed states)")
+    return EXIT_OK, payload, [line]
 
 
 # ------------------------------------------------------------ the report
@@ -506,61 +456,36 @@ def run_report(name: str, k: Complex2,
                              target=target, verdicts=tuple(verdicts))
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> _Result:
     name, k = _load(args.file)
-    spec, target_rank = _resolve_pipeline_args(args)
+    spec = load_functionals(args.preserve) if args.preserve else None
     target = _parse_surface(args.surface) if args.surface else None
-    try:
-        report = run_report(name, k, spec, target_rank=target_rank,
-                            target=target)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    report = run_report(name, k, spec, target_rank=args.target_rank,
+                        target=target)
     reduced = report.trace.result
     if args.out:
         dump_complex(reduced, args.out, name=f"{name}-reduced")
-    if args.json:
-        cls = report.classification
-        payload = {
-            "name": name,
-            "pipeline": _trace_payload(report.trace),
-            "euler_bounds": _euler_payload(report.euler),
-            "classification": {
-                "is_surface": cls.is_surface,
-                "failure_reason": cls.failure_reason,
-                "surface": _surface_payload(cls.surface) if cls.is_surface else None,
-            },
-            "certificate": (None if report.certificate is None
-                            else _certificate_payload(report.certificate)),
-            "target": None if target is None else target.name,
-            "certified": report.certified,
-            "verdicts": list(report.verdicts),
-            "result_complex": complex_to_dict(reduced, f"{name}-reduced"),
-        }
-        _print_json(payload)
-        return EXIT_OK if report.certified else EXIT_CERTIFICATION
-    snapshots = report.trace.snapshots
-    print(f"input K '{name}': {_complex_line(k, snapshots[0][1])}")
-    print(f"pipeline: {_trace_line(report.trace)}")
-    if args.verbose:
-        _print_snapshots(report.trace)
-    print(f"reduced L: {_complex_line(reduced, snapshots[-1][1])}")
-    print(f"classification: {_classification_line(report.classification)}")
-    print(f"counting bounds: {_euler_line(report.euler)}")
-    print("verdict:")
-    for line in report.verdicts:
-        print(f"  - {line}")
-    if args.out:
-        print(f"wrote {args.out}")
-    return EXIT_OK if report.certified else EXIT_CERTIFICATION
+    payload = {
+        "name": name,
+        "pipeline": _trace_payload(report.trace),
+        "euler_bounds": _euler_payload(report.euler),
+        "classification": _classification_payload(report.classification),
+        "certificate": (None if report.certificate is None
+                        else _certificate_payload(report.certificate)),
+        "target": None if target is None else target.name,
+        "certified": report.certified,
+        "verdicts": list(report.verdicts),
+        "result_complex": complex_to_dict(reduced, f"{name}-reduced"),
+    }
+    findings = [f"classification: {_classification_line(report.classification)}",
+                f"counting bounds: {_euler_line(report.euler)}",
+                "verdict:"]
+    findings += [f"  - {line}" for line in report.verdicts]
+    code = EXIT_OK if report.certified else EXIT_CERTIFICATION
+    return code, payload, _pipeline_lines(args, name, report.trace, findings)
 
 
 # ------------------------------------------------------------ wiring
-
-def _add_json_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true",
-                   help="emit a JSON document instead of text")
-
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group()
@@ -582,60 +507,50 @@ def build_parser() -> argparse.ArgumentParser:
                     "homology-preserving reduction, and triangle-count "
                     "bounds for closed surfaces.")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true",
+                        help="emit a JSON document instead of text")
 
-    p = sub.add_parser("homology", help="face counts and F2 Betti numbers")
-    p.add_argument("file")
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_homology)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help, parents=[common])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("cup-form", help="the cup pairing on H^1")
-    p.add_argument("file")
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_cup_form)
+    command("homology", _cmd_homology,
+            "face counts and F2 Betti numbers").add_argument("file")
+    command("cup-form", _cmd_cup_form,
+            "the cup pairing on H^1").add_argument("file")
+    command("property-a", _cmd_property_a,
+            "does every nonzero H^1 class cup nontrivially").add_argument("file")
 
-    p = sub.add_parser("property-a",
-                       help="does every nonzero H^1 class cup nontrivially")
-    p.add_argument("file")
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_property_a)
-
-    p = sub.add_parser("classify", help="closed-surface recognition")
+    p = command("classify", _cmd_classify, "closed-surface recognition")
     p.add_argument("file")
     p.add_argument("--surface", metavar="ID",
                    help="also check the named surface's hypotheses; "
                         "mismatch exits 4")
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("reduce",
-                       help="kill unpreserved H2, collapse, drop loose edges")
+    p = command("reduce", _cmd_reduce,
+                "kill unpreserved H2, collapse, drop loose edges")
     p.add_argument("file")
     _add_pipeline_flags(p)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("bounds",
-                       help="triangle-count bounds for a surface, a group "
-                            "profile, or a complex")
+    p = command("bounds", _cmd_bounds,
+                "triangle-count bounds for a surface, a group profile, "
+                "or a complex")
     p.add_argument("file", nargs="?",
                    help="complex file for the counting-bound check")
     p.add_argument("--surface", metavar="ID")
     p.add_argument("--profile", metavar="FILE",
                    help="group profile JSON: name, h1, h2, property_a")
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("catalog",
-                       help="stored minimal triangulations of closed surfaces")
+    p = command("catalog", _cmd_catalog,
+                "stored minimal triangulations of closed surfaces")
     p.add_argument("--surface", metavar="ID",
                    help="emit this surface's triangulation as canonical JSON")
     p.add_argument("-o", "--out", metavar="PATH")
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_catalog)
 
-    p = sub.add_parser("search",
-                       help="exhaustive desk-scale searches over small "
-                            "closed complexes")
+    p = command("search", _cmd_search,
+                "exhaustive desk-scale searches over small closed complexes")
     p.add_argument("--surface", metavar="ID",
                    help="least triangle count of this surface; the state "
                         "counts are raw closed states, not isomorphism "
@@ -644,35 +559,38 @@ def build_parser() -> argparse.ArgumentParser:
                    help="look for a closed complex with exactly one "
                         "degree-3 edge, one per isomorphism class")
     p.add_argument("--max-vertices", type=int, required=True, metavar="N")
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("report",
-                       help="end-to-end reduction and certification report")
+    p = command("report", _cmd_report,
+                "end-to-end reduction and certification report")
     p.add_argument("file")
     p.add_argument("--surface", metavar="ID",
                    help="surface the reduced complex must classify as; "
                         "mismatch exits 4")
     _add_pipeline_flags(p)
-    _add_json_flag(p)
-    p.set_defaults(func=_cmd_report)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command; print its result and map its errors to exit codes."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
+        code, payload, lines = args.func(args)
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except NotApplicableError as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    if args.json and payload is not None:
+        _print_json(payload)
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -112,19 +112,17 @@ def chain_support(k: Complex2, v: ChainVector | CochainVector) -> tuple:
 
 def boundary_matrix(k: Complex2, n: int) -> Gf2Matrix:
     """The F2 boundary map in dimension n (rows: (n-1)-simplices, cols: n-simplices)."""
-    if n == 1:
-        rows = [0] * k.n_vertices
-        for j, e in enumerate(k.edges):
-            for v in e:
-                rows[k.simplex_id(v).index] |= 1 << j
-        return Gf2Matrix(k.n_vertices, k.n_edges, rows)
-    if n == 2:
-        rows = [0] * k.n_edges
-        for j, t in enumerate(k.triangles):
-            for e in combinations(t, 2):
-                rows[k.simplex_id(e).index] |= 1 << j
-        return Gf2Matrix(k.n_edges, k.n_triangles, rows)
-    raise ValueError(f"boundary dimension {n} not in (1, 2)")
+    if n not in (1, 2):
+        raise ValueError(f"boundary dimension {n} not in (1, 2)")
+    # faces as the vertex tuples combinations() yields from canonical cofaces
+    faces = [(v,) for v in k.vertices] if n == 1 else k.edges
+    cofaces = k.edges if n == 1 else k.triangles
+    row = {f: i for i, f in enumerate(faces)}
+    rows = [0] * len(faces)
+    for j, s in enumerate(cofaces):
+        for f in combinations(s, n):
+            rows[row[f]] |= 1 << j
+    return Gf2Matrix(len(faces), len(cofaces), rows)
 
 
 def betti_numbers(k: Complex2) -> tuple[int, int, int]:

@@ -31,10 +31,10 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .complex2 import Complex2, Edge, Label, Triangle, canon_edge, canon_triangle, label_key
-from .gf2 import Gf2Matrix, Gf2Vector
+from .gf2 import Gf2Matrix, Gf2Vector, _bits_up
 from .homology import CochainVector, _betti, boundary_matrix, homology_summary
 
 __all__ = [
@@ -157,18 +157,10 @@ def kill_step(k: Complex2, spec: PreservationSpec) -> tuple[Complex2, Triangle]:
 
 # ------------------------------------------------------------ bit vectors
 
-def _bits(x: int) -> Iterator[int]:
-    """Positions of the set bits of x, lowest first."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
 def _sum(vectors: Sequence[int], mask: int) -> int:
     """The sum of vectors[j] over the set bits j of mask."""
     total = 0
-    for j in _bits(mask):
+    for j in _bits_up(mask):
         total ^= vectors[j]
     return total
 
@@ -241,7 +233,7 @@ def _kill_all(k: Complex2, spec: PreservationSpec, cycles: list[int]) -> list[in
         invisible = _sum(cycles, relation)
         assert invisible and _sum(boundaries, invisible) == 0
         assert _values(masks, invisible) == 0
-        sigma = next(_bits(invisible))
+        sigma = next(_bits_up(invisible))
         killed.append(sigma)
         hit = [j for j, z in enumerate(cycles) if z >> sigma & 1]
         lowest = hit[0]
@@ -536,7 +528,7 @@ def simplify_pipeline(k: Complex2, spec: Optional[PreservationSpec] = None,
         after = Complex2(k.vertices, k.edges, [k.triangles[j] for j in kept])
         fresh, betti = _cycle_basis(after)
         position = {j: i for i, j in enumerate(kept)}
-        assert fresh == [sum(1 << position[j] for j in _bits(z)) for z in cycles]
+        assert fresh == [sum(1 << position[j] for j in _bits_up(z)) for z in cycles]
         assert betti == snapshots[-1][1]
         assert _spec_rank(spec, after, fresh) == spec.rank
 

@@ -62,7 +62,9 @@ def canonical_form(k: Complex2) -> tuple:
     the key is exactly the minimum over all labelings the partition
     allows.  A vertex-transitive complex no longer costs n! relabelings,
     though the search still visits every labeling that ties the best
-    triangle list, which includes one per automorphism.
+    triangle list, which includes one per automorphism.  Vertices with
+    no edges are placed without branching: refinement gives them a cell of
+    their own, and every labeling of that cell gives the same key.
     """
     verts = k.vertices
     colors = {
@@ -104,7 +106,7 @@ def canonical_form(k: Complex2) -> tuple:
         forced = []  # labels with a single candidate, placed without a bound
         while m < n:
             free = [v for v in owner[m] if label[v] == n]
-            if len(free) > 1:
+            if len(free) > 1 and k.edges_at_vertex(free[0]):
                 break
             label[free[0]] = m
             forced.append(free[0])

@@ -42,30 +42,29 @@ class ClassificationResult:
     orientation_witness: Optional[dict[tuple[Label, Label, Label], int]]
 
 
-def _link_is_single_cycle(k: Complex2, v: Label) -> bool:
-    nodes, ledges = k.link_of_vertex(v)
-    if len(nodes) < 3 or len(nodes) != len(ledges):
+def _link_is_connected(k: Complex2, v: Label) -> bool:
+    """Whether the link of v is nonempty and connected.
+
+    classify asks only once every edge lies in exactly two triangles.  Then
+    each neighbour u of v lies on exactly two link edges, one per triangle
+    on vu, so the link is a disjoint union of cycles, and it is a single
+    cycle exactly when it is nonempty and connected.
+    """
+    adj: dict = {}
+    for t in k.triangles_at_vertex(v):
+        a, b = (u for u in t if u != v)
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    if not adj:
         return False
-    deg = {u: 0 for u in nodes}
-    adj = {u: [] for u in nodes}
-    for a, b in ledges:
-        if a not in deg or b not in deg:
-            return False
-        deg[a] += 1
-        deg[b] += 1
-        adj[a].append(b)
-        adj[b].append(a)
-    if any(d != 2 for d in deg.values()):
-        return False
-    seen = {nodes[0]}
-    stack = [nodes[0]]
+    stack = [next(iter(adj))]
+    seen = set(stack)
     while stack:
-        u = stack.pop()
-        for w in adj[u]:
+        for w in adj[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == len(nodes)
+    return len(seen) == len(adj)
 
 
 def is_closed_surface(k: Complex2) -> bool:
@@ -89,7 +88,7 @@ def classify(k: Complex2) -> ClassificationResult:
         return ClassificationResult(False, "disconnected", None, None)
     if any(k.edge_degree(e) != 2 for e in k.edges):
         return ClassificationResult(False, "bad_edge_degree", None, None)
-    if any(not _link_is_single_cycle(k, v) for v in k.vertices):
+    if any(not _link_is_connected(k, v) for v in k.vertices):
         return ClassificationResult(False, "bad_link", None, None)
 
     sign: dict = {k.triangles[0]: 1}

@@ -1,6 +1,10 @@
 """The command-line surface: exit codes, JSON payloads, golden stability."""
 
+import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -270,3 +274,102 @@ def test_verbose_snapshots(capsys, wedge_file, spec_file):
     assert code == 0 and "kill" in out and "betti = (0, 3, 1)" in out
     code, out, _ = run(capsys, "reduce", wedge_file, "--preserve", spec_file)
     assert "kill " not in out
+
+
+# ------------------------------------------------------------ golden corpus
+#
+# Every subcommand in text and --json mode on a handful of complexes, with
+# the -v, -o, --preserve, --target-rank and --surface options and the exit
+# 2, 3 and 4 paths, pinned to stdout, stderr, exit code and -o file bytes.
+# Text output is pinned in full and JSON documents by their sha256.  The
+# temporary directory appears as <tmp> in arguments and output.  To rewrite
+# the pins from trusted output: PYTHONPATH=src:tests python tests/test_cli.py
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+
+def _golden_calls(d: Path) -> list[list[str]]:
+    """Write the corpus inputs into d; return the corpus calls."""
+    shifted = [tuple(v + 10 for v in t) for t in TORUS_TRIS]
+    complexes = {"torus": torus(), "wedge": torus_circle_sphere(),
+                 "two_tori": Complex2.from_triangles(list(TORUS_TRIS) + shifted),
+                 "empty": Complex2((), (), ()),
+                 "point": Complex2((0,), (), ())}
+    for name, k in complexes.items():
+        dump_complex(k, d / f"{name}.json", name=name)
+    (d / "spec.json").write_text(json.dumps([[[0, 1, 3]]]))
+    (d / "bad.json").write_text('{"triangles": [[1, 1, 2]]}')
+    for name, h1, h2, prop in (("BS(3,5)", 2, 1, True), ("F2", 2, 0, False)):
+        (d / f"{name}.profile.json").write_text(json.dumps(
+            {"name": name, "h1": h1, "h2": h2, "property_a": prop}))
+    calls = []
+    for name in complexes:
+        f, out = str(d / f"{name}.json"), str(d / f"{name}-L.json")
+        calls += [["homology", f], ["cup-form", f], ["property-a", f],
+                  ["classify", f], ["classify", f, "--surface", "M1"],
+                  ["reduce", f], ["reduce", f, "-v"],
+                  ["reduce", f, "--target-rank", "1", "-o", out],
+                  ["report", f], ["report", f, "-v"],
+                  ["report", f, "--surface", "M1", "-o", out],
+                  ["bounds", f]]
+    torus_f, wedge, spec = (str(d / "torus.json"), str(d / "wedge.json"),
+                            str(d / "spec.json"))
+    calls += [["reduce", wedge, "--preserve", spec, "-v"],
+              ["report", wedge, "--preserve", spec, "--surface", "M1"],
+              ["bounds", "--surface", "S2"], ["bounds", "--surface", "M2"],
+              ["bounds", "--surface", "N3"],
+              ["bounds", "--profile", str(d / "BS(3,5).profile.json")],
+              ["catalog"], ["catalog", "--surface", "N1"],
+              ["catalog", "--surface", "M1", "-o", str(d / "M1-L.json")],
+              ["search", "--surface", "N1", "--max-vertices", "6"],
+              ["search", "--surface", "S2", "--max-vertices", "3"],
+              ["search", "--one-triple-edge", "--max-vertices", "5"],
+              # exit 2: malformed, missing, conflicting or unknown input
+              ["homology", str(d / "bad.json")],
+              ["property-a", str(d / "absent.json")],
+              ["bounds"], ["search", "--max-vertices", "5"],
+              ["classify", torus_f, "--surface", "Q9"],
+              # exit 3: a violated precondition
+              ["reduce", torus_f, "--target-rank", "5"],
+              ["report", wedge, "--target-rank", "3"],
+              ["bounds", "--profile", str(d / "F2.profile.json")],
+              ["search", "--surface", "N1", "--max-vertices", "20"],
+              # exit 4: a requested certification failed
+              ["classify", torus_f, "--surface", "N2"],
+              ["report", torus_f, "--surface", "N2"]]
+    return [c + mode for mode in ([], ["--json"]) for c in calls]
+
+
+def _golden_records(d: Path) -> list[dict]:
+    records = []
+    for argv in _golden_calls(d):
+        for written in d.glob("*-L.json"):
+            written.unlink()
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        stdout = out.getvalue().replace(str(d), "<tmp>")
+        if "--json" in argv:
+            stdout = "sha256:" + hashlib.sha256(stdout.encode()).hexdigest()
+        files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in sorted(d.glob("*-L.json"))}
+        records.append({"argv": " ".join(argv).replace(str(d), "<tmp>"),
+                        "code": code, "stdout": stdout,
+                        "stderr": err.getvalue().replace(str(d), "<tmp>"),
+                        "files": files})
+    return records
+
+
+def test_cli_output_matches_the_golden_corpus(tmp_path):
+    expected = json.loads(GOLDEN.read_text())
+    got = _golden_records(tmp_path)
+    assert [r["argv"] for r in got] == [r["argv"] for r in expected]
+    for g, e in zip(got, expected):
+        assert g == e, g["argv"]
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as scratch:
+        GOLDEN.write_text(json.dumps(_golden_records(Path(scratch)),
+                                     indent=1) + "\n")

@@ -33,11 +33,31 @@ def delta(k: Complex2, w):
     return CochainVector(w.dimension + 1, m.apply(w.coeffs))
 
 
+def _boundary_rows_by_simplex_id(k: Complex2, n: int) -> list[int]:
+    """The boundary map's rows, each face found through Complex2.simplex_id."""
+    faces, cofaces = ((k.vertices, k.edges) if n == 1
+                      else (k.edges, k.triangles))
+    rows = [0] * len(faces)
+    for j, s in enumerate(cofaces):
+        for f in combinations(s, n):
+            rows[k.simplex_id(f[0] if n == 1 else f).index] |= 1 << j
+    return rows
+
+
 def test_boundary_composition_is_zero():
-    for k in (sphere(), rp2(), torus_circle_sphere()):
+    mixed = Complex2.from_triangles([(0, "a", 1), ("a", "b", 1), (0, 1, 2)],
+                                    extra_edges=[("b", 5)],
+                                    extra_vertices=["z"])
+    surfaces = [catalog(parse_surface_id(name)) for name in
+                ("S2", "N1", "M1", "N2", "N3", "M2", "N4", "N5")]
+    for k in (sphere(), rp2(), torus_circle_sphere(), mixed, *surfaces):
         d1, d2 = boundary_matrix(k, 1), boundary_matrix(k, 2)
         for col in d2.transpose().rows():
             assert d1.apply(col).is_zero()
+        assert (d1.n_rows, d1.n_cols, d2.n_rows, d2.n_cols) == (
+            k.n_vertices, k.n_edges, k.n_edges, k.n_triangles)
+        for n, d in ((1, d1), (2, d2)):
+            assert [r.bits for r in d.rows()] == _boundary_rows_by_simplex_id(k, n)
 
 
 # Expected Betti numbers below were frozen from the independent oracle.

@@ -125,6 +125,10 @@ def test_canonical_form_matches_the_exhaustive_sweep():
               torus_circle_sphere(), catalog(parse_surface_id("N1")),
               Complex2(()), Complex2(("a", 3, "b", 0))]
     inputs += [Complex2.from_triangles(tris) for tris in _TRANSITIVE.values()]
+    # a triangle beside 1 to 5 isolated vertices with int and with str labels
+    inputs += [Complex2.from_triangles([(0, 1, 2)], extra_vertices=extra)
+               for j in range(1, 6)
+               for extra in (range(3, 3 + j), [f"v{i}" for i in range(j)])]
     rng = random.Random("canonical-form oracle")
     inputs += [_random_complex(rng) for _ in range(240)]
     # the random inputs cover every kind of part the key must see
@@ -151,6 +155,13 @@ def test_canonical_form_is_one_key_per_transitive_complex(name, data):
     assert key == _transitive_key(name)
     assert all(key != _transitive_key(other)
                for other in _TRANSITIVE if other != name)
+
+
+def test_canonical_form_places_isolated_vertices_without_branching():
+    # one cell of 40 isolated vertices; a labeling sweep would never end
+    k = Complex2.from_triangles([(40, 41, 42)], extra_vertices=range(40))
+    assert canonical_form(k) == (43, ((40, 41, 42),),
+                                 ((40, 41), (40, 42), (41, 42)))
 
 
 def test_canonical_form_is_relabeling_invariant():

@@ -1,10 +1,13 @@
 """Surface recognition, classification, constructions, and the catalog."""
 
+import random
+
 import pytest
 
 from simpsurf.bounds import SurfaceId, minimal_triangle_count, parse_surface_id
 from simpsurf.complex2 import Complex2
 from simpsurf.homology import betti_numbers, h2_coordinates, homology_summary
+from simpsurf.search import _enumerate_closed
 from simpsurf.surfaces import (_nonorientable_word, _orientable_word,
                                _polygon_scheme_complex, _subdivide, attach_circle,
                                catalog, classify, expected_betti,
@@ -65,6 +68,70 @@ def test_classify_failure_reasons():
     assert classify(pinched).failure_reason == "bad_link"
     assert not is_closed_surface(pinched)
     assert is_closed_surface(sphere())
+
+
+def _link_is_single_cycle(k: Complex2, v) -> bool:
+    """The link check on the link graph alone: every node of degree two,
+    one component, at least three nodes."""
+    nodes, ledges = k.link_of_vertex(v)
+    if len(nodes) < 3 or len(nodes) != len(ledges):
+        return False
+    deg = {u: 0 for u in nodes}
+    adj = {u: [] for u in nodes}
+    for a, b in ledges:
+        if a not in deg or b not in deg:
+            return False
+        deg[a] += 1
+        deg[b] += 1
+        adj[a].append(b)
+        adj[b].append(a)
+    if any(d != 2 for d in deg.values()):
+        return False
+    seen = {nodes[0]}
+    stack = [nodes[0]]
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(nodes)
+
+
+def _failure_reason_oracle(k: Complex2):
+    if len(k.connected_components()) != 1:
+        return "disconnected"
+    if any(k.edge_degree(e) != 2 for e in k.edges):
+        return "bad_edge_degree"
+    if any(not _link_is_single_cycle(k, v) for v in k.vertices):
+        return "bad_link"
+    return None
+
+
+def _random_pinched_surface(rng: random.Random) -> Complex2:
+    """A subdivided catalog surface with up to three merges of two vertices
+    that share no neighbour: every edge stays in two triangles while the
+    link of a merged vertex splits into several cycles."""
+    k = _subdivide(catalog(parse_surface_id(rng.choice(MINIMAL_NAMES))))[0]
+    for _ in range(rng.randrange(4)):
+        u, w = rng.sample(k.vertices, 2)
+        near_u, near_w = ({x for e in k.edges_at_vertex(v) for x in e}
+                          for v in (u, w))
+        if not near_u & near_w:
+            k = Complex2.from_triangles([tuple(u if x == w else x for x in t)
+                                         for t in k.triangles])
+    return k
+
+
+def test_classify_matches_the_link_graph_oracle():
+    inputs = [Complex2.from_triangles(tris)
+              for n in range(3, 8) for tris, _ in _enumerate_closed(n, True)]
+    rng = random.Random("link oracle")
+    inputs += [_random_pinched_surface(rng) for _ in range(300)]
+    reasons = [_failure_reason_oracle(k) for k in inputs]
+    assert reasons.count("bad_link") >= 50 and reasons.count(None) >= 50
+    for k, reason in zip(inputs, reasons):
+        assert classify(k).failure_reason == reason, k.triangles
 
 
 def test_expected_betti_matches_homology():
