@@ -267,7 +267,9 @@ def complexity_certificate(surface: SurfaceId, with_witness: bool = True) -> Com
     The value equals minimal_triangle_count(surface); the certificate pairs
     it with the free-product lower bound (equal except on the three
     exceptional surfaces, where the gap is exactly 2) and, if requested,
-    the stored triangulation's size as the upper-bound witness.
+    the catalog triangulation's size as the upper-bound witness.  The
+    witness is None where the catalog builds none (below its least Euler
+    characteristic); the certified value does not depend on it.
     """
     if surface == SPHERE:
         raise NotApplicableError(
@@ -277,10 +279,13 @@ def complexity_certificate(surface: SurfaceId, with_witness: bool = True) -> Com
     value = minimal_triangle_count(surface)
     witness = None
     if with_witness:
-        from .surfaces import catalog  # deferred: surfaces imports this module
-        witness = catalog(surface).n_triangles
-        if witness < value:
-            raise AssertionError(f"catalog witness for {surface} beats the certified value")
+        # deferred: surfaces imports this module
+        from .surfaces import CATALOG_MIN_CHI, catalog
+        if surface.euler_characteristic >= CATALOG_MIN_CHI:
+            witness = catalog(surface).n_triangles
+            if witness < value:
+                raise AssertionError(
+                    f"catalog witness for {surface} beats the certified value")
     return ComplexityCertificate(
         surface=surface,
         profile=profile,

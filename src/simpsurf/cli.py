@@ -131,6 +131,12 @@ def _certificate_payload(cert: ComplexityCertificate) -> dict:
             "witness_alpha2": cert.witness_alpha2}
 
 
+def _witness_text(cert: ComplexityCertificate) -> str:
+    if cert.witness_alpha2 is None:
+        return "no catalog witness built at this genus"
+    return f"catalog witness {cert.witness_alpha2}"
+
+
 def _euler_payload(rep: EulerBoundsReport) -> dict:
     return {**asdict(rep), "satisfied": rep.satisfied}
 
@@ -264,8 +270,7 @@ def _bounds_surface(surface: SurfaceId) -> _Result:
         lines.append("trivial fundamental group; no group-level triangle bound applies")
     else:
         lines.append(f"kappa({cert.profile.name}) = {cert.triangle_complexity}: "
-                     f"lower bound {cert.lower_bound}, "
-                     f"catalog witness {cert.witness_alpha2}")
+                     f"lower bound {cert.lower_bound}, {_witness_text(cert)}")
     return EXIT_OK, payload, lines
 
 
@@ -418,8 +423,7 @@ def run_report(name: str, k: Complex2,
             kappa = certificate.triangle_complexity
             verdicts.append(
                 f"kappa({certificate.profile.name}) = {kappa}: lower bound "
-                f"{certificate.lower_bound}{gap}, catalog witness "
-                f"{certificate.witness_alpha2}")
+                f"{certificate.lower_bound}{gap}, {_witness_text(certificate)}")
             m = trace.free_rank
             group = certificate.profile.name + (f" * F{m}" if m else "")
             if reduced.n_triangles == kappa:

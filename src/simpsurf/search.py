@@ -12,6 +12,12 @@ triangles cannot occur, and a hypothetical example with extra components
 would contain an edge-connected one, so searching edge-connected
 complexes only loses nothing.
 
+The searches stay on integer states from start to finish.  The enumerator
+keeps a state as bitmasks (edges in one, two and three triangles, and the
+placed triangles), a private state classifier runs classify's checks on
+the integer triangles, and a Complex2 is built only for a search's
+witness, which classify then confirms.
+
 Nothing here assumes the counting results elsewhere in the package; the
 searches re-derive their answers by brute force so the two routes stay
 independent.
@@ -48,23 +54,34 @@ def canonical_form(k: Complex2) -> tuple:
     its own range take part.
 
     The minimum is found by depth-first branch and bound rather than by
-    trying every such labeling.  Labels 0, 1, 2, ... are placed in order,
-    each on an unused vertex of the cell owning it.  At a node with
-    labels 0..m-1 placed and more than one candidate for label m, every
-    triangle gets a bound tuple: its placed labels plus m for each
-    unplaced vertex, sorted.  Unplaced vertices can only receive labels
-    >= m, so each bound tuple is elementwise at most the triangle's tuple
-    in any completion, and sorting preserves that domination: the sorted
-    list of bound tuples is at most the triangle list of every labeling
-    below the node.  A node whose bound list is strictly greater than the
-    best triangle list found so far is cut.  Ties are kept, so the edge
-    list still decides between labelings with equal triangle lists, and
-    the key is exactly the minimum over all labelings the partition
-    allows.  A vertex-transitive complex no longer costs n! relabelings,
-    though the search still visits every labeling that ties the best
-    triangle list, which includes one per automorphism.  Vertices with
-    no edges are placed without branching: refinement gives them a cell of
-    their own, and every labeling of that cell gives the same key.
+    trying every such labeling.  Labels are placed one at a time, each on
+    an unused vertex of the cell owning it and each cell's labels in
+    ascending order; the cells of vertices in triangles go first (a cell's
+    vertices all lie in triangles or none does).  At a node with more than
+    one candidate, each unplaced vertex is given the least label its cell
+    has left, at most the label it gets in any completion.  Every triangle
+    then gets a bound tuple, its labels so given or placed, sorted, and so
+    does every loose edge (an edge in no triangle).  Sorting preserves the
+    elementwise domination, so the pair of sorted bound lists is at most
+    the (triangle list, loose-edge list) pair of every labeling below the
+    node, and a node whose bound pair is strictly greater than the best
+    pair so far is cut.  Equal triangle lists have equal sets of triangle
+    edges, so the loose-edge lists decide the edge comparison, and the
+    least pair gives the key.  With the triangle cells placed first the
+    triangle bound is exact before any loose part is placed, so the
+    loose-edge bound cuts there.
+
+    A leaf that ties the best pair is an automorphism: sending each vertex
+    to the vertex with the same label in the best labeling fixes the
+    labels the two share up to the first position where they differ, and
+    maps the candidate taken there to the one the best labeling took,
+    whose subtree is already searched.  Every labeling below the current
+    candidate has its image in that subtree, so the search resumes at
+    that node with the next candidate.  A vertex-transitive complex, or a
+    heap of interchangeable loose edges, then costs a few descents per
+    label instead of one leaf per automorphism.  Vertices with no edges
+    are placed without branching: refinement gives them a cell of their
+    own, and every labeling of that cell gives the same key.
     """
     verts = k.vertices
     colors = {
@@ -90,137 +107,216 @@ def canonical_form(k: Complex2) -> tuple:
     cells: dict[int, list] = {}
     for v in verts:
         cells.setdefault(colors[v], []).append(v)
-    owner = []  # owner[m] is the cell whose vertices may take label m
+    owner = []  # owner[x] is the cell whose vertices may take label x
+    left = {}  # colour -> the least label its cell has not placed yet
     for c in sorted(cells):
+        left[c] = len(owner)
         owner += [cells[c]] * len(cells[c])
+    # the labels of cells in triangles first, each cell's in ascending order
+    order = sorted(range(n),
+                   key=lambda x: (not k.triangles_at_vertex(owner[x][0]), x))
     label = dict.fromkeys(verts, n)  # n marks a vertex with no label yet
+    loose = [e for e in k.edges if not k.triangles_at_edge(e)]
 
-    def triangle_list(lab: dict) -> list:
-        return sorted([tuple(sorted((lab[a], lab[b], lab[c])))
-                       for a, b, c in k.triangles])
+    def lists(lab: dict) -> tuple:
+        """The triangle list and loose-edge list under the labeling."""
+        return (sorted([tuple(sorted((lab[a], lab[b], lab[c])))
+                        for a, b, c in k.triangles]),
+                sorted([tuple(sorted((lab[a], lab[b]))) for a, b in loose]))
 
-    best = None  # (triangle list, edge list) of the least labeling so far
+    def place(v, x: int) -> None:
+        label[v] = x
+        left[colors[v]] = x + 1
 
-    def descend(m: int) -> None:
-        nonlocal best
+    def unplace(v) -> None:
+        left[colors[v]] = label[v]
+        label[v] = n
+
+    best = None  # (triangle list, loose-edge list) of the least labeling
+    best_at: dict = {}  # label -> vertex in that labeling
+
+    def descend(i: int) -> int:
+        """Place the labels order[i:]; return the position whose node the
+        search resumes at, or n to go on as usual."""
+        nonlocal best, best_at
         forced = []  # labels with a single candidate, placed without a bound
-        while m < n:
-            free = [v for v in owner[m] if label[v] == n]
+        while i < n:
+            free = [v for v in owner[order[i]] if label[v] == n]
             if len(free) > 1 and k.edges_at_vertex(free[0]):
                 break
-            label[free[0]] = m
+            place(free[0], order[i])
             forced.append(free[0])
-            m += 1
-        if m == n:
-            t = triangle_list(label)
-            if best is None or t <= best[0]:
-                e = sorted([tuple(sorted((label[a], label[b])))
-                            for a, b in k.edges])
-                if best is None or (t, e) < best:
-                    best = (t, e)
-        elif best is None or triangle_list(
-                {v: x if x < m else m for v, x in label.items()}) <= best[0]:
+            i += 1
+        back = n
+        if i == n:
+            got = lists(label)
+            if best is None or got <= best:
+                at = {x: v for v, x in label.items()}
+                if best is None or got < best:
+                    best, best_at = got, at
+                else:
+                    back = next(j for j, x in enumerate(order)
+                                if at[x] != best_at[x])
+        elif best is None or lists({v: x if x < n else left[colors[v]]
+                                    for v, x in label.items()}) <= best:
             for v in free:
-                label[v] = m
-                descend(m + 1)
-                label[v] = n
-        for v in forced:
-            label[v] = n
+                place(v, order[i])
+                back = descend(i + 1)
+                unplace(v)
+                if back < i:
+                    break
+                back = n
+        for v in reversed(forced):
+            unplace(v)
+        return back
 
     descend(0)
-    return (n, tuple(best[0]), tuple(best[1]))
+    tris, loose_edges = best
+    edges = sorted({e for a, b, c in tris for e in ((a, b), (a, c), (b, c))}
+                   .union(loose_edges))
+    return (n, tuple(tris), tuple(edges))
 
 
 def _enumerate_closed(n_max: int, allow_one_triple: bool,
                       chi_target: Optional[int] = None):
-    """Yield (triangles, used_vertices) for every complete state.
+    """Return (triangles, used_vertices) for every complete state, in
+    search order.
 
     Complete means no edge lies in exactly one triangle.  With
     allow_one_triple, states may route one edge through three triangles;
-    completions both with and without the triple edge are yielded and the
+    completions both with and without the triple edge are returned and the
     caller filters.  chi_target prunes branches that can no longer reach a
     closed complex with that Euler characteristic (every complete state
-    satisfies alpha2 = 2 alpha0 - 2 chi).
+    without a triple edge satisfies alpha2 = 2 alpha0 - 2 chi).
+
+    The state is a handful of ints.  Edge ids follow combinations order
+    and each triangle carries the mask of its three edges; three masks
+    hold the edges lying in one, two and three placed triangles, and one
+    more holds the placed triangles.  The edge to close is the lowest bit
+    of the one-triangle mask, and a candidate is admissible when its edge
+    mask misses the three-triangle mask and meets the two-triangle mask
+    at most in the single edge the triple budget allows.
     """
     tris = list(itertools.combinations(range(n_max), 3))
-    edge_ids = {e: i for i, e in enumerate(itertools.combinations(range(n_max), 2))}
-    n_edges = len(edge_ids)
-    tri_edges = []
-    for a, b, c in tris:
-        tri_edges.append((edge_ids[(a, b)], edge_ids[(a, c)], edge_ids[(b, c)]))
-    tris_at_edge: list[list[int]] = [[] for _ in range(n_edges)]
-    for ti, es in enumerate(tri_edges):
-        for e in es:
-            tris_at_edge[e].append(ti)
+    edge_ids = {e: i for i, e in
+                enumerate(itertools.combinations(range(n_max), 2))}
+    cand = []  # (triangle id, edge mask, top label)
+    at_edge: list[list[tuple]] = [[] for _ in edge_ids]
+    for ti, (a, b, c) in enumerate(tris):
+        ids = (edge_ids[(a, b)], edge_ids[(a, c)], edge_ids[(b, c)])
+        cand.append((ti, sum(1 << e for e in ids), c))
+        for e in ids:
+            at_edge[e].append(cand[-1])
 
-    max_degree = 3 if allow_one_triple else 2
-    cap = (2 * n_edges + (1 if allow_one_triple else 0)) // 3
+    cap = (2 * len(edge_ids) + (1 if allow_one_triple else 0)) // 3
     if chi_target is not None:
         cap = min(cap, 2 * n_max - 2 * chi_target)
 
-    deg = [0] * n_edges
-    in_state = [False] * len(tris)
     state: list[int] = []
     out = []
 
-    def place(ti: int) -> None:
-        state.append(ti)
-        in_state[ti] = True
-        for e in tri_edges[ti]:
-            deg[e] += 1
-
-    def unplace(ti: int) -> None:
-        state.pop()
-        in_state[ti] = False
-        for e in tri_edges[ti]:
-            deg[e] -= 1
-
-    def admissible(ti: int, used: int, has_triple: bool):
-        """(new_used, makes_triple) or None."""
-        if in_state[ti]:
-            return None
-        top = tris[ti][2]
-        if top > used:
-            return None
-        hits = 0
-        for e in tri_edges[ti]:
-            d = deg[e]
-            if d + 1 > max_degree:
-                return None
-            if d == 2:
-                hits += 1
-        if hits and (not allow_one_triple or has_triple or hits > 1):
-            return None
-        return (max(used, top + 1), hits == 1)
-
-    def dfs(used: int, has_triple: bool) -> None:
-        open_edge = next((e for e in range(n_edges) if deg[e] == 1), None)
-        if open_edge is None:
+    def dfs(one: int, two: int, three: int, placed: int, used: int) -> None:
+        if not one:
             out.append((tuple(tris[ti] for ti in state), used))
-            if allow_one_triple and not has_triple and len(state) < cap:
-                # ride an edge up to three triangles and keep closing
-                for ti in range(len(tris)):
-                    fit = admissible(ti, used, has_triple)
-                    if fit is not None and fit[1]:
-                        place(ti)
-                        dfs(fit[0], True)
-                        unplace(ti)
-            return
-        if len(state) >= cap:
-            return
-        if chi_target is not None and 2 * used - 2 * chi_target > cap:
-            return
-        for ti in tris_at_edge[open_edge]:
-            fit = admissible(ti, used, has_triple)
-            if fit is not None:
-                place(ti)
-                dfs(fit[0], has_triple or fit[1])
-                unplace(ti)
+            if not allow_one_triple or three or len(state) >= cap:
+                return
+            options = cand  # ride an edge up to three triangles, keep closing
+        else:
+            if len(state) >= cap:
+                return
+            if chi_target is not None and 2 * used - 2 * chi_target > cap:
+                return
+            options = at_edge[(one & -one).bit_length() - 1]
+        for ti, m, top in options:
+            if placed >> ti & 1 or top > used or m & three:
+                continue
+            hits = m & two  # edges this triangle would take to three
+            if hits:
+                if not allow_one_triple or three or hits & (hits - 1):
+                    continue
+            elif not one:
+                continue
+            state.append(ti)
+            dfs((one & ~m) | (m & ~(one | two)), (two & ~m) | (one & m),
+                three | hits, placed | 1 << ti, max(used, top + 1))
+            state.pop()
 
-    place(0)  # the triangle (0, 1, 2)
-    dfs(3, False)
-    unplace(0)
+    state.append(0)  # the triangle (0, 1, 2)
+    dfs(cand[0][1], 0, 0, 1, 3)
     return out
+
+
+def _classify_state(tris: tuple, used: int) -> tuple:
+    """(failure_reason, surface) that classify reports for the complex
+    whose triangles are tris and whose vertices are exactly 0..used-1,
+    read off the integers without building a Complex2.
+
+    The checks run in classify's order: connectivity, every edge in
+    exactly two triangles, every vertex link a single cycle.  Then signs
+    propagate over triangle indices: a triangle (a, b, c) with sign s
+    runs its edges ab and bc forwards and ac backwards when s = 1, and
+    two triangles on an edge agree when they run it opposite ways.  The
+    Euler characteristic comes from the counts.
+    """
+    reach = [0] * used  # bitmask of each vertex's closed neighbourhood
+    sides: dict = {}  # edge -> [(triangle index, direction of the edge)]
+    for i, (a, b, c) in enumerate(tris):
+        star = 1 << a | 1 << b | 1 << c
+        reach[a] |= star
+        reach[b] |= star
+        reach[c] |= star
+        sides.setdefault((a, b), []).append((i, 1))
+        sides.setdefault((b, c), []).append((i, 1))
+        sides.setdefault((a, c), []).append((i, -1))
+    seen = todo = 1
+    while todo:
+        v = todo.bit_length() - 1
+        todo ^= 1 << v
+        grown = reach[v] & ~seen
+        seen |= grown
+        todo |= grown
+    if not used or seen != (1 << used) - 1:
+        return "disconnected", None
+    if any(len(s) != 2 for s in sides.values()):
+        return "bad_edge_degree", None
+
+    # with every edge in two triangles each link is a union of cycles, a
+    # single one exactly when walking it from any vertex visits them all
+    link: list[dict] = [{} for _ in range(used)]
+    for a, b, c in tris:
+        for v, x, y in ((a, b, c), (b, a, c), (c, a, b)):
+            link[v].setdefault(x, []).append(y)
+            link[v].setdefault(y, []).append(x)
+    for cycle in link:
+        start = prev = next(iter(cycle))
+        here, steps = cycle[start][0], 1
+        while here != start:
+            x, y = cycle[here]
+            prev, here = here, y if x == prev else x
+            steps += 1
+        if steps != len(cycle):
+            return "bad_link", None
+
+    sign = [0] * len(tris)
+    sign[0] = 1
+    stack = [0]
+    orientable = True
+    while stack and orientable:
+        a, b, c = tris[stack.pop()]
+        for (i, di), (j, dj) in (sides[(a, b)], sides[(b, c)], sides[(a, c)]):
+            if sign[i] and sign[j]:
+                if sign[i] * di == sign[j] * dj:
+                    orientable = False
+                    break
+            else:  # one of the two is signed: the one just popped
+                k = j if sign[i] else i
+                sign[k] = -(sign[i] + sign[j]) * di * dj
+                stack.append(k)
+
+    chi = used - len(sides) + len(tris)
+    if orientable:
+        return None, SurfaceId(True, (2 - chi) // 2)
+    return None, SurfaceId(False, 2 - chi)
 
 
 def _check_scale(max_vertices: int) -> None:
@@ -244,25 +340,34 @@ class SearchResult:
 
 def min_triangles_for_surface(max_vertices: int, target: SurfaceId) -> SearchResult:
     """Exhaustively find the least triangle count of the target surface
-    on at most max_vertices vertices; found=False when none exists there."""
+    on at most max_vertices vertices; found=False when none exists there.
+
+    States are classified on their integers; only the first least one
+    becomes a Complex2, the witness, and classify confirms it."""
     _check_scale(max_vertices)
     complete = _enumerate_closed(max_vertices, allow_one_triple=False,
                                  chi_target=target.euler_characteristic)
-    best: Optional[Complex2] = None
+    best = None
     hits = 0
-    for tris, _used in complete:
-        k = Complex2.from_triangles(tris)
-        if classify(k).surface != target:
+    for tris, used in complete:
+        if _classify_state(tris, used)[1] != target:
             continue
         hits += 1
-        if best is None or k.n_triangles < best.n_triangles:
-            best = k
+        if best is None or len(tris) < len(best):
+            best = tris
+    witness = None
+    if best is not None:
+        witness = Complex2.from_triangles(best)
+        got = classify(witness).surface
+        if got != target:
+            raise AssertionError(
+                f"search witness for {target} classifies as {got}")
     return SearchResult(
         target=target,
         max_vertices=max_vertices,
         found=best is not None,
-        min_triangles=best.n_triangles if best is not None else None,
-        witness=best,
+        min_triangles=len(best) if best is not None else None,
+        witness=witness,
         complete_states=len(complete),
         target_states=hits,
     )
@@ -276,11 +381,9 @@ def complexes_with_one_triple_edge(max_vertices: int) -> list[Complex2]:
     seen = set()
     found = []
     for tris, _used in _enumerate_closed(max_vertices, allow_one_triple=True):
-        degrees: dict = {}
-        for a, b, c in tris:
-            for e in ((a, b), (a, c), (b, c)):
-                degrees[e] = degrees.get(e, 0) + 1
-        if 3 not in degrees.values():
+        # the edge degrees sum to 3 alpha2, which is 2 alpha1 plus one for
+        # a triple edge, so a state has its triple edge iff alpha2 is odd
+        if len(tris) % 2 == 0:
             continue
         k = Complex2.from_triangles(tris)
         key = canonical_form(k)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import catalog_data
-from .bounds import SurfaceId, minimal_triangle_count
+from .bounds import NotApplicableError, SurfaceId, minimal_triangle_count
 from .complex2 import Complex2, Label, canon_edge, canon_triangle, label_key
 from .homology import CochainVector, betti_numbers, cochain, has_property_a
 
@@ -345,6 +345,9 @@ def _nonorientable_word(genus: int) -> list[tuple[str, int]]:
 
 _catalog_cache: dict[SurfaceId, Complex2] = {}
 
+# a built entry has 72 (2 - chi) triangles, 18432 for M128 and N256
+CATALOG_MIN_CHI = -254
+
 
 def catalog(surface: SurfaceId) -> Complex2:
     """A model triangulation of the surface, validated before it is returned.
@@ -354,10 +357,16 @@ def catalog(surface: SurfaceId) -> Complex2:
     stored minimal triangulations whose triangle counts meet
     minimal_triangle_count exactly; higher genera are built on demand from
     a polygon gluing scheme with two barycentric subdivisions and are not
-    minimal.
+    minimal.  Below Euler characteristic CATALOG_MIN_CHI nothing is built
+    and NotApplicableError is raised, so time stays bounded.
     """
     if surface in _catalog_cache:
         return _catalog_cache[surface]
+    if surface.euler_characteristic < CATALOG_MIN_CHI:
+        raise NotApplicableError(
+            f"{surface}: catalog triangulations stop at chi = "
+            f"{CATALOG_MIN_CHI}, and {surface} has chi = "
+            f"{surface.euler_characteristic}")
     stored = catalog_data.MINIMAL_TRIANGULATIONS.get(surface.name)
     if stored is not None:
         k = Complex2.from_triangles(stored)

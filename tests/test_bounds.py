@@ -191,6 +191,18 @@ def test_complexity_certificate_without_witness():
     assert cert.triangle_complexity == minimal_triangle_count(SurfaceId(True, 7))
 
 
+def test_no_catalog_witness_below_its_least_chi():
+    from simpsurf.surfaces import CATALOG_MIN_CHI, catalog
+    for surface in (SurfaceId(True, 129), SurfaceId(False, 2 - CATALOG_MIN_CHI + 1),
+                    SurfaceId(True, 10 ** 8)):
+        assert surface.euler_characteristic < CATALOG_MIN_CHI
+        with pytest.raises(NotApplicableError):
+            catalog(surface)
+        cert = complexity_certificate(surface)
+        assert cert.witness_alpha2 is None
+        assert cert.triangle_complexity == minimal_triangle_count(surface)
+
+
 def test_sphere_certificate_not_applicable():
     with pytest.raises(NotApplicableError):
         complexity_certificate(SPHERE)

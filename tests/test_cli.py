@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -145,6 +146,24 @@ def test_bounds_surface(capsys):
     assert payload["certificate"]["lower_bound"] == 22
     code, out, _ = run(capsys, "bounds", "--surface", "S2", "--json")
     assert json.loads(out)["certificate"] is None
+
+
+def test_huge_genus_builds_no_catalog_witness(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "bounds", "--surface", "M100000000")
+    assert code == 0
+    assert out.splitlines()[1] == ("kappa(pi1(M100000000)) = 400069286: "
+                                   "lower bound 400069286, no catalog "
+                                   "witness built at this genus")
+    code, out, _ = run(capsys, "bounds", "--surface", "N257", "--json")
+    cert = json.loads(out)["certificate"]
+    assert code == 0 and cert["witness_alpha2"] is None
+    assert cert["triangle_complexity"] == 596
+    for name in ("M129", "N300"):
+        code, out, err = run(capsys, "catalog", "--surface", name)
+        assert code == 3 and out == ""
+        assert err.startswith(f"not applicable: {name}: catalog")
+    assert time.perf_counter() - start < 5.0
 
 
 def test_bounds_profile(capsys, tmp_path):

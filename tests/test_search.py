@@ -3,6 +3,8 @@
 import functools
 import itertools
 import random
+import time
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,99 @@ from hypothesis import strategies as st
 from simpsurf.bounds import SPHERE, parse_surface_id
 from simpsurf.complex2 import Complex2
 from simpsurf.homology import betti_numbers
-from simpsurf.search import (canonical_form, complexes_with_one_triple_edge,
+from simpsurf.search import (_classify_state, _enumerate_closed,
+                             canonical_form, complexes_with_one_triple_edge,
                              min_triangles_for_surface)
 from simpsurf.surfaces import catalog, classify
 
 from _fixtures import (RP2_TRIS, SPHERE_TRIS, rp2, sphere, torus,
                        torus_circle_sphere, torus_with_circle)
+
+
+def _enumerate_closed_reference(n_max: int, allow_one_triple: bool,
+                                chi_target: Optional[int] = None) -> list:
+    """The reference enumerator: the same depth-first search as
+    _enumerate_closed, kept on a degree list per edge and a flag per
+    triangle, with the open edge found by a scan."""
+    tris = list(itertools.combinations(range(n_max), 3))
+    edge_ids = {e: i for i, e in enumerate(itertools.combinations(range(n_max), 2))}
+    n_edges = len(edge_ids)
+    tri_edges = []
+    for a, b, c in tris:
+        tri_edges.append((edge_ids[(a, b)], edge_ids[(a, c)], edge_ids[(b, c)]))
+    tris_at_edge: list[list[int]] = [[] for _ in range(n_edges)]
+    for ti, es in enumerate(tri_edges):
+        for e in es:
+            tris_at_edge[e].append(ti)
+
+    max_degree = 3 if allow_one_triple else 2
+    cap = (2 * n_edges + (1 if allow_one_triple else 0)) // 3
+    if chi_target is not None:
+        cap = min(cap, 2 * n_max - 2 * chi_target)
+
+    deg = [0] * n_edges
+    in_state = [False] * len(tris)
+    state: list[int] = []
+    out = []
+
+    def place(ti: int) -> None:
+        state.append(ti)
+        in_state[ti] = True
+        for e in tri_edges[ti]:
+            deg[e] += 1
+
+    def unplace(ti: int) -> None:
+        state.pop()
+        in_state[ti] = False
+        for e in tri_edges[ti]:
+            deg[e] -= 1
+
+    def admissible(ti: int, used: int, has_triple: bool):
+        """(new_used, makes_triple) or None."""
+        if in_state[ti]:
+            return None
+        top = tris[ti][2]
+        if top > used:
+            return None
+        hits = 0
+        for e in tri_edges[ti]:
+            d = deg[e]
+            if d + 1 > max_degree:
+                return None
+            if d == 2:
+                hits += 1
+        if hits and (not allow_one_triple or has_triple or hits > 1):
+            return None
+        return (max(used, top + 1), hits == 1)
+
+    def dfs(used: int, has_triple: bool) -> None:
+        open_edge = next((e for e in range(n_edges) if deg[e] == 1), None)
+        if open_edge is None:
+            out.append((tuple(tris[ti] for ti in state), used))
+            if allow_one_triple and not has_triple and len(state) < cap:
+                # ride an edge up to three triangles and keep closing
+                for ti in range(len(tris)):
+                    fit = admissible(ti, used, has_triple)
+                    if fit is not None and fit[1]:
+                        place(ti)
+                        dfs(fit[0], True)
+                        unplace(ti)
+            return
+        if len(state) >= cap:
+            return
+        if chi_target is not None and 2 * used - 2 * chi_target > cap:
+            return
+        for ti in tris_at_edge[open_edge]:
+            fit = admissible(ti, used, has_triple)
+            if fit is not None:
+                place(ti)
+                dfs(fit[0], has_triple or fit[1])
+                unplace(ti)
+
+    place(0)  # the triangle (0, 1, 2)
+    dfs(3, False)
+    unplace(0)
+    return out
 
 
 def _canonical_form_exhaustive(k: Complex2) -> tuple:
@@ -129,6 +218,11 @@ def test_canonical_form_matches_the_exhaustive_sweep():
     inputs += [Complex2.from_triangles([(0, 1, 2)], extra_vertices=extra)
                for j in range(1, 6)
                for extra in (range(3, 3 + j), [f"v{i}" for i in range(j)])]
+    # a triangle beside 1 to 3 disjoint loose edges, int and str labels
+    inputs += [Complex2.from_triangles([(0, 1, 2)], extra_edges=loose)
+               for j in range(1, 4)
+               for loose in ([(3 + 2 * i, 4 + 2 * i) for i in range(j)],
+                             [(f"a{i}", f"b{i}") for i in range(j)])]
     rng = random.Random("canonical-form oracle")
     inputs += [_random_complex(rng) for _ in range(240)]
     # the random inputs cover every kind of part the key must see
@@ -162,6 +256,18 @@ def test_canonical_form_places_isolated_vertices_without_branching():
     k = Complex2.from_triangles([(40, 41, 42)], extra_vertices=range(40))
     assert canonical_form(k) == (43, ((40, 41, 42),),
                                  ((40, 41), (40, 42), (41, 42)))
+
+
+def test_canonical_form_cuts_interchangeable_loose_edges():
+    # twelve vertices in one cell, so a labeling sweep would try 12! orders
+    loose = [(f"a{i}", f"b{i}") for i in range(6)]
+    k = Complex2.from_triangles([(0, 1, 2)], extra_edges=loose)
+    start = time.perf_counter()
+    key = canonical_form(k)
+    assert time.perf_counter() - start < 1.0
+    pairs = tuple((2 * i, 2 * i + 1) for i in range(6))
+    assert key == (15, ((12, 13, 14),),
+                   pairs + ((12, 13), (12, 14), (13, 14)))
 
 
 def test_canonical_form_is_relabeling_invariant():
@@ -224,3 +330,59 @@ def test_torus_needs_seven_vertices():
 def test_no_lonely_triple_edge_at_small_scale():
     assert complexes_with_one_triple_edge(6) == []
     assert complexes_with_one_triple_edge(7) == []
+
+
+def test_enumerator_matches_the_reference():
+    modes = [(True, None), (False, None)]
+    modes += [(triple, chi) for triple in (True, False) for chi in (1, 0, -1)]
+    for n in range(3, 9):
+        for triple, chi in modes:
+            assert (_enumerate_closed(n, triple, chi)
+                    == _enumerate_closed_reference(n, triple, chi)), (n, triple, chi)
+
+
+def _classification(tris) -> tuple:
+    got = classify(Complex2.from_triangles(tris))
+    return got.failure_reason, got.surface
+
+
+def test_state_classifier_matches_classify():
+    states = [s for n in range(3, 9) for s in _enumerate_closed(n, True)]
+    assert len(states) == 4189
+    # hand-built states, each failing the first of classify's checks it names
+    tetra = list(itertools.combinations(range(4), 3))
+    shifted = [tuple(v + 4 for v in t) for t in tetra]
+    hinge = [tuple(v if v < 2 else v + 2 for v in t) for t in tetra]
+    states += [
+        (tuple(tetra + shifted), 8),  # two spheres apart
+        (((0, 1, 2), (3, 4, 5)), 6),  # two triangles apart
+        # apart, and the triangle's edges lie in one triangle each
+        (((0, 1, 2),) + tuple(tuple(v + 3 for v in t) for t in tetra), 7),
+        (((0, 1, 2),), 3),
+        (((0, 1, 2), (0, 1, 3), (0, 1, 4)), 5),  # three pages on one edge
+        (tuple(sorted(tetra + hinge)), 6),  # two spheres on one edge
+        # two spheres on one vertex, whose link is two cycles
+        (tuple(tetra + [(3, 4, 5), (3, 4, 6), (3, 5, 6), (4, 5, 6)]), 7),
+    ]
+    wants = []
+    for tris, used in states:
+        wants.append(_classification(tris))
+        assert _classify_state(tris, used) == wants[-1], tris
+    reasons = [reason for reason, _ in wants]
+    assert reasons.count("disconnected") == 3
+    assert reasons.count("bad_edge_degree") == 3
+    assert reasons.count("bad_link") >= 2000
+    surfaces = {surface for _, surface in wants}
+    assert {parse_surface_id(x) for x in ("S2", "N1", "M1", "N2")} <= surfaces
+
+
+def test_franklin_n2_needs_eight_vertices():
+    result = min_triangles_for_surface(7, parse_surface_id("N2"))
+    assert not result.found and result.witness is None
+    assert result.complete_states == 163 and result.target_states == 0
+
+
+def test_ringel_n3_needs_nine_vertices():
+    result = min_triangles_for_surface(8, parse_surface_id("N3"))
+    assert not result.found and result.min_triangles is None
+    assert result.complete_states == 4003 and result.target_states == 0
