@@ -11,6 +11,7 @@ byte-deterministic and golden-testable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -575,9 +576,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() uses, built once per process: parsing leaves it
+    unchanged, and building one costs more than most commands' work."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one command; print its result and map its errors to exit codes."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code, payload, lines = args.func(args)
     except (FormatError, OSError) as exc:

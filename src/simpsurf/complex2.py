@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "Label",
@@ -47,6 +47,33 @@ def canon_triangle(a: Label, b: Label, c: Label) -> Triangle:
     return (u, v, w)
 
 
+def _label_order(labels) -> Optional[Callable]:
+    """The sort key giving the canonical order on one build's labels.
+
+    When every label is an int, or every label is a str, plain comparison
+    already is the label_key order, so no key is needed (None).  A mixed
+    set is sorted by label_key once, which also rejects a label of any
+    other type, and the key is each label's position in that order.
+    """
+    if all(isinstance(v, int) for v in labels) or all(isinstance(v, str) for v in labels):
+        return None
+    return {v: i for i, v in enumerate(sorted(labels, key=label_key))}.__getitem__
+
+
+def _distinct_simplices(simplices, arity: int, what: str, labels: set) -> list[tuple]:
+    """The simplices as tuples, checked to be arity distinct vertices;
+    their vertices are added to labels."""
+    out = []
+    for s in simplices:
+        s = tuple(s)
+        vs = set(s)
+        if len(vs) != arity or len(s) != arity:
+            raise ValueError(f"degenerate {what} {s!r}")
+        labels |= vs
+        out.append(s)
+    return out
+
+
 @dataclass(frozen=True)
 class SimplexId:
     """Position of a simplex in the canonical order of one complex value."""
@@ -62,7 +89,15 @@ class SimplexId:
 
 
 class Complex2:
-    """An abstract simplicial complex of dimension at most 2."""
+    """An abstract simplicial complex of dimension at most 2.
+
+    A build chooses one sort key from its label set and sorts each simplex
+    with it once.  When every label is an int, or every label is a str,
+    plain tuple comparison is the label_key order and no key is used; a
+    mixed label set is ranked by label_key once and sorted by those ranks.
+    from_triangles takes the closure of the sorted triangles directly;
+    __init__ checks that the closure was given.
+    """
 
     __slots__ = ("vertices", "edges", "triangles",
                  "_vertex_index", "_edge_index", "_triangle_index",
@@ -72,32 +107,30 @@ class Complex2:
                  vertices: Iterable[Label],
                  edges: Iterable[Sequence[Label]] = (),
                  triangles: Iterable[Sequence[Label]] = ()) -> None:
-        tri_set = set()
-        for t in triangles:
-            if len(set(t)) != 3:
-                raise ValueError(f"degenerate triangle {tuple(t)!r}")
-            tri_set.add(canon_triangle(*t))
-        edge_set = set()
-        for e in edges:
-            if len(set(e)) != 2:
-                raise ValueError(f"degenerate edge {tuple(e)!r}")
-            edge_set.add(canon_edge(*e))
-        vert_set = set(vertices)
-        for v in vert_set:
-            label_key(v)  # type check
+        labels = set(vertices)
+        vert_set = set(labels)
+        tris = _distinct_simplices(triangles, 3, "triangle", labels)
+        edge_list = _distinct_simplices(edges, 2, "edge", labels)
+        key = _label_order(labels)
+        tri_set = {tuple(sorted(t, key=key)) for t in tris}
+        edge_set = {tuple(sorted(e, key=key)) for e in edge_list}
         for t in tri_set:
             for e in combinations(t, 2):
                 if e not in edge_set:
                     raise ValueError(f"edge {e!r} of triangle {t!r} is missing; "
                                      "use from_triangles to take closures")
+        self._setup(vert_set, edge_set, tri_set, key)
+
+    def _setup(self, vert_set: set, edge_set: set, tri_set: set, key) -> None:
+        """Store canonical simplex sets, already sorted inside by key."""
         for e in edge_set:
             for v in e:
                 if v not in vert_set:
                     raise ValueError(f"endpoint {v!r} of edge {e!r} is missing")
-
-        self.vertices: tuple[Label, ...] = tuple(sorted(vert_set, key=label_key))
-        self.edges: tuple[Edge, ...] = tuple(sorted(edge_set, key=lambda e: tuple(map(label_key, e))))
-        self.triangles: tuple[Triangle, ...] = tuple(sorted(tri_set, key=lambda t: tuple(map(label_key, t))))
+        tuple_key = None if key is None else (lambda s: tuple(map(key, s)))
+        self.vertices: tuple[Label, ...] = tuple(sorted(vert_set, key=key))
+        self.edges: tuple[Edge, ...] = tuple(sorted(edge_set, key=tuple_key))
+        self.triangles: tuple[Triangle, ...] = tuple(sorted(tri_set, key=tuple_key))
         self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
         self._edge_index = {e: i for i, e in enumerate(self.edges)}
         self._triangle_index = {t: i for i, t in enumerate(self.triangles)}
@@ -106,13 +139,16 @@ class Complex2:
         edges_at_vertex: dict[Label, list[Edge]] = {v: [] for v in self.vertices}
         tris_at_vertex: dict[Label, list[Triangle]] = {v: [] for v in self.vertices}
         for t in self.triangles:
-            for e in combinations(t, 2):
-                tris_at_edge[e].append(t)
-            for v in t:
-                tris_at_vertex[v].append(t)
+            a, b, c = t
+            tris_at_edge[a, b].append(t)
+            tris_at_edge[a, c].append(t)
+            tris_at_edge[b, c].append(t)
+            tris_at_vertex[a].append(t)
+            tris_at_vertex[b].append(t)
+            tris_at_vertex[c].append(t)
         for e in self.edges:
-            for v in e:
-                edges_at_vertex[v].append(e)
+            edges_at_vertex[e[0]].append(e)
+            edges_at_vertex[e[1]].append(e)
         self._tris_at_edge = {e: tuple(ts) for e, ts in tris_at_edge.items()}
         self._edges_at_vertex = {v: tuple(es) for v, es in edges_at_vertex.items()}
         self._tris_at_vertex = {v: tuple(ts) for v, ts in tris_at_vertex.items()}
@@ -125,21 +161,22 @@ class Complex2:
                        extra_edges: Iterable[Sequence[Label]] = (),
                        extra_vertices: Iterable[Label] = ()) -> "Complex2":
         """Build the closure of the given triangles plus loose edges/vertices."""
-        tris = []
-        edges = set()
-        verts = set(extra_vertices)
-        for e in extra_edges:
-            if len(set(e)) != 2:
-                raise ValueError(f"degenerate edge {tuple(e)!r}")
-            edges.add(canon_edge(*e))
-        for t in triangles:
-            if len(set(t)) != 3:
-                raise ValueError(f"degenerate triangle {tuple(t)!r}")
-            t = canon_triangle(*t)
-            tris.append(t)
-            edges.update(combinations(t, 2))
-        verts.update(v for e in edges for v in e)
-        return cls(verts, edges, tris)
+        labels = set(extra_vertices)
+        edge_list = _distinct_simplices(extra_edges, 2, "edge", labels)
+        tris = _distinct_simplices(triangles, 3, "triangle", labels)
+        key = _label_order(labels)
+        edge_set = {tuple(sorted(e, key=key)) for e in edge_list}
+        tri_set = set()
+        for t in tris:
+            t = tuple(sorted(t, key=key))
+            a, b, c = t
+            tri_set.add(t)
+            edge_set.add((a, b))
+            edge_set.add((a, c))
+            edge_set.add((b, c))
+        k = cls.__new__(cls)
+        k._setup(labels, edge_set, tri_set, key)
+        return k
 
     def relabeled(self, mapping: Mapping[Label, Label]) -> "Complex2":
         """Apply an injective vertex relabeling; unmapped labels are kept."""

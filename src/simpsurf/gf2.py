@@ -66,7 +66,15 @@ class Gf2Vector:
         return self.bits >> i & 1
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.length) if self.bits >> i & 1)
+        # scan the binary digits, lowest first: shifting a long int once per
+        # coordinate would cost time quadratic in the length
+        digits = bin(self.bits)[:1:-1]
+        out = []
+        i = digits.find("1")
+        while i >= 0:
+            out.append(i)
+            i = digits.find("1", i + 1)
+        return tuple(out)
 
     def weight(self) -> int:
         return bin(self.bits).count("1")

@@ -13,6 +13,13 @@ vertex order: for a triangle v0 < v1 < v2,
 Only the induced pairing on cohomology classes is contractual; cochain
 level values depend on this ordering convention.
 
+cup_pairing_on_h1 never forms a cochain per pair.  One pass over the
+triangles gives two bitmasks per edge e: front[e], the triangles whose
+front edge v0 v1 is e, and back[e], those whose back edge v1 v2 is e.
+The pullback F_a of a 1-cochain a is the OR of front[e] over its support
+(G_a likewise from back), so a cup b is the single AND F_a & G_b.
+cup_product stays as the cochain-level reference.
+
 Over F2, H^2 = Hom(H_2, F2), so the class of a 2-cochain w is fixed by its
 values on a basis of 2-cycles.  The H^2 basis is chosen dual to the
 summary's 2-cycle basis, which makes the H^2 coordinates of [w] simply
@@ -308,13 +315,50 @@ class CupForm:
 
 def cup_pairing_on_h1(k: Complex2,
                       summary: Optional[HomologySummary] = None) -> CupForm:
+    """The cup pairing on the summary's H^1 basis, by bit-sliced pullbacks.
+
+    One pass over the triangles builds, for each edge e, front[e]: the
+    bitmask of the triangles whose front edge v0 v1 is e, and back[e]: the
+    same for the back edge v1 v2.  For each basis cocycle a_i, F_i is the
+    OR of front[e] over the support of a_i and G_i the same over back; the
+    masks of distinct edges are disjoint, so OR is XOR.  The triangles in
+    F_i & G_j are those where a_i(v0 v1) * a_j(v1 v2) = 1: that mask is
+    the cochain cup_product(k, a_i, a_j).  Its H^2 coordinate c is its
+    value on the 2-cycle z_c = cycle_reps[2][c], the parity of
+    (F_i & G_j & z_c).bit_count().
+    """
     if summary is None:
         summary = homology_summary(k)
     reps = summary.cocycle_reps[1]
-    entries = tuple(
-        tuple(h2_coordinates(summary, cup_product(k, ai, aj)) for aj in reps)
-        for ai in reps)
-    return CupForm(h1_reps=reps, b2=summary.b2, entries=entries)
+    if any(a.coeffs.length != k.n_edges for a in reps):
+        raise ValueError("cochain does not match this complex")
+    if summary._n_triangles != k.n_triangles:
+        raise ValueError("cochain does not match the summarized complex")
+    position = k._edge_index
+    front = [0] * k.n_edges
+    back = [0] * k.n_edges
+    for j, (v0, v1, v2) in enumerate(k.triangles):
+        front[position[v0, v1]] |= 1 << j
+        back[position[v1, v2]] |= 1 << j
+    cycles = [z.coeffs.bits for z in summary.cycle_reps[2]]
+    backs = [_pullback(back, a) for a in reps]
+    entries = []
+    for a in reps:
+        f = _pullback(front, a)
+        on_cycles = [f & z for z in cycles]
+        entries.append(tuple(
+            Gf2Vector(summary.b2, sum(((fz & g).bit_count() & 1) << c
+                                      for c, fz in enumerate(on_cycles)))
+            for g in backs))
+    return CupForm(h1_reps=reps, b2=summary.b2, entries=tuple(entries))
+
+
+def _pullback(masks: list[int], a: CochainVector) -> int:
+    """The OR of the triangle masks over the support of the 1-cochain a."""
+    bits = 0
+    for e in a.coeffs.support():
+        bits |= masks[e]
+    return bits
 
 
 @dataclass

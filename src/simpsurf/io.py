@@ -89,6 +89,22 @@ def _check_no_duplicates(items, what: str, source: str) -> None:
         seen.add(item)
 
 
+def _check_no_duplicate_simplices(simplices, what: str, source: str) -> None:
+    """Reject two simplices with the same vertices in any order.
+
+    Simplices with distinct vertices are compared as sets; a degenerate
+    one, as a sorted tuple.  Only the error message sorts a simplex.
+    """
+    seen = set()
+    for s in simplices:
+        vs = frozenset(s)
+        item = vs if len(vs) == len(s) else tuple(sorted(s, key=label_key))
+        if item in seen:
+            raise FormatError(f"{source}: duplicate {what} "
+                              f"{tuple(sorted(s, key=label_key))!r}")
+        seen.add(item)
+
+
 def complex_from_dict(data, source: str = "<data>") -> Complex2:
     """Build the closed complex described by one parsed JSON object."""
     if not isinstance(data, dict):
@@ -107,12 +123,10 @@ def complex_from_dict(data, source: str = "<data>") -> Complex2:
     edges = [_check_simplex(e, 2, "edge", source) for e in data.get("edges", [])]
     triangles = [_check_simplex(t, 3, "triangle", source)
                  for t in data.get("triangles", [])]
-    # duplicates are checked on sorted tuples, before closure deduplicates them
+    # duplicates are checked before closure deduplicates them
     _check_no_duplicates(vertices, "vertex", source)
-    _check_no_duplicates((tuple(sorted(e, key=label_key)) for e in edges),
-                         "edge", source)
-    _check_no_duplicates((tuple(sorted(t, key=label_key)) for t in triangles),
-                         "triangle", source)
+    _check_no_duplicate_simplices(edges, "edge", source)
+    _check_no_duplicate_simplices(triangles, "triangle", source)
     try:
         return Complex2.from_triangles(triangles, extra_edges=edges,
                                        extra_vertices=vertices)

@@ -342,15 +342,19 @@ def min_triangles_for_surface(max_vertices: int, target: SurfaceId) -> SearchRes
     """Exhaustively find the least triangle count of the target surface
     on at most max_vertices vertices; found=False when none exists there.
 
-    States are classified on their integers; only the first least one
-    becomes a Complex2, the witness, and classify confirms it."""
+    States whose Euler characteristic differs from the target's are
+    skipped; the rest are classified on their integers.  Only the first
+    least one becomes a Complex2, the witness, and classify confirms it."""
     _check_scale(max_vertices)
+    chi = target.euler_characteristic
     complete = _enumerate_closed(max_vertices, allow_one_triple=False,
-                                 chi_target=target.euler_characteristic)
+                                 chi_target=chi)
     best = None
     hits = 0
     for tris, used in complete:
-        if _classify_state(tris, used)[1] != target:
+        # every edge of a complete state lies in two triangles, so
+        # alpha1 = 3 alpha2 / 2 and chi = used - alpha2 / 2
+        if used - len(tris) // 2 != chi or _classify_state(tris, used)[1] != target:
             continue
         hits += 1
         if best is None or len(tris) < len(best):

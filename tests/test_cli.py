@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from simpsurf import cli
 from simpsurf.cli import main, run_report
 from simpsurf.complex2 import Complex2
 from simpsurf.io import dump_complex, dumps_complex, load_complex
@@ -98,6 +99,20 @@ def test_cup_form_json_vector_valued(capsys, wedge_file):
     assert payload["entries"] == [[[0, 0], [0, 0], [0, 0]],
                                   [[0, 0], [0, 0], [1, 0]],
                                   [[0, 0], [1, 0], [0, 0]]]
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch, torus_file):
+    built = []
+    fresh = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or fresh())
+    cli._parser.cache_clear()
+    try:
+        outputs = [run(capsys, "cup-form", torus_file, "--json") for _ in range(3)]
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert outputs[0] == outputs[1] == outputs[2] and outputs[0][0] == 0
+    assert fresh() is not fresh()
 
 
 def test_property_a(capsys, torus_file):

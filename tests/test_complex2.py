@@ -3,6 +3,8 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simpsurf.complex2 import Complex2, SimplexId, canon_edge, canon_triangle, label_key
 
@@ -128,3 +130,60 @@ def test_empty_complex():
     assert (k.n_vertices, k.n_edges, k.n_triangles) == (0, 0, 0)
     assert k.euler_characteristic() == 0
     assert k.connected_components() == ()
+
+
+# label pools: int-only and str-only builds sort with no key, mixed ones by
+# label_key ranks; both must give the label_key order
+_INTS = st.integers(-40, 40)
+_STRS = st.text(alphabet="ab1", min_size=1, max_size=3)
+_LABEL_SETS = st.one_of(st.sets(_INTS, min_size=3, max_size=9),
+                        st.sets(_STRS, min_size=3, max_size=9),
+                        st.sets(st.one_of(_INTS, _STRS), min_size=3, max_size=9))
+
+
+def _by_label_key(simplices):
+    return tuple(sorted({tuple(sorted(s, key=label_key)) for s in simplices},
+                        key=lambda s: tuple(map(label_key, s))))
+
+
+def _simplices(pool, n):
+    return st.permutations(pool).map(lambda p: tuple(p[:n]))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(labels=_LABEL_SETS, data=st.data())
+def test_order_is_the_label_key_order(labels, data):
+    pool = sorted(labels, key=repr)
+    tris = data.draw(st.lists(_simplices(pool, 3), max_size=12))
+    loose = data.draw(st.lists(_simplices(pool, 2), max_size=4))
+    extra = data.draw(st.lists(st.sampled_from(pool), max_size=3))
+    k = Complex2.from_triangles(tris, extra_edges=loose, extra_vertices=extra)
+    closure = [e for t in tris for e in combinations(t, 2)] + loose
+    assert k.vertices == tuple(sorted({v for s in closure + tris for v in s} | set(extra),
+                                      key=label_key))
+    assert k.edges == _by_label_key(closure)
+    assert k.triangles == _by_label_key(tris)
+    # __init__ with the closure given, in reverse, builds the same value
+    again = Complex2(k.vertices[::-1], [e[::-1] for e in k.edges],
+                     [t[::-1] for t in k.triangles])
+    assert again._key() == k._key()
+
+
+@pytest.mark.parametrize("a, b, c", [(1, 2, 3), ("a", "b", "c"), (1, "b", "c")])
+def test_errors_on_both_sort_paths(a, b, c):
+    with pytest.raises(ValueError, match=rf"degenerate triangle \({a!r}, {b!r}, {a!r}\)"):
+        Complex2.from_triangles([[a, b, c], [a, b, a]])
+    with pytest.raises(ValueError, match=rf"degenerate edge \({c!r}, {c!r}\)"):
+        Complex2.from_triangles([[a, b, c]], extra_edges=[[c, c]])
+    with pytest.raises(ValueError, match=rf"degenerate triangle \({c!r}, {b!r}, {c!r}\)"):
+        Complex2([a, b, c], [[a, b], [a, c], [b, c]], [[c, b, c]])
+    with pytest.raises(ValueError, match=rf"edge \({b!r}, {c!r}\) of triangle "
+                                         rf"\({a!r}, {b!r}, {c!r}\) is missing"):
+        Complex2([a, b, c], [[b, a], [c, a]], [[c, b, a]])
+    with pytest.raises(ValueError, match=rf"endpoint {c!r} of edge \({a!r}, {c!r}\)"):
+        Complex2([a, b], [[c, a]])
+    for build in (lambda: Complex2.from_triangles([[a, b, 2.5]]),
+                  lambda: Complex2.from_triangles([[a, b, c]], extra_vertices=[None]),
+                  lambda: Complex2([a, b, 2.5])):
+        with pytest.raises(TypeError, match="is not an int or str"):
+            build()

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import simpsurf.homology as homology
 from _fixtures import rp2, sphere, torus, torus_circle_sphere, torus_with_circle
 from simpsurf.bounds import parse_surface_id
 from simpsurf.complex2 import Complex2
@@ -189,22 +190,23 @@ def test_degree_one_bases_match_the_greedy_completion():
         assert len(cycles) == len(cocycles) == s.b1
 
 
+def _counting(counts, name, fn):
+    """fn, counting its calls in counts[name]."""
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_summary_eliminates_each_boundary_map_once(monkeypatch):
     base = catalog(parse_surface_id("M3"))
     bubble = sphere().relabeled({v: 1000 + v for v in range(4)})
     k = attach_circle(wedge(base, base.vertices[0], bubble, 1000), base.vertices[5])
     assert k.n_triangles >= 400
     counts = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(Gf2Matrix, "_rref", counting("eliminations", Gf2Matrix._rref))
-    monkeypatch.setattr(Gf2Matrix, "rows", counting("row_walks", Gf2Matrix.rows))
-    monkeypatch.setattr(Gf2Span, "add", counting("span_adds", Gf2Span.add))
+    monkeypatch.setattr(Gf2Matrix, "_rref", _counting(counts, "eliminations", Gf2Matrix._rref))
+    monkeypatch.setattr(Gf2Matrix, "rows", _counting(counts, "row_walks", Gf2Matrix.rows))
+    monkeypatch.setattr(Gf2Span, "add", _counting(counts, "span_adds", Gf2Span.add))
     s = homology_summary(k)
     assert s.betti == (0, 2 * 3 + 1, 2)  # M3, one circle, one sphere
     # d1, d2, the transpose of d2 and the 2-cycle basis, once each
@@ -373,3 +375,73 @@ def test_determinism():
     assert a.cycle_reps == b.cycle_reps and a.cocycle_reps == b.cocycle_reps
     f1, f2 = cup_pairing_on_h1(torus()), cup_pairing_on_h1(torus())
     assert f1.entries == f2.entries
+
+
+def _cup_form_cases():
+    """Complexes for the cup-form cross-check: the fixtures, catalog S2..N5,
+    the empty complex, a point, and seeded wedges with loose circles,
+    spheres (b2 >= 2), a disjoint summand and int or str labelled pieces."""
+    cases = [sphere(), rp2(), torus(), torus_with_circle(), torus_circle_sphere(),
+             cone_book(4), Complex2([]), Complex2.from_triangles([], extra_vertices=[0])]
+    cases += [catalog(parse_surface_id(name))
+              for name in ("S2", "N1", "M1", "N2", "N3", "M2", "N4", "N5")]
+    rng = random.Random(20261018)
+    for trial in range(16):
+        k = catalog(parse_surface_id(rng.choice(("N1", "M1", "N2", "M2"))))
+        for _ in range(rng.randrange(0, 3)):
+            k = attach_circle(k, rng.choice(k.vertices))
+        for j in range(1 + trial % 3):
+            if rng.randrange(2):
+                bubble = sphere().relabeled({v: f"s{j}.{v}" for v in range(4)})
+                k = wedge(k, rng.choice(k.vertices), bubble, f"s{j}.0")
+            else:
+                bubble = sphere().relabeled({v: 1000 + 10 * j + v for v in range(4)})
+                k = wedge(k, rng.choice(k.vertices), bubble, 1000 + 10 * j)
+        if trial % 4 == 0:
+            far = torus().relabeled({v: 5000 + v for v in range(7)})
+            k = Complex2.from_triangles(k.triangles + far.triangles,
+                                        extra_edges=k.edges, extra_vertices=k.vertices)
+        cases.append(k)
+    return cases
+
+
+def test_cup_form_matches_cup_product_and_h2_coordinates():
+    shapes = Counter()
+    for k in _cup_form_cases():
+        s = homology_summary(k)
+        form = cup_pairing_on_h1(k, s)
+        reps = s.cocycle_reps[1]
+        assert form.h1_reps == reps and form.b2 == s.b2
+        assert form.entries == tuple(
+            tuple(h2_coordinates(s, cup_product(k, a, b)) for b in reps) for a in reps)
+        shapes["b2>=2"] += s.b2 >= 2
+        shapes["disconnected"] += s.b0 > 0
+        shapes["mixed"] += len({type(v) for v in k.vertices}) == 2
+    assert min(shapes.values()) >= 2
+
+
+def test_property_a_on_a_large_wedge_makes_no_cochain_cups(monkeypatch):
+    m8 = catalog(parse_surface_id("M8"))
+    k = m8
+    for _ in range(3):
+        k = wedge(k, k.vertices[0], m8, m8.vertices[0])
+    k = attach_circle(k, k.vertices[0])
+    assert k.n_triangles == 4608
+    counts = Counter()
+    monkeypatch.setattr(homology, "cup_product", _counting(counts, "cups", cup_product))
+    monkeypatch.setattr(homology, "h2_coordinates",
+                        _counting(counts, "coords", h2_coordinates))
+    res = has_property_a(k)
+    assert not res.holds and res.radical_dimension == 1  # the loose circle
+    assert counts["cups"] == 0 and counts["coords"] == 0
+
+
+def test_cup_form_rejects_a_summary_of_another_complex():
+    k = torus()
+    with pytest.raises(ValueError, match="does not match this complex"):
+        cup_pairing_on_h1(k, homology_summary(rp2()))  # 15 edges, not 21
+    punctured = Complex2(k.vertices, k.edges, k.triangles[1:])  # same edges
+    with pytest.raises(ValueError, match="summarized complex"):
+        cup_pairing_on_h1(k, homology_summary(punctured))
+    with pytest.raises(ValueError, match="summarized complex"):
+        has_property_a(k, homology_summary(sphere()))  # b1 = 0

@@ -57,6 +57,20 @@ def test_duplicates_rejected():
         complex_from_dict({"edges": [[0, 1], [1, 0]]})
 
 
+@pytest.mark.parametrize("a, b, c", [(0, 1, 2), ("a", "b", "c"), (0, 1, "c")])
+def test_duplicate_messages_name_the_sorted_simplex(a, b, c):
+    with pytest.raises(FormatError, match=rf"duplicate triangle \({a!r}, {b!r}, {c!r}\)"):
+        complex_from_dict({"triangles": [[c, a, b], [b, c, a]]})
+    with pytest.raises(FormatError, match=rf"duplicate edge \({a!r}, {c!r}\)"):
+        complex_from_dict({"edges": [[a, b], [c, a], [a, c]]})
+    # a degenerate simplex repeated in any order is a duplicate; two
+    # different degenerate ones are not, and the build names the first
+    with pytest.raises(FormatError, match=rf"duplicate triangle \({a!r}, {a!r}, {b!r}\)"):
+        complex_from_dict({"triangles": [[a, a, b], [a, b, a]]})
+    with pytest.raises(FormatError, match=rf"degenerate triangle \({b!r}, {a!r}, {a!r}\)"):
+        complex_from_dict({"triangles": [[b, a, a], [a, b, b]]})
+
+
 def test_shape_errors():
     with pytest.raises(FormatError, match="top level"):
         complex_from_dict([1, 2, 3])

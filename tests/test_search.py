@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simpsurf import search
 from simpsurf.bounds import SPHERE, parse_surface_id
 from simpsurf.complex2 import Complex2
 from simpsurf.homology import betti_numbers
@@ -380,6 +381,26 @@ def test_franklin_n2_needs_eight_vertices():
     result = min_triangles_for_surface(7, parse_surface_id("N2"))
     assert not result.found and result.witness is None
     assert result.complete_states == 163 and result.target_states == 0
+
+
+def test_search_classifies_only_states_with_the_target_chi(monkeypatch):
+    target = parse_surface_id("N2")
+    states = _enumerate_closed(8, False, target.euler_characteristic)
+    surfaces = [_classify_state(tris, used)[1] for tris, used in states]
+    calls = []
+
+    def counting(tris, used):
+        calls.append(used - len(tris) // 2)
+        return _classify_state(tris, used)
+
+    monkeypatch.setattr(search, "_classify_state", counting)
+    result = min_triangles_for_surface(8, target)
+    assert len(states) == result.complete_states == 3850
+    assert result.target_states == surfaces.count(target) == 300
+    assert result.min_triangles == 16
+    # only the states of chi 0 reach the classifier, each once
+    assert set(calls) == {0}
+    assert len(calls) == sum(used - len(tris) // 2 == 0 for tris, used in states) == 1541
 
 
 def test_ringel_n3_needs_nine_vertices():
