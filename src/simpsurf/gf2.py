@@ -166,11 +166,6 @@ class Gf2Matrix:
                 bits |= 1 << i
         return Gf2Vector(self.n_rows, bits)
 
-    def stack(self, other: "Gf2Matrix") -> "Gf2Matrix":
-        if self.n_cols != other.n_cols:
-            raise ValueError("column count mismatch")
-        return Gf2Matrix(self.n_rows + other.n_rows, self.n_cols, self._rows + other._rows)
-
     def _rref(self) -> tuple[list[int], list[int]]:
         """Reduced row echelon form; returns (rows, pivot columns).
 

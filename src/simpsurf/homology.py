@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .complex2 import Complex2, canon_edge, canon_triangle
+from .complex2 import Complex2
 from .gf2 import Gf2Matrix, Gf2Span, Gf2Vector, _kernel_from_rref
 
 __all__ = [
@@ -87,14 +87,14 @@ def _simplex_pool(k: Complex2, dimension: int):
 
 
 def _simplex_indices(k: Complex2, dimension: int, simplices) -> list[int]:
+    """Positions of the simplices, each checked to have dimension + 1
+    vertices (a vertex is a bare label) before it is looked up."""
     out = []
     for s in simplices:
-        if dimension == 0:
-            out.append(k.simplex_id(s).index)
-        elif dimension == 1:
-            out.append(k.simplex_id(canon_edge(*s)).index)
-        else:
-            out.append(k.simplex_id(canon_triangle(*s)).index)
+        vs = (s,) if isinstance(s, (int, str)) else tuple(s)
+        if len(vs) != dimension + 1:
+            raise ValueError(f"{s!r} is not a {dimension}-simplex")
+        out.append(k.simplex_id(s if dimension == 0 else vs).index)
     return out
 
 

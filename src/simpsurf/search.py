@@ -14,9 +14,9 @@ complexes only loses nothing.
 
 The searches stay on integer states from start to finish.  The enumerator
 keeps a state as bitmasks (edges in one, two and three triangles, and the
-placed triangles), a private state classifier runs classify's checks on
-the integer triangles, and a Complex2 is built only for a search's
-witness, which classify then confirms.
+placed triangles), and its integer triangles go straight to the surface
+recognizer that classify itself runs on, so no Complex2 is built until a
+search has its witness, which classify then confirms.
 
 Nothing here assumes the counting results elsewhere in the package; the
 searches re-derive their answers by brute force so the two routes stay
@@ -31,7 +31,7 @@ from typing import Optional
 
 from .bounds import SurfaceId
 from .complex2 import Complex2
-from .surfaces import classify
+from .surfaces import _classify_triangles, classify
 
 __all__ = [
     "canonical_form",
@@ -246,79 +246,6 @@ def _enumerate_closed(n_max: int, allow_one_triple: bool,
     return out
 
 
-def _classify_state(tris: tuple, used: int) -> tuple:
-    """(failure_reason, surface) that classify reports for the complex
-    whose triangles are tris and whose vertices are exactly 0..used-1,
-    read off the integers without building a Complex2.
-
-    The checks run in classify's order: connectivity, every edge in
-    exactly two triangles, every vertex link a single cycle.  Then signs
-    propagate over triangle indices: a triangle (a, b, c) with sign s
-    runs its edges ab and bc forwards and ac backwards when s = 1, and
-    two triangles on an edge agree when they run it opposite ways.  The
-    Euler characteristic comes from the counts.
-    """
-    reach = [0] * used  # bitmask of each vertex's closed neighbourhood
-    sides: dict = {}  # edge -> [(triangle index, direction of the edge)]
-    for i, (a, b, c) in enumerate(tris):
-        star = 1 << a | 1 << b | 1 << c
-        reach[a] |= star
-        reach[b] |= star
-        reach[c] |= star
-        sides.setdefault((a, b), []).append((i, 1))
-        sides.setdefault((b, c), []).append((i, 1))
-        sides.setdefault((a, c), []).append((i, -1))
-    seen = todo = 1
-    while todo:
-        v = todo.bit_length() - 1
-        todo ^= 1 << v
-        grown = reach[v] & ~seen
-        seen |= grown
-        todo |= grown
-    if not used or seen != (1 << used) - 1:
-        return "disconnected", None
-    if any(len(s) != 2 for s in sides.values()):
-        return "bad_edge_degree", None
-
-    # with every edge in two triangles each link is a union of cycles, a
-    # single one exactly when walking it from any vertex visits them all
-    link: list[dict] = [{} for _ in range(used)]
-    for a, b, c in tris:
-        for v, x, y in ((a, b, c), (b, a, c), (c, a, b)):
-            link[v].setdefault(x, []).append(y)
-            link[v].setdefault(y, []).append(x)
-    for cycle in link:
-        start = prev = next(iter(cycle))
-        here, steps = cycle[start][0], 1
-        while here != start:
-            x, y = cycle[here]
-            prev, here = here, y if x == prev else x
-            steps += 1
-        if steps != len(cycle):
-            return "bad_link", None
-
-    sign = [0] * len(tris)
-    sign[0] = 1
-    stack = [0]
-    orientable = True
-    while stack and orientable:
-        a, b, c = tris[stack.pop()]
-        for (i, di), (j, dj) in (sides[(a, b)], sides[(b, c)], sides[(a, c)]):
-            if sign[i] and sign[j]:
-                if sign[i] * di == sign[j] * dj:
-                    orientable = False
-                    break
-            else:  # one of the two is signed: the one just popped
-                k = j if sign[i] else i
-                sign[k] = -(sign[i] + sign[j]) * di * dj
-                stack.append(k)
-
-    chi = used - len(sides) + len(tris)
-    if orientable:
-        return None, SurfaceId(True, (2 - chi) // 2)
-    return None, SurfaceId(False, 2 - chi)
-
-
 def _check_scale(max_vertices: int) -> None:
     if not 3 <= max_vertices <= _MAX_VERTICES:
         raise ValueError(
@@ -343,8 +270,9 @@ def min_triangles_for_surface(max_vertices: int, target: SurfaceId) -> SearchRes
     on at most max_vertices vertices; found=False when none exists there.
 
     States whose Euler characteristic differs from the target's are
-    skipped; the rest are classified on their integers.  Only the first
-    least one becomes a Complex2, the witness, and classify confirms it."""
+    skipped; the rest go, as integer triangles, to the recognizer behind
+    classify.  Only the first least one becomes a Complex2, the witness,
+    and classify confirms it."""
     _check_scale(max_vertices)
     chi = target.euler_characteristic
     complete = _enumerate_closed(max_vertices, allow_one_triple=False,
@@ -354,7 +282,7 @@ def min_triangles_for_surface(max_vertices: int, target: SurfaceId) -> SearchRes
     for tris, used in complete:
         # every edge of a complete state lies in two triangles, so
         # alpha1 = 3 alpha2 / 2 and chi = used - alpha2 / 2
-        if used - len(tris) // 2 != chi or _classify_state(tris, used)[1] != target:
+        if used - len(tris) // 2 != chi or _classify_triangles(tris, used)[1] != target:
             continue
         hits += 1
         if best is None or len(tris) < len(best):

@@ -2,19 +2,22 @@
 
 Recognition is purely combinatorial: a complex is a closed surface iff it
 is connected, every edge lies in exactly two triangles, and every vertex
-link is a single cycle.  Classification then reads off orientability by
-propagating triangle orientations across shared edges and converts the
-Euler characteristic into a genus.
+link is a single cycle.  One recognizer runs these checks on integer
+triangles and serves both callers: classify numbers a Complex2's vertices
+in canonical order and hands it the triples, and the desk search hands it
+its integer states directly.  Orientability comes from propagating
+triangle signs across shared edges, and the Euler characteristic gives
+the genus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import catalog_data
 from .bounds import NotApplicableError, SurfaceId, minimal_triangle_count
-from .complex2 import Complex2, Label, canon_edge, canon_triangle, label_key
+from .complex2 import Complex2, Label, canon_edge
 from .homology import CochainVector, betti_numbers, cochain, has_property_a
 
 __all__ = [
@@ -42,31 +45,6 @@ class ClassificationResult:
     orientation_witness: Optional[dict[tuple[Label, Label, Label], int]]
 
 
-def _link_is_connected(k: Complex2, v: Label) -> bool:
-    """Whether the link of v is nonempty and connected.
-
-    classify asks only once every edge lies in exactly two triangles.  Then
-    each neighbour u of v lies on exactly two link edges, one per triangle
-    on vu, so the link is a disjoint union of cycles, and it is a single
-    cycle exactly when it is nonempty and connected.
-    """
-    adj: dict = {}
-    for t in k.triangles_at_vertex(v):
-        a, b = (u for u in t if u != v)
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    if not adj:
-        return False
-    stack = [next(iter(adj))]
-    seen = set(stack)
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(adj)
-
-
 def is_closed_surface(k: Complex2) -> bool:
     return classify(k).is_surface
 
@@ -77,50 +55,107 @@ def _directed_boundary(t, sign: int):
     return ((cyc[0], cyc[1]), (cyc[1], cyc[2]), (cyc[2], cyc[0]))
 
 
+def _classify_triangles(tris: Sequence[tuple[int, int, int]],
+                        n_vertices: int) -> tuple:
+    """(failure_reason, surface, signs) for the complex whose triangles
+    are tris, each an increasing triple, and whose vertices are exactly
+    0..n_vertices-1; signs is the coherent orientation, one sign per
+    triangle, for an orientable surface and None otherwise.
+
+    The checks run in order: connectivity, every edge in exactly two
+    triangles, every vertex link a single cycle.  Then signs propagate
+    over triangle indices from sign 1 on the first triangle: a triangle
+    (a, b, c) with sign s runs its edges ab and bc forwards and ac
+    backwards when s = 1, and two triangles on an edge agree when they
+    run it opposite ways.  The Euler characteristic comes from the counts.
+    """
+    if not n_vertices:
+        return "disconnected", None, None
+    reach = [0] * n_vertices  # bitmask of each vertex's closed neighbourhood
+    sides: dict = {}  # edge -> [(triangle index, direction of the edge)]
+    for i, (a, b, c) in enumerate(tris):
+        star = 1 << a | 1 << b | 1 << c
+        reach[a] |= star
+        reach[b] |= star
+        reach[c] |= star
+        sides.setdefault((a, b), []).append((i, 1))
+        sides.setdefault((b, c), []).append((i, 1))
+        sides.setdefault((a, c), []).append((i, -1))
+    seen = todo = 1
+    while todo:
+        v = todo.bit_length() - 1
+        todo ^= 1 << v
+        grown = reach[v] & ~seen
+        seen |= grown
+        todo |= grown
+    if seen != (1 << n_vertices) - 1:
+        return "disconnected", None, None
+    if any(len(s) != 2 for s in sides.values()):
+        return "bad_edge_degree", None, None
+
+    # with every edge in two triangles each link is a union of cycles, a
+    # single one exactly when it is nonempty and walking it from any
+    # vertex visits them all
+    link: list[dict] = [{} for _ in range(n_vertices)]
+    for a, b, c in tris:
+        for v, x, y in ((a, b, c), (b, a, c), (c, a, b)):
+            link[v].setdefault(x, []).append(y)
+            link[v].setdefault(y, []).append(x)
+    for cycle in link:
+        if not cycle:
+            return "bad_link", None, None
+        start = prev = next(iter(cycle))
+        here, steps = cycle[start][0], 1
+        while here != start:
+            x, y = cycle[here]
+            prev, here = here, y if x == prev else x
+            steps += 1
+        if steps != len(cycle):
+            return "bad_link", None, None
+
+    sign = [0] * len(tris)
+    sign[0] = 1
+    stack = [0]
+    orientable = True
+    while stack and orientable:
+        a, b, c = tris[stack.pop()]
+        for (i, di), (j, dj) in (sides[(a, b)], sides[(b, c)], sides[(a, c)]):
+            if sign[i] and sign[j]:
+                if sign[i] * di == sign[j] * dj:
+                    orientable = False
+                    break
+            else:  # one of the two is signed: the one just popped
+                u = j if sign[i] else i
+                sign[u] = -(sign[i] + sign[j]) * di * dj
+                stack.append(u)
+
+    chi = n_vertices - len(sides) + len(tris)
+    if orientable:
+        return None, SurfaceId(True, (2 - chi) // 2), sign
+    return None, SurfaceId(False, 2 - chi), None
+
+
 def classify(k: Complex2) -> ClassificationResult:
     """Recognize and classify a closed surface.
 
     Failures are reported in check order: connectivity, then edge degrees,
-    then vertex links.  For orientable surfaces the witness maps each
+    then vertex links.  The first two are read off the 1-skeleton, so that
+    loose edges and isolated vertices count; the triangles then go, with
+    vertices numbered in canonical order, to the recognizer the desk
+    search also uses.  For orientable surfaces the witness maps each
     triangle to +1 or -1 giving a coherent orientation.
     """
     if len(k.connected_components()) != 1:
         return ClassificationResult(False, "disconnected", None, None)
     if any(k.edge_degree(e) != 2 for e in k.edges):
         return ClassificationResult(False, "bad_edge_degree", None, None)
-    if any(not _link_is_connected(k, v) for v in k.vertices):
-        return ClassificationResult(False, "bad_link", None, None)
-
-    sign: dict = {k.triangles[0]: 1}
-    stack = [k.triangles[0]]
-    orientable = True
-    while stack and orientable:
-        t = stack.pop()
-        induced = _directed_boundary(t, sign[t])
-        for d in induced:
-            e = canon_edge(*d)
-            for u in k.triangles_at_edge(e):
-                if u == t:
-                    continue
-                # compatible orientations induce opposite directions on e
-                want = 1 if (d[1], d[0]) in _directed_boundary(u, 1) else -1
-                if u in sign:
-                    if sign[u] != want:
-                        orientable = False
-                        break
-                else:
-                    sign[u] = want
-                    stack.append(u)
-            if not orientable:
-                break
-    assert len(sign) == k.n_triangles or not orientable
-
-    chi = k.euler_characteristic()
-    if orientable:
-        assert chi % 2 == 0
-        surface = SurfaceId(True, (2 - chi) // 2)
-        return ClassificationResult(True, None, surface, dict(sign))
-    return ClassificationResult(True, None, SurfaceId(False, 2 - chi), None)
+    index = k._vertex_index
+    reason, surface, signs = _classify_triangles(
+        [(index[a], index[b], index[c]) for a, b, c in k.triangles], k.n_vertices)
+    if reason is not None:
+        return ClassificationResult(False, reason, None, None)
+    witness = None if signs is None else dict(zip(k.triangles, signs))
+    return ClassificationResult(True, None, surface, witness)
 
 
 def verify_orientation_witness(k: Complex2, witness: dict) -> bool:

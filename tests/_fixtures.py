@@ -2,7 +2,8 @@
 
 The Betti numbers, cup ranks, and property-(A) verdicts asserted against
 these complexes were frozen from an independent elimination oracle kept
-outside the package.
+outside the package.  failure_reason_oracle recognizes closed surfaces
+on the link graphs alone, apart from the package's recognizer.
 """
 
 from __future__ import annotations
@@ -43,3 +44,42 @@ def torus_circle_sphere() -> Complex2:
     sphere_at_0 = [(0, 101, 102), (0, 101, 103), (0, 102, 103), (101, 102, 103)]
     return Complex2.from_triangles(list(TORUS_TRIS) + sphere_at_0,
                                    extra_edges=CIRCLE_EDGES)
+
+
+def _link_is_single_cycle(k: Complex2, v) -> bool:
+    """The link check on the link graph alone: every node of degree two,
+    one component, at least three nodes."""
+    nodes, ledges = k.link_of_vertex(v)
+    if len(nodes) < 3 or len(nodes) != len(ledges):
+        return False
+    deg = {u: 0 for u in nodes}
+    adj = {u: [] for u in nodes}
+    for a, b in ledges:
+        if a not in deg or b not in deg:
+            return False
+        deg[a] += 1
+        deg[b] += 1
+        adj[a].append(b)
+        adj[b].append(a)
+    if any(d != 2 for d in deg.values()):
+        return False
+    seen = {nodes[0]}
+    stack = [nodes[0]]
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(nodes)
+
+
+def failure_reason_oracle(k: Complex2):
+    """classify's failure reason, or None for a closed surface."""
+    if len(k.connected_components()) != 1:
+        return "disconnected"
+    if any(k.edge_degree(e) != 2 for e in k.edges):
+        return "bad_edge_degree"
+    if any(not _link_is_single_cycle(k, v) for v in k.vertices):
+        return "bad_link"
+    return None

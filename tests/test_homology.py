@@ -294,6 +294,17 @@ def test_chain_round_trip():
     assert cochain(k, 2, k.triangles[:1]).evaluate(z) == 1
 
 
+def test_chain_rejects_simplices_of_the_wrong_dimension():
+    k = torus()
+    for build, dimension, simplex in ((chain, 0, (0, 1)), (cochain, 0, (0, 6)),
+                                      (chain, 1, (0, 1, 3)), (cochain, 2, (0, 1)),
+                                      (chain, 1, 3)):
+        with pytest.raises(ValueError, match=f"not a {dimension}-simplex"):
+            build(k, dimension, [simplex])
+    assert chain_support(k, chain(k, 0, [3])) == (3,)
+    assert chain_support(k, cochain(k, 1, [(1, 0)])) == ((0, 1),)
+
+
 def test_cup_class_well_defined():
     rng = random.Random(5)
     for k in (torus(), rp2()):

@@ -14,10 +14,10 @@ from simpsurf import search
 from simpsurf.bounds import SPHERE, parse_surface_id
 from simpsurf.complex2 import Complex2
 from simpsurf.homology import betti_numbers
-from simpsurf.search import (_classify_state, _enumerate_closed,
-                             canonical_form, complexes_with_one_triple_edge,
+from simpsurf.search import (_enumerate_closed, canonical_form,
+                             complexes_with_one_triple_edge,
                              min_triangles_for_surface)
-from simpsurf.surfaces import catalog, classify
+from simpsurf.surfaces import _classify_triangles, catalog, classify
 
 from _fixtures import (RP2_TRIS, SPHERE_TRIS, rp2, sphere, torus,
                        torus_circle_sphere, torus_with_circle)
@@ -342,41 +342,6 @@ def test_enumerator_matches_the_reference():
                     == _enumerate_closed_reference(n, triple, chi)), (n, triple, chi)
 
 
-def _classification(tris) -> tuple:
-    got = classify(Complex2.from_triangles(tris))
-    return got.failure_reason, got.surface
-
-
-def test_state_classifier_matches_classify():
-    states = [s for n in range(3, 9) for s in _enumerate_closed(n, True)]
-    assert len(states) == 4189
-    # hand-built states, each failing the first of classify's checks it names
-    tetra = list(itertools.combinations(range(4), 3))
-    shifted = [tuple(v + 4 for v in t) for t in tetra]
-    hinge = [tuple(v if v < 2 else v + 2 for v in t) for t in tetra]
-    states += [
-        (tuple(tetra + shifted), 8),  # two spheres apart
-        (((0, 1, 2), (3, 4, 5)), 6),  # two triangles apart
-        # apart, and the triangle's edges lie in one triangle each
-        (((0, 1, 2),) + tuple(tuple(v + 3 for v in t) for t in tetra), 7),
-        (((0, 1, 2),), 3),
-        (((0, 1, 2), (0, 1, 3), (0, 1, 4)), 5),  # three pages on one edge
-        (tuple(sorted(tetra + hinge)), 6),  # two spheres on one edge
-        # two spheres on one vertex, whose link is two cycles
-        (tuple(tetra + [(3, 4, 5), (3, 4, 6), (3, 5, 6), (4, 5, 6)]), 7),
-    ]
-    wants = []
-    for tris, used in states:
-        wants.append(_classification(tris))
-        assert _classify_state(tris, used) == wants[-1], tris
-    reasons = [reason for reason, _ in wants]
-    assert reasons.count("disconnected") == 3
-    assert reasons.count("bad_edge_degree") == 3
-    assert reasons.count("bad_link") >= 2000
-    surfaces = {surface for _, surface in wants}
-    assert {parse_surface_id(x) for x in ("S2", "N1", "M1", "N2")} <= surfaces
-
-
 def test_franklin_n2_needs_eight_vertices():
     result = min_triangles_for_surface(7, parse_surface_id("N2"))
     assert not result.found and result.witness is None
@@ -386,14 +351,14 @@ def test_franklin_n2_needs_eight_vertices():
 def test_search_classifies_only_states_with_the_target_chi(monkeypatch):
     target = parse_surface_id("N2")
     states = _enumerate_closed(8, False, target.euler_characteristic)
-    surfaces = [_classify_state(tris, used)[1] for tris, used in states]
+    surfaces = [_classify_triangles(tris, used)[1] for tris, used in states]
     calls = []
 
     def counting(tris, used):
         calls.append(used - len(tris) // 2)
-        return _classify_state(tris, used)
+        return _classify_triangles(tris, used)
 
-    monkeypatch.setattr(search, "_classify_state", counting)
+    monkeypatch.setattr(search, "_classify_triangles", counting)
     result = min_triangles_for_surface(8, target)
     assert len(states) == result.complete_states == 3850
     assert result.target_states == surfaces.count(target) == 300

@@ -1,21 +1,24 @@
 """Surface recognition, classification, constructions, and the catalog."""
 
+import itertools
 import random
 
 import pytest
 
 from simpsurf.bounds import SurfaceId, minimal_triangle_count, parse_surface_id
 from simpsurf.complex2 import Complex2
-from simpsurf.homology import betti_numbers, h2_coordinates, homology_summary
+from simpsurf.homology import (betti_numbers, cup_pairing_on_h1, h2_coordinates,
+                               homology_summary)
 from simpsurf.search import _enumerate_closed
-from simpsurf.surfaces import (_nonorientable_word, _orientable_word,
-                               _polygon_scheme_complex, _subdivide, attach_circle,
+from simpsurf.surfaces import (_classify_triangles, _nonorientable_word,
+                               _orientable_word, _polygon_scheme_complex, _subdivide, attach_circle,
                                catalog, classify, expected_betti,
                                fundamental_class_cochain, is_closed_surface,
                                surface_hypotheses_report, verify_orientation_witness,
                                wedge)
 
-from _fixtures import SPHERE_TRIS, sphere, torus, torus_with_circle
+from _fixtures import (SPHERE_TRIS, failure_reason_oracle, sphere, torus,
+                       torus_with_circle)
 
 MINIMAL_NAMES = ("S2", "N1", "M1", "N2", "N3", "M2")
 
@@ -70,44 +73,6 @@ def test_classify_failure_reasons():
     assert is_closed_surface(sphere())
 
 
-def _link_is_single_cycle(k: Complex2, v) -> bool:
-    """The link check on the link graph alone: every node of degree two,
-    one component, at least three nodes."""
-    nodes, ledges = k.link_of_vertex(v)
-    if len(nodes) < 3 or len(nodes) != len(ledges):
-        return False
-    deg = {u: 0 for u in nodes}
-    adj = {u: [] for u in nodes}
-    for a, b in ledges:
-        if a not in deg or b not in deg:
-            return False
-        deg[a] += 1
-        deg[b] += 1
-        adj[a].append(b)
-        adj[b].append(a)
-    if any(d != 2 for d in deg.values()):
-        return False
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(nodes)
-
-
-def _failure_reason_oracle(k: Complex2):
-    if len(k.connected_components()) != 1:
-        return "disconnected"
-    if any(k.edge_degree(e) != 2 for e in k.edges):
-        return "bad_edge_degree"
-    if any(not _link_is_single_cycle(k, v) for v in k.vertices):
-        return "bad_link"
-    return None
-
-
 def _random_pinched_surface(rng: random.Random) -> Complex2:
     """A subdivided catalog surface with up to three merges of two vertices
     that share no neighbour: every edge stays in two triangles while the
@@ -128,10 +93,65 @@ def test_classify_matches_the_link_graph_oracle():
               for n in range(3, 8) for tris, _ in _enumerate_closed(n, True)]
     rng = random.Random("link oracle")
     inputs += [_random_pinched_surface(rng) for _ in range(300)]
-    reasons = [_failure_reason_oracle(k) for k in inputs]
+    reasons = [failure_reason_oracle(k) for k in inputs]
     assert reasons.count("bad_link") >= 50 and reasons.count(None) >= 50
     for k, reason in zip(inputs, reasons):
         assert classify(k).failure_reason == reason, k.triangles
+
+
+def test_recognizer_matches_independent_oracles():
+    states = [s for n in range(3, 9) for s in _enumerate_closed(n, True)]
+    assert len(states) == 4189
+    # hand-built states, each failing the first check it names
+    tetra = list(itertools.combinations(range(4), 3))
+    shifted = [tuple(v + 4 for v in t) for t in tetra]
+    hinge = [tuple(v if v < 2 else v + 2 for v in t) for t in tetra]
+    states += [
+        (tuple(tetra + shifted), 8),  # two spheres apart
+        (((0, 1, 2), (3, 4, 5)), 6),  # two triangles apart
+        # apart, and the triangle's edges lie in one triangle each
+        (((0, 1, 2),) + tuple(tuple(v + 3 for v in t) for t in tetra), 7),
+        (((0, 1, 2),), 3),
+        (((0, 1, 2), (0, 1, 3), (0, 1, 4)), 5),  # three pages on one edge
+        (tuple(sorted(tetra + hinge)), 6),  # two spheres on one edge
+        # two spheres on one vertex, whose link is two cycles
+        (tuple(tetra + [(3, 4, 5), (3, 4, 6), (3, 5, 6), (4, 5, 6)]), 7),
+    ]
+    reasons, surfaces = [], set()
+    for tris, used in states:
+        k = Complex2.from_triangles(tris)
+        assert k.vertices == tuple(range(used))
+        reason, surface, signs = _classify_triangles(tris, used)
+        assert reason == failure_reason_oracle(k), tris
+        reasons.append(reason)
+        if reason is not None:
+            assert surface is None and signs is None
+            continue
+        surfaces.add(surface)
+        assert surface.euler_characteristic == k.euler_characteristic()
+        # Wu's formula: a closed surface is orientable iff x cup x = 0 for
+        # every x in H^1, and squaring is linear, so a basis decides it
+        form = cup_pairing_on_h1(k)
+        assert len(form.h1_reps) == expected_betti(surface)[1], tris
+        wu = all(not form.entries[i][i].bits for i in range(len(form.h1_reps)))
+        assert surface.orientable == wu, tris
+        if surface.orientable:
+            assert verify_orientation_witness(k, dict(zip(tris, signs)))
+        else:
+            assert signs is None
+    assert reasons.count("disconnected") == 3
+    assert reasons.count("bad_edge_degree") == 3
+    assert reasons.count("bad_link") >= 2000
+    assert {parse_surface_id(x) for x in ("S2", "N1", "M1", "N2")} <= surfaces
+
+
+def test_an_empty_link_is_a_bad_link():
+    assert _classify_triangles((), 1) == ("bad_link", None, None)
+    assert _classify_triangles((), 0) == ("disconnected", None, None)
+    for label in (0, "v"):
+        got = classify(Complex2((label,), (), ()))
+        assert (got.is_surface, got.failure_reason) == (False, "bad_link")
+    assert classify(Complex2((), (), ())).failure_reason == "disconnected"
 
 
 def test_expected_betti_matches_homology():
