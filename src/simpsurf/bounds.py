@@ -227,7 +227,7 @@ def euler_bounds_check(k: Complex2) -> EulerBoundsReport:
         failures.append("disconnected")
     if k.n_triangles == 0:
         failures.append("no triangles")
-    if any(k.edge_degree(e) < 2 for e in k.edges):
+    if any(len(ts) < 2 for ts in k._tris_at_edge.values()):
         failures.append("an edge lies in fewer than two triangles")
     chi = k.euler_characteristic()
     if chi > 2:
@@ -261,15 +261,15 @@ class ComplexityCertificate:
     witness_alpha2: Optional[int]
 
 
-def complexity_certificate(surface: SurfaceId, with_witness: bool = True) -> ComplexityCertificate:
+def complexity_certificate(surface: SurfaceId) -> ComplexityCertificate:
     """Certify the triangle complexity of a surface group.
 
     The value equals minimal_triangle_count(surface); the certificate pairs
     it with the free-product lower bound (equal except on the three
-    exceptional surfaces, where the gap is exactly 2) and, if requested,
-    the catalog triangulation's size as the upper-bound witness.  The
-    witness is None where the catalog builds none (below its least Euler
-    characteristic); the certified value does not depend on it.
+    exceptional surfaces, where the gap is exactly 2) and the catalog
+    triangulation's size as the upper-bound witness.  The witness is None
+    where the catalog builds none (below its least Euler characteristic);
+    the certified value does not depend on it.
     """
     if surface == SPHERE:
         raise NotApplicableError(
@@ -278,14 +278,13 @@ def complexity_certificate(surface: SurfaceId, with_witness: bool = True) -> Com
     lower = free_product_lower_bound(profile)
     value = minimal_triangle_count(surface)
     witness = None
-    if with_witness:
-        # deferred: surfaces imports this module
-        from .surfaces import CATALOG_MIN_CHI, catalog
-        if surface.euler_characteristic >= CATALOG_MIN_CHI:
-            witness = catalog(surface).n_triangles
-            if witness < value:
-                raise AssertionError(
-                    f"catalog witness for {surface} beats the certified value")
+    # deferred: surfaces imports this module
+    from .surfaces import CATALOG_MIN_CHI, catalog
+    if surface.euler_characteristic >= CATALOG_MIN_CHI:
+        witness = catalog(surface).n_triangles
+        if witness < value:
+            raise AssertionError(
+                f"catalog witness for {surface} beats the certified value")
     return ComplexityCertificate(
         surface=surface,
         profile=profile,

@@ -221,13 +221,16 @@ class Complex2:
         return pool[sid.index]
 
     def simplex_id(self, simplex) -> SimplexId:
-        if isinstance(simplex, (int, str)):
-            return SimplexId(0, self._vertex_index[simplex])
-        vs = tuple(simplex)
-        if len(vs) == 2:
-            return SimplexId(1, self._edge_index[canon_edge(*vs)])
-        if len(vs) == 3:
-            return SimplexId(2, self._triangle_index[canon_triangle(*vs)])
+        try:
+            if isinstance(simplex, (int, str)):
+                return SimplexId(0, self._vertex_index[simplex])
+            vs = tuple(simplex)
+            if len(vs) == 2:
+                return SimplexId(1, self._edge_index[canon_edge(*vs)])
+            if len(vs) == 3:
+                return SimplexId(2, self._triangle_index[canon_triangle(*vs)])
+        except KeyError:
+            raise ValueError(f"simplex {simplex!r} is not in the complex") from None
         raise ValueError(f"not a simplex: {simplex!r}")
 
     def _as_edge(self, e) -> Edge:

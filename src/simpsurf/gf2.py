@@ -271,7 +271,9 @@ class Gf2Span:
         return self.reduce(v).is_zero()
 
     def add(self, v: Gf2Vector) -> bool:
-        return self._add_bits(self.reduce(v).bits)
+        if v.length != self.length:
+            raise ValueError(f"length mismatch {v.length} != {self.length}")
+        return self._add_bits(v.bits)
 
     def vectors(self) -> list[Gf2Vector]:
         return [Gf2Vector(self.length, r) for r in self._reduced_rows()]

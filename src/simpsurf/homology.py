@@ -245,7 +245,7 @@ def _independent_modulo(length: int, seed: Iterable[int],
     """The candidates, in order, that enlarge the span of seed and the earlier picks."""
     span = Gf2Span(length)
     for bits in seed:
-        span.add(Gf2Vector(length, bits))
+        span._add_bits(bits)
     return [v for v in candidates if span.add(v)]
 
 

@@ -10,6 +10,14 @@ output's fundamental group with a free group of rank m.
 The one invariant everything here is built around: the functionals stay
 surjective on the cycle space of 2-chains after every single step.
 
+That question is answered one way throughout.  The 2-cycles are the
+kernel basis of one elimination of the boundary map in dimension 2, as
+bitmasks over the triangles; the functionals are bitmasks too, so their
+values on a cycle are parities of ANDs; ranks and relations among the
+values come from gf2's one elimination.  The default spec is read off
+the same cycle basis: one triangle per pivot of its reduced row echelon
+form, the dual basis homology_summary reports as cocycle_reps[2].
+
 The pipeline edits one private working state and builds a Complex2 only
 at phase boundaries.  Each step is witnessed when it is made: a kill
 removes a triangle of a 2-cycle with zero boundary on which every
@@ -34,8 +42,8 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .complex2 import Complex2, Edge, Label, Triangle, canon_edge, canon_triangle, label_key
-from .gf2 import Gf2Matrix, Gf2Vector, _bits_up
-from .homology import CochainVector, _betti, boundary_matrix, homology_summary
+from .gf2 import Gf2Matrix, Gf2Span, _bits_up
+from .homology import CochainVector, _betti, boundary_matrix
 
 __all__ = [
     "PreservationSpec",
@@ -82,15 +90,12 @@ class PreservationSpec:
     def dual_basis(cls, k: Complex2, rank: Optional[int] = None) -> "PreservationSpec":
         """The first `rank` members of a dual basis for the 2-cocycle classes.
 
-        With the full rank (the default) nothing is killable: the spec pins
-        every 2-cycle class of the complex.
+        Member i is the indicator of one triangle: the i-th pivot of the
+        reduced row echelon form of the 2-cycle basis, the same triangles
+        as homology_summary(k).cocycle_reps[2].  With the full rank (the
+        default) nothing is killable: the spec pins every 2-cycle class.
         """
-        summary = homology_summary(k)
-        if rank is None:
-            rank = summary.b2
-        if not 0 <= rank <= summary.b2:
-            raise ValueError(f"rank {rank} outside 0..{summary.b2}")
-        return cls.from_cochain_vectors(k, summary.cocycle_reps[2][:rank])
+        return _dual_spec(k, _cycle_basis(k)[0], rank)
 
     @property
     def rank(self) -> int:
@@ -101,21 +106,8 @@ class PreservationSpec:
         index = {t: j for j, t in enumerate(triangles)}
         return [sum(1 << index[t] for t in sup if t in index) for sup in self.supports]
 
-    def evaluation_matrix(self, k: Complex2) -> Gf2Matrix:
-        """Row i evaluates functional i on the triangle basis of C2(k)."""
-        return Gf2Matrix(self.rank, k.n_triangles, self._masks(k.triangles))
-
-    def _cycle_values(self, k: Complex2) -> tuple[Gf2Matrix, list[Gf2Vector]]:
-        """Evaluations on a basis of the cycle space, column per basis cycle."""
-        cycles = boundary_matrix(k, 2).kernel_basis()
-        ev = self.evaluation_matrix(k)
-        cols = Gf2Matrix.from_rows([ev.apply(z) for z in cycles],
-                                   n_cols=self.rank).transpose()
-        return cols, cycles
-
     def is_surjective_on_cycles(self, k: Complex2) -> bool:
-        values, _ = self._cycle_values(k)
-        return values.rank() == self.rank
+        return _spec_rank(self, k, _cycle_basis(k)[0]) == self.rank
 
     def mapped(self, relabel: dict) -> "PreservationSpec":
         return PreservationSpec(tuple(
@@ -123,35 +115,25 @@ class PreservationSpec:
             for sup in self.supports))
 
 
-def _invisible_cycle(k: Complex2, spec: PreservationSpec) -> Optional[Gf2Vector]:
-    """A nonzero 2-cycle on which every functional vanishes, or None."""
-    values, cycles = spec._cycle_values(k)
-    kernel = values.kernel_basis()
-    if not kernel:
-        return None
-    invisible = Gf2Vector(k.n_triangles)
-    for j in kernel[0].support():
-        invisible ^= cycles[j]
-    return invisible
-
-
 def kill_step(k: Complex2, spec: PreservationSpec) -> tuple[Complex2, Triangle]:
     """Remove one triangle from a cycle invisible to every functional.
 
-    The cycle is the first kernel vector of the evaluation on the cycle
-    space; the canonically smallest triangle in its support is removed.
-    Adding the invisible cycle to any preimage shows surjectivity
-    survives, and only b2 changes (down by one).
+    The cycle is the first relation among the functionals' values on the
+    2-cycle basis; the canonically smallest triangle in its support is
+    removed.  Adding the invisible cycle to any preimage shows
+    surjectivity survives, and only b2 changes (down by one).
 
     Raises ValueError when the functionals are not surjective or already
     see the whole cycle space (no excess to kill).
     """
-    if not spec.is_surjective_on_cycles(k):
+    cycles, _ = _cycle_basis(k)
+    masks = spec._masks(k.triangles)
+    rank, relation = _rank_and_relation([_values(masks, z) for z in cycles])
+    if rank != spec.rank:
         raise ValueError("functionals are not surjective on the cycle space")
-    invisible = _invisible_cycle(k, spec)
-    if invisible is None:
+    if relation is None:
         raise ValueError("no excess cycles: every 2-cycle is seen by the functionals")
-    sigma = k.triangles[min(invisible.support())]
+    sigma = k.triangles[next(_bits_up(_sum(cycles, relation)))]
     return k.remove_open_triangle(sigma), sigma
 
 
@@ -176,21 +158,21 @@ def _rank_and_relation(values: Sequence[int]) -> tuple[int, Optional[int]]:
     The relation is a bitmask of positions: the first position j whose
     value lies in the span of the earlier ones, plus the earlier positions
     summing to it.  For values ev(z_j) this is the first vector of
-    Gf2Matrix.kernel_basis on the matrix with those columns.
+    Gf2Matrix.kernel_basis on the matrix with those columns.  Each value
+    carries its position as a bit above every value bit, so reducing it
+    in the span of the earlier ones sums those positions as it goes.
     """
-    rows: list[tuple[int, int]] = []
+    shift = max(values, default=0).bit_length()
+    low = (1 << shift) - 1
+    span = Gf2Span(shift + len(values))
     relation = None
     for j, v in enumerate(values):
-        combination = 1 << j
-        for row, used in rows:
-            if v & row & -row:
-                v ^= row
-                combination ^= used
-        if v:
-            rows.append((v, combination))
+        v = span._reduce_bits(v | 1 << shift + j)
+        if v & low:
+            span._add_bits(v)
         elif relation is None:
-            relation = combination
-    return len(rows), relation
+            relation = v >> shift
+    return span.dim, relation
 
 
 def _cycle_basis(k: Complex2) -> tuple[list[int], tuple[int, int, int]]:
@@ -205,6 +187,17 @@ def _cycle_basis(k: Complex2) -> tuple[list[int], tuple[int, int, int]]:
 def _spec_rank(spec: PreservationSpec, k: Complex2, cycles: Sequence[int]) -> int:
     masks = spec._masks(k.triangles)
     return _rank_and_relation([_values(masks, z) for z in cycles])[0]
+
+
+def _dual_spec(k: Complex2, cycles: Sequence[int],
+               rank: Optional[int]) -> PreservationSpec:
+    """dual_basis(k, rank), given the 2-cycle basis of k."""
+    if rank is None:
+        rank = len(cycles)
+    if not 0 <= rank <= len(cycles):
+        raise ValueError(f"rank {rank} outside 0..{len(cycles)}")
+    pivots = Gf2Matrix(len(cycles), k.n_triangles, cycles)._rref()[1]
+    return PreservationSpec(tuple(frozenset({k.triangles[p]}) for p in pivots[:rank]))
 
 
 # ------------------------------------------------------------ kills
@@ -264,7 +257,7 @@ class _WorkingComplex:
     def __init__(self, k: Complex2, spec: Optional[PreservationSpec]) -> None:
         self.spec = spec  # renamed through each contraction
         self.triangles = set(k.triangles)
-        self.tris_at_edge = {e: set(k.triangles_at_edge(e)) for e in k.edges}
+        self.tris_at_edge = {e: set(ts) for e, ts in k._tris_at_edge.items()}
         self.edges_at_vertex = {v: set(k.edges_at_vertex(v)) for v in k.vertices}
         self.free_edges: list = []
         self.maximal_edges: list = []
@@ -461,7 +454,7 @@ def _finish(state: _WorkingComplex, k: Complex2, killed: Sequence[Triangle],
     assert betti == (b0, b1 - m, b2 - len(killed)) == snapshots[-1][1]
     assert result.euler_characteristic() == k.euler_characteristic() - len(killed) + m
     assert not result.maximal_edges()
-    assert all(len(result.triangles_at_edge(e)) != 1 for e in result.edges)
+    assert all(len(ts) != 1 for ts in result._tris_at_edge.values())
     assert state.spec is None or _spec_rank(state.spec, result, cycles) == rank
     return ReductionTrace(
         input_complex=k,
@@ -509,11 +502,11 @@ def simplify_pipeline(k: Complex2, spec: Optional[PreservationSpec] = None,
     pi1(input) = pi1(result) * F(free_rank) componentwise; the trace flags
     disconnected inputs since the free-product reading is per component.
     """
-    if spec is None:
-        spec = PreservationSpec.dual_basis(k, target_rank)
-    elif target_rank is not None and spec.rank != target_rank:
+    if spec is not None and target_rank is not None and spec.rank != target_rank:
         raise ValueError("target_rank disagrees with the explicit spec")
     cycles, betti = _cycle_basis(k)
+    if spec is None:
+        spec = _dual_spec(k, cycles, target_rank)
     if _spec_rank(spec, k, cycles) != spec.rank:
         raise ValueError("functionals are not surjective on the cycle space")
 

@@ -86,7 +86,7 @@ def canonical_form(k: Complex2) -> tuple:
     verts = k.vertices
     colors = {
         v: (len(k.edges_at_vertex(v)), len(k.triangles_at_vertex(v)),
-            tuple(sorted(k.edge_degree(e) for e in k.edges_at_vertex(v))))
+            tuple(sorted(len(k._tris_at_edge[e]) for e in k.edges_at_vertex(v))))
         for v in verts
     }
     while True:
@@ -116,7 +116,7 @@ def canonical_form(k: Complex2) -> tuple:
     order = sorted(range(n),
                    key=lambda x: (not k.triangles_at_vertex(owner[x][0]), x))
     label = dict.fromkeys(verts, n)  # n marks a vertex with no label yet
-    loose = [e for e in k.edges if not k.triangles_at_edge(e)]
+    loose = k.maximal_edges()
 
     def lists(lab: dict) -> tuple:
         """The triangle list and loose-edge list under the labeling."""

@@ -147,7 +147,7 @@ def classify(k: Complex2) -> ClassificationResult:
     """
     if len(k.connected_components()) != 1:
         return ClassificationResult(False, "disconnected", None, None)
-    if any(k.edge_degree(e) != 2 for e in k.edges):
+    if any(len(ts) != 2 for ts in k._tris_at_edge.values()):
         return ClassificationResult(False, "bad_edge_degree", None, None)
     index = k._vertex_index
     reason, surface, signs = _classify_triangles(
@@ -162,8 +162,7 @@ def verify_orientation_witness(k: Complex2, witness: dict) -> bool:
     """Check a claimed coherent orientation edge by edge."""
     if set(witness) != set(k.triangles):
         return False
-    for e in k.edges:
-        ts = k.triangles_at_edge(e)
+    for e, ts in k._tris_at_edge.items():
         if len(ts) != 2:
             return False
         d0 = _directed_boundary(ts[0], witness[ts[0]])
@@ -210,7 +209,7 @@ def surface_hypotheses_report(k: Complex2, target: SurfaceId) -> SurfaceHypothes
     betti = betti_numbers(k)
     return SurfaceHypothesesReport(
         target=target,
-        edge_degrees_ok=bool(k.edges) and all(k.edge_degree(e) == 2 for e in k.edges),
+        edge_degrees_ok=bool(k.edges) and all(len(ts) == 2 for ts in k._tris_at_edge.values()),
         betti=betti,
         betti_ok=betti == expected_betti(target),
         cup_pairing_ok=has_property_a(k).holds,

@@ -185,10 +185,11 @@ def test_complexity_certificates():
         assert gap == (2 if cert.exceptional else 0)
 
 
-def test_complexity_certificate_without_witness():
-    cert = complexity_certificate(SurfaceId(True, 7), with_witness=False)
-    assert cert.witness_alpha2 is None
+def test_complexity_certificate_of_m7_has_its_witness():
+    cert = complexity_certificate(SurfaceId(True, 7))
+    assert cert.witness_alpha2 == 1008
     assert cert.triangle_complexity == minimal_triangle_count(SurfaceId(True, 7))
+    assert cert.witness_alpha2 >= cert.triangle_complexity
 
 
 def test_no_catalog_witness_below_its_least_chi():

@@ -174,6 +174,9 @@ def test_span_reduce_is_canonical():
     assert span.contains(v ^ span.reduce(v))
     assert span.reduce(span.reduce(v)) == span.reduce(v)
     assert not span.add(Gf2Vector.from_coeffs([1, 0, 1, 0]))
+    for bad in (span.add, span.reduce):
+        with pytest.raises(ValueError, match="length mismatch"):
+            bad(Gf2Vector(3))
 
 
 def test_determinism():

@@ -305,6 +305,17 @@ def test_chain_rejects_simplices_of_the_wrong_dimension():
     assert chain_support(k, cochain(k, 1, [(1, 0)])) == ((0, 1),)
 
 
+def test_missing_simplices_raise_value_error():
+    k = torus()
+    for simplex in (99, "a", (0, 99), (99, 0, 1), (0, 1, 2)):
+        with pytest.raises(ValueError, match="is not in the complex"):
+            k.simplex_id(simplex)
+    for build, dimension, simplex in ((chain, 0, 99), (chain, 1, (0, 99)),
+                                      (cochain, 1, (5, 99)), (cochain, 2, (0, 1, 2))):
+        with pytest.raises(ValueError, match="is not in the complex"):
+            build(k, dimension, [simplex])
+
+
 def test_cup_class_well_defined():
     rng = random.Random(5)
     for k in (torus(), rp2()):

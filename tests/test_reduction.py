@@ -4,12 +4,15 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simpsurf.bounds import parse_surface_id
 from simpsurf.complex2 import Complex2
 from simpsurf.gf2 import Gf2Matrix
-from simpsurf.homology import betti_numbers, has_property_a
-from simpsurf.reduction import (PreservationSpec, collapse_all,
+from simpsurf.homology import (betti_numbers, chain_support, has_property_a,
+                               homology_summary)
+from simpsurf.reduction import (PreservationSpec, _rank_and_relation, collapse_all,
                                 eliminate_maximal_edges, kill_step,
                                 simplify_pipeline)
 from simpsurf.surfaces import attach_circle, catalog, classify, wedge
@@ -27,6 +30,8 @@ def test_spec_constructors_canonicalize():
     assert spec.rank == 2
     assert spec.supports[0] == frozenset({(0, 1, 3)})
     assert (0, 4, 5) in spec.supports[1]
+    with pytest.raises(ValueError):
+        PreservationSpec.from_triangle_lists([[(9, 9, 9)]])
 
 
 def test_dual_basis_rank_and_validation():
@@ -39,14 +44,37 @@ def test_dual_basis_rank_and_validation():
         PreservationSpec.dual_basis(k, -1)
 
 
-def test_evaluation_matrix():
-    k = sphere()
-    with pytest.raises(ValueError):
-        PreservationSpec.from_triangle_lists([[(9, 9, 9)]])
-    ev = PreservationSpec.from_triangle_lists(
-        [[(0, 1, 2), (1, 2, 3)]]).evaluation_matrix(k)
-    assert ev.n_rows == 1 and ev.n_cols == 4
-    assert ev.row(0).support() == (0, 3)
+def test_dual_basis_is_the_summary_cocycle_basis():
+    complexes = [sphere(), rp2(), torus(), torus_with_circle(), torus_circle_sphere(),
+                 Complex2((), (), ())]
+    complexes += [catalog(parse_surface_id(name))
+                  for name in ("S2", "N1", "M1", "N2", "N3", "M2", "N4", "N5")]
+    rng = random.Random(20261019)
+    for _ in range(20):
+        base = catalog(parse_surface_id(rng.choice(("S2", "N1", "M1", "N2", "N3"))))
+        k = base
+        for _ in range(rng.randrange(0, 3)):
+            k = attach_circle(k, rng.choice(k.vertices))
+        for j in range(rng.randrange(0, 4)):
+            bubble = sphere().relabeled({v: 100 + 10 * j + v for v in range(4)})
+            k = wedge(k, rng.choice(base.vertices), bubble, 100 + 10 * j)
+        complexes.append(k)
+    for k in complexes:
+        reps = homology_summary(k).cocycle_reps[2]
+        for r in range(len(reps) + 1):
+            assert PreservationSpec.dual_basis(k, r).supports == tuple(
+                frozenset(chain_support(k, w)) for w in reps[:r])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(width=st.integers(0, 6), data=st.data())
+def test_rank_and_relation_is_the_first_kernel_vector(width, data):
+    values = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=10))
+    # the matrix whose columns are the values; a relation is a kernel vector
+    matrix = Gf2Matrix(len(values), width, values).transpose()
+    kernel = matrix.kernel_basis()
+    assert _rank_and_relation(values) == (matrix.rank(),
+                                          kernel[0].bits if kernel else None)
 
 
 def test_surjectivity():
@@ -400,3 +428,10 @@ def test_pipeline_work_is_bounded_per_phase(monkeypatch):
     # the boundary map at each phase boundary (input, after kills, result)
     assert counts["builds"] <= 2
     assert counts["eliminations"] <= 3
+    # the default spec is read off the input's cycle basis: one more
+    # elimination, its reduced row echelon form
+    counts.clear()
+    trace = simplify_pipeline(k, target_rank=1)
+    assert (len(trace.killed_triangles), trace.free_rank) == (1, 1)
+    assert counts["builds"] <= 2
+    assert counts["eliminations"] <= 4
