@@ -12,9 +12,9 @@ from simpsurf.complex2 import Complex2
 from simpsurf.gf2 import Gf2Matrix
 from simpsurf.homology import (betti_numbers, chain_support, has_property_a,
                                homology_summary)
-from simpsurf.reduction import (PreservationSpec, _rank_and_relation, collapse_all,
-                                eliminate_maximal_edges, kill_step,
-                                simplify_pipeline)
+from simpsurf.reduction import (PreservationSpec, _cycle_basis, _rank_and_relation,
+                                _values, collapse_all, eliminate_maximal_edges,
+                                kill_step, simplify_pipeline)
 from simpsurf.surfaces import attach_circle, catalog, classify, wedge
 
 from _fixtures import rp2, sphere, torus, torus_circle_sphere, torus_with_circle
@@ -30,8 +30,6 @@ def test_spec_constructors_canonicalize():
     assert spec.rank == 2
     assert spec.supports[0] == frozenset({(0, 1, 3)})
     assert (0, 4, 5) in spec.supports[1]
-    with pytest.raises(ValueError):
-        PreservationSpec.from_triangle_lists([[(9, 9, 9)]])
 
 
 def test_dual_basis_rank_and_validation():
@@ -42,6 +40,21 @@ def test_dual_basis_rank_and_validation():
         PreservationSpec.dual_basis(k, 3)
     with pytest.raises(ValueError):
         PreservationSpec.dual_basis(k, -1)
+
+
+def test_evaluation_matrix():
+    k = sphere()
+    with pytest.raises(ValueError):
+        PreservationSpec.from_triangle_lists([[(9, 9, 9)]])
+    # one functional over the sphere's four triangles: its row of the
+    # evaluation matrix is the bitmask of its support's positions
+    spec = PreservationSpec.from_triangle_lists([[(0, 1, 2), (1, 2, 3), (7, 8, 9)]])
+    masks = spec._masks(k.triangles)
+    assert masks == [0b1001]
+    # its value on the sphere's one 2-cycle is the parity of the overlap
+    (z,) = _cycle_basis(k)[0]
+    assert z == 0b1111 and _values(masks, z) == 0
+    assert _values(masks + [0b0001], z) == 0b10
 
 
 def test_dual_basis_is_the_summary_cocycle_basis():
