@@ -6,11 +6,13 @@ operation is one XOR regardless of length.
 There is one elimination, Gf2Span._reduce_bits.  A span maps each pivot p
 to a row whose lowest set bit is p; a vector is reduced by XOR-ing in the
 row of its lowest remaining pivot bit until no pivot bit is left.  Ranks,
-kernels, reduced row echelon forms and solve() all go through it.  The
-reduced row echelon form of a matrix depends only on its row space, so
-the order in which rows are eliminated never shows in any result: kernel
-bases enumerate free columns in increasing order, and solve() sets free
-variables to zero.
+kernels, reduced row echelon forms and solve() all go through it.  Only a
+reduced row echelon form back-substitutes: a rank is the number of
+pivots, and a kernel vector at a chosen free column can be read off the
+echelon rows (Gf2Span._kernel_at).  The reduced row echelon form of a
+matrix depends only on its row space, so the order in which rows are
+eliminated never shows in any result: kernel bases enumerate free columns
+in increasing order, and solve() sets free variables to zero.
 """
 
 from __future__ import annotations
@@ -179,7 +181,11 @@ class Gf2Matrix:
         return rows + [0] * (self.n_rows - len(rows)), pivots
 
     def rank(self) -> int:
-        return len(self._rref()[1])
+        """The dimension of the row space; no back-substitution."""
+        span = Gf2Span(self.n_cols)
+        for r in self._rows:
+            span._add_bits(r)
+        return span.dim
 
     def kernel_basis(self) -> list[Gf2Vector]:
         """Deterministic basis of {x : M x = 0}, one vector per free column."""
@@ -250,17 +256,50 @@ class Gf2Span:
         self._mask |= 1 << p
         return True
 
-    def _reduced_rows(self) -> list[int]:
+    def _reduced_rows(self, start: int = 0) -> list[int]:
         """The reduced row echelon form of the span, rows in pivot order.
 
         One back-substitution pass from the highest pivot down: each row
-        is reduced by the rows above it, which are already reduced.
+        is reduced by the rows above it, which are already reduced.  A row
+        has no bit below its pivot, so the rows with pivot at least start
+        are reduced among themselves; only those are reduced and returned.
         """
-        mask, self._mask = self._mask, 0
+        mask = self._mask >> start << start
+        self._mask ^= mask
         for p in reversed(list(_bits_up(mask))):
             self._pivot_rows[p] = self._reduce_bits(self._pivot_rows[p])
             self._mask |= 1 << p
         return [self._pivot_rows[p] for p in _bits_up(mask)]
+
+    def _kernel_at(self, columns: Sequence[int]) -> list[int]:
+        """Kernel vectors of the span at some of its non-pivot columns.
+
+        The vector of column f is f plus every pivot whose reduced row has
+        f set, as _kernel_from_rref reads it, but the reduced rows are
+        never formed.  Back-substitution makes reduced row p the echelon
+        row p plus the reduced rows at its other pivot bits, so their
+        entries at the columns (packed, bit i for columns[i]) follow from
+        the highest pivot down; a pivot above every column has none.
+        """
+        # columns[i] -> 1 << i; pivot p -> reduced row p's entries at the columns
+        entries = {f: 1 << i for i, f in enumerate(columns)}
+        watched = sum(1 << f for f in columns)  # the keys of entries
+        rows = self._pivot_rows
+        below = (1 << max(columns, default=0)) - 1
+        for p in reversed(list(_bits_up(self._mask & below))):
+            hits = rows[p] & watched
+            if hits:
+                at = 0
+                for q in _bits_up(hits):
+                    at ^= entries[q]
+                if at:
+                    entries[p] = at
+                    watched |= 1 << p
+        vectors = [0] * len(columns)
+        for p, at in entries.items():
+            for i in _bits_up(at):
+                vectors[i] |= 1 << p
+        return vectors
 
     def reduce(self, v: Gf2Vector) -> Gf2Vector:
         if v.length != self.length:

@@ -20,6 +20,13 @@ The pullback F_a of a 1-cochain a is the OR of front[e] over its support
 (G_a likewise from back), so a cup b is the single AND F_a & G_b.
 cup_product stays as the cochain-level reference.
 
+homology_summary runs one elimination, of the triangle boundaries with a
+tag bit per triangle: it gives the 2-cycles and the kernel vectors that
+are the 1-cocycles.  The 1-cycles are the cycles of a spanning forest.
+The bases it returns are those read off the reduced row echelon forms of
+d1, d2 transposed, d2 and the 2-cycles, which are unique, yet only the
+b2 rows of the 2-cycles are ever back-substituted.
+
 Over F2, H^2 = Hom(H_2, F2), so the class of a 2-cochain w is fixed by its
 values on a basis of 2-cycles.  The H^2 basis is chosen dual to the
 summary's 2-cycle basis, which makes the H^2 coordinates of [w] simply
@@ -33,7 +40,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .complex2 import Complex2
-from .gf2 import Gf2Matrix, Gf2Span, Gf2Vector, _kernel_from_rref
+from .gf2 import Gf2Matrix, Gf2Span, Gf2Vector
 
 __all__ = [
     "ChainVector",
@@ -134,7 +141,15 @@ def boundary_matrix(k: Complex2, n: int) -> Gf2Matrix:
 
 def betti_numbers(k: Complex2) -> tuple[int, int, int]:
     """Reduced F2 Betti numbers (b0, b1, b2), without representatives."""
-    return _betti(k, boundary_matrix(k, 2).rank())
+    boundaries = [1 << a | 1 << b | 1 << c for a, b, c in _triangle_edges(k)]
+    return _betti(k, Gf2Matrix(k.n_triangles, k.n_edges, boundaries).rank())
+
+
+def _triangle_edges(k: Complex2) -> list[tuple[int, int, int]]:
+    """The positions of each triangle's three edges, in triangle order: the
+    supports of the rows of the transpose of the boundary map d2."""
+    position = k._edge_index
+    return [(position[a, b], position[a, c], position[b, c]) for a, b, c in k.triangles]
 
 
 def _betti(k: Complex2, rank2: int) -> tuple[int, int, int]:
@@ -183,34 +198,42 @@ class HomologySummary:
 def homology_summary(k: Complex2) -> HomologySummary:
     """Reduced F2 homology of a 2-complex, with representative bases.
 
-    Each boundary map is eliminated once, and every basis is read off one
-    of the four eliminations:
-      * d1: its kernel is z1, the 1-cycles; its reduced rows span the
-        1-coboundaries (row v of d1 is delta0 of the indicator of v);
-      * d2 transposed: its kernel is the 1-cocycles; its reduced rows span
-        the 1-boundaries;
-      * d2: its kernel z2 is the 2-cycles, so b2 = len(z2) and rank d2 is
-        alpha2 - b2;
-      * z2: its reduced row echelon form gives the dual degree-2 bases.
-    cycle_reps[1] are the vectors of z1, in order, that are independent of
-    the 1-boundaries and the earlier picks; cocycle_reps[1] are the
-    1-cocycles picked the same way against the 1-coboundaries.
+    One elimination, of the triangle boundaries, each carrying its own
+    triangle as a tag bit above the edges.  Its pivots below the edges are
+    those of the reduced row echelon form of d2 transposed; its rows with
+    a pivot among the tags have a zero boundary, and their reduced tags
+    are the reduced row echelon form of the 2-cycles.  The 1-cycles need
+    no elimination: those of the spanning forest taken in edge order are
+    the kernel of d1 as read off its reduced row echelon form.
 
-    The empty complex is reported as having no homology at all.
+      * cycle_reps[1]: for each non-forest edge f, in order, picked when f
+        is the highest bit of no boundary restricted to the non-forest
+        edges, the forest's cycle through f;
+      * cocycle_reps[1]: for each free column f of the boundaries, in
+        order, picked when f is the highest bit of no vertex coboundary
+        restricted to the free columns, the kernel vector of the boundaries
+        at f (f plus every pivot whose reduced row has f set);
+      * cycle_reps[2] are the reduced 2-cycles and cocycle_reps[2] the
+        single triangles at their pivots, so the two bases are dual.
+
+    A restriction is one-to-one on the cycles (or cocycles), and the
+    candidate at f is the unit vector there, so these picks are the greedy
+    completion, in order, of the boundaries (or coboundaries) to the cycles
+    (or cocycles).  The empty complex is reported as having no homology at
+    all.
     """
-    d1 = boundary_matrix(k, 1)
-    d2 = boundary_matrix(k, 2)
+    n_edges, n_triangles = k.n_edges, k.n_triangles
+    boundaries = _triangle_edges(k)  # the edge positions of each triangle
+    span = Gf2Span(n_edges + n_triangles)
+    for j, (a, b, c) in enumerate(boundaries):
+        span._add_bits(1 << a | 1 << b | 1 << c | 1 << (n_edges + j))
+    edge_pivots = span._mask & ((1 << n_edges) - 1)
+    b2 = span.dim - edge_pivots.bit_count()
+    non_forest, path = _spanning_forest(k)
+    b1 = len(non_forest) - (n_triangles - b2)
 
     comps = k.connected_components()
     b0 = max(len(comps) - 1, 0)
-    rows1, pivots1 = d1._rref()
-    rows2t, pivots2t = d2.transpose()._rref()
-    z1 = _kernel_from_rref(k.n_edges, rows1, pivots1)
-    cocycles1 = _kernel_from_rref(k.n_edges, rows2t, pivots2t)
-    z2 = d2.kernel_basis()
-    b2 = len(z2)
-    b1 = len(z1) - (k.n_triangles - b2)
-
     # dimension-0 representatives: one vertex per later component vs the first
     cycle0 = []
     cocycle0 = []
@@ -220,33 +243,94 @@ def homology_summary(k: Complex2) -> HomologySummary:
             cycle0.append(chain(k, 0, [comp[0], base]))
             cocycle0.append(cochain(k, 0, comp))
 
-    cycle1 = tuple(ChainVector(1, v) for v in
-                   _independent_modulo(k.n_edges, rows2t[:len(pivots2t)], z1))
-    cocycle1 = tuple(CochainVector(1, v) for v in
-                     _independent_modulo(k.n_edges, rows1[:len(pivots1)], cocycles1))
+    cycle1 = []
+    for f in _completion_picks(non_forest, boundaries):
+        u, v = k.edges[f]
+        cycle1.append(ChainVector(1, Gf2Vector(n_edges, 1 << f | path[u] ^ path[v])))
+    position = k._edge_index
+    free = [e for e in range(n_edges) if not edge_pivots >> e & 1]
+    coboundaries = ([position[e] for e in k._edges_at_vertex[v]] for v in k.vertices)
+    cocycle1 = [CochainVector(1, Gf2Vector(n_edges, bits))
+                for bits in span._kernel_at(_completion_picks(free, coboundaries))]
 
-    # dimension 2, by duality H^2 = Hom(H_2): the RREF of the kernel of d2
-    # gives single-triangle cocycles (its pivots) and the 2-cycles dual to them
-    z2_rows, pivots = Gf2Matrix.from_rows(z2, k.n_triangles)._rref()
-    cycle2 = tuple(ChainVector(2, Gf2Vector(k.n_triangles, r)) for r in z2_rows)
-    cocycle2 = tuple(CochainVector(2, Gf2Vector(k.n_triangles, 1 << p)) for p in pivots)
+    # dimension 2, by duality H^2 = Hom(H_2): the reduced 2-cycles and the
+    # single triangles at their pivots
+    z2 = [r >> n_edges for r in span._reduced_rows(n_edges)]
+    cycle2 = tuple(ChainVector(2, Gf2Vector(n_triangles, z)) for z in z2)
+    cocycle2 = tuple(CochainVector(2, Gf2Vector(n_triangles, z & -z)) for z in z2)
 
-    assert len(cycle1) == b1 and len(cocycle1) == b1 and len(pivots) == b2
+    assert len(cycle1) == b1 and len(cocycle1) == b1 and len(z2) == b2
     return HomologySummary(
         betti=(b0, b1, b2),
-        cycle_reps={0: tuple(cycle0), 1: cycle1, 2: cycle2},
-        cocycle_reps={0: tuple(cocycle0), 1: cocycle1, 2: cocycle2},
-        _n_triangles=k.n_triangles,
+        cycle_reps={0: tuple(cycle0), 1: tuple(cycle1), 2: cycle2},
+        cocycle_reps={0: tuple(cocycle0), 1: tuple(cocycle1), 2: cocycle2},
+        _n_triangles=n_triangles,
     )
 
 
-def _independent_modulo(length: int, seed: Iterable[int],
-                        candidates: Iterable[Gf2Vector]) -> list[Gf2Vector]:
-    """The candidates, in order, that enlarge the span of seed and the earlier picks."""
-    span = Gf2Span(length)
-    for bits in seed:
-        span._add_bits(bits)
-    return [v for v in candidates if span.add(v)]
+def _spanning_forest(k: Complex2) -> tuple[list[int], dict]:
+    """The spanning forest that keeps each edge, in order, that joins two trees.
+
+    Returns the positions of the edges left out and, for each vertex, the
+    mask of the forest edges on its path from the root of its tree, so the
+    forest path between u and v is path[u] ^ path[v].
+    """
+    vertex = k._vertex_index
+    root = list(range(k.n_vertices))
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in root]
+    left_out = []
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    for i, (u, v) in enumerate(k.edges):
+        a, b = vertex[u], vertex[v]
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            left_out.append(i)
+        else:
+            root[ra] = rb
+            adjacent[a].append((b, i))
+            adjacent[b].append((a, i))
+    path = [-1] * len(root)
+    for start in range(len(root)):
+        if path[start] >= 0:
+            continue
+        path[start] = 0
+        stack = [start]
+        while stack:
+            a = stack.pop()
+            for b, i in adjacent[a]:
+                if path[b] < 0:
+                    path[b] = path[a] | 1 << i
+                    stack.append(b)
+    return left_out, dict(zip(k.vertices, path))
+
+
+def _completion_picks(candidates: list[int], vectors: Iterable[Iterable[int]]) -> list[int]:
+    """The candidates that are the highest set bit of no vector in the span
+    of the vectors (each given by its positions) restricted to the
+    candidates, in order.
+
+    Those are the unit vectors, taken in order, that the greedy completion
+    of the restricted span picks.  Candidate j of m is stored at bit
+    m - 1 - j, so the span's pivots, its lowest bits, are the highest
+    candidates.
+    """
+    m = len(candidates)
+    slot = {c: m - 1 - j for j, c in enumerate(candidates)}
+    span = Gf2Span(m)
+    for positions in vectors:
+        bits = 0
+        for c in positions:
+            if c in slot:
+                bits ^= 1 << slot[c]
+        if bits:
+            span._add_bits(bits)
+    return [c for j, c in enumerate(candidates) if not span._mask >> (m - 1 - j) & 1]
 
 
 def h2_coordinates(summary: HomologySummary, w: CochainVector) -> Gf2Vector:

@@ -222,3 +222,32 @@ def test_span_is_independent_of_insertion_order(m, data):
         assert residue == second.reduce(v)
         assert first.contains(v ^ residue)
         assert not any(residue.get(p) for p in pivots)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(m=_matrices(), data=st.data())
+def test_partial_back_substitution_matches_the_column_sweep(m, data):
+    rows, pivots = _rref_sweep(m)
+    kernel = _kernel_sweep(m)
+    free = [f for f in range(m.n_cols) if f not in pivots]
+    span = Gf2Span(m.n_cols)
+    for r in m.rows():
+        span.add(r)
+    # kernel vectors at a subset of the free columns, from the echelon rows
+    chosen = sorted(data.draw(st.sets(st.sampled_from(free))) if free else [])
+    assert span._kernel_at(chosen) == [kernel[free.index(f)].bits for f in chosen]
+    # the reduced rows with pivot at least start, the rows below untouched
+    start = data.draw(st.integers(0, m.n_cols))
+    below = {p: r for p, r in span._pivot_rows.items() if p < start}
+    assert span._reduced_rows(start) == [r for r, p in zip(rows, pivots) if p >= start]
+    assert {p: r for p, r in span._pivot_rows.items() if p < start} == below
+    assert span.dim == len(pivots) and span._reduced_rows() == rows[:len(pivots)]
+
+
+def test_rank_skips_back_substitution(monkeypatch):
+    calls = []
+    monkeypatch.setattr(Gf2Span, "_reduced_rows", lambda *args: calls.append(args))
+    rng = random.Random(17)
+    m = _random_matrix(rng, 12, 10)
+    assert m.rank() == len(_rref_sweep(m)[1])
+    assert calls == []

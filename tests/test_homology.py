@@ -10,8 +10,9 @@ import simpsurf.homology as homology
 from _fixtures import rp2, sphere, torus, torus_circle_sphere, torus_with_circle
 from simpsurf.bounds import parse_surface_id
 from simpsurf.complex2 import Complex2
-from simpsurf.gf2 import Gf2Matrix, Gf2Span, Gf2Vector
+from simpsurf.gf2 import Gf2Matrix, Gf2Span, Gf2Vector, _kernel_from_rref
 from simpsurf.homology import (
+    ChainVector,
     CochainVector,
     betti_numbers,
     boundary_matrix,
@@ -198,23 +199,104 @@ def _counting(counts, name, fn):
     return wrapper
 
 
-def test_summary_eliminates_each_boundary_map_once(monkeypatch):
+def _homology_summary_dense(k: Complex2):
+    """(betti, cycle_reps, cocycle_reps) by four dense eliminations: the
+    reduced row echelon forms of d1, of d2 transposed, of d2 and of the
+    2-cycle basis, the kernels read off them and the degree-1 picks made
+    by greedy completion against their reduced rows."""
+    d1, d2 = boundary_matrix(k, 1), boundary_matrix(k, 2)
+    comps = k.connected_components()
+    rows1, pivots1 = d1._rref()
+    rows2t, pivots2t = d2.transpose()._rref()
+    z1 = _kernel_from_rref(k.n_edges, rows1, pivots1)
+    cocycles1 = _kernel_from_rref(k.n_edges, rows2t, pivots2t)
+    z2 = d2.kernel_basis()
+    b1 = len(z1) - (k.n_triangles - len(z2))
+    cycle0 = tuple(chain(k, 0, [comp[0], comps[0][0]]) for comp in comps[1:])
+    cocycle0 = tuple(cochain(k, 0, comp) for comp in comps[1:])
+    seed2t = [Gf2Vector(k.n_edges, r) for r in rows2t[:len(pivots2t)]]
+    seed1 = [Gf2Vector(k.n_edges, r) for r in rows1[:len(pivots1)]]
+    cycle1 = tuple(ChainVector(1, v) for v in _greedy_completion(k.n_edges, seed2t, z1))
+    cocycle1 = tuple(CochainVector(1, v)
+                     for v in _greedy_completion(k.n_edges, seed1, cocycles1))
+    z2_rows, pivots = Gf2Matrix.from_rows(z2, k.n_triangles)._rref()
+    cycle2 = tuple(ChainVector(2, Gf2Vector(k.n_triangles, r)) for r in z2_rows)
+    cocycle2 = tuple(CochainVector(2, Gf2Vector(k.n_triangles, 1 << p)) for p in pivots)
+    return ((max(len(comps) - 1, 0), b1, len(z2)),
+            {0: cycle0, 1: cycle1, 2: cycle2},
+            {0: cocycle0, 1: cocycle1, 2: cocycle2})
+
+
+def _m8_wedge(copies: int) -> Complex2:
+    """copies of catalog(M8) wedged at their first vertex, plus a circle."""
+    m8 = catalog(parse_surface_id("M8"))
+    k = m8
+    for _ in range(copies - 1):
+        k = wedge(k, k.vertices[0], m8, m8.vertices[0])
+    return attach_circle(k, k.vertices[0])
+
+
+def _oracle_cases():
+    cases = [sphere(), rp2(), torus(), torus_with_circle(), torus_circle_sphere(),
+             cone_book(4), Complex2([]), Complex2.from_triangles([], extra_vertices=[0])]
+    cases += [catalog(parse_surface_id(name))
+              for name in ["S2"] + [f"{kind}{g}" for kind in "MN" for g in range(1, 9)]]
+    rng = random.Random(20261019)
+    for j in range(20):
+        k = catalog(parse_surface_id(rng.choice(("S2", "N1", "M1", "N2", "N3", "M2"))))
+        for _ in range(rng.randrange(1, 4)):
+            k = attach_circle(k, rng.choice(k.vertices))
+        for b in range(rng.randrange(1, 4)):
+            bubble = sphere().relabeled({v: 1000 + 10 * b + v for v in range(4)})
+            k = wedge(k, rng.choice(k.vertices), bubble, 1000 + 10 * b)
+        cases.append(k)
+    far = torus().relabeled({v: 5000 + v for v in range(7)})
+    cases.append(Complex2.from_triangles(rp2().triangles + far.triangles))
+    cases.append(Complex2.from_triangles(list(torus().triangles) + [(50, 51, 52)],
+                                         extra_edges=[(60, 61), (61, 62), (0, 60)],
+                                         extra_vertices=[99, "z"]))
+    cases.append(_m8_wedge(4))
+    return cases
+
+
+def test_summary_matches_the_dense_oracle():
+    shapes = Counter()
+    for k in _oracle_cases():
+        s = homology_summary(k)
+        assert (s.betti, s.cycle_reps, s.cocycle_reps) == _homology_summary_dense(k)
+        shapes["b2>=2"] += s.b2 >= 2
+        shapes["disconnected"] += s.b0 > 0
+        shapes["loose"] += bool(k.maximal_edges()) and bool(k.isolated_vertices())
+        shapes["large"] += k.n_triangles == 4608
+    assert shapes["b2>=2"] >= 20 and shapes["disconnected"] >= 2
+    assert shapes["loose"] >= 1 and shapes["large"] == 1
+
+
+def test_summary_runs_one_elimination(monkeypatch):
     base = catalog(parse_surface_id("M3"))
     bubble = sphere().relabeled({v: 1000 + v for v in range(4)})
     k = attach_circle(wedge(base, base.vertices[0], bubble, 1000), base.vertices[5])
     assert k.n_triangles >= 400
     counts = Counter()
+    lengths = []
+    span_init = Gf2Span.__init__
+
+    def recording_init(self, length):
+        lengths.append(length)
+        span_init(self, length)
+
     monkeypatch.setattr(Gf2Matrix, "_rref", _counting(counts, "eliminations", Gf2Matrix._rref))
     monkeypatch.setattr(Gf2Matrix, "rows", _counting(counts, "row_walks", Gf2Matrix.rows))
-    monkeypatch.setattr(Gf2Span, "add", _counting(counts, "span_adds", Gf2Span.add))
+    monkeypatch.setattr(Gf2Span, "__init__", recording_init)
+    monkeypatch.setattr(Gf2Span, "_add_bits", _counting(counts, "insertions", Gf2Span._add_bits))
     s = homology_summary(k)
     assert s.betti == (0, 2 * 3 + 1, 2)  # M3, one circle, one sphere
-    # d1, d2, the transpose of d2 and the 2-cycle basis, once each
-    assert counts["eliminations"] <= 4
-    # no span is built over the columns of d2 or the rows of d1: the spans
-    # start from reduced rows, one per pivot, and take each candidate once
-    assert counts["row_walks"] == 0
-    assert counts["span_adds"] <= 2 * k.n_edges
+    # no reduced row echelon form of any matrix and no walk over one
+    assert counts["eliminations"] == 0 and counts["row_walks"] == 0
+    # one span over the tagged triangle boundaries; the other two only
+    # find leading bits, over the boundaries and the vertex coboundaries
+    assert lengths.count(k.n_edges + k.n_triangles) == 1 and len(lengths) == 3
+    assert counts["insertions"] <= 2 * k.n_triangles + k.n_vertices
 
 
 def test_cocycle_reps_are_cocycles():
@@ -443,11 +525,7 @@ def test_cup_form_matches_cup_product_and_h2_coordinates():
 
 
 def test_property_a_on_a_large_wedge_makes_no_cochain_cups(monkeypatch):
-    m8 = catalog(parse_surface_id("M8"))
-    k = m8
-    for _ in range(3):
-        k = wedge(k, k.vertices[0], m8, m8.vertices[0])
-    k = attach_circle(k, k.vertices[0])
+    k = _m8_wedge(4)
     assert k.n_triangles == 4608
     counts = Counter()
     monkeypatch.setattr(homology, "cup_product", _counting(counts, "cups", cup_product))
