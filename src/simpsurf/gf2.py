@@ -8,11 +8,12 @@ to a row whose lowest set bit is p; a vector is reduced by XOR-ing in the
 row of its lowest remaining pivot bit until no pivot bit is left.  Ranks,
 kernels, reduced row echelon forms and solve() all go through it.  Only a
 reduced row echelon form back-substitutes: a rank is the number of
-pivots, and a kernel vector at a chosen free column can be read off the
-echelon rows (Gf2Span._kernel_at).  The reduced row echelon form of a
-matrix depends only on its row space, so the order in which rows are
-eliminated never shows in any result: kernel bases enumerate free columns
-in increasing order, and solve() sets free variables to zero.
+pivots, a kernel is the relations among the columns (_relations), and a
+kernel vector at a chosen free column can be read off the echelon rows
+(Gf2Span._kernel_at).  The reduced row echelon form of a matrix depends
+only on its row space, so the order in which rows are eliminated never
+shows in any result: kernel bases enumerate free columns in increasing
+order, and solve() sets free variables to zero.
 """
 
 from __future__ import annotations
@@ -188,8 +189,10 @@ class Gf2Matrix:
         return span.dim
 
     def kernel_basis(self) -> list[Gf2Vector]:
-        """Deterministic basis of {x : M x = 0}, one vector per free column."""
-        return _kernel_from_rref(self.n_cols, *self._rref())
+        """Basis of {x : M x = 0}, one vector per free column: the relations
+        among the columns, in order."""
+        _, relations = _relations(self.transpose()._rows, self.n_rows)
+        return [Gf2Vector(self.n_cols, z) for z in relations]
 
     def solve(self, b: Gf2Vector) -> Optional[Gf2Vector]:
         """One solution of M x = b (free variables zero), or None.
@@ -256,16 +259,13 @@ class Gf2Span:
         self._mask |= 1 << p
         return True
 
-    def _reduced_rows(self, start: int = 0) -> list[int]:
+    def _reduced_rows(self) -> list[int]:
         """The reduced row echelon form of the span, rows in pivot order.
 
         One back-substitution pass from the highest pivot down: each row
-        is reduced by the rows above it, which are already reduced.  A row
-        has no bit below its pivot, so the rows with pivot at least start
-        are reduced among themselves; only those are reduced and returned.
+        is reduced by the rows above it, which are already reduced.
         """
-        mask = self._mask >> start << start
-        self._mask ^= mask
+        mask, self._mask = self._mask, 0
         for p in reversed(list(_bits_up(mask))):
             self._pivot_rows[p] = self._reduce_bits(self._pivot_rows[p])
             self._mask |= 1 << p
@@ -275,7 +275,7 @@ class Gf2Span:
         """Kernel vectors of the span at some of its non-pivot columns.
 
         The vector of column f is f plus every pivot whose reduced row has
-        f set, as _kernel_from_rref reads it, but the reduced rows are
+        f set, the kernel_basis vector there, but the reduced rows are
         never formed.  Back-substitution makes reduced row p the echelon
         row p plus the reduced rows at its other pivot bits, so their
         entries at the columns (packed, bit i for columns[i]) follow from
@@ -326,16 +326,25 @@ def _bits_up(x: int) -> Iterator[int]:
         x ^= low
 
 
-def _kernel_from_rref(n_cols: int, rows: Sequence[int],
-                      pivots: Sequence[int]) -> list[Gf2Vector]:
-    """Kernel basis read off a reduced row echelon form, free columns in order.
+def _relations(rows: Sequence[int], width: int) -> tuple[Gf2Span, list[int]]:
+    """The rows eliminated in order, and the linear relations among them.
 
-    The vector of free column f is f plus every pivot whose row has f set.
+    Row j carries tag bit width + j, so reducing it sums the tags of the
+    rows used.  A row whose bits below width reduce to zero is not added:
+    its tags are its relation, j plus earlier independent positions, the
+    kernel vector at free column j of the matrix whose columns are the
+    rows.  The span holds the independent rows: its dim is their rank.
     """
-    pivot_set = set(pivots)
-    kernel = [0] * n_cols
-    for r, p in zip(rows, pivots):
-        for f in _bits_up(r ^ (1 << p)):
-            kernel[f] |= 1 << p
-    return [Gf2Vector(n_cols, kernel[f] | 1 << f)
-            for f in range(n_cols) if f not in pivot_set]
+    low = (1 << width) - 1
+    span = Gf2Span(width + len(rows))
+    relations = []
+    for j, r in enumerate(rows):
+        r = span._reduce_bits(r | 1 << width + j)
+        if r & low:
+            # already reduced: stored at its lowest bit, as _add_bits would
+            p = _low_bit(r)
+            span._pivot_rows[p] = r
+            span._mask |= 1 << p
+        else:
+            relations.append(r >> width)
+    return span, relations

@@ -20,12 +20,12 @@ The pullback F_a of a 1-cochain a is the OR of front[e] over its support
 (G_a likewise from back), so a cup b is the single AND F_a & G_b.
 cup_product stays as the cochain-level reference.
 
-homology_summary runs one elimination, of the triangle boundaries with a
-tag bit per triangle: it gives the 2-cycles and the kernel vectors that
-are the 1-cocycles.  The 1-cycles are the cycles of a spanning forest.
-The bases it returns are those read off the reduced row echelon forms of
-d1, d2 transposed, d2 and the 2-cycles, which are unique, yet only the
-b2 rows of the 2-cycles are ever back-substituted.
+homology_summary runs one elimination, gf2._relations over the triangle
+boundaries: it gives the 2-cycles, the same the reduction audits use,
+and the kernel vectors that are the 1-cocycles.  The 1-cycles are the
+cycles of a spanning forest.  The bases it returns are those read off
+the reduced row echelon forms of d1, d2 transposed, d2 and the 2-cycles,
+which are unique, yet only the b2 2-cycles are ever back-substituted.
 
 Over F2, H^2 = Hom(H_2, F2), so the class of a 2-cochain w is fixed by its
 values on a basis of 2-cycles.  The H^2 basis is chosen dual to the
@@ -40,7 +40,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .complex2 import Complex2
-from .gf2 import Gf2Matrix, Gf2Span, Gf2Vector
+from .gf2 import Gf2Matrix, Gf2Span, Gf2Vector, _relations
 
 __all__ = [
     "ChainVector",
@@ -152,6 +152,13 @@ def _triangle_edges(k: Complex2) -> list[tuple[int, int, int]]:
     return [(position[a, b], position[a, c], position[b, c]) for a, b, c in k.triangles]
 
 
+def _boundary_relations(k: Complex2) -> tuple[Gf2Span, list[int]]:
+    """The triangle boundaries eliminated in order: their span, and the
+    2-cycles as boundary_matrix(k, 2).kernel_basis() gives them."""
+    boundaries = [1 << a | 1 << b | 1 << c for a, b, c in _triangle_edges(k)]
+    return _relations(boundaries, k.n_edges)
+
+
 def _betti(k: Complex2, rank2: int) -> tuple[int, int, int]:
     """Reduced Betti numbers given the rank of the boundary map in dimension 2.
 
@@ -199,10 +206,10 @@ def homology_summary(k: Complex2) -> HomologySummary:
     """Reduced F2 homology of a 2-complex, with representative bases.
 
     One elimination, of the triangle boundaries, each carrying its own
-    triangle as a tag bit above the edges.  Its pivots below the edges are
-    those of the reduced row echelon form of d2 transposed; its rows with
-    a pivot among the tags have a zero boundary, and their reduced tags
-    are the reduced row echelon form of the 2-cycles.  The 1-cycles need
+    triangle as a tag bit above the edges.  Its pivots are those of the
+    reduced row echelon form of d2 transposed; a boundary that reduces to
+    its tags alone gives a 2-cycle, and the reduced row echelon form of
+    those b2 cycles is the only back-substitution.  The 1-cycles need
     no elimination: those of the spanning forest taken in edge order are
     the kernel of d1 as read off its reduced row echelon form.
 
@@ -224,11 +231,9 @@ def homology_summary(k: Complex2) -> HomologySummary:
     """
     n_edges, n_triangles = k.n_edges, k.n_triangles
     boundaries = _triangle_edges(k)  # the edge positions of each triangle
-    span = Gf2Span(n_edges + n_triangles)
-    for j, (a, b, c) in enumerate(boundaries):
-        span._add_bits(1 << a | 1 << b | 1 << c | 1 << (n_edges + j))
-    edge_pivots = span._mask & ((1 << n_edges) - 1)
-    b2 = span.dim - edge_pivots.bit_count()
+    span, relations = _relations([1 << a | 1 << b | 1 << c for a, b, c in boundaries],
+                                 n_edges)
+    b2 = len(relations)
     non_forest, path = _spanning_forest(k)
     b1 = len(non_forest) - (n_triangles - b2)
 
@@ -248,14 +253,17 @@ def homology_summary(k: Complex2) -> HomologySummary:
         u, v = k.edges[f]
         cycle1.append(ChainVector(1, Gf2Vector(n_edges, 1 << f | path[u] ^ path[v])))
     position = k._edge_index
-    free = [e for e in range(n_edges) if not edge_pivots >> e & 1]
+    free = [e for e in range(n_edges) if not span._mask >> e & 1]
     coboundaries = ([position[e] for e in k._edges_at_vertex[v]] for v in k.vertices)
     cocycle1 = [CochainVector(1, Gf2Vector(n_edges, bits))
                 for bits in span._kernel_at(_completion_picks(free, coboundaries))]
 
     # dimension 2, by duality H^2 = Hom(H_2): the reduced 2-cycles and the
     # single triangles at their pivots
-    z2 = [r >> n_edges for r in span._reduced_rows(n_edges)]
+    cycles = Gf2Span(n_triangles)
+    for z in relations:
+        cycles._add_bits(z)
+    z2 = cycles._reduced_rows()
     cycle2 = tuple(ChainVector(2, Gf2Vector(n_triangles, z)) for z in z2)
     cocycle2 = tuple(CochainVector(2, Gf2Vector(n_triangles, z & -z)) for z in z2)
 

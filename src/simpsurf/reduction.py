@@ -11,11 +11,11 @@ The one invariant everything here is built around: the functionals stay
 surjective on the cycle space of 2-chains after every single step.
 
 That question is answered one way throughout.  The 2-cycles are the
-kernel basis of one elimination of the boundary map in dimension 2, as
-bitmasks over the triangles; the functionals are bitmasks too, so their
-values on a cycle are parities of ANDs; ranks and relations among the
-values come from gf2's one elimination.  The default spec is read off
-the same cycle basis: one triangle per pivot of its reduced row echelon
+relations among the triangle boundaries (gf2._relations, as in
+homology_summary), as bitmasks over the triangles; the functionals are
+bitmasks too, so their values on a cycle are parities of ANDs, and the
+relations among the values come from the same helper.  The default spec
+is read off the same cycle basis: one triangle per pivot of its echelon
 form, the dual basis homology_summary reports as cocycle_reps[2].
 
 The pipeline edits one private working state and builds a Complex2 only
@@ -42,8 +42,8 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .complex2 import Complex2, Edge, Label, Triangle, canon_edge, canon_triangle, label_key
-from .gf2 import Gf2Matrix, Gf2Span, _bits_up
-from .homology import CochainVector, _betti, boundary_matrix
+from .gf2 import Gf2Span, _bits_up, _relations
+from .homology import CochainVector, _betti, _boundary_relations, _triangle_edges
 
 __all__ = [
     "PreservationSpec",
@@ -128,12 +128,12 @@ def kill_step(k: Complex2, spec: PreservationSpec) -> tuple[Complex2, Triangle]:
     """
     cycles, _ = _cycle_basis(k)
     masks = spec._masks(k.triangles)
-    rank, relation = _rank_and_relation([_values(masks, z) for z in cycles])
-    if rank != spec.rank:
+    span, relations = _relations([_values(masks, z) for z in cycles], spec.rank)
+    if span.dim != spec.rank:
         raise ValueError("functionals are not surjective on the cycle space")
-    if relation is None:
+    if not relations:
         raise ValueError("no excess cycles: every 2-cycle is seen by the functionals")
-    sigma = k.triangles[next(_bits_up(_sum(cycles, relation)))]
+    sigma = k.triangles[next(_bits_up(_sum(cycles, relations[0])))]
     return k.remove_open_triangle(sigma), sigma
 
 
@@ -152,41 +152,19 @@ def _values(masks: Sequence[int], z: int) -> int:
     return sum(1 << i for i, m in enumerate(masks) if (z & m).bit_count() & 1)
 
 
-def _rank_and_relation(values: Sequence[int]) -> tuple[int, Optional[int]]:
-    """The rank of the values, and the first linear relation among them.
-
-    The relation is a bitmask of positions: the first position j whose
-    value lies in the span of the earlier ones, plus the earlier positions
-    summing to it.  For values ev(z_j) this is the first vector of
-    Gf2Matrix.kernel_basis on the matrix with those columns.  Each value
-    carries its position as a bit above every value bit, so reducing it
-    in the span of the earlier ones sums those positions as it goes.
-    """
-    shift = max(values, default=0).bit_length()
-    low = (1 << shift) - 1
-    span = Gf2Span(shift + len(values))
-    relation = None
-    for j, v in enumerate(values):
-        v = span._reduce_bits(v | 1 << shift + j)
-        if v & low:
-            span._add_bits(v)
-        elif relation is None:
-            relation = v >> shift
-    return span.dim, relation
-
-
 def _cycle_basis(k: Complex2) -> tuple[list[int], tuple[int, int, int]]:
-    """The reduced 2-cycle basis of kernel_basis, and the Betti numbers.
+    """The 2-cycles as the relations among the triangle boundaries (the
+    vectors kernel_basis gives for d2), and the Betti numbers.
 
     This is the one elimination of a boundary audit; b2 is the basis size.
     """
-    cycles = [z.bits for z in boundary_matrix(k, 2).kernel_basis()]
+    _, cycles = _boundary_relations(k)
     return cycles, _betti(k, k.n_triangles - len(cycles))
 
 
 def _spec_rank(spec: PreservationSpec, k: Complex2, cycles: Sequence[int]) -> int:
     masks = spec._masks(k.triangles)
-    return _rank_and_relation([_values(masks, z) for z in cycles])[0]
+    return _relations([_values(masks, z) for z in cycles], spec.rank)[0].dim
 
 
 def _dual_spec(k: Complex2, cycles: Sequence[int],
@@ -196,8 +174,12 @@ def _dual_spec(k: Complex2, cycles: Sequence[int],
         rank = len(cycles)
     if not 0 <= rank <= len(cycles):
         raise ValueError(f"rank {rank} outside 0..{len(cycles)}")
-    pivots = Gf2Matrix(len(cycles), k.n_triangles, cycles)._rref()[1]
-    return PreservationSpec(tuple(frozenset({k.triangles[p]}) for p in pivots[:rank]))
+    # the pivots of any echelon form of the cycles are those of their RREF
+    span = Gf2Span(k.n_triangles)
+    for z in cycles:
+        span._add_bits(z)
+    pivots = list(_bits_up(span._mask))[:rank]
+    return PreservationSpec(tuple(frozenset({k.triangles[p]}) for p in pivots))
 
 
 # ------------------------------------------------------------ kills
@@ -205,7 +187,7 @@ def _dual_spec(k: Complex2, cycles: Sequence[int],
 def _kill_all(k: Complex2, spec: PreservationSpec, cycles: list[int]) -> list[int]:
     """Kill invisible cycles until none is left; the killed triangle positions.
 
-    `cycles` is the basis kernel_basis gives for the 2-cycles of k: its
+    `cycles` is the basis _cycle_basis gives for the 2-cycles of k: its
     vectors have distinct highest bits, in increasing order, and each is
     zero at the others' highest bits.  That normal form depends only on
     the cycle space, so after a kill the list is replaced in place by the
@@ -214,16 +196,14 @@ def _kill_all(k: Complex2, spec: PreservationSpec, cycles: list[int]) -> list[in
     the complex at that point.  Positions stay those of k.triangles.
     """
     masks = spec._masks(k.triangles)
-    edge_index = {e: i for i, e in enumerate(k.edges)}
-    boundaries = [sum(1 << edge_index[e] for e in combinations(t, 2))
-                  for t in k.triangles]
+    boundaries = [1 << a | 1 << b | 1 << c for a, b, c in _triangle_edges(k)]
     values = [_values(masks, z) for z in cycles]
     killed: list[int] = []
     while True:
-        _, relation = _rank_and_relation(values)
-        if relation is None:
+        relations = _relations(values, spec.rank)[1]
+        if not relations:
             return killed
-        invisible = _sum(cycles, relation)
+        invisible = _sum(cycles, relations[0])
         assert invisible and _sum(boundaries, invisible) == 0
         assert _values(masks, invisible) == 0
         sigma = next(_bits_up(invisible))
@@ -234,7 +214,7 @@ def _kill_all(k: Complex2, spec: PreservationSpec, cycles: list[int]) -> list[in
             cycles[j] ^= cycles[lowest]
             values[j] ^= values[lowest]
         del cycles[lowest], values[lowest]
-        assert _rank_and_relation(values)[0] == spec.rank
+        assert _relations(values, spec.rank)[0].dim == spec.rank
 
 
 # ------------------------------------------------------------ collapses and edges

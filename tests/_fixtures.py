@@ -3,14 +3,19 @@
 The Betti numbers, cup ranks, and property-(A) verdicts asserted against
 these complexes were frozen from an independent elimination oracle kept
 outside the package.  failure_reason_oracle recognizes closed surfaces
-on the link graphs alone, apart from the package's recognizer.
+on the link graphs alone, apart from the package's recognizer, and
+kernel_from_rref reads a kernel basis off a reduced row echelon form,
+apart from the tagged elimination behind Gf2Matrix.kernel_basis.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+from simpsurf.bounds import parse_surface_id
 from simpsurf.complex2 import Complex2
+from simpsurf.gf2 import Gf2Vector
+from simpsurf.surfaces import attach_circle, catalog, wedge
 
 SPHERE_TRIS = [t for t in combinations(range(4), 3)]
 
@@ -44,6 +49,31 @@ def torus_circle_sphere() -> Complex2:
     sphere_at_0 = [(0, 101, 102), (0, 101, 103), (0, 102, 103), (101, 102, 103)]
     return Complex2.from_triangles(list(TORUS_TRIS) + sphere_at_0,
                                    extra_edges=CIRCLE_EDGES)
+
+
+def kernel_from_rref(n_cols: int, rows, pivots) -> list[Gf2Vector]:
+    """Kernel basis read off a reduced row echelon form, free columns in
+    order: the vector of free column f is f plus every pivot whose row has
+    f set."""
+    kernel = [0] * n_cols
+    for r, p in zip(rows, pivots):
+        rest = r ^ 1 << p
+        while rest:
+            low = rest & -rest
+            kernel[low.bit_length() - 1] |= 1 << p
+            rest ^= low
+    pivot_set = set(pivots)
+    return [Gf2Vector(n_cols, kernel[f] | 1 << f)
+            for f in range(n_cols) if f not in pivot_set]
+
+
+def m8_wedge(copies: int) -> Complex2:
+    """copies of catalog(M8) wedged at their first vertex, plus a circle."""
+    m8 = catalog(parse_surface_id("M8"))
+    k = m8
+    for _ in range(copies - 1):
+        k = wedge(k, k.vertices[0], m8, m8.vertices[0])
+    return attach_circle(k, k.vertices[0])
 
 
 def _link_is_single_cycle(k: Complex2, v) -> bool:

@@ -7,10 +7,11 @@ from itertools import combinations
 import pytest
 
 import simpsurf.homology as homology
-from _fixtures import rp2, sphere, torus, torus_circle_sphere, torus_with_circle
+from _fixtures import (kernel_from_rref, m8_wedge, rp2, sphere, torus,
+                       torus_circle_sphere, torus_with_circle)
 from simpsurf.bounds import parse_surface_id
 from simpsurf.complex2 import Complex2
-from simpsurf.gf2 import Gf2Matrix, Gf2Span, Gf2Vector, _kernel_from_rref
+from simpsurf.gf2 import Gf2Matrix, Gf2Span, Gf2Vector
 from simpsurf.homology import (
     ChainVector,
     CochainVector,
@@ -208,9 +209,9 @@ def _homology_summary_dense(k: Complex2):
     comps = k.connected_components()
     rows1, pivots1 = d1._rref()
     rows2t, pivots2t = d2.transpose()._rref()
-    z1 = _kernel_from_rref(k.n_edges, rows1, pivots1)
-    cocycles1 = _kernel_from_rref(k.n_edges, rows2t, pivots2t)
-    z2 = d2.kernel_basis()
+    z1 = kernel_from_rref(k.n_edges, rows1, pivots1)
+    cocycles1 = kernel_from_rref(k.n_edges, rows2t, pivots2t)
+    z2 = kernel_from_rref(k.n_triangles, *d2._rref())
     b1 = len(z1) - (k.n_triangles - len(z2))
     cycle0 = tuple(chain(k, 0, [comp[0], comps[0][0]]) for comp in comps[1:])
     cocycle0 = tuple(cochain(k, 0, comp) for comp in comps[1:])
@@ -225,15 +226,6 @@ def _homology_summary_dense(k: Complex2):
     return ((max(len(comps) - 1, 0), b1, len(z2)),
             {0: cycle0, 1: cycle1, 2: cycle2},
             {0: cocycle0, 1: cocycle1, 2: cocycle2})
-
-
-def _m8_wedge(copies: int) -> Complex2:
-    """copies of catalog(M8) wedged at their first vertex, plus a circle."""
-    m8 = catalog(parse_surface_id("M8"))
-    k = m8
-    for _ in range(copies - 1):
-        k = wedge(k, k.vertices[0], m8, m8.vertices[0])
-    return attach_circle(k, k.vertices[0])
 
 
 def _oracle_cases():
@@ -255,7 +247,7 @@ def _oracle_cases():
     cases.append(Complex2.from_triangles(list(torus().triangles) + [(50, 51, 52)],
                                          extra_edges=[(60, 61), (61, 62), (0, 60)],
                                          extra_vertices=[99, "z"]))
-    cases.append(_m8_wedge(4))
+    cases.append(m8_wedge(4))
     return cases
 
 
@@ -293,9 +285,11 @@ def test_summary_runs_one_elimination(monkeypatch):
     assert s.betti == (0, 2 * 3 + 1, 2)  # M3, one circle, one sphere
     # no reduced row echelon form of any matrix and no walk over one
     assert counts["eliminations"] == 0 and counts["row_walks"] == 0
-    # one span over the tagged triangle boundaries; the other two only
-    # find leading bits, over the boundaries and the vertex coboundaries
-    assert lengths.count(k.n_edges + k.n_triangles) == 1 and len(lengths) == 3
+    # one span over the tagged triangle boundaries and one over the b2
+    # cycles it finds; the other two only find leading bits, over the
+    # boundaries and the vertex coboundaries
+    assert lengths.count(k.n_edges + k.n_triangles) == 1
+    assert lengths.count(k.n_triangles) == 1 and len(lengths) == 4
     assert counts["insertions"] <= 2 * k.n_triangles + k.n_vertices
 
 
@@ -525,7 +519,7 @@ def test_cup_form_matches_cup_product_and_h2_coordinates():
 
 
 def test_property_a_on_a_large_wedge_makes_no_cochain_cups(monkeypatch):
-    k = _m8_wedge(4)
+    k = m8_wedge(4)
     assert k.n_triangles == 4608
     counts = Counter()
     monkeypatch.setattr(homology, "cup_product", _counting(counts, "cups", cup_product))

@@ -7,17 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simpsurf import homology, reduction
 from simpsurf.bounds import parse_surface_id
 from simpsurf.complex2 import Complex2
-from simpsurf.gf2 import Gf2Matrix
-from simpsurf.homology import (betti_numbers, chain_support, has_property_a,
-                               homology_summary)
-from simpsurf.reduction import (PreservationSpec, _cycle_basis, _rank_and_relation,
-                                _values, collapse_all, eliminate_maximal_edges,
-                                kill_step, simplify_pipeline)
+from simpsurf.gf2 import Gf2Matrix, _relations
+from simpsurf.homology import (betti_numbers, boundary_matrix, chain_support,
+                               has_property_a, homology_summary)
+from simpsurf.reduction import (PreservationSpec, _cycle_basis, _values, collapse_all,
+                                eliminate_maximal_edges, kill_step, simplify_pipeline)
 from simpsurf.surfaces import attach_circle, catalog, classify, wedge
 
-from _fixtures import rp2, sphere, torus, torus_circle_sphere, torus_with_circle
+from _fixtures import (kernel_from_rref, m8_wedge, rp2, sphere, torus,
+                       torus_circle_sphere, torus_with_circle)
 
 
 def torus_functional() -> PreservationSpec:
@@ -57,11 +58,13 @@ def test_evaluation_matrix():
     assert _values(masks + [0b0001], z) == 0b10
 
 
-def test_dual_basis_is_the_summary_cocycle_basis():
+def _cycle_cases() -> list[Complex2]:
+    """Fixtures, the empty complex, catalog surfaces, seeded wedges with
+    circles and sphere bubbles, books, and the 4608-triangle M8 wedge."""
     complexes = [sphere(), rp2(), torus(), torus_with_circle(), torus_circle_sphere(),
                  Complex2((), (), ())]
     complexes += [catalog(parse_surface_id(name))
-                  for name in ("S2", "N1", "M1", "N2", "N3", "M2", "N4", "N5")]
+                  for name in ["S2"] + [f"{kind}{g}" for kind in "MN" for g in range(1, 9)]]
     rng = random.Random(20261019)
     for _ in range(20):
         base = catalog(parse_surface_id(rng.choice(("S2", "N1", "M1", "N2", "N3"))))
@@ -72,7 +75,13 @@ def test_dual_basis_is_the_summary_cocycle_basis():
             bubble = sphere().relabeled({v: 100 + 10 * j + v for v in range(4)})
             k = wedge(k, rng.choice(base.vertices), bubble, 100 + 10 * j)
         complexes.append(k)
-    for k in complexes:
+    complexes += [_book(rng) for _ in range(10)]
+    complexes.append(m8_wedge(4))
+    return complexes
+
+
+def test_dual_basis_is_the_summary_cocycle_basis():
+    for k in _cycle_cases():
         reps = homology_summary(k).cocycle_reps[2]
         for r in range(len(reps) + 1):
             assert PreservationSpec.dual_basis(k, r).supports == tuple(
@@ -83,11 +92,27 @@ def test_dual_basis_is_the_summary_cocycle_basis():
 @given(width=st.integers(0, 6), data=st.data())
 def test_rank_and_relation_is_the_first_kernel_vector(width, data):
     values = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=10))
-    # the matrix whose columns are the values; a relation is a kernel vector
+    # the matrix whose columns are the values; the relations are its kernel
+    # basis, in order, so the first relation is the first kernel vector
     matrix = Gf2Matrix(len(values), width, values).transpose()
-    kernel = matrix.kernel_basis()
-    assert _rank_and_relation(values) == (matrix.rank(),
-                                          kernel[0].bits if kernel else None)
+    span, relations = _relations(values, width)
+    assert relations == [z.bits for z in matrix.kernel_basis()]
+    assert span.dim == matrix.rank()
+    assert span._mask < 1 << width
+
+
+def test_cycle_basis_is_the_kernel_basis_of_d2():
+    shapes = Counter()
+    for k in _cycle_cases():
+        shapes["b2>=2"] += len(_cycle_basis(k)[0]) >= 2
+        shapes["large"] += k.n_triangles == 4608
+        # the old route: the reduced row echelon form of d2, its kernel read
+        # off the reduced rows
+        d2 = boundary_matrix(k, 2)
+        kernel = [z.bits for z in kernel_from_rref(d2.n_cols, *d2._rref())]
+        assert _cycle_basis(k) == (kernel, betti_numbers(k))
+        assert kernel == [z.bits for z in d2.kernel_basis()]
+    assert shapes["b2>=2"] >= 10 and shapes["large"] == 1
 
 
 def test_surjectivity():
@@ -433,18 +458,27 @@ def test_pipeline_work_is_bounded_per_phase(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(Complex2, "__init__", counting("builds", Complex2.__init__))
-    monkeypatch.setattr(Gf2Matrix, "_rref", counting("eliminations", Gf2Matrix._rref))
+    monkeypatch.setattr(Gf2Matrix, "_rref", counting("rrefs", Gf2Matrix._rref))
+    monkeypatch.setattr(Gf2Matrix, "kernel_basis",
+                        counting("kernels", Gf2Matrix.kernel_basis))
+    monkeypatch.setattr(homology, "boundary_matrix",
+                        counting("matrices", homology.boundary_matrix))
+    monkeypatch.setattr(reduction, "_boundary_relations",
+                        counting("eliminations", reduction._boundary_relations))
     trace = simplify_pipeline(k, spec)
     assert (len(trace.killed_triangles), trace.free_rank) == (1, 1)
     assert trace.collapses and trace.contractions
     # one complex after the kills and one at the end; one elimination of
-    # the boundary map at each phase boundary (input, after kills, result)
+    # the triangle boundaries at each phase boundary (input, after kills,
+    # result), and no dense matrix anywhere
     assert counts["builds"] <= 2
-    assert counts["eliminations"] <= 3
-    # the default spec is read off the input's cycle basis: one more
-    # elimination, its reduced row echelon form
+    assert counts["eliminations"] == 3
+    assert counts["rrefs"] == counts["kernels"] == counts["matrices"] == 0
+    # the default spec is read off the input's cycle basis, with no further
+    # elimination of the boundaries
     counts.clear()
     trace = simplify_pipeline(k, target_rank=1)
     assert (len(trace.killed_triangles), trace.free_rank) == (1, 1)
     assert counts["builds"] <= 2
-    assert counts["eliminations"] <= 4
+    assert counts["eliminations"] == 3
+    assert counts["rrefs"] == counts["kernels"] == counts["matrices"] == 0
