@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Optional
 
@@ -60,8 +61,56 @@ def _load(path: str) -> tuple[str, Complex2]:
     return name or Path(path).stem, k
 
 
+_INTS = {int}
+
+
 def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    print(_json_text(payload))
+
+
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2), byte for byte, in about half its time.
+
+    json.dumps writes an indented document in pure Python, one token at
+    a time.  Here each container is one join over its items' texts, and a
+    list of ints one join over str(int), also when it sits one level down
+    (edge and triangle lists), so that it costs no call of its own.  A
+    scalar that is not a str or an int goes to json.dumps itself, so
+    floats, bools and None come out as json writes them.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if type(value) is int:
+        return str(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == _INTS:
+            items = map(str, value)
+        else:
+            deeper = f",\n{inner}  "
+            items = [f"[\n{inner}  {deeper.join(map(str, v))}\n{inner}]"
+                     if type(v) is list and set(map(type, v)) == _INTS
+                     else _json_text(v, inner) for v in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_json_key(k)}: {_json_text(v, inner)}"
+                 for k, v in value.items()]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    return json.dumps(value)
+
+
+def _json_key(key) -> str:
+    """A dict key as json.dumps writes it: a non-str key is converted."""
+    if isinstance(key, str):
+        return _quote(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{json.dumps(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
 
 
 def _complex_payload(k: Complex2, betti: tuple[int, int, int]) -> dict:

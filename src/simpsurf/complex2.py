@@ -11,7 +11,8 @@ anything that must survive an edit is recorded by vertex tuple instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from operator import eq
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 __all__ = [
@@ -29,8 +30,9 @@ Triangle = tuple[Label, Label, Label]
 
 
 def label_key(label: Label):
-    """Sort key giving the canonical vertex order."""
-    if isinstance(label, int):
+    """Sort key giving the canonical vertex order.  A bool is not a label:
+    it would compare equal to 0 or 1 and merge with it."""
+    if isinstance(label, int) and not isinstance(label, bool):
         return (0, label, "")
     if isinstance(label, str):
         return (1, 0, label)
@@ -47,31 +49,59 @@ def canon_triangle(a: Label, b: Label, c: Label) -> Triangle:
     return (u, v, w)
 
 
-def _label_order(labels) -> Optional[Callable]:
+def _labels(vertices, edges, triangles):
+    """Every label occurrence of one build, in argument order."""
+    return chain(vertices, chain.from_iterable(edges),
+                 chain.from_iterable(triangles))
+
+
+def _label_order(vertices, edges, triangles) -> Optional[Callable]:
     """The sort key giving the canonical order on one build's labels.
 
-    When every label is an int, or every label is a str, plain comparison
-    already is the label_key order, so no key is needed (None).  A mixed
-    set is sorted by label_key once, which also rejects a label of any
-    other type, and the key is each label's position in that order.
+    One pass collects the type of every label occurrence, and each
+    distinct type is checked once.  A label that is not an int or str
+    raises label_key's TypeError, naming the first such label in argument
+    order; types are taken per occurrence because True and 1.0 would
+    merge with 1 in a set of labels.  When every label is an int, or every
+    label is a str, plain comparison already is the label_key order, so no
+    key is needed (None).  A mixed set is ranked by label_key once, and
+    the key is each label's position in that order.
     """
-    if all(isinstance(v, int) for v in labels) or all(isinstance(v, str) for v in labels):
+    types = set(map(type, _labels(vertices, edges, triangles)))
+    if len(types) == 1 and (int in types or str in types):
+        return None  # the common case, without the checks below
+    if bool in types or not all(issubclass(t, (int, str)) for t in types):
+        for v in _labels(vertices, edges, triangles):
+            label_key(v)
+    if (all(issubclass(t, int) for t in types)
+            or all(issubclass(t, str) for t in types)):
         return None
-    return {v: i for i, v in enumerate(sorted(labels, key=label_key))}.__getitem__
+    ranked = sorted(set(_labels(vertices, edges, triangles)), key=label_key)
+    return dict(zip(ranked, range(len(ranked)))).__getitem__
 
 
-def _distinct_simplices(simplices, arity: int, what: str, labels: set) -> list[tuple]:
-    """The simplices as tuples, checked to be arity distinct vertices;
-    their vertices are added to labels."""
-    out = []
-    for s in simplices:
-        s = tuple(s)
-        vs = set(s)
-        if len(vs) != arity or len(s) != arity:
-            raise ValueError(f"degenerate {what} {s!r}")
-        labels |= vs
-        out.append(s)
-    return out
+def _proper(rows: list, arity: int) -> bool:
+    """Whether every sorted row holds arity distinct labels, that is,
+    has length arity and no two equal neighbours."""
+    if set(map(len, rows)) != {arity}:
+        return False
+    columns = list(zip(*rows))
+    return not any(map(eq, chain(*columns[:-1]), chain(*columns[1:])))
+
+
+def _rows(simplices: list, key, arity: int, what: str) -> list[tuple]:
+    """Each simplex as a tuple sorted by key, in the given order, checked
+    to hold arity distinct labels; the ValueError names the first that
+    does not, as given."""
+    if key is None:
+        rows = list(map(tuple, map(sorted, simplices)))
+    else:
+        rows = [tuple(sorted(s, key=key)) for s in simplices]
+    if rows and not _proper(rows, arity):
+        bad = next(s for s, row in zip(simplices, rows)
+                   if not _proper([row], arity))
+        raise ValueError(f"degenerate {what} {tuple(bad)!r}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -91,52 +121,78 @@ class SimplexId:
 class Complex2:
     """An abstract simplicial complex of dimension at most 2.
 
-    A build chooses one sort key from its label set and sorts each simplex
-    with it once.  When every label is an int, or every label is a str,
-    plain tuple comparison is the label_key order and no key is used; a
-    mixed label set is ranked by label_key once and sorted by those ranks.
-    from_triangles takes the closure of the sorted triangles directly;
-    __init__ checks that the closure was given.
+    Both constructors make one pass over their arguments.  The type of
+    every label is checked (a bool, float or None is a TypeError), one
+    sort key is chosen from the label types, and each simplex is sorted
+    with it once; the sorted tuples are checked for degenerate simplices
+    (edges first, then triangles) and then serve the closure.  When every
+    label is an int, or every label is a str, plain tuple comparison is
+    the label_key order and no key is used; a mixed label set is ranked by
+    label_key once and sorted by those ranks.  from_triangles takes the
+    closure of the sorted simplices; __init__ checks that the closure was
+    given: first every triangle's edges, then every edge's endpoints.
+    That endpoint check lives in __init__ alone, the only constructor
+    where an endpoint can be missing.  The triangles at each edge and at
+    each vertex are indexed on first use.
     """
 
     __slots__ = ("vertices", "edges", "triangles",
                  "_vertex_index", "_edge_index", "_triangle_index",
-                 "_tris_at_edge", "_edges_at_vertex", "_tris_at_vertex")
+                 "_edges_at_vertex", "_triangle_maps")
 
     def __init__(self,
                  vertices: Iterable[Label],
                  edges: Iterable[Sequence[Label]] = (),
                  triangles: Iterable[Sequence[Label]] = ()) -> None:
-        labels = set(vertices)
-        vert_set = set(labels)
-        tris = _distinct_simplices(triangles, 3, "triangle", labels)
-        edge_list = _distinct_simplices(edges, 2, "edge", labels)
-        key = _label_order(labels)
-        tri_set = {tuple(sorted(t, key=key)) for t in tris}
-        edge_set = {tuple(sorted(e, key=key)) for e in edge_list}
-        for t in tri_set:
-            for e in combinations(t, 2):
-                if e not in edge_set:
-                    raise ValueError(f"edge {e!r} of triangle {t!r} is missing; "
-                                     "use from_triangles to take closures")
-        self._setup(vert_set, edge_set, tri_set, key)
+        vertices, edges, triangles = list(vertices), list(edges), list(triangles)
+        key = _label_order(vertices, edges, triangles)
+        edge_rows = _rows(edges, key, 2, "edge")
+        tri_rows = _rows(triangles, key, 3, "triangle")
+        vert_set, edge_set = set(vertices), set(edge_rows)
+        if tri_rows:
+            a, b, c = zip(*tri_rows)
+            if not edge_set.issuperset(chain(zip(a, b), zip(a, c), zip(b, c))):
+                t, e = next((t, e) for t in tri_rows
+                            for e in combinations(t, 2) if e not in edge_set)
+                raise ValueError(f"edge {e!r} of triangle {t!r} is missing; "
+                                 "use from_triangles to take closures")
+        if not vert_set.issuperset(chain.from_iterable(edge_rows)):
+            v, e = next((v, e) for e in edge_rows for v in e if v not in vert_set)
+            raise ValueError(f"endpoint {v!r} of edge {e!r} is missing")
+        self._setup(vert_set, edge_set, set(tri_rows), key)
 
     def _setup(self, vert_set: set, edge_set: set, tri_set: set, key) -> None:
-        """Store canonical simplex sets, already sorted inside by key."""
-        for e in edge_set:
-            for v in e:
-                if v not in vert_set:
-                    raise ValueError(f"endpoint {v!r} of edge {e!r} is missing")
+        """Store closed canonical simplex sets, already sorted inside by key."""
         tuple_key = None if key is None else (lambda s: tuple(map(key, s)))
         self.vertices: tuple[Label, ...] = tuple(sorted(vert_set, key=key))
         self.edges: tuple[Edge, ...] = tuple(sorted(edge_set, key=tuple_key))
         self.triangles: tuple[Triangle, ...] = tuple(sorted(tri_set, key=tuple_key))
-        self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        self._edge_index = {e: i for i, e in enumerate(self.edges)}
-        self._triangle_index = {t: i for i, t in enumerate(self.triangles)}
+        self._vertex_index = dict(zip(self.vertices, range(len(self.vertices))))
+        self._edge_index = dict(zip(self.edges, range(len(self.edges))))
+        self._triangle_index = dict(zip(self.triangles, range(len(self.triangles))))
 
-        tris_at_edge: dict[Edge, list[Triangle]] = {e: [] for e in self.edges}
         edges_at_vertex: dict[Label, list[Edge]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            edges_at_vertex[e[0]].append(e)
+            edges_at_vertex[e[1]].append(e)
+        self._edges_at_vertex = {v: tuple(es) for v, es in edges_at_vertex.items()}
+        self._triangle_maps = None
+
+    # The triangles at each edge and at each vertex are indexed on first
+    # use: homology and the cup form never read them, and they are over a
+    # quarter of the cost of a build.
+
+    @property
+    def _tris_at_edge(self) -> dict:
+        return (self._triangle_maps or self._index_triangles())[0]
+
+    @property
+    def _tris_at_vertex(self) -> dict:
+        return (self._triangle_maps or self._index_triangles())[1]
+
+    def _index_triangles(self) -> tuple[dict, dict]:
+        """Fill the triangles at each edge and at each vertex, in order."""
+        tris_at_edge: dict[Edge, list[Triangle]] = {e: [] for e in self.edges}
         tris_at_vertex: dict[Label, list[Triangle]] = {v: [] for v in self.vertices}
         for t in self.triangles:
             a, b, c = t
@@ -146,12 +202,9 @@ class Complex2:
             tris_at_vertex[a].append(t)
             tris_at_vertex[b].append(t)
             tris_at_vertex[c].append(t)
-        for e in self.edges:
-            edges_at_vertex[e[0]].append(e)
-            edges_at_vertex[e[1]].append(e)
-        self._tris_at_edge = {e: tuple(ts) for e, ts in tris_at_edge.items()}
-        self._edges_at_vertex = {v: tuple(es) for v, es in edges_at_vertex.items()}
-        self._tris_at_vertex = {v: tuple(ts) for v, ts in tris_at_vertex.items()}
+        self._triangle_maps = ({e: tuple(ts) for e, ts in tris_at_edge.items()},
+                               {v: tuple(ts) for v, ts in tris_at_vertex.items()})
+        return self._triangle_maps
 
     # ------------------------------------------------------------ building
 
@@ -160,22 +213,28 @@ class Complex2:
                        triangles: Iterable[Sequence[Label]],
                        extra_edges: Iterable[Sequence[Label]] = (),
                        extra_vertices: Iterable[Label] = ()) -> "Complex2":
-        """Build the closure of the given triangles plus loose edges/vertices."""
-        labels = set(extra_vertices)
-        edge_list = _distinct_simplices(extra_edges, 2, "edge", labels)
-        tris = _distinct_simplices(triangles, 3, "triangle", labels)
-        key = _label_order(labels)
-        edge_set = {tuple(sorted(e, key=key)) for e in edge_list}
-        tri_set = set()
-        for t in tris:
-            t = tuple(sorted(t, key=key))
-            a, b, c = t
-            tri_set.add(t)
-            edge_set.add((a, b))
-            edge_set.add((a, c))
-            edge_set.add((b, c))
+        """Build the closure of the given triangles plus loose edges/vertices.
+
+        The checks are __init__'s without the closure checks: every edge
+        and vertex the closure needs is added, so none can be missing.
+        """
+        vertices, edges = list(extra_vertices), list(extra_edges)
+        triangles = list(triangles)
+        key = _label_order(vertices, edges, triangles)
+        edge_set = set(_rows(edges, key, 2, "edge"))
+        return cls._closure(set(vertices), edge_set,
+                            set(_rows(triangles, key, 3, "triangle")), key)
+
+    @classmethod
+    def _closure(cls, vert_set: set, edge_set: set, tri_set: set, key) -> "Complex2":
+        """The complex of checked, sorted simplices and all their faces;
+        vert_set and edge_set are completed in place."""
+        if tri_set:
+            a, b, c = zip(*tri_set)
+            edge_set.update(zip(a, b), zip(a, c), zip(b, c))
+        vert_set.update(chain.from_iterable(edge_set))
         k = cls.__new__(cls)
-        k._setup(labels, edge_set, tri_set, key)
+        k._setup(vert_set, edge_set, tri_set, key)
         return k
 
     def relabeled(self, mapping: Mapping[Label, Label]) -> "Complex2":
@@ -268,7 +327,8 @@ class Complex2:
 
     def maximal_edges(self) -> tuple[Edge, ...]:
         """Edges contained in no triangle, in canonical order."""
-        return tuple(e for e in self.edges if not self._tris_at_edge[e])
+        tris_at_edge = self._tris_at_edge
+        return tuple(e for e in self.edges if not tris_at_edge[e])
 
     def isolated_vertices(self) -> tuple[Label, ...]:
         return tuple(v for v in self.vertices if not self._edges_at_vertex[v])

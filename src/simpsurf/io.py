@@ -12,8 +12,29 @@ completes the downward closure.  The writer always emits the full closure
 with sorted tuples and a fixed key order, so writing is a canonicalization
 fixpoint and output files are diffable and golden-testable.
 
+The loader validates a document in one pass that also builds the
+complex: each simplex's shape is checked once, each label type once, and
+the sorted tuples that the closure needs find duplicate and degenerate
+simplices.  Only when that pass fails does a scan in document order name
+the fault, so that the message does not depend on how the pass is done.
+The first fault in this order of precedence is reported:
+
+  1. the top level is not an object; unknown keys; a name that is not a
+     string; a face list ("vertices", "edges", "triangles") that is not
+     a list;
+  2. in document order, vertices, then edges, then triangles, each
+     simplex's shape before its labels: an edge or triangle that is not a
+     list of 2 or 3 items, or a label that is not an int or str (a bool
+     is not a label);
+  3. a duplicate vertex, then edge, then triangle: the same vertices in
+     any order, named sorted;
+  4. a degenerate edge, then triangle, with a repeated vertex, named as
+     written.
+
 A functional file is a JSON list of functionals, each a list of triangle
-vertex-triples carrying coefficient 1.
+vertex-triples carrying coefficient 1.  Its triangles get the same shape
+and label checks, functional by functional; a degenerate one is named
+after them.
 
 A group profile file is one object with keys name, h1, h2, property_a and
 an optional presentation_note.
@@ -22,11 +43,12 @@ an optional presentation_note.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Union
 
 from .bounds import GroupProfile
-from .complex2 import Complex2, Label, label_key
+from .complex2 import Complex2, _label_order, _rows, label_key
 from .reduction import PreservationSpec
 
 __all__ = [
@@ -67,42 +89,78 @@ def _read_json(path: Pathish):
         raise FormatError(f"{source}: not readable JSON: {exc}") from exc
 
 
-def _check_label(x, source: str) -> Label:
+def _label_problem(x) -> Optional[str]:
     if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise FormatError(
-            f"{source}: vertex label {x!r} is not an integer or string")
-    return x
+        return f"vertex label {x!r} is not an integer or string"
+    return None
 
 
-def _check_simplex(raw, arity: int, what: str, source: str) -> tuple:
-    if not isinstance(raw, list) or len(raw) != arity:
-        raise FormatError(
-            f"{source}: {what} {raw!r} is not a list of {arity} vertex labels")
-    return tuple(_check_label(x, source) for x in raw)
+def _simplex_problem(raw, arity: int, what: str) -> Optional[str]:
+    """The first fault of a face list in document order: a simplex that
+    is not a list of arity items, or a label that is not an int or str."""
+    for s in raw:
+        if not isinstance(s, list) or len(s) != arity:
+            return f"{what} {s!r} is not a list of {arity} vertex labels"
+        for x in s:
+            problem = _label_problem(x)
+            if problem:
+                return problem
+    return None
 
 
-def _check_no_duplicates(items, what: str, source: str) -> None:
-    seen = set()
-    for item in items:
-        if item in seen:
-            raise FormatError(f"{source}: duplicate {what} {item!r}")
-        seen.add(item)
+def _first_problem(vertices: list, edges: list, triangles: list) -> str:
+    """The message for a document the one-pass build rejected, found by a
+    scan in the order of precedence given in the module docstring."""
+    problem = (next(filter(None, map(_label_problem, vertices)), None)
+               or _simplex_problem(edges, 2, "edge")
+               or _simplex_problem(triangles, 3, "triangle"))
+    if problem:
+        return problem
+    seen: set = set()
+    for v in vertices:
+        if v in seen:
+            return f"duplicate vertex {v!r}"
+        seen.add(v)
+    for what, raw in (("edge", edges), ("triangle", triangles)):
+        seen = set()
+        for s in raw:
+            row = tuple(sorted(s, key=label_key))
+            if row in seen:
+                return f"duplicate {what} {row!r}"
+            seen.add(row)
+    for what, raw in (("edge", edges), ("triangle", triangles)):
+        for s in raw:
+            if len(set(s)) != len(s):
+                return f"degenerate {what} {tuple(s)!r}"
+    raise AssertionError("the one-pass build and the scan disagree")
 
 
-def _check_no_duplicate_simplices(simplices, what: str, source: str) -> None:
-    """Reject two simplices with the same vertices in any order.
+def _shaped(raw: list, arity: int) -> bool:
+    """Whether every simplex in raw is a list of arity items."""
+    return (all(map(isinstance, raw, repeat(list)))
+            and set(map(len, raw)) <= {arity})
 
-    Simplices with distinct vertices are compared as sets; a degenerate
-    one, as a sorted tuple.  Only the error message sorts a simplex.
+
+def _build(vertices: list, edges: list, triangles: list) -> Optional[Complex2]:
+    """The complex of valid face lists, or None when any check fails.
+
+    Every label and simplex is checked once: the shape here, the label
+    types and degenerate simplices by the sort that the closure needs,
+    duplicates by the sizes of the sets of sorted tuples.
     """
-    seen = set()
-    for s in simplices:
-        vs = frozenset(s)
-        item = vs if len(vs) == len(s) else tuple(sorted(s, key=label_key))
-        if item in seen:
-            raise FormatError(f"{source}: duplicate {what} "
-                              f"{tuple(sorted(s, key=label_key))!r}")
-        seen.add(item)
+    if not (_shaped(edges, 2) and _shaped(triangles, 3)):
+        return None
+    try:
+        key = _label_order(vertices, edges, triangles)
+        edge_rows = _rows(edges, key, 2, "edge")
+        tri_rows = _rows(triangles, key, 3, "triangle")
+    except (TypeError, ValueError):
+        return None
+    vert_set, edge_set, tri_set = set(vertices), set(edge_rows), set(tri_rows)
+    if (len(vert_set) != len(vertices) or len(edge_set) != len(edge_rows)
+            or len(tri_set) != len(tri_rows)):
+        return None
+    return Complex2._closure(vert_set, edge_set, tri_set, key)
 
 
 def complex_from_dict(data, source: str = "<data>") -> Complex2:
@@ -115,23 +173,14 @@ def complex_from_dict(data, source: str = "<data>") -> Complex2:
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise FormatError(f"{source}: name must be a string, got {name!r}")
-    for key in ("vertices", "edges", "triangles"):
-        if not isinstance(data.get(key, []), list):
+    faces = [data.get(key, []) for key in ("vertices", "edges", "triangles")]
+    for key, raw in zip(("vertices", "edges", "triangles"), faces):
+        if not isinstance(raw, list):
             raise FormatError(f"{source}: {key} must be a list")
-
-    vertices = [_check_label(v, source) for v in data.get("vertices", [])]
-    edges = [_check_simplex(e, 2, "edge", source) for e in data.get("edges", [])]
-    triangles = [_check_simplex(t, 3, "triangle", source)
-                 for t in data.get("triangles", [])]
-    # duplicates are checked before closure deduplicates them
-    _check_no_duplicates(vertices, "vertex", source)
-    _check_no_duplicate_simplices(edges, "edge", source)
-    _check_no_duplicate_simplices(triangles, "triangle", source)
-    try:
-        return Complex2.from_triangles(triangles, extra_edges=edges,
-                                       extra_vertices=vertices)
-    except (ValueError, TypeError) as exc:
-        raise FormatError(f"{source}: {exc}") from exc
+    k = _build(*faces)
+    if k is None:
+        raise FormatError(f"{source}: {_first_problem(*faces)}")
+    return k
 
 
 def complex_to_dict(k: Complex2, name: Optional[str] = None) -> dict:
@@ -175,16 +224,15 @@ def load_functionals(path: Pathish) -> PreservationSpec:
     data = _read_json(path)
     if not isinstance(data, list):
         raise FormatError(f"{source}: expected a list of functionals")
-    lists = []
     for i, functional in enumerate(data):
         if not isinstance(functional, list):
             raise FormatError(
                 f"{source}: functional {i} is not a list of triangles")
-        lists.append([_check_simplex(t, 3, "triangle",
-                                     f"{source}: functional {i}")
-                      for t in functional])
+        problem = _simplex_problem(functional, 3, "triangle")
+        if problem:
+            raise FormatError(f"{source}: functional {i}: {problem}")
     try:
-        return PreservationSpec.from_triangle_lists(lists)
+        return PreservationSpec.from_triangle_lists(data)
     except ValueError as exc:
         raise FormatError(f"{source}: {exc}") from exc
 

@@ -84,9 +84,10 @@ def canonical_form(k: Complex2) -> tuple:
     own, and every labeling of that cell gives the same key.
     """
     verts = k.vertices
+    tris_at_edge = k._tris_at_edge
     colors = {
         v: (len(k.edges_at_vertex(v)), len(k.triangles_at_vertex(v)),
-            tuple(sorted(len(k._tris_at_edge[e]) for e in k.edges_at_vertex(v))))
+            tuple(sorted(len(tris_at_edge[e]) for e in k.edges_at_vertex(v))))
         for v in verts
     }
     while True:

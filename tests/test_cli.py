@@ -8,6 +8,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simpsurf import cli
 from simpsurf.cli import main, run_report
@@ -400,6 +402,43 @@ def test_cli_output_matches_the_golden_corpus(tmp_path):
     assert [r["argv"] for r in got] == [r["argv"] for r in expected]
     for g, e in zip(got, expected):
         assert g == e, g["argv"]
+
+
+# ------------------------------------------------------------ JSON writer
+#
+# --json documents must stay byte-identical to json.dumps(payload,
+# indent=2), the writer the CLI used before and the oracle here.
+
+_SCALARS = st.one_of(st.integers(), st.integers(-3, 3), st.booleans(),
+                     st.none(), st.floats(), st.text())
+_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(),
+                  st.none())
+_PAYLOADS = st.recursive(
+    st.one_of(_SCALARS, st.lists(st.integers()),
+              st.lists(st.lists(st.integers(-9, 9), max_size=3))),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_PAYLOADS)
+def test_json_writer_matches_json_dumps(payload):
+    assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+
+def test_json_writer_matches_json_dumps_on_the_golden_corpus(tmp_path,
+                                                             monkeypatch):
+    payloads = []
+    monkeypatch.setattr(cli, "_print_json", payloads.append)
+    for argv in _golden_calls(tmp_path):
+        if "--json" in argv:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                main(argv)
+    assert len(payloads) > 40
+    for payload in payloads:
+        assert cli._json_text(payload) == json.dumps(payload, indent=2)
 
 
 if __name__ == "__main__":

@@ -34,6 +34,24 @@ def test_degenerate_rejected():
         label_key(1.5)
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.0, None])
+def test_labels_of_other_types_rejected_by_both_constructors(bad):
+    # True == 1 and 1.0 == 1, so a set of labels would merge them with 1
+    # whichever comes first; each occurrence's type is checked
+    message = rf"vertex label {bad!r} is not an int or str"
+    for tris in ([(bad, 2, 3), (1, 2, 4)], [(1, 2, 4), (bad, 2, 3)]):
+        with pytest.raises(TypeError, match=message):
+            Complex2.from_triangles(tris)
+    with pytest.raises(TypeError, match=message):
+        Complex2.from_triangles([(1, 2, 3)], extra_vertices=[bad])
+    with pytest.raises(TypeError, match=message):
+        Complex2([1, 2, bad], [(1, 2), (1, bad), (2, bad)], [(1, 2, bad)])
+    with pytest.raises(TypeError, match=message):
+        Complex2([0, bad])
+    with pytest.raises(TypeError, match=message):
+        label_key(bad)
+
+
 def test_init_requires_closure():
     with pytest.raises(ValueError, match="missing"):
         Complex2([1, 2, 3], [], [[1, 2, 3]])
