@@ -6,7 +6,8 @@ Up to eight vertices, every closed candidate complex can be enumerated
 outright.  Two headline facts fall out: the projective plane genuinely
 needs 10 triangles (and the torus does not fit on 6 vertices at all), and
 no complex has all edges of degree 2 except a single edge of degree 3:
-edge degrees sum to an even number.
+mod 2 the boundary of the sum of all triangles would be that one edge,
+and an edge's boundary is not zero.
 """
 
 from simpsurf import (canonical_form, catalog, complexes_with_one_triple_edge,
@@ -28,8 +29,9 @@ print("M1 on <= 6 vertices:",
 result = min_triangles_for_surface(7, torus)
 print(f"M1 on <= 7 vertices: min = {result.min_triangles} triangles")
 
-# the parity obstruction behind the exceptional surfaces: a lone odd edge
-# would make the total edge degree odd, and no assembly order avoids it
+# the parity obstruction behind the exceptional surfaces: at an endpoint of
+# a lone odd edge, the link would be a graph with exactly one odd-degree
+# vertex; the search starts from that edge and finds no completion
 for n in (6, 7, 8):
     found = complexes_with_one_triple_edge(n)
     print(f"single degree-3 edge on <= {n} vertices: {len(found)} complexes")

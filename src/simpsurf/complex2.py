@@ -359,7 +359,7 @@ class Complex2:
                             comp.add(w)
                             stack.append(w)
             seen |= comp
-            comps.append(tuple(sorted(comp, key=label_key)))
+            comps.append(tuple(sorted(comp, key=self._vertex_index.__getitem__)))
         return tuple(comps)
 
     def is_connected(self) -> bool:

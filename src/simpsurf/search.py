@@ -1,31 +1,34 @@
 """Exhaustive desk-scale searches over small closed complexes.
 
-The enumeration grows complexes triangle by triangle, always closing the
-smallest edge currently in exactly one triangle, with new vertices forced
-to take the next unused label.  Every complex in which each edge lies in
-exactly two triangles (plus, optionally, exactly one edge in three) and
-whose triangles are edge-connected arises this way up to isomorphism: an
-unfinished edge always has its closing triangle available to the branch,
-and when nothing is open the next triangle must ride on an edge that ends
-up with three, which is exactly the budgeted move.  Components without
-triangles cannot occur, and a hypothetical example with extra components
-would contain an edge-connected one, so searching edge-connected
-complexes only loses nothing.
+The enumeration grows a seed (a few triangles on the first labels)
+triangle by triangle, always closing the smallest edge currently in
+exactly one triangle, with new vertices forced to take the next unused
+label.  A seed edge in two or more seed triangles is full and takes no
+more.  Every edge-connected complex with each edge in two triangles,
+except the full seed edges which keep their seed degree, arises this way
+up to isomorphism once a relabeling carries the seed into it: an open
+edge lies in one more triangle of the complex, that triangle meets no
+full edge (a full edge has all its triangles already), and its third
+vertex has a label or takes the next one.  A hypothetical example with
+several components contains an edge-connected one, so nothing is lost.
 
-The searches stay on integer states from start to finish.  The enumerator
-keeps a state as bitmasks (edges in one, two and three triangles, and the
-placed triangles), and its integer triangles go straight to the surface
+The closed search seeds (0, 1, 2).  The search for a lone triple edge
+seeds (0, 1, 2), (0, 1, 3), (0, 1, 4) with 01 full, since the triple edge
+and its three apexes relabel to 0..4; it dies at the link of vertex 0
+after a few nodes, yet no parity argument cuts it, so it stays an
+independent check of the parity obstruction.
+
+The searches stay on integer states from start to finish: the enumerator
+keeps bitmasks, and its integer triangles go straight to the surface
 recognizer that classify itself runs on, so no Complex2 is built until a
-search has its witness, which classify then confirms.
-
-Nothing here assumes the counting results elsewhere in the package; the
-searches re-derive their answers by brute force so the two routes stay
-independent.
+search has its witness, which classify then confirms.  Nothing here
+assumes the counting results elsewhere in the package.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -181,69 +184,68 @@ def canonical_form(k: Complex2) -> tuple:
 def _enumerate_closed(n_max: int, allow_one_triple: bool,
                       chi_target: Optional[int] = None):
     """Return (triangles, used_vertices) for every complete state, in
-    search order.
+    search order: no edge lies in exactly one triangle.  With
+    allow_one_triple the search seeds the triple edge, so edge 01 lies in
+    three triangles of every state returned (there is none below five
+    vertices).  chi_target prunes branches that can no longer reach a
+    complete state with that Euler characteristic."""
+    seed = [(0, 1, 2), (0, 1, 3), (0, 1, 4)] if allow_one_triple else [(0, 1, 2)]
+    return _closures(n_max, seed, chi_target)
 
-    Complete means no edge lies in exactly one triangle.  With
-    allow_one_triple, states may route one edge through three triangles;
-    completions both with and without the triple edge are returned and the
-    caller filters.  chi_target prunes branches that can no longer reach a
-    closed complex with that Euler characteristic (every complete state
-    without a triple edge satisfies alpha2 = 2 alpha0 - 2 chi).
 
-    The state is a handful of ints.  Edge ids follow combinations order
-    and each triangle carries the mask of its three edges; three masks
-    hold the edges lying in one, two and three placed triangles, and one
-    more holds the placed triangles.  The edge to close is the lowest bit
-    of the one-triangle mask, and a candidate is admissible when its edge
-    mask misses the three-triangle mask and meets the two-triangle mask
-    at most in the single edge the triple budget allows.
+def _closures(n_max: int, seed: list, chi_target: Optional[int] = None):
+    """Every complete state the seed grows into on n_max labels, closing
+    the lowest open edge first, as (triangles, used_vertices).
+
+    The state is four ints: the edges in exactly one placed triangle, the
+    full edges, the placed triangles (ids in combinations order) and the
+    labels used.  A candidate at the open edge is admissible when it is
+    not placed, takes at most the next label and misses the full edges.
+    Each full seed edge keeps its seed degree d, every other edge ends in
+    two triangles, so 3 alpha2 = 2 alpha1 + extra, extra summing d - 2:
+    that caps alpha2, and chi_target fixes alpha2 = 2 alpha0 - 2 chi + extra.
     """
+    used = max(map(max, seed)) + 1
+    if used > n_max:
+        return []
     tris = list(itertools.combinations(range(n_max), 3))
     edge_ids = {e: i for i, e in
                 enumerate(itertools.combinations(range(n_max), 2))}
-    cand = []  # (triangle id, edge mask, top label)
     at_edge: list[list[tuple]] = [[] for _ in edge_ids]
     for ti, (a, b, c) in enumerate(tris):
         ids = (edge_ids[(a, b)], edge_ids[(a, c)], edge_ids[(b, c)])
-        cand.append((ti, sum(1 << e for e in ids), c))
+        entry = (ti, sum(1 << e for e in ids), c)  # id, edge mask, top label
         for e in ids:
-            at_edge[e].append(cand[-1])
+            at_edge[e].append(entry)
 
-    cap = (2 * len(edge_ids) + (1 if allow_one_triple else 0)) // 3
+    degree = Counter(e for t in seed for e in itertools.combinations(t, 2))
+    extra = sum(d - 2 for d in degree.values() if d > 2)
+    cap = (2 * len(edge_ids) + extra) // 3
     if chi_target is not None:
-        cap = min(cap, 2 * n_max - 2 * chi_target)
-
-    state: list[int] = []
+        floor = extra - 2 * chi_target  # alpha2 = 2 alpha0 + floor
+        cap = min(cap, 2 * n_max + floor)
+    state = [tris.index(t) for t in seed]
     out = []
 
-    def dfs(one: int, two: int, three: int, placed: int, used: int) -> None:
+    def dfs(one: int, full: int, placed: int, used: int) -> None:
         if not one:
             out.append((tuple(tris[ti] for ti in state), used))
-            if not allow_one_triple or three or len(state) >= cap:
-                return
-            options = cand  # ride an edge up to three triangles, keep closing
-        else:
-            if len(state) >= cap:
-                return
-            if chi_target is not None and 2 * used - 2 * chi_target > cap:
-                return
-            options = at_edge[(one & -one).bit_length() - 1]
-        for ti, m, top in options:
-            if placed >> ti & 1 or top > used or m & three:
-                continue
-            hits = m & two  # edges this triangle would take to three
-            if hits:
-                if not allow_one_triple or three or hits & (hits - 1):
-                    continue
-            elif not one:
+            return
+        if len(state) >= cap:
+            return
+        if chi_target is not None and 2 * used + floor > cap:
+            return
+        for ti, m, top in at_edge[(one & -one).bit_length() - 1]:
+            if placed >> ti & 1 or top > used or m & full:
                 continue
             state.append(ti)
-            dfs((one & ~m) | (m & ~(one | two)), (two & ~m) | (one & m),
-                three | hits, placed | 1 << ti, max(used, top + 1))
+            dfs(one ^ m, full | (one & m), placed | 1 << ti,
+                max(used, top + 1))
             state.pop()
 
-    state.append(0)  # the triangle (0, 1, 2)
-    dfs(cand[0][1], 0, 0, 1, 3)
+    dfs(sum(1 << edge_ids[e] for e, d in degree.items() if d == 1),
+        sum(1 << edge_ids[e] for e, d in degree.items() if d > 1),
+        sum(1 << ti for ti in state), used)
     return out
 
 
@@ -314,10 +316,6 @@ def complexes_with_one_triple_edge(max_vertices: int) -> list[Complex2]:
     seen = set()
     found = []
     for tris, _used in _enumerate_closed(max_vertices, allow_one_triple=True):
-        # the edge degrees sum to 3 alpha2, which is 2 alpha1 plus one for
-        # a triple edge, so a state has its triple edge iff alpha2 is odd
-        if len(tris) % 2 == 0:
-            continue
         k = Complex2.from_triangles(tris)
         key = canonical_form(k)
         if key not in seen:

@@ -91,6 +91,10 @@ def test_components_include_isolated_vertices():
     assert k.connected_components() == ((1, 2, 3), (5, 6), (9,))
     assert not k.is_connected()
     assert k.isolated_vertices() == (9,)
+    # mixed labels: each component in label_key order, ints before strs
+    mixed = Complex2.from_triangles([["b", 10, 2], [2, "a", 10]],
+                                    extra_edges=[["z", 7]])
+    assert mixed.connected_components() == ((2, 10, "a", "b"), (7, "z"))
 
 
 def test_remove_open_triangle_chi():

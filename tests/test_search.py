@@ -14,7 +14,7 @@ from simpsurf import search
 from simpsurf.bounds import SPHERE, parse_surface_id
 from simpsurf.complex2 import Complex2
 from simpsurf.homology import betti_numbers
-from simpsurf.search import (_enumerate_closed, canonical_form,
+from simpsurf.search import (_closures, _enumerate_closed, canonical_form,
                              complexes_with_one_triple_edge,
                              min_triangles_for_surface)
 from simpsurf.surfaces import _classify_triangles, catalog, classify
@@ -106,6 +106,42 @@ def _enumerate_closed_reference(n_max: int, allow_one_triple: bool,
     place(0)  # the triangle (0, 1, 2)
     dfs(3, False)
     unplace(0)
+    return out
+
+
+def _closures_reference(n_max: int, seed: list) -> list:
+    """The seeded closing search of _closures, kept on a degree list per
+    edge: an edge in two or more triangles takes no further one."""
+    tris = list(itertools.combinations(range(n_max), 3))
+    deg = {e: 0 for e in itertools.combinations(range(n_max), 2)}
+    for t in seed:
+        for e in itertools.combinations(t, 2):
+            deg[e] += 1
+    cap = (2 * len(deg) + sum(d - 2 for d in deg.values() if d > 2)) // 3
+    state = list(seed)
+    out = []
+
+    def dfs(used: int) -> None:
+        open_edge = next((e for e, d in deg.items() if d == 1), None)
+        if open_edge is None:
+            out.append((tuple(state), used))
+            return
+        if len(state) >= cap:
+            return
+        for t in tris:
+            sides = list(itertools.combinations(t, 2))
+            if (open_edge not in sides or t in state or t[2] > used
+                    or any(deg[e] >= 2 for e in sides)):
+                continue
+            state.append(t)
+            for e in sides:
+                deg[e] += 1
+            dfs(max(used, t[2] + 1))
+            state.pop()
+            for e in sides:
+                deg[e] -= 1
+
+    dfs(max(map(max, seed)) + 1)
     return out
 
 
@@ -334,12 +370,47 @@ def test_no_lonely_triple_edge_at_small_scale():
 
 
 def test_enumerator_matches_the_reference():
-    modes = [(True, None), (False, None)]
-    modes += [(triple, chi) for triple in (True, False) for chi in (1, 0, -1)]
+    # the plain search is the reference's, state for state; the reference
+    # reaches a triple edge by riding one on a finished state, and finds
+    # no state with it (alpha2 odd), as the seeded start finds none
     for n in range(3, 9):
-        for triple, chi in modes:
-            assert (_enumerate_closed(n, triple, chi)
-                    == _enumerate_closed_reference(n, triple, chi)), (n, triple, chi)
+        for chi in (None, 1, 0, -1):
+            assert (_enumerate_closed(n, False, chi)
+                    == _enumerate_closed_reference(n, False, chi)), (n, chi)
+            odd = [(tris, used) for tris, used
+                   in _enumerate_closed_reference(n, True, chi)
+                   if len(tris) % 2]
+            assert odd == [] and _enumerate_closed(n, True, chi) == [], (n, chi)
+
+
+def test_seeded_start_finds_every_class():
+    # every complete state has an edge in two triangles, so starting from
+    # one, labeled (0, 1, 2) and (0, 1, 3), reaches every class the plain
+    # start does: the relabeling argument the triple-edge seed rests on
+    def classes(states):
+        return {canonical_form(Complex2.from_triangles(tris))
+                for tris, _used in states}
+
+    for n, count in zip(range(4, 8), (1, 2, 5, 16)):
+        seeded = classes(_closures(n, [(0, 1, 2), (0, 1, 3)]))
+        assert seeded == classes(_enumerate_closed(n, False))
+        assert len(seeded) == count
+
+
+def test_closures_match_the_degree_list_reference():
+    seeds = ([(0, 1, 2)], [(0, 1, 2), (0, 1, 3)],
+             [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+    for n in range(3, 8):
+        for seed in seeds:
+            if max(map(max, seed)) < n:
+                assert _closures(n, seed) == _closures_reference(n, seed), (n, seed)
+
+
+def test_no_lonely_triple_edge_beyond_the_public_scale():
+    # the seeded start dies at the link of vertex 0 within milliseconds,
+    # where riding an edge of every finished state does not end at 10
+    for n in range(9, 13):
+        assert _enumerate_closed(n, True) == []
 
 
 def test_franklin_n2_needs_eight_vertices():

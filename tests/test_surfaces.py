@@ -90,7 +90,7 @@ def _random_pinched_surface(rng: random.Random) -> Complex2:
 
 def test_classify_matches_the_link_graph_oracle():
     inputs = [Complex2.from_triangles(tris)
-              for n in range(3, 8) for tris, _ in _enumerate_closed(n, True)]
+              for n in range(3, 8) for tris, _ in _enumerate_closed(n, False)]
     rng = random.Random("link oracle")
     inputs += [_random_pinched_surface(rng) for _ in range(300)]
     reasons = [failure_reason_oracle(k) for k in inputs]
@@ -100,7 +100,7 @@ def test_classify_matches_the_link_graph_oracle():
 
 
 def test_recognizer_matches_independent_oracles():
-    states = [s for n in range(3, 9) for s in _enumerate_closed(n, True)]
+    states = [s for n in range(3, 9) for s in _enumerate_closed(n, False)]
     assert len(states) == 4189
     # hand-built states, each failing the first check it names
     tetra = list(itertools.combinations(range(4), 3))
