@@ -393,8 +393,9 @@ def _cmd_search(args) -> _Result:
         payload = {"max_vertices": n, "count": len(found),
                    "complexes": [complex_to_dict(c) for c in found]}
         line = (f"{len(found)} complexes found" if found
-                else f"none up to {n} vertices: an odd total edge degree "
-                     "is unreachable")
+                else f"none up to {n} vertices: mod 2 the boundary of the "
+                     "sum of all triangles would be the lone degree-3 edge, "
+                     "whose own boundary is not zero")
         return EXIT_OK, payload, [line]
     surface = _parse_surface(args.surface)
     print(f"enumerating closed complexes on up to {n} vertices "

@@ -21,8 +21,16 @@ independent check of the parity obstruction.
 The searches stay on integer states from start to finish: the enumerator
 keeps bitmasks, and its integer triangles go straight to the surface
 recognizer that classify itself runs on, so no Complex2 is built until a
-search has its witness, which classify then confirms.  Nothing here
-assumes the counting results elsewhere in the package.
+search has its witness, which classify then confirms.  The recognizer
+takes as given what classify checks on the 1-skeleton first, and every
+complete state of the closed search has both by construction: it is
+connected, since each triangle after the seed is placed on an edge
+already present, and each of its edges lies in exactly two triangles,
+since an edge is left open in one triangle or closed in two and no
+triangle is placed on a closed edge.  canonical_form likewise runs on
+vertex indices, so the triple-edge search keys its states as they come
+and builds a Complex2 only for a new class.  Nothing here assumes the
+counting results elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -56,6 +64,18 @@ def canonical_form(k: Complex2) -> tuple:
     consecutive label ranges, so only labelings that send each cell onto
     its own range take part.
 
+    The work runs on vertex indices (k's vertices numbered in canonical
+    order), in _canonical_key, so a desk-search state, whose vertices are
+    0..n-1 already, is keyed without building a Complex2.  A labeling is
+    a list indexed by vertex.  Under it each triangle's sorted labels
+    x <= y <= z are packed into the int ``x << 2w | y << w | z`` with
+    ``w = n.bit_length()``, and each loose edge (an edge in no triangle)
+    into ``x << w | y``.  Every label, and the mark n of a vertex with no
+    label yet, is below ``2^w``, so the fields do not overlap and codes
+    compare as the label tuples do; sorted lists of codes then compare as
+    the sorted lists of tuples, and the key's tuples are unpacked from
+    the least codes at the end.
+
     The minimum is found by depth-first branch and bound rather than by
     trying every such labeling.  Labels are placed one at a time, each on
     an unused vertex of the cell owning it and each cell's labels in
@@ -63,16 +83,16 @@ def canonical_form(k: Complex2) -> tuple:
     vertices all lie in triangles or none does).  At a node with more than
     one candidate, each unplaced vertex is given the least label its cell
     has left, at most the label it gets in any completion.  Every triangle
-    then gets a bound tuple, its labels so given or placed, sorted, and so
-    does every loose edge (an edge in no triangle).  Sorting preserves the
-    elementwise domination, so the pair of sorted bound lists is at most
-    the (triangle list, loose-edge list) pair of every labeling below the
-    node, and a node whose bound pair is strictly greater than the best
-    pair so far is cut.  Equal triangle lists have equal sets of triangle
-    edges, so the loose-edge lists decide the edge comparison, and the
-    least pair gives the key.  With the triangle cells placed first the
-    triangle bound is exact before any loose part is placed, so the
-    loose-edge bound cuts there.
+    then gets a bound code, of its labels so given or placed, and so does
+    every loose edge.  Sorting preserves the elementwise domination, so
+    the pair of sorted bound lists is at most the (triangle list,
+    loose-edge list) pair of every labeling below the node, and a node
+    whose bound pair is strictly greater than the best pair so far is
+    cut.  Equal triangle lists have equal sets of triangle edges, so the
+    loose-edge lists decide the edge comparison, and the least pair gives
+    the key.  With the triangle cells placed first the triangle bound is
+    exact before any loose part is placed, so the loose-edge bound cuts
+    there.
 
     A leaf that ties the best pair is an automorphism: sending each vertex
     to the vertex with the same label in the best labeling fixes the
@@ -86,58 +106,85 @@ def canonical_form(k: Complex2) -> tuple:
     are placed without branching: refinement gives them a cell of their
     own, and every labeling of that cell gives the same key.
     """
-    verts = k.vertices
-    tris_at_edge = k._tris_at_edge
-    colors = {
-        v: (len(k.edges_at_vertex(v)), len(k.triangles_at_vertex(v)),
-            tuple(sorted(len(tris_at_edge[e]) for e in k.edges_at_vertex(v))))
-        for v in verts
-    }
+    index = k._vertex_index
+    return _canonical_key(
+        k.n_vertices,
+        [(index[a], index[b], index[c]) for a, b, c in k.triangles],
+        [(index[a], index[b]) for a, b in k.edges])
+
+
+def _canonical_key(n: int, tris, edges=()) -> tuple:
+    """canonical_form of the complex on vertices 0..n-1 whose triangles
+    are tris and whose edges are theirs and those in edges, each simplex
+    an increasing index tuple."""
+    on_tris = Counter(e for a, b, c in tris for e in ((a, b), (a, c), (b, c)))
+    loose = [e for e in edges if e not in on_tris]
+    in_tris = Counter(itertools.chain.from_iterable(tris))
+    # per vertex, the other end and the triangle count of each edge at it
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    degrees: list[list[int]] = [[] for _ in range(n)]
+    for (a, b), d in itertools.chain(on_tris.items(),
+                                     ((e, 0) for e in loose)):
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+        degrees[a].append(d)
+        degrees[b].append(d)
+    colors = [(len(nbrs[v]), in_tris[v], tuple(sorted(degrees[v])))
+              for v in range(n)]
     while True:
-        refined = {
-            v: (colors[v],
-                tuple(sorted(colors[e[0] if e[1] == v else e[1]]
-                             for e in k.edges_at_vertex(v))))
-            for v in verts
-        }
-        palette = {c: i for i, c in enumerate(sorted(set(refined.values())))}
-        new = {v: palette[refined[v]] for v in verts}
-        if len(set(new.values())) == len(set(colors.values())):
+        refined = [(colors[v], tuple(sorted([colors[u] for u in nbrs[v]])))
+                   for v in range(n)]
+        palette = {c: i for i, c in enumerate(sorted(set(refined)))}
+        new = [palette[r] for r in refined]
+        if len(palette) == len(set(colors)):
             colors = new
             break
         colors = new
 
-    n = len(verts)
-    cells: dict[int, list] = {}
-    for v in verts:
-        cells.setdefault(colors[v], []).append(v)
+    cells: list[list[int]] = [[] for _ in palette]
+    for v in range(n):
+        cells[colors[v]].append(v)
     owner = []  # owner[x] is the cell whose vertices may take label x
-    left = {}  # colour -> the least label its cell has not placed yet
-    for c in sorted(cells):
-        left[c] = len(owner)
-        owner += [cells[c]] * len(cells[c])
+    left = []  # colour -> the least label its cell has not placed yet
+    for cell in cells:
+        left.append(len(owner))
+        owner += [cell] * len(cell)
     # the labels of cells in triangles first, each cell's in ascending order
-    order = sorted(range(n),
-                   key=lambda x: (not k.triangles_at_vertex(owner[x][0]), x))
-    label = dict.fromkeys(verts, n)  # n marks a vertex with no label yet
-    loose = k.maximal_edges()
+    order = sorted(range(n), key=lambda x: (not in_tris[owner[x][0]], x))
+    label = [n] * n  # n marks a vertex with no label yet
+    w = n.bit_length()
+    w2 = 2 * w
 
-    def lists(lab: dict) -> tuple:
-        """The triangle list and loose-edge list under the labeling."""
-        return (sorted([tuple(sorted((lab[a], lab[b], lab[c])))
-                        for a, b, c in k.triangles]),
-                sorted([tuple(sorted((lab[a], lab[b]))) for a, b in loose]))
+    def lists(lab: list) -> tuple:
+        """The packed triangle list and loose-edge list under lab."""
+        codes = []
+        for a, b, c in tris:
+            x, y, z = lab[a], lab[b], lab[c]
+            if x > y:
+                x, y = y, x
+            if y > z:
+                y, z = z, y
+                if x > y:
+                    x, y = y, x
+            codes.append(x << w2 | y << w | z)
+        codes.sort()
+        pairs = []
+        for a, b in loose:
+            x, y = lab[a], lab[b]
+            pairs.append(x << w | y if x < y else y << w | x)
+        pairs.sort()
+        return codes, pairs
 
-    def place(v, x: int) -> None:
+    def place(v: int, x: int) -> None:
         label[v] = x
         left[colors[v]] = x + 1
 
-    def unplace(v) -> None:
+    def unplace(v: int) -> None:
         left[colors[v]] = label[v]
         label[v] = n
 
     best = None  # (triangle list, loose-edge list) of the least labeling
-    best_at: dict = {}  # label -> vertex in that labeling
+    best_at: list = []  # label -> vertex in that labeling
 
     def descend(i: int) -> int:
         """Place the labels order[i:]; return the position whose node the
@@ -146,7 +193,7 @@ def canonical_form(k: Complex2) -> tuple:
         forced = []  # labels with a single candidate, placed without a bound
         while i < n:
             free = [v for v in owner[order[i]] if label[v] == n]
-            if len(free) > 1 and k.edges_at_vertex(free[0]):
+            if len(free) > 1 and nbrs[free[0]]:
                 break
             place(free[0], order[i])
             forced.append(free[0])
@@ -155,14 +202,16 @@ def canonical_form(k: Complex2) -> tuple:
         if i == n:
             got = lists(label)
             if best is None or got <= best:
-                at = {x: v for v, x in label.items()}
+                at = [0] * n
+                for v, x in enumerate(label):
+                    at[x] = v
                 if best is None or got < best:
                     best, best_at = got, at
                 else:
                     back = next(j for j, x in enumerate(order)
                                 if at[x] != best_at[x])
-        elif best is None or lists({v: x if x < n else left[colors[v]]
-                                    for v, x in label.items()}) <= best:
+        elif best is None or lists([x if x < n else left[colors[v]]
+                                    for v, x in enumerate(label)]) <= best:
             for v in free:
                 place(v, order[i])
                 back = descend(i + 1)
@@ -175,10 +224,13 @@ def canonical_form(k: Complex2) -> tuple:
         return back
 
     descend(0)
-    tris, loose_edges = best
-    edges = sorted({e for a, b, c in tris for e in ((a, b), (a, c), (b, c))}
-                   .union(loose_edges))
-    return (n, tuple(tris), tuple(edges))
+    codes, pairs = best
+    mask = (1 << w) - 1
+    key_tris = [(c >> w2, c >> w & mask, c & mask) for c in codes]
+    key_edges = sorted({e for a, b, c in key_tris
+                        for e in ((a, b), (a, c), (b, c))}
+                       .union([(p >> w, p & mask) for p in pairs]))
+    return (n, tuple(key_tris), tuple(key_edges))
 
 
 def _enumerate_closed(n_max: int, allow_one_triple: bool,
@@ -315,10 +367,9 @@ def complexes_with_one_triple_edge(max_vertices: int) -> list[Complex2]:
     _check_scale(max_vertices)
     seen = set()
     found = []
-    for tris, _used in _enumerate_closed(max_vertices, allow_one_triple=True):
-        k = Complex2.from_triangles(tris)
-        key = canonical_form(k)
+    for tris, used in _enumerate_closed(max_vertices, allow_one_triple=True):
+        key = _canonical_key(used, tris)
         if key not in seen:
             seen.add(key)
-            found.append(k)
+            found.append(Complex2.from_triangles(tris))
     return found

@@ -2,12 +2,16 @@
 
 Recognition is purely combinatorial: a complex is a closed surface iff it
 is connected, every edge lies in exactly two triangles, and every vertex
-link is a single cycle.  One recognizer runs these checks on integer
-triangles and serves both callers: classify numbers a Complex2's vertices
-in canonical order and hands it the triples, and the desk search hands it
-its integer states directly.  Orientability comes from propagating
-triangle signs across shared edges, and the Euler characteristic gives
-the genus.
+link is a single cycle.  The first two are read off the 1-skeleton and
+are the callers' to guarantee: classify checks them on its Complex2, and
+every closed state of the desk search has them by construction.  One
+recognizer on integer triangles does the rest for both callers: classify
+numbers a Complex2's vertices in canonical order and hands it the
+triples, and the desk search hands it its integer states directly.  With
+every edge in two triangles, the sum of an edge's two apexes gives one
+from the other, and that is all the link walks and the orientation
+need.  Orientability comes from propagating triangle signs across shared
+edges, and the Euler characteristic gives the genus.
 """
 
 from __future__ import annotations
@@ -62,76 +66,82 @@ def _classify_triangles(tris: Sequence[tuple[int, int, int]],
     0..n_vertices-1; signs is the coherent orientation, one sign per
     triangle, for an orientable surface and None otherwise.
 
-    The checks run in order: connectivity, every edge in exactly two
-    triangles, every vertex link a single cycle.  Then signs propagate
-    over triangle indices from sign 1 on the first triangle: a triangle
-    (a, b, c) with sign s runs its edges ab and bc forwards and ac
-    backwards when s = 1, and two triangles on an edge agree when they
-    run it opposite ways.  The Euler characteristic comes from the counts.
+    The caller guarantees that the complex is connected and that every
+    edge lies in exactly two triangles: classify checks both on the
+    1-skeleton before it calls here, and every closed desk-search state
+    has both by construction.  What is left is the link check and the
+    orientation, and both read the apex sum of each edge: one pass stores,
+    under the key a*n + b of each edge ab, the sum of the third vertices
+    of its two triangles, so one apex gives the other.  The link of v is
+    then 2-regular, and it is a single cycle exactly when it is nonempty
+    and the walk from a triangle at v, stepping from x to the other apex
+    of edge vx than the vertex it came from, first returns after deg(v)
+    steps, deg(v) being the number of triangles at v.
+
+    Signs propagate over triangle codes (a*n + b)*n + c from sign 1 on
+    the first triangle: a triangle (a, b, c) with sign s runs its edges ab
+    and bc forwards and ac backwards when s = 1, and two triangles on an
+    edge agree when they run it opposite ways.  The Euler characteristic
+    comes from the counts.
     """
-    if not n_vertices:
-        return "disconnected", None, None
-    reach = [0] * n_vertices  # bitmask of each vertex's closed neighbourhood
-    sides: dict = {}  # edge -> [(triangle index, direction of the edge)]
+    n = n_vertices
+    apexes: dict[int, int] = {}  # a*n + b -> sum of the apexes of ab
+    get = apexes.get
+    deg = [0] * n  # triangles at each vertex
+    start = [0] * n  # a triangle at each vertex
+    codes = []
     for i, (a, b, c) in enumerate(tris):
-        star = 1 << a | 1 << b | 1 << c
-        reach[a] |= star
-        reach[b] |= star
-        reach[c] |= star
-        sides.setdefault((a, b), []).append((i, 1))
-        sides.setdefault((b, c), []).append((i, 1))
-        sides.setdefault((a, c), []).append((i, -1))
-    seen = todo = 1
-    while todo:
-        v = todo.bit_length() - 1
-        todo ^= 1 << v
-        grown = reach[v] & ~seen
-        seen |= grown
-        todo |= grown
-    if seen != (1 << n_vertices) - 1:
-        return "disconnected", None, None
-    if any(len(s) != 2 for s in sides.values()):
-        return "bad_edge_degree", None, None
+        ab, ac, bc = a * n + b, a * n + c, b * n + c
+        apexes[ab] = get(ab, 0) + c
+        apexes[ac] = get(ac, 0) + b
+        apexes[bc] = get(bc, 0) + a
+        codes.append(ab * n + c)
+        start[a] = start[b] = start[c] = i
+        deg[a] += 1
+        deg[b] += 1
+        deg[c] += 1
 
-    # with every edge in two triangles each link is a union of cycles, a
-    # single one exactly when it is nonempty and walking it from any
-    # vertex visits them all
-    link: list[dict] = [{} for _ in range(n_vertices)]
-    for a, b, c in tris:
-        for v, x, y in ((a, b, c), (b, a, c), (c, a, b)):
-            link[v].setdefault(x, []).append(y)
-            link[v].setdefault(y, []).append(x)
-    for cycle in link:
-        if not cycle:
+    for v in range(n):
+        if not deg[v]:
             return "bad_link", None, None
-        start = prev = next(iter(cycle))
-        here, steps = cycle[start][0], 1
-        while here != start:
-            x, y = cycle[here]
-            prev, here = here, y if x == prev else x
+        a, b, c = tris[start[v]]
+        x = a if a != v else b
+        prev, here, steps = x, a + b + c - v - x, 1
+        while here != x:
+            prev, here = here, apexes[v * n + here if v < here
+                                      else here * n + v] - prev
             steps += 1
-        if steps != len(cycle):
+        if steps != deg[v]:
             return "bad_link", None, None
 
-    sign = [0] * len(tris)
-    sign[0] = 1
-    stack = [0]
+    nn = n * n
+    sign = {codes[0]: 1}
+    stack = [codes[0]]
     orientable = True
     while stack and orientable:
-        a, b, c = tris[stack.pop()]
-        for (i, di), (j, dj) in (sides[(a, b)], sides[(b, c)], sides[(a, c)]):
-            if sign[i] and sign[j]:
-                if sign[i] * di == sign[j] * dj:
-                    orientable = False
-                    break
-            else:  # one of the two is signed: the one just popped
-                u = j if sign[i] else i
-                sign[u] = -(sign[i] + sign[j]) * di * dj
+        t = stack.pop()
+        s = sign[t]
+        a, b, c = t // nn, t // n % n, t % n
+        # each edge (p, q), p < q, with its apex and its direction in t
+        for p, q, r, d in ((a, b, c, s), (b, c, a, s), (a, c, b, -s)):
+            o = apexes[p * n + q] - r  # the other triangle's apex
+            if o < p:
+                u, du = (o * n + p) * n + q, 1
+            elif o < q:
+                u, du = (p * n + o) * n + q, -1
+            else:
+                u, du = (p * n + q) * n + o, 1
+            su = sign.get(u)
+            if su is None:
+                sign[u] = -d * du
                 stack.append(u)
+            elif su * du == d:
+                orientable = False
+                break
 
-    chi = n_vertices - len(sides) + len(tris)
+    chi = n - len(apexes) + len(tris)
     if orientable:
-        return None, SurfaceId(True, (2 - chi) // 2), sign
+        return None, SurfaceId(True, (2 - chi) // 2), [sign[t] for t in codes]
     return None, SurfaceId(False, 2 - chi), None
 
 
@@ -142,7 +152,7 @@ def classify(k: Complex2) -> ClassificationResult:
     then vertex links.  The first two are read off the 1-skeleton, so that
     loose edges and isolated vertices count; the triangles then go, with
     vertices numbered in canonical order, to the recognizer the desk
-    search also uses.  For orientable surfaces the witness maps each
+    search also uses, which takes those two as given.  For orientable surfaces the witness maps each
     triangle to +1 or -1 giving a coherent orientation.
     """
     if len(k.connected_components()) != 1:

@@ -14,8 +14,8 @@ from simpsurf import search
 from simpsurf.bounds import SPHERE, parse_surface_id
 from simpsurf.complex2 import Complex2
 from simpsurf.homology import betti_numbers
-from simpsurf.search import (_closures, _enumerate_closed, canonical_form,
-                             complexes_with_one_triple_edge,
+from simpsurf.search import (_canonical_key, _closures, _enumerate_closed,
+                             canonical_form, complexes_with_one_triple_edge,
                              min_triangles_for_surface)
 from simpsurf.surfaces import _classify_triangles, catalog, classify
 
@@ -143,6 +143,143 @@ def _closures_reference(n_max: int, seed: list) -> list:
 
     dfs(max(map(max, seed)) + 1)
     return out
+
+
+# canonical_form as it ran on labels and label tuples, kept verbatim as
+# the oracle for the packed integer core
+def _canonical_form_reference(k: Complex2) -> tuple:
+    """A relabeling-invariant key ``(n, triangles, edges)``.
+
+    The key is the least ``(triangles, edges)`` pair, each a sorted tuple
+    of sorted label tuples, over the labelings of the vertices by
+    0..n-1 that respect a colour partition.  Vertices are first coloured
+    by iterated neighbourhood refinement; the cells, in colour order, own
+    consecutive label ranges, so only labelings that send each cell onto
+    its own range take part.
+
+    The minimum is found by depth-first branch and bound rather than by
+    trying every such labeling.  Labels are placed one at a time, each on
+    an unused vertex of the cell owning it and each cell's labels in
+    ascending order; the cells of vertices in triangles go first (a cell's
+    vertices all lie in triangles or none does).  At a node with more than
+    one candidate, each unplaced vertex is given the least label its cell
+    has left, at most the label it gets in any completion.  Every triangle
+    then gets a bound tuple, its labels so given or placed, sorted, and so
+    does every loose edge (an edge in no triangle).  Sorting preserves the
+    elementwise domination, so the pair of sorted bound lists is at most
+    the (triangle list, loose-edge list) pair of every labeling below the
+    node, and a node whose bound pair is strictly greater than the best
+    pair so far is cut.  Equal triangle lists have equal sets of triangle
+    edges, so the loose-edge lists decide the edge comparison, and the
+    least pair gives the key.  With the triangle cells placed first the
+    triangle bound is exact before any loose part is placed, so the
+    loose-edge bound cuts there.
+
+    A leaf that ties the best pair is an automorphism: sending each vertex
+    to the vertex with the same label in the best labeling fixes the
+    labels the two share up to the first position where they differ, and
+    maps the candidate taken there to the one the best labeling took,
+    whose subtree is already searched.  Every labeling below the current
+    candidate has its image in that subtree, so the search resumes at
+    that node with the next candidate.  A vertex-transitive complex, or a
+    heap of interchangeable loose edges, then costs a few descents per
+    label instead of one leaf per automorphism.  Vertices with no edges
+    are placed without branching: refinement gives them a cell of their
+    own, and every labeling of that cell gives the same key.
+    """
+    verts = k.vertices
+    tris_at_edge = k._tris_at_edge
+    colors = {
+        v: (len(k.edges_at_vertex(v)), len(k.triangles_at_vertex(v)),
+            tuple(sorted(len(tris_at_edge[e]) for e in k.edges_at_vertex(v))))
+        for v in verts
+    }
+    while True:
+        refined = {
+            v: (colors[v],
+                tuple(sorted(colors[e[0] if e[1] == v else e[1]]
+                             for e in k.edges_at_vertex(v))))
+            for v in verts
+        }
+        palette = {c: i for i, c in enumerate(sorted(set(refined.values())))}
+        new = {v: palette[refined[v]] for v in verts}
+        if len(set(new.values())) == len(set(colors.values())):
+            colors = new
+            break
+        colors = new
+
+    n = len(verts)
+    cells: dict[int, list] = {}
+    for v in verts:
+        cells.setdefault(colors[v], []).append(v)
+    owner = []  # owner[x] is the cell whose vertices may take label x
+    left = {}  # colour -> the least label its cell has not placed yet
+    for c in sorted(cells):
+        left[c] = len(owner)
+        owner += [cells[c]] * len(cells[c])
+    # the labels of cells in triangles first, each cell's in ascending order
+    order = sorted(range(n),
+                   key=lambda x: (not k.triangles_at_vertex(owner[x][0]), x))
+    label = dict.fromkeys(verts, n)  # n marks a vertex with no label yet
+    loose = k.maximal_edges()
+
+    def lists(lab: dict) -> tuple:
+        """The triangle list and loose-edge list under the labeling."""
+        return (sorted([tuple(sorted((lab[a], lab[b], lab[c])))
+                        for a, b, c in k.triangles]),
+                sorted([tuple(sorted((lab[a], lab[b]))) for a, b in loose]))
+
+    def place(v, x: int) -> None:
+        label[v] = x
+        left[colors[v]] = x + 1
+
+    def unplace(v) -> None:
+        left[colors[v]] = label[v]
+        label[v] = n
+
+    best = None  # (triangle list, loose-edge list) of the least labeling
+    best_at: dict = {}  # label -> vertex in that labeling
+
+    def descend(i: int) -> int:
+        """Place the labels order[i:]; return the position whose node the
+        search resumes at, or n to go on as usual."""
+        nonlocal best, best_at
+        forced = []  # labels with a single candidate, placed without a bound
+        while i < n:
+            free = [v for v in owner[order[i]] if label[v] == n]
+            if len(free) > 1 and k.edges_at_vertex(free[0]):
+                break
+            place(free[0], order[i])
+            forced.append(free[0])
+            i += 1
+        back = n
+        if i == n:
+            got = lists(label)
+            if best is None or got <= best:
+                at = {x: v for v, x in label.items()}
+                if best is None or got < best:
+                    best, best_at = got, at
+                else:
+                    back = next(j for j, x in enumerate(order)
+                                if at[x] != best_at[x])
+        elif best is None or lists({v: x if x < n else left[colors[v]]
+                                    for v, x in label.items()}) <= best:
+            for v in free:
+                place(v, order[i])
+                back = descend(i + 1)
+                unplace(v)
+                if back < i:
+                    break
+                back = n
+        for v in reversed(forced):
+            unplace(v)
+        return back
+
+    descend(0)
+    tris, loose_edges = best
+    edges = sorted({e for a, b, c in tris for e in ((a, b), (a, c), (b, c))}
+                   .union(loose_edges))
+    return (n, tuple(tris), tuple(edges))
 
 
 def _canonical_form_exhaustive(k: Complex2) -> tuple:
@@ -286,6 +423,46 @@ def test_canonical_form_is_one_key_per_transitive_complex(name, data):
     assert key == _transitive_key(name)
     assert all(key != _transitive_key(other)
                for other in _TRANSITIVE if other != name)
+
+
+@st.composite
+def _labeled_complexes(draw) -> Complex2:
+    """A relabeled vertex-transitive complex, or up to seven vertices with
+    int, str or mixed labels carrying random triangles and loose edges,
+    the vertices they miss left isolated."""
+    if draw(st.booleans()):
+        k = Complex2.from_triangles(
+            _TRANSITIVE[draw(st.sampled_from(sorted(_TRANSITIVE)))])
+        image = draw(st.lists(_LABEL, min_size=k.n_vertices,
+                              max_size=k.n_vertices, unique=True))
+        return k.relabeled(dict(zip(k.vertices, image)))
+    labels = draw(st.lists(_LABEL, max_size=7, unique=True))
+    triples = list(itertools.combinations(labels, 3))
+    tris = [t for t, keep in zip(triples, draw(st.lists(
+        st.booleans(), min_size=len(triples), max_size=len(triples)))) if keep]
+    on_tris = {frozenset(e) for t in tris
+               for e in itertools.combinations(t, 2)}
+    pairs = [e for e in itertools.combinations(labels, 2)
+             if frozenset(e) not in on_tris]
+    loose = [e for e, keep in zip(pairs, draw(st.lists(
+        st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep]
+    return Complex2.from_triangles(tris, extra_edges=loose,
+                                   extra_vertices=labels)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_labeled_complexes())
+def test_canonical_form_matches_the_tuple_reference(k):
+    assert canonical_form(k) == _canonical_form_reference(k)
+
+
+def test_integer_core_keys_closed_states_as_canonical_form():
+    states = [s for n in range(3, 8) for s in _enumerate_closed(n, False)]
+    assert len(states) == 186
+    for tris, used in states:
+        k = Complex2.from_triangles(tris)
+        assert (_canonical_key(used, tris) == canonical_form(k)
+                == _canonical_form_reference(k)), tris
 
 
 def test_canonical_form_places_isolated_vertices_without_branching():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from typing import Sequence
 
 import pytest
 
@@ -99,6 +100,123 @@ def test_classify_matches_the_link_graph_oracle():
         assert classify(k).failure_reason == reason, k.triangles
 
 
+# _classify_triangles as it ran before it took connectivity and edge
+# degrees as given, kept verbatim as the oracle for the apex-sum core
+def _classify_triangles_reference(tris: Sequence[tuple[int, int, int]],
+                                  n_vertices: int) -> tuple:
+    """(failure_reason, surface, signs) for the complex whose triangles
+    are tris, each an increasing triple, and whose vertices are exactly
+    0..n_vertices-1; signs is the coherent orientation, one sign per
+    triangle, for an orientable surface and None otherwise.
+
+    The checks run in order: connectivity, every edge in exactly two
+    triangles, every vertex link a single cycle.  Then signs propagate
+    over triangle indices from sign 1 on the first triangle: a triangle
+    (a, b, c) with sign s runs its edges ab and bc forwards and ac
+    backwards when s = 1, and two triangles on an edge agree when they
+    run it opposite ways.  The Euler characteristic comes from the counts.
+    """
+    if not n_vertices:
+        return "disconnected", None, None
+    reach = [0] * n_vertices  # bitmask of each vertex's closed neighbourhood
+    sides: dict = {}  # edge -> [(triangle index, direction of the edge)]
+    for i, (a, b, c) in enumerate(tris):
+        star = 1 << a | 1 << b | 1 << c
+        reach[a] |= star
+        reach[b] |= star
+        reach[c] |= star
+        sides.setdefault((a, b), []).append((i, 1))
+        sides.setdefault((b, c), []).append((i, 1))
+        sides.setdefault((a, c), []).append((i, -1))
+    seen = todo = 1
+    while todo:
+        v = todo.bit_length() - 1
+        todo ^= 1 << v
+        grown = reach[v] & ~seen
+        seen |= grown
+        todo |= grown
+    if seen != (1 << n_vertices) - 1:
+        return "disconnected", None, None
+    if any(len(s) != 2 for s in sides.values()):
+        return "bad_edge_degree", None, None
+
+    # with every edge in two triangles each link is a union of cycles, a
+    # single one exactly when it is nonempty and walking it from any
+    # vertex visits them all
+    link: list[dict] = [{} for _ in range(n_vertices)]
+    for a, b, c in tris:
+        for v, x, y in ((a, b, c), (b, a, c), (c, a, b)):
+            link[v].setdefault(x, []).append(y)
+            link[v].setdefault(y, []).append(x)
+    for cycle in link:
+        if not cycle:
+            return "bad_link", None, None
+        start = prev = next(iter(cycle))
+        here, steps = cycle[start][0], 1
+        while here != start:
+            x, y = cycle[here]
+            prev, here = here, y if x == prev else x
+            steps += 1
+        if steps != len(cycle):
+            return "bad_link", None, None
+
+    sign = [0] * len(tris)
+    sign[0] = 1
+    stack = [0]
+    orientable = True
+    while stack and orientable:
+        a, b, c = tris[stack.pop()]
+        for (i, di), (j, dj) in (sides[(a, b)], sides[(b, c)], sides[(a, c)]):
+            if sign[i] and sign[j]:
+                if sign[i] * di == sign[j] * dj:
+                    orientable = False
+                    break
+            else:  # one of the two is signed: the one just popped
+                u = j if sign[i] else i
+                sign[u] = -(sign[i] + sign[j]) * di * dj
+                stack.append(u)
+
+    chi = n_vertices - len(sides) + len(tris)
+    if orientable:
+        return None, SurfaceId(True, (2 - chi) // 2), sign
+    return None, SurfaceId(False, 2 - chi), None
+
+
+def _index_triangles(k: Complex2) -> list:
+    index = k._vertex_index
+    return [(index[a], index[b], index[c]) for a, b, c in k.triangles]
+
+
+def test_recognizer_matches_the_reference():
+    inputs = [s for n in range(3, 9) for s in _enumerate_closed(n, False)]
+    assert len(inputs) == 4189
+    catalogs = [catalog(parse_surface_id(f"{kind}{g}"))
+                for kind in "MN" for g in range(1, 9)]
+    rng = random.Random("link oracle")
+    pinched = [_random_pinched_surface(rng) for _ in range(300)]
+    # the core takes connectivity and edge degrees as given
+    pinched = [k for k in pinched if classify(k).failure_reason
+               not in ("disconnected", "bad_edge_degree")]
+    assert len(pinched) == 300
+    inputs += [(_index_triangles(k), k.n_vertices) for k in catalogs + pinched]
+    got = [_classify_triangles(tris, n) for tris, n in inputs]
+    assert got == [_classify_triangles_reference(tris, n) for tris, n in inputs]
+    reasons = [reason for reason, _surface, _signs in got]
+    assert reasons.count("bad_link") >= 2000 and reasons.count(None) >= 500
+    assert sum(signs is not None for _reason, _surface, signs in got) >= 200
+
+
+def test_closed_states_meet_the_recognizer_precondition():
+    # connected, every edge in exactly two triangles: what
+    # _classify_triangles takes as given from the desk search
+    for n in range(3, 9):
+        for tris, used in _enumerate_closed(n, False):
+            k = Complex2.from_triangles(tris)
+            assert k.vertices == tuple(range(used))
+            assert len(k.connected_components()) == 1, tris
+            assert all(len(ts) == 2 for ts in k._tris_at_edge.values()), tris
+
+
 def test_recognizer_matches_independent_oracles():
     states = [s for n in range(3, 9) for s in _enumerate_closed(n, False)]
     assert len(states) == 4189
@@ -106,7 +224,12 @@ def test_recognizer_matches_independent_oracles():
     tetra = list(itertools.combinations(range(4), 3))
     shifted = [tuple(v + 4 for v in t) for t in tetra]
     hinge = [tuple(v if v < 2 else v + 2 for v in t) for t in tetra]
-    states += [
+    # two spheres on one vertex, whose link is two cycles
+    states.append((tuple(tetra + [(3, 4, 5), (3, 4, 6), (3, 5, 6),
+                                  (4, 5, 6)]), 7))
+    # the rest fail a check of the 1-skeleton, which classify makes before
+    # it hands the triangles to the recognizer
+    skeleton_failures = [
         (tuple(tetra + shifted), 8),  # two spheres apart
         (((0, 1, 2), (3, 4, 5)), 6),  # two triangles apart
         # apart, and the triangle's edges lie in one triangle each
@@ -114,10 +237,15 @@ def test_recognizer_matches_independent_oracles():
         (((0, 1, 2),), 3),
         (((0, 1, 2), (0, 1, 3), (0, 1, 4)), 5),  # three pages on one edge
         (tuple(sorted(tetra + hinge)), 6),  # two spheres on one edge
-        # two spheres on one vertex, whose link is two cycles
-        (tuple(tetra + [(3, 4, 5), (3, 4, 6), (3, 5, 6), (4, 5, 6)]), 7),
     ]
     reasons, surfaces = [], set()
+    for tris, used in skeleton_failures:
+        k = Complex2.from_triangles(tris)
+        assert k.vertices == tuple(range(used))
+        got = classify(k)
+        assert got.failure_reason == failure_reason_oracle(k), tris
+        assert got.surface is None and got.orientation_witness is None
+        reasons.append(got.failure_reason)
     for tris, used in states:
         k = Complex2.from_triangles(tris)
         assert k.vertices == tuple(range(used))
@@ -147,7 +275,6 @@ def test_recognizer_matches_independent_oracles():
 
 def test_an_empty_link_is_a_bad_link():
     assert _classify_triangles((), 1) == ("bad_link", None, None)
-    assert _classify_triangles((), 0) == ("disconnected", None, None)
     for label in (0, "v"):
         got = classify(Complex2((label,), (), ()))
         assert (got.is_surface, got.failure_reason) == (False, "bad_link")
