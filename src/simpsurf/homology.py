@@ -23,9 +23,10 @@ cup_product stays as the cochain-level reference.
 homology_summary runs one elimination, gf2._relations over the triangle
 boundaries: it gives the 2-cycles, the same the reduction audits use,
 and the kernel vectors that are the 1-cocycles.  The 1-cycles are the
-cycles of a spanning forest.  The bases it returns are those read off
-the reduced row echelon forms of d1, d2 transposed, d2 and the 2-cycles,
-which are unique, yet only the b2 2-cycles are ever back-substituted.
+cycles of a spanning forest, and the components are its trees.  The
+bases it returns are those read off the reduced row echelon forms of d1,
+d2 transposed, d2 and the 2-cycles, which are unique, yet only the b2
+2-cycles are ever back-substituted.
 
 Over F2, H^2 = Hom(H_2, F2), so the class of a 2-cochain w is fixed by its
 values on a basis of 2-cycles.  The H^2 basis is chosen dual to the
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from .complex2 import Complex2
 from .gf2 import Gf2Matrix, Gf2Span, Gf2Vector, _relations
@@ -152,24 +153,39 @@ def _triangle_edges(k: Complex2) -> list[tuple[int, int, int]]:
     return [(position[a, b], position[a, c], position[b, c]) for a, b, c in k.triangles]
 
 
-def _boundary_relations(k: Complex2) -> tuple[Gf2Span, list[int]]:
+def _boundary_relations(k: Complex2,
+                        skip: Collection[int] = ()) -> tuple[Gf2Span, list[int]]:
     """The triangle boundaries eliminated in order: their span, and the
-    2-cycles as boundary_matrix(k, 2).kernel_basis() gives them."""
+    2-cycles as boundary_matrix(k, 2).kernel_basis() gives them.
+
+    The triangles at the positions in skip are left out, and the cycles
+    are over the positions of the rest: those of the complex k without
+    them, which keeps every edge position of k.
+    """
     boundaries = [1 << a | 1 << b | 1 << c for a, b, c in _triangle_edges(k)]
+    if skip:
+        boundaries = [r for j, r in enumerate(boundaries) if j not in skip]
     return _relations(boundaries, k.n_edges)
 
 
 def _betti(k: Complex2, rank2: int) -> tuple[int, int, int]:
-    """Reduced Betti numbers given the rank of the boundary map in dimension 2.
+    """Reduced Betti numbers given the rank of the boundary map in dimension 2."""
+    if k.n_vertices == 0:
+        return (0, 0, 0)
+    return _betti_of_counts(k.n_vertices, k.n_edges, k.n_triangles,
+                            len(k.connected_components()), rank2)
+
+
+def _betti_of_counts(n_vertices: int, n_edges: int, n_triangles: int,
+                     components: int, rank2: int) -> tuple[int, int, int]:
+    """Reduced Betti numbers of a nonempty complex from its simplex counts,
+    its number of components and the rank of the boundary map in dimension 2.
 
     The boundary map in dimension 1 is the incidence matrix of a graph, of
     rank alpha0 minus the number of components, so it needs no elimination.
     """
-    if k.n_vertices == 0:
-        return (0, 0, 0)
-    components = len(k.connected_components())
-    rank1 = k.n_vertices - components
-    return (components - 1, k.n_edges - rank1 - rank2, k.n_triangles - rank2)
+    rank1 = n_vertices - components
+    return (components - 1, n_edges - rank1 - rank2, n_triangles - rank2)
 
 
 @dataclass(eq=False)
@@ -234,10 +250,9 @@ def homology_summary(k: Complex2) -> HomologySummary:
     span, relations = _relations([1 << a | 1 << b | 1 << c for a, b, c in boundaries],
                                  n_edges)
     b2 = len(relations)
-    non_forest, path = _spanning_forest(k)
+    non_forest, path, comps = _spanning_forest(k)
     b1 = len(non_forest) - (n_triangles - b2)
 
-    comps = k.connected_components()
     b0 = max(len(comps) - 1, 0)
     # dimension-0 representatives: one vertex per later component vs the first
     cycle0 = []
@@ -276,12 +291,14 @@ def homology_summary(k: Complex2) -> HomologySummary:
     )
 
 
-def _spanning_forest(k: Complex2) -> tuple[list[int], dict]:
+def _spanning_forest(k: Complex2) -> tuple[list[int], dict, list[tuple]]:
     """The spanning forest that keeps each edge, in order, that joins two trees.
 
-    Returns the positions of the edges left out and, for each vertex, the
+    Returns the positions of the edges left out; for each vertex, the
     mask of the forest edges on its path from the root of its tree, so the
-    forest path between u and v is path[u] ^ path[v].
+    forest path between u and v is path[u] ^ path[v]; and the components,
+    grouped by root, as k.connected_components() gives them: ordered by
+    their first vertex, each in vertex order.
     """
     vertex = k._vertex_index
     root = list(range(k.n_vertices))
@@ -315,7 +332,11 @@ def _spanning_forest(k: Complex2) -> tuple[list[int], dict]:
                 if path[b] < 0:
                     path[b] = path[a] | 1 << i
                     stack.append(b)
-    return left_out, dict(zip(k.vertices, path))
+    components: dict[int, list] = {}
+    for a, v in enumerate(k.vertices):
+        components.setdefault(find(a), []).append(v)
+    return (left_out, dict(zip(k.vertices, path)),
+            list(map(tuple, components.values())))
 
 
 def _completion_picks(candidates: list[int], vectors: Iterable[Iterable[int]]) -> list[int]:

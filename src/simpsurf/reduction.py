@@ -18,14 +18,17 @@ relations among the values come from the same helper.  The default spec
 is read off the same cycle basis: one triangle per pivot of its echelon
 form, the dual basis homology_summary reports as cocycle_reps[2].
 
-The pipeline edits one private working state and builds a Complex2 only
-at phase boundaries.  Each step is witnessed when it is made: a kill
+The pipeline runs on one private working state, from the input's
+simplices minus the killed triangles to the result, and builds exactly
+one Complex2: the result.  Each step is witnessed when it is made: a kill
 removes a triangle of a 2-cycle with zero boundary on which every
 functional vanishes, and the functionals' rank is re-checked on the kept
 cycle basis; a collapse has a face of degree one; a deletion has a path
 joining the endpoints without the edge; a contraction has none, and its
 endpoints share no neighbour.  Full rank audits run at the phase
-boundaries (the input, after the kills, the result).  They pin every
+boundaries (the input, after the kills, the result); kills keep every
+edge, so the one after the kills eliminates the input's boundary rows of
+the kept triangles and never builds that complex.  They pin every
 per-step Betti snapshot, because each move shifts the numbers one way
 only: removing a triangle changes (b1, b2) by (0, -1) or (+1, 0),
 deleting an edge changes (b0, b1) by (0, -1) or (+1, 0), collapses and
@@ -37,13 +40,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from itertools import combinations
+from heapq import heapify, heappop, heappush
+from itertools import chain, combinations
 from typing import Iterable, Optional, Sequence
 
-from .complex2 import Complex2, Edge, Label, Triangle, canon_edge, canon_triangle, label_key
+from .complex2 import (Complex2, Edge, Label, Triangle, _label_order, canon_edge,
+                       canon_triangle, label_key)
 from .gf2 import Gf2Span, _bits_up, _relations
-from .homology import CochainVector, _betti, _boundary_relations, _triangle_edges
+from .homology import (CochainVector, _betti, _betti_of_counts, _boundary_relations,
+                       _triangle_edges)
 
 __all__ = [
     "PreservationSpec",
@@ -107,7 +112,7 @@ class PreservationSpec:
         return [sum(1 << index[t] for t in sup if t in index) for sup in self.supports]
 
     def is_surjective_on_cycles(self, k: Complex2) -> bool:
-        return _spec_rank(self, k, _cycle_basis(k)[0]) == self.rank
+        return _spec_rank(self, k.triangles, _cycle_basis(k)[0]) == self.rank
 
     def mapped(self, relabel: dict) -> "PreservationSpec":
         return PreservationSpec(tuple(
@@ -162,8 +167,10 @@ def _cycle_basis(k: Complex2) -> tuple[list[int], tuple[int, int, int]]:
     return cycles, _betti(k, k.n_triangles - len(cycles))
 
 
-def _spec_rank(spec: PreservationSpec, k: Complex2, cycles: Sequence[int]) -> int:
-    masks = spec._masks(k.triangles)
+def _spec_rank(spec: PreservationSpec, triangles: Sequence[Triangle],
+               cycles: Sequence[int]) -> int:
+    """The functionals' rank on the cycles, given over the positions of triangles."""
+    masks = spec._masks(triangles)
     return _relations([_values(masks, z) for z in cycles], spec.rank)[0].dim
 
 
@@ -226,26 +233,40 @@ def _edge_key(e: Edge):
 class _WorkingComplex:
     """The complex under collapse and edge elimination, edited in place.
 
-    Incidence is kept both ways: the triangles at each edge and the edges
-    at each vertex.  Three lazy min-heaps in canonical order hold the
-    candidate free edges, free vertices and maximal edges.  An entry is
-    pushed whenever a simplex may have become a candidate and is checked
-    against the incidence when popped, so every move is the canonically
-    first one available, as a scan of the rebuilt complex would find it.
+    It starts from canonical simplex tuples, closed under faces, such as
+    a Complex2's own, and fills its incidence from them in one pass each
+    way: the triangles at each edge and the edges at each vertex.  Three
+    lazy min-heaps in canonical order hold the candidate free edges, free
+    vertices and maximal edges.  An entry is pushed whenever a simplex may
+    have become a candidate and is checked against the incidence when
+    popped, so every move is the canonically first one available, as a
+    scan of the rebuilt complex would find it.  complex() builds the
+    Complex2 of the state.
     """
 
-    def __init__(self, k: Complex2, spec: Optional[PreservationSpec]) -> None:
+    def __init__(self, vertices: Iterable[Label], edges: Iterable[Edge],
+                 triangles: Iterable[Triangle],
+                 spec: Optional[PreservationSpec]) -> None:
         self.spec = spec  # renamed through each contraction
-        self.triangles = set(k.triangles)
-        self.tris_at_edge = {e: set(ts) for e, ts in k._tris_at_edge.items()}
-        self.edges_at_vertex = {v: set(k.edges_at_vertex(v)) for v in k.vertices}
-        self.free_edges: list = []
-        self.maximal_edges: list = []
-        self.free_vertices: list = []
-        for e in k.edges:
-            self._edge_changed(e)
-        for v in k.vertices:
-            self._vertex_changed(v)
+        self.triangles = set(triangles)
+        self.tris_at_edge = tris_at_edge = {e: set() for e in edges}
+        for t in self.triangles:
+            a, b, c = t
+            tris_at_edge[a, b].add(t)
+            tris_at_edge[a, c].add(t)
+            tris_at_edge[b, c].add(t)
+        self.edges_at_vertex = edges_at_vertex = {v: set() for v in vertices}
+        for e in tris_at_edge:
+            edges_at_vertex[e[0]].add(e)
+            edges_at_vertex[e[1]].add(e)
+        self.free_edges = [(_edge_key(e), e) for e, ts in tris_at_edge.items()
+                           if len(ts) == 1]
+        self.maximal_edges = [(_edge_key(e), e) for e, ts in tris_at_edge.items()
+                              if not ts]
+        self.free_vertices = [(label_key(v), v) for v, es in edges_at_vertex.items()
+                              if len(es) == 1]
+        for heap in (self.free_edges, self.maximal_edges, self.free_vertices):
+            heapify(heap)
         self.collapses: list = []
         self.contractions: list[Edge] = []
         self.deleted: list[Edge] = []
@@ -377,7 +398,17 @@ class _WorkingComplex:
                 return
 
     def complex(self) -> Complex2:
-        return Complex2(self.edges_at_vertex, self.tris_at_edge, self.triangles)
+        """The state as a Complex2.  Its simplices are canonical tuples
+        already, so only the closure is checked, and the sort key is read
+        off the vertex labels alone."""
+        vertices, edges = set(self.edges_at_vertex), set(self.tris_at_edge)
+        if self.triangles:
+            a, b, c = zip(*self.triangles)
+            assert edges.issuperset(chain(zip(a, b), zip(a, c), zip(b, c)))
+        assert vertices.issuperset(chain.from_iterable(edges))
+        k = Complex2.__new__(Complex2)
+        k._setup(vertices, edges, self.triangles, _label_order(vertices, (), ()))
+        return k
 
 
 def collapse_all(k: Complex2) -> tuple[Complex2, tuple]:
@@ -388,7 +419,7 @@ def collapse_all(k: Complex2) -> tuple[Complex2, tuple]:
     preferred and scanning is in canonical order.  Cycles of 2-chains are
     untouched: a cycle must vanish on the triangle of any free edge.
     """
-    state = _WorkingComplex(k, None)
+    state = _WorkingComplex(k.vertices, k.edges, k.triangles, None)
     if not state.collapse():
         return k, ()
     return state.complex(), tuple(state.collapses)
@@ -435,7 +466,8 @@ def _finish(state: _WorkingComplex, k: Complex2, killed: Sequence[Triangle],
     assert result.euler_characteristic() == k.euler_characteristic() - len(killed) + m
     assert not result.maximal_edges()
     assert all(len(ts) != 1 for ts in result._tris_at_edge.values())
-    assert state.spec is None or _spec_rank(state.spec, result, cycles) == rank
+    assert (state.spec is None
+            or _spec_rank(state.spec, result.triangles, cycles) == rank)
     return ReductionTrace(
         input_complex=k,
         result=result,
@@ -462,8 +494,8 @@ def eliminate_maximal_edges(k: Complex2,
     output has no free faces and no maximal edges.  The trace has no kills.
     """
     cycles, betti = _cycle_basis(k)
-    rank = None if spec is None else _spec_rank(spec, k, cycles)
-    state = _WorkingComplex(k, spec)
+    rank = None if spec is None else _spec_rank(spec, k.triangles, cycles)
+    state = _WorkingComplex(k.vertices, k.edges, k.triangles, spec)
     snapshots: list = [("input", betti)]
     state.eliminate(snapshots)
     return _finish(state, k, (), snapshots, rank)
@@ -487,25 +519,30 @@ def simplify_pipeline(k: Complex2, spec: Optional[PreservationSpec] = None,
     cycles, betti = _cycle_basis(k)
     if spec is None:
         spec = _dual_spec(k, cycles, target_rank)
-    if _spec_rank(spec, k, cycles) != spec.rank:
+    if _spec_rank(spec, k.triangles, cycles) != spec.rank:
         raise ValueError("functionals are not surjective on the cycle space")
 
     killed = _kill_all(k, spec, cycles)
     b0, b1, b2 = betti
     snapshots: list = [("input", betti)]
     snapshots += [("kill", (b0, b1, b2 - i)) for i in range(1, len(killed) + 1)]
-    after = k
+    triangles = k.triangles
     if killed:
+        # Kills keep every vertex and edge, so the complex after them has
+        # the input's components and edge positions, and its boundary rows
+        # are the input's kept rows: their relations are _cycle_basis of
+        # that complex, over the kept positions.
         gone = set(killed)
         kept = [j for j in range(k.n_triangles) if j not in gone]
-        after = Complex2(k.vertices, k.edges, [k.triangles[j] for j in kept])
-        fresh, betti = _cycle_basis(after)
-        position = {j: i for i, j in enumerate(kept)}
-        assert fresh == [sum(1 << position[j] for j in _bits_up(z)) for z in cycles]
+        triangles = [k.triangles[j] for j in kept]
+        _, fresh = _boundary_relations(k, gone)
+        assert [sum(1 << kept[i] for i in _bits_up(z)) for z in fresh] == cycles
+        betti = _betti_of_counts(k.n_vertices, k.n_edges, len(kept), b0 + 1,
+                                 len(kept) - len(fresh))
         assert betti == snapshots[-1][1]
-        assert _spec_rank(spec, after, fresh) == spec.rank
+        assert _spec_rank(spec, triangles, fresh) == spec.rank
 
-    state = _WorkingComplex(after, spec)
+    state = _WorkingComplex(k.vertices, k.edges, triangles, spec)
     if state.collapse():
         snapshots.append(("collapse", betti))
     state.eliminate(snapshots)

@@ -264,6 +264,26 @@ def test_summary_matches_the_dense_oracle():
     assert shapes["loose"] >= 1 and shapes["large"] == 1
 
 
+def test_summary_components_are_the_forest_trees(monkeypatch):
+    shapes = Counter()
+    cases = _oracle_cases() + [
+        Complex2([5, "b", 3, "a"]),
+        Complex2.from_triangles([(1, 2, "x")], extra_vertices=[0, "y"])]
+    for k in cases:
+        comps = homology._spanning_forest(k)[2]
+        assert tuple(comps) == k.connected_components()
+        shapes["disconnected"] += len(comps) > 1
+        shapes["isolated"] += bool(k.isolated_vertices())
+    assert shapes["disconnected"] >= 4 and shapes["isolated"] >= 4
+    # the summary reads them off the forest, with no second walk
+    counts = Counter()
+    monkeypatch.setattr(Complex2, "connected_components",
+                        _counting(counts, "walks", Complex2.connected_components))
+    for k in cases:
+        homology_summary(k)
+    assert counts["walks"] == 0
+
+
 def test_summary_runs_one_elimination(monkeypatch):
     base = catalog(parse_surface_id("M3"))
     bubble = sphere().relabeled({v: 1000 + v for v in range(4)})

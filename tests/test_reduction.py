@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from simpsurf import homology, reduction
 from simpsurf.bounds import parse_surface_id
 from simpsurf.complex2 import Complex2
-from simpsurf.gf2 import Gf2Matrix, _relations
-from simpsurf.homology import (betti_numbers, boundary_matrix, chain_support,
-                               has_property_a, homology_summary)
-from simpsurf.reduction import (PreservationSpec, _cycle_basis, _values, collapse_all,
-                                eliminate_maximal_edges, kill_step, simplify_pipeline)
+from simpsurf.gf2 import Gf2Matrix, _bits_up, _relations
+from simpsurf.homology import (_triangle_edges, betti_numbers, boundary_matrix,
+                               chain_support, has_property_a, homology_summary)
+from simpsurf.reduction import (PreservationSpec, _cycle_basis, _sum, _values,
+                                collapse_all, eliminate_maximal_edges, kill_step,
+                                simplify_pipeline)
 from simpsurf.surfaces import attach_circle, catalog, classify, wedge
 
 from _fixtures import (kernel_from_rref, m8_wedge, rp2, sphere, torus,
@@ -468,10 +469,10 @@ def test_pipeline_work_is_bounded_per_phase(monkeypatch):
     trace = simplify_pipeline(k, spec)
     assert (len(trace.killed_triangles), trace.free_rank) == (1, 1)
     assert trace.collapses and trace.contractions
-    # one complex after the kills and one at the end; one elimination of
-    # the triangle boundaries at each phase boundary (input, after kills,
-    # result), and no dense matrix anywhere
-    assert counts["builds"] <= 2
+    # no Complex2.__init__ at all: the result is built from the working
+    # state; one elimination of the triangle boundaries at each phase
+    # boundary (input, after kills, result), and no dense matrix anywhere
+    assert counts["builds"] == 0
     assert counts["eliminations"] == 3
     assert counts["rrefs"] == counts["kernels"] == counts["matrices"] == 0
     # the default spec is read off the input's cycle basis, with no further
@@ -479,6 +480,112 @@ def test_pipeline_work_is_bounded_per_phase(monkeypatch):
     counts.clear()
     trace = simplify_pipeline(k, target_rank=1)
     assert (len(trace.killed_triangles), trace.free_rank) == (1, 1)
-    assert counts["builds"] <= 2
+    assert counts["builds"] == 0
     assert counts["eliminations"] == 3
     assert counts["rrefs"] == counts["kernels"] == counts["matrices"] == 0
+
+
+def _relabel(k: Complex2, labels: str) -> Complex2:
+    """k on int labels, str labels, or both: odd labels become strings."""
+    if labels == "int":
+        return k
+    return k.relabeled({v: f"s{v}" for v in k.vertices
+                        if labels == "str" or v % 2})
+
+
+def _label_cases():
+    """Catalog surfaces, wedges with bubbles and circles and inputs with
+    isolated vertices, each on int, str and mixed labels."""
+    rng = random.Random(20261020)
+    bases = [catalog(parse_surface_id(name)) for name in ("S2", "N1", "M1", "N2", "M2")]
+    shapes = list(bases)
+    for _ in range(8):
+        base = rng.choice(bases)
+        k = base
+        for _ in range(rng.randrange(1, 3)):
+            k = attach_circle(k, rng.choice(k.vertices))
+        for j in range(rng.randrange(0, 3)):
+            bubble = sphere().relabeled({v: 100 + 10 * j + v for v in range(4)})
+            k = wedge(k, rng.choice(base.vertices), bubble, 100 + 10 * j)
+        shapes.append(k)
+    shapes += [Complex2(k.vertices + (900, 901), k.edges, k.triangles)
+               for k in (bases[0], bases[2], shapes[-1])]
+    shapes.append(Complex2([900]))
+    return [(labels, _relabel(k, labels)) for k in shapes
+            for labels in ("int", "str", "mixed")]
+
+
+def _assert_as_built(r: Complex2) -> None:
+    """r is the complex __init__ builds from its own simplices."""
+    fresh = Complex2(r.vertices, r.edges, r.triangles)
+    assert r == fresh
+    assert (r._vertex_index, r._edge_index, r._triangle_index) == \
+        (fresh._vertex_index, fresh._edge_index, fresh._triangle_index)
+    assert r._tris_at_edge == fresh._tris_at_edge
+    assert r._edges_at_vertex == fresh._edges_at_vertex
+
+
+def test_results_are_built_as_init_builds_them():
+    seen = Counter()
+    for labels, k in _label_cases():
+        for mode in (0, 1, None):
+            if mode is not None and mode > _cycle_basis(k)[1][2]:
+                continue
+            trace = simplify_pipeline(k, target_rank=mode)
+            _assert_as_built(trace.result)
+            if labels == "mixed":
+                seen += _replay(k, PreservationSpec.dual_basis(k, mode), trace)
+        _assert_as_built(collapse_all(k)[0])
+        _assert_as_built(eliminate_maximal_edges(k).result)
+        seen[labels] += 1
+        seen["isolated"] += bool(k.isolated_vertices())
+    assert seen["int"] == seen["str"] == seen["mixed"] >= 15
+    assert seen["isolated"] >= 12
+    assert all(seen[label] > 0 for label in ("kill", "collapse", "contract", "delete"))
+
+
+def _kill_all_skipping_an_update(k, spec, cycles):
+    """reduction._kill_all with one fault in its books: at the first kill,
+    the other cycles through the killed triangle are not reduced."""
+    masks = spec._masks(k.triangles)
+    boundaries = [1 << a | 1 << b | 1 << c for a, b, c in _triangle_edges(k)]
+    values = [_values(masks, z) for z in cycles]
+    killed = []
+    while True:
+        relations = _relations(values, spec.rank)[1]
+        if not relations:
+            return killed
+        invisible = _sum(cycles, relations[0])
+        assert invisible and _sum(boundaries, invisible) == 0
+        assert _values(masks, invisible) == 0
+        sigma = next(_bits_up(invisible))
+        killed.append(sigma)
+        hit = [j for j, z in enumerate(cycles) if z >> sigma & 1]
+        if len(killed) > 1:
+            for j in hit[1:]:
+                cycles[j] ^= cycles[hit[0]]
+                values[j] ^= values[hit[0]]
+        del cycles[hit[0]], values[hit[0]]
+        assert _relations(values, spec.rank)[0].dim == spec.rank
+
+
+_original_kill_all = reduction._kill_all  # the test replaces the module's
+
+
+def _kill_all_losing_a_kill(k, spec, cycles):
+    """reduction._kill_all, but the last kill goes unreported."""
+    return _original_kill_all(k, spec, cycles)[:-1]
+
+
+@pytest.mark.parametrize("mutant", [_kill_all_skipping_an_update,
+                                    _kill_all_losing_a_kill])
+def test_after_kill_audit_catches_wrong_kill_books(monkeypatch, mutant):
+    # four cones on one circle: three overlapping 2-cycles, all killed at rank 0
+    book = Complex2.from_triangles(
+        [t for a in range(3, 7) for t in ((0, 1, a), (0, 2, a), (1, 2, a))])
+    assert len(simplify_pipeline(book, target_rank=0).killed_triangles) == 3
+    monkeypatch.setattr(reduction, "_kill_all", mutant)
+    with pytest.raises(AssertionError) as caught:
+        simplify_pipeline(book, target_rank=0)
+    # the audit after the kills fires, before any collapse or the result
+    assert caught.traceback[-1].name == "simplify_pipeline"
