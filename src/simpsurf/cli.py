@@ -225,20 +225,19 @@ def _cmd_cup_form(args) -> _Result:
     name, k = _load(args.file)
     summary = homology_summary(k)
     form = cup_pairing_on_h1(k, summary)
-    n = len(form.h1_reps)
-    payload: dict = {"name": name, "b1": n, "b2": form.b2,
-                     "entries": [[[e.get(c) for c in range(form.b2)]
-                                  for e in row] for row in form.entries]}
-    lines = [f"{name}: cup pairing on H^1 (b1 = {n}, b2 = {form.b2})"]
-    if form.b2 > 1:
+    n, b2 = len(form.rows), form.b2
+    payload: dict = {"name": name, "b1": n, "b2": b2,
+                     "entries": [[[r >> j * b2 + c & 1 for c in range(b2)]
+                                  for j in range(n)] for r in form.rows]}
+    lines = [f"{name}: cup pairing on H^1 (b1 = {n}, b2 = {b2})"]
+    if b2 > 1:
         lines.append("pairing is vector-valued; entries are H^2 coordinate vectors")
         return EXIT_OK, payload, lines
-    payload["rank"] = form.rank()
-    payload["nondegenerate"] = form.rank() == n
-    lines += ["  " + " ".join(str(e.get(0)) if form.b2 else "0" for e in row)
-              for row in form.entries]
-    lines.append(f"rank = {payload['rank']}"
-                 + (" (nondegenerate)" if payload["nondegenerate"] else ""))
+    rank = form.rank()
+    payload["rank"] = rank
+    payload["nondegenerate"] = rank == n
+    lines += ["  " + " ".join(str(r >> j & 1) for j in range(n)) for r in form.rows]
+    lines.append(f"rank = {rank}" + (" (nondegenerate)" if rank == n else ""))
     return EXIT_OK, payload, lines
 
 

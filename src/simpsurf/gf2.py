@@ -79,9 +79,6 @@ class Gf2Vector:
             i = digits.find("1", i + 1)
         return tuple(out)
 
-    def weight(self) -> int:
-        return bin(self.bits).count("1")
-
     def is_zero(self) -> bool:
         return self.bits == 0
 
@@ -122,10 +119,6 @@ class Gf2Matrix:
         return cls(n_rows, n_cols, [0] * n_rows)
 
     @classmethod
-    def identity(cls, n: int) -> "Gf2Matrix":
-        return cls(n, n, [1 << i for i in range(n)])
-
-    @classmethod
     def from_rows(cls, rows: Sequence[Gf2Vector], n_cols: Optional[int] = None) -> "Gf2Matrix":
         if rows:
             n_cols = rows[0].length if n_cols is None else n_cols
@@ -136,19 +129,9 @@ class Gf2Matrix:
             raise ValueError("n_cols required for an empty row list")
         return cls(len(rows), n_cols, [v.bits for v in rows])
 
-    @classmethod
-    def from_dense(cls, entries: Sequence[Sequence[int]], n_cols: Optional[int] = None) -> "Gf2Matrix":
-        return cls.from_rows([Gf2Vector.from_coeffs(r) for r in entries], n_cols)
-
-    def row(self, i: int) -> Gf2Vector:
-        return Gf2Vector(self.n_cols, self._rows[i])
-
     def rows(self) -> Iterator[Gf2Vector]:
         for r in self._rows:
             yield Gf2Vector(self.n_cols, r)
-
-    def get(self, i: int, j: int) -> int:
-        return self._rows[i] >> j & 1
 
     def transpose(self) -> "Gf2Matrix":
         cols = [0] * self.n_cols
@@ -313,9 +296,6 @@ class Gf2Span:
         if v.length != self.length:
             raise ValueError(f"length mismatch {v.length} != {self.length}")
         return self._add_bits(v.bits)
-
-    def vectors(self) -> list[Gf2Vector]:
-        return [Gf2Vector(self.length, r) for r in self._reduced_rows()]
 
 
 def _bits_up(x: int) -> Iterator[int]:

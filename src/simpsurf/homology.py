@@ -18,7 +18,10 @@ triangles gives two bitmasks per edge e: front[e], the triangles whose
 front edge v0 v1 is e, and back[e], those whose back edge v1 v2 is e.
 The pullback F_a of a 1-cochain a is the OR of front[e] over its support
 (G_a likewise from back), so a cup b is the single AND F_a & G_b.
-cup_product stays as the cochain-level reference.
+cup_product stays as the cochain-level reference.  The form keeps one
+packed int per H^1 class, the H^2 coordinates of its cups with every
+basis class side by side, and its left radical (property (A) asks for it
+to be zero) is the relations among those rows, one gf2._relations call.
 
 homology_summary runs one elimination, gf2._relations over the triangle
 boundaries: it gives the 2-cycles, the same the reduction audits use,
@@ -391,39 +394,40 @@ def cup_product(k: Complex2, a: CochainVector, b: CochainVector) -> CochainVecto
 
 @dataclass
 class CupForm:
-    """The H^1 x H^1 -> H^2 pairing in fixed bases.
+    """The H^1 x H^1 -> H^2 pairing in fixed bases, one packed row per H^1 class.
 
-    entries[i][j] holds the H^2 coordinates of [a_i cup a_j]; when b2 <= 1
-    the form collapses to an F2 matrix with a well-defined rank.
+    Bit j*b2 + c of rows[i] is coordinate c of [a_i cup a_j] in the H^2
+    basis.  A combination x of the classes pairs to zero with every a_j
+    exactly when the rows it picks sum to zero, so the left radical is the
+    relations among the rows.  When b2 <= 1 the rows are an F2 matrix with
+    a well-defined rank.
     """
 
     h1_reps: tuple[CochainVector, ...]
     b2: int
-    entries: tuple[tuple[Gf2Vector, ...], ...]
+    rows: tuple[int, ...]
+
+    @property
+    def entries(self) -> tuple[tuple[Gf2Vector, ...], ...]:
+        """entries[i][j] holds the H^2 coordinates of [a_i cup a_j]; each
+        access builds the grid anew from the rows."""
+        b2, low = self.b2, (1 << self.b2) - 1
+        return tuple(tuple(Gf2Vector(b2, r >> j * b2 & low) for j in range(len(self.rows)))
+                     for r in self.rows)
 
     def scalar_matrix(self) -> Gf2Matrix:
-        n = len(self.h1_reps)
         if self.b2 > 1:
             raise ValueError(f"pairing is vector-valued (b2 = {self.b2})")
-        if self.b2 == 0:
-            return Gf2Matrix.zeros(n, n)
-        return Gf2Matrix(n, n, [sum(self.entries[i][j].bits << j for j in range(n))
-                                for i in range(n)])
+        n = len(self.rows)
+        return Gf2Matrix(n, n, self.rows)
 
     def rank(self) -> int:
         return self.scalar_matrix().rank()
 
     def left_radical_basis(self) -> list[Gf2Vector]:
         """Coefficient vectors x with [x cup a_j] = 0 for every j."""
-        n = len(self.h1_reps)
-        rows = []
-        for j in range(n):
-            for c in range(self.b2):
-                rows.append(Gf2Vector.from_coeffs(
-                    [self.entries[i][j].get(c) for i in range(n)]))
-        if not rows:
-            return [Gf2Vector(n, 1 << i) for i in range(n)] if self.b2 == 0 and n else []
-        return Gf2Matrix.from_rows(rows, n).kernel_basis()
+        n = len(self.rows)
+        return [Gf2Vector(n, z) for z in _relations(self.rows, n * self.b2)[1]]
 
 
 def cup_pairing_on_h1(k: Complex2,
@@ -438,7 +442,7 @@ def cup_pairing_on_h1(k: Complex2,
     F_i & G_j are those where a_i(v0 v1) * a_j(v1 v2) = 1: that mask is
     the cochain cup_product(k, a_i, a_j).  Its H^2 coordinate c is its
     value on the 2-cycle z_c = cycle_reps[2][c], the parity of
-    (F_i & G_j & z_c).bit_count().
+    (F_i & G_j & z_c).bit_count(), and it is bit j*b2 + c of row i.
     """
     if summary is None:
         summary = homology_summary(k)
@@ -455,15 +459,17 @@ def cup_pairing_on_h1(k: Complex2,
         back[position[v1, v2]] |= 1 << j
     cycles = [z.coeffs.bits for z in summary.cycle_reps[2]]
     backs = [_pullback(back, a) for a in reps]
-    entries = []
+    rows = []
     for a in reps:
         f = _pullback(front, a)
         on_cycles = [f & z for z in cycles]
-        entries.append(tuple(
-            Gf2Vector(summary.b2, sum(((fz & g).bit_count() & 1) << c
-                                      for c, fz in enumerate(on_cycles)))
-            for g in backs))
-    return CupForm(h1_reps=reps, b2=summary.b2, entries=tuple(entries))
+        row = shift = 0  # shift = j * b2 + c
+        for g in backs:
+            for fz in on_cycles:
+                row |= ((fz & g).bit_count() & 1) << shift
+                shift += 1
+        rows.append(row)
+    return CupForm(h1_reps=reps, b2=summary.b2, rows=tuple(rows))
 
 
 def _pullback(masks: list[int], a: CochainVector) -> int:

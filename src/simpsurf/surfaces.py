@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from . import catalog_data
 from .bounds import NotApplicableError, SurfaceId, minimal_triangle_count
 from .complex2 import Complex2, Label, canon_edge
-from .homology import CochainVector, betti_numbers, cochain, has_property_a
+from .homology import CochainVector, cochain, has_property_a, homology_summary
 
 __all__ = [
     "ClassificationResult",
@@ -216,13 +216,13 @@ class SurfaceHypothesesReport:
 
 
 def surface_hypotheses_report(k: Complex2, target: SurfaceId) -> SurfaceHypothesesReport:
-    betti = betti_numbers(k)
+    summary = homology_summary(k)
     return SurfaceHypothesesReport(
         target=target,
         edge_degrees_ok=bool(k.edges) and all(len(ts) == 2 for ts in k._tris_at_edge.values()),
-        betti=betti,
-        betti_ok=betti == expected_betti(target),
-        cup_pairing_ok=has_property_a(k).holds,
+        betti=summary.betti,
+        betti_ok=summary.betti == expected_betti(target),
+        cup_pairing_ok=has_property_a(k, summary).holds,
         classification=classify(k),
     )
 

@@ -497,10 +497,14 @@ def test_determinism():
 
 def _cup_form_cases():
     """Complexes for the cup-form cross-check: the fixtures, catalog S2..N5,
-    the empty complex, a point, and seeded wedges with loose circles,
-    spheres (b2 >= 2), a disjoint summand and int or str labelled pieces."""
+    the empty complex, a point, two graphs (b1 > 0 with b2 = 0), and seeded
+    wedges with loose circles, spheres (b2 >= 2), a disjoint summand and int
+    or str labelled pieces."""
+    three_cycle = Complex2([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
+    theta = Complex2(range(5), [(0, m) for m in (2, 3, 4)] + [(1, m) for m in (2, 3, 4)])
     cases = [sphere(), rp2(), torus(), torus_with_circle(), torus_circle_sphere(),
-             cone_book(4), Complex2([]), Complex2.from_triangles([], extra_vertices=[0])]
+             cone_book(4), Complex2([]), Complex2.from_triangles([], extra_vertices=[0]),
+             three_cycle, theta]
     cases += [catalog(parse_surface_id(name))
               for name in ("S2", "N1", "M1", "N2", "N3", "M2", "N4", "N5")]
     rng = random.Random(20261018)
@@ -535,6 +539,28 @@ def test_cup_form_matches_cup_product_and_h2_coordinates():
         shapes["b2>=2"] += s.b2 >= 2
         shapes["disconnected"] += s.b0 > 0
         shapes["mixed"] += len({type(v) for v in k.vertices}) == 2
+    assert min(shapes.values()) >= 2
+
+
+def test_left_radical_is_the_relations_among_the_rows():
+    shapes = Counter()
+    for k in _cup_form_cases():
+        form = cup_pairing_on_h1(k)
+        n, b2, entries = len(form.h1_reps), form.b2, form.entries
+        # the radical as the kernel of the (j, c) x i matrix read off entries
+        columns = [Gf2Vector.from_coeffs([entries[i][j].get(c) for i in range(n)])
+                   for j in range(n) for c in range(b2)]
+        radical = form.left_radical_basis()
+        assert radical == Gf2Matrix.from_rows(columns, n).kernel_basis()
+        res = has_property_a(k)
+        assert res.holds == (not radical) and res.radical_dimension == len(radical)
+        if n <= 12:
+            assert res.holds == property_a_brute_force(k)
+        if b2 == 0:
+            assert form.rank() == 0 and radical == [Gf2Vector(n, 1 << i) for i in range(n)]
+        shapes["b1>0, b2=0"] += n > 0 and b2 == 0
+        shapes["fails"] += not res.holds
+        shapes["holds, b1>0"] += res.holds and n > 0
     assert min(shapes.values()) >= 2
 
 
