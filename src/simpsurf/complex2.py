@@ -132,13 +132,15 @@ class Complex2:
     closure of the sorted simplices; __init__ checks that the closure was
     given: first every triangle's edges, then every edge's endpoints.
     That endpoint check lives in __init__ alone, the only constructor
-    where an endpoint can be missing.  The triangles at each edge and at
-    each vertex are indexed on first use.
+    where an endpoint can be missing.  The triangles at each edge are
+    indexed on first use; that is the one triangle index.  Only int and
+    str labels (not bool) are vertices: has_vertex is False for anything
+    else, and the vertex queries raise ValueError for it.
     """
 
     __slots__ = ("vertices", "edges", "triangles",
                  "_vertex_index", "_edge_index", "_triangle_index",
-                 "_edges_at_vertex", "_triangle_maps")
+                 "_edges_at_vertex", "_edge_triangles")
 
     def __init__(self,
                  vertices: Iterable[Label],
@@ -176,35 +178,24 @@ class Complex2:
             edges_at_vertex[e[0]].append(e)
             edges_at_vertex[e[1]].append(e)
         self._edges_at_vertex = {v: tuple(es) for v, es in edges_at_vertex.items()}
-        self._triangle_maps = None
+        self._edge_triangles = None
 
-    # The triangles at each edge and at each vertex are indexed on first
-    # use: homology and the cup form never read them, and they are over a
-    # quarter of the cost of a build.
+    # The triangles at each edge are indexed on first use: homology and the
+    # cup form never read them, and they are a large share of a build.  The
+    # reduction's working state starts from this index.
 
     @property
     def _tris_at_edge(self) -> dict:
-        return (self._triangle_maps or self._index_triangles())[0]
-
-    @property
-    def _tris_at_vertex(self) -> dict:
-        return (self._triangle_maps or self._index_triangles())[1]
-
-    def _index_triangles(self) -> tuple[dict, dict]:
-        """Fill the triangles at each edge and at each vertex, in order."""
-        tris_at_edge: dict[Edge, list[Triangle]] = {e: [] for e in self.edges}
-        tris_at_vertex: dict[Label, list[Triangle]] = {v: [] for v in self.vertices}
-        for t in self.triangles:
-            a, b, c = t
-            tris_at_edge[a, b].append(t)
-            tris_at_edge[a, c].append(t)
-            tris_at_edge[b, c].append(t)
-            tris_at_vertex[a].append(t)
-            tris_at_vertex[b].append(t)
-            tris_at_vertex[c].append(t)
-        self._triangle_maps = ({e: tuple(ts) for e, ts in tris_at_edge.items()},
-                               {v: tuple(ts) for v, ts in tris_at_vertex.items()})
-        return self._triangle_maps
+        """The triangles at each edge, in order."""
+        if self._edge_triangles is None:
+            tris_at_edge: dict[Edge, list[Triangle]] = {e: [] for e in self.edges}
+            for t in self.triangles:
+                a, b, c = t
+                tris_at_edge[a, b].append(t)
+                tris_at_edge[a, c].append(t)
+                tris_at_edge[b, c].append(t)
+            self._edge_triangles = {e: tuple(ts) for e, ts in tris_at_edge.items()}
+        return self._edge_triangles
 
     # ------------------------------------------------------------ building
 
@@ -264,7 +255,13 @@ class Complex2:
         return self.n_vertices - self.n_edges + self.n_triangles
 
     def has_vertex(self, v: Label) -> bool:
-        return v in self._vertex_index
+        # a bool or float is no label, though it may equal an int label
+        return isinstance(v, (int, str)) and not isinstance(v, bool) and v in self._vertex_index
+
+    def _as_vertex(self, v: Label) -> Label:
+        if not self.has_vertex(v):
+            raise ValueError(f"vertex {v!r} is not in the complex")
+        return v
 
     def has_edge(self, e: Sequence[Label]) -> bool:
         return canon_edge(*e) in self._edge_index
@@ -282,7 +279,7 @@ class Complex2:
     def simplex_id(self, simplex) -> SimplexId:
         try:
             if isinstance(simplex, (int, str)):
-                return SimplexId(0, self._vertex_index[simplex])
+                return SimplexId(0, self._vertex_index[self._as_vertex(simplex)])
             vs = tuple(simplex)
             if len(vs) == 2:
                 return SimplexId(1, self._edge_index[canon_edge(*vs)])
@@ -320,10 +317,12 @@ class Complex2:
         return self._tris_at_edge[self._as_edge(e)]
 
     def edges_at_vertex(self, v: Label) -> tuple[Edge, ...]:
-        return self._edges_at_vertex[v]
+        return self._edges_at_vertex[self._as_vertex(v)]
 
     def triangles_at_vertex(self, v: Label) -> tuple[Triangle, ...]:
-        return self._tris_at_vertex[v]
+        """The triangles containing v, in order: a scan, as nothing hot asks."""
+        v = self._as_vertex(v)
+        return tuple(t for t in self.triangles if v in t)
 
     def maximal_edges(self) -> tuple[Edge, ...]:
         """Edges contained in no triangle, in canonical order."""
@@ -335,10 +334,8 @@ class Complex2:
 
     def link_of_vertex(self, v: Label) -> tuple[tuple[Label, ...], tuple[Edge, ...]]:
         """The link graph: neighbouring vertices and opposite edges of triangles."""
-        if v not in self._vertex_index:
-            raise ValueError(f"vertex {v!r} is not in the complex")
-        nodes = sorted({u for e in self._edges_at_vertex[v] for u in e if u != v}, key=label_key)
-        opp = sorted((canon_edge(*(set(t) - {v})) for t in self._tris_at_vertex[v]),
+        nodes = sorted({u for e in self.edges_at_vertex(v) for u in e if u != v}, key=label_key)
+        opp = sorted((canon_edge(*(set(t) - {v})) for t in self.triangles_at_vertex(v)),
                      key=lambda e: tuple(map(label_key, e)))
         return tuple(nodes), tuple(opp)
 
@@ -383,9 +380,7 @@ class Complex2:
                         self.triangles)
 
     def remove_isolated_vertex(self, v: Label) -> "Complex2":
-        if v not in self._vertex_index:
-            raise ValueError(f"vertex {v!r} is not in the complex")
-        if self._edges_at_vertex[v] or self._tris_at_vertex[v]:
+        if self.edges_at_vertex(v):  # a vertex in no edge is in no triangle
             raise ValueError(f"vertex {v!r} is not isolated")
         return Complex2([u for u in self.vertices if u != v], self.edges, self.triangles)
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Collection, Iterable, Optional
+from typing import Collection, Iterable, Optional, Sequence
 
 from .complex2 import Complex2
 from .gf2 import Gf2Matrix, Gf2Span, Gf2Vector, _relations
@@ -145,8 +145,7 @@ def boundary_matrix(k: Complex2, n: int) -> Gf2Matrix:
 
 def betti_numbers(k: Complex2) -> tuple[int, int, int]:
     """Reduced F2 Betti numbers (b0, b1, b2), without representatives."""
-    boundaries = [1 << a | 1 << b | 1 << c for a, b, c in _triangle_edges(k)]
-    return _betti(k, Gf2Matrix(k.n_triangles, k.n_edges, boundaries).rank())
+    return _betti(k, Gf2Matrix(k.n_triangles, k.n_edges, _boundary_rows(k)).rank())
 
 
 def _triangle_edges(k: Complex2) -> list[tuple[int, int, int]]:
@@ -156,19 +155,25 @@ def _triangle_edges(k: Complex2) -> list[tuple[int, int, int]]:
     return [(position[a, b], position[a, c], position[b, c]) for a, b, c in k.triangles]
 
 
-def _boundary_relations(k: Complex2,
+def _boundary_rows(k: Complex2) -> list[int]:
+    """Each triangle's boundary as a bitmask over the edge positions, in
+    triangle order: the rows of the transpose of d2."""
+    return [1 << a | 1 << b | 1 << c for a, b, c in _triangle_edges(k)]
+
+
+def _boundary_relations(boundaries: Sequence[int], n_edges: int,
                         skip: Collection[int] = ()) -> tuple[Gf2Span, list[int]]:
-    """The triangle boundaries eliminated in order: their span, and the
-    2-cycles as boundary_matrix(k, 2).kernel_basis() gives them.
+    """The triangle boundaries (a complex's _boundary_rows) eliminated in
+    order: their span, and the 2-cycles as boundary_matrix(k, 2).kernel_basis()
+    gives them.
 
     The triangles at the positions in skip are left out, and the cycles
-    are over the positions of the rest: those of the complex k without
-    them, which keeps every edge position of k.
+    are over the positions of the rest: those of the complex without
+    them, which keeps every edge position.
     """
-    boundaries = [1 << a | 1 << b | 1 << c for a, b, c in _triangle_edges(k)]
     if skip:
         boundaries = [r for j, r in enumerate(boundaries) if j not in skip]
-    return _relations(boundaries, k.n_edges)
+    return _relations(boundaries, n_edges)
 
 
 def _betti(k: Complex2, rank2: int) -> tuple[int, int, int]:

@@ -18,8 +18,8 @@ relations among the values come from the same helper.  The default spec
 is read off the same cycle basis: one triangle per pivot of its echelon
 form, the dual basis homology_summary reports as cocycle_reps[2].
 
-The pipeline runs on one private working state, from the input's
-simplices minus the killed triangles to the result, and builds exactly
+The pipeline runs on one private working state, from the input's own
+incidence minus the killed triangles to the result, and builds exactly
 one Complex2: the result.  Each step is witnessed when it is made: a kill
 removes a triangle of a 2-cycle with zero boundary on which every
 functional vanishes, and the functionals' rank is re-checked on the kept
@@ -28,27 +28,27 @@ joining the endpoints without the edge; a contraction has none, and its
 endpoints share no neighbour.  Full rank audits run at the phase
 boundaries (the input, after the kills, the result); kills keep every
 edge, so the one after the kills eliminates the input's boundary rows of
-the kept triangles and never builds that complex.  They pin every
-per-step Betti snapshot, because each move shifts the numbers one way
-only: removing a triangle changes (b1, b2) by (0, -1) or (+1, 0),
-deleting an edge changes (b0, b1) by (0, -1) or (+1, 0), collapses and
-contractions change nothing, and surjectivity, once lost, cannot come
-back while the cycle space only shrinks.
+the kept triangles and never builds that complex.  The input's rows are
+built once and serve its audit, the kills and the audit after them.
+The audits pin every per-step Betti snapshot, because each move shifts
+the numbers one way only: removing a triangle changes (b1, b2) by
+(0, -1) or (+1, 0), deleting an edge changes (b0, b1) by (0, -1) or
+(+1, 0), collapses and contractions change nothing, and surjectivity,
+once lost, cannot come back while the cycle space only shrinks.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import chain, combinations
 from typing import Iterable, Optional, Sequence
 
-from .complex2 import (Complex2, Edge, Label, Triangle, _label_order, canon_edge,
-                       canon_triangle, label_key)
+from .complex2 import Complex2, Edge, Label, Triangle, _label_order, canon_triangle
 from .gf2 import Gf2Span, _bits_up, _relations
 from .homology import (CochainVector, _betti, _betti_of_counts, _boundary_relations,
-                       _triangle_edges)
+                       _boundary_rows)
 
 __all__ = [
     "PreservationSpec",
@@ -157,13 +157,15 @@ def _values(masks: Sequence[int], z: int) -> int:
     return sum(1 << i for i, m in enumerate(masks) if (z & m).bit_count() & 1)
 
 
-def _cycle_basis(k: Complex2) -> tuple[list[int], tuple[int, int, int]]:
+def _cycle_basis(k: Complex2, boundaries: Optional[Sequence[int]] = None
+                 ) -> tuple[list[int], tuple[int, int, int]]:
     """The 2-cycles as the relations among the triangle boundaries (the
     vectors kernel_basis gives for d2), and the Betti numbers.
 
     This is the one elimination of a boundary audit; b2 is the basis size.
+    `boundaries`, when given, are _boundary_rows(k).
     """
-    _, cycles = _boundary_relations(k)
+    _, cycles = _boundary_relations(boundaries or _boundary_rows(k), k.n_edges)
     return cycles, _betti(k, k.n_triangles - len(cycles))
 
 
@@ -191,19 +193,20 @@ def _dual_spec(k: Complex2, cycles: Sequence[int],
 
 # ------------------------------------------------------------ kills
 
-def _kill_all(k: Complex2, spec: PreservationSpec, cycles: list[int]) -> list[int]:
+def _kill_all(k: Complex2, spec: PreservationSpec, cycles: list[int],
+              boundaries: Sequence[int]) -> list[int]:
     """Kill invisible cycles until none is left; the killed triangle positions.
 
-    `cycles` is the basis _cycle_basis gives for the 2-cycles of k: its
-    vectors have distinct highest bits, in increasing order, and each is
-    zero at the others' highest bits.  That normal form depends only on
-    the cycle space, so after a kill the list is replaced in place by the
-    normal form of the cycles avoiding the killed triangle, using the
-    vectors that contain it, and every kill is the one kill_step makes on
-    the complex at that point.  Positions stay those of k.triangles.
+    `boundaries` are _boundary_rows(k), and `cycles` is the basis
+    _cycle_basis gives for the 2-cycles of k: its vectors have distinct
+    highest bits, in increasing order, and each is zero at the others'
+    highest bits.  That normal form depends only on the cycle space, so
+    after a kill the list is replaced in place by the normal form of the
+    cycles avoiding the killed triangle, using the vectors that contain
+    it, and every kill is the one kill_step makes on the complex at that
+    point.  Positions stay those of k.triangles.
     """
     masks = spec._masks(k.triangles)
-    boundaries = [1 << a | 1 << b | 1 << c for a, b, c in _triangle_edges(k)]
     values = [_values(masks, z) for z in cycles]
     killed: list[int] = []
     while True:
@@ -226,67 +229,56 @@ def _kill_all(k: Complex2, spec: PreservationSpec, cycles: list[int]) -> list[in
 
 # ------------------------------------------------------------ collapses and edges
 
-def _edge_key(e: Edge):
-    return (label_key(e[0]), label_key(e[1]))
-
-
 class _WorkingComplex:
     """The complex under collapse and edge elimination, edited in place.
 
-    It starts from canonical simplex tuples, closed under faces, such as
-    a Complex2's own, and fills its incidence from them in one pass each
-    way: the triangles at each edge and the edges at each vertex.  Three
-    lazy min-heaps in canonical order hold the candidate free edges, free
-    vertices and maximal edges.  An entry is pushed whenever a simplex may
-    have become a candidate and is checked against the incidence when
-    popped, so every move is the canonically first one available, as a
-    scan of the rebuilt complex would find it.  complex() builds the
-    Complex2 of the state.
+    It starts from the incidence of a Complex2, the triangles at each edge
+    and the edges at each vertex, copied into sets, less the triangles at
+    the positions in skip.  Three lazy min-heaps hold the candidate free
+    edges, free vertices and maximal edges, ordered by the input's vertex
+    positions, which is the canonical order; a contraction keeps a vertex
+    of the input, so every position stays defined.  An entry is pushed
+    whenever a simplex may have become a candidate and is checked against
+    the incidence when popped, so every move is the canonically first one
+    available, as a scan of the rebuilt complex would find it.  The state
+    is geometry only: functionals are renamed through the recorded
+    contractions afterwards.  complex() builds the Complex2 of the state.
     """
 
-    def __init__(self, vertices: Iterable[Label], edges: Iterable[Edge],
-                 triangles: Iterable[Triangle],
-                 spec: Optional[PreservationSpec]) -> None:
-        self.spec = spec  # renamed through each contraction
-        self.triangles = set(triangles)
-        self.tris_at_edge = tris_at_edge = {e: set() for e in edges}
-        for t in self.triangles:
-            a, b, c = t
-            tris_at_edge[a, b].add(t)
-            tris_at_edge[a, c].add(t)
-            tris_at_edge[b, c].add(t)
-        self.edges_at_vertex = edges_at_vertex = {v: set() for v in vertices}
-        for e in tris_at_edge:
-            edges_at_vertex[e[0]].add(e)
-            edges_at_vertex[e[1]].add(e)
-        self.free_edges = [(_edge_key(e), e) for e, ts in tris_at_edge.items()
-                           if len(ts) == 1]
-        self.maximal_edges = [(_edge_key(e), e) for e, ts in tris_at_edge.items()
-                              if not ts]
-        self.free_vertices = [(label_key(v), v) for v, es in edges_at_vertex.items()
-                              if len(es) == 1]
-        for heap in (self.free_edges, self.maximal_edges, self.free_vertices):
-            heapify(heap)
+    def __init__(self, k: Complex2, skip: Iterable[int] = ()) -> None:
+        self.rank = k._vertex_index
+        self.triangles = set(k.triangles)
+        self.tris_at_edge = {e: set(ts) for e, ts in k._tris_at_edge.items()}
+        for t in map(k.triangles.__getitem__, skip):
+            self.triangles.remove(t)
+            for f in combinations(t, 2):
+                self.tris_at_edge[f].remove(t)
+        self.edges_at_vertex = {v: set(es) for v, es in k._edges_at_vertex.items()}
+        self.free_edges, self.maximal_edges, self.free_vertices = [], [], []
+        # in canonical order, so each push lands at the end of its heap
+        for e in self.tris_at_edge:
+            self._edge_changed(e)
+        for v in self.edges_at_vertex:
+            self._vertex_changed(v)
         self.collapses: list = []
         self.contractions: list[Edge] = []
         self.deleted: list[Edge] = []
 
     def _edge_changed(self, e: Edge) -> None:
         degree = len(self.tris_at_edge[e])
-        if degree == 1:
-            heappush(self.free_edges, (_edge_key(e), e))
-        elif degree == 0:
-            heappush(self.maximal_edges, (_edge_key(e), e))
+        if degree < 2:
+            heappush(self.free_edges if degree else self.maximal_edges,
+                     (self.rank[e[0]], self.rank[e[1]], e))
 
     def _vertex_changed(self, v: Label) -> None:
         if len(self.edges_at_vertex[v]) == 1:
-            heappush(self.free_vertices, (label_key(v), v))
+            heappush(self.free_vertices, (self.rank[v], v))
 
     @staticmethod
     def _first(heap: list, incidence: dict, degree: int):
         """Pop the first candidate that has the given degree now, or None."""
         while heap:
-            _, s = heappop(heap)
+            s = heappop(heap)[-1]
             if s in incidence and len(incidence[s]) == degree:
                 return s
         return None
@@ -343,14 +335,16 @@ class _WorkingComplex:
         return None
 
     def _contract(self, e: Edge) -> None:
-        """Identify the endpoints of a bridge, renaming the star of the larger."""
+        """Identify the endpoints of a bridge, renaming the star of the later;
+        renamed simplices are sorted by vertex position."""
         keep, gone = e
+        rank = self.rank.__getitem__
         self._remove_edge(e)
         star = self.edges_at_vertex.pop(gone)
         near = {w for f in self.edges_at_vertex[keep] for w in f}
         # a common neighbour would be a path, and would make two edges one
         assert not near & {w for f in star for w in f if w != gone}
-        renamed = {t: canon_triangle(*(keep if v == gone else v for v in t))
+        renamed = {t: tuple(sorted((keep if v == gone else v for v in t), key=rank))
                    for f in star for t in self.tris_at_edge[f]}
         for t, u in renamed.items():
             self.triangles.remove(t)
@@ -360,15 +354,13 @@ class _WorkingComplex:
             opposite.add(u)
         for f in star:
             w = f[1] if f[0] == gone else f[0]
-            g = canon_edge(keep, w)
+            g = (keep, w) if rank(keep) < rank(w) else (w, keep)
             self.tris_at_edge[g] = {renamed[t] for t in self.tris_at_edge.pop(f)}
             self.edges_at_vertex[w].remove(f)
             self.edges_at_vertex[w].add(g)
             self.edges_at_vertex[keep].add(g)
             self._edge_changed(g)
         self._vertex_changed(keep)
-        if self.spec is not None:
-            self.spec = self.spec.mapped({gone: keep})
 
     def eliminate(self, snapshots: list) -> None:
         """Remove every maximal edge, then collapse, to a joint fixpoint.
@@ -419,7 +411,7 @@ def collapse_all(k: Complex2) -> tuple[Complex2, tuple]:
     preferred and scanning is in canonical order.  Cycles of 2-chains are
     untouched: a cycle must vanish on the triangle of any free edge.
     """
-    state = _WorkingComplex(k.vertices, k.edges, k.triangles, None)
+    state = _WorkingComplex(k)
     if not state.collapse():
         return k, ()
     return state.complex(), tuple(state.collapses)
@@ -452,11 +444,12 @@ class ReductionTrace:
 
 
 def _finish(state: _WorkingComplex, k: Complex2, killed: Sequence[Triangle],
-            snapshots: list, rank: Optional[int]) -> ReductionTrace:
+            snapshots: list, spec: Optional[PreservationSpec],
+            rank: Optional[int]) -> ReductionTrace:
     """Build the result and audit it against the input's books.
 
-    `rank` is the functionals' rank on the input's cycle space, which
-    every step must keep.
+    `spec` is renamed through the contractions, in order, and `rank` is
+    its rank on the input's cycle space, which every step must keep.
     """
     result = state.complex()
     cycles, betti = _cycle_basis(result)
@@ -466,12 +459,14 @@ def _finish(state: _WorkingComplex, k: Complex2, killed: Sequence[Triangle],
     assert result.euler_characteristic() == k.euler_characteristic() - len(killed) + m
     assert not result.maximal_edges()
     assert all(len(ts) != 1 for ts in result._tris_at_edge.values())
-    assert (state.spec is None
-            or _spec_rank(state.spec, result.triangles, cycles) == rank)
+    if spec is not None:
+        for keep, gone in state.contractions:
+            spec = spec.mapped({gone: keep})
+        assert _spec_rank(spec, result.triangles, cycles) == rank
     return ReductionTrace(
         input_complex=k,
         result=result,
-        spec=state.spec,
+        spec=spec,
         killed_triangles=tuple(killed),
         collapses=tuple(state.collapses),
         contractions=tuple(state.contractions),
@@ -495,10 +490,10 @@ def eliminate_maximal_edges(k: Complex2,
     """
     cycles, betti = _cycle_basis(k)
     rank = None if spec is None else _spec_rank(spec, k.triangles, cycles)
-    state = _WorkingComplex(k.vertices, k.edges, k.triangles, spec)
+    state = _WorkingComplex(k)
     snapshots: list = [("input", betti)]
     state.eliminate(snapshots)
-    return _finish(state, k, (), snapshots, rank)
+    return _finish(state, k, (), snapshots, spec, rank)
 
 
 def simplify_pipeline(k: Complex2, spec: Optional[PreservationSpec] = None,
@@ -516,17 +511,17 @@ def simplify_pipeline(k: Complex2, spec: Optional[PreservationSpec] = None,
     """
     if spec is not None and target_rank is not None and spec.rank != target_rank:
         raise ValueError("target_rank disagrees with the explicit spec")
-    cycles, betti = _cycle_basis(k)
+    boundaries = _boundary_rows(k)
+    cycles, betti = _cycle_basis(k, boundaries)
     if spec is None:
         spec = _dual_spec(k, cycles, target_rank)
     if _spec_rank(spec, k.triangles, cycles) != spec.rank:
         raise ValueError("functionals are not surjective on the cycle space")
 
-    killed = _kill_all(k, spec, cycles)
+    killed = _kill_all(k, spec, cycles, boundaries)
     b0, b1, b2 = betti
     snapshots: list = [("input", betti)]
     snapshots += [("kill", (b0, b1, b2 - i)) for i in range(1, len(killed) + 1)]
-    triangles = k.triangles
     if killed:
         # Kills keep every vertex and edge, so the complex after them has
         # the input's components and edge positions, and its boundary rows
@@ -534,16 +529,16 @@ def simplify_pipeline(k: Complex2, spec: Optional[PreservationSpec] = None,
         # that complex, over the kept positions.
         gone = set(killed)
         kept = [j for j in range(k.n_triangles) if j not in gone]
-        triangles = [k.triangles[j] for j in kept]
-        _, fresh = _boundary_relations(k, gone)
+        _, fresh = _boundary_relations(boundaries, k.n_edges, gone)
         assert [sum(1 << kept[i] for i in _bits_up(z)) for z in fresh] == cycles
         betti = _betti_of_counts(k.n_vertices, k.n_edges, len(kept), b0 + 1,
                                  len(kept) - len(fresh))
         assert betti == snapshots[-1][1]
-        assert _spec_rank(spec, triangles, fresh) == spec.rank
+        assert _spec_rank(spec, [k.triangles[j] for j in kept], fresh) == spec.rank
 
-    state = _WorkingComplex(k.vertices, k.edges, triangles, spec)
+    state = _WorkingComplex(k, killed)
     if state.collapse():
         snapshots.append(("collapse", betti))
     state.eliminate(snapshots)
-    return _finish(state, k, [k.triangles[j] for j in killed], snapshots, spec.rank)
+    return _finish(state, k, [k.triangles[j] for j in killed], snapshots, spec,
+                   spec.rank)

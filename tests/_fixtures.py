@@ -10,6 +10,7 @@ apart from the tagged elimination behind Gf2Matrix.kernel_basis.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 from simpsurf.bounds import parse_surface_id
@@ -74,6 +75,36 @@ def m8_wedge(copies: int) -> Complex2:
     for _ in range(copies - 1):
         k = wedge(k, k.vertices[0], m8, m8.vertices[0])
     return attach_circle(k, k.vertices[0])
+
+
+def _relabel(k: Complex2, labels: str) -> Complex2:
+    """k on int labels, str labels, or both: odd labels become strings."""
+    if labels == "int":
+        return k
+    return k.relabeled({v: f"s{v}" for v in k.vertices
+                        if labels == "str" or v % 2})
+
+
+def label_cases():
+    """Catalog surfaces, wedges with bubbles and circles and inputs with
+    isolated vertices, each on int, str and mixed labels."""
+    rng = random.Random(20261020)
+    bases = [catalog(parse_surface_id(name)) for name in ("S2", "N1", "M1", "N2", "M2")]
+    shapes = list(bases)
+    for _ in range(8):
+        base = rng.choice(bases)
+        k = base
+        for _ in range(rng.randrange(1, 3)):
+            k = attach_circle(k, rng.choice(k.vertices))
+        for j in range(rng.randrange(0, 3)):
+            bubble = sphere().relabeled({v: 100 + 10 * j + v for v in range(4)})
+            k = wedge(k, rng.choice(base.vertices), bubble, 100 + 10 * j)
+        shapes.append(k)
+    shapes += [Complex2(k.vertices + (900, 901), k.edges, k.triangles)
+               for k in (bases[0], bases[2], shapes[-1])]
+    shapes.append(Complex2([900]))
+    return [(labels, _relabel(k, labels)) for k in shapes
+            for labels in ("int", "str", "mixed")]
 
 
 def _link_is_single_cycle(k: Complex2, v) -> bool:

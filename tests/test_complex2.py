@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simpsurf.complex2 import Complex2, SimplexId, canon_edge, canon_triangle, label_key
+
+from _fixtures import label_cases, torus
 
 SPHERE = [t for t in combinations(range(4), 3)]
 
@@ -84,6 +87,40 @@ def test_link_of_vertex():
     nodes, edges = k.link_of_vertex(0)
     assert nodes == (1, 2, 3)
     assert edges == ((1, 2), (1, 3), (2, 3))
+
+
+def test_vertex_stars_and_links_match_a_brute_force_filter():
+    seen = Counter()
+    for labels, k in label_cases():
+        position = k._vertex_index
+        for v in k.vertices:
+            star = tuple(t for t in k.triangles if v in t)
+            assert k.triangles_at_vertex(v) == star
+            assert set(star) == {t for e in k.edges_at_vertex(v)
+                                 for t in k.triangles_at_edge(e)}
+            nodes = sorted({u for e in k.edges if v in e for u in e if u != v},
+                           key=position.get)
+            opposite = sorted((tuple(u for u in t if u != v) for t in star),
+                              key=lambda e: (position[e[0]], position[e[1]]))
+            assert k.link_of_vertex(v) == (tuple(nodes), tuple(opposite))
+            seen["isolated"] += not k.edges_at_vertex(v)
+        seen[labels] += 1
+    assert seen["isolated"] >= 12
+    assert seen["int"] == seen["str"] == seen["mixed"] >= 15
+
+
+def test_only_int_and_str_labels_are_vertices():
+    k = torus()
+    assert k.has_vertex(0) and k.has_vertex(1)
+    # True == 1 and 1.0 == 1, yet neither is a label of the complex
+    for bad in (True, False, 1.0, 0.0, 99, "0", None, [0]):
+        assert not k.has_vertex(bad)
+        for query in (k.edges_at_vertex, k.triangles_at_vertex, k.link_of_vertex,
+                      k.remove_isolated_vertex):
+            with pytest.raises(ValueError, match="is not in the complex"):
+                query(bad)
+    with pytest.raises(ValueError, match="is not in the complex"):
+        k.simplex_id(True)
 
 
 def test_components_include_isolated_vertices():

@@ -11,14 +11,14 @@ from simpsurf import homology, reduction
 from simpsurf.bounds import parse_surface_id
 from simpsurf.complex2 import Complex2
 from simpsurf.gf2 import Gf2Matrix, _bits_up, _relations
-from simpsurf.homology import (_triangle_edges, betti_numbers, boundary_matrix,
-                               chain_support, has_property_a, homology_summary)
+from simpsurf.homology import (betti_numbers, boundary_matrix, chain_support,
+                               has_property_a, homology_summary)
 from simpsurf.reduction import (PreservationSpec, _cycle_basis, _sum, _values,
                                 collapse_all, eliminate_maximal_edges, kill_step,
                                 simplify_pipeline)
 from simpsurf.surfaces import attach_circle, catalog, classify, wedge
 
-from _fixtures import (kernel_from_rref, m8_wedge, rp2, sphere, torus,
+from _fixtures import (kernel_from_rref, label_cases, m8_wedge, rp2, sphere, torus,
                        torus_circle_sphere, torus_with_circle)
 
 
@@ -485,36 +485,6 @@ def test_pipeline_work_is_bounded_per_phase(monkeypatch):
     assert counts["rrefs"] == counts["kernels"] == counts["matrices"] == 0
 
 
-def _relabel(k: Complex2, labels: str) -> Complex2:
-    """k on int labels, str labels, or both: odd labels become strings."""
-    if labels == "int":
-        return k
-    return k.relabeled({v: f"s{v}" for v in k.vertices
-                        if labels == "str" or v % 2})
-
-
-def _label_cases():
-    """Catalog surfaces, wedges with bubbles and circles and inputs with
-    isolated vertices, each on int, str and mixed labels."""
-    rng = random.Random(20261020)
-    bases = [catalog(parse_surface_id(name)) for name in ("S2", "N1", "M1", "N2", "M2")]
-    shapes = list(bases)
-    for _ in range(8):
-        base = rng.choice(bases)
-        k = base
-        for _ in range(rng.randrange(1, 3)):
-            k = attach_circle(k, rng.choice(k.vertices))
-        for j in range(rng.randrange(0, 3)):
-            bubble = sphere().relabeled({v: 100 + 10 * j + v for v in range(4)})
-            k = wedge(k, rng.choice(base.vertices), bubble, 100 + 10 * j)
-        shapes.append(k)
-    shapes += [Complex2(k.vertices + (900, 901), k.edges, k.triangles)
-               for k in (bases[0], bases[2], shapes[-1])]
-    shapes.append(Complex2([900]))
-    return [(labels, _relabel(k, labels)) for k in shapes
-            for labels in ("int", "str", "mixed")]
-
-
 def _assert_as_built(r: Complex2) -> None:
     """r is the complex __init__ builds from its own simplices."""
     fresh = Complex2(r.vertices, r.edges, r.triangles)
@@ -527,7 +497,7 @@ def _assert_as_built(r: Complex2) -> None:
 
 def test_results_are_built_as_init_builds_them():
     seen = Counter()
-    for labels, k in _label_cases():
+    for labels, k in label_cases():
         for mode in (0, 1, None):
             if mode is not None and mode > _cycle_basis(k)[1][2]:
                 continue
@@ -544,11 +514,10 @@ def test_results_are_built_as_init_builds_them():
     assert all(seen[label] > 0 for label in ("kill", "collapse", "contract", "delete"))
 
 
-def _kill_all_skipping_an_update(k, spec, cycles):
+def _kill_all_skipping_an_update(k, spec, cycles, boundaries):
     """reduction._kill_all with one fault in its books: at the first kill,
     the other cycles through the killed triangle are not reduced."""
     masks = spec._masks(k.triangles)
-    boundaries = [1 << a | 1 << b | 1 << c for a, b, c in _triangle_edges(k)]
     values = [_values(masks, z) for z in cycles]
     killed = []
     while True:
@@ -572,9 +541,9 @@ def _kill_all_skipping_an_update(k, spec, cycles):
 _original_kill_all = reduction._kill_all  # the test replaces the module's
 
 
-def _kill_all_losing_a_kill(k, spec, cycles):
+def _kill_all_losing_a_kill(k, spec, cycles, boundaries):
     """reduction._kill_all, but the last kill goes unreported."""
-    return _original_kill_all(k, spec, cycles)[:-1]
+    return _original_kill_all(k, spec, cycles, boundaries)[:-1]
 
 
 @pytest.mark.parametrize("mutant", [_kill_all_skipping_an_update,

@@ -345,6 +345,17 @@ def test_wedge_rejects_missing_vertices():
         wedge(torus(), 0, sphere(), 77)
 
 
+def test_wedge_and_circle_reject_a_bool_or_float_vertex():
+    # each equals an int label of the torus, and was once taken for it
+    for bad in (1.0, True):
+        with pytest.raises(ValueError, match="not in the first complex"):
+            wedge(torus(), bad, torus(), 0)
+        with pytest.raises(ValueError, match="not in the second complex"):
+            wedge(torus(), 0, torus(), bad)
+        with pytest.raises(ValueError, match="not in the complex"):
+            attach_circle(torus(), bad)
+
+
 def test_attach_circle():
     k = attach_circle(torus(), 0)
     assert k.n_vertices == 9
