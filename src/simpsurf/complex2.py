@@ -39,6 +39,12 @@ def label_key(label: Label):
     raise TypeError(f"vertex label {label!r} is not an int or str")
 
 
+def _is_label(v) -> bool:
+    """Whether v can be a vertex: an int or str, not a bool.  A bool or
+    float may equal an int label, so a lookup alone would find it."""
+    return isinstance(v, (int, str)) and not isinstance(v, bool)
+
+
 def canon_edge(a: Label, b: Label) -> Edge:
     u, v = sorted((a, b), key=label_key)
     return (u, v)
@@ -134,8 +140,10 @@ class Complex2:
     That endpoint check lives in __init__ alone, the only constructor
     where an endpoint can be missing.  The triangles at each edge are
     indexed on first use; that is the one triangle index.  Only int and
-    str labels (not bool) are vertices: has_vertex is False for anything
-    else, and the vertex queries raise ValueError for it.
+    str labels (not bool) are vertices: has_vertex, has_edge and
+    has_triangle are False for a simplex with any other label, and the
+    vertex, edge and triangle queries and simplex_id raise ValueError for
+    it.
     """
 
     __slots__ = ("vertices", "edges", "triangles",
@@ -255,8 +263,7 @@ class Complex2:
         return self.n_vertices - self.n_edges + self.n_triangles
 
     def has_vertex(self, v: Label) -> bool:
-        # a bool or float is no label, though it may equal an int label
-        return isinstance(v, (int, str)) and not isinstance(v, bool) and v in self._vertex_index
+        return _is_label(v) and v in self._vertex_index
 
     def _as_vertex(self, v: Label) -> Label:
         if not self.has_vertex(v):
@@ -264,10 +271,10 @@ class Complex2:
         return v
 
     def has_edge(self, e: Sequence[Label]) -> bool:
-        return canon_edge(*e) in self._edge_index
+        return all(map(_is_label, e)) and canon_edge(*e) in self._edge_index
 
     def has_triangle(self, t: Sequence[Label]) -> bool:
-        return canon_triangle(*t) in self._triangle_index
+        return all(map(_is_label, t)) and canon_triangle(*t) in self._triangle_index
 
     def simplex(self, sid: SimplexId):
         """The vertex tuple (or label, in dimension 0) behind an id."""
@@ -285,7 +292,8 @@ class Complex2:
                 return SimplexId(1, self._edge_index[canon_edge(*vs)])
             if len(vs) == 3:
                 return SimplexId(2, self._triangle_index[canon_triangle(*vs)])
-        except KeyError:
+        except (KeyError, TypeError):
+            # TypeError: a label neither int nor str (tuple(1.0) or label_key)
             raise ValueError(f"simplex {simplex!r} is not in the complex") from None
         raise ValueError(f"not a simplex: {simplex!r}")
 
@@ -294,20 +302,18 @@ class Complex2:
             if e.dimension != 1:
                 raise ValueError(f"{e} is not an edge id")
             return self.edges[e.index]
-        edge = canon_edge(*e)
-        if edge not in self._edge_index:
-            raise ValueError(f"edge {edge!r} is not in the complex")
-        return edge
+        if not self.has_edge(e):
+            raise ValueError(f"edge {tuple(e)!r} is not in the complex")
+        return canon_edge(*e)
 
     def _as_triangle(self, t) -> Triangle:
         if isinstance(t, SimplexId):
             if t.dimension != 2:
                 raise ValueError(f"{t} is not a triangle id")
             return self.triangles[t.index]
-        tri = canon_triangle(*t)
-        if tri not in self._triangle_index:
-            raise ValueError(f"triangle {tri!r} is not in the complex")
-        return tri
+        if not self.has_triangle(t):
+            raise ValueError(f"triangle {tuple(t)!r} is not in the complex")
+        return canon_triangle(*t)
 
     def edge_degree(self, e) -> int:
         """Number of triangles containing the edge."""

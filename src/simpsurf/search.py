@@ -29,7 +29,9 @@ already present, and each of its edges lies in exactly two triangles,
 since an edge is left open in one triangle or closed in two and no
 triangle is placed on a closed edge.  canonical_form likewise runs on
 vertex indices, so the triple-edge search keys its states as they come
-and builds a Complex2 only for a new class.  Nothing here assumes the
+and builds a Complex2 only for a new class; the branch and bound of
+canonical_form skips every candidate that an automorphism found on the
+way proves equivalent to one already tried.  Nothing here assumes the
 counting results elsewhere in the package.
 """
 
@@ -100,11 +102,25 @@ def canonical_form(k: Complex2) -> tuple:
     maps the candidate taken there to the one the best labeling took,
     whose subtree is already searched.  Every labeling below the current
     candidate has its image in that subtree, so the search resumes at
-    that node with the next candidate.  A vertex-transitive complex, or a
-    heap of interchangeable loose edges, then costs a few descents per
-    label instead of one leaf per automorphism.  Vertices with no edges
-    are placed without branching: refinement gives them a cell of their
-    own, and every labeling of that cell gives the same key.
+    that node with the next candidate.
+
+    Each such automorphism is also kept, as a vertex map, and prunes
+    siblings (orbit pruning, as in McKay's nauty).  At a node with several
+    candidates, the kept automorphisms that fix every placed vertex split
+    the candidates into orbits, and a candidate whose orbit holds one
+    already tried is skipped.  Such an automorphism g keeps the colour
+    cells and the placed labels, so it carries each labeling below a
+    candidate v onto one below g(v) with the same triangle and loose-edge
+    lists.  The pairs below v are thus the pairs below the candidate
+    already tried, whose subtree the search has met or cut, and the least
+    pair, so the key, is unchanged.  The orbits are made at a node only
+    once an automorphism exists, and each candidate folds in only those
+    found since the one before, so a complex with no automorphism
+    allocates nothing for them.  A vertex-transitive complex, or a heap
+    of interchangeable loose edges, then costs a few descents per label
+    instead of one leaf per automorphism.  Vertices with no edges are
+    placed without branching: refinement gives them a cell of their own,
+    and every labeling of that cell gives the same key.
     """
     index = k._vertex_index
     return _canonical_key(
@@ -185,6 +201,7 @@ def _canonical_key(n: int, tris, edges=()) -> tuple:
 
     best = None  # (triangle list, loose-edge list) of the least labeling
     best_at: list = []  # label -> vertex in that labeling
+    autos: list = []  # the automorphisms found at tied leaves, vertex -> vertex
 
     def descend(i: int) -> int:
         """Place the labels order[i:]; return the position whose node the
@@ -208,11 +225,27 @@ def _canonical_key(n: int, tris, edges=()) -> tuple:
                 if best is None or got < best:
                     best, best_at = got, at
                 else:
+                    autos.append([best_at[x] for x in label])
                     back = next(j for j, x in enumerate(order)
                                 if at[x] != best_at[x])
         elif best is None or lists([x if x < n else left[colors[v]]
                                     for v, x in enumerate(label)]) <= best:
-            for v in free:
+            orbit = None  # vertex -> orbit id, made at the first automorphism
+            folded = 0  # how many of autos orbit has seen
+            for k, v in enumerate(free):
+                if k and folded < len(autos):
+                    if orbit is None:
+                        orbit = list(range(n))
+                        fixed = [u for u in range(n) if label[u] < n]
+                    for g in autos[folded:]:
+                        if all(g[u] == u for u in fixed):
+                            for u in free:
+                                a, b = orbit[u], orbit[g[u]]
+                                if a != b:
+                                    orbit = [a if o == b else o for o in orbit]
+                    folded = len(autos)
+                if orbit is not None and orbit[v] in {orbit[u] for u in free[:k]}:
+                    continue  # an automorphism carries v onto a searched one
                 place(v, order[i])
                 back = descend(i + 1)
                 unplace(v)

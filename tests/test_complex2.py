@@ -119,8 +119,26 @@ def test_only_int_and_str_labels_are_vertices():
                       k.remove_isolated_vertex):
             with pytest.raises(ValueError, match="is not in the complex"):
                 query(bad)
-    with pytest.raises(ValueError, match="is not in the complex"):
-        k.simplex_id(True)
+    for bad in (True, False, 1.0, 0.0, 99, "0", None):
+        with pytest.raises(ValueError, match="is not in the complex"):
+            k.simplex_id(bad)
+    # the edge and triangle queries follow the same rule, label by label
+    assert k.has_edge((0, 1)) and k.has_triangle((0, 1, 3))
+    for bad in (True, 1.0, 0.0, None, "0"):
+        for edge in ((bad, 1), (0, bad)):
+            assert not k.has_edge(edge)
+            for query in (k.simplex_id, k.edge_degree, k.triangles_at_edge):
+                with pytest.raises(ValueError, match="is not in the complex"):
+                    query(edge)
+        for tri in ((bad, 1, 3), (0, 1, bad)):
+            assert not k.has_triangle(tri)
+            with pytest.raises(ValueError, match="is not in the complex"):
+                k.simplex_id(tri)
+    # building a simplex keeps label_key's TypeError
+    with pytest.raises(TypeError):
+        canon_edge(True, 0)
+    with pytest.raises(TypeError):
+        canon_triangle(1.0, 2, 3)
 
 
 def test_components_include_isolated_vertices():

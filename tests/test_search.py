@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import sys
 import time
 from typing import Optional
 
@@ -454,6 +455,70 @@ def _labeled_complexes(draw) -> Complex2:
 @given(_labeled_complexes())
 def test_canonical_form_matches_the_tuple_reference(k):
     assert canonical_form(k) == _canonical_form_reference(k)
+
+
+def _descend_calls(tris: list) -> int:
+    """How many nodes the branch and bound of canonical_form visits on the
+    complex of tris: the calls of _canonical_key's inner descend."""
+    descend = next(c for c in _canonical_key.__code__.co_consts
+                   if getattr(c, "co_name", None) == "descend")
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is descend:
+            calls += 1
+
+    k = Complex2.from_triangles(tris)
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        canonical_form(k)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_orbit_pruning_cuts_the_nodes_of_transitive_complexes():
+    # the automorphisms found at tied leaves skip the sibling candidates
+    # they carry onto searched ones; jump-backs alone visit 540, 216 and
+    # 125 nodes, orbit pruning 240, 104 and 60
+    for name, most in (("circulant-torus-8", 300), ("circulant-torus-7", 130),
+                       ("octahedron", 80)):
+        assert _descend_calls(_TRANSITIVE[name]) <= most, name
+
+
+def _surface_classes(n: int, states) -> dict:
+    """The number of canonical_form classes of each closed surface among
+    the closed states that use exactly n vertices, by surface name."""
+    keys: dict = {}
+    for tris, used in states:
+        if used == n:
+            reason, surface, _signs = _classify_triangles(tris, used)
+            if reason is None:
+                keys.setdefault(surface.name, set()).add(_canonical_key(n, tris))
+    return {name: len(classes) for name, classes in keys.items()}
+
+
+def test_census_of_closed_surfaces_up_to_eight_vertices():
+    # the sphere's counts are OEIS A000109; the others are those of
+    # Sulanke and Lutz (2009)
+    census = {4: {"S2": 1}, 5: {"S2": 1}, 6: {"S2": 2, "N1": 1},
+              7: {"S2": 5, "N1": 3, "M1": 1},
+              8: {"S2": 14, "N1": 16, "M1": 7, "N2": 6}}
+    for n, counts in census.items():
+        assert _surface_classes(n, _enumerate_closed(n, False)) == counts, n
+
+
+@pytest.mark.slow
+def test_census_of_closed_surfaces_on_nine_vertices():
+    states = _enumerate_closed(9, False)
+    assert sum(used == 9 for _tris, used in states) == 304877
+    counts = _surface_classes(9, states)
+    assert counts == {"S2": 50, "N1": 134, "M1": 112, "N2": 187, "N3": 133,
+                      "N4": 37, "N5": 2}
+    # Huneke's gap: the genus-2 orientable surface needs ten vertices
+    assert "M2" not in counts
 
 
 def test_integer_core_keys_closed_states_as_canonical_form():
