@@ -25,11 +25,13 @@ to be zero) is the relations among those rows, one gf2._relations call.
 
 homology_summary runs one elimination, gf2._relations over the triangle
 boundaries: it gives the 2-cycles, the same the reduction audits use,
-and the kernel vectors that are the 1-cocycles.  The 1-cycles are the
-cycles of a spanning forest, and the components are its trees.  The
-bases it returns are those read off the reduced row echelon forms of d1,
-d2 transposed, d2 and the 2-cycles, which are unique, yet only the b2
-2-cycles are ever back-substituted.
+and the kernel vectors that are the 1-cocycles.  The H^1 classes are
+picked by one union-find pass, the spanning forest grown from the
+highest edge down, which also gives the components.  The 1-cycles are
+built only when cycle_reps is first read, from the forest grown in edge
+order.  The bases it returns are those read off the reduced row echelon
+forms of d1, d2 transposed, d2 and the 2-cycles, which are unique, yet
+only the b2 2-cycles are ever back-substituted.
 
 Over F2, H^2 = Hom(H_2, F2), so the class of a 2-cochain w is fixed by its
 values on a basis of 2-cycles.  The H^2 basis is chosen dual to the
@@ -40,11 +42,12 @@ the values w(z_j); no basis of C^2 is ever built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Collection, Iterable, Optional, Sequence
 
 from .complex2 import Complex2
-from .gf2 import Gf2Matrix, Gf2Span, Gf2Vector, _relations
+from .gf2 import Gf2Matrix, Gf2Span, Gf2Vector, _bits_up, _relations
 
 __all__ = [
     "ChainVector",
@@ -206,12 +209,20 @@ class HomologySummary:
     the reduced row echelon form of the 2-cycle space, and cycle_reps[2][j]
     is the reduced 2-cycle with cocycle_reps[2][i](cycle_reps[2][j]) equal
     to 1 exactly when i == j.  h2_coordinates reads classes in this basis.
+
+    cycle_reps[1] is built when cycle_reps is first read, and kept; the
+    cup form, property (A) and h2_coordinates never read it.
     """
 
     betti: tuple[int, int, int]
-    cycle_reps: dict[int, tuple[ChainVector, ...]]
     cocycle_reps: dict[int, tuple[CochainVector, ...]]
-    _n_triangles: int = field(repr=False)
+    _complex: Complex2 = field(repr=False)
+    _cycles0: tuple[ChainVector, ...] = field(repr=False)
+    _cycles2: tuple[ChainVector, ...] = field(repr=False)
+
+    @cached_property
+    def cycle_reps(self) -> dict[int, tuple[ChainVector, ...]]:
+        return {0: self._cycles0, 1: _one_cycles(self._complex), 2: self._cycles2}
 
     @property
     def b0(self) -> int:
@@ -233,33 +244,46 @@ def homology_summary(k: Complex2) -> HomologySummary:
     triangle as a tag bit above the edges.  Its pivots are those of the
     reduced row echelon form of d2 transposed; a boundary that reduces to
     its tags alone gives a 2-cycle, and the reduced row echelon form of
-    those b2 cycles is the only back-substitution.  The 1-cycles need
-    no elimination: those of the spanning forest taken in edge order are
-    the kernel of d1 as read off its reduced row echelon form.
+    those b2 cycles is the only back-substitution.  One union-find pass
+    grows the spanning forest from the highest edge down: its trees are
+    the components, and it picks the H^1 classes.
 
-      * cycle_reps[1]: for each non-forest edge f, in order, picked when f
-        is the highest bit of no boundary restricted to the non-forest
-        edges, the forest's cycle through f;
-      * cocycle_reps[1]: for each free column f of the boundaries, in
-        order, picked when f is the highest bit of no vertex coboundary
-        restricted to the free columns, the kernel vector of the boundaries
-        at f (f plus every pivot whose reduced row has f set);
+      * cocycle_reps[1]: the kernel vector of the boundaries (f plus every
+        pivot whose reduced row has f set) at each free column f of the
+        boundaries, in order, that is not an edge of that forest;
+      * cycle_reps[1], built on first read: for each edge f off the
+        forest grown in edge order, in order, picked when f is the highest
+        bit of no boundary restricted to those edges, the forest's cycle
+        through f;
       * cycle_reps[2] are the reduced 2-cycles and cocycle_reps[2] the
         single triangles at their pivots, so the two bases are dual.
 
-    A restriction is one-to-one on the cycles (or cocycles), and the
-    candidate at f is the unit vector there, so these picks are the greedy
-    completion, in order, of the boundaries (or coboundaries) to the cycles
-    (or cocycles).  The empty complex is reported as having no homology at
-    all.
+    Both degree-one bases are the greedy completion, in order, of the
+    boundaries (or coboundaries) to the cycles (or cocycles).  For the
+    cycles: restriction to the edges off the forest is one-to-one on the
+    cycles, and the candidate at f is the unit vector there.  For the
+    cocycles, the completion picks the free columns f that are the highest
+    edge of no nonzero coboundary:
+
+      * the kernel vector at f has f as its highest edge, since a reduced
+        row has no bit below its pivot; distinct free columns give
+        distinct highest edges, so every nonzero cocycle, and so every
+        nonzero coboundary, has a free column as its highest edge;
+      * the highest edges of the nonzero vectors in the row space of the
+        incidence matrix d1 are its pivots with the columns taken from the
+        top: the edges that join two trees of the edges above them, which
+        are the edges of the forest grown from the highest edge down.
+
+    So the picks number b1 = alpha1 - (alpha0 - #components) - rank d2,
+    and the coboundaries are never eliminated.  The empty complex is
+    reported as having no homology at all.
     """
     n_edges, n_triangles = k.n_edges, k.n_triangles
-    boundaries = _triangle_edges(k)  # the edge positions of each triangle
-    span, relations = _relations([1 << a | 1 << b | 1 << c for a, b, c in boundaries],
-                                 n_edges)
+    span, relations = _relations(_boundary_rows(k), n_edges)
     b2 = len(relations)
-    non_forest, path, comps = _spanning_forest(k)
-    b1 = len(non_forest) - (n_triangles - b2)
+    forest, comps = _spanning_forest(k, range(n_edges - 1, -1, -1))
+    b1 = _betti_of_counts(k.n_vertices, n_edges, n_triangles, len(comps),
+                          n_triangles - b2)[1]
 
     b0 = max(len(comps) - 1, 0)
     # dimension-0 representatives: one vertex per later component vs the first
@@ -271,15 +295,10 @@ def homology_summary(k: Complex2) -> HomologySummary:
             cycle0.append(chain(k, 0, [comp[0], base]))
             cocycle0.append(cochain(k, 0, comp))
 
-    cycle1 = []
-    for f in _completion_picks(non_forest, boundaries):
-        u, v = k.edges[f]
-        cycle1.append(ChainVector(1, Gf2Vector(n_edges, 1 << f | path[u] ^ path[v])))
-    position = k._edge_index
-    free = [e for e in range(n_edges) if not span._mask >> e & 1]
-    coboundaries = ([position[e] for e in k._edges_at_vertex[v]] for v in k.vertices)
-    cocycle1 = [CochainVector(1, Gf2Vector(n_edges, bits))
-                for bits in span._kernel_at(_completion_picks(free, coboundaries))]
+    free = (1 << n_edges) - 1 & ~span._mask
+    picks = [f for f in _bits_up(free) if not forest[f]]
+    cocycle1 = tuple(CochainVector(1, Gf2Vector(n_edges, bits))
+                     for bits in span._kernel_at(picks))
 
     # dimension 2, by duality H^2 = Hom(H_2): the reduced 2-cycles and the
     # single triangles at their pivots
@@ -290,28 +309,28 @@ def homology_summary(k: Complex2) -> HomologySummary:
     cycle2 = tuple(ChainVector(2, Gf2Vector(n_triangles, z)) for z in z2)
     cocycle2 = tuple(CochainVector(2, Gf2Vector(n_triangles, z & -z)) for z in z2)
 
-    assert len(cycle1) == b1 and len(cocycle1) == b1 and len(z2) == b2
+    assert len(cocycle1) == b1 and len(z2) == b2
     return HomologySummary(
         betti=(b0, b1, b2),
-        cycle_reps={0: tuple(cycle0), 1: tuple(cycle1), 2: cycle2},
-        cocycle_reps={0: tuple(cocycle0), 1: tuple(cocycle1), 2: cocycle2},
-        _n_triangles=n_triangles,
+        cocycle_reps={0: tuple(cocycle0), 1: cocycle1, 2: cocycle2},
+        _complex=k,
+        _cycles0=tuple(cycle0),
+        _cycles2=cycle2,
     )
 
 
-def _spanning_forest(k: Complex2) -> tuple[list[int], dict, list[tuple]]:
-    """The spanning forest that keeps each edge, in order, that joins two trees.
+def _spanning_forest(k: Complex2, order: Iterable[int]) -> tuple[bytearray, list[tuple]]:
+    """The spanning forest that keeps each edge, taken in the given order
+    of edge positions, that joins two trees.
 
-    Returns the positions of the edges left out; for each vertex, the
-    mask of the forest edges on its path from the root of its tree, so the
-    forest path between u and v is path[u] ^ path[v]; and the components,
-    grouped by root, as k.connected_components() gives them: ordered by
-    their first vertex, each in vertex order.
+    Returns a flag per edge position, 1 for the edges kept, and the
+    components, as k.connected_components() gives them: ordered by their
+    first vertex, each in vertex order.
     """
     vertex = k._vertex_index
+    edges = k.edges
     root = list(range(k.n_vertices))
-    adjacent: list[list[tuple[int, int]]] = [[] for _ in root]
-    left_out = []
+    kept = bytearray(len(edges))
 
     def find(a: int) -> int:
         while root[a] != a:
@@ -319,17 +338,39 @@ def _spanning_forest(k: Complex2) -> tuple[list[int], dict, list[tuple]]:
             a = root[a]
         return a
 
-    for i, (u, v) in enumerate(k.edges):
-        a, b = vertex[u], vertex[v]
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            left_out.append(i)
-        else:
+    for i in order:
+        u, v = edges[i]
+        ra, rb = find(vertex[u]), find(vertex[v])
+        if ra != rb:
             root[ra] = rb
+            kept[i] = 1
+    components: dict[int, list] = {}
+    for a, v in enumerate(k.vertices):
+        components.setdefault(find(a), []).append(v)
+    return kept, list(map(tuple, components.values()))
+
+
+def _one_cycles(k: Complex2) -> tuple[ChainVector, ...]:
+    """cycle_reps[1] of homology_summary(k): the forest cycles through the
+    edges off the forest grown in edge order that the greedy completion
+    picks against the triangle boundaries.
+
+    path[a] is the mask of the forest edges from the root of vertex a's
+    tree to a, so the forest path between u and v is path[u] ^ path[v].
+    """
+    vertex = k._vertex_index
+    kept, _ = _spanning_forest(k, range(k.n_edges))
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(k.n_vertices)]
+    non_forest = []
+    for i, (u, v) in enumerate(k.edges):
+        if kept[i]:
+            a, b = vertex[u], vertex[v]
             adjacent[a].append((b, i))
             adjacent[b].append((a, i))
-    path = [-1] * len(root)
-    for start in range(len(root)):
+        else:
+            non_forest.append(i)
+    path = [-1] * len(adjacent)
+    for start in range(len(adjacent)):
         if path[start] >= 0:
             continue
         path[start] = 0
@@ -340,11 +381,12 @@ def _spanning_forest(k: Complex2) -> tuple[list[int], dict, list[tuple]]:
                 if path[b] < 0:
                     path[b] = path[a] | 1 << i
                     stack.append(b)
-    components: dict[int, list] = {}
-    for a, v in enumerate(k.vertices):
-        components.setdefault(find(a), []).append(v)
-    return (left_out, dict(zip(k.vertices, path)),
-            list(map(tuple, components.values())))
+    cycles = []
+    for f in _completion_picks(non_forest, _triangle_edges(k)):
+        u, v = k.edges[f]
+        cycles.append(ChainVector(1, Gf2Vector(k.n_edges,
+                                               1 << f | path[vertex[u]] ^ path[vertex[v]])))
+    return tuple(cycles)
 
 
 def _completion_picks(candidates: list[int], vectors: Iterable[Iterable[int]]) -> list[int]:
@@ -377,9 +419,9 @@ def h2_coordinates(summary: HomologySummary, w: CochainVector) -> Gf2Vector:
     """
     if w.dimension != 2:
         raise ValueError(f"expected a 2-cochain, got dimension {w.dimension}")
-    if w.coeffs.length != summary._n_triangles:
+    if w.coeffs.length != summary._complex.n_triangles:
         raise ValueError("cochain does not match the summarized complex")
-    return Gf2Vector.from_coeffs([w.evaluate(z) for z in summary.cycle_reps[2]])
+    return Gf2Vector.from_coeffs([w.evaluate(z) for z in summary._cycles2])
 
 
 def cup_product(k: Complex2, a: CochainVector, b: CochainVector) -> CochainVector:
@@ -447,14 +489,15 @@ def cup_pairing_on_h1(k: Complex2,
     F_i & G_j are those where a_i(v0 v1) * a_j(v1 v2) = 1: that mask is
     the cochain cup_product(k, a_i, a_j).  Its H^2 coordinate c is its
     value on the 2-cycle z_c = cycle_reps[2][c], the parity of
-    (F_i & G_j & z_c).bit_count(), and it is bit j*b2 + c of row i.
+    (F_i & G_j & z_c).bit_count(), and it is bit j*b2 + c of row i.  A
+    2-cycle with F_i & z_c zero sets no bit of row i, so it is skipped.
     """
     if summary is None:
         summary = homology_summary(k)
     reps = summary.cocycle_reps[1]
     if any(a.coeffs.length != k.n_edges for a in reps):
         raise ValueError("cochain does not match this complex")
-    if summary._n_triangles != k.n_triangles:
+    if summary._complex.n_triangles != k.n_triangles:
         raise ValueError("cochain does not match the summarized complex")
     position = k._edge_index
     front = [0] * k.n_edges
@@ -462,19 +505,19 @@ def cup_pairing_on_h1(k: Complex2,
     for j, (v0, v1, v2) in enumerate(k.triangles):
         front[position[v0, v1]] |= 1 << j
         back[position[v1, v2]] |= 1 << j
-    cycles = [z.coeffs.bits for z in summary.cycle_reps[2]]
+    cycles = [z.coeffs.bits for z in summary._cycles2]
+    b2 = len(cycles)
     backs = [_pullback(back, a) for a in reps]
     rows = []
     for a in reps:
         f = _pullback(front, a)
-        on_cycles = [f & z for z in cycles]
-        row = shift = 0  # shift = j * b2 + c
-        for g in backs:
-            for fz in on_cycles:
-                row |= ((fz & g).bit_count() & 1) << shift
-                shift += 1
+        on_cycles = [(c, fz) for c, z in enumerate(cycles) if (fz := f & z)]
+        row = 0
+        for j, g in enumerate(backs):
+            for c, fz in on_cycles:
+                row |= ((fz & g).bit_count() & 1) << j * b2 + c
         rows.append(row)
-    return CupForm(h1_reps=reps, b2=summary.b2, rows=tuple(rows))
+    return CupForm(h1_reps=reps, b2=b2, rows=tuple(rows))
 
 
 def _pullback(masks: list[int], a: CochainVector) -> int:

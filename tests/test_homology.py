@@ -248,6 +248,15 @@ def _oracle_cases():
                                          extra_edges=[(60, 61), (61, 62), (0, 60)],
                                          extra_vertices=[99, "z"]))
     cases.append(m8_wedge(4))
+    # small random complexes: free edges, edges of degree three or more,
+    # loose edges and isolated vertices
+    for _ in range(30):
+        n = rng.randrange(4, 9)
+        triples = list(combinations(range(n), 3))
+        tris = rng.sample(triples, rng.randrange(1, min(12, len(triples)) + 1))
+        loose = rng.sample(list(combinations(range(n + 3), 2)), rng.randrange(0, 4))
+        cases.append(Complex2.from_triangles(tris, extra_edges=loose,
+                                             extra_vertices=range(n + rng.randrange(0, 4))))
     return cases
 
 
@@ -260,8 +269,13 @@ def test_summary_matches_the_dense_oracle():
         shapes["disconnected"] += s.b0 > 0
         shapes["loose"] += bool(k.maximal_edges()) and bool(k.isolated_vertices())
         shapes["large"] += k.n_triangles == 4608
+        degrees = {k.edge_degree(e) for e in k.edges}
+        shapes["free"] += 1 in degrees
+        shapes["branching"] += max(degrees, default=0) >= 3
+        shapes["isolated"] += bool(k.isolated_vertices())
     assert shapes["b2>=2"] >= 20 and shapes["disconnected"] >= 2
     assert shapes["loose"] >= 1 and shapes["large"] == 1
+    assert min(shapes["free"], shapes["branching"], shapes["isolated"]) >= 10
 
 
 def test_summary_components_are_the_forest_trees(monkeypatch):
@@ -270,8 +284,11 @@ def test_summary_components_are_the_forest_trees(monkeypatch):
         Complex2([5, "b", 3, "a"]),
         Complex2.from_triangles([(1, 2, "x")], extra_vertices=[0, "y"])]
     for k in cases:
-        comps = homology._spanning_forest(k)[2]
-        assert tuple(comps) == k.connected_components()
+        # the same components whichever order the forest takes the edges in
+        for order in (range(k.n_edges), range(k.n_edges - 1, -1, -1)):
+            kept, comps = homology._spanning_forest(k, order)
+            assert tuple(comps) == k.connected_components()
+            assert sum(kept) == k.n_vertices - len(comps)
         shapes["disconnected"] += len(comps) > 1
         shapes["isolated"] += bool(k.isolated_vertices())
     assert shapes["disconnected"] >= 4 and shapes["isolated"] >= 4
@@ -306,11 +323,39 @@ def test_summary_runs_one_elimination(monkeypatch):
     # no reduced row echelon form of any matrix and no walk over one
     assert counts["eliminations"] == 0 and counts["row_walks"] == 0
     # one span over the tagged triangle boundaries and one over the b2
-    # cycles it finds; the other two only find leading bits, over the
-    # boundaries and the vertex coboundaries
-    assert lengths.count(k.n_edges + k.n_triangles) == 1
-    assert lengths.count(k.n_triangles) == 1 and len(lengths) == 4
-    assert counts["insertions"] <= 2 * k.n_triangles + k.n_vertices
+    # cycles it finds, each of those inserted once; none over the vertex
+    # coboundaries, and the 1-cycles are not built
+    assert lengths == [k.n_edges + k.n_triangles, k.n_triangles]
+    assert counts["insertions"] == s.b2
+    # reading them builds them: one more span, over the edges off the forest
+    assert len(s.cycle_reps[1]) == s.b1
+    assert lengths[2:] == [k.n_edges - (k.n_vertices - 1)]
+
+
+def test_cup_form_and_property_a_never_build_the_1_cycles(monkeypatch):
+    counts = Counter()
+    monkeypatch.setattr(homology, "_one_cycles",
+                        _counting(counts, "builds", homology._one_cycles))
+    for k in _cup_form_cases():
+        s = homology_summary(k)
+        cup_pairing_on_h1(k, s)
+        has_property_a(k, s)
+        for w in s.cocycle_reps[2]:
+            h2_coordinates(s, w)
+        cup_pairing_on_h1(k)
+        has_property_a(k)
+    assert counts["builds"] == 0
+
+
+def test_cycle_reps_are_built_once(monkeypatch):
+    counts = Counter()
+    monkeypatch.setattr(homology, "_one_cycles",
+                        _counting(counts, "builds", homology._one_cycles))
+    k = torus_with_circle()
+    s = homology_summary(k)
+    first = s.cycle_reps
+    assert s.cycle_reps is first and len(s.cycle_reps[1]) == s.b1 == 3
+    assert counts["builds"] == 1
 
 
 def test_cocycle_reps_are_cocycles():
