@@ -14,6 +14,10 @@ kernel vector at a chosen free column can be read off the echelon rows
 only on its row space, so the order in which rows are eliminated never
 shows in any result: kernel bases enumerate free columns in increasing
 order, and solve() sets free variables to zero.
+
+How a span stores its pivots is known only to this module; the others use
+the private span API: _span, _relations, and the Gf2Span methods _pivots,
+_free, _reduced_rows and _kernel_at.
 """
 
 from __future__ import annotations
@@ -157,19 +161,13 @@ class Gf2Matrix:
 
         Rows come in pivot order, padded with zero rows to n_rows.
         """
-        span = Gf2Span(self.n_cols)
-        for r in self._rows:
-            span._add_bits(r)
-        pivots = list(_bits_up(span._mask))
+        span = _span(self._rows, self.n_cols)
         rows = span._reduced_rows()
-        return rows + [0] * (self.n_rows - len(rows)), pivots
+        return rows + [0] * (self.n_rows - len(rows)), span._pivots()
 
     def rank(self) -> int:
         """The dimension of the row space; no back-substitution."""
-        span = Gf2Span(self.n_cols)
-        for r in self._rows:
-            span._add_bits(r)
-        return span.dim
+        return _span(self._rows, self.n_cols).dim
 
     def kernel_basis(self) -> list[Gf2Vector]:
         """Basis of {x : M x = 0}, one vector per free column: the relations
@@ -242,17 +240,26 @@ class Gf2Span:
         self._mask |= 1 << p
         return True
 
+    def _pivots(self) -> list[int]:
+        """The pivot columns, in increasing order."""
+        return sorted(self._pivot_rows)
+
+    def _free(self, width: int) -> list[int]:
+        """The columns below width that are not pivots, in increasing order."""
+        rows = self._pivot_rows
+        return [c for c in range(width) if c not in rows]
+
     def _reduced_rows(self) -> list[int]:
         """The reduced row echelon form of the span, rows in pivot order.
 
         One back-substitution pass from the highest pivot down: each row
-        is reduced by the rows above it, which are already reduced.
+        less its pivot bit, which has only the bits above it, is reduced by
+        the rows above it, which are already reduced.
         """
-        mask, self._mask = self._mask, 0
-        for p in reversed(list(_bits_up(mask))):
-            self._pivot_rows[p] = self._reduce_bits(self._pivot_rows[p])
-            self._mask |= 1 << p
-        return [self._pivot_rows[p] for p in _bits_up(mask)]
+        rows, pivots = self._pivot_rows, self._pivots()
+        for p in reversed(pivots):
+            rows[p] = 1 << p | self._reduce_bits(rows[p] ^ 1 << p)
+        return [rows[p] for p in pivots]
 
     def _kernel_at(self, columns: Sequence[int]) -> list[int]:
         """Kernel vectors of the span at some of its non-pivot columns.
@@ -268,8 +275,8 @@ class Gf2Span:
         entries = {f: 1 << i for i, f in enumerate(columns)}
         watched = sum(1 << f for f in columns)  # the keys of entries
         rows = self._pivot_rows
-        below = (1 << max(columns, default=0)) - 1
-        for p in reversed(list(_bits_up(self._mask & below))):
+        top = max(columns, default=0)
+        for p in reversed([p for p in self._pivots() if p < top]):
             hits = rows[p] & watched
             if hits:
                 at = 0
@@ -304,6 +311,14 @@ def _bits_up(x: int) -> Iterator[int]:
         low = x & -x
         yield low.bit_length() - 1
         x ^= low
+
+
+def _span(rows: Iterable[int], width: int) -> Gf2Span:
+    """The span of packed rows below bit width, inserted in order."""
+    span = Gf2Span(width)
+    for r in rows:
+        span._add_bits(r)
+    return span
 
 
 def _relations(rows: Sequence[int], width: int) -> tuple[Gf2Span, list[int]]:

@@ -47,7 +47,7 @@ from itertools import combinations
 from typing import Collection, Iterable, Optional, Sequence
 
 from .complex2 import Complex2
-from .gf2 import Gf2Matrix, Gf2Span, Gf2Vector, _bits_up, _relations
+from .gf2 import Gf2Matrix, Gf2Span, Gf2Vector, _relations, _span
 
 __all__ = [
     "ChainVector",
@@ -295,17 +295,13 @@ def homology_summary(k: Complex2) -> HomologySummary:
             cycle0.append(chain(k, 0, [comp[0], base]))
             cocycle0.append(cochain(k, 0, comp))
 
-    free = (1 << n_edges) - 1 & ~span._mask
-    picks = [f for f in _bits_up(free) if not forest[f]]
+    picks = [f for f in span._free(n_edges) if not forest[f]]
     cocycle1 = tuple(CochainVector(1, Gf2Vector(n_edges, bits))
                      for bits in span._kernel_at(picks))
 
     # dimension 2, by duality H^2 = Hom(H_2): the reduced 2-cycles and the
     # single triangles at their pivots
-    cycles = Gf2Span(n_triangles)
-    for z in relations:
-        cycles._add_bits(z)
-    z2 = cycles._reduced_rows()
+    z2 = _span(relations, n_triangles)._reduced_rows()
     cycle2 = tuple(ChainVector(2, Gf2Vector(n_triangles, z)) for z in z2)
     cocycle2 = tuple(CochainVector(2, Gf2Vector(n_triangles, z & -z)) for z in z2)
 
@@ -401,15 +397,9 @@ def _completion_picks(candidates: list[int], vectors: Iterable[Iterable[int]]) -
     """
     m = len(candidates)
     slot = {c: m - 1 - j for j, c in enumerate(candidates)}
-    span = Gf2Span(m)
-    for positions in vectors:
-        bits = 0
-        for c in positions:
-            if c in slot:
-                bits ^= 1 << slot[c]
-        if bits:
-            span._add_bits(bits)
-    return [c for j, c in enumerate(candidates) if not span._mask >> (m - 1 - j) & 1]
+    span = _span((sum(1 << slot[c] for c in positions if c in slot)
+                  for positions in vectors), m)
+    return [candidates[m - 1 - s] for s in reversed(span._free(m))]
 
 
 def h2_coordinates(summary: HomologySummary, w: CochainVector) -> Gf2Vector:
@@ -497,7 +487,7 @@ def cup_pairing_on_h1(k: Complex2,
     reps = summary.cocycle_reps[1]
     if any(a.coeffs.length != k.n_edges for a in reps):
         raise ValueError("cochain does not match this complex")
-    if summary._complex.n_triangles != k.n_triangles:
+    if summary._complex is not k and summary._complex != k:
         raise ValueError("cochain does not match the summarized complex")
     position = k._edge_index
     front = [0] * k.n_edges
@@ -571,9 +561,7 @@ def property_a_brute_force(k: Complex2, limit: int = 12) -> bool:
     if b1 > limit:
         raise ValueError(f"b1 = {b1} exceeds the brute-force limit {limit}")
     reps = summary.cocycle_reps[1]
-    coboundaries = Gf2Span(k.n_triangles)
-    for row in boundary_matrix(k, 2).rows():
-        coboundaries.add(row)
+    coboundaries = _span((row.bits for row in boundary_matrix(k, 2).rows()), k.n_triangles)
     for mask in range(1, 1 << b1):
         bits = 0
         for i in range(b1):

@@ -46,7 +46,7 @@ from itertools import chain, combinations
 from typing import Iterable, Optional, Sequence
 
 from .complex2 import Complex2, Edge, Label, Triangle, _label_order, canon_triangle
-from .gf2 import Gf2Span, _bits_up, _relations
+from .gf2 import _bits_up, _low_bit, _relations, _span
 from .homology import (CochainVector, _betti, _betti_of_counts, _boundary_relations,
                        _boundary_rows)
 
@@ -138,7 +138,7 @@ def kill_step(k: Complex2, spec: PreservationSpec) -> tuple[Complex2, Triangle]:
         raise ValueError("functionals are not surjective on the cycle space")
     if not relations:
         raise ValueError("no excess cycles: every 2-cycle is seen by the functionals")
-    sigma = k.triangles[next(_bits_up(_sum(cycles, relations[0])))]
+    sigma = k.triangles[_low_bit(_sum(cycles, relations[0]))]
     return k.remove_open_triangle(sigma), sigma
 
 
@@ -184,10 +184,7 @@ def _dual_spec(k: Complex2, cycles: Sequence[int],
     if not 0 <= rank <= len(cycles):
         raise ValueError(f"rank {rank} outside 0..{len(cycles)}")
     # the pivots of any echelon form of the cycles are those of their RREF
-    span = Gf2Span(k.n_triangles)
-    for z in cycles:
-        span._add_bits(z)
-    pivots = list(_bits_up(span._mask))[:rank]
+    pivots = _span(cycles, k.n_triangles)._pivots()[:rank]
     return PreservationSpec(tuple(frozenset({k.triangles[p]}) for p in pivots))
 
 
@@ -216,7 +213,7 @@ def _kill_all(k: Complex2, spec: PreservationSpec, cycles: list[int],
         invisible = _sum(cycles, relations[0])
         assert invisible and _sum(boundaries, invisible) == 0
         assert _values(masks, invisible) == 0
-        sigma = next(_bits_up(invisible))
+        sigma = _low_bit(invisible)
         killed.append(sigma)
         hit = [j for j, z in enumerate(cycles) if z >> sigma & 1]
         lowest = hit[0]

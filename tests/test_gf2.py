@@ -232,10 +232,55 @@ def test_partial_back_substitution_matches_the_column_sweep(m, data):
     span = Gf2Span(m.n_cols)
     for r in m.rows():
         span.add(r)
+    assert span._pivots() == pivots and span._free(m.n_cols) == free
     # kernel vectors at a subset of the free columns, from the echelon rows
     chosen = sorted(data.draw(st.sets(st.sampled_from(free))) if free else [])
     assert span._kernel_at(chosen) == [kernel[free.index(f)].bits for f in chosen]
     assert span.dim == len(pivots) and span._reduced_rows() == rows[:len(pivots)]
+
+
+def _wide_matrices() -> list[Gf2Matrix]:
+    """Seeded matrices with 1000-2000 columns and ranks in the hundreds,
+    whose pivots spread far above one machine word."""
+    rng = random.Random(2017)
+
+    def tail(n_cols: int, low: int) -> int:
+        # random bits from column s up, bit s set, s at least low
+        s = rng.randrange(low, n_cols)
+        return (rng.getrandbits(n_cols - s) | 1) << s
+
+    spread = [tail(1500, 0) for _ in range(300)]
+    # a third of the rows are sums of earlier ones: relations among rows
+    dependent = [tail(1200, 0) for _ in range(250)]
+    for _ in range(120):
+        a, b, c = rng.sample(dependent, 3)
+        dependent.append(a ^ b ^ c)
+    # three entries a row, as in a triangle boundary
+    sparse = [sum(1 << c for c in rng.sample(range(1000), 3)) for _ in range(500)]
+    high = [tail(2000, 1200) for _ in range(200)]
+    return [Gf2Matrix(len(rows), n_cols, rows) for rows, n_cols in
+            ((spread, 1500), (dependent, 1200), (sparse, 1000), (high, 2000))]
+
+
+def test_wide_matrices_match_the_column_sweep():
+    rng = random.Random(5)
+    for m in _wide_matrices():
+        rows, pivots = _rref_sweep(m)
+        free = sorted(set(range(m.n_cols)) - set(pivots))
+        assert 100 <= len(pivots) < m.n_cols and pivots[-1] > 900
+        assert m._rref() == (rows, pivots)
+        assert m.rank() == len(pivots)
+        span = Gf2Span(m.n_cols)
+        for r in m.rows():
+            span.add(r)
+        assert span._pivots() == pivots
+        assert span._free(m.n_cols) == free
+        assert span._free(pivots[-1]) == [f for f in free if f < pivots[-1]]
+        kernel = _kernel_sweep(m)
+        chosen = sorted({*rng.sample(free, 30), free[-1]})
+        assert span._kernel_at(chosen) == [kernel[free.index(f)].bits for f in chosen]
+        assert span._reduced_rows() == rows[:len(pivots)]
+        assert span._pivots() == pivots
 
 
 def test_rank_skips_back_substitution(monkeypatch):

@@ -630,3 +630,10 @@ def test_cup_form_rejects_a_summary_of_another_complex():
         cup_pairing_on_h1(k, homology_summary(punctured))
     with pytest.raises(ValueError, match="summarized complex"):
         has_property_a(k, homology_summary(sphere()))  # b1 = 0
+    # same counts, vertices 0 and 1 swapped: its H^1 representatives are
+    # not even cocycles of k
+    swapped = k.relabeled({0: 1, 1: 0})
+    assert swapped != k and swapped.n_triangles == k.n_triangles
+    for check in (cup_pairing_on_h1, has_property_a):
+        with pytest.raises(ValueError, match="summarized complex"):
+            check(k, homology_summary(swapped))

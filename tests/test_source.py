@@ -1,0 +1,62 @@
+"""Checks on the package source itself, read with ast: what it may import,
+which module owns the span internals, and that no import is left unused."""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "simpsurf"
+MODULES = sorted(PACKAGE.glob("*.py"))
+# how a Gf2Span stores its pivots and rows, known only to gf2.py
+SPAN_INTERNALS = {"_mask", "_pivot_rows", "_add_bits", "_reduce_bits"}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_the_package_has_its_modules():
+    assert {"gf2.py", "homology.py", "reduction.py", "__init__.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_absolute_imports_are_standard_library(path):
+    outside = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        outside += [f"{n} (line {node.lineno})" for n in names
+                    if n.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gf2.py"],
+                         ids=lambda p: p.name)
+def test_only_gf2_touches_the_span_internals(path):
+    touches = [f"{node.attr} (line {node.lineno})" for node in ast.walk(_tree(path))
+               if isinstance(node, ast.Attribute) and node.attr in SPAN_INTERNALS]
+    assert touches == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = _tree(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                getattr(node, "module", None) != "__future__"):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in used:
+                    unused.append(f"{name} (line {node.lineno})")
+    assert unused == []
