@@ -269,11 +269,16 @@ class Gf2Span:
         never formed.  Back-substitution makes reduced row p the echelon
         row p plus the reduced rows at its other pivot bits, so their
         entries at the columns (packed, bit i for columns[i]) follow from
-        the highest pivot down; a pivot above every column has none.
+        the highest pivot down; a pivot above every column has none.  The
+        columns must be distinct non-pivot columns: entries and watched
+        are keyed by column.
         """
         # columns[i] -> 1 << i; pivot p -> reduced row p's entries at the columns
         entries = {f: 1 << i for i, f in enumerate(columns)}
         watched = sum(1 << f for f in columns)  # the keys of entries
+        if len(entries) != len(columns) or watched & self._mask:
+            raise ValueError(f"kernel columns {list(columns)} repeat a column "
+                             "or name a pivot")
         rows = self._pivot_rows
         top = max(columns, default=0)
         for p in reversed([p for p in self._pivots() if p < top]):

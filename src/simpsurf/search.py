@@ -19,10 +19,16 @@ after a few nodes, yet no parity argument cuts it, so it stays an
 independent check of the parity obstruction.
 
 The searches stay on integer states from start to finish: the enumerator
-keeps bitmasks, and its integer triangles go straight to the surface
-recognizer that classify itself runs on, so no Complex2 is built until a
-search has its witness, which classify then confirms.  The recognizer
-takes as given what classify checks on the 1-skeleton first, and every
+keeps bitmasks and hands over each complete state as the ids of its
+triangles, with its orientability, which it carries through the search
+as one more mask (the direction in which each open edge's triangle runs
+it).  The minimum search skips every state whose Euler characteristic or
+orientability differs from the target's; those two fix the surface once
+every vertex link is a cycle, so the rest are decoded to integer
+triangles and get only the link walk of the recognizer that classify
+runs on.  No Complex2 is built until a search has its witness, which
+classify, with the full recognizer, then confirms.  The link walk takes
+as given what classify checks on the 1-skeleton first, and every
 complete state of the closed search has both by construction: it is
 connected, since each triangle after the seed is placed on an edge
 already present, and each of its edges lies in exactly two triangles,
@@ -44,7 +50,7 @@ from typing import Optional
 
 from .bounds import SurfaceId
 from .complex2 import Complex2
-from .surfaces import _classify_triangles, classify
+from .surfaces import _link_apexes, classify
 
 __all__ = [
     "canonical_form",
@@ -266,10 +272,16 @@ def _canonical_key(n: int, tris, edges=()) -> tuple:
     return (n, tuple(key_tris), tuple(key_edges))
 
 
+def _triangles(n_max: int) -> list:
+    """The triangles on labels 0..n_max-1 in combinations order, the
+    order of the triangle ids in the states of a search on n_max labels."""
+    return list(itertools.combinations(range(n_max), 3))
+
+
 def _enumerate_closed(n_max: int, allow_one_triple: bool,
                       chi_target: Optional[int] = None):
-    """Return (triangles, used_vertices) for every complete state, in
-    search order: no edge lies in exactly one triangle.  With
+    """Return (triangle ids, used_vertices, orientable) for every complete
+    state, in search order: no edge lies in exactly one triangle.  With
     allow_one_triple the search seeds the triple edge, so edge 01 lies in
     three triangles of every state returned (there is none below five
     vertices).  chi_target prunes branches that can no longer reach a
@@ -280,28 +292,48 @@ def _enumerate_closed(n_max: int, allow_one_triple: bool,
 
 def _closures(n_max: int, seed: list, chi_target: Optional[int] = None):
     """Every complete state the seed grows into on n_max labels, closing
-    the lowest open edge first, as (triangles, used_vertices).
+    the lowest open edge first, as (triangle ids, used_vertices,
+    orientable); the ids index _triangles(n_max), and a caller decodes
+    only the states it needs as triangles.
 
-    The state is four ints: the edges in exactly one placed triangle, the
-    full edges, the placed triangles (ids in combinations order) and the
-    labels used.  A candidate at the open edge is admissible when it is
-    not placed, takes at most the next label and misses the full edges.
-    Each full seed edge keeps its seed degree d, every other edge ends in
-    two triangles, so 3 alpha2 = 2 alpha1 + extra, extra summing d - 2:
-    that caps alpha2, and chi_target fixes alpha2 = 2 alpha0 - 2 chi + extra.
+    The state is five ints: the edges in exactly one placed triangle, the
+    full edges, the placed triangles, the labels used, and the direction
+    pos in which each open edge's one triangle runs it (bit set when from
+    the lower label to the higher).  A candidate at the open edge is
+    admissible when it is not placed, takes at most the next label and
+    misses the full edges.  Each full seed edge keeps its seed degree d,
+    every other edge ends in two triangles, so 3 alpha2 = 2 alpha1 +
+    extra, extra summing d - 2: that caps alpha2, and chi_target fixes
+    alpha2 = 2 alpha0 - 2 chi + extra.
+
+    orientable says whether the state has a coherent orientation: signs
+    under which every edge lies in two triangles that run it opposite
+    ways.  The sign s of a triangle (a, b, c) runs ab and bc forwards and
+    ac backwards when s = 1.  Each triangle after the first in the seed
+    shares an edge with an earlier one, and each placed triangle sits on
+    an open edge, so the sign of the first fixes every other: a triangle
+    placed at the open edge e takes the sign that runs e opposite to
+    pos's bit, and every other edge it closes must then be run opposite
+    too, one mask test per placement.  A seed edge in three or more
+    triangles makes every state non-orientable.
     """
     used = max(map(max, seed)) + 1
     if used > n_max:
         return []
-    tris = list(itertools.combinations(range(n_max), 3))
+    tris = _triangles(n_max)
     edge_ids = {e: i for i, e in
                 enumerate(itertools.combinations(range(n_max), 2))}
-    at_edge: list[list[tuple]] = [[] for _ in edge_ids]
+    # at_edge[e][d], for the triangle on e running it forwards (d = 1) or
+    # not: each candidate's id, id bit, edge mask, top label and the edges
+    # it runs forwards under the sign that runs e the other way
+    at_edge: list[tuple[list, list]] = [([], []) for _ in edge_ids]
     for ti, (a, b, c) in enumerate(tris):
-        ids = (edge_ids[(a, b)], edge_ids[(a, c)], edge_ids[(b, c)])
-        entry = (ti, sum(1 << e for e in ids), c)  # id, edge mask, top label
-        for e in ids:
-            at_edge[e].append(entry)
+        ab, ac, bc = (1 << edge_ids[e] for e in ((a, b), (a, c), (b, c)))
+        m, fwd = ab | ac | bc, ab | bc  # the sign 1 runs fwd forwards, -1 ac
+        for e, f0, f1 in ((ab, fwd, ac), (ac, ac, fwd), (bc, fwd, ac)):
+            back, ahead = at_edge[e.bit_length() - 1]
+            back.append((ti, 1 << ti, m, c, f0))
+            ahead.append((ti, 1 << ti, m, c, f1))
 
     degree = Counter(e for t in seed for e in itertools.combinations(t, 2))
     extra = sum(d - 2 for d in degree.values() if d > 2)
@@ -309,28 +341,41 @@ def _closures(n_max: int, seed: list, chi_target: Optional[int] = None):
     if chi_target is not None:
         floor = extra - 2 * chi_target  # alpha2 = 2 alpha0 + floor
         cap = min(cap, 2 * n_max + floor)
+    pos = seen = 0
+    orientable = max(degree.values()) <= 2
+    for a, b, c in seed:
+        ab, ac, bc = (1 << edge_ids[e] for e in ((a, b), (a, c), (b, c)))
+        shared = seen & (ab | ac | bc)
+        # the sign running the edges shared with the seed so far opposite
+        f = ab | bc if ((ab | bc) ^ pos) & shared == shared else ac
+        orientable = orientable and (f ^ pos) & shared == shared
+        pos |= f  # the bits of closed edges are never read again
+        seen |= ab | ac | bc
     state = [tris.index(t) for t in seed]
     out = []
 
-    def dfs(one: int, full: int, placed: int, used: int) -> None:
+    def dfs(one: int, full: int, placed: int, used: int, pos: int,
+            orientable: bool) -> None:
         if not one:
-            out.append((tuple(tris[ti] for ti in state), used))
+            out.append((tuple(state), used, orientable))
             return
         if len(state) >= cap:
             return
         if chi_target is not None and 2 * used + floor > cap:
             return
-        for ti, m, top in at_edge[(one & -one).bit_length() - 1]:
-            if placed >> ti & 1 or top > used or m & full:
+        e = (one & -one).bit_length() - 1
+        for ti, bit, m, top, f in at_edge[e][pos >> e & 1]:
+            if placed & bit or top > used or m & full:
                 continue
+            closing = one & m
             state.append(ti)
-            dfs(one ^ m, full | (one & m), placed | 1 << ti,
-                max(used, top + 1))
+            dfs(one ^ m, full | closing, placed | bit, max(used, top + 1),
+                pos | f, orientable and (f ^ pos) & closing == closing)
             state.pop()
 
     dfs(sum(1 << edge_ids[e] for e, d in degree.items() if d == 1),
         sum(1 << edge_ids[e] for e, d in degree.items() if d > 1),
-        sum(1 << ti for ti in state), used)
+        sum(1 << ti for ti in state), used, pos, orientable)
     return out
 
 
@@ -357,24 +402,32 @@ def min_triangles_for_surface(max_vertices: int, target: SurfaceId) -> SearchRes
     """Exhaustively find the least triangle count of the target surface
     on at most max_vertices vertices; found=False when none exists there.
 
-    States whose Euler characteristic differs from the target's are
-    skipped; the rest go, as integer triangles, to the recognizer behind
-    classify.  Only the first least one becomes a Complex2, the witness,
-    and classify confirms it."""
+    The enumerator hands over each complete state as triangle ids with
+    its orientability, and states whose Euler characteristic or
+    orientability differs from the target's are skipped.  With both
+    matching, a state is the target exactly when every vertex link is a
+    single cycle, so the rest are decoded to integer triangles and get
+    only the link walk of the recognizer behind classify.  Only the
+    first least one becomes a Complex2, the witness, and classify,
+    which runs the full recognizer, confirms it."""
     _check_scale(max_vertices)
     chi = target.euler_characteristic
     complete = _enumerate_closed(max_vertices, allow_one_triple=False,
                                  chi_target=chi)
+    tris = _triangles(max_vertices)
     best = None
     hits = 0
-    for tris, used in complete:
+    for ids, used, orientable in complete:
         # every edge of a complete state lies in two triangles, so
         # alpha1 = 3 alpha2 / 2 and chi = used - alpha2 / 2
-        if used - len(tris) // 2 != chi or _classify_triangles(tris, used)[1] != target:
+        if used - len(ids) // 2 != chi or orientable != target.orientable:
+            continue
+        state = [tris[ti] for ti in ids]
+        if _link_apexes(state, used) is None:
             continue
         hits += 1
-        if best is None or len(tris) < len(best):
-            best = tris
+        if best is None or len(state) < len(best):
+            best = state
     witness = None
     if best is not None:
         witness = Complex2.from_triangles(best)
@@ -400,9 +453,12 @@ def complexes_with_one_triple_edge(max_vertices: int) -> list[Complex2]:
     _check_scale(max_vertices)
     seen = set()
     found = []
-    for tris, used in _enumerate_closed(max_vertices, allow_one_triple=True):
-        key = _canonical_key(used, tris)
+    tris = _triangles(max_vertices)
+    for ids, used, _orientable in _enumerate_closed(max_vertices,
+                                                    allow_one_triple=True):
+        state = [tris[ti] for ti in ids]
+        key = _canonical_key(used, state)
         if key not in seen:
             seen.add(key)
-            found.append(Complex2.from_triangles(tris))
+            found.append(Complex2.from_triangles(state))
     return found

@@ -4,14 +4,15 @@ Recognition is purely combinatorial: a complex is a closed surface iff it
 is connected, every edge lies in exactly two triangles, and every vertex
 link is a single cycle.  The first two are read off the 1-skeleton and
 are the callers' to guarantee: classify checks them on its Complex2, and
-every closed state of the desk search has them by construction.  One
-recognizer on integer triangles does the rest for both callers: classify
-numbers a Complex2's vertices in canonical order and hands it the
-triples, and the desk search hands it its integer states directly.  With
-every edge in two triangles, the sum of an edge's two apexes gives one
-from the other, and that is all the link walks and the orientation
-need.  Orientability comes from propagating triangle signs across shared
-edges, and the Euler characteristic gives the genus.
+every closed state of the desk search has them by construction.  The
+link walk runs on integer triangles for both callers: classify numbers a
+Complex2's vertices in canonical order and hands it the triples, and the
+desk search hands it its integer states directly.  With every edge in
+two triangles, the sum of an edge's two apexes gives one from the other,
+and that is all the link walks and the orientation need.  Orientability
+comes from propagating triangle signs across shared edges (the desk
+search's enumerator carries its own), and the Euler characteristic gives
+the genus.
 """
 
 from __future__ import annotations
@@ -59,6 +60,53 @@ def _directed_boundary(t, sign: int):
     return ((cyc[0], cyc[1]), (cyc[1], cyc[2]), (cyc[2], cyc[0]))
 
 
+def _link_apexes(tris: Sequence[tuple[int, int, int]],
+                 n_vertices: int) -> Optional[dict[int, int]]:
+    """The apex sums of the complex whose triangles are tris, each an
+    increasing triple, and whose vertices are exactly 0..n_vertices-1,
+    when every vertex link is a single cycle; None otherwise.
+
+    The caller guarantees that the complex is connected and that every
+    edge lies in exactly two triangles.  One pass stores, under the key
+    a*n + b of each edge ab, the sum of the third vertices of its two
+    triangles, so one apex gives the other.  The link of v is then
+    2-regular, and it is a single cycle exactly when it is nonempty and
+    the walk from a triangle at v, stepping from x to the other apex of
+    edge vx than the vertex it came from, first returns after deg(v)
+    steps, deg(v) being the number of triangles at v.  The desk search
+    runs this walk alone, on the states whose Euler characteristic and
+    orientability its enumerator has already matched to the target.
+    """
+    n = n_vertices
+    apexes: dict[int, int] = {}  # a*n + b -> sum of the apexes of ab
+    get = apexes.get
+    deg = [0] * n  # triangles at each vertex
+    start = [0] * n  # a triangle at each vertex
+    for i, (a, b, c) in enumerate(tris):
+        ab, ac, bc = a * n + b, a * n + c, b * n + c
+        apexes[ab] = get(ab, 0) + c
+        apexes[ac] = get(ac, 0) + b
+        apexes[bc] = get(bc, 0) + a
+        start[a] = start[b] = start[c] = i
+        deg[a] += 1
+        deg[b] += 1
+        deg[c] += 1
+
+    for v in range(n):
+        if not deg[v]:
+            return None
+        a, b, c = tris[start[v]]
+        x = a if a != v else b
+        prev, here, steps = x, a + b + c - v - x, 1
+        while here != x:
+            prev, here = here, apexes[v * n + here if v < here
+                                      else here * n + v] - prev
+            steps += 1
+        if steps != deg[v]:
+            return None
+    return apexes
+
+
 def _classify_triangles(tris: Sequence[tuple[int, int, int]],
                         n_vertices: int) -> tuple:
     """(failure_reason, surface, signs) for the complex whose triangles
@@ -68,51 +116,23 @@ def _classify_triangles(tris: Sequence[tuple[int, int, int]],
 
     The caller guarantees that the complex is connected and that every
     edge lies in exactly two triangles: classify checks both on the
-    1-skeleton before it calls here, and every closed desk-search state
-    has both by construction.  What is left is the link check and the
-    orientation, and both read the apex sum of each edge: one pass stores,
-    under the key a*n + b of each edge ab, the sum of the third vertices
-    of its two triangles, so one apex gives the other.  The link of v is
-    then 2-regular, and it is a single cycle exactly when it is nonempty
-    and the walk from a triangle at v, stepping from x to the other apex
-    of edge vx than the vertex it came from, first returns after deg(v)
-    steps, deg(v) being the number of triangles at v.
+    1-skeleton before it calls here.  What is left is the link check,
+    which _link_apexes makes, and the orientation, which reads the apex
+    sums that check leaves.
 
     Signs propagate over triangle codes (a*n + b)*n + c from sign 1 on
     the first triangle: a triangle (a, b, c) with sign s runs its edges ab
     and bc forwards and ac backwards when s = 1, and two triangles on an
     edge agree when they run it opposite ways.  The Euler characteristic
-    comes from the counts.
+    comes from the counts.  The desk search does not come here: its
+    enumerator carries the same orientation test through its own depth-
+    first search, and classify confirms the witness it finds.
     """
     n = n_vertices
-    apexes: dict[int, int] = {}  # a*n + b -> sum of the apexes of ab
-    get = apexes.get
-    deg = [0] * n  # triangles at each vertex
-    start = [0] * n  # a triangle at each vertex
-    codes = []
-    for i, (a, b, c) in enumerate(tris):
-        ab, ac, bc = a * n + b, a * n + c, b * n + c
-        apexes[ab] = get(ab, 0) + c
-        apexes[ac] = get(ac, 0) + b
-        apexes[bc] = get(bc, 0) + a
-        codes.append(ab * n + c)
-        start[a] = start[b] = start[c] = i
-        deg[a] += 1
-        deg[b] += 1
-        deg[c] += 1
-
-    for v in range(n):
-        if not deg[v]:
-            return "bad_link", None, None
-        a, b, c = tris[start[v]]
-        x = a if a != v else b
-        prev, here, steps = x, a + b + c - v - x, 1
-        while here != x:
-            prev, here = here, apexes[v * n + here if v < here
-                                      else here * n + v] - prev
-            steps += 1
-        if steps != deg[v]:
-            return "bad_link", None, None
+    apexes = _link_apexes(tris, n)
+    if apexes is None:
+        return "bad_link", None, None
+    codes = [(a * n + b) * n + c for a, b, c in tris]
 
     nn = n * n
     sign = {codes[0]: 1}
@@ -151,9 +171,10 @@ def classify(k: Complex2) -> ClassificationResult:
     Failures are reported in check order: connectivity, then edge degrees,
     then vertex links.  The first two are read off the 1-skeleton, so that
     loose edges and isolated vertices count; the triangles then go, with
-    vertices numbered in canonical order, to the recognizer the desk
-    search also uses, which takes those two as given.  For orientable surfaces the witness maps each
-    triangle to +1 or -1 giving a coherent orientation.
+    vertices numbered in canonical order, to the recognizer, which takes
+    those two as given and whose link walk the desk search also runs.
+    For orientable surfaces the witness maps each triangle to +1 or -1
+    giving a coherent orientation.
     """
     if len(k.connected_components()) != 1:
         return ClassificationResult(False, "disconnected", None, None)

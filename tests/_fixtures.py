@@ -16,6 +16,7 @@ from itertools import combinations
 from simpsurf.bounds import parse_surface_id
 from simpsurf.complex2 import Complex2
 from simpsurf.gf2 import Gf2Vector
+from simpsurf.search import _triangles
 from simpsurf.surfaces import attach_circle, catalog, wedge
 
 SPHERE_TRIS = [t for t in combinations(range(4), 3)]
@@ -27,6 +28,14 @@ TORUS_TRIS = [tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))) for i in range(7)] + 
              [tuple(sorted((i, (i + 2) % 7, (i + 3) % 7))) for i in range(7)]
 
 CIRCLE_EDGES = [(0, 7), (0, 8), (7, 8)]
+
+
+def decoded(n_max: int, states) -> list:
+    """Desk-search states on n_max labels as (triangles, used, orientable),
+    each triangle id replaced by its triple."""
+    tris = _triangles(n_max)
+    return [(tuple(tris[ti] for ti in ids), used, orientable)
+            for ids, used, orientable in states]
 
 
 def sphere() -> Complex2:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simpsurf.gf2 import Gf2Matrix, Gf2Span, Gf2Vector
+from simpsurf.gf2 import Gf2Matrix, Gf2Span, Gf2Vector, _span
 
 
 def _random_matrix(rng: random.Random, n_rows: int, n_cols: int) -> Gf2Matrix:
@@ -237,6 +237,14 @@ def test_partial_back_substitution_matches_the_column_sweep(m, data):
     chosen = sorted(data.draw(st.sets(st.sampled_from(free))) if free else [])
     assert span._kernel_at(chosen) == [kernel[free.index(f)].bits for f in chosen]
     assert span.dim == len(pivots) and span._reduced_rows() == rows[:len(pivots)]
+
+
+def test_kernel_at_rejects_repeated_and_pivot_columns():
+    span = _span([0b011, 0b110], 4)
+    assert span._pivots() == [0, 1] and span._kernel_at([2]) == [0b111]
+    for columns in ([2, 2], [3, 2, 3], [1], [2, 0]):
+        with pytest.raises(ValueError):
+            span._kernel_at(columns)
 
 
 def _wide_matrices() -> list[Gf2Matrix]:

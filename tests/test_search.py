@@ -5,6 +5,7 @@ import itertools
 import random
 import sys
 import time
+from collections import Counter, defaultdict, deque
 from typing import Optional
 
 import pytest
@@ -18,17 +19,56 @@ from simpsurf.homology import betti_numbers
 from simpsurf.search import (_canonical_key, _closures, _enumerate_closed,
                              canonical_form, complexes_with_one_triple_edge,
                              min_triangles_for_surface)
-from simpsurf.surfaces import _classify_triangles, catalog, classify
+from simpsurf import surfaces
+from simpsurf.surfaces import _classify_triangles, _link_apexes, catalog, classify
 
-from _fixtures import (RP2_TRIS, SPHERE_TRIS, rp2, sphere, torus,
+from _fixtures import (RP2_TRIS, SPHERE_TRIS, decoded, rp2, sphere, torus,
                        torus_circle_sphere, torus_with_circle)
+
+
+def _orientable_reference(tris) -> bool:
+    """Whether the triangles take signs under which every edge lies in
+    two triangles that run it opposite ways: a breadth-first search over
+    triangles that share an edge, the triangle (a, b, c) with sign 1
+    running the cycle a -> b -> c -> a and with sign -1 the reverse."""
+    at_edge = defaultdict(list)
+    for t in tris:
+        for e in itertools.combinations(t, 2):
+            at_edge[e].append(t)
+    if any(len(ts) != 2 for ts in at_edge.values()):
+        return False
+
+    def runs(t, sign: int, e) -> bool:
+        a, b, c = t
+        cycle = ((a, b), (b, c), (c, a))
+        return (e in cycle) == (sign == 1)
+
+    sign: dict = {}
+    for root in tris:
+        if root in sign:
+            continue
+        sign[root] = 1
+        queue = deque([root])
+        while queue:
+            t = queue.popleft()
+            for e in itertools.combinations(t, 2):
+                u = next(x for x in at_edge[e] if x != t)
+                want = 1 if runs(u, 1, e) != runs(t, sign[t], e) else -1
+                if u not in sign:
+                    sign[u] = want
+                    queue.append(u)
+                elif sign[u] != want:
+                    return False
+    return True
 
 
 def _enumerate_closed_reference(n_max: int, allow_one_triple: bool,
                                 chi_target: Optional[int] = None) -> list:
     """The reference enumerator: the same depth-first search as
     _enumerate_closed, kept on a degree list per edge and a flag per
-    triangle, with the open edge found by a scan."""
+    triangle, with the open edge found by a scan; each state as
+    (triangles, used, orientable), orientable found afterwards by
+    _orientable_reference."""
     tris = list(itertools.combinations(range(n_max), 3))
     edge_ids = {e: i for i, e in enumerate(itertools.combinations(range(n_max), 2))}
     n_edges = len(edge_ids)
@@ -83,7 +123,8 @@ def _enumerate_closed_reference(n_max: int, allow_one_triple: bool,
     def dfs(used: int, has_triple: bool) -> None:
         open_edge = next((e for e in range(n_edges) if deg[e] == 1), None)
         if open_edge is None:
-            out.append((tuple(tris[ti] for ti in state), used))
+            done = tuple(tris[ti] for ti in state)
+            out.append((done, used, _orientable_reference(done)))
             if allow_one_triple and not has_triple and len(state) < cap:
                 # ride an edge up to three triangles and keep closing
                 for ti in range(len(tris)):
@@ -112,7 +153,8 @@ def _enumerate_closed_reference(n_max: int, allow_one_triple: bool,
 
 def _closures_reference(n_max: int, seed: list) -> list:
     """The seeded closing search of _closures, kept on a degree list per
-    edge: an edge in two or more triangles takes no further one."""
+    edge: an edge in two or more triangles takes no further one.  States
+    are (triangles, used, orientable), as decoded from _closures."""
     tris = list(itertools.combinations(range(n_max), 3))
     deg = {e: 0 for e in itertools.combinations(range(n_max), 2)}
     for t in seed:
@@ -125,7 +167,7 @@ def _closures_reference(n_max: int, seed: list) -> list:
     def dfs(used: int) -> None:
         open_edge = next((e for e, d in deg.items() if d == 1), None)
         if open_edge is None:
-            out.append((tuple(state), used))
+            out.append((tuple(state), used, _orientable_reference(state)))
             return
         if len(state) >= cap:
             return
@@ -490,12 +532,14 @@ def test_orbit_pruning_cuts_the_nodes_of_transitive_complexes():
 
 def _surface_classes(n: int, states) -> dict:
     """The number of canonical_form classes of each closed surface among
-    the closed states that use exactly n vertices, by surface name."""
+    the closed states on n labels that use all n, by surface name; the
+    enumerator's orientability must be the recognizer's on each."""
     keys: dict = {}
-    for tris, used in states:
+    for tris, used, orientable in decoded(n, states):
         if used == n:
             reason, surface, _signs = _classify_triangles(tris, used)
             if reason is None:
+                assert orientable == surface.orientable, tris
                 keys.setdefault(surface.name, set()).add(_canonical_key(n, tris))
     return {name: len(classes) for name, classes in keys.items()}
 
@@ -513,7 +557,7 @@ def test_census_of_closed_surfaces_up_to_eight_vertices():
 @pytest.mark.slow
 def test_census_of_closed_surfaces_on_nine_vertices():
     states = _enumerate_closed(9, False)
-    assert sum(used == 9 for _tris, used in states) == 304877
+    assert sum(used == 9 for _ids, used, _orientable in states) == 304877
     counts = _surface_classes(9, states)
     assert counts == {"S2": 50, "N1": 134, "M1": 112, "N2": 187, "N3": 133,
                       "N4": 37, "N5": 2}
@@ -522,9 +566,10 @@ def test_census_of_closed_surfaces_on_nine_vertices():
 
 
 def test_integer_core_keys_closed_states_as_canonical_form():
-    states = [s for n in range(3, 8) for s in _enumerate_closed(n, False)]
+    states = [s for n in range(3, 8)
+              for s in decoded(n, _enumerate_closed(n, False))]
     assert len(states) == 186
-    for tris, used in states:
+    for tris, used, _orientable in states:
         k = Complex2.from_triangles(tris)
         assert (_canonical_key(used, tris) == canonical_form(k)
                 == _canonical_form_reference(k)), tris
@@ -612,30 +657,38 @@ def test_no_lonely_triple_edge_at_small_scale():
 
 
 def test_enumerator_matches_the_reference():
-    # the plain search is the reference's, state for state; the reference
-    # reaches a triple edge by riding one on a finished state, and finds
-    # no state with it (alpha2 odd), as the seeded start finds none
+    # the plain search is the reference's, state for state, triangle for
+    # triangle and in orientability; the reference reaches a triple edge
+    # by riding one on a finished state, and finds no state with it
+    # (alpha2 odd), as the seeded start finds none
+    compared = []
     for n in range(3, 9):
         for chi in (None, 1, 0, -1):
-            assert (_enumerate_closed(n, False, chi)
-                    == _enumerate_closed_reference(n, False, chi)), (n, chi)
-            odd = [(tris, used) for tris, used
+            got = decoded(n, _enumerate_closed(n, False, chi))
+            assert got == _enumerate_closed_reference(n, False, chi), (n, chi)
+            compared += got
+            odd = [state for state
                    in _enumerate_closed_reference(n, True, chi)
-                   if len(tris) % 2]
+                   if len(state[0]) % 2]
             assert odd == [] and _enumerate_closed(n, True, chi) == [], (n, chi)
+    # the flag is compared on pseudo-surfaces too: states with a bad link
+    # of either orientability
+    bad = Counter(orientable for tris, used, orientable in compared
+                  if _classify_triangles(tris, used)[0] == "bad_link")
+    assert bad[True] and bad[False]
 
 
 def test_seeded_start_finds_every_class():
     # every complete state has an edge in two triangles, so starting from
     # one, labeled (0, 1, 2) and (0, 1, 3), reaches every class the plain
     # start does: the relabeling argument the triple-edge seed rests on
-    def classes(states):
+    def classes(n, states):
         return {canonical_form(Complex2.from_triangles(tris))
-                for tris, _used in states}
+                for tris, _used, _orientable in decoded(n, states)}
 
     for n, count in zip(range(4, 8), (1, 2, 5, 16)):
-        seeded = classes(_closures(n, [(0, 1, 2), (0, 1, 3)]))
-        assert seeded == classes(_enumerate_closed(n, False))
+        seeded = classes(n, _closures(n, [(0, 1, 2), (0, 1, 3)]))
+        assert seeded == classes(n, _enumerate_closed(n, False))
         assert len(seeded) == count
 
 
@@ -645,7 +698,8 @@ def test_closures_match_the_degree_list_reference():
     for n in range(3, 8):
         for seed in seeds:
             if max(map(max, seed)) < n:
-                assert _closures(n, seed) == _closures_reference(n, seed), (n, seed)
+                assert (decoded(n, _closures(n, seed))
+                        == _closures_reference(n, seed)), (n, seed)
 
 
 def test_no_lonely_triple_edge_beyond_the_public_scale():
@@ -662,23 +716,35 @@ def test_franklin_n2_needs_eight_vertices():
 
 
 def test_search_classifies_only_states_with_the_target_chi(monkeypatch):
-    target = parse_surface_id("N2")
-    states = _enumerate_closed(8, False, target.euler_characteristic)
-    surfaces = [_classify_triangles(tris, used)[1] for tris, used in states]
-    calls = []
+    # the link walk runs once on each state whose chi and orientability
+    # (the enumerator's) match the target, and nothing else of the
+    # recognizer runs but classify's confirmation of the witness
+    states = decoded(8, _enumerate_closed(8, False, 0))
+    found = [_classify_triangles(tris, used)[1] for tris, used, _o in states]
+    for name, walks, hits, least in (("N2", 804, 300, 16), ("M1", 737, 197, 14)):
+        target = parse_surface_id(name)
+        assert target.euler_characteristic == 0
+        want = [(tris, used) for tris, used, orientable in states
+                if used - len(tris) // 2 == 0 and orientable == target.orientable]
+        walked, recognized = [], []
 
-    def counting(tris, used):
-        calls.append(used - len(tris) // 2)
-        return _classify_triangles(tris, used)
+        def walking(tris, used):
+            walked.append((tuple(tris), used))
+            return _link_apexes(tris, used)
 
-    monkeypatch.setattr(search, "_classify_triangles", counting)
-    result = min_triangles_for_surface(8, target)
-    assert len(states) == result.complete_states == 3850
-    assert result.target_states == surfaces.count(target) == 300
-    assert result.min_triangles == 16
-    # only the states of chi 0 reach the classifier, each once
-    assert set(calls) == {0}
-    assert len(calls) == sum(used - len(tris) // 2 == 0 for tris, used in states) == 1541
+        def recognizing(tris, used):
+            recognized.append(used)
+            return _classify_triangles(tris, used)
+
+        monkeypatch.setattr(search, "_link_apexes", walking)
+        monkeypatch.setattr(surfaces, "_classify_triangles", recognizing)
+        result = min_triangles_for_surface(8, target)
+        monkeypatch.undo()
+        assert walked == want and len(walked) == walks, name
+        assert len(recognized) == 1, name
+        assert len(states) == result.complete_states == 3850
+        assert result.target_states == found.count(target) == hits
+        assert result.min_triangles == least
 
 
 def test_ringel_n3_needs_nine_vertices():

@@ -18,8 +18,8 @@ from simpsurf.surfaces import (_classify_triangles, _nonorientable_word,
                                surface_hypotheses_report, verify_orientation_witness,
                                wedge)
 
-from _fixtures import (SPHERE_TRIS, failure_reason_oracle, sphere, torus,
-                       torus_with_circle)
+from _fixtures import (SPHERE_TRIS, decoded, failure_reason_oracle, sphere,
+                       torus, torus_with_circle)
 
 MINIMAL_NAMES = ("S2", "N1", "M1", "N2", "N3", "M2")
 
@@ -90,8 +90,9 @@ def _random_pinched_surface(rng: random.Random) -> Complex2:
 
 
 def test_classify_matches_the_link_graph_oracle():
-    inputs = [Complex2.from_triangles(tris)
-              for n in range(3, 8) for tris, _ in _enumerate_closed(n, False)]
+    inputs = [Complex2.from_triangles(tris) for n in range(3, 8)
+              for tris, _used, _orientable
+              in decoded(n, _enumerate_closed(n, False))]
     rng = random.Random("link oracle")
     inputs += [_random_pinched_surface(rng) for _ in range(300)]
     reasons = [failure_reason_oracle(k) for k in inputs]
@@ -188,7 +189,8 @@ def _index_triangles(k: Complex2) -> list:
 
 
 def test_recognizer_matches_the_reference():
-    inputs = [s for n in range(3, 9) for s in _enumerate_closed(n, False)]
+    inputs = [(tris, used) for n in range(3, 9) for tris, used, _orientable
+              in decoded(n, _enumerate_closed(n, False))]
     assert len(inputs) == 4189
     catalogs = [catalog(parse_surface_id(f"{kind}{g}"))
                 for kind in "MN" for g in range(1, 9)]
@@ -207,10 +209,10 @@ def test_recognizer_matches_the_reference():
 
 
 def test_closed_states_meet_the_recognizer_precondition():
-    # connected, every edge in exactly two triangles: what
-    # _classify_triangles takes as given from the desk search
+    # connected, every edge in exactly two triangles: what the link walk
+    # (_link_apexes) takes as given from the desk search
     for n in range(3, 9):
-        for tris, used in _enumerate_closed(n, False):
+        for tris, used, _orientable in decoded(n, _enumerate_closed(n, False)):
             k = Complex2.from_triangles(tris)
             assert k.vertices == tuple(range(used))
             assert len(k.connected_components()) == 1, tris
@@ -218,7 +220,8 @@ def test_closed_states_meet_the_recognizer_precondition():
 
 
 def test_recognizer_matches_independent_oracles():
-    states = [s for n in range(3, 9) for s in _enumerate_closed(n, False)]
+    states = [(tris, used) for n in range(3, 9) for tris, used, _orientable
+              in decoded(n, _enumerate_closed(n, False))]
     assert len(states) == 4189
     # hand-built states, each failing the first check it names
     tetra = list(itertools.combinations(range(4), 3))
