@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 from dataclasses import asdict, dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Optional
@@ -62,6 +63,7 @@ def _load(path: str) -> tuple[str, Complex2]:
 
 
 _INTS = {int}
+_LISTS = {list}
 
 
 def _print_json(payload) -> None:
@@ -73,10 +75,13 @@ def _json_text(value, indent: str = "") -> str:
 
     json.dumps writes an indented document in pure Python, one token at
     a time.  Here each container is one join over its items' texts, and a
-    list of ints one join over str(int), also when it sits one level down
-    (edge and triangle lists), so that it costs no call of its own.  A
-    scalar that is not a str or an int goes to json.dumps itself, so
-    floats, bools and None come out as json writes them.
+    list of ints one join over str(int), also when it sits one level down,
+    so that it costs no call of its own.  A list of equal-length,
+    non-empty lists of exact ints (the edge and triangle lists) is one
+    %d format over all of its ints, the indented rows written into the
+    format string.  A scalar that is not a str or an int goes to
+    json.dumps itself, so floats, bools and None come out as json writes
+    them.
     """
     if isinstance(value, str):
         return _quote(value)
@@ -86,10 +91,16 @@ def _json_text(value, indent: str = "") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if set(map(type, value)) == _INTS:
+        types = set(map(type, value))
+        deeper = f",\n{inner}  "
+        if types == _INTS:
             items = map(str, value)
+        elif (types == _LISTS and len(set(map(len, value))) == 1 and value[0]
+              and set(map(type, chain.from_iterable(value))) == _INTS):
+            row = f"[\n{inner}  {deeper.join(['%d'] * len(value[0]))}\n{inner}]"
+            return (f"[\n{inner}" + f",\n{inner}".join([row] * len(value))
+                    + f"\n{indent}]") % tuple(chain.from_iterable(value))
         else:
-            deeper = f",\n{inner}  "
             items = [f"[\n{inner}  {deeper.join(map(str, v))}\n{inner}]"
                      if type(v) is list and set(map(type, v)) == _INTS
                      else _json_text(v, inner) for v in value]

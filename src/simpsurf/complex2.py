@@ -138,17 +138,22 @@ class Complex2:
     closure of the sorted simplices; __init__ checks that the closure was
     given: first every triangle's edges, then every edge's endpoints.
     That endpoint check lives in __init__ alone, the only constructor
-    where an endpoint can be missing.  The triangles at each edge are
-    indexed on first use; that is the one triangle index.  Only int and
-    str labels (not bool) are vertices: has_vertex, has_edge and
-    has_triangle are False for a simplex with any other label, and the
-    vertex, edge and triangle queries and simplex_id raise ValueError for
-    it.
+    where an endpoint can be missing.  A build stores the simplex tuples
+    and the vertex and edge positions, which homology, the cup form and
+    canonical_form read.  Three indexes are built on first read and kept:
+    the triangles at each edge, the edges at each vertex and the triangle
+    positions; connected_components() is computed once per value and
+    kept too.  Only int and str labels (not bool) are vertices:
+    has_vertex, has_edge and has_triangle are False for a simplex with any
+    other label, and the vertex, edge and triangle queries and simplex_id
+    raise ValueError for it.
     """
 
     __slots__ = ("vertices", "edges", "triangles",
-                 "_vertex_index", "_edge_index", "_triangle_index",
-                 "_edges_at_vertex", "_edge_triangles")
+                 "_vertex_index", "_edge_index",
+                 # caches, each None until its first read
+                 "_edge_triangles", "_vertex_edges", "_triangle_positions",
+                 "_components")
 
     def __init__(self,
                  vertices: Iterable[Label],
@@ -179,18 +184,12 @@ class Complex2:
         self.triangles: tuple[Triangle, ...] = tuple(sorted(tri_set, key=tuple_key))
         self._vertex_index = dict(zip(self.vertices, range(len(self.vertices))))
         self._edge_index = dict(zip(self.edges, range(len(self.edges))))
-        self._triangle_index = dict(zip(self.triangles, range(len(self.triangles))))
+        self._edge_triangles = self._vertex_edges = None
+        self._triangle_positions = self._components = None
 
-        edges_at_vertex: dict[Label, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            edges_at_vertex[e[0]].append(e)
-            edges_at_vertex[e[1]].append(e)
-        self._edges_at_vertex = {v: tuple(es) for v, es in edges_at_vertex.items()}
-        self._edge_triangles = None
-
-    # The triangles at each edge are indexed on first use: homology and the
-    # cup form never read them, and they are a large share of a build.  The
-    # reduction's working state starts from this index.
+    # The lazy indexes.  A loop reads one into a local first: each property
+    # read is a call.  The reduction's working state starts from the
+    # triangles at each edge and the edges at each vertex.
 
     @property
     def _tris_at_edge(self) -> dict:
@@ -204,6 +203,25 @@ class Complex2:
                 tris_at_edge[b, c].append(t)
             self._edge_triangles = {e: tuple(ts) for e, ts in tris_at_edge.items()}
         return self._edge_triangles
+
+    @property
+    def _edges_at_vertex(self) -> dict:
+        """The edges at each vertex, in order."""
+        if self._vertex_edges is None:
+            edges_at_vertex: dict[Label, list[Edge]] = {v: [] for v in self.vertices}
+            for e in self.edges:
+                edges_at_vertex[e[0]].append(e)
+                edges_at_vertex[e[1]].append(e)
+            self._vertex_edges = {v: tuple(es) for v, es in edges_at_vertex.items()}
+        return self._vertex_edges
+
+    @property
+    def _triangle_index(self) -> dict:
+        """The position of each triangle."""
+        if self._triangle_positions is None:
+            self._triangle_positions = dict(zip(self.triangles,
+                                                range(len(self.triangles))))
+        return self._triangle_positions
 
     # ------------------------------------------------------------ building
 
@@ -336,7 +354,8 @@ class Complex2:
         return tuple(e for e in self.edges if not tris_at_edge[e])
 
     def isolated_vertices(self) -> tuple[Label, ...]:
-        return tuple(v for v in self.vertices if not self._edges_at_vertex[v])
+        edges_at_vertex = self._edges_at_vertex
+        return tuple(v for v in self.vertices if not edges_at_vertex[v])
 
     def link_of_vertex(self, v: Label) -> tuple[tuple[Label, ...], tuple[Edge, ...]]:
         """The link graph: neighbouring vertices and opposite edges of triangles."""
@@ -346,7 +365,11 @@ class Complex2:
         return tuple(nodes), tuple(opp)
 
     def connected_components(self) -> tuple[tuple[Label, ...], ...]:
-        """Vertex sets of the components of the 1-skeleton, canonically ordered."""
+        """Vertex sets of the components of the 1-skeleton, canonically
+        ordered; walked on the first call and kept."""
+        if self._components is not None:
+            return self._components
+        edges_at_vertex = self._edges_at_vertex
         seen: set[Label] = set()
         comps = []
         for start in self.vertices:
@@ -356,14 +379,15 @@ class Complex2:
             stack = [start]
             while stack:
                 u = stack.pop()
-                for e in self._edges_at_vertex[u]:
+                for e in edges_at_vertex[u]:
                     for w in e:
                         if w not in comp:
                             comp.add(w)
                             stack.append(w)
             seen |= comp
             comps.append(tuple(sorted(comp, key=self._vertex_index.__getitem__)))
-        return tuple(comps)
+        self._components = tuple(comps)
+        return self._components
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) == 1

@@ -43,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain, combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .complex2 import Complex2, Edge, Label, Triangle, _label_order, canon_triangle
 from .gf2 import _bits_up, _low_bit, _relations, _span
@@ -106,13 +106,13 @@ class PreservationSpec:
     def rank(self) -> int:
         return len(self.supports)
 
-    def _masks(self, triangles: Sequence[Triangle]) -> list[int]:
-        """Each support as a bitmask over the positions of `triangles`."""
-        index = {t: j for j, t in enumerate(triangles)}
+    def _masks(self, index: Mapping[Triangle, int]) -> list[int]:
+        """Each support as a bitmask over the positions in `index`, a
+        triangle-to-position map such as a complex's _triangle_index."""
         return [sum(1 << index[t] for t in sup if t in index) for sup in self.supports]
 
     def is_surjective_on_cycles(self, k: Complex2) -> bool:
-        return _spec_rank(self, k.triangles, _cycle_basis(k)[0]) == self.rank
+        return _spec_rank(self, k._triangle_index, _cycle_basis(k)[0]) == self.rank
 
     def mapped(self, relabel: dict) -> "PreservationSpec":
         return PreservationSpec(tuple(
@@ -132,7 +132,7 @@ def kill_step(k: Complex2, spec: PreservationSpec) -> tuple[Complex2, Triangle]:
     see the whole cycle space (no excess to kill).
     """
     cycles, _ = _cycle_basis(k)
-    masks = spec._masks(k.triangles)
+    masks = spec._masks(k._triangle_index)
     span, relations = _relations([_values(masks, z) for z in cycles], spec.rank)
     if span.dim != spec.rank:
         raise ValueError("functionals are not surjective on the cycle space")
@@ -169,10 +169,10 @@ def _cycle_basis(k: Complex2, boundaries: Optional[Sequence[int]] = None
     return cycles, _betti(k, k.n_triangles - len(cycles))
 
 
-def _spec_rank(spec: PreservationSpec, triangles: Sequence[Triangle],
+def _spec_rank(spec: PreservationSpec, index: Mapping[Triangle, int],
                cycles: Sequence[int]) -> int:
-    """The functionals' rank on the cycles, given over the positions of triangles."""
-    masks = spec._masks(triangles)
+    """The functionals' rank on the cycles, given over the positions in index."""
+    masks = spec._masks(index)
     return _relations([_values(masks, z) for z in cycles], spec.rank)[0].dim
 
 
@@ -203,7 +203,7 @@ def _kill_all(k: Complex2, spec: PreservationSpec, cycles: list[int],
     it, and every kill is the one kill_step makes on the complex at that
     point.  Positions stay those of k.triangles.
     """
-    masks = spec._masks(k.triangles)
+    masks = spec._masks(k._triangle_index)
     values = [_values(masks, z) for z in cycles]
     killed: list[int] = []
     while True:
@@ -234,12 +234,14 @@ class _WorkingComplex:
     the positions in skip.  Three lazy min-heaps hold the candidate free
     edges, free vertices and maximal edges, ordered by the input's vertex
     positions, which is the canonical order; a contraction keeps a vertex
-    of the input, so every position stays defined.  An entry is pushed
-    whenever a simplex may have become a candidate and is checked against
-    the incidence when popped, so every move is the canonically first one
-    available, as a scan of the rebuilt complex would find it.  The state
-    is geometry only: functionals are renamed through the recorded
-    contractions afterwards.  complex() builds the Complex2 of the state.
+    of the input, so every position stays defined.  The heaps start as
+    the candidates listed in canonical order, which is already a heap.
+    An entry is pushed whenever a simplex may have become a candidate and
+    is checked against the incidence when popped, so every move is the
+    canonically first one available, as a scan of the rebuilt complex
+    would find it.  The state is geometry only: functionals are renamed
+    through the recorded contractions afterwards.  complex() builds the
+    Complex2 of the state.
     """
 
     def __init__(self, k: Complex2, skip: Iterable[int] = ()) -> None:
@@ -251,12 +253,13 @@ class _WorkingComplex:
             for f in combinations(t, 2):
                 self.tris_at_edge[f].remove(t)
         self.edges_at_vertex = {v: set(es) for v, es in k._edges_at_vertex.items()}
-        self.free_edges, self.maximal_edges, self.free_vertices = [], [], []
-        # in canonical order, so each push lands at the end of its heap
-        for e in self.tris_at_edge:
-            self._edge_changed(e)
-        for v in self.edges_at_vertex:
-            self._vertex_changed(v)
+        rank = self.rank
+        self.free_edges = [(rank[e[0]], rank[e[1]], e)
+                           for e, ts in self.tris_at_edge.items() if len(ts) == 1]
+        self.maximal_edges = [(rank[e[0]], rank[e[1]], e)
+                              for e, ts in self.tris_at_edge.items() if not ts]
+        self.free_vertices = [(rank[v], v)
+                              for v, es in self.edges_at_vertex.items() if len(es) == 1]
         self.collapses: list = []
         self.contractions: list[Edge] = []
         self.deleted: list[Edge] = []
@@ -459,7 +462,7 @@ def _finish(state: _WorkingComplex, k: Complex2, killed: Sequence[Triangle],
     if spec is not None:
         for keep, gone in state.contractions:
             spec = spec.mapped({gone: keep})
-        assert _spec_rank(spec, result.triangles, cycles) == rank
+        assert _spec_rank(spec, result._triangle_index, cycles) == rank
     return ReductionTrace(
         input_complex=k,
         result=result,
@@ -486,7 +489,7 @@ def eliminate_maximal_edges(k: Complex2,
     output has no free faces and no maximal edges.  The trace has no kills.
     """
     cycles, betti = _cycle_basis(k)
-    rank = None if spec is None else _spec_rank(spec, k.triangles, cycles)
+    rank = None if spec is None else _spec_rank(spec, k._triangle_index, cycles)
     state = _WorkingComplex(k)
     snapshots: list = [("input", betti)]
     state.eliminate(snapshots)
@@ -512,7 +515,7 @@ def simplify_pipeline(k: Complex2, spec: Optional[PreservationSpec] = None,
     cycles, betti = _cycle_basis(k, boundaries)
     if spec is None:
         spec = _dual_spec(k, cycles, target_rank)
-    if _spec_rank(spec, k.triangles, cycles) != spec.rank:
+    if _spec_rank(spec, k._triangle_index, cycles) != spec.rank:
         raise ValueError("functionals are not surjective on the cycle space")
 
     killed = _kill_all(k, spec, cycles, boundaries)
@@ -531,7 +534,8 @@ def simplify_pipeline(k: Complex2, spec: Optional[PreservationSpec] = None,
         betti = _betti_of_counts(k.n_vertices, k.n_edges, len(kept), b0 + 1,
                                  len(kept) - len(fresh))
         assert betti == snapshots[-1][1]
-        assert _spec_rank(spec, [k.triangles[j] for j in kept], fresh) == spec.rank
+        assert _spec_rank(spec, {k.triangles[j]: i for i, j in enumerate(kept)},
+                          fresh) == spec.rank
 
     state = _WorkingComplex(k, killed)
     if state.collapse():

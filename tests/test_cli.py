@@ -296,6 +296,25 @@ def test_report_on_disconnected_input_says_the_pipeline_ran():
         "the free-product reading holds per component")
 
 
+def test_report_walks_the_result_components_once(monkeypatch):
+    # the pipeline's audit, classify and the counting bounds all ask for
+    # the result's components; every call after the first gets its tuple
+    calls = []
+    walk = Complex2.connected_components
+
+    def recording(k):
+        comps = walk(k)
+        calls.append((k, comps))
+        return comps
+
+    monkeypatch.setattr(Complex2, "connected_components", recording)
+    report = run_report("wedge", torus_circle_sphere(), target_rank=1)
+    assert report.classification.is_surface and report.euler.applicable
+    results = [comps for k, comps in calls if k is report.trace.result]
+    assert len(results) == 3
+    assert len({id(comps) for comps in results}) == 1
+
+
 def test_report_json_is_deterministic(capsys, wedge_file, spec_file):
     _, first, _ = run(capsys, "report", wedge_file, "--preserve", spec_file,
                       "--json")
@@ -413,9 +432,35 @@ _SCALARS = st.one_of(st.integers(), st.integers(-3, 3), st.booleans(),
                      st.none(), st.floats(), st.text())
 _KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(),
                   st.none())
+# odd cells planted in an int grid: each sends the grid off the one-format
+# path (a bool would print as 1 through %d), or keeps it there (a huge int)
+_ODD_CELLS = st.sampled_from([True, False, 0.5, -2.0, float("nan"), 2**64 + 1,
+                              -(2**70), None, "7"])
+
+
+def _int_grid(width: int):
+    return st.lists(st.lists(st.integers(-9, 9), min_size=width, max_size=width),
+                    min_size=1, max_size=5)
+
+
+def _plant(grid: list, at: int, cell) -> list:
+    flat = [x for row in grid for x in row]
+    flat[at % len(flat)] = cell
+    width = len(grid[0])
+    return [flat[i:i + width] for i in range(0, len(flat), width)]
+
+
+# lists of equal-length int rows, as complex_to_dict writes edges and
+# triangles, some with one odd cell, and lists of empty rows
+_GRIDS = st.one_of(
+    st.integers(1, 3).flatmap(_int_grid),
+    st.builds(_plant, st.integers(1, 3).flatmap(_int_grid), st.integers(0),
+              _ODD_CELLS),
+    st.lists(st.just([]), min_size=1, max_size=3))
+
 _PAYLOADS = st.recursive(
     st.one_of(_SCALARS, st.lists(st.integers()),
-              st.lists(st.lists(st.integers(-9, 9), max_size=3))),
+              st.lists(st.lists(st.integers(-9, 9), max_size=3)), _GRIDS),
     lambda inner: st.one_of(st.lists(inner, max_size=4),
                             st.lists(inner, max_size=4).map(tuple),
                             st.dictionaries(_KEYS, inner, max_size=4)),
@@ -426,6 +471,17 @@ _PAYLOADS = st.recursive(
 @given(_PAYLOADS)
 def test_json_writer_matches_json_dumps(payload):
     assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+
+def test_json_writer_keeps_json_scalars_in_int_grids():
+    # an exact-int grid is one format call; any other cell takes the
+    # per-value path, so a bool stays true rather than %d's 1
+    for grid in ([[0, 1, 2], [3, 4, 5]], [[2**64 + 1, -(2**70)]],
+                 [[1, True], [2, 3]], [[0, 1], [2, 2.5]], [[1], [2, 3]],
+                 [[], []], [(1, 2), [3, 4]]):
+        assert cli._json_text(grid) == json.dumps(grid, indent=2), grid
+        assert cli._json_text({"g": grid}) == json.dumps({"g": grid}, indent=2)
+    assert "true" in cli._json_text([[1, True]])
 
 
 def test_json_writer_matches_json_dumps_on_the_golden_corpus(tmp_path,

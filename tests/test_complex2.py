@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simpsurf.complex2 import Complex2, SimplexId, canon_edge, canon_triangle, label_key
+from simpsurf.homology import has_property_a, homology_summary
+from simpsurf.search import canonical_form
 
 from _fixtures import label_cases, torus
 
@@ -150,6 +152,28 @@ def test_components_include_isolated_vertices():
     mixed = Complex2.from_triangles([["b", 10, 2], [2, "a", 10]],
                                     extra_edges=[["z", 7]])
     assert mixed.connected_components() == ((2, 10, "a", "b"), (7, "z"))
+
+
+def test_homology_and_canonical_form_leave_the_lazy_indexes_unbuilt():
+    for _, built in label_cases():
+        k = Complex2(built.vertices, built.edges, built.triangles)
+        summary = homology_summary(k)
+        summary.cycle_reps
+        has_property_a(k)
+        canonical_form(k)
+        assert k._vertex_edges is None and k._triangle_positions is None
+        # each is built by its first read and kept
+        assert k._edges_at_vertex is k._edges_at_vertex
+        assert k._triangle_index is k._triangle_index
+        assert k._triangle_index == {t: j for j, t in enumerate(k.triangles)}
+
+
+def test_components_are_walked_once_per_value():
+    for _, k in label_cases() + [("empty", Complex2([]))]:
+        first = k.connected_components()
+        assert k.connected_components() is first
+        assert first == Complex2(k.vertices, k.edges, k.triangles).connected_components()
+        assert k.is_connected() == (len(first) == 1)
 
 
 def test_remove_open_triangle_chi():

@@ -51,7 +51,7 @@ def test_evaluation_matrix():
     # one functional over the sphere's four triangles: its row of the
     # evaluation matrix is the bitmask of its support's positions
     spec = PreservationSpec.from_triangle_lists([[(0, 1, 2), (1, 2, 3), (7, 8, 9)]])
-    masks = spec._masks(k.triangles)
+    masks = spec._masks(k._triangle_index)
     assert masks == [0b1001]
     # its value on the sphere's one 2-cycle is the parity of the overlap
     (z,) = _cycle_basis(k)[0]
@@ -517,7 +517,7 @@ def test_results_are_built_as_init_builds_them():
 def _kill_all_skipping_an_update(k, spec, cycles, boundaries):
     """reduction._kill_all with one fault in its books: at the first kill,
     the other cycles through the killed triangle are not reduced."""
-    masks = spec._masks(k.triangles)
+    masks = spec._masks(k._triangle_index)
     values = [_values(masks, z) for z in cycles]
     killed = []
     while True:

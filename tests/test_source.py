@@ -1,5 +1,6 @@
 """Checks on the package source itself, read with ast: what it may import,
-which module owns the span internals, and that no import is left unused."""
+which modules own the span internals and the complex caches, and that no
+import is left unused."""
 
 from __future__ import annotations
 
@@ -13,6 +14,11 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "simpsurf"
 MODULES = sorted(PACKAGE.glob("*.py"))
 # how a Gf2Span stores its pivots and rows, known only to gf2.py
 SPAN_INTERNALS = {"_mask", "_pivot_rows", "_add_bits", "_reduce_bits"}
+# the slots behind a Complex2's lazy indexes and its components, known only
+# to complex2.py: the others read _tris_at_edge, _edges_at_vertex,
+# _triangle_index and connected_components()
+COMPLEX_CACHES = {"_edge_triangles", "_vertex_edges", "_triangle_positions",
+                  "_components"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -43,6 +49,14 @@ def test_absolute_imports_are_standard_library(path):
 def test_only_gf2_touches_the_span_internals(path):
     touches = [f"{node.attr} (line {node.lineno})" for node in ast.walk(_tree(path))
                if isinstance(node, ast.Attribute) and node.attr in SPAN_INTERNALS]
+    assert touches == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "complex2.py"],
+                         ids=lambda p: p.name)
+def test_only_complex2_touches_the_complex_caches(path):
+    touches = [f"{node.attr} (line {node.lineno})" for node in ast.walk(_tree(path))
+               if isinstance(node, ast.Attribute) and node.attr in COMPLEX_CACHES]
     assert touches == []
 
 
