@@ -64,6 +64,8 @@ def _load(path: str) -> tuple[str, Complex2]:
 
 _INTS = {int}
 _LISTS = {list}
+_ROW_ITEMS = {int, str}
+_FORMATS = {int: "%d", str: "%s"}
 
 
 def _print_json(payload) -> None:
@@ -75,13 +77,11 @@ def _json_text(value, indent: str = "") -> str:
 
     json.dumps writes an indented document in pure Python, one token at
     a time.  Here each container is one join over its items' texts, and a
-    list of ints one join over str(int), also when it sits one level down,
-    so that it costs no call of its own.  A list of equal-length,
-    non-empty lists of exact ints (the edge and triangle lists) is one
-    %d format over all of its ints, the indented rows written into the
-    format string.  A scalar that is not a str or an int goes to
-    json.dumps itself, so floats, bools and None come out as json writes
-    them.
+    list of ints one join over str(int).  A list of rows (the edge and
+    triangle lists, the trace's collapses and snapshots, the cup form's
+    entries) is one format call, see _rows_text.  A scalar that is not a
+    str or an int goes to json.dumps itself, so floats, bools and None
+    come out as json writes them.
     """
     if isinstance(value, str):
         return _quote(value)
@@ -92,18 +92,12 @@ def _json_text(value, indent: str = "") -> str:
         if not value:
             return "[]"
         types = set(map(type, value))
-        deeper = f",\n{inner}  "
         if types == _INTS:
             items = map(str, value)
-        elif (types == _LISTS and len(set(map(len, value))) == 1 and value[0]
-              and set(map(type, chain.from_iterable(value))) == _INTS):
-            row = f"[\n{inner}  {deeper.join(['%d'] * len(value[0]))}\n{inner}]"
-            return (f"[\n{inner}" + f",\n{inner}".join([row] * len(value))
-                    + f"\n{indent}]") % tuple(chain.from_iterable(value))
+        elif types == _LISTS and (rows := _rows_text(value, indent)) is not None:
+            return rows
         else:
-            items = [f"[\n{inner}  {deeper.join(map(str, v))}\n{inner}]"
-                     if type(v) is list and set(map(type, v)) == _INTS
-                     else _json_text(v, inner) for v in value]
+            items = [_json_text(v, inner) for v in value]
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
     if isinstance(value, dict):
         if not value:
@@ -112,6 +106,62 @@ def _json_text(value, indent: str = "") -> str:
                  for k, v in value.items()]
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
     return json.dumps(value)
+
+
+def _rows_text(rows: list, indent: str) -> Optional[str]:
+    """_json_text of a list of lists, as one % format over all of their
+    items, or None when a row is empty or holds anything but exact ints,
+    strs and non-empty flat lists of those.
+
+    Each row shape (the types of its items, and of theirs) gets one
+    template, with the indented rows written into it: %d for an int and
+    %s for a str, which is passed quoted.  Rows of exact ints that all
+    have one length (the edge and triangle lists) share one template and
+    take no per-row step at all.
+    """
+    inner = indent + "  "
+    if (set(map(type, chain.from_iterable(rows))) == _INTS
+            and len(set(map(len, rows))) == 1):
+        lines = [_row_template((int,) * len(rows[0]), inner)] * len(rows)
+        values = tuple(chain.from_iterable(rows))
+    else:
+        templates: dict = {}
+        lines, values = [], []
+        add = values.append
+        for row in rows:
+            shape = []
+            for x in row:
+                kind = type(x)
+                if kind is int:
+                    add(x)
+                elif kind is str:
+                    add(_quote(x))
+                elif kind is list and x:
+                    kind = tuple(map(type, x))
+                    if not _ROW_ITEMS.issuperset(kind):
+                        return None
+                    values += [_quote(y) if type(y) is str else y for y in x] \
+                        if str in kind else x
+                else:
+                    return None
+                shape.append(kind)
+            if not shape:
+                return None
+            shape = tuple(shape)
+            template = templates.get(shape)
+            if template is None:
+                template = templates[shape] = _row_template(shape, inner)
+            lines.append(template)
+    return (f"[\n{inner}" + f",\n{inner}".join(lines) + f"\n{indent}]") % tuple(values)
+
+
+def _row_template(shape: tuple, indent: str) -> str:
+    """The % template of one row of _rows_text, written at indent."""
+    inner = indent + "  "
+    items = [_FORMATS[kind] if kind in _FORMATS else
+             f"[\n{inner}  " + f",\n{inner}  ".join(map(_FORMATS.__getitem__, kind))
+             + f"\n{inner}]" for kind in shape]
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
 
 
 def _json_key(key) -> str:

@@ -188,8 +188,9 @@ class Complex2:
         self._triangle_positions = self._components = None
 
     # The lazy indexes.  A loop reads one into a local first: each property
-    # read is a call.  The reduction's working state starts from the
-    # triangles at each edge and the edges at each vertex.
+    # read is a call.  The reduction's working state copies the edges at
+    # each vertex, which the components walk builds anyway, and builds its
+    # own triangles at each edge from the triangles it keeps.
 
     @property
     def _tris_at_edge(self) -> dict:

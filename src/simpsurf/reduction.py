@@ -24,17 +24,20 @@ one Complex2: the result.  Each step is witnessed when it is made: a kill
 removes a triangle of a 2-cycle with zero boundary on which every
 functional vanishes, and the functionals' rank is re-checked on the kept
 cycle basis; a collapse has a face of degree one; a deletion has a path
-joining the endpoints without the edge; a contraction has none, and its
-endpoints share no neighbour.  Full rank audits run at the phase
-boundaries (the input, after the kills, the result); kills keep every
-edge, so the one after the kills eliminates the input's boundary rows of
-the kept triangles and never builds that complex.  The input's rows are
-built once and serve its audit, the kills and the audit after them.
-The audits pin every per-step Betti snapshot, because each move shifts
-the numbers one way only: removing a triangle changes (b1, b2) by
-(0, -1) or (+1, 0), deleting an edge changes (b0, b1) by (0, -1) or
-(+1, 0), collapses and contractions change nothing, and surjectivity,
-once lost, cannot come back while the cycle space only shrinks.
+joining the endpoints without the edge; a contraction has a component of
+the graph without the edge that holds one endpoint and not the other,
+and its endpoints share no neighbour.  One search from both endpoints
+finds either witness, at about twice the cost of the smaller side.  Full
+rank audits run at the phase boundaries (the input, after the kills, the
+result); kills keep every edge, so the one after the kills eliminates
+the input's boundary rows of the kept triangles and never builds that
+complex.  The input's rows are built once and serve its audit, the kills
+and the audit after them.  The audits pin every per-step Betti snapshot,
+because each move shifts the numbers one way only: removing a triangle
+changes (b1, b2) by (0, -1) or (+1, 0), deleting an edge changes
+(b0, b1) by (0, -1) or (+1, 0), collapses and contractions change
+nothing, and surjectivity, once lost, cannot come back while the cycle
+space only shrinks.
 """
 
 from __future__ import annotations
@@ -229,29 +232,32 @@ def _kill_all(k: Complex2, spec: PreservationSpec, cycles: list[int],
 class _WorkingComplex:
     """The complex under collapse and edge elimination, edited in place.
 
-    It starts from the incidence of a Complex2, the triangles at each edge
-    and the edges at each vertex, copied into sets, less the triangles at
-    the positions in skip.  Three lazy min-heaps hold the candidate free
-    edges, free vertices and maximal edges, ordered by the input's vertex
-    positions, which is the canonical order; a contraction keeps a vertex
-    of the input, so every position stays defined.  The heaps start as
-    the candidates listed in canonical order, which is already a heap.
-    An entry is pushed whenever a simplex may have become a candidate and
-    is checked against the incidence when popped, so every move is the
-    canonically first one available, as a scan of the rebuilt complex
-    would find it.  The state is geometry only: functionals are renamed
-    through the recorded contractions afterwards.  complex() builds the
-    Complex2 of the state.
+    It starts from a Complex2 less the triangles at the positions in skip:
+    the triangles at each edge are built as sets from the kept triangles,
+    and the edges at each vertex are the input's index copied into sets.
+    Three lazy min-heaps hold the candidate free edges, free vertices and
+    maximal edges, ordered by the input's vertex positions, which is the
+    canonical order; a contraction keeps a vertex of the input, so every
+    position stays defined.  The heaps start as the candidates listed in
+    canonical order, which is already a heap.  An entry is pushed whenever a
+    simplex may have become a candidate and is checked against the incidence
+    when popped, so every move is the canonically first one available, as a
+    scan of the rebuilt complex would find it.  The state is geometry only:
+    functionals are renamed through the recorded contractions afterwards.
+    complex() builds the Complex2 of the state.
     """
 
     def __init__(self, k: Complex2, skip: Iterable[int] = ()) -> None:
         self.rank = k._vertex_index
-        self.triangles = set(k.triangles)
-        self.tris_at_edge = {e: set(ts) for e, ts in k._tris_at_edge.items()}
-        for t in map(k.triangles.__getitem__, skip):
-            self.triangles.remove(t)
-            for f in combinations(t, 2):
-                self.tris_at_edge[f].remove(t)
+        gone = set(skip)
+        kept = [t for j, t in enumerate(k.triangles) if j not in gone]
+        self.triangles = set(kept)
+        self.tris_at_edge = tris_at_edge = {e: set() for e in k.edges}
+        for t in kept:
+            a, b, c = t
+            tris_at_edge[a, b].add(t)
+            tris_at_edge[a, c].add(t)
+            tris_at_edge[b, c].add(t)
         self.edges_at_vertex = {v: set(es) for v, es in k._edges_at_vertex.items()}
         rank = self.rank
         self.free_edges = [(rank[e[0]], rank[e[1]], e)
@@ -315,24 +321,44 @@ class _WorkingComplex:
             self.collapses.append((v, e))
 
     def _path_avoiding(self, e: Edge) -> Optional[list[Label]]:
-        """A path from e[0] to e[1] that does not use e, by BFS, or None."""
-        start, goal = e
-        parent: dict = {start: None}
-        queue = deque([start])
-        while queue:
+        """A path from e[1] to e[0] that does not use e, or None.
+
+        Two breadth-first searches, one from each end, expand one vertex
+        each in turn.  When one reaches a vertex the other has seen, the
+        two tree paths through it join the ends: the path witnesses a
+        deletion.  When either runs out of vertices first, its side is a
+        whole component of the graph without e, which the other end is
+        not in: that witnesses a contraction.  Either way the search stops
+        at about twice the smaller side, so a bridge to a small part of a
+        large component costs the small part.
+        """
+        edges_at_vertex = self.edges_at_vertex
+        parents: tuple[dict, dict] = ({e[0]: None}, {e[1]: None})
+        queues = (deque([e[0]]), deque([e[1]]))
+        side = 0
+        while True:
+            seen, other, queue = parents[side], parents[1 - side], queues[side]
             u = queue.popleft()
-            for f in self.edges_at_vertex[u]:
+            for f in edges_at_vertex[u]:
                 w = f[1] if f[0] == u else f[0]
-                if f == e or w in parent:
+                if f == e or w in seen:
                     continue
-                parent[w] = u
-                if w == goal:
+                seen[w] = u
+                if w in other:
+                    to_start, to_end = parents
                     path = [w]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
+                    while to_end[path[-1]] is not None:
+                        path.append(to_end[path[-1]])
+                    path.reverse()
+                    v = to_start[w]
+                    while v is not None:
+                        path.append(v)
+                        v = to_start[v]
                     return path
                 queue.append(w)
-        return None
+            if not queue:
+                return None
+            side = 1 - side
 
     def _contract(self, e: Edge) -> None:
         """Identify the endpoints of a bridge, renaming the star of the later;
@@ -341,9 +367,11 @@ class _WorkingComplex:
         rank = self.rank.__getitem__
         self._remove_edge(e)
         star = self.edges_at_vertex.pop(gone)
-        near = {w for f in self.edges_at_vertex[keep] for w in f}
-        # a common neighbour would be a path, and would make two edges one
-        assert not near & {w for f in star for w in f if w != gone}
+        tris_at_edge = self.tris_at_edge
+        # a common neighbour would be a path, and would make two edges one;
+        # looking each neighbour's edge to keep up costs the degree of gone
+        assert not any((keep, w) in tris_at_edge or (w, keep) in tris_at_edge
+                       for f in star for w in f if w != gone)
         renamed = {t: tuple(sorted((keep if v == gone else v for v in t), key=rank))
                    for f in star for t in self.tris_at_edge[f]}
         for t, u in renamed.items():
@@ -367,8 +395,11 @@ class _WorkingComplex:
 
         The canonically first maximal edge goes each time: deleted when a
         path joins its endpoints without it (b1 drops by one), contracted
-        otherwise (a homotopy equivalence).  Each move, and each run of
-        collapses, appends a snapshot whose Betti numbers follow from it.
+        otherwise (a homotopy equivalence).  _path_avoiding witnesses
+        both: the path it returns for a deletion, and for a contraction a
+        side it searched to the end without meeting the other endpoint.
+        Each move, and each run of collapses, appends a snapshot whose
+        Betti numbers follow from it.
         """
         while True:
             b0, b1, b2 = snapshots[-1][1]

@@ -15,6 +15,7 @@ from simpsurf import cli
 from simpsurf.cli import main, run_report
 from simpsurf.complex2 import Complex2
 from simpsurf.io import dump_complex, dumps_complex, load_complex
+from simpsurf.surfaces import attach_circle, wedge
 
 from _fixtures import (TORUS_TRIS, sphere, torus, torus_circle_sphere,
                        torus_with_circle)
@@ -458,9 +459,37 @@ _GRIDS = st.one_of(
               _ODD_CELLS),
     st.lists(st.just([]), min_size=1, max_size=3))
 
+# lists of rows as the trace and the cup form write them: ints, strs and
+# flat int/str lists of different lengths, some with one odd item that
+# sends the list off the one-format path, and some with an empty row
+_ROW_SCALARS = st.one_of(st.integers(), st.integers(-3, 3), st.text(max_size=3),
+                         st.sampled_from(["%s", "%d", "a%", '"', "\u00e9\n"]))
+_ROW_ITEMS = st.one_of(_ROW_SCALARS, st.lists(_ROW_SCALARS, min_size=1, max_size=3))
+_ODD_ITEMS = st.sampled_from([True, False, 0.5, float("inf"), None, [], [[1]],
+                              [1, [2]], [1, False], ["a", None], (1, 2)])
+_ROW_LISTS = st.lists(st.lists(_ROW_ITEMS, min_size=1, max_size=4),
+                      min_size=1, max_size=5)
+
+
+def _plant_item(rows: list, at: int, item) -> list:
+    rows = [list(row) for row in rows]
+    row = rows[at % len(rows)]
+    row.insert(at % (len(row) + 1), item)
+    return rows
+
+
+def _plant_row(rows: list, at: int) -> list:
+    return rows[:at % len(rows)] + [[]] + rows[at % len(rows):]
+
+
+_ROWS = st.one_of(
+    _ROW_LISTS,
+    st.builds(_plant_item, _ROW_LISTS, st.integers(0), _ODD_ITEMS),
+    st.builds(_plant_row, _ROW_LISTS, st.integers(0)))
+
 _PAYLOADS = st.recursive(
     st.one_of(_SCALARS, st.lists(st.integers()),
-              st.lists(st.lists(st.integers(-9, 9), max_size=3)), _GRIDS),
+              st.lists(st.lists(st.integers(-9, 9), max_size=3)), _GRIDS, _ROWS),
     lambda inner: st.one_of(st.lists(inner, max_size=4),
                             st.lists(inner, max_size=4).map(tuple),
                             st.dictionaries(_KEYS, inner, max_size=4)),
@@ -474,14 +503,37 @@ def test_json_writer_matches_json_dumps(payload):
 
 
 def test_json_writer_keeps_json_scalars_in_int_grids():
-    # an exact-int grid is one format call; any other cell takes the
-    # per-value path, so a bool stays true rather than %d's 1
+    # rows of exact ints, strs and flat lists of them are one format call;
+    # any other item, and an empty row, takes the per-value path, so a
+    # bool stays true rather than %d's 1
     for grid in ([[0, 1, 2], [3, 4, 5]], [[2**64 + 1, -(2**70)]],
                  [[1, True], [2, 3]], [[0, 1], [2, 2.5]], [[1], [2, 3]],
-                 [[], []], [(1, 2), [3, 4]]):
+                 [[], []], [(1, 2), [3, 4]],
+                 [["kill", [0, 1, 2]], ["collapse", [0, 1, 1]]],
+                 [[0, [1, 2]], [[0, 1], [0, 1, 2]]], [["L.0", ["R.1", 2]]],
+                 [["%s", "%d"], ['"%', ["\u00e9", 1]]], [[1], []], [["x", None]],
+                 [[1, []]], [[1, [[2]]]], [[1, [True]]], [[(1, 2)]]):
         assert cli._json_text(grid) == json.dumps(grid, indent=2), grid
         assert cli._json_text({"g": grid}) == json.dumps({"g": grid}, indent=2)
     assert "true" in cli._json_text([[1, True]])
+
+
+def test_report_json_on_str_labels_is_json_dumps(tmp_path, monkeypatch, capsys):
+    # a wedge of two tori is namespaced L./R., so the trace's collapses,
+    # contractions and the result's simplices are rows of strs
+    k = attach_circle(wedge(torus(), 0, torus(), 0), "L.3")
+    f = tmp_path / "wedge.json"
+    dump_complex(k, f, name="wedge")
+    payloads = []
+    print_json = cli._print_json
+    monkeypatch.setattr(cli, "_print_json",
+                        lambda payload: (payloads.append(payload), print_json(payload)))
+    assert main(["report", str(f), "--target-rank", "1", "--json"]) == 0
+    (payload,) = payloads
+    pipeline = payload["pipeline"]
+    assert pipeline["contractions"] and pipeline["free_rank"] == 3
+    assert any(type(face) is str for face, _ in pipeline["collapses"])
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_json_writer_matches_json_dumps_on_the_golden_corpus(tmp_path,

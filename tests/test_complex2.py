@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from simpsurf.complex2 import Complex2, SimplexId, canon_edge, canon_triangle, label_key
 from simpsurf.homology import has_property_a, homology_summary
+from simpsurf.reduction import collapse_all, eliminate_maximal_edges, simplify_pipeline
 from simpsurf.search import canonical_form
 
 from _fixtures import label_cases, torus
@@ -166,6 +167,18 @@ def test_homology_and_canonical_form_leave_the_lazy_indexes_unbuilt():
         assert k._edges_at_vertex is k._edges_at_vertex
         assert k._triangle_index is k._triangle_index
         assert k._triangle_index == {t: j for j, t in enumerate(k.triangles)}
+
+
+def test_reductions_leave_the_input_edge_index_unbuilt():
+    # the working state builds the triangles at each edge from the kept
+    # triangles, not from a copy of the input's index
+    for _, built in label_cases():
+        k = Complex2(built.vertices, built.edges, built.triangles)
+        simplify_pipeline(k)
+        simplify_pipeline(k, target_rank=0)
+        collapse_all(k)
+        eliminate_maximal_edges(k)
+        assert k._edge_triangles is None
 
 
 def test_components_are_walked_once_per_value():

@@ -1,5 +1,6 @@
 """Kill steps, free collapses, loose-edge elimination, and the pipeline."""
 
+import json
 import random
 from collections import Counter
 
@@ -7,15 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simpsurf import homology, reduction
+from simpsurf import cli, homology, reduction
 from simpsurf.bounds import parse_surface_id
 from simpsurf.complex2 import Complex2
 from simpsurf.gf2 import Gf2Matrix, _bits_up, _relations
 from simpsurf.homology import (betti_numbers, boundary_matrix, chain_support,
                                has_property_a, homology_summary)
+from simpsurf.io import dump_complex
 from simpsurf.reduction import (PreservationSpec, _cycle_basis, _sum, _values,
-                                collapse_all, eliminate_maximal_edges, kill_step,
-                                simplify_pipeline)
+                                _WorkingComplex, collapse_all, eliminate_maximal_edges,
+                                kill_step, simplify_pipeline)
 from simpsurf.surfaces import attach_circle, catalog, classify, wedge
 
 from _fixtures import (kernel_from_rref, label_cases, m8_wedge, rp2, sphere, torus,
@@ -444,6 +446,120 @@ def test_pipeline_replays_step_by_step():
                                              "rank explicit"))
 
 
+class _CountingDict(dict):
+    """A dict that counts its [] reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def count_expansions(monkeypatch) -> Counter:
+    """Count the path searches and the vertices they expand: each
+    expansion reads the edges at one vertex."""
+    counts = Counter()
+    search = _WorkingComplex._path_avoiding
+
+    def counted(state, e):
+        edges_at_vertex = state.edges_at_vertex
+        state.edges_at_vertex = counting = _CountingDict(edges_at_vertex)
+        try:
+            return search(state, e)
+        finally:
+            state.edges_at_vertex = edges_at_vertex
+            counts["searches"] += 1
+            counts["expansions"] += counting.reads
+
+    monkeypatch.setattr(_WorkingComplex, "_path_avoiding", counted)
+    return counts
+
+
+def _plain_reach(state: _WorkingComplex, e) -> set:
+    """The vertices a plain BFS from e[0] reaches without the edge e."""
+    seen, queue = {e[0]}, [e[0]]
+    for u in queue:
+        for f in state.edges_at_vertex[u]:
+            for w in f:
+                if f != e and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    return seen
+
+
+def _search_cases(rng: random.Random) -> list[Complex2]:
+    """Wedges with circles and bubbles, bridges to tori, books of cones,
+    some with extra chords and pendant edges."""
+    names = ("S2", "N1", "M1", "N2", "M2")
+    cases = []
+    for i in range(30):
+        base = catalog(parse_surface_id(rng.choice(names)))
+        k = base
+        for _ in range(rng.randrange(0, 3)):
+            k = attach_circle(k, rng.choice(k.vertices))
+        for j in range(rng.randrange(0, 3)):
+            bubble = sphere().relabeled({v: 100 + 10 * j + v for v in range(4)})
+            k = wedge(k, rng.choice(base.vertices), bubble, 100 + 10 * j)
+        if i % 3 == 0:
+            book = _book(rng)
+            k = wedge(k, rng.choice(base.vertices), book, rng.choice(book.vertices))
+        if i % 3 == 1:
+            for n in range(rng.randrange(1, 3)):
+                other = torus().relabeled({v: 200 + 10 * n + v for v in range(7)})
+                k = Complex2(k.vertices + other.vertices,
+                             k.edges + other.edges
+                             + ((rng.choice(k.vertices), 200 + 10 * n),),
+                             k.triangles + other.triangles)
+        extra = [tuple(sorted(rng.sample(k.vertices, 2))) for _ in range(rng.randrange(3))]
+        extra += [(rng.choice(k.vertices), 500 + j) for j in range(rng.randrange(3))]
+        cases.append(Complex2.from_triangles(k.triangles, extra_edges=k.edges + tuple(extra),
+                                             extra_vertices=k.vertices))
+    return cases
+
+
+def test_path_search_agrees_with_a_plain_search():
+    rng = random.Random(20261019)
+    seen = Counter()
+    for k in _search_cases(rng):
+        state = _WorkingComplex(k)
+        for stage in ("input", "collapsed"):
+            if stage == "collapsed" and not state.collapse():
+                continue
+            for e in state.tris_at_edge:
+                path = state._path_avoiding(e)
+                joined = e[1] in _plain_reach(state, e)
+                assert (path is not None) == joined, e
+                seen[stage, joined] += 1
+                if path is None:
+                    continue
+                assert path[0] == e[1] and path[-1] == e[0]
+                assert len(set(path)) == len(path) > 2
+                steps = [tuple(sorted(s, key=state.rank.__getitem__))
+                         for s in zip(path, path[1:])]
+                assert e not in steps
+                assert all(s in state.tris_at_edge for s in steps)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_path_search_costs_the_small_side_of_a_bridge(monkeypatch):
+    # a torus labelled above catalog(M3), joined by one edge: the search
+    # starts from the M3 end, yet stops when the torus side runs out
+    base = catalog(parse_surface_id("M3"))
+    top = max(base.vertices) + 1
+    other = torus().relabeled({v: top + v for v in range(7)})
+    bridge = (base.vertices[0], top)
+    k = Complex2(base.vertices + other.vertices, base.edges + other.edges + (bridge,),
+                 base.triangles + other.triangles)
+    assert base.n_vertices > 2 * other.n_vertices
+    counts = count_expansions(monkeypatch)
+    assert _WorkingComplex(k)._path_avoiding(bridge) is None
+    assert counts["expansions"] <= 2 * other.n_vertices
+    trace = eliminate_maximal_edges(k)
+    assert trace.contractions == (bridge,)
+    assert counts["expansions"] <= 4 * other.n_vertices
+
+
 def test_pipeline_work_is_bounded_per_phase(monkeypatch):
     base = catalog(parse_surface_id("M3"))
     bubble = sphere().relabeled({v: 1000 + v for v in range(4)})
@@ -483,6 +599,41 @@ def test_pipeline_work_is_bounded_per_phase(monkeypatch):
     assert counts["builds"] == 0
     assert counts["eliminations"] == 3
     assert counts["rrefs"] == counts["kernels"] == counts["matrices"] == 0
+    # the path search stops at the smaller side of each maximal edge: a
+    # one-sided search walks a whole summand for every bridge into it
+    # (about 64,200 vertex expansions here, against about 4,500)
+    m8 = m8_wedge(2)
+    counts = count_expansions(monkeypatch)
+    trace = simplify_pipeline(m8, PreservationSpec.from_triangle_lists([[m8.triangles[0]]]))
+    assert (len(trace.killed_triangles), trace.free_rank) == (1, 17)
+    assert counts["searches"] == len(trace.contractions) + trace.free_rank
+    assert counts["expansions"] <= 6000, counts
+
+
+@pytest.mark.slow
+def test_report_on_the_8_copy_m8_wedge(tmp_path, monkeypatch, capsys):
+    # 9216 triangles: a search that walks the large side of each bridge
+    # makes about 612,000 vertex expansions here, against about 38,700;
+    # the exact counts depend on the hash seed through the order of the
+    # edges at each vertex
+    k = m8_wedge(8)
+    dump_complex(k, tmp_path / "w8.json", name="w8")
+    (tmp_path / "spec.json").write_text(json.dumps([[list(k.triangles[0])]]))
+    payloads = []
+    monkeypatch.setattr(cli, "_print_json", payloads.append)
+    counts = count_expansions(monkeypatch)
+    assert cli.main(["report", str(tmp_path / "w8.json"), "--preserve",
+                     str(tmp_path / "spec.json"), "--json"]) == 0
+    (payload,) = payloads
+    pipeline = payload["pipeline"]
+    assert (len(pipeline["killed_triangles"]), pipeline["free_rank"],
+            len(pipeline["contractions"])) == (7, 113, 657)
+    assert pipeline["result"]["alpha"] == [562, 1728, 1152]
+    assert payload["classification"]["surface"]["name"] == "M8"
+    assert payload["certified"]
+    assert counts["searches"] == 657 + 113
+    assert counts["expansions"] <= 40_000
+    assert cli._json_text(payload) == json.dumps(payload, indent=2)
 
 
 def _assert_as_built(r: Complex2) -> None:
