@@ -86,28 +86,36 @@ def _label_order(vertices, edges, triangles) -> Optional[Callable]:
     return dict(zip(ranked, range(len(ranked)))).__getitem__
 
 
-def _proper(rows: list, arity: int) -> bool:
-    """Whether every sorted row holds arity distinct labels, that is,
-    has length arity and no two equal neighbours."""
-    if set(map(len, rows)) != {arity}:
-        return False
-    columns = list(zip(*rows))
-    return not any(map(eq, chain(*columns[:-1]), chain(*columns[1:])))
-
-
-def _rows(simplices: list, key, arity: int, what: str) -> list[tuple]:
-    """Each simplex as a tuple sorted by key, in the given order, checked
-    to hold arity distinct labels; the ValueError names the first that
-    does not, as given."""
+def _rows(simplices: list, key) -> list[tuple]:
+    """Each simplex as a tuple sorted by key, in the given order."""
     if key is None:
-        rows = list(map(tuple, map(sorted, simplices)))
-    else:
-        rows = [tuple(sorted(s, key=key)) for s in simplices]
-    if rows and not _proper(rows, arity):
-        bad = next(s for s, row in zip(simplices, rows)
-                   if not _proper([row], arity))
-        raise ValueError(f"degenerate {what} {tuple(bad)!r}")
-    return rows
+        return list(map(tuple, map(sorted, simplices)))
+    return [tuple(sorted(s, key=key)) for s in simplices]
+
+
+def _columns(rows: list, arity: int) -> Optional[list[tuple]]:
+    """The arity columns of sorted rows (empty when there are none), or
+    None when a row does not hold arity distinct labels: a row of another
+    length, or two equal neighbours."""
+    if not rows:
+        return [()] * arity
+    try:
+        columns = list(zip(*rows, strict=True))
+    except ValueError:  # rows of different lengths
+        return None
+    if len(columns) != arity or any(map(eq, chain(*columns[:-1]), chain(*columns[1:]))):
+        return None
+    return columns
+
+
+def _degenerate(edges: list, triangles: list, key) -> ValueError:
+    """The error naming the first degenerate simplex, edges before
+    triangles, as given; one of them must be degenerate."""
+    for simplices, arity, what in ((edges, 2, "edge"), (triangles, 3, "triangle")):
+        for s in simplices:
+            if _columns(_rows([s], key), arity) is None:
+                return ValueError(f"degenerate {what} {tuple(s)!r}")
+    raise AssertionError("no degenerate simplex to name")
 
 
 @dataclass(frozen=True)
@@ -130,20 +138,25 @@ class Complex2:
     Both constructors make one pass over their arguments.  The type of
     every label is checked (a bool, float or None is a TypeError), one
     sort key is chosen from the label types, and each simplex is sorted
-    with it once; the sorted tuples are checked for degenerate simplices
-    (edges first, then triangles) and then serve the closure.  When every
-    label is an int, or every label is a str, plain tuple comparison is
-    the label_key order and no key is used; a mixed label set is ranked by
-    label_key once and sorted by those ranks.  from_triangles takes the
-    closure of the sorted simplices; __init__ checks that the closure was
-    given: first every triangle's edges, then every edge's endpoints.
-    That endpoint check lives in __init__ alone, the only constructor
-    where an endpoint can be missing.  A build stores the simplex tuples
-    and the vertex and edge positions, which homology, the cup form and
-    canonical_form read.  Three indexes are built on first read and kept:
-    the triangles at each edge, the edges at each vertex and the triangle
-    positions; connected_components() is computed once per value and
-    kept too.  Only int and str labels (not bool) are vertices:
+    with it once.  When every label is an int, or every label is a str,
+    plain tuple comparison is the label_key order and no key is used; a
+    mixed label set is ranked by label_key once and sorted by those ranks.
+    The sorted tuples are split into columns, which the closure (or its
+    check) needs anyway, and degenerate simplices are found on those
+    columns as equal neighbours; the error names the first, as given,
+    edges before triangles.  from_triangles takes the closure of the
+    sorted simplices, its vertices read off the columns; __init__ checks
+    that the closure was given: first every triangle's edges, then every
+    edge's endpoints.  That endpoint check lives in __init__ alone, the
+    only constructor where an endpoint can be missing.  A build stores the
+    simplex tuples and the vertex and edge positions, which homology, the
+    cup form and canonical_form read.  Four indexes are built on first
+    read and kept: the triangles at each edge, the edges at each vertex,
+    the triangle positions and the three edge positions of each triangle.
+    connected_components() is computed once per value and kept too; a
+    boundary elimination (homology's) that finds the components records
+    them, and then nothing walks the 1-skeleton.  Only int and str labels
+    (not bool) are vertices:
     has_vertex, has_edge and has_triangle are False for a simplex with any
     other label, and the vertex, edge and triangle queries and simplex_id
     raise ValueError for it.
@@ -153,7 +166,7 @@ class Complex2:
                  "_vertex_index", "_edge_index",
                  # caches, each None until its first read
                  "_edge_triangles", "_vertex_edges", "_triangle_positions",
-                 "_components")
+                 "_triangle_edge_positions", "_components")
 
     def __init__(self,
                  vertices: Iterable[Label],
@@ -161,17 +174,18 @@ class Complex2:
                  triangles: Iterable[Sequence[Label]] = ()) -> None:
         vertices, edges, triangles = list(vertices), list(edges), list(triangles)
         key = _label_order(vertices, edges, triangles)
-        edge_rows = _rows(edges, key, 2, "edge")
-        tri_rows = _rows(triangles, key, 3, "triangle")
+        edge_rows, tri_rows = _rows(edges, key), _rows(triangles, key)
+        edge_columns, tri_columns = _columns(edge_rows, 2), _columns(tri_rows, 3)
+        if edge_columns is None or tri_columns is None:
+            raise _degenerate(edges, triangles, key)
         vert_set, edge_set = set(vertices), set(edge_rows)
-        if tri_rows:
-            a, b, c = zip(*tri_rows)
-            if not edge_set.issuperset(chain(zip(a, b), zip(a, c), zip(b, c))):
-                t, e = next((t, e) for t in tri_rows
-                            for e in combinations(t, 2) if e not in edge_set)
-                raise ValueError(f"edge {e!r} of triangle {t!r} is missing; "
-                                 "use from_triangles to take closures")
-        if not vert_set.issuperset(chain.from_iterable(edge_rows)):
+        a, b, c = tri_columns
+        if not edge_set.issuperset(chain(zip(a, b), zip(a, c), zip(b, c))):
+            t, e = next((t, e) for t in tri_rows
+                        for e in combinations(t, 2) if e not in edge_set)
+            raise ValueError(f"edge {e!r} of triangle {t!r} is missing; "
+                             "use from_triangles to take closures")
+        if not vert_set.issuperset(chain(*edge_columns)):
             v, e = next((v, e) for e in edge_rows for v in e if v not in vert_set)
             raise ValueError(f"endpoint {v!r} of edge {e!r} is missing")
         self._setup(vert_set, edge_set, set(tri_rows), key)
@@ -185,12 +199,14 @@ class Complex2:
         self._vertex_index = dict(zip(self.vertices, range(len(self.vertices))))
         self._edge_index = dict(zip(self.edges, range(len(self.edges))))
         self._edge_triangles = self._vertex_edges = None
-        self._triangle_positions = self._components = None
+        self._triangle_positions = self._triangle_edge_positions = None
+        self._components = None
 
     # The lazy indexes.  A loop reads one into a local first: each property
-    # read is a call.  The reduction's working state copies the edges at
-    # each vertex, which the components walk builds anyway, and builds its
-    # own triangles at each edge from the triangles it keeps.
+    # read is a call.  The reduction's working state builds its own edges
+    # at each vertex and triangles at each edge, as sets it edits.  The
+    # three edge positions of each triangle serve the boundary rows, the
+    # 1-cycles and the cup form's front and back edges.
 
     @property
     def _tris_at_edge(self) -> dict:
@@ -224,6 +240,22 @@ class Complex2:
                                                 range(len(self.triangles))))
         return self._triangle_positions
 
+    @property
+    def _triangle_edges(self) -> tuple:
+        """The positions of each triangle's edges ab, ac and bc, in order."""
+        if self._triangle_edge_positions is None:
+            at = self._edge_index.__getitem__
+            a, b, c = zip(*self.triangles) if self.triangles else ((), (), ())
+            self._triangle_edge_positions = tuple(zip(
+                map(at, zip(a, b)), map(at, zip(a, c)), map(at, zip(b, c))))
+        return self._triangle_edge_positions
+
+    def _record_components(self, components: tuple) -> None:
+        """Keep components found by another pass, in the order and form
+        connected_components() gives them, unless it has run already."""
+        if self._components is None:
+            self._components = components
+
     # ------------------------------------------------------------ building
 
     @classmethod
@@ -239,18 +271,24 @@ class Complex2:
         vertices, edges = list(extra_vertices), list(extra_edges)
         triangles = list(triangles)
         key = _label_order(vertices, edges, triangles)
-        edge_set = set(_rows(edges, key, 2, "edge"))
-        return cls._closure(set(vertices), edge_set,
-                            set(_rows(triangles, key, 3, "triangle")), key)
+        k = cls._closure(set(vertices), set(_rows(edges, key)),
+                         set(_rows(triangles, key)), key)
+        if k is None:
+            raise _degenerate(edges, triangles, key)
+        return k
 
     @classmethod
-    def _closure(cls, vert_set: set, edge_set: set, tri_set: set, key) -> "Complex2":
-        """The complex of checked, sorted simplices and all their faces;
-        vert_set and edge_set are completed in place."""
-        if tri_set:
-            a, b, c = zip(*tri_set)
-            edge_set.update(zip(a, b), zip(a, c), zip(b, c))
-        vert_set.update(chain.from_iterable(edge_set))
+    def _closure(cls, vert_set: set, edge_set: set, tri_set: set,
+                 key) -> Optional["Complex2"]:
+        """The complex of sorted simplices and all their faces, or None
+        when one is degenerate; vert_set and edge_set are completed in
+        place, the vertices read off the columns of the given simplices."""
+        edge_columns, tri_columns = _columns(edge_set, 2), _columns(tri_set, 3)
+        if edge_columns is None or tri_columns is None:
+            return None
+        a, b, c = tri_columns
+        edge_set.update(zip(a, b), zip(a, c), zip(b, c))
+        vert_set.update(*edge_columns, a, b, c)
         k = cls.__new__(cls)
         k._setup(vert_set, edge_set, tri_set, key)
         return k
@@ -367,7 +405,8 @@ class Complex2:
 
     def connected_components(self) -> tuple[tuple[Label, ...], ...]:
         """Vertex sets of the components of the 1-skeleton, canonically
-        ordered; walked on the first call and kept."""
+        ordered; kept from the first call, or from a boundary elimination
+        that recorded them, and walked only when neither has run."""
         if self._components is not None:
             return self._components
         edges_at_vertex = self._edges_at_vertex

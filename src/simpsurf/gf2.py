@@ -340,9 +340,11 @@ def _relations(rows: Sequence[int], width: int) -> tuple[Gf2Span, list[int]]:
     relations = []
     for j, r in enumerate(rows):
         r = span._reduce_bits(r | 1 << width + j)
-        if r & low:
-            # already reduced: stored at its lowest bit, as _add_bits would
-            p = _low_bit(r)
+        below = r & low
+        if below:
+            # already reduced: stored at its lowest bit, as _add_bits would;
+            # that bit is below width, so it is read off the part below
+            p = _low_bit(below)
             span._pivot_rows[p] = r
             span._mask |= 1 << p
         else:

@@ -27,7 +27,14 @@ homology_summary runs one elimination, gf2._relations over the triangle
 boundaries: it gives the 2-cycles, the same the reduction audits use,
 and the kernel vectors that are the 1-cocycles.  The H^1 classes are
 picked by one union-find pass, the spanning forest grown from the
-highest edge down, which also gives the components.  The 1-cycles are
+highest edge down over the free columns of that elimination only (a
+pivot edge is the highest edge of no coboundary, so it never joins two
+trees), which also gives the components.  betti_numbers and the
+reduction's audits take the components from the same pass over their
+own elimination and record them on the complex, so no Betti number walks
+the 1-skeleton.  The three edge positions of each triangle are a kept
+index of the complex, which the boundary rows, the 1-cycles and the cup
+form read.  The 1-cycles are
 built only when cycle_reps is first read, from the forest grown in edge
 order.  The bases it returns are those read off the reduced row echelon
 forms of d1, d2 transposed, d2 and the 2-cycles, which are unique, yet
@@ -148,20 +155,13 @@ def boundary_matrix(k: Complex2, n: int) -> Gf2Matrix:
 
 def betti_numbers(k: Complex2) -> tuple[int, int, int]:
     """Reduced F2 Betti numbers (b0, b1, b2), without representatives."""
-    return _betti(k, Gf2Matrix(k.n_triangles, k.n_edges, _boundary_rows(k)).rank())
-
-
-def _triangle_edges(k: Complex2) -> list[tuple[int, int, int]]:
-    """The positions of each triangle's three edges, in triangle order: the
-    supports of the rows of the transpose of the boundary map d2."""
-    position = k._edge_index
-    return [(position[a, b], position[a, c], position[b, c]) for a, b, c in k.triangles]
+    return _betti(k, _span(_boundary_rows(k), k.n_edges))
 
 
 def _boundary_rows(k: Complex2) -> list[int]:
     """Each triangle's boundary as a bitmask over the edge positions, in
     triangle order: the rows of the transpose of d2."""
-    return [1 << a | 1 << b | 1 << c for a, b, c in _triangle_edges(k)]
+    return [1 << a | 1 << b | 1 << c for a, b, c in k._triangle_edges]
 
 
 def _boundary_relations(boundaries: Sequence[int], n_edges: int,
@@ -179,12 +179,15 @@ def _boundary_relations(boundaries: Sequence[int], n_edges: int,
     return _relations(boundaries, n_edges)
 
 
-def _betti(k: Complex2, rank2: int) -> tuple[int, int, int]:
-    """Reduced Betti numbers given the rank of the boundary map in dimension 2."""
+def _betti(k: Complex2, span: Gf2Span) -> tuple[int, int, int]:
+    """Reduced Betti numbers given the span of the triangle boundaries
+    (tagged or not): the rank of d2 is its dimension, and the components
+    are those _forest records from its free columns."""
     if k.n_vertices == 0:
         return (0, 0, 0)
+    _forest(k, span)  # records the components, unless k already has them
     return _betti_of_counts(k.n_vertices, k.n_edges, k.n_triangles,
-                            len(k.connected_components()), rank2)
+                            len(k.connected_components()), span.dim)
 
 
 def _betti_of_counts(n_vertices: int, n_edges: int, n_triangles: int,
@@ -245,8 +248,9 @@ def homology_summary(k: Complex2) -> HomologySummary:
     reduced row echelon form of d2 transposed; a boundary that reduces to
     its tags alone gives a 2-cycle, and the reduced row echelon form of
     those b2 cycles is the only back-substitution.  One union-find pass
-    grows the spanning forest from the highest edge down: its trees are
-    the components, and it picks the H^1 classes.
+    grows the spanning forest from the highest edge down over the free
+    columns of the boundaries: its trees are the components, which it
+    records on k, and it picks the H^1 classes.
 
       * cocycle_reps[1]: the kernel vector of the boundaries (f plus every
         pivot whose reduced row has f set) at each free column f of the
@@ -274,14 +278,17 @@ def homology_summary(k: Complex2) -> HomologySummary:
         top: the edges that join two trees of the edges above them, which
         are the edges of the forest grown from the highest edge down.
 
-    So the picks number b1 = alpha1 - (alpha0 - #components) - rank d2,
-    and the coboundaries are never eliminated.  The empty complex is
-    reported as having no homology at all.
+    So every forest edge is the highest edge of a coboundary, hence a free
+    column: a pivot edge never joins two trees, and the forest is grown
+    over the free columns alone.  The picks number
+    b1 = alpha1 - (alpha0 - #components) - rank d2, and the coboundaries
+    are never eliminated.  The empty complex is reported as having no
+    homology at all.
     """
     n_edges, n_triangles = k.n_edges, k.n_triangles
     span, relations = _relations(_boundary_rows(k), n_edges)
     b2 = len(relations)
-    forest, comps = _spanning_forest(k, range(n_edges - 1, -1, -1))
+    forest, comps = _forest(k, span)
     b1 = _betti_of_counts(k.n_vertices, n_edges, n_triangles, len(comps),
                           n_triangles - b2)[1]
 
@@ -313,6 +320,19 @@ def homology_summary(k: Complex2) -> HomologySummary:
         _cycles0=tuple(cycle0),
         _cycles2=cycle2,
     )
+
+
+def _forest(k: Complex2, span: Gf2Span) -> tuple[bytearray, list[tuple]]:
+    """The spanning forest grown from the highest edge down, and its
+    trees, the components, which are recorded on k.
+
+    span is the elimination of the triangle boundaries.  Every edge that
+    forest keeps is a free column of it (see homology_summary), so the
+    pivot edges, which never join two trees, are not taken at all.
+    """
+    forest, components = _spanning_forest(k, reversed(span._free(k.n_edges)))
+    k._record_components(tuple(components))
+    return forest, components
 
 
 def _spanning_forest(k: Complex2, order: Iterable[int]) -> tuple[bytearray, list[tuple]]:
@@ -378,7 +398,7 @@ def _one_cycles(k: Complex2) -> tuple[ChainVector, ...]:
                     path[b] = path[a] | 1 << i
                     stack.append(b)
     cycles = []
-    for f in _completion_picks(non_forest, _triangle_edges(k)):
+    for f in _completion_picks(non_forest, k._triangle_edges):
         u, v = k.edges[f]
         cycles.append(ChainVector(1, Gf2Vector(k.n_edges,
                                                1 << f | path[vertex[u]] ^ path[vertex[v]])))
@@ -489,12 +509,11 @@ def cup_pairing_on_h1(k: Complex2,
         raise ValueError("cochain does not match this complex")
     if summary._complex is not k and summary._complex != k:
         raise ValueError("cochain does not match the summarized complex")
-    position = k._edge_index
     front = [0] * k.n_edges
     back = [0] * k.n_edges
-    for j, (v0, v1, v2) in enumerate(k.triangles):
-        front[position[v0, v1]] |= 1 << j
-        back[position[v1, v2]] |= 1 << j
+    for j, (v0v1, _, v1v2) in enumerate(k._triangle_edges):
+        front[v0v1] |= 1 << j
+        back[v1v2] |= 1 << j
     cycles = [z.coeffs.bits for z in summary._cycles2]
     b2 = len(cycles)
     backs = [_pullback(back, a) for a in reps]

@@ -145,17 +145,17 @@ def _build(vertices: list, edges: list, triangles: list) -> Optional[Complex2]:
     """The complex of valid face lists, or None when any check fails.
 
     Every label and simplex is checked once: the shape here, the label
-    types and degenerate simplices by the sort that the closure needs,
-    duplicates by the sizes of the sets of sorted tuples.
+    types by the sort that the closure needs, duplicates by the sizes of
+    the sets of sorted tuples, and degenerate simplices by the closure, on
+    the columns it splits those sets into.
     """
     if not (_shaped(edges, 2) and _shaped(triangles, 3)):
         return None
     try:
         key = _label_order(vertices, edges, triangles)
-        edge_rows = _rows(edges, key, 2, "edge")
-        tri_rows = _rows(triangles, key, 3, "triangle")
-    except (TypeError, ValueError):
+    except TypeError:
         return None
+    edge_rows, tri_rows = _rows(edges, key), _rows(triangles, key)
     vert_set, edge_set, tri_set = set(vertices), set(edge_rows), set(tri_rows)
     if (len(vert_set) != len(vertices) or len(edge_set) != len(edge_rows)
             or len(tri_set) != len(tri_rows)):

@@ -165,11 +165,12 @@ def _cycle_basis(k: Complex2, boundaries: Optional[Sequence[int]] = None
     """The 2-cycles as the relations among the triangle boundaries (the
     vectors kernel_basis gives for d2), and the Betti numbers.
 
-    This is the one elimination of a boundary audit; b2 is the basis size.
+    This is the one elimination of a boundary audit; b2 is the basis size,
+    and the components, recorded on k, come from its free columns.
     `boundaries`, when given, are _boundary_rows(k).
     """
-    _, cycles = _boundary_relations(boundaries or _boundary_rows(k), k.n_edges)
-    return cycles, _betti(k, k.n_triangles - len(cycles))
+    span, cycles = _boundary_relations(boundaries or _boundary_rows(k), k.n_edges)
+    return cycles, _betti(k, span)
 
 
 def _spec_rank(spec: PreservationSpec, index: Mapping[Triangle, int],
@@ -234,7 +235,7 @@ class _WorkingComplex:
 
     It starts from a Complex2 less the triangles at the positions in skip:
     the triangles at each edge are built as sets from the kept triangles,
-    and the edges at each vertex are the input's index copied into sets.
+    and the edges at each vertex as sets from the input's edges.
     Three lazy min-heaps hold the candidate free edges, free vertices and
     maximal edges, ordered by the input's vertex positions, which is the
     canonical order; a contraction keeps a vertex of the input, so every
@@ -258,7 +259,10 @@ class _WorkingComplex:
             tris_at_edge[a, b].add(t)
             tris_at_edge[a, c].add(t)
             tris_at_edge[b, c].add(t)
-        self.edges_at_vertex = {v: set(es) for v, es in k._edges_at_vertex.items()}
+        self.edges_at_vertex = edges_at_vertex = {v: set() for v in k.vertices}
+        for e in k.edges:
+            edges_at_vertex[e[0]].add(e)
+            edges_at_vertex[e[1]].add(e)
         rank = self.rank
         self.free_edges = [(rank[e[0]], rank[e[1]], e)
                            for e, ts in self.tris_at_edge.items() if len(ts) == 1]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simpsurf.complex2 import Complex2, SimplexId, canon_edge, canon_triangle, label_key
-from simpsurf.homology import has_property_a, homology_summary
+from simpsurf.homology import (betti_numbers, cup_pairing_on_h1, has_property_a,
+                               homology_summary)
 from simpsurf.reduction import collapse_all, eliminate_maximal_edges, simplify_pipeline
 from simpsurf.search import canonical_form
 
@@ -38,6 +40,26 @@ def test_degenerate_rejected():
         Complex2.from_triangles([], extra_edges=[[3, 3]])
     with pytest.raises(TypeError):
         label_key(1.5)
+
+
+def test_both_constructors_name_the_first_degenerate_simplex_as_given():
+    # edges before triangles, each the first as given, whatever the label
+    # types and before any missing face
+    cases = [
+        ([], [(1, 2), (3,), (4, 4)], [(5, 5, 6)], "edge (3,)"),
+        ([], [(1, "a"), ("b", "b")], [(1, 2, 2)], "edge ('b', 'b')"),
+        ([], [(1, 2, 3)], [], "edge (1, 2, 3)"),
+        ([], [], [(1, 2, 3), ("b", 1, "b"), (4, 4, 5)], "triangle ('b', 1, 'b')"),
+        ([], [], [(1, 2, 3), (4, 5), (6, 6, 7)], "triangle (4, 5)"),
+        ([], [], [(1, 2, 3), (2, 3, 4, 5)], "triangle (2, 3, 4, 5)"),
+        (["a"], [], [("x", "y", "z"), ("z", "x", "z")], "triangle ('z', 'x', 'z')"),
+    ]
+    for vertices, edges, triangles, named in cases:
+        message = re.escape(f"degenerate {named}")
+        with pytest.raises(ValueError, match=message):
+            Complex2.from_triangles(triangles, edges, vertices)
+        with pytest.raises(ValueError, match=message):
+            Complex2(vertices, edges, triangles)
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.0, None])
@@ -167,6 +189,35 @@ def test_homology_and_canonical_form_leave_the_lazy_indexes_unbuilt():
         assert k._edges_at_vertex is k._edges_at_vertex
         assert k._triangle_index is k._triangle_index
         assert k._triangle_index == {t: j for j, t in enumerate(k.triangles)}
+        # each of these takes the components from its boundary elimination
+        # and records them, so the edges at each vertex are never built for
+        # a walk
+        for run in (betti_numbers, cup_pairing_on_h1, simplify_pipeline):
+            k = Complex2(built.vertices, built.edges, built.triangles)
+            run(k)
+            assert k._vertex_edges is None
+            walked = Complex2(k.vertices, k.edges, k.triangles).connected_components()
+            assert k.connected_components() == walked
+            assert k._vertex_edges is None
+
+
+def test_triangle_edge_positions_are_built_once_and_kept():
+    for _, built in label_cases() + [("empty", Complex2([]))]:
+        k = Complex2(built.vertices, built.edges, built.triangles)
+        assert k._triangle_edge_positions is None
+        first = k._triangle_edges
+        assert k._triangle_edges is first
+        position = k._edge_index
+        assert first == tuple((position[a, b], position[a, c], position[b, c])
+                              for a, b, c in k.triangles)
+        # the summary, its 1-cycles and the cup form share one build
+        k = Complex2(built.vertices, built.edges, built.triangles)
+        summary = homology_summary(k)
+        first = k._triangle_edge_positions
+        assert first is not None or not k.triangles
+        summary.cycle_reps
+        cup_pairing_on_h1(k, summary)
+        assert k._triangle_edge_positions is first
 
 
 def test_reductions_leave_the_input_edge_index_unbuilt():

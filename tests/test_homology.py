@@ -6,8 +6,9 @@ from itertools import combinations
 
 import pytest
 
+import simpsurf.gf2 as gf2
 import simpsurf.homology as homology
-from _fixtures import (kernel_from_rref, m8_wedge, rp2, sphere, torus,
+from _fixtures import (_relabel, kernel_from_rref, m8_wedge, rp2, sphere, torus,
                        torus_circle_sphere, torus_with_circle)
 from simpsurf.bounds import parse_surface_id
 from simpsurf.complex2 import Complex2
@@ -299,6 +300,52 @@ def test_summary_components_are_the_forest_trees(monkeypatch):
     for k in cases:
         homology_summary(k)
     assert counts["walks"] == 0
+
+
+def _mixed_label_cases(count: int, seed: int) -> list[Complex2]:
+    """Seeded random complexes on int, str and mixed labels, with loose
+    edges, isolated vertices and often more than one component."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        n = rng.randrange(3, 10)
+        labels = rng.sample(list(range(12)) + [f"v{i}" for i in range(12)], n + 3)
+        triples = list(combinations(labels[:n], 3))
+        tris = rng.sample(triples, rng.randrange(0, min(10, len(triples)) + 1))
+        loose = rng.sample(list(combinations(labels, 2)), rng.randrange(0, 5))
+        cases.append(Complex2.from_triangles(tris, extra_edges=loose,
+                                             extra_vertices=labels))
+    return cases
+
+
+def test_forest_over_the_free_columns_is_the_descending_forest():
+    # every edge of the forest grown from the highest edge down is a free
+    # column of the boundary elimination, so skipping the pivot edges
+    # keeps the same forest, and its trees are the walked components
+    shapes = Counter()
+    cases = (_oracle_cases() + _mixed_label_cases(60, 20261019)
+             + [_relabel(catalog(parse_surface_id("M3")), "mixed")])
+    for k in cases:
+        n = k.n_edges
+        full, full_comps = homology._spanning_forest(k, range(n - 1, -1, -1))
+        walked = Complex2(k.vertices, k.edges, k.triangles).connected_components()
+        tagged, _ = gf2._relations(homology._boundary_rows(k), n)
+        plain = gf2._span(homology._boundary_rows(k), n)
+        assert tagged._free(n) == plain._free(n)
+        fresh = Complex2(k.vertices, k.edges, k.triangles)
+        forest, comps = homology._forest(fresh, tagged)
+        assert forest == full and comps == full_comps
+        assert not any(forest[p] for p in plain._pivots())
+        assert tuple(comps) == walked
+        # recorded as the value's components, so nothing walks them
+        assert fresh.connected_components() == walked
+        assert fresh._vertex_edges is None
+        shapes["disconnected"] += len(comps) > 1
+        shapes["mixed"] += len({type(v) for v in k.vertices}) > 1
+        shapes["loose"] += bool(k.maximal_edges()) and bool(k.isolated_vertices())
+        shapes["pivots"] += bool(plain._pivots())
+    assert shapes["disconnected"] >= 20 and shapes["mixed"] >= 20
+    assert shapes["loose"] >= 10 and shapes["pivots"] >= 40
 
 
 def test_summary_runs_one_elimination(monkeypatch):

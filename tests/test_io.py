@@ -55,6 +55,15 @@ def test_degenerate_triangle_named_in_error():
         complex_from_dict({"edges": [[4, 4]]})
 
 
+def test_degenerate_simplices_among_mixed_labels_named_as_written():
+    with pytest.raises(FormatError, match=r"degenerate triangle \('x', 4, 'x'\)"):
+        complex_from_dict({"vertices": ["a", 3], "edges": [["b", 1]],
+                           "triangles": [[2, "c", 1], ["x", 4, "x"]]})
+    with pytest.raises(FormatError, match=r"degenerate edge \('b', 'b'\)"):
+        complex_from_dict({"edges": [[1, "a"], ["b", "b"]],
+                           "triangles": [[3, 3, "z"]]})
+
+
 def test_duplicates_rejected():
     with pytest.raises(FormatError, match="duplicate vertex 3"):
         complex_from_dict({"vertices": [1, 3, 3]})
@@ -327,6 +336,15 @@ _LOADER_CASES = [
     {"triangles": [[1, 2, 3], [True, 2, 3]]},
     {"triangles": [["a", 0, "a"], ["a", "a", 0]]},
     {"edges": [[0, [1]]], "vertices": [None]},
+    # a degenerate triangle after a bool label, after a duplicate, and
+    # among mixed labels, where it is named as written
+    {"edges": [[0, True]], "triangles": [[3, 3, 4]]},
+    {"triangles": [[1, 2, True], [5, 5, 6]]},
+    {"edges": [[1, 2], [2, 1]], "triangles": [[7, 7, 8]]},
+    {"triangles": [[0, 1, 2], [2, 0, 1], [3, 3, 4]]},
+    {"vertices": ["a", 3], "edges": [["b", 1]],
+     "triangles": [[2, "c", 1], ["x", 4, "x"]]},
+    {"edges": [[1, "a"], ["b", "b"]], "triangles": [[1, "a", 2], [3, 3, "z"]]},
 ]
 
 

@@ -16,9 +16,10 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 SPAN_INTERNALS = {"_mask", "_pivot_rows", "_add_bits", "_reduce_bits"}
 # the slots behind a Complex2's lazy indexes and its components, known only
 # to complex2.py: the others read _tris_at_edge, _edges_at_vertex,
-# _triangle_index and connected_components()
+# _triangle_index, _triangle_edges and connected_components(), and record
+# components through _record_components
 COMPLEX_CACHES = {"_edge_triangles", "_vertex_edges", "_triangle_positions",
-                  "_components"}
+                  "_triangle_edge_positions", "_components"}
 
 
 def _tree(path: Path) -> ast.Module:
