@@ -23,22 +23,34 @@ packed int per H^1 class, the H^2 coordinates of its cups with every
 basis class side by side, and its left radical (property (A) asks for it
 to be zero) is the relations among those rows, one gf2._relations call.
 
-homology_summary runs one elimination, gf2._relations over the triangle
-boundaries: it gives the 2-cycles, the same the reduction audits use,
-and the kernel vectors that are the 1-cocycles.  The H^1 classes are
-picked by one union-find pass, the spanning forest grown from the
-highest edge down over the free columns of that elimination only (a
+Every boundary elimination, the summary's, betti_numbers' and the
+reduction's audits, goes through _boundary_relations, which reads the
+triangle boundaries off the three edge positions of each triangle, a kept
+index of the complex.  When every edge lies in at most two triangles
+(every surface, with or without boundary, and every wedge of them) the
+elimination computes only a spanning forest of the dual graph: the
+triangles plus a node at infinity, an edge joining its two triangles, or
+its one triangle to infinity.  The column matroid of the boundary rows is
+then graphic, so the pivots are Kruskal's forest of that graph grown in
+ascending edge order, the 2-cycles are its trees that do not reach
+infinity, and the kernel vector at a free column is the column plus the
+forest path between its ends (the tree-cotree split of Eppstein 2003 and
+Erickson and Whittlesey 2005).  Two union-find passes and one walk of
+that forest replace the elimination.  The first edge found in a third
+triangle sends the whole complex to the elimination instead,
+gf2._relations over the boundaries tagged with their triangles, which
+also serves the tests as the oracle; both routes give the same bits.
+
+The H^1 classes are picked by the second union-find pass, the spanning
+forest grown from the highest edge down over the free columns only (a
 pivot edge is the highest edge of no coboundary, so it never joins two
 trees), which also gives the components.  betti_numbers and the
-reduction's audits take the components from the same pass over their
-own elimination and record them on the complex, so no Betti number walks
-the 1-skeleton.  The three edge positions of each triangle are a kept
-index of the complex, which the boundary rows, the 1-cycles and the cup
-form read.  The 1-cycles are
-built only when cycle_reps is first read, from the forest grown in edge
-order.  The bases it returns are those read off the reduced row echelon
-forms of d1, d2 transposed, d2 and the 2-cycles, which are unique, yet
-only the b2 2-cycles are ever back-substituted.
+reduction's audits take the components from the same pass and record
+them on the complex, so no Betti number walks the 1-skeleton.  The
+1-cycles are built only when cycle_reps is first read, from the forest
+grown in edge order.  The bases the summary returns are those read off
+the reduced row echelon forms of d1, d2 transposed, d2 and the 2-cycles,
+which are unique.
 
 Over F2, H^2 = Hom(H_2, F2), so the class of a 2-cochain w is fixed by its
 values on a basis of 2-cycles.  The H^2 basis is chosen dual to the
@@ -54,7 +66,7 @@ from itertools import combinations
 from typing import Collection, Iterable, Optional, Sequence
 
 from .complex2 import Complex2
-from .gf2 import Gf2Matrix, Gf2Span, Gf2Vector, _relations, _span
+from .gf2 import Gf2Matrix, Gf2Vector, _relations, _span
 
 __all__ = [
     "ChainVector",
@@ -155,39 +167,226 @@ def boundary_matrix(k: Complex2, n: int) -> Gf2Matrix:
 
 def betti_numbers(k: Complex2) -> tuple[int, int, int]:
     """Reduced F2 Betti numbers (b0, b1, b2), without representatives."""
-    return _betti(k, _span(_boundary_rows(k), k.n_edges))
+    return _betti(k, _boundary_relations(k._triangle_edges, k.n_edges).free)
 
 
-def _boundary_rows(k: Complex2) -> list[int]:
-    """Each triangle's boundary as a bitmask over the edge positions, in
+def _boundary_rows(triangle_edges: Iterable[tuple[int, int, int]]) -> list[int]:
+    """Each triangle's boundary, given by its three edge positions (a
+    complex's _triangle_edges), as a bitmask over the edge positions, in
     triangle order: the rows of the transpose of d2."""
-    return [1 << a | 1 << b | 1 << c for a, b, c in k._triangle_edges]
+    return [1 << a | 1 << b | 1 << c for a, b, c in triangle_edges]
 
 
-def _boundary_relations(boundaries: Sequence[int], n_edges: int,
-                        skip: Collection[int] = ()) -> tuple[Gf2Span, list[int]]:
-    """The triangle boundaries (a complex's _boundary_rows) eliminated in
-    order: their span, and the 2-cycles as boundary_matrix(k, 2).kernel_basis()
-    gives them.
+def _boundary_relations(triangle_edges: Sequence[tuple[int, int, int]], n_edges: int,
+                        skip: Collection[int] = ()) -> _DualForest | _Elimination:
+    """The triangle boundaries, each given by its three edge positions (a
+    complex's _triangle_edges), eliminated in order: the one entry point
+    of every boundary elimination.
 
     The triangles at the positions in skip are left out, and the cycles
     are over the positions of the rest: those of the complex without
-    them, which keeps every edge position.
+    them, which keeps every edge position.  When every edge lies in at
+    most two of the triangles the dual forest gives the answer
+    (_tree_cotree); the first edge found in a third triangle sends the
+    whole complex to the elimination.  Either result has
+      * rank, the rank of d2, and free, its other edge columns in order;
+      * cycles, the 2-cycles as boundary_matrix(k, 2).kernel_basis()
+        gives them: distinct highest triangles, in increasing order, each
+        cycle zero at the others' (a list the caller may edit);
+      * reduced_cycles(), the reduced row echelon form of the 2-cycles;
+      * kernel_at(columns), the kernel vectors of the boundaries (the
+        1-cocycles) at distinct free columns.
     """
     if skip:
-        boundaries = [r for j, r in enumerate(boundaries) if j not in skip]
-    return _relations(boundaries, n_edges)
+        triangle_edges = [t for j, t in enumerate(triangle_edges) if j not in skip]
+    return _tree_cotree(triangle_edges, n_edges) or _Elimination(triangle_edges, n_edges)
 
 
-def _betti(k: Complex2, span: Gf2Span) -> tuple[int, int, int]:
-    """Reduced Betti numbers given the span of the triangle boundaries
-    (tagged or not): the rank of d2 is its dimension, and the components
-    are those _forest records from its free columns."""
+class _Elimination:
+    """The triangle boundaries eliminated in order, each tagged with its
+    triangle (gf2._relations): the route for a complex with an edge in
+    three or more triangles, and the oracle the tests hold the dual
+    forest to."""
+
+    def __init__(self, triangle_edges: Sequence[tuple[int, int, int]],
+                 n_edges: int) -> None:
+        self._tagged, self.cycles = _relations(_boundary_rows(triangle_edges), n_edges)
+        self._n_triangles = len(triangle_edges)
+        self.rank = self._tagged.dim
+        self.free = self._tagged._free(n_edges)
+
+    def reduced_cycles(self) -> list[int]:
+        return _span(self.cycles, self._n_triangles)._reduced_rows()
+
+    def kernel_at(self, columns: Sequence[int]) -> list[int]:
+        return self._tagged._kernel_at(columns)
+
+
+def _tree_cotree(triangle_edges: Sequence[tuple[int, int, int]],
+                 n_edges: int) -> Optional[_DualForest]:
+    """The boundary elimination of triangles none of whose edges lies in
+    three of them, read off Kruskal's forest of the dual graph; None at
+    the first edge found in a third triangle.
+
+    The nodes of the dual graph are the triangles and one more, infinity
+    (node n for n triangles).  An edge in two triangles joins them, an
+    edge in one joins it to infinity, and an edge in none is a loop.  The
+    column of an edge in the boundary rows is the set of its triangles,
+    so the column matroid is the graphic matroid of that graph, and the
+    pivots of the elimination, the greedy column basis in column order,
+    are the edges of the forest grown in ascending edge order.
+    """
+    n = len(triangle_edges)
+    # the ends of each edge: its first triangle (-1 for none, a loop) and
+    # its second, or infinity
+    one = [-1] * n_edges
+    two = [n] * n_edges
+    for t, edges in enumerate(triangle_edges):
+        for e in edges:
+            if one[e] < 0:
+                one[e] = t
+            elif two[e] == n:
+                two[e] = t
+            else:
+                return None
+    root = list(range(n + 1))
+    free, tree = [], []
+    for e, a, b in zip(range(n_edges), one, two):
+        if a < 0:
+            free.append(e)
+            continue
+        # union-find with path halving, inline; the higher root goes under
+        # the lower, which keeps the paths short in ascending edge order
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a == b:
+            free.append(e)
+        else:
+            if a < b:
+                root[b] = a
+            else:
+                root[a] = b
+            tree.append(e)
+    return _DualForest(one, two, root, free, tree)
+
+
+class _DualForest:
+    """Kruskal's forest of the dual graph (see _tree_cotree), as the
+    result of a boundary elimination.
+
+      * The 2-cycles are its trees that do not reach infinity, one
+        triangle mask each.  Their supports are disjoint, so they are
+        already reduced: ordered by lowest triangle they are the reduced
+        row echelon form, by highest the kernel basis.  There are
+        n - rank of them, and none is looked for when that is zero.
+      * The kernel vector at a free column f is the unique cocycle that
+        is f plus forest edges: f plus the forest path between f's two
+        ends (f alone for a loop), walked up from both ends by parent
+        pointers and depths to where they meet.
+
+    The forest is rooted, by one breadth-first pass, only when a kernel
+    vector is asked for; that pass lists the trees too.  Otherwise the
+    trees come off the union-find's roots, one find per triangle, which
+    is all the reduction's audits ask for; betti_numbers asks for
+    neither.
+    """
+
+    def __init__(self, one: list[int], two: list[int], root: list[int],
+                 free: list[int], tree: list[int]) -> None:
+        self._one, self._two, self._root, self._tree = one, two, root, tree
+        self._n = len(root) - 1  # the triangles; node n is infinity
+        self.free = free
+        self.rank = len(tree)
+
+    @property
+    def cycles(self) -> list[int]:
+        return sorted(self.reduced_cycles(), key=int.bit_length)
+
+    def reduced_cycles(self) -> list[int]:
+        n = self._n
+        if self.rank == n:
+            return []
+        if "_rooted" in self.__dict__:
+            trees = self._rooted[3]
+        else:
+            root = self._root
+            by_root: dict[int, list[int]] = {}
+            for t in range(n + 1):
+                a = t
+                while root[a] != a:
+                    root[a] = a = root[root[a]]
+                by_root.setdefault(a, []).append(t)
+            del by_root[a]  # the tree of infinity, node n
+            trees = by_root.values()
+        return [_mask(nodes, n) for nodes in trees]
+
+    @cached_property
+    def _rooted(self) -> tuple[list[int], list[int], list[int], list[list[int]]]:
+        """The parent node, the edge up to it and the depth of each node,
+        and the nodes of each tree that does not reach infinity, the trees
+        in order of their lowest triangle."""
+        n, one, two = self._n, self._one, self._two
+        adjacent: list[list[int]] = [[] for _ in range(n + 1)]
+        for e in self._tree:
+            adjacent[one[e]].append(e)
+            adjacent[two[e]].append(e)
+        parent, up, depth = [-1] * (n + 1), [-1] * (n + 1), [-1] * (n + 1)
+        trees = []
+        for start in (n, *range(n)):
+            if depth[start] >= 0:
+                continue
+            depth[start] = 0
+            nodes = [start]
+            for a in nodes:  # grows as the pass goes: breadth first
+                d, came = depth[a] + 1, up[a]
+                for e in adjacent[a]:
+                    if e != came:  # in a forest, the way back is the only edge seen
+                        b = one[e] + two[e] - a
+                        parent[b], up[b], depth[b] = a, e, d
+                        nodes.append(b)
+            trees.append(nodes)
+        return parent, up, depth, trees[1:]
+
+    def kernel_at(self, columns: Sequence[int]) -> list[int]:
+        if not columns:
+            return []
+        parent, up, depth, _ = self._rooted
+        vectors = []
+        for f in columns:
+            a, b = self._one[f], self._two[f]
+            path = [f]
+            if a >= 0:
+                while a != b:
+                    if depth[a] < depth[b]:
+                        a, b = b, a
+                    path.append(up[a])
+                    a = parent[a]
+            vectors.append(_mask(path, len(self._one)))
+        return vectors
+
+
+def _mask(positions: Iterable[int], width: int) -> int:
+    """The bitmask with the given positions set, below width, read from
+    its binary digits: linear in width, where OR-ing in one bit at a time
+    is quadratic."""
+    digits = bytearray(b"0") * width
+    for p in positions:
+        digits[p] = 49  # "1"
+    digits.reverse()
+    return int(digits, 2) if width else 0
+
+
+def _betti(k: Complex2, free: Sequence[int]) -> tuple[int, int, int]:
+    """Reduced Betti numbers given the free columns of the triangle
+    boundaries' elimination: the rank of d2 is the number of the others,
+    and the components are those _forest records from the free columns."""
     if k.n_vertices == 0:
         return (0, 0, 0)
-    _forest(k, span)  # records the components, unless k already has them
+    _forest(k, free)  # records the components, unless k already has them
     return _betti_of_counts(k.n_vertices, k.n_edges, k.n_triangles,
-                            len(k.connected_components()), span.dim)
+                            len(k.connected_components()), k.n_edges - len(free))
 
 
 def _betti_of_counts(n_vertices: int, n_edges: int, n_triangles: int,
@@ -243,24 +442,43 @@ class HomologySummary:
 def homology_summary(k: Complex2) -> HomologySummary:
     """Reduced F2 homology of a 2-complex, with representative bases.
 
-    One elimination, of the triangle boundaries, each carrying its own
-    triangle as a tag bit above the edges.  Its pivots are those of the
-    reduced row echelon form of d2 transposed; a boundary that reduces to
-    its tags alone gives a 2-cycle, and the reduced row echelon form of
-    those b2 cycles is the only back-substitution.  One union-find pass
-    grows the spanning forest from the highest edge down over the free
-    columns of the boundaries: its trees are the components, which it
-    records on k, and it picks the H^1 classes.
+    One elimination of the triangle boundaries (_boundary_relations): its
+    pivots are those of the reduced row echelon form of d2 transposed, and
+    its relations are the 2-cycles.  When no edge lies in three triangles
+    it is read off the dual graph, the triangles plus infinity, an edge
+    joining its two triangles or its one triangle and infinity:
+
+      1. the pivots are the edges of Kruskal's forest of that graph, grown
+         in ascending edge order, since lowest-bit pivots are the greedy
+         column basis taken in column order and the columns (each edge's
+         set of triangles) form its graphic matroid; a loose edge is a
+         loop, never a pivot, and rank d2 is the number of forest edges;
+      2. the 2-cycles are the dual trees that do not reach infinity, one
+         triangle mask each; their supports are disjoint, so they are
+         already reduced;
+      3. the kernel vector at a free column f is f plus the forest path
+         between f's two ends, walked with parent pointers and depths.
+
+    Otherwise the boundaries are eliminated, each carrying its own
+    triangle as a tag bit above the edges; a boundary that reduces to its
+    tags alone gives a 2-cycle, and the reduced row echelon form of those
+    b2 cycles is the only back-substitution.  Either way one union-find
+    pass grows the spanning forest from the highest edge down over the
+    free columns of the boundaries: its trees are the components, which
+    it records on k, and it picks the H^1 classes.
 
       * cocycle_reps[1]: the kernel vector of the boundaries (f plus every
-        pivot whose reduced row has f set) at each free column f of the
-        boundaries, in order, that is not an edge of that forest;
+        pivot whose reduced row has f set, the path of item 3) at each
+        free column f of the boundaries, in order, that is not an edge of
+        that forest;
       * cycle_reps[1], built on first read: for each edge f off the
         forest grown in edge order, in order, picked when f is the highest
         bit of no boundary restricted to those edges, the forest's cycle
         through f;
       * cycle_reps[2] are the reduced 2-cycles and cocycle_reps[2] the
-        single triangles at their pivots, so the two bases are dual.
+        single triangles at their pivots, so the two bases are dual; on
+        the dual graph, the trees ordered by their lowest triangle and
+        those lowest triangles.
 
     Both degree-one bases are the greedy completion, in order, of the
     boundaries (or coboundaries) to the cycles (or cocycles).  For the
@@ -286,11 +504,10 @@ def homology_summary(k: Complex2) -> HomologySummary:
     homology at all.
     """
     n_edges, n_triangles = k.n_edges, k.n_triangles
-    span, relations = _relations(_boundary_rows(k), n_edges)
-    b2 = len(relations)
-    forest, comps = _forest(k, span)
-    b1 = _betti_of_counts(k.n_vertices, n_edges, n_triangles, len(comps),
-                          n_triangles - b2)[1]
+    boundaries = _boundary_relations(k._triangle_edges, n_edges)
+    forest, comps = _forest(k, boundaries.free)
+    _, b1, b2 = _betti_of_counts(k.n_vertices, n_edges, n_triangles, len(comps),
+                                 boundaries.rank)
 
     b0 = max(len(comps) - 1, 0)
     # dimension-0 representatives: one vertex per later component vs the first
@@ -302,13 +519,13 @@ def homology_summary(k: Complex2) -> HomologySummary:
             cycle0.append(chain(k, 0, [comp[0], base]))
             cocycle0.append(cochain(k, 0, comp))
 
-    picks = [f for f in span._free(n_edges) if not forest[f]]
+    picks = [f for f in boundaries.free if not forest[f]]
     cocycle1 = tuple(CochainVector(1, Gf2Vector(n_edges, bits))
-                     for bits in span._kernel_at(picks))
+                     for bits in boundaries.kernel_at(picks))
 
     # dimension 2, by duality H^2 = Hom(H_2): the reduced 2-cycles and the
     # single triangles at their pivots
-    z2 = _span(relations, n_triangles)._reduced_rows()
+    z2 = boundaries.reduced_cycles()
     cycle2 = tuple(ChainVector(2, Gf2Vector(n_triangles, z)) for z in z2)
     cocycle2 = tuple(CochainVector(2, Gf2Vector(n_triangles, z & -z)) for z in z2)
 
@@ -322,15 +539,16 @@ def homology_summary(k: Complex2) -> HomologySummary:
     )
 
 
-def _forest(k: Complex2, span: Gf2Span) -> tuple[bytearray, list[tuple]]:
+def _forest(k: Complex2, free: Sequence[int]) -> tuple[bytearray, list[tuple]]:
     """The spanning forest grown from the highest edge down, and its
     trees, the components, which are recorded on k.
 
-    span is the elimination of the triangle boundaries.  Every edge that
-    forest keeps is a free column of it (see homology_summary), so the
-    pivot edges, which never join two trees, are not taken at all.
+    free are the free columns of the triangle boundaries' elimination, in
+    order.  Every edge that forest keeps is one of them (see
+    homology_summary), so the pivot edges, which never join two trees,
+    are not taken at all.
     """
-    forest, components = _spanning_forest(k, reversed(span._free(k.n_edges)))
+    forest, components = _spanning_forest(k, reversed(free))
     k._record_components(tuple(components))
     return forest, components
 
@@ -341,28 +559,29 @@ def _spanning_forest(k: Complex2, order: Iterable[int]) -> tuple[bytearray, list
 
     Returns a flag per edge position, 1 for the edges kept, and the
     components, as k.connected_components() gives them: ordered by their
-    first vertex, each in vertex order.
+    first vertex, each in vertex order.  The union-find halves its paths
+    inline: each node passed on the way up is hung on its grandparent.
     """
     vertex = k._vertex_index
     edges = k.edges
     root = list(range(k.n_vertices))
     kept = bytearray(len(edges))
-
-    def find(a: int) -> int:
-        while root[a] != a:
-            root[a] = root[root[a]]
-            a = root[a]
-        return a
-
     for i in order:
         u, v = edges[i]
-        ra, rb = find(vertex[u]), find(vertex[v])
-        if ra != rb:
-            root[ra] = rb
+        a, b = vertex[u], vertex[v]
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a != b:
+            root[a] = b
             kept[i] = 1
     components: dict[int, list] = {}
     for a, v in enumerate(k.vertices):
-        components.setdefault(find(a), []).append(v)
+        r = a
+        while root[r] != r:
+            root[r] = r = root[root[r]]
+        components.setdefault(r, []).append(v)
     return kept, list(map(tuple, components.values()))
 
 

@@ -11,12 +11,18 @@ The one invariant everything here is built around: the functionals stay
 surjective on the cycle space of 2-chains after every single step.
 
 That question is answered one way throughout.  The 2-cycles are the
-relations among the triangle boundaries (gf2._relations, as in
-homology_summary), as bitmasks over the triangles; the functionals are
-bitmasks too, so their values on a cycle are parities of ANDs, and the
-relations among the values come from the same helper.  The default spec
-is read off the same cycle basis: one triangle per pivot of its echelon
-form, the dual basis homology_summary reports as cocycle_reps[2].
+relations among the triangle boundaries, as bitmasks over the triangles,
+from homology._boundary_relations, the entry point homology_summary
+uses too.  While every edge lies in at most two triangles, as it does in
+every surface and wedge of surfaces, and as kills and collapses keep it,
+they are the trees of the dual graph's Kruskal forest that do not reach
+infinity; a complex with an edge in three triangles or more has its
+boundaries eliminated (gf2._relations).  Either route gives the same
+basis.  The functionals are bitmasks too, so their values on a cycle are
+parities of ANDs, and the relations among the values come from
+gf2._relations.  The default spec is read off the same cycle basis: one
+triangle per pivot of its echelon form, the dual basis homology_summary
+reports as cocycle_reps[2].
 
 The pipeline runs on one private working state, from the input's own
 incidence minus the killed triangles to the result, and builds exactly
@@ -29,15 +35,13 @@ the graph without the edge that holds one endpoint and not the other,
 and its endpoints share no neighbour.  One search from both endpoints
 finds either witness, at about twice the cost of the smaller side.  Full
 rank audits run at the phase boundaries (the input, after the kills, the
-result); kills keep every edge, so the one after the kills eliminates
-the input's boundary rows of the kept triangles and never builds that
-complex.  The input's rows are built once and serve its audit, the kills
-and the audit after them.  The audits pin every per-step Betti snapshot,
-because each move shifts the numbers one way only: removing a triangle
-changes (b1, b2) by (0, -1) or (+1, 0), deleting an edge changes
-(b0, b1) by (0, -1) or (+1, 0), collapses and contractions change
-nothing, and surjectivity, once lost, cannot come back while the cycle
-space only shrinks.
+result); kills keep every edge, so the one after the kills runs over the
+input's kept triangles and never builds that complex.  The audits pin
+every per-step Betti snapshot, because each move shifts the numbers one
+way only: removing a triangle changes (b1, b2) by (0, -1) or (+1, 0),
+deleting an edge changes (b0, b1) by (0, -1) or (+1, 0), collapses and
+contractions change nothing, and surjectivity, once lost, cannot come
+back while the cycle space only shrinks.
 """
 
 from __future__ import annotations
@@ -160,17 +164,16 @@ def _values(masks: Sequence[int], z: int) -> int:
     return sum(1 << i for i, m in enumerate(masks) if (z & m).bit_count() & 1)
 
 
-def _cycle_basis(k: Complex2, boundaries: Optional[Sequence[int]] = None
-                 ) -> tuple[list[int], tuple[int, int, int]]:
+def _cycle_basis(k: Complex2) -> tuple[list[int], tuple[int, int, int]]:
     """The 2-cycles as the relations among the triangle boundaries (the
     vectors kernel_basis gives for d2), and the Betti numbers.
 
-    This is the one elimination of a boundary audit; b2 is the basis size,
-    and the components, recorded on k, come from its free columns.
-    `boundaries`, when given, are _boundary_rows(k).
+    This is the one boundary elimination of an audit, by whichever route
+    homology._boundary_relations takes; b2 is the basis size, and the
+    components, recorded on k, come from its free columns.
     """
-    span, cycles = _boundary_relations(boundaries or _boundary_rows(k), k.n_edges)
-    return cycles, _betti(k, span)
+    boundaries = _boundary_relations(k._triangle_edges, k.n_edges)
+    return boundaries.cycles, _betti(k, boundaries.free)
 
 
 def _spec_rank(spec: PreservationSpec, index: Mapping[Triangle, int],
@@ -198,7 +201,7 @@ def _kill_all(k: Complex2, spec: PreservationSpec, cycles: list[int],
               boundaries: Sequence[int]) -> list[int]:
     """Kill invisible cycles until none is left; the killed triangle positions.
 
-    `boundaries` are _boundary_rows(k), and `cycles` is the basis
+    `boundaries` are the boundary rows of k, and `cycles` is the basis
     _cycle_basis gives for the 2-cycles of k: its vectors have distinct
     highest bits, in increasing order, and each is zero at the others'
     highest bits.  That normal form depends only on the cycle space, so
@@ -546,25 +549,24 @@ def simplify_pipeline(k: Complex2, spec: Optional[PreservationSpec] = None,
     """
     if spec is not None and target_rank is not None and spec.rank != target_rank:
         raise ValueError("target_rank disagrees with the explicit spec")
-    boundaries = _boundary_rows(k)
-    cycles, betti = _cycle_basis(k, boundaries)
+    cycles, betti = _cycle_basis(k)
     if spec is None:
         spec = _dual_spec(k, cycles, target_rank)
     if _spec_rank(spec, k._triangle_index, cycles) != spec.rank:
         raise ValueError("functionals are not surjective on the cycle space")
 
-    killed = _kill_all(k, spec, cycles, boundaries)
+    killed = _kill_all(k, spec, cycles, _boundary_rows(k._triangle_edges))
     b0, b1, b2 = betti
     snapshots: list = [("input", betti)]
     snapshots += [("kill", (b0, b1, b2 - i)) for i in range(1, len(killed) + 1)]
     if killed:
         # Kills keep every vertex and edge, so the complex after them has
-        # the input's components and edge positions, and its boundary rows
-        # are the input's kept rows: their relations are _cycle_basis of
+        # the input's components and edge positions, and its boundaries
+        # are the input's kept ones: their relations are _cycle_basis of
         # that complex, over the kept positions.
         gone = set(killed)
         kept = [j for j in range(k.n_triangles) if j not in gone]
-        _, fresh = _boundary_relations(boundaries, k.n_edges, gone)
+        fresh = _boundary_relations(k._triangle_edges, k.n_edges, gone).cycles
         assert [sum(1 << kept[i] for i in _bits_up(z)) for z in fresh] == cycles
         betti = _betti_of_counts(k.n_vertices, k.n_edges, len(kept), b0 + 1,
                                  len(kept) - len(fresh))

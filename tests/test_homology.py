@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -261,11 +265,22 @@ def _oracle_cases():
     return cases
 
 
+def _route(k: Complex2) -> str:
+    """Which route the boundary elimination of k takes, checked against
+    the edge degrees it is chosen by."""
+    boundaries = homology._boundary_relations(k._triangle_edges, k.n_edges)
+    route = type(boundaries).__name__
+    branching = any(k.edge_degree(e) >= 3 for e in k.edges)
+    assert route == ("_Elimination" if branching else "_DualForest")
+    return route
+
+
 def test_summary_matches_the_dense_oracle():
     shapes = Counter()
     for k in _oracle_cases():
         s = homology_summary(k)
         assert (s.betti, s.cycle_reps, s.cocycle_reps) == _homology_summary_dense(k)
+        shapes[_route(k)] += 1
         shapes["b2>=2"] += s.b2 >= 2
         shapes["disconnected"] += s.b0 > 0
         shapes["loose"] += bool(k.maximal_edges()) and bool(k.isolated_vertices())
@@ -274,9 +289,53 @@ def test_summary_matches_the_dense_oracle():
         shapes["free"] += 1 in degrees
         shapes["branching"] += max(degrees, default=0) >= 3
         shapes["isolated"] += bool(k.isolated_vertices())
+    # both routes ran, on 63 and 15 cases when this was written
+    assert shapes["_DualForest"] >= 60 and shapes["_Elimination"] >= 10
     assert shapes["b2>=2"] >= 20 and shapes["disconnected"] >= 2
     assert shapes["loose"] >= 1 and shapes["large"] == 1
     assert min(shapes["free"], shapes["branching"], shapes["isolated"]) >= 10
+
+
+def test_a_torus_with_a_book_on_an_edge_takes_the_elimination():
+    # three pages glued on one torus edge put it in five triangles: the
+    # whole complex goes to the elimination, and the pages, three disks,
+    # leave the homology of the torus
+    k = Complex2.from_triangles(list(torus().triangles) + [(0, 1, 50), (0, 1, 51), (0, 1, 52)])
+    assert k.edge_degree((0, 1)) == 5 and _route(k) == "_Elimination"
+    s = homology_summary(k)
+    assert (s.betti, s.cycle_reps, s.cocycle_reps) == _homology_summary_dense(k)
+    assert s.betti == betti_numbers(k) == (0, 2, 1)
+
+
+def test_dual_forest_over_kept_triangles_is_the_elimination():
+    # the route over the triangles a skip set leaves, as the audit after
+    # the reduction's kills runs it, against the tagged elimination of
+    # the same boundary rows
+    rng = random.Random(20261026)
+    shapes = Counter()
+    for k in _oracle_cases():
+        if _route(k) != "_DualForest":
+            continue
+        n = k.n_edges
+        rows = homology._boundary_rows(k._triangle_edges)
+        for _ in range(3):
+            size = rng.choice((0, 1, 2, rng.randrange(k.n_triangles + 1)))
+            skip = set(rng.sample(range(k.n_triangles), min(size, k.n_triangles)))
+            kept = [t for j, t in enumerate(k._triangle_edges) if j not in skip]
+            route = homology._boundary_relations(k._triangle_edges, n, skip)
+            assert type(route).__name__ == "_DualForest"
+            oracle = homology._Elimination(kept, n)
+            span, relations = gf2._relations([r for j, r in enumerate(rows) if j not in skip], n)
+            assert route.cycles == oracle.cycles == relations
+            assert route.free == oracle.free == span._free(n)
+            assert route.rank == oracle.rank == span.dim
+            assert route.reduced_cycles() == oracle.reduced_cycles()
+            columns = rng.sample(route.free, min(len(route.free), 12))
+            assert route.kernel_at(columns) == oracle.kernel_at(columns)
+            shapes["cases"] += 1
+            shapes["cycles"] += len(relations) > 0
+            shapes["partial"] += 0 < len(skip) < k.n_triangles
+    assert shapes["cases"] >= 180 and shapes["cycles"] >= 60 and shapes["partial"] >= 100
 
 
 def test_summary_components_are_the_forest_trees(monkeypatch):
@@ -329,11 +388,11 @@ def test_forest_over_the_free_columns_is_the_descending_forest():
         n = k.n_edges
         full, full_comps = homology._spanning_forest(k, range(n - 1, -1, -1))
         walked = Complex2(k.vertices, k.edges, k.triangles).connected_components()
-        tagged, _ = gf2._relations(homology._boundary_rows(k), n)
-        plain = gf2._span(homology._boundary_rows(k), n)
+        tagged, _ = gf2._relations(homology._boundary_rows(k._triangle_edges), n)
+        plain = gf2._span(homology._boundary_rows(k._triangle_edges), n)
         assert tagged._free(n) == plain._free(n)
         fresh = Complex2(k.vertices, k.edges, k.triangles)
-        forest, comps = homology._forest(fresh, tagged)
+        forest, comps = homology._forest(fresh, tagged._free(n))
         assert forest == full and comps == full_comps
         assert not any(forest[p] for p in plain._pivots())
         assert tuple(comps) == walked
@@ -353,6 +412,12 @@ def test_summary_runs_one_elimination(monkeypatch):
     bubble = sphere().relabeled({v: 1000 + v for v in range(4)})
     k = attach_circle(wedge(base, base.vertices[0], bubble, 1000), base.vertices[5])
     assert k.n_triangles >= 400
+    # the same with a three-page book on its first edge, which is then an
+    # edge in five triangles: the pages are disks, so the homology stays
+    u, v = k.edges[0]
+    assert not any(k.has_vertex(5000 + i) for i in range(3))
+    book = Complex2.from_triangles(list(k.triangles) + [(u, v, 5000 + i) for i in range(3)],
+                                   extra_edges=k.edges)
     counts = Counter()
     lengths = []
     span_init = Gf2Span.__init__
@@ -369,14 +434,53 @@ def test_summary_runs_one_elimination(monkeypatch):
     assert s.betti == (0, 2 * 3 + 1, 2)  # M3, one circle, one sphere
     # no reduced row echelon form of any matrix and no walk over one
     assert counts["eliminations"] == 0 and counts["row_walks"] == 0
-    # one span over the tagged triangle boundaries and one over the b2
-    # cycles it finds, each of those inserted once; none over the vertex
-    # coboundaries, and the 1-cycles are not built
-    assert lengths == [k.n_edges + k.n_triangles, k.n_triangles]
-    assert counts["insertions"] == s.b2
-    # reading them builds them: one more span, over the edges off the forest
+    # every edge lies in at most two triangles, so the dual forest gives
+    # every basis: no span at all, and the 1-cycles are not built
+    assert lengths == [] and counts["insertions"] == 0
+    # reading them builds them: one span, over the edges off the forest
     assert len(s.cycle_reps[1]) == s.b1
-    assert lengths[2:] == [k.n_edges - (k.n_vertices - 1)]
+    assert lengths == [k.n_edges - (k.n_vertices - 1)]
+    # the book takes the elimination: one span over the tagged triangle
+    # boundaries and one over the b2 cycles it finds, each of those
+    # inserted once; none over the vertex coboundaries
+    lengths.clear()
+    counts.clear()
+    s = homology_summary(book)
+    assert s.betti == (0, 2 * 3 + 1, 2)
+    assert counts["eliminations"] == 0 and counts["row_walks"] == 0
+    assert lengths == [book.n_edges + book.n_triangles, book.n_triangles]
+    assert counts["insertions"] == s.b2
+
+
+# one process builds the complex and summarizes it, and reports its own
+# peak resident size (ru_maxrss: KiB on Linux, bytes on macOS)
+_LARGE_TORUS = """
+import resource, sys
+from simpsurf.complex2 import Complex2
+from simpsurf.homology import homology_summary
+n = 50000
+k = Complex2.from_triangles([sorted((i + d) % n for d in offsets)
+                             for offsets in ((0, 1, 3), (0, 2, 3)) for i in range(n)])
+assert k.n_triangles == 100000
+betti = homology_summary(k).betti
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(*betti, peak // 1024 if sys.platform == "darwin" else peak)
+"""
+
+
+@pytest.mark.slow
+def test_summary_of_a_100000_triangle_torus_in_bounded_memory():
+    # the circulant torus on Z/50000, orbits of {0,1,3} and {0,2,3}: every
+    # edge lies in two triangles, so the dual forest gives the summary; the
+    # tagged elimination would hold 10^5 rows up to 2.5 * 10^5 bits wide
+    # (the edges, then a tag per triangle), several GiB
+    env = dict(os.environ, PYTHONPATH=str(Path(homology.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _LARGE_TORUS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    b0, b1, b2, peak_kib = map(int, proc.stdout.split())
+    assert (b0, b1, b2) == (0, 2, 1)
+    assert peak_kib < 300 * 1024
 
 
 def test_cup_form_and_property_a_never_build_the_1_cycles(monkeypatch):

@@ -582,22 +582,38 @@ def test_pipeline_work_is_bounded_per_phase(monkeypatch):
                         counting("matrices", homology.boundary_matrix))
     monkeypatch.setattr(reduction, "_boundary_relations",
                         counting("eliminations", reduction._boundary_relations))
+    monkeypatch.setattr(homology, "_Elimination",
+                        counting("tagged", homology._Elimination))
     trace = simplify_pipeline(k, spec)
     assert (len(trace.killed_triangles), trace.free_rank) == (1, 1)
     assert trace.collapses and trace.contractions
     # no Complex2.__init__ at all: the result is built from the working
     # state; one elimination of the triangle boundaries at each phase
-    # boundary (input, after kills, result), and no dense matrix anywhere
+    # boundary (input, after kills, result), every one of them read off
+    # the dual forest, since no edge lies in three triangles; and no
+    # dense matrix anywhere
     assert counts["builds"] == 0
-    assert counts["eliminations"] == 3
+    assert counts["eliminations"] == 3 and counts["tagged"] == 0
     assert counts["rrefs"] == counts["kernels"] == counts["matrices"] == 0
+    # four cones on one circle: the same entry point, three times; the
+    # input and the complex after the kills have an edge in four
+    # triangles, so they take the tagged elimination, and the result, a
+    # point, the dual forest
+    counts.clear()
+    book = Complex2.from_triangles(
+        [t for a in range(3, 7) for t in ((0, 1, a), (0, 2, a), (1, 2, a))])
+    trace = simplify_pipeline(book, target_rank=0)
+    assert len(trace.killed_triangles) == 3 and trace.result.n_vertices == 1
+    assert counts["eliminations"] == 3 and counts["tagged"] == 2
+    assert counts["rrefs"] == counts["kernels"] == counts["matrices"] == 0
+    counts.clear()
     # the default spec is read off the input's cycle basis, with no further
     # elimination of the boundaries
     counts.clear()
     trace = simplify_pipeline(k, target_rank=1)
     assert (len(trace.killed_triangles), trace.free_rank) == (1, 1)
     assert counts["builds"] == 0
-    assert counts["eliminations"] == 3
+    assert counts["eliminations"] == 3 and counts["tagged"] == 0
     assert counts["rrefs"] == counts["kernels"] == counts["matrices"] == 0
     # the path search stops at the smaller side of each maximal edge: a
     # one-sided search walks a whole summand for every bridge into it

@@ -1,6 +1,6 @@
 """Checks on the package source itself, read with ast: what it may import,
-which modules own the span internals and the complex caches, and that no
-import is left unused."""
+which modules own the span internals, the complex caches and the routes
+of a boundary elimination, and that no import is left unused."""
 
 from __future__ import annotations
 
@@ -20,6 +20,10 @@ SPAN_INTERNALS = {"_mask", "_pivot_rows", "_add_bits", "_reduce_bits"}
 # components through _record_components
 COMPLEX_CACHES = {"_edge_triangles", "_vertex_edges", "_triangle_positions",
                   "_triangle_edge_positions", "_components"}
+# the two routes of a boundary elimination, known only to homology.py: the
+# others call homology._boundary_relations and read its result's rank,
+# free, cycles, reduced_cycles() and kernel_at(), whichever route gave it
+ROUTE_INTERNALS = {"_tree_cotree", "_DualForest", "_Elimination", "_rooted", "_tagged"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -58,6 +62,31 @@ def test_only_gf2_touches_the_span_internals(path):
 def test_only_complex2_touches_the_complex_caches(path):
     touches = [f"{node.attr} (line {node.lineno})" for node in ast.walk(_tree(path))
                if isinstance(node, ast.Attribute) and node.attr in COMPLEX_CACHES]
+    assert touches == []
+
+
+def _names(path: Path) -> list[tuple[str, int]]:
+    """Every name, attribute and imported name in the module, with its line."""
+    out = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.alias):
+            out.append((node.name, node.lineno))
+    return out
+
+
+def test_homology_has_the_boundary_routes():
+    assert ROUTE_INTERNALS <= {name for name, _ in _names(PACKAGE / "homology.py")}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "homology.py"],
+                         ids=lambda p: p.name)
+def test_only_homology_touches_the_boundary_routes(path):
+    touches = [f"{name} (line {line})" for name, line in _names(path)
+               if name in ROUTE_INTERNALS]
     assert touches == []
 
 
