@@ -33,7 +33,8 @@ from .homology import (betti_numbers, chain_support, cup_pairing_on_h1,
 from .io import (FormatError, complex_to_dict, dump_complex, dumps_complex,
                  load_functionals, load_group_profile, load_named_complex)
 from .reduction import PreservationSpec, ReductionTrace, simplify_pipeline
-from .search import complexes_with_one_triple_edge, min_triangles_for_surface
+from .search import (_check_scale, complexes_with_one_triple_edge,
+                     min_triangles_for_surface)
 from .surfaces import (ClassificationResult, catalog, classify,
                        surface_hypotheses_report, verify_orientation_witness)
 
@@ -446,6 +447,8 @@ def _cmd_search(args) -> _Result:
     if bool(args.surface) == bool(args.one_triple_edge):
         raise FormatError("give exactly one of --surface or --one-triple-edge")
     n = args.max_vertices
+    surface = _parse_surface(args.surface) if args.surface else None
+    _check_scale(n)  # before the progress line, which announces a run
     if args.one_triple_edge:
         print(f"enumerating near-closed complexes on up to {n} vertices "
               "with a single degree-3 edge", file=sys.stderr)
@@ -457,7 +460,6 @@ def _cmd_search(args) -> _Result:
                      "sum of all triangles would be the lone degree-3 edge, "
                      "whose own boundary is not zero")
         return EXIT_OK, payload, [line]
-    surface = _parse_surface(args.surface)
     print(f"enumerating closed complexes on up to {n} vertices "
           f"for {surface.name}", file=sys.stderr)
     res = min_triangles_for_surface(n, surface)

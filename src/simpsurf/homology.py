@@ -35,22 +35,25 @@ then graphic, so the pivots are Kruskal's forest of that graph grown in
 ascending edge order, the 2-cycles are its trees that do not reach
 infinity, and the kernel vector at a free column is the column plus the
 forest path between its ends (the tree-cotree split of Eppstein 2003 and
-Erickson and Whittlesey 2005).  Two union-find passes and one walk of
-that forest replace the elimination.  The first edge found in a third
-triangle sends the whole complex to the elimination instead,
-gf2._relations over the boundaries tagged with their triangles, which
-also serves the tests as the oracle; both routes give the same bits.
+Erickson and Whittlesey 2005).  The first edge found in a third triangle
+sends the whole complex to the elimination instead, gf2._relations over
+the boundaries tagged with their triangles, which also serves the tests
+as the oracle; both routes give the same bits.
 
-The H^1 classes are picked by the second union-find pass, the spanning
-forest grown from the highest edge down over the free columns only (a
-pivot edge is the highest edge of no coboundary, so it never joins two
-trees), which also gives the components.  betti_numbers and the
-reduction's audits take the components from the same pass and record
-them on the complex, so no Betti number walks the 1-skeleton.  The
-1-cycles are built only when cycle_reps is first read, from the forest
-grown in edge order.  The bases the summary returns are those read off
-the reduced row echelon forms of d1, d2 transposed, d2 and the 2-cycles,
-which are unique.
+One forest routine, _Forest, serves three users.  It is Kruskal's
+algorithm over (edge, end, end) triples taken in a given order, with a
+find pass that lists its trees and one walk up its parent pointers for
+the fundamental cycles of edges off it.  The dual graph is the first
+user.  The second is the spanning forest of the 1-skeleton grown from
+the highest edge down over the free columns only (a pivot edge is the
+highest edge of no coboundary, so it never joins two trees): the edges
+off it pick the H^1 classes, and its trees are the components, which
+betti_numbers and the reduction's audits take from the same pass and
+record on the complex, so no Betti number walks the 1-skeleton.  The
+third is the 1-skeleton's forest grown in edge order, whose fundamental
+cycles are the 1-cycles, built only when cycle_reps is first read.  The
+bases the summary returns are those read off the reduced row echelon
+forms of d1, d2 transposed, d2 and the 2-cycles, which are unique.
 
 Over F2, H^2 = Hom(H_2, F2), so the class of a 2-cochain w is fixed by its
 values on a basis of 2-cycles.  The H^2 basis is chosen dual to the
@@ -62,7 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Collection, Iterable, Optional, Sequence
 
 from .complex2 import Complex2
@@ -228,113 +231,116 @@ def _tree_cotree(triangle_edges: Sequence[tuple[int, int, int]],
     three of them, read off Kruskal's forest of the dual graph; None at
     the first edge found in a third triangle.
 
-    The nodes of the dual graph are the triangles and one more, infinity
-    (node n for n triangles).  An edge in two triangles joins them, an
-    edge in one joins it to infinity, and an edge in none is a loop.  The
-    column of an edge in the boundary rows is the set of its triangles,
-    so the column matroid is the graphic matroid of that graph, and the
-    pivots of the elimination, the greedy column basis in column order,
-    are the edges of the forest grown in ascending edge order.
+    The nodes of the dual graph are infinity, node 0, and the triangles,
+    triangle t at node t + 1.  An edge in two triangles joins them, an
+    edge in one joins it to infinity, and an edge in none is a loop at
+    infinity.  The column of an edge in the boundary rows is the set of
+    its triangles, so the column matroid is the graphic matroid of that
+    graph, and the pivots of the elimination, the greedy column basis in
+    column order, are the edges of the forest grown in ascending edge
+    order.
     """
-    n = len(triangle_edges)
-    # the ends of each edge: its first triangle (-1 for none, a loop) and
-    # its second, or infinity
-    one = [-1] * n_edges
-    two = [n] * n_edges
-    for t, edges in enumerate(triangle_edges):
+    # the ends of each edge: its first triangle and its second, or infinity
+    one = [0] * n_edges
+    two = [0] * n_edges
+    for t, edges in enumerate(triangle_edges, 1):
         for e in edges:
-            if one[e] < 0:
+            if not one[e]:
                 one[e] = t
-            elif two[e] == n:
+            elif not two[e]:
                 two[e] = t
             else:
                 return None
-    root = list(range(n + 1))
-    free, tree = [], []
-    for e, a, b in zip(range(n_edges), one, two):
-        if a < 0:
-            free.append(e)
-            continue
-        # union-find with path halving, inline; the higher root goes under
-        # the lower, which keeps the paths short in ascending edge order
-        while root[a] != a:
-            root[a] = a = root[root[a]]
-        while root[b] != b:
-            root[b] = b = root[root[b]]
-        if a == b:
-            free.append(e)
-        else:
-            if a < b:
-                root[b] = a
-            else:
-                root[a] = b
-            tree.append(e)
-    return _DualForest(one, two, root, free, tree)
+    # each edge's second end first, so the union hangs the tree of its
+    # later triangle (or of infinity) on its first triangle's, which keeps
+    # the finds short in ascending edge order
+    forest = _Forest(len(triangle_edges) + 1, zip(range(n_edges), two, one))
+    return _DualForest(forest, one, two)
 
 
-class _DualForest:
-    """Kruskal's forest of the dual graph (see _tree_cotree), as the
-    result of a boundary elimination.
+class _Forest:
+    """Kruskal's forest of a graph on the nodes 0 .. n - 1, grown over its
+    edges, (position, end, end) triples, in the order given: each edge
+    that joins two trees is kept, the others are off the forest, and off
+    lists their positions in order.
 
-      * The 2-cycles are its trees that do not reach infinity, one
-        triangle mask each.  Their supports are disjoint, so they are
-        already reduced: ordered by lowest triangle they are the reduced
-        row echelon form, by highest the kernel basis.  There are
-        n - rank of them, and none is looked for when that is zero.
-      * The kernel vector at a free column f is the unique cocycle that
-        is f plus forest edges: f plus the forest path between f's two
-        ends (f alone for a loop), walked up from both ends by parent
-        pointers and depths to where they meet.
-
-    The forest is rooted, by one breadth-first pass, only when a kernel
-    vector is asked for; that pass lists the trees too.  Otherwise the
-    trees come off the union-find's roots, one find per triangle, which
-    is all the reduction's audits ask for; betti_numbers asks for
-    neither.
+    The union-find halves its paths inline (each node passed on the way
+    up is hung on its grandparent) and hangs the first end's tree on the
+    second's.  The forest is rooted, by one breadth-first pass, only when
+    a cycle is asked for; that pass lists the trees too.
     """
 
-    def __init__(self, one: list[int], two: list[int], root: list[int],
-                 free: list[int], tree: list[int]) -> None:
-        self._one, self._two, self._root, self._tree = one, two, root, tree
-        self._n = len(root) - 1  # the triangles; node n is infinity
-        self.free = free
-        self.rank = len(tree)
+    def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]) -> None:
+        root = list(range(n))
+        off = []
+        for e, a, b in edges:
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            if a == b:
+                off.append(e)
+            else:
+                root[a] = b
+        self._root = root
+        self.off = off
+        # parent node, edge up to it and depth of each node, and the trees
+        # ordered by their first node, once a cycle has been asked for
+        self._rooted: Optional[tuple[list[int], list[int], list[int], list[list[int]]]] = None
 
-    @property
-    def cycles(self) -> list[int]:
-        return sorted(self.reduced_cycles(), key=int.bit_length)
+    def trees(self, names: Sequence) -> list[tuple]:
+        """The trees, ordered by their first node, each the names of its
+        nodes in node order: one find per node."""
+        root = self._root
+        trees: dict[int, list] = {}
+        for a, name in enumerate(names):
+            r = a
+            while root[r] != r:
+                root[r] = r = root[root[r]]
+            trees.setdefault(r, []).append(name)
+        return list(map(tuple, trees.values()))
 
-    def reduced_cycles(self) -> list[int]:
-        n = self._n
-        if self.rank == n:
+    def cycles(self, columns: Sequence[int], one: Sequence[int],
+               two: Sequence[int]) -> list[int]:
+        """The fundamental cycle of each edge in columns: its position
+        plus the forest path between its ends, as a mask below len(one).
+
+        one[e] and two[e] are the ends of each edge e, and the forest must
+        have been grown over every position below len(one), so the edges
+        kept are those not off it.  The path is walked up from both ends by
+        parent pointers and depths to where they meet; the first call roots
+        the forest with them.
+        """
+        if not columns:
             return []
-        if "_rooted" in self.__dict__:
-            trees = self._rooted[3]
-        else:
-            root = self._root
-            by_root: dict[int, list[int]] = {}
-            for t in range(n + 1):
-                a = t
-                while root[a] != a:
-                    root[a] = a = root[root[a]]
-                by_root.setdefault(a, []).append(t)
-            del by_root[a]  # the tree of infinity, node n
-            trees = by_root.values()
-        return [_mask(nodes, n) for nodes in trees]
+        if self._rooted is None:
+            self._rooted = self._rooting(one, two)
+        parent, up, depth, _ = self._rooted
+        cycles = []
+        for f in columns:
+            a, b = one[f], two[f]
+            path = [f]
+            while a != b:
+                if depth[a] < depth[b]:
+                    a, b = b, a
+                path.append(up[a])
+                a = parent[a]
+            cycles.append(_mask(path, len(one)))
+        return cycles
 
-    @cached_property
-    def _rooted(self) -> tuple[list[int], list[int], list[int], list[list[int]]]:
-        """The parent node, the edge up to it and the depth of each node,
-        and the nodes of each tree that does not reach infinity, the trees
-        in order of their lowest triangle."""
-        n, one, two = self._n, self._one, self._two
-        adjacent: list[list[int]] = [[] for _ in range(n + 1)]
-        for e in self._tree:
+    def _rooting(self, one: Sequence[int], two: Sequence[int]
+                 ) -> tuple[list[int], list[int], list[int], list[list[int]]]:
+        n = len(self._root)
+        kept = bytearray(b"\1") * len(one)
+        for e in self.off:
+            kept[e] = 0
+        adjacent: list[list[int]] = [[] for _ in range(n)]
+        for e in compress(range(len(one)), kept):
             adjacent[one[e]].append(e)
             adjacent[two[e]].append(e)
-        parent, up, depth = [-1] * (n + 1), [-1] * (n + 1), [-1] * (n + 1)
+        parent, up, depth = [-1] * n, [-1] * n, [-1] * n
         trees = []
-        for start in (n, *range(n)):
+        for start in range(n):
             if depth[start] >= 0:
                 continue
             depth[start] = 0
@@ -347,24 +353,50 @@ class _DualForest:
                         parent[b], up[b], depth[b] = a, e, d
                         nodes.append(b)
             trees.append(nodes)
-        return parent, up, depth, trees[1:]
+        return parent, up, depth, trees
+
+
+class _DualForest:
+    """Kruskal's forest of the dual graph (see _tree_cotree), as the
+    result of a boundary elimination.
+
+      * The 2-cycles are its trees that do not reach infinity, one
+        triangle mask each.  Their supports are disjoint, so they are
+        already reduced: ordered by lowest triangle they are the reduced
+        row echelon form, by highest the kernel basis.  There are
+        n - rank of them, and none is looked for when that is zero.
+      * The kernel vector at a free column f is the unique cocycle that
+        is f plus forest edges: f's fundamental cycle in the forest (f
+        alone for a loop).
+
+    The trees come off the rooted forest once a kernel vector has rooted
+    it, and otherwise off the union-find's roots, which is all the
+    reduction's audits ask for; betti_numbers asks for neither.
+    """
+
+    def __init__(self, forest: _Forest, one: list[int], two: list[int]) -> None:
+        self._forest, self._one, self._two = forest, one, two
+        self.free = forest.off
+        self.rank = len(one) - len(self.free)
+
+    @property
+    def cycles(self) -> list[int]:
+        return sorted(self.reduced_cycles(), key=int.bit_length)
+
+    def reduced_cycles(self) -> list[int]:
+        forest = self._forest
+        n = len(forest._root)  # the triangles and infinity
+        if self.rank == n - 1:
+            return []
+        if forest._rooted:
+            trees = forest._rooted[3]
+        else:
+            trees = forest.trees(range(n))
+        # the first tree holds node 0, infinity; triangle t is node t + 1
+        return [_mask(nodes, n) >> 1 for nodes in trees[1:]]
 
     def kernel_at(self, columns: Sequence[int]) -> list[int]:
-        if not columns:
-            return []
-        parent, up, depth, _ = self._rooted
-        vectors = []
-        for f in columns:
-            a, b = self._one[f], self._two[f]
-            path = [f]
-            if a >= 0:
-                while a != b:
-                    if depth[a] < depth[b]:
-                        a, b = b, a
-                    path.append(up[a])
-                    a = parent[a]
-            vectors.append(_mask(path, len(self._one)))
-        return vectors
+        return self._forest.cycles(columns, self._one, self._two)
 
 
 def _mask(positions: Iterable[int], width: int) -> int:
@@ -462,19 +494,20 @@ def homology_summary(k: Complex2) -> HomologySummary:
     Otherwise the boundaries are eliminated, each carrying its own
     triangle as a tag bit above the edges; a boundary that reduces to its
     tags alone gives a 2-cycle, and the reduced row echelon form of those
-    b2 cycles is the only back-substitution.  Either way one union-find
-    pass grows the spanning forest from the highest edge down over the
-    free columns of the boundaries: its trees are the components, which
-    it records on k, and it picks the H^1 classes.
+    b2 cycles is the only back-substitution.  Either way the spanning
+    forest of the 1-skeleton is grown from the highest edge down over the
+    free columns of the boundaries (_forest): its trees are the
+    components, which it records on k, and it picks the H^1 classes.
 
       * cocycle_reps[1]: the kernel vector of the boundaries (f plus every
         pivot whose reduced row has f set, the path of item 3) at each
         free column f of the boundaries, in order, that is not an edge of
         that forest;
-      * cycle_reps[1], built on first read: for each edge f off the
-        forest grown in edge order, in order, picked when f is the highest
-        bit of no boundary restricted to those edges, the forest's cycle
-        through f;
+      * cycle_reps[1], built on first read (_one_cycles): for each edge f
+        off the forest grown in edge order, in order, picked when f is the
+        highest bit of no boundary restricted to those edges, the forest's
+        cycle through f, walked up the forest's parent pointers as in
+        item 3;
       * cycle_reps[2] are the reduced 2-cycles and cocycle_reps[2] the
         single triangles at their pivots, so the two bases are dual; on
         the dual graph, the trees ordered by their lowest triangle and
@@ -519,7 +552,7 @@ def homology_summary(k: Complex2) -> HomologySummary:
             cycle0.append(chain(k, 0, [comp[0], base]))
             cocycle0.append(cochain(k, 0, comp))
 
-    picks = [f for f in boundaries.free if not forest[f]]
+    picks = forest.off[::-1]
     cocycle1 = tuple(CochainVector(1, Gf2Vector(n_edges, bits))
                      for bits in boundaries.kernel_at(picks))
 
@@ -539,89 +572,39 @@ def homology_summary(k: Complex2) -> HomologySummary:
     )
 
 
-def _forest(k: Complex2, free: Sequence[int]) -> tuple[bytearray, list[tuple]]:
-    """The spanning forest grown from the highest edge down, and its
-    trees, the components, which are recorded on k.
+def _forest(k: Complex2, free: Sequence[int]) -> tuple[_Forest, list[tuple]]:
+    """The spanning forest of the 1-skeleton grown from the highest edge
+    down, and its trees, the components, which are recorded on k as
+    k.connected_components() gives them: ordered by their first vertex,
+    each in vertex order.
 
     free are the free columns of the triangle boundaries' elimination, in
     order.  Every edge that forest keeps is one of them (see
     homology_summary), so the pivot edges, which never join two trees,
-    are not taken at all.
+    are not taken at all, and the edges off the forest, its off list, are
+    the free columns it does not keep, from the highest down.
     """
-    forest, components = _spanning_forest(k, reversed(free))
+    vertex, edges = k._vertex_index, k.edges
+    # a generator: each triple is freed once taken, so none counts toward
+    # the garbage collector's thresholds
+    forest = _Forest(k.n_vertices, ((f, vertex[u], vertex[v])
+                                    for f in reversed(free) for u, v in (edges[f],)))
+    components = forest.trees(k.vertices)
     k._record_components(tuple(components))
     return forest, components
 
 
-def _spanning_forest(k: Complex2, order: Iterable[int]) -> tuple[bytearray, list[tuple]]:
-    """The spanning forest that keeps each edge, taken in the given order
-    of edge positions, that joins two trees.
-
-    Returns a flag per edge position, 1 for the edges kept, and the
-    components, as k.connected_components() gives them: ordered by their
-    first vertex, each in vertex order.  The union-find halves its paths
-    inline: each node passed on the way up is hung on its grandparent.
-    """
-    vertex = k._vertex_index
-    edges = k.edges
-    root = list(range(k.n_vertices))
-    kept = bytearray(len(edges))
-    for i in order:
-        u, v = edges[i]
-        a, b = vertex[u], vertex[v]
-        while root[a] != a:
-            root[a] = a = root[root[a]]
-        while root[b] != b:
-            root[b] = b = root[root[b]]
-        if a != b:
-            root[a] = b
-            kept[i] = 1
-    components: dict[int, list] = {}
-    for a, v in enumerate(k.vertices):
-        r = a
-        while root[r] != r:
-            root[r] = r = root[root[r]]
-        components.setdefault(r, []).append(v)
-    return kept, list(map(tuple, components.values()))
-
-
 def _one_cycles(k: Complex2) -> tuple[ChainVector, ...]:
-    """cycle_reps[1] of homology_summary(k): the forest cycles through the
-    edges off the forest grown in edge order that the greedy completion
-    picks against the triangle boundaries.
-
-    path[a] is the mask of the forest edges from the root of vertex a's
-    tree to a, so the forest path between u and v is path[u] ^ path[v].
-    """
+    """cycle_reps[1] of homology_summary(k): the fundamental cycles of the
+    edges off the 1-skeleton's forest grown in edge order that the greedy
+    completion picks against the triangle boundaries."""
     vertex = k._vertex_index
-    kept, _ = _spanning_forest(k, range(k.n_edges))
-    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(k.n_vertices)]
-    non_forest = []
-    for i, (u, v) in enumerate(k.edges):
-        if kept[i]:
-            a, b = vertex[u], vertex[v]
-            adjacent[a].append((b, i))
-            adjacent[b].append((a, i))
-        else:
-            non_forest.append(i)
-    path = [-1] * len(adjacent)
-    for start in range(len(adjacent)):
-        if path[start] >= 0:
-            continue
-        path[start] = 0
-        stack = [start]
-        while stack:
-            a = stack.pop()
-            for b, i in adjacent[a]:
-                if path[b] < 0:
-                    path[b] = path[a] | 1 << i
-                    stack.append(b)
-    cycles = []
-    for f in _completion_picks(non_forest, k._triangle_edges):
-        u, v = k.edges[f]
-        cycles.append(ChainVector(1, Gf2Vector(k.n_edges,
-                                               1 << f | path[vertex[u]] ^ path[vertex[v]])))
-    return tuple(cycles)
+    one = [vertex[u] for u, _ in k.edges]
+    two = [vertex[v] for _, v in k.edges]
+    forest = _Forest(k.n_vertices, zip(range(k.n_edges), one, two))
+    picks = _completion_picks(forest.off, k._triangle_edges)
+    return tuple(ChainVector(1, Gf2Vector(k.n_edges, bits))
+                 for bits in forest.cycles(picks, one, two))
 
 
 def _completion_picks(candidates: list[int], vectors: Iterable[Iterable[int]]) -> list[int]:
@@ -786,18 +769,22 @@ def has_property_a(k: Complex2,
                            CochainVector(1, Gf2Vector(k.n_edges, bits)))
 
 
-def property_a_brute_force(k: Complex2, limit: int = 12) -> bool:
+# the largest b1 property_a_brute_force enumerates: 2^12 - 1 classes
+_BRUTE_FORCE_B1 = 12
+
+
+def property_a_brute_force(k: Complex2) -> bool:
     """Independent route: enumerate all nonzero H^1 classes directly.
 
     For each of the 2^b1 - 1 classes the cup against each basis class is
     computed at cochain level and tested for being a coboundary by span
     membership (cup against a basis class suffices: the pairing is bilinear
-    in its second slot).
+    in its second slot).  Raises ValueError when b1 exceeds 12.
     """
     summary = homology_summary(k)
     b1 = summary.b1
-    if b1 > limit:
-        raise ValueError(f"b1 = {b1} exceeds the brute-force limit {limit}")
+    if b1 > _BRUTE_FORCE_B1:
+        raise ValueError(f"b1 = {b1} exceeds the brute-force limit {_BRUTE_FORCE_B1}")
     reps = summary.cocycle_reps[1]
     coboundaries = _span((row.bits for row in boundary_matrix(k, 2).rows()), k.n_triangles)
     for mask in range(1, 1 << b1):

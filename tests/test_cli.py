@@ -237,9 +237,16 @@ def test_search_commands(capsys):
     assert code == 0 and json.loads(out)["count"] == 0
     code, _, err = run(capsys, "search", "--max-vertices", "5")
     assert code == 2
+    # an out-of-range size is refused before the progress line is printed
     code, _, err = run(capsys, "search", "--surface", "N1",
                        "--max-vertices", "20")
-    assert code == 3
+    assert code == 3 and "enumerating" not in err
+    code, _, err = run(capsys, "search", "--one-triple-edge",
+                       "--max-vertices", "2")
+    assert code == 3 and err == "error: search supports 3..8 vertices, got 2\n"
+    code, _, err = run(capsys, "search", "--surface", "Q7",
+                       "--max-vertices", "20")
+    assert code == 2 and "unrecognized surface" in err
     code, _, err = run(capsys, "search", "--surface", "Q7",
                        "--max-vertices", "6")
     assert code == 2 and "unrecognized surface" in err

@@ -338,6 +338,158 @@ def test_dual_forest_over_kept_triangles_is_the_elimination():
     assert shapes["cases"] >= 180 and shapes["cycles"] >= 60 and shapes["partial"] >= 100
 
 
+def _skeleton(k: Complex2, order) -> list[tuple[int, int, int]]:
+    """The edges of k at the given positions, in order, as the
+    (position, vertex position, vertex position) triples homology._Forest
+    takes."""
+    vertex = k._vertex_index
+    return [(i, vertex[u], vertex[v]) for i in order for u, v in (k.edges[i],)]
+
+
+def _flags(forest, order, n: int) -> bytearray:
+    """A flag per edge position, 1 for the edges of order the forest kept."""
+    kept = bytearray(n)
+    for i in order:
+        kept[i] = 1
+    for i in forest.off:
+        kept[i] = 0
+    return kept
+
+
+def _spanning_forest(k: Complex2, order) -> tuple[bytearray, list[tuple]]:
+    """The forest homology._Forest grows over the 1-skeleton of k, taking
+    the edges in the given order: its flag per edge position and its
+    trees, named by the vertices."""
+    order = list(order)
+    forest = homology._Forest(k.n_vertices, _skeleton(k, order))
+    return _flags(forest, order, k.n_edges), forest.trees(k.vertices)
+
+
+def _dual_graph(k: Complex2) -> list[tuple[int, int, int]]:
+    """The dual graph of a complex with no edge in three triangles, as
+    (position, end, end) triples in edge order: infinity is node 0 and
+    triangle t node t + 1, found by membership alone."""
+    ends = {e: [] for e in k.edges}
+    for t, tri in enumerate(k.triangles, 1):
+        for e in combinations(tri, 2):
+            ends[e].append(t)
+    return [(i, *(ends[e] + [0, 0])[:2]) for i, e in enumerate(k.edges)]
+
+
+def _naive_forest(n: int, edges) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """The greedy acyclic pass: each edge, in order, is kept when its ends
+    are in different trees of the edges kept so far, found by relabeling
+    a whole tree at every union.  The positions off it and the kept edges."""
+    label = list(range(n))
+    off, kept = [], []
+    for e, a, b in edges:
+        if label[a] == label[b]:
+            off.append(e)
+        else:
+            old = label[a]
+            label = [label[b] if x == old else x for x in label]
+            kept.append((e, a, b))
+    return off, kept
+
+
+def _bfs_parents(n: int, kept) -> tuple[list[int], list[int], list[list[int]]]:
+    """Breadth-first search over the kept edges from each unseen node in
+    order: the parent node and the edge up of each node, and the trees."""
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e, a, b in kept:
+        adjacent[a].append((b, e))
+        adjacent[b].append((a, e))
+    parent, up, trees = [-1] * n, [-1] * n, []
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        tree = [start]
+        for a in tree:
+            for b, e in adjacent[a]:
+                if not seen[b]:
+                    seen[b] = True
+                    parent[b], up[b] = a, e
+                    tree.append(b)
+        trees.append(sorted(tree))
+    return parent, up, trees
+
+
+def _check_forest(n: int, edges, rng: random.Random) -> Counter:
+    """homology._Forest over the (position, end, end) triples against the
+    naive greedy pass and breadth-first search: the edges off it, its
+    trees and the fundamental cycles of a sample of the edges off it.
+    The edges are those at every position below their number."""
+    one, two = [-1] * len(edges), [-1] * len(edges)
+    for e, a, b in edges:
+        one[e], two[e] = a, b
+    forest = homology._Forest(n, iter(edges))
+    off, kept = _naive_forest(n, edges)
+    assert forest.off == off
+    parent, up, trees = _bfs_parents(n, kept)
+    names = [f"v{a}" for a in range(n)]
+    assert forest.trees(names) == [tuple(names[a] for a in tree) for tree in trees]
+    columns = rng.sample(off, min(len(off), 10))
+    cycles = []
+    for f in columns:
+        # the path from each end up to its tree's start, less the shared part
+        paths = []
+        for a in (one[f], two[f]):
+            path = [a]
+            while parent[path[-1]] >= 0:
+                path.append(parent[path[-1]])
+            paths.append(path)
+        bits = 1 << f
+        for path in paths:
+            for a in path:
+                if a not in paths[0] or a not in paths[1]:
+                    bits ^= 1 << up[a]
+        cycles.append(bits)
+    assert forest.cycles(columns, one, two) == cycles
+    return Counter(loops=sum(a == b for _, a, b in edges),
+                   parallel=len(edges) - len({frozenset((a, b)) for _, a, b in edges}),
+                   isolated=n - len({x for _, a, b in edges for x in (a, b)}),
+                   components=len(trees) > 1, cycles=len(columns))
+
+
+def test_forest_is_the_greedy_acyclic_pass():
+    # seeded random multigraphs, edges taken in a random order of their
+    # positions: loops, parallel edges, isolated nodes, several trees
+    rng = random.Random(20261027)
+    shapes = Counter()
+    for _ in range(150):
+        n = rng.randrange(1, 16)
+        count = rng.randrange(0, 3 * n)
+        edges = [(e, rng.randrange(n), rng.randrange(n))
+                 for e in rng.sample(range(count), count)]
+        shapes += _check_forest(n, edges, rng)
+        shapes["graphs"] += 1
+    assert shapes["loops"] >= 100 and shapes["parallel"] >= 100
+    assert shapes["isolated"] >= 100 and shapes["components"] >= 50
+    assert shapes["cycles"] >= 300
+
+
+def test_forest_over_the_dual_graph_and_the_skeleton():
+    # the two graphs homology grows forests over: the dual graph in edge
+    # order (the boundary elimination), the 1-skeleton in edge order (the
+    # 1-cycles), from the highest edge down (the H^1 picks) and at random
+    rng = random.Random(20261028)
+    shapes = Counter()
+    for k in _oracle_cases() + _mixed_label_cases(20, 20261029):
+        n = k.n_edges
+        for order in (range(n), range(n - 1, -1, -1), rng.sample(range(n), n)):
+            shapes["skeleton"] += 1
+            shapes += _check_forest(k.n_vertices, _skeleton(k, order), rng)
+        if all(k.edge_degree(e) <= 2 for e in k.edges):
+            shapes["dual"] += 1
+            shapes += _check_forest(k.n_triangles + 1, _dual_graph(k), rng)
+    # 79 dual graphs, 294 skeletons and 174 loops when this was written
+    assert shapes["dual"] >= 60 and shapes["skeleton"] >= 240
+    assert min(shapes["loops"], shapes["parallel"], shapes["isolated"]) >= 100
+    assert shapes["components"] >= 100 and shapes["cycles"] >= 1000
+
+
 def test_summary_components_are_the_forest_trees(monkeypatch):
     shapes = Counter()
     cases = _oracle_cases() + [
@@ -346,7 +498,7 @@ def test_summary_components_are_the_forest_trees(monkeypatch):
     for k in cases:
         # the same components whichever order the forest takes the edges in
         for order in (range(k.n_edges), range(k.n_edges - 1, -1, -1)):
-            kept, comps = homology._spanning_forest(k, order)
+            kept, comps = _spanning_forest(k, order)
             assert tuple(comps) == k.connected_components()
             assert sum(kept) == k.n_vertices - len(comps)
         shapes["disconnected"] += len(comps) > 1
@@ -386,13 +538,15 @@ def test_forest_over_the_free_columns_is_the_descending_forest():
              + [_relabel(catalog(parse_surface_id("M3")), "mixed")])
     for k in cases:
         n = k.n_edges
-        full, full_comps = homology._spanning_forest(k, range(n - 1, -1, -1))
+        full, full_comps = _spanning_forest(k, range(n - 1, -1, -1))
         walked = Complex2(k.vertices, k.edges, k.triangles).connected_components()
         tagged, _ = gf2._relations(homology._boundary_rows(k._triangle_edges), n)
         plain = gf2._span(homology._boundary_rows(k._triangle_edges), n)
         assert tagged._free(n) == plain._free(n)
         fresh = Complex2(k.vertices, k.edges, k.triangles)
-        forest, comps = homology._forest(fresh, tagged._free(n))
+        free = tagged._free(n)
+        forest, comps = homology._forest(fresh, free)
+        forest = _flags(forest, free, n)
         assert forest == full and comps == full_comps
         assert not any(forest[p] for p in plain._pivots())
         assert tuple(comps) == walked
@@ -481,6 +635,44 @@ def test_summary_of_a_100000_triangle_torus_in_bounded_memory():
     b0, b1, b2, peak_kib = map(int, proc.stdout.split())
     assert (b0, b1, b2) == (0, 2, 1)
     assert peak_kib < 300 * 1024
+
+
+# the same for the 1-cycles of the 36,864-triangle circulant torus on
+# Z/18432, read after the summary: b1 and, per cycle, its number of edges
+# and of vertices of odd degree in it (a cycle has none)
+_CYCLE_REPS = """
+import resource, sys
+from collections import Counter
+from simpsurf.complex2 import Complex2
+from simpsurf.homology import homology_summary
+n = 18432
+k = Complex2.from_triangles([sorted((i + d) % n for d in offsets)
+                             for offsets in ((0, 1, 3), (0, 2, 3)) for i in range(n)])
+assert k.n_triangles == 36864
+s = homology_summary(k)
+out = [s.b1]
+for z in s.cycle_reps[1]:
+    ends = Counter(v for i in z.coeffs.support() for v in k.edges[i])
+    out += [len(z.coeffs.support()), sum(d % 2 for d in ends.values())]
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(*out, peak // 1024 if sys.platform == "darwin" else peak)
+"""
+
+
+@pytest.mark.slow
+def test_cycle_reps_of_a_36864_triangle_torus_in_bounded_memory():
+    # the 1-cycles are walked up the 1-skeleton forest's parent pointers;
+    # one path mask per vertex, as they once were built, peaked at about
+    # 227 MiB here, and the walk at about 158 MiB (Python 3.11, Linux),
+    # the rest being the picks' elimination over the edges off the forest
+    env = dict(os.environ, PYTHONPATH=str(Path(homology.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _CYCLE_REPS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    b1, *cycles, peak_kib = map(int, proc.stdout.split())
+    assert b1 == 2 and len(cycles) == 2 * b1
+    assert all(size > 0 for size in cycles[::2]) and cycles[1::2] == [0] * b1
+    assert peak_kib < 200 * 1024
 
 
 def test_cup_form_and_property_a_never_build_the_1_cycles(monkeypatch):
@@ -680,6 +872,19 @@ def test_property_a_witness_checks_out():
 def test_property_a_brute_force_agrees():
     for k in (sphere(), rp2(), torus(), torus_with_circle(), torus_circle_sphere()):
         assert property_a_brute_force(k) == has_property_a(k).holds
+
+
+def test_property_a_brute_force_stops_above_b1_12():
+    # a graph of 14 vertices and 26 edges, one component: b1 = 13 classes
+    # would be 2^13 - 1 enumerated; 12 is still run
+    hub = [(0, i) for i in range(1, 14)]
+    rim = [(i, i + 1) for i in range(1, 13)]
+    k = Complex2.from_triangles([], extra_edges=hub + rim + [(1, 13)])
+    assert betti_numbers(k) == (0, 13, 0)
+    with pytest.raises(ValueError, match="b1 = 13 exceeds the brute-force limit 12"):
+        property_a_brute_force(k)
+    k = Complex2.from_triangles([], extra_edges=hub + rim)
+    assert betti_numbers(k) == (0, 12, 0) and property_a_brute_force(k) is False
 
 
 def test_determinism():

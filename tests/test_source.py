@@ -20,10 +20,12 @@ SPAN_INTERNALS = {"_mask", "_pivot_rows", "_add_bits", "_reduce_bits"}
 # components through _record_components
 COMPLEX_CACHES = {"_edge_triangles", "_vertex_edges", "_triangle_positions",
                   "_triangle_edge_positions", "_components"}
-# the two routes of a boundary elimination, known only to homology.py: the
-# others call homology._boundary_relations and read its result's rank,
-# free, cycles, reduced_cycles() and kernel_at(), whichever route gave it
-ROUTE_INTERNALS = {"_tree_cotree", "_DualForest", "_Elimination", "_rooted", "_tagged"}
+# the two routes of a boundary elimination and the one forest routine,
+# known only to homology.py: the others call homology._boundary_relations
+# and read its result's rank, free, cycles, reduced_cycles() and
+# kernel_at(), whichever route gave it, and grow no forest of their own
+ROUTE_INTERNALS = {"_tree_cotree", "_DualForest", "_Elimination", "_Forest", "_rooted",
+                   "_tagged"}
 
 
 def _tree(path: Path) -> ast.Module:
