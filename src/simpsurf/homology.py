@@ -23,11 +23,13 @@ packed int per H^1 class, the H^2 coordinates of its cups with every
 basis class side by side, and its left radical (property (A) asks for it
 to be zero) is the relations among those rows, one gf2._relations call.
 
-Every boundary elimination, the summary's, betti_numbers' and the
-reduction's audits, goes through _boundary_relations, which reads the
-triangle boundaries off the three edge positions of each triangle, a kept
-index of the complex.  When every edge lies in at most two triangles
-(every surface, with or without boundary, and every wedge of them) the
+Every boundary elimination, the summary's, betti_numbers', the
+reduction's audits and the 1-cycle picks', goes through
+_boundary_relations, which reads each triangle boundary off a list of its
+edge positions: the three of _triangle_edges, a kept index of the
+complex, or for the picks those among the edges off a forest, so any
+number of them.  When every edge lies in at most two triangles (every
+surface, with or without boundary, and every wedge of them) the
 elimination computes only a spanning forest of the dual graph: the
 triangles plus a node at infinity, an edge joining its two triangles, or
 its one triangle to infinity.  The column matroid of the boundary rows is
@@ -51,9 +53,11 @@ off it pick the H^1 classes, and its trees are the components, which
 betti_numbers and the reduction's audits take from the same pass and
 record on the complex, so no Betti number walks the 1-skeleton.  The
 third is the 1-skeleton's forest grown in edge order, whose fundamental
-cycles are the 1-cycles, built only when cycle_reps is first read.  The
-bases the summary returns are those read off the reduced row echelon
-forms of d1, d2 transposed, d2 and the 2-cycles, which are unique.
+cycles are the 1-cycles, built only when cycle_reps is first read; the
+edges whose cycles are taken are the free columns of the boundaries
+restricted to the edges off that forest.  The bases the summary returns
+are those read off the reduced row echelon forms of d1, d2 transposed,
+d2 and the 2-cycles, which are unique.
 
 Over F2, H^2 = Hom(H_2, F2), so the class of a 2-cochain w is fixed by its
 values on a basis of 2-cycles.  The H^2 basis is chosen dual to the
@@ -66,7 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, compress
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .complex2 import Complex2
 from .gf2 import Gf2Matrix, Gf2Vector, _relations, _span
@@ -180,19 +184,17 @@ def _boundary_rows(triangle_edges: Iterable[tuple[int, int, int]]) -> list[int]:
     return [1 << a | 1 << b | 1 << c for a, b, c in triangle_edges]
 
 
-def _boundary_relations(triangle_edges: Sequence[tuple[int, int, int]], n_edges: int,
-                        skip: Collection[int] = ()) -> _DualForest | _Elimination:
-    """The triangle boundaries, each given by its three edge positions (a
-    complex's _triangle_edges), eliminated in order: the one entry point
-    of every boundary elimination.
+def _boundary_relations(boundaries: Sequence[Sequence[int]], width: int
+                        ) -> _DualForest | _Elimination:
+    """The boundaries, each given by its positions below width (a
+    triangle's three edge positions in a complex's _triangle_edges, or any
+    number of them), eliminated in order: the one entry point of every
+    boundary elimination.
 
-    The triangles at the positions in skip are left out, and the cycles
-    are over the positions of the rest: those of the complex without
-    them, which keeps every edge position.  When every edge lies in at
-    most two of the triangles the dual forest gives the answer
-    (_tree_cotree); the first edge found in a third triangle sends the
-    whole complex to the elimination.  Either result has
-      * rank, the rank of d2, and free, its other edge columns in order;
+    When every position lies in at most two of the boundaries the dual
+    forest gives the answer (_tree_cotree); the first position found in a
+    third boundary sends them all to the elimination.  Either result has
+      * rank, the rank of d2, and free, its other columns in order;
       * cycles, the 2-cycles as boundary_matrix(k, 2).kernel_basis()
         gives them: distinct highest triangles, in increasing order, each
         cycle zero at the others' (a list the caller may edit);
@@ -200,23 +202,21 @@ def _boundary_relations(triangle_edges: Sequence[tuple[int, int, int]], n_edges:
       * kernel_at(columns), the kernel vectors of the boundaries (the
         1-cocycles) at distinct free columns.
     """
-    if skip:
-        triangle_edges = [t for j, t in enumerate(triangle_edges) if j not in skip]
-    return _tree_cotree(triangle_edges, n_edges) or _Elimination(triangle_edges, n_edges)
+    return _tree_cotree(boundaries, width) or _Elimination(boundaries, width)
 
 
 class _Elimination:
-    """The triangle boundaries eliminated in order, each tagged with its
-    triangle (gf2._relations): the route for a complex with an edge in
-    three or more triangles, and the oracle the tests hold the dual
-    forest to."""
+    """The boundaries eliminated in order, each tagged with its triangle
+    (gf2._relations): the route for boundaries with a position in three
+    or more of them, and the oracle the tests hold the dual forest to.
+    A boundary may have any number of positions."""
 
-    def __init__(self, triangle_edges: Sequence[tuple[int, int, int]],
-                 n_edges: int) -> None:
-        self._tagged, self.cycles = _relations(_boundary_rows(triangle_edges), n_edges)
-        self._n_triangles = len(triangle_edges)
+    def __init__(self, boundaries: Sequence[Sequence[int]], width: int) -> None:
+        self._tagged, self.cycles = _relations(
+            [sum(map((1).__lshift__, edges)) for edges in boundaries], width)
+        self._n_triangles = len(boundaries)
         self.rank = self._tagged.dim
-        self.free = self._tagged._free(n_edges)
+        self.free = self._tagged._free(width)
 
     def reduced_cycles(self) -> list[int]:
         return _span(self.cycles, self._n_triangles)._reduced_rows()
@@ -225,8 +225,7 @@ class _Elimination:
         return self._tagged._kernel_at(columns)
 
 
-def _tree_cotree(triangle_edges: Sequence[tuple[int, int, int]],
-                 n_edges: int) -> Optional[_DualForest]:
+def _tree_cotree(boundaries: Sequence[Sequence[int]], width: int) -> Optional[_DualForest]:
     """The boundary elimination of triangles none of whose edges lies in
     three of them, read off Kruskal's forest of the dual graph; None at
     the first edge found in a third triangle.
@@ -238,12 +237,13 @@ def _tree_cotree(triangle_edges: Sequence[tuple[int, int, int]],
     its triangles, so the column matroid is the graphic matroid of that
     graph, and the pivots of the elimination, the greedy column basis in
     column order, are the edges of the forest grown in ascending edge
-    order.
+    order.  Only the columns matter, so a boundary may have any number of
+    edges: one with none is a triangle alone in its tree, a 2-cycle.
     """
     # the ends of each edge: its first triangle and its second, or infinity
-    one = [0] * n_edges
-    two = [0] * n_edges
-    for t, edges in enumerate(triangle_edges, 1):
+    one = [0] * width
+    two = [0] * width
+    for t, edges in enumerate(boundaries, 1):
         for e in edges:
             if not one[e]:
                 one[e] = t
@@ -254,7 +254,7 @@ def _tree_cotree(triangle_edges: Sequence[tuple[int, int, int]],
     # each edge's second end first, so the union hangs the tree of its
     # later triangle (or of infinity) on its first triangle's, which keeps
     # the finds short in ascending edge order
-    forest = _Forest(len(triangle_edges) + 1, zip(range(n_edges), two, one))
+    forest = _Forest(len(boundaries) + 1, zip(range(width), two, one))
     return _DualForest(forest, one, two)
 
 
@@ -505,9 +505,11 @@ def homology_summary(k: Complex2) -> HomologySummary:
         that forest;
       * cycle_reps[1], built on first read (_one_cycles): for each edge f
         off the forest grown in edge order, in order, picked when f is the
-        highest bit of no boundary restricted to those edges, the forest's
-        cycle through f, walked up the forest's parent pointers as in
-        item 3;
+        highest bit of no boundary restricted to those edges (a free
+        column of the restricted boundaries' elimination, the edges taken
+        from the highest down, so on the dual graph's forest again when no
+        edge lies in three triangles), the forest's cycle through f,
+        walked up the forest's parent pointers as in item 3;
       * cycle_reps[2] are the reduced 2-cycles and cocycle_reps[2] the
         single triangles at their pivots, so the two bases are dual; on
         the dual graph, the trees ordered by their lowest triangle and
@@ -597,31 +599,30 @@ def _forest(k: Complex2, free: Sequence[int]) -> tuple[_Forest, list[tuple]]:
 def _one_cycles(k: Complex2) -> tuple[ChainVector, ...]:
     """cycle_reps[1] of homology_summary(k): the fundamental cycles of the
     edges off the 1-skeleton's forest grown in edge order that the greedy
-    completion picks against the triangle boundaries."""
+    completion picks against the triangle boundaries.
+
+    The candidates, the edges off the forest, are picked when they are the
+    highest set bit of no vector in the span of the triangle boundaries
+    restricted to them: the unit vectors, taken in order, that the greedy
+    completion of the restricted span picks.  Candidate j of m is column
+    m - 1 - j of the restricted boundaries, so the pivots of their
+    elimination (_boundary_relations), its lowest bits, are the highest
+    candidates, and the picks are its free columns read from the highest
+    down.  A candidate's column is the set of its triangles, as it was
+    before the restriction, so a complex with no edge in three triangles
+    takes the dual forest.
+    """
     vertex = k._vertex_index
     one = [vertex[u] for u, _ in k.edges]
     two = [vertex[v] for _, v in k.edges]
     forest = _Forest(k.n_vertices, zip(range(k.n_edges), one, two))
-    picks = _completion_picks(forest.off, k._triangle_edges)
+    m = len(forest.off)
+    column = {e: m - 1 - j for j, e in enumerate(forest.off)}
+    free = _boundary_relations([[column[e] for e in edges if e in column]
+                                for edges in k._triangle_edges], m).free
+    picks = [forest.off[m - 1 - f] for f in reversed(free)]
     return tuple(ChainVector(1, Gf2Vector(k.n_edges, bits))
                  for bits in forest.cycles(picks, one, two))
-
-
-def _completion_picks(candidates: list[int], vectors: Iterable[Iterable[int]]) -> list[int]:
-    """The candidates that are the highest set bit of no vector in the span
-    of the vectors (each given by its positions) restricted to the
-    candidates, in order.
-
-    Those are the unit vectors, taken in order, that the greedy completion
-    of the restricted span picks.  Candidate j of m is stored at bit
-    m - 1 - j, so the span's pivots, its lowest bits, are the highest
-    candidates.
-    """
-    m = len(candidates)
-    slot = {c: m - 1 - j for j, c in enumerate(candidates)}
-    span = _span((sum(1 << slot[c] for c in positions if c in slot)
-                  for positions in vectors), m)
-    return [candidates[m - 1 - s] for s in reversed(span._free(m))]
 
 
 def h2_coordinates(summary: HomologySummary, w: CochainVector) -> Gf2Vector:

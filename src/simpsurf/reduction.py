@@ -80,12 +80,22 @@ class PreservationSpec:
 
     @classmethod
     def from_triangle_lists(cls, lists: Iterable[Iterable]) -> "PreservationSpec":
+        """The spec whose supports are the given lists of vertex triples.
+
+        A triple of another length raises ValueError, a vertex that is not
+        an int or str label_key's TypeError, and a repeated vertex
+        ValueError, in that order."""
         sups = []
         for sup in lists:
-            for t in sup:
-                if len(set(t)) != 3:
-                    raise ValueError(f"degenerate triangle {tuple(t)!r} in a support")
-            sups.append(frozenset(canon_triangle(*t) for t in sup))
+            triangles = []
+            for t in map(tuple, sup):
+                if len(t) != 3:
+                    raise ValueError(f"{t!r} in a support has {len(t)} vertices, not 3")
+                triangle = canon_triangle(*t)
+                if len(set(triangle)) != 3:
+                    raise ValueError(f"degenerate triangle {t!r} in a support")
+                triangles.append(triangle)
+            sups.append(frozenset(triangles))
         return cls(tuple(sups))
 
     @classmethod
@@ -566,7 +576,7 @@ def simplify_pipeline(k: Complex2, spec: Optional[PreservationSpec] = None,
         # that complex, over the kept positions.
         gone = set(killed)
         kept = [j for j in range(k.n_triangles) if j not in gone]
-        fresh = _boundary_relations(k._triangle_edges, k.n_edges, gone).cycles
+        fresh = _boundary_relations([k._triangle_edges[j] for j in kept], k.n_edges).cycles
         assert [sum(1 << kept[i] for i in _bits_up(z)) for z in fresh] == cycles
         betti = _betti_of_counts(k.n_vertices, k.n_edges, len(kept), b0 + 1,
                                  len(kept) - len(fresh))

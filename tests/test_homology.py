@@ -171,6 +171,13 @@ def _degree_one_cases():
               Complex2.from_triangles([], extra_vertices=[0]),
               Complex2.from_triangles(list(rp2().triangles) + [(50, 51, 52)],
                                       extra_edges=[(60, 61)])]
+    # a torus and M2, each with a three-page book on an edge off the
+    # 1-skeleton's forest grown in edge order: that edge is in five
+    # triangles, so both the summary and the 1-cycle picks eliminate
+    m2 = catalog(parse_surface_id("M2"))
+    for k, (u, v) in ((torus(), (1, 2)), (m2, m2.edges[-1])):
+        cases.append(Complex2.from_triangles(list(k.triangles)
+                                             + [(u, v, 1000 + i) for i in range(3)]))
     rng = random.Random(20261018)
     for _ in range(12):
         base = catalog(parse_surface_id(rng.choice(("S2", "N1", "M1", "N2", "M2"))))
@@ -186,15 +193,23 @@ def _degree_one_cases():
     return cases
 
 
-def test_degree_one_bases_match_the_greedy_completion():
+def test_degree_one_bases_match_the_greedy_completion(monkeypatch):
+    counts = Counter()
+    monkeypatch.setattr(homology, "_Elimination",
+                        _counting(counts, "eliminations", homology._Elimination))
+    picks_eliminated = 0
     for k in _degree_one_cases():
         s = homology_summary(k)
+        counts.clear()
         d1, d2t = boundary_matrix(k, 1), boundary_matrix(k, 2).transpose()
         cycles = _greedy_completion(k.n_edges, list(d2t.rows()), d1.kernel_basis())
         cocycles = _greedy_completion(k.n_edges, list(d1.rows()), d2t.kernel_basis())
         assert [z.coeffs for z in s.cycle_reps[1]] == cycles
         assert [a.coeffs for a in s.cocycle_reps[1]] == cocycles
         assert len(cycles) == len(cocycles) == s.b1
+        picks_eliminated += counts["eliminations"]
+    # both books' picks took the elimination
+    assert picks_eliminated >= 2
 
 
 def _counting(counts, name, fn):
@@ -309,33 +324,50 @@ def test_a_torus_with_a_book_on_an_edge_takes_the_elimination():
 
 def test_dual_forest_over_kept_triangles_is_the_elimination():
     # the route over the triangles a skip set leaves, as the audit after
-    # the reduction's kills runs it, against the tagged elimination of
-    # the same boundary rows
+    # the reduction's kills runs it, and over the boundaries restricted to
+    # a subset of the columns, as the 1-cycle picks run it, against the
+    # tagged elimination of the same boundary rows
     rng = random.Random(20261026)
     shapes = Counter()
     for k in _oracle_cases():
         if _route(k) != "_DualForest":
             continue
-        n = k.n_edges
-        rows = homology._boundary_rows(k._triangle_edges)
         for _ in range(3):
             size = rng.choice((0, 1, 2, rng.randrange(k.n_triangles + 1)))
             skip = set(rng.sample(range(k.n_triangles), min(size, k.n_triangles)))
             kept = [t for j, t in enumerate(k._triangle_edges) if j not in skip]
-            route = homology._boundary_relations(k._triangle_edges, n, skip)
-            assert type(route).__name__ == "_DualForest"
-            oracle = homology._Elimination(kept, n)
-            span, relations = gf2._relations([r for j, r in enumerate(rows) if j not in skip], n)
-            assert route.cycles == oracle.cycles == relations
-            assert route.free == oracle.free == span._free(n)
-            assert route.rank == oracle.rank == span.dim
-            assert route.reduced_cycles() == oracle.reduced_cycles()
-            columns = rng.sample(route.free, min(len(route.free), 12))
-            assert route.kernel_at(columns) == oracle.kernel_at(columns)
-            shapes["cases"] += 1
-            shapes["cycles"] += len(relations) > 0
+            _check_both_routes(kept, k.n_edges, rng, shapes)
             shapes["partial"] += 0 < len(skip) < k.n_triangles
-    assert shapes["cases"] >= 180 and shapes["cycles"] >= 60 and shapes["partial"] >= 100
+        for _ in range(2):
+            # the columns in a random order, as the candidates are stored
+            columns = rng.sample(range(k.n_edges), rng.randrange(k.n_edges + 1))
+            at = {e: c for c, e in enumerate(columns)}
+            restricted = [[at[e] for e in t if e in at] for t in k._triangle_edges]
+            _check_both_routes(restricted, len(columns), rng, shapes)
+            shapes["restricted"] += 1
+            for t in restricted:
+                shapes["lengths"] |= 1 << len(t)
+    # 315 cases, 126 of them restricted, when this was written
+    assert shapes["cases"] >= 300 and shapes["cycles"] >= 100 and shapes["partial"] >= 100
+    assert shapes["restricted"] >= 120 and shapes["lengths"] == 0b1111
+
+
+def _check_both_routes(boundaries, width: int, rng, shapes) -> None:
+    """The dual forest over the boundaries, each a list of distinct
+    positions below width, against the tagged elimination of the same
+    boundaries and gf2._relations over their rows, bit for bit."""
+    route = homology._boundary_relations(boundaries, width)
+    assert type(route).__name__ == "_DualForest"
+    oracle = homology._Elimination(boundaries, width)
+    span, relations = gf2._relations([sum(1 << e for e in t) for t in boundaries], width)
+    assert route.cycles == oracle.cycles == relations
+    assert route.free == oracle.free == span._free(width)
+    assert route.rank == oracle.rank == span.dim
+    assert route.reduced_cycles() == oracle.reduced_cycles()
+    columns = rng.sample(route.free, min(len(route.free), 12))
+    assert route.kernel_at(columns) == oracle.kernel_at(columns)
+    shapes["cases"] += 1
+    shapes["cycles"] += len(relations) > 0
 
 
 def _skeleton(k: Complex2, order) -> list[tuple[int, int, int]]:
@@ -566,9 +598,9 @@ def test_summary_runs_one_elimination(monkeypatch):
     bubble = sphere().relabeled({v: 1000 + v for v in range(4)})
     k = attach_circle(wedge(base, base.vertices[0], bubble, 1000), base.vertices[5])
     assert k.n_triangles >= 400
-    # the same with a three-page book on its first edge, which is then an
-    # edge in five triangles: the pages are disks, so the homology stays
-    u, v = k.edges[0]
+    # the same with a three-page book on the last edge of M3, which is then
+    # an edge in five triangles: the pages are disks, so the homology stays
+    u, v = base.edges[-1]
     assert not any(k.has_vertex(5000 + i) for i in range(3))
     book = Complex2.from_triangles(list(k.triangles) + [(u, v, 5000 + i) for i in range(3)],
                                    extra_edges=k.edges)
@@ -591,9 +623,10 @@ def test_summary_runs_one_elimination(monkeypatch):
     # every edge lies in at most two triangles, so the dual forest gives
     # every basis: no span at all, and the 1-cycles are not built
     assert lengths == [] and counts["insertions"] == 0
-    # reading them builds them: one span, over the edges off the forest
+    # reading them builds them, and the picks among the edges off their
+    # forest come off the dual forest of the restricted boundaries: no span
     assert len(s.cycle_reps[1]) == s.b1
-    assert lengths == [k.n_edges - (k.n_vertices - 1)]
+    assert lengths == [] and counts["insertions"] == 0
     # the book takes the elimination: one span over the tagged triangle
     # boundaries and one over the b2 cycles it finds, each of those
     # inserted once; none over the vertex coboundaries
@@ -604,53 +637,31 @@ def test_summary_runs_one_elimination(monkeypatch):
     assert counts["eliminations"] == 0 and counts["row_walks"] == 0
     assert lengths == [book.n_edges + book.n_triangles, book.n_triangles]
     assert counts["insertions"] == s.b2
+    # the book's edge is off the forest the 1-cycles are taken from, so
+    # the restricted boundaries branch too: one tagged span over the edges
+    # off that forest and the triangles, and no reduced 2-cycles
+    lengths.clear()
+    assert len(s.cycle_reps[1]) == s.b1
+    assert lengths == [book.n_edges - (book.n_vertices - 1) + book.n_triangles]
+    assert counts["insertions"] == s.b2
 
 
-# one process builds the complex and summarizes it, and reports its own
-# peak resident size (ru_maxrss: KiB on Linux, bytes on macOS)
+# one process builds the circulant torus on Z/n, n its argument, orbits of
+# {0,1,3} and {0,2,3}, summarizes it and reads its 1-cycles; it reports
+# the Betti numbers and, per 1-cycle, its number of edges and of vertices
+# of odd degree in it (a cycle has none), then its own peak resident size
+# (ru_maxrss: KiB on Linux, bytes on macOS)
 _LARGE_TORUS = """
-import resource, sys
-from simpsurf.complex2 import Complex2
-from simpsurf.homology import homology_summary
-n = 50000
-k = Complex2.from_triangles([sorted((i + d) % n for d in offsets)
-                             for offsets in ((0, 1, 3), (0, 2, 3)) for i in range(n)])
-assert k.n_triangles == 100000
-betti = homology_summary(k).betti
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(*betti, peak // 1024 if sys.platform == "darwin" else peak)
-"""
-
-
-@pytest.mark.slow
-def test_summary_of_a_100000_triangle_torus_in_bounded_memory():
-    # the circulant torus on Z/50000, orbits of {0,1,3} and {0,2,3}: every
-    # edge lies in two triangles, so the dual forest gives the summary; the
-    # tagged elimination would hold 10^5 rows up to 2.5 * 10^5 bits wide
-    # (the edges, then a tag per triangle), several GiB
-    env = dict(os.environ, PYTHONPATH=str(Path(homology.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", _LARGE_TORUS], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    b0, b1, b2, peak_kib = map(int, proc.stdout.split())
-    assert (b0, b1, b2) == (0, 2, 1)
-    assert peak_kib < 300 * 1024
-
-
-# the same for the 1-cycles of the 36,864-triangle circulant torus on
-# Z/18432, read after the summary: b1 and, per cycle, its number of edges
-# and of vertices of odd degree in it (a cycle has none)
-_CYCLE_REPS = """
 import resource, sys
 from collections import Counter
 from simpsurf.complex2 import Complex2
 from simpsurf.homology import homology_summary
-n = 18432
+n = int(sys.argv[1])
 k = Complex2.from_triangles([sorted((i + d) % n for d in offsets)
                              for offsets in ((0, 1, 3), (0, 2, 3)) for i in range(n)])
-assert k.n_triangles == 36864
+assert k.n_triangles == 2 * n
 s = homology_summary(k)
-out = [s.b1]
+out = list(s.betti)
 for z in s.cycle_reps[1]:
     ends = Counter(v for i in z.coeffs.support() for v in k.edges[i])
     out += [len(z.coeffs.support()), sum(d % 2 for d in ends.values())]
@@ -659,20 +670,37 @@ print(*out, peak // 1024 if sys.platform == "darwin" else peak)
 """
 
 
-@pytest.mark.slow
-def test_cycle_reps_of_a_36864_triangle_torus_in_bounded_memory():
-    # the 1-cycles are walked up the 1-skeleton forest's parent pointers;
-    # one path mask per vertex, as they once were built, peaked at about
-    # 227 MiB here, and the walk at about 158 MiB (Python 3.11, Linux),
-    # the rest being the picks' elimination over the edges off the forest
+def _large_torus(n: int) -> int:
+    """The peak resident size, in KiB, of _LARGE_TORUS on Z/n, once its
+    torus homology and its 1-cycles are checked."""
     env = dict(os.environ, PYTHONPATH=str(Path(homology.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", _CYCLE_REPS], env=env,
+    proc = subprocess.run([sys.executable, "-c", _LARGE_TORUS, str(n)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    b1, *cycles, peak_kib = map(int, proc.stdout.split())
-    assert b1 == 2 and len(cycles) == 2 * b1
+    b0, b1, b2, *cycles, peak_kib = map(int, proc.stdout.split())
+    assert (b0, b1, b2) == (0, 2, 1) and len(cycles) == 2 * b1
     assert all(size > 0 for size in cycles[::2]) and cycles[1::2] == [0] * b1
-    assert peak_kib < 200 * 1024
+    return peak_kib
+
+
+@pytest.mark.slow
+def test_summary_of_a_100000_triangle_torus_in_bounded_memory():
+    # every edge lies in two triangles, so the dual forest gives the
+    # summary, and again the picks of the 1-cycles; the tagged elimination
+    # would hold 10^5 rows up to 2.5 * 10^5 bits wide (the edges, then a
+    # tag per triangle), several GiB, and the picks' own elimination once
+    # peaked at about 938 MiB here
+    assert _large_torus(50000) < 300 * 1024
+
+
+@pytest.mark.slow
+def test_cycle_reps_of_a_36864_triangle_torus_in_bounded_memory():
+    # the 1-cycles are walked up the 1-skeleton forest's parent pointers
+    # and picked off the dual forest of the boundaries restricted to the
+    # edges off it, about 46 MiB with the summary (Python 3.11, Linux);
+    # one path mask per vertex, as they once were built, peaked at about
+    # 227 MiB, and the picks' own elimination at about 158 MiB
+    assert _large_torus(18432) < 100 * 1024
 
 
 def test_cup_form_and_property_a_never_build_the_1_cycles(monkeypatch):

@@ -48,8 +48,15 @@ def test_dual_basis_rank_and_validation():
 
 def test_evaluation_matrix():
     k = sphere()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degenerate triangle"):
         PreservationSpec.from_triangle_lists([[(9, 9, 9)]])
+    # the arity is checked first, then the labels, then the degeneracy
+    for t in ((0, 1, 2, 2), (0, 1), (0, 1, 2, 3)):
+        with pytest.raises(ValueError, match=f"has {len(t)} vertices, not 3"):
+            PreservationSpec.from_triangle_lists([[(0, 1, 2)], [t]])
+    for t in ((0, 1, True), (0, 0, True), (0, 1, 2.0)):
+        with pytest.raises(TypeError, match="is not an int or str"):
+            PreservationSpec.from_triangle_lists([[t]])
     # one functional over the sphere's four triangles: its row of the
     # evaluation matrix is the bitmask of its support's positions
     spec = PreservationSpec.from_triangle_lists([[(0, 1, 2), (1, 2, 3), (7, 8, 9)]])

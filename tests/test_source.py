@@ -92,6 +92,22 @@ def test_only_homology_touches_the_boundary_routes(path):
     assert touches == []
 
 
+def test_homology_eliminates_only_through_its_entry_points():
+    # every triangle boundary elimination goes through _boundary_relations,
+    # whose tagged route is _Elimination; besides it only the cup form's
+    # left radical and the brute-force oracle build a span of their own
+    allowed = {"_Elimination", "CupForm", "property_a_brute_force"}
+    calls = []
+    for top in _tree(PACKAGE / "homology.py").body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("_span", "_relations"):
+                    calls.append((getattr(top, "name", None), name))
+    assert calls and {top for top, _ in calls} <= allowed, calls
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
                          ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
