@@ -11,9 +11,11 @@ anything that must survive an edit is recorded by vertex tuple instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, count
 from operator import eq
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+
+from .gf2 import _Forest
 
 __all__ = [
     "Label",
@@ -153,10 +155,10 @@ class Complex2:
     cup form and canonical_form read.  Four indexes are built on first
     read and kept: the triangles at each edge, the edges at each vertex,
     the triangle positions and the three edge positions of each triangle.
-    connected_components() is computed once per value and kept too; a
-    boundary elimination (homology's) that finds the components records
-    them, and then nothing walks the 1-skeleton.  Only int and str labels
-    (not bool) are vertices:
+    connected_components() is computed once per value and kept too, the
+    trees of the 1-skeleton's own spanning forest (gf2._Forest); nothing
+    outside this module writes a cache.  Only int and str labels (not
+    bool) are vertices:
     has_vertex, has_edge and has_triangle are False for a simplex with any
     other label, and the vertex, edge and triangle queries and simplex_id
     raise ValueError for it.
@@ -249,12 +251,6 @@ class Complex2:
             self._triangle_edge_positions = tuple(zip(
                 map(at, zip(a, b)), map(at, zip(a, c)), map(at, zip(b, c))))
         return self._triangle_edge_positions
-
-    def _record_components(self, components: tuple) -> None:
-        """Keep components found by another pass, in the order and form
-        connected_components() gives them, unless it has run already."""
-        if self._components is None:
-            self._components = components
 
     # ------------------------------------------------------------ building
 
@@ -405,28 +401,13 @@ class Complex2:
 
     def connected_components(self) -> tuple[tuple[Label, ...], ...]:
         """Vertex sets of the components of the 1-skeleton, canonically
-        ordered; kept from the first call, or from a boundary elimination
-        that recorded them, and walked only when neither has run."""
-        if self._components is not None:
-            return self._components
-        edges_at_vertex = self._edges_at_vertex
-        seen: set[Label] = set()
-        comps = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for e in edges_at_vertex[u]:
-                    for w in e:
-                        if w not in comp:
-                            comp.add(w)
-                            stack.append(w)
-            seen |= comp
-            comps.append(tuple(sorted(comp, key=self._vertex_index.__getitem__)))
-        self._components = tuple(comps)
+        ordered: the trees of its spanning forest, grown on the first call
+        and kept."""
+        if self._components is None:
+            at = self._vertex_index.__getitem__
+            u, v = zip(*self.edges) if self.edges else ((), ())
+            forest = _Forest(self.n_vertices, zip(count(), map(at, u), map(at, v)))
+            self._components = tuple(forest.trees(self.vertices))
         return self._components
 
     def is_connected(self) -> bool:

@@ -3,9 +3,12 @@
 Vectors are Python ints used as bitsets (bit i = coordinate i), so a row
 operation is one XOR regardless of length.
 
-There is one elimination, Gf2Span._reduce_bits.  A span maps each pivot p
-to a row whose lowest set bit is p; a vector is reduced by XOR-ing in the
-row of its lowest remaining pivot bit until no pivot bit is left.  Ranks,
+There are two eliminations: the span, for any matrix, and the graphic
+forest, for a matrix with at most two nonzeros per column.
+
+The span's is Gf2Span._reduce_bits.  A span maps each pivot p to a row
+whose lowest set bit is p; a vector is reduced by XOR-ing in the row of
+its lowest remaining pivot bit until no pivot bit is left.  Ranks,
 kernels, reduced row echelon forms and solve() all go through it.  Only a
 reduced row echelon form back-substitutes: a rank is the number of
 pivots, a kernel is the relations among the columns (_relations), and a
@@ -15,14 +18,26 @@ only on its row space, so the order in which rows are eliminated never
 shows in any result: kernel bases enumerate free columns in increasing
 order, and solve() sets free variables to zero.
 
-How a span stores its pivots is known only to this module; the others use
-the private span API: _span, _relations, and the Gf2Span methods _pivots,
-_free, _reduced_rows and _kernel_at.
+The graphic forest is _Forest, the package's one union-find.  A column
+with its two nonzeros at rows a and b is an edge joining nodes a and b
+(a column with one nonzero joins its row to one extra node, the same for
+every such column), so the columns form the graphic matroid of that graph: the pivot columns of the
+lowest-bit echelon basis, the greedy column basis in column order, are
+Kruskal's forest grown over the edges in that order, and the kernel
+vector at a free column is its fundamental cycle.  Connected components,
+the dual graph of a surface and the side gluing of a polygon all use it.
+
+How a span stores its pivots and how a forest stores its trees are known
+only to this module; the others use the private span API: _span,
+_relations, and the Gf2Span methods _pivots, _free, _reduced_rows and
+_kernel_at; and the _Forest attributes n and off and its methods roots,
+trees, tree_nodes and cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
@@ -350,3 +365,127 @@ def _relations(rows: Sequence[int], width: int) -> tuple[Gf2Span, list[int]]:
         else:
             relations.append(r >> width)
     return span, relations
+
+
+class _Forest:
+    """Kruskal's forest of a graph on the nodes 0 .. n - 1, grown over its
+    edges, (position, end, end) triples, in the order given: each edge
+    that joins two trees is kept, the others are off the forest, and off
+    lists their positions in order.
+
+    The union-find halves its paths inline (each node passed on the way
+    up is hung on its grandparent) and hangs the first end's tree on the
+    second's.  The forest is rooted, by one breadth-first pass, only when
+    a cycle is asked for; that pass lists the trees too.
+    """
+
+    def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]) -> None:
+        root = list(range(n))
+        off = []
+        for e, a, b in edges:
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            if a == b:
+                off.append(e)
+            else:
+                root[a] = b
+        self.n = n
+        self._root = root
+        self.off = off
+        # parent node, edge up to it and depth of each node, and the trees
+        # ordered by their first node, once a cycle has been asked for
+        self._rooted: Optional[tuple[list[int], list[int], list[int], list[list[int]]]] = None
+
+    def roots(self) -> list[int]:
+        """The root of each node's tree, in node order: one find per node."""
+        root = self._root
+        found = []
+        for r in range(self.n):
+            while root[r] != r:
+                root[r] = r = root[root[r]]
+            found.append(r)
+        return found
+
+    def trees(self, names: Sequence) -> list[tuple]:
+        """The trees, ordered by their first node, each the names of its
+        nodes in node order."""
+        trees: dict[int, list] = {}
+        for r, name in zip(self.roots(), names):
+            trees.setdefault(r, []).append(name)
+        return list(map(tuple, trees.values()))
+
+    def tree_nodes(self) -> list[Sequence[int]]:
+        """The nodes of each tree, the trees ordered by their first node:
+        breadth first off the rooted forest once a cycle has rooted it,
+        else in node order."""
+        if self._rooted:
+            return self._rooted[3]
+        return self.trees(range(self.n))
+
+    def cycles(self, columns: Sequence[int], one: Sequence[int],
+               two: Sequence[int]) -> list[int]:
+        """The fundamental cycle of each edge in columns: its position
+        plus the forest path between its ends, as a mask below len(one).
+
+        one[e] and two[e] are the ends of each edge e, and the forest must
+        have been grown over every position below len(one), so the edges
+        kept are those not off it.  The path is walked up from both ends by
+        parent pointers and depths to where they meet; the first call roots
+        the forest with them.
+        """
+        if not columns:
+            return []
+        if self._rooted is None:
+            self._rooted = self._rooting(one, two)
+        parent, up, depth, _ = self._rooted
+        cycles = []
+        for f in columns:
+            a, b = one[f], two[f]
+            path = [f]
+            while a != b:
+                if depth[a] < depth[b]:
+                    a, b = b, a
+                path.append(up[a])
+                a = parent[a]
+            cycles.append(_bitmask(path, len(one)))
+        return cycles
+
+    def _rooting(self, one: Sequence[int], two: Sequence[int]
+                 ) -> tuple[list[int], list[int], list[int], list[list[int]]]:
+        n = self.n
+        kept = bytearray(b"\1") * len(one)
+        for e in self.off:
+            kept[e] = 0
+        adjacent: list[list[int]] = [[] for _ in range(n)]
+        for e in compress(range(len(one)), kept):
+            adjacent[one[e]].append(e)
+            adjacent[two[e]].append(e)
+        parent, up, depth = [-1] * n, [-1] * n, [-1] * n
+        trees = []
+        for start in range(n):
+            if depth[start] >= 0:
+                continue
+            depth[start] = 0
+            nodes = [start]
+            for a in nodes:  # grows as the pass goes: breadth first
+                d, came = depth[a] + 1, up[a]
+                for e in adjacent[a]:
+                    if e != came:  # in a forest, the way back is the only edge seen
+                        b = one[e] + two[e] - a
+                        parent[b], up[b], depth[b] = a, e, d
+                        nodes.append(b)
+            trees.append(nodes)
+        return parent, up, depth, trees
+
+
+def _bitmask(positions: Iterable[int], width: int) -> int:
+    """The int with the given positions set, below width, read from its
+    binary digits: linear in width, where OR-ing in one bit at a time is
+    quadratic."""
+    digits = bytearray(b"0") * width
+    for p in positions:
+        digits[p] = 49  # "1"
+    digits.reverse()
+    return int(digits, 2) if width else 0

@@ -42,22 +42,24 @@ sends the whole complex to the elimination instead, gf2._relations over
 the boundaries tagged with their triangles, which also serves the tests
 as the oracle; both routes give the same bits.
 
-One forest routine, _Forest, serves three users.  It is Kruskal's
-algorithm over (edge, end, end) triples taken in a given order, with a
-find pass that lists its trees and one walk up its parent pointers for
-the fundamental cycles of edges off it.  The dual graph is the first
-user.  The second is the spanning forest of the 1-skeleton grown from
-the highest edge down over the free columns only (a pivot edge is the
-highest edge of no coboundary, so it never joins two trees): the edges
-off it pick the H^1 classes, and its trees are the components, which
-betti_numbers and the reduction's audits take from the same pass and
-record on the complex, so no Betti number walks the 1-skeleton.  The
-third is the 1-skeleton's forest grown in edge order, whose fundamental
-cycles are the 1-cycles, built only when cycle_reps is first read; the
-edges whose cycles are taken are the free columns of the boundaries
-restricted to the edges off that forest.  The bases the summary returns
-are those read off the reduced row echelon forms of d1, d2 transposed,
-d2 and the 2-cycles, which are unique.
+One forest routine, gf2._Forest, the package's one union-find, serves
+three users here.  It is Kruskal's algorithm over (edge, end, end)
+triples taken in a given order, with a find pass that lists its trees and
+one walk up its parent pointers for the fundamental cycles of edges off
+it.  The dual graph is the first user.  The second is the spanning
+forest of the 1-skeleton grown from the highest edge down over the free
+columns only (a pivot edge is the highest edge of no coboundary, so it
+never joins two trees): the edges off it pick the H^1 classes, and its
+trees are the components the summary reports; betti_numbers and the
+reduction's audits only count its edges, alpha0 less that being the
+number of components.  Nothing here writes to the complex, which finds
+its own components when asked.  The third is the 1-skeleton's forest
+grown in edge order, whose fundamental cycles are the 1-cycles, built
+only when cycle_reps is first read; the edges whose cycles are taken are
+the free columns of the boundaries restricted to the edges off that
+forest.  The bases the summary returns are those read off the reduced
+row echelon forms of d1, d2 transposed, d2 and the 2-cycles, which are
+unique.
 
 Over F2, H^2 = Hom(H_2, F2), so the class of a 2-cochain w is fixed by its
 values on a basis of 2-cycles.  The H^2 basis is chosen dual to the
@@ -69,11 +71,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .complex2 import Complex2
-from .gf2 import Gf2Matrix, Gf2Vector, _relations, _span
+from .gf2 import Gf2Matrix, Gf2Vector, _bitmask, _Forest, _relations, _span
 
 __all__ = [
     "ChainVector",
@@ -258,104 +260,6 @@ def _tree_cotree(boundaries: Sequence[Sequence[int]], width: int) -> Optional[_D
     return _DualForest(forest, one, two)
 
 
-class _Forest:
-    """Kruskal's forest of a graph on the nodes 0 .. n - 1, grown over its
-    edges, (position, end, end) triples, in the order given: each edge
-    that joins two trees is kept, the others are off the forest, and off
-    lists their positions in order.
-
-    The union-find halves its paths inline (each node passed on the way
-    up is hung on its grandparent) and hangs the first end's tree on the
-    second's.  The forest is rooted, by one breadth-first pass, only when
-    a cycle is asked for; that pass lists the trees too.
-    """
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]) -> None:
-        root = list(range(n))
-        off = []
-        for e, a, b in edges:
-            while root[a] != a:
-                root[a] = a = root[root[a]]
-            while root[b] != b:
-                root[b] = b = root[root[b]]
-            if a == b:
-                off.append(e)
-            else:
-                root[a] = b
-        self._root = root
-        self.off = off
-        # parent node, edge up to it and depth of each node, and the trees
-        # ordered by their first node, once a cycle has been asked for
-        self._rooted: Optional[tuple[list[int], list[int], list[int], list[list[int]]]] = None
-
-    def trees(self, names: Sequence) -> list[tuple]:
-        """The trees, ordered by their first node, each the names of its
-        nodes in node order: one find per node."""
-        root = self._root
-        trees: dict[int, list] = {}
-        for a, name in enumerate(names):
-            r = a
-            while root[r] != r:
-                root[r] = r = root[root[r]]
-            trees.setdefault(r, []).append(name)
-        return list(map(tuple, trees.values()))
-
-    def cycles(self, columns: Sequence[int], one: Sequence[int],
-               two: Sequence[int]) -> list[int]:
-        """The fundamental cycle of each edge in columns: its position
-        plus the forest path between its ends, as a mask below len(one).
-
-        one[e] and two[e] are the ends of each edge e, and the forest must
-        have been grown over every position below len(one), so the edges
-        kept are those not off it.  The path is walked up from both ends by
-        parent pointers and depths to where they meet; the first call roots
-        the forest with them.
-        """
-        if not columns:
-            return []
-        if self._rooted is None:
-            self._rooted = self._rooting(one, two)
-        parent, up, depth, _ = self._rooted
-        cycles = []
-        for f in columns:
-            a, b = one[f], two[f]
-            path = [f]
-            while a != b:
-                if depth[a] < depth[b]:
-                    a, b = b, a
-                path.append(up[a])
-                a = parent[a]
-            cycles.append(_mask(path, len(one)))
-        return cycles
-
-    def _rooting(self, one: Sequence[int], two: Sequence[int]
-                 ) -> tuple[list[int], list[int], list[int], list[list[int]]]:
-        n = len(self._root)
-        kept = bytearray(b"\1") * len(one)
-        for e in self.off:
-            kept[e] = 0
-        adjacent: list[list[int]] = [[] for _ in range(n)]
-        for e in compress(range(len(one)), kept):
-            adjacent[one[e]].append(e)
-            adjacent[two[e]].append(e)
-        parent, up, depth = [-1] * n, [-1] * n, [-1] * n
-        trees = []
-        for start in range(n):
-            if depth[start] >= 0:
-                continue
-            depth[start] = 0
-            nodes = [start]
-            for a in nodes:  # grows as the pass goes: breadth first
-                d, came = depth[a] + 1, up[a]
-                for e in adjacent[a]:
-                    if e != came:  # in a forest, the way back is the only edge seen
-                        b = one[e] + two[e] - a
-                        parent[b], up[b], depth[b] = a, e, d
-                        nodes.append(b)
-            trees.append(nodes)
-        return parent, up, depth, trees
-
-
 class _DualForest:
     """Kruskal's forest of the dual graph (see _tree_cotree), as the
     result of a boundary elimination.
@@ -370,8 +274,8 @@ class _DualForest:
         alone for a loop).
 
     The trees come off the rooted forest once a kernel vector has rooted
-    it, and otherwise off the union-find's roots, which is all the
-    reduction's audits ask for; betti_numbers asks for neither.
+    it, and otherwise off one find per node, which is all the reduction's
+    audits ask for; betti_numbers asks for neither.
     """
 
     def __init__(self, forest: _Forest, one: list[int], two: list[int]) -> None:
@@ -385,40 +289,26 @@ class _DualForest:
 
     def reduced_cycles(self) -> list[int]:
         forest = self._forest
-        n = len(forest._root)  # the triangles and infinity
+        n = forest.n  # the triangles and infinity
         if self.rank == n - 1:
             return []
-        if forest._rooted:
-            trees = forest._rooted[3]
-        else:
-            trees = forest.trees(range(n))
         # the first tree holds node 0, infinity; triangle t is node t + 1
-        return [_mask(nodes, n) >> 1 for nodes in trees[1:]]
+        return [_bitmask(nodes, n) >> 1 for nodes in forest.tree_nodes()[1:]]
 
     def kernel_at(self, columns: Sequence[int]) -> list[int]:
         return self._forest.cycles(columns, self._one, self._two)
 
 
-def _mask(positions: Iterable[int], width: int) -> int:
-    """The bitmask with the given positions set, below width, read from
-    its binary digits: linear in width, where OR-ing in one bit at a time
-    is quadratic."""
-    digits = bytearray(b"0") * width
-    for p in positions:
-        digits[p] = 49  # "1"
-    digits.reverse()
-    return int(digits, 2) if width else 0
-
-
 def _betti(k: Complex2, free: Sequence[int]) -> tuple[int, int, int]:
     """Reduced Betti numbers given the free columns of the triangle
     boundaries' elimination: the rank of d2 is the number of the others,
-    and the components are those _forest records from the free columns."""
+    and the rank of d1 the number of them _forest keeps, so the components
+    are alpha0 less that, with no pass over the trees."""
     if k.n_vertices == 0:
         return (0, 0, 0)
-    _forest(k, free)  # records the components, unless k already has them
+    kept = len(free) - len(_forest(k, free).off)
     return _betti_of_counts(k.n_vertices, k.n_edges, k.n_triangles,
-                            len(k.connected_components()), k.n_edges - len(free))
+                            k.n_vertices - kept, k.n_edges - len(free))
 
 
 def _betti_of_counts(n_vertices: int, n_edges: int, n_triangles: int,
@@ -497,7 +387,7 @@ def homology_summary(k: Complex2) -> HomologySummary:
     b2 cycles is the only back-substitution.  Either way the spanning
     forest of the 1-skeleton is grown from the highest edge down over the
     free columns of the boundaries (_forest): its trees are the
-    components, which it records on k, and it picks the H^1 classes.
+    components, and it picks the H^1 classes.
 
       * cocycle_reps[1]: the kernel vector of the boundaries (f plus every
         pivot whose reduced row has f set, the path of item 3) at each
@@ -540,7 +430,8 @@ def homology_summary(k: Complex2) -> HomologySummary:
     """
     n_edges, n_triangles = k.n_edges, k.n_triangles
     boundaries = _boundary_relations(k._triangle_edges, n_edges)
-    forest, comps = _forest(k, boundaries.free)
+    forest = _forest(k, boundaries.free)
+    comps = forest.trees(k.vertices)
     _, b1, b2 = _betti_of_counts(k.n_vertices, n_edges, n_triangles, len(comps),
                                  boundaries.rank)
 
@@ -574,11 +465,9 @@ def homology_summary(k: Complex2) -> HomologySummary:
     )
 
 
-def _forest(k: Complex2, free: Sequence[int]) -> tuple[_Forest, list[tuple]]:
+def _forest(k: Complex2, free: Sequence[int]) -> _Forest:
     """The spanning forest of the 1-skeleton grown from the highest edge
-    down, and its trees, the components, which are recorded on k as
-    k.connected_components() gives them: ordered by their first vertex,
-    each in vertex order.
+    down, whose trees are the components.
 
     free are the free columns of the triangle boundaries' elimination, in
     order.  Every edge that forest keeps is one of them (see
@@ -589,11 +478,8 @@ def _forest(k: Complex2, free: Sequence[int]) -> tuple[_Forest, list[tuple]]:
     vertex, edges = k._vertex_index, k.edges
     # a generator: each triple is freed once taken, so none counts toward
     # the garbage collector's thresholds
-    forest = _Forest(k.n_vertices, ((f, vertex[u], vertex[v])
-                                    for f in reversed(free) for u, v in (edges[f],)))
-    components = forest.trees(k.vertices)
-    k._record_components(tuple(components))
-    return forest, components
+    return _Forest(k.n_vertices, ((f, vertex[u], vertex[v])
+                                  for f in reversed(free) for u, v in (edges[f],)))
 
 
 def _one_cycles(k: Complex2) -> tuple[ChainVector, ...]:

@@ -82,13 +82,17 @@ class PreservationSpec:
     def from_triangle_lists(cls, lists: Iterable[Iterable]) -> "PreservationSpec":
         """The spec whose supports are the given lists of vertex triples.
 
-        A triple of another length raises ValueError, a vertex that is not
-        an int or str label_key's TypeError, and a repeated vertex
-        ValueError, in that order."""
+        A string, which would read as its characters, or a triple of
+        another length raises ValueError, a vertex that is not an int or
+        str label_key's TypeError, and a repeated vertex ValueError, in
+        that order."""
         sups = []
         for sup in lists:
             triangles = []
-            for t in map(tuple, sup):
+            for t in sup:
+                if isinstance(t, str):
+                    raise ValueError(f"{t!r} in a support is a string, not a vertex triple")
+                t = tuple(t)
                 if len(t) != 3:
                     raise ValueError(f"{t!r} in a support has {len(t)} vertices, not 3")
                 triangle = canon_triangle(*t)
@@ -180,7 +184,7 @@ def _cycle_basis(k: Complex2) -> tuple[list[int], tuple[int, int, int]]:
 
     This is the one boundary elimination of an audit, by whichever route
     homology._boundary_relations takes; b2 is the basis size, and the
-    components, recorded on k, come from its free columns.
+    number of components is counted off its free columns.
     """
     boundaries = _boundary_relations(k._triangle_edges, k.n_edges)
     return boundaries.cycles, _betti(k, boundaries.free)

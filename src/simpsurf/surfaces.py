@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from . import catalog_data
 from .bounds import NotApplicableError, SurfaceId, minimal_triangle_count
 from .complex2 import Complex2, Label, canon_edge
+from .gf2 import _Forest
 from .homology import CochainVector, cochain, has_property_a, homology_summary
 
 __all__ = [
@@ -348,7 +349,8 @@ def _polygon_scheme_complex(word: list[tuple[str, int]]) -> Complex2:
 
     The polygon is coned from a center, barycentrically subdivided twice
     (which makes the side identifications simplicial), and the side paths
-    are then merged by union-find.  Words shorter than 3 sides are not
+    are then merged by the package's union-find, gf2._Forest: each vertex
+    becomes the root of its tree.  Words shorter than 3 sides are not
     representable this way.
     """
     m = len(word)
@@ -368,28 +370,14 @@ def _polygon_scheme_complex(word: list[tuple[str, int]]) -> Complex2:
         disk, vmap, emid = _subdivide(disk)
         paths = {i: _refine_path(p, vmap, emid) for i, p in paths.items()}
 
-    parent = list(range(disk.n_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        parent[find(x)] = find(y)
-
     sides: dict[str, list[tuple[int, list]]] = {}
     for i, (letter, exp) in enumerate(word):
         sides.setdefault(letter, []).append((exp, paths[i]))
-    for letter, pair in sides.items():
-        (e1, p1), (e2, p2) = pair
-        q1 = p1 if e1 == 1 else p1[::-1]
-        q2 = p2 if e2 == 1 else p2[::-1]
-        for x, y in zip(q1, q2):
-            union(x, y)
-
-    quotient = {v: find(v) for v in range(disk.n_vertices)}
+    glued = []
+    for (e1, p1), (e2, p2) in sides.values():
+        glued += zip(p1 if e1 == 1 else p1[::-1], p2 if e2 == 1 else p2[::-1])
+    quotient = _Forest(disk.n_vertices,
+                       ((i, x, y) for i, (x, y) in enumerate(glued))).roots()
     return Complex2.from_triangles(
         [tuple(quotient[v] for v in t) for t in disk.triangles])
 

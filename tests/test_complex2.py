@@ -189,9 +189,9 @@ def test_homology_and_canonical_form_leave_the_lazy_indexes_unbuilt():
         assert k._edges_at_vertex is k._edges_at_vertex
         assert k._triangle_index is k._triangle_index
         assert k._triangle_index == {t: j for j, t in enumerate(k.triangles)}
-        # each of these takes the components from its boundary elimination
-        # and records them, so the edges at each vertex are never built for
-        # a walk
+        # none of these asks for the components, which the complex finds
+        # on its own forest when asked, so the edges at each vertex are
+        # never built
         for run in (betti_numbers, cup_pairing_on_h1, simplify_pipeline):
             k = Complex2(built.vertices, built.edges, built.triangles)
             run(k)

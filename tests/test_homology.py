@@ -372,7 +372,7 @@ def _check_both_routes(boundaries, width: int, rng, shapes) -> None:
 
 def _skeleton(k: Complex2, order) -> list[tuple[int, int, int]]:
     """The edges of k at the given positions, in order, as the
-    (position, vertex position, vertex position) triples homology._Forest
+    (position, vertex position, vertex position) triples gf2._Forest
     takes."""
     vertex = k._vertex_index
     return [(i, vertex[u], vertex[v]) for i in order for u, v in (k.edges[i],)]
@@ -389,11 +389,11 @@ def _flags(forest, order, n: int) -> bytearray:
 
 
 def _spanning_forest(k: Complex2, order) -> tuple[bytearray, list[tuple]]:
-    """The forest homology._Forest grows over the 1-skeleton of k, taking
+    """The forest gf2._Forest grows over the 1-skeleton of k, taking
     the edges in the given order: its flag per edge position and its
     trees, named by the vertices."""
     order = list(order)
-    forest = homology._Forest(k.n_vertices, _skeleton(k, order))
+    forest = gf2._Forest(k.n_vertices, _skeleton(k, order))
     return _flags(forest, order, k.n_edges), forest.trees(k.vertices)
 
 
@@ -449,19 +449,23 @@ def _bfs_parents(n: int, kept) -> tuple[list[int], list[int], list[list[int]]]:
 
 
 def _check_forest(n: int, edges, rng: random.Random) -> Counter:
-    """homology._Forest over the (position, end, end) triples against the
+    """gf2._Forest over the (position, end, end) triples against the
     naive greedy pass and breadth-first search: the edges off it, its
     trees and the fundamental cycles of a sample of the edges off it.
     The edges are those at every position below their number."""
     one, two = [-1] * len(edges), [-1] * len(edges)
     for e, a, b in edges:
         one[e], two[e] = a, b
-    forest = homology._Forest(n, iter(edges))
+    forest = gf2._Forest(n, iter(edges))
     off, kept = _naive_forest(n, edges)
     assert forest.off == off
     parent, up, trees = _bfs_parents(n, kept)
     names = [f"v{a}" for a in range(n)]
     assert forest.trees(names) == [tuple(names[a] for a in tree) for tree in trees]
+    # one root per tree, a node of it
+    roots = forest.roots()
+    assert [{roots[a] for a in tree} for tree in trees] == [{roots[tree[0]]} for tree in trees]
+    assert all(roots[r] == r for r in roots)
     columns = rng.sample(off, min(len(off), 10))
     cycles = []
     for f in columns:
@@ -479,6 +483,8 @@ def _check_forest(n: int, edges, rng: random.Random) -> Counter:
                     bits ^= 1 << up[a]
         cycles.append(bits)
     assert forest.cycles(columns, one, two) == cycles
+    # the same trees, rooted once a cycle was asked for
+    assert [sorted(nodes) for nodes in forest.tree_nodes()] == trees
     return Counter(loops=sum(a == b for _, a, b in edges),
                    parallel=len(edges) - len({frozenset((a, b)) for _, a, b in edges}),
                    isolated=n - len({x for _, a, b in edges for x in (a, b)}),
@@ -577,14 +583,13 @@ def test_forest_over_the_free_columns_is_the_descending_forest():
         assert tagged._free(n) == plain._free(n)
         fresh = Complex2(k.vertices, k.edges, k.triangles)
         free = tagged._free(n)
-        forest, comps = homology._forest(fresh, free)
+        forest = homology._forest(fresh, free)
+        comps = forest.trees(fresh.vertices)
         forest = _flags(forest, free, n)
         assert forest == full and comps == full_comps
         assert not any(forest[p] for p in plain._pivots())
         assert tuple(comps) == walked
-        # recorded as the value's components, so nothing walks them
-        assert fresh.connected_components() == walked
-        assert fresh._vertex_edges is None
+        assert fresh._components is None and fresh._vertex_edges is None
         shapes["disconnected"] += len(comps) > 1
         shapes["mixed"] += len({type(v) for v in k.vertices}) > 1
         shapes["loose"] += bool(k.maximal_edges()) and bool(k.isolated_vertices())

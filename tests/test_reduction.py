@@ -50,10 +50,13 @@ def test_evaluation_matrix():
     k = sphere()
     with pytest.raises(ValueError, match="degenerate triangle"):
         PreservationSpec.from_triangle_lists([[(9, 9, 9)]])
-    # the arity is checked first, then the labels, then the degeneracy
+    # the arity is checked first, then the labels, then the degeneracy;
+    # a string is no triple, though it has three characters
     for t in ((0, 1, 2, 2), (0, 1), (0, 1, 2, 3)):
         with pytest.raises(ValueError, match=f"has {len(t)} vertices, not 3"):
             PreservationSpec.from_triangle_lists([[(0, 1, 2)], [t]])
+    with pytest.raises(ValueError, match="'abc' in a support is a string"):
+        PreservationSpec.from_triangle_lists([[(0, 1, 2)], ["abc"]])
     for t in ((0, 1, True), (0, 0, True), (0, 1, 2.0)):
         with pytest.raises(TypeError, match="is not an int or str"):
             PreservationSpec.from_triangle_lists([[t]])

@@ -1,6 +1,7 @@
 """Checks on the package source itself, read with ast: what it may import,
-which modules own the span internals, the complex caches and the routes
-of a boundary elimination, and that no import is left unused."""
+which modules own the span internals, the union-find, the complex caches
+and the routes of a boundary elimination, and that no import is left
+unused."""
 
 from __future__ import annotations
 
@@ -14,18 +15,19 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "simpsurf"
 MODULES = sorted(PACKAGE.glob("*.py"))
 # how a Gf2Span stores its pivots and rows, known only to gf2.py
 SPAN_INTERNALS = {"_mask", "_pivot_rows", "_add_bits", "_reduce_bits"}
+# how a gf2._Forest stores its union-find and its rooted trees, known only
+# to gf2.py: the others read its n and off and call roots(), trees(),
+# tree_nodes() and cycles(), and none keeps a union-find of its own
+FOREST_INTERNALS = {"_root", "_rooted"}
 # the slots behind a Complex2's lazy indexes and its components, known only
 # to complex2.py: the others read _tris_at_edge, _edges_at_vertex,
-# _triangle_index, _triangle_edges and connected_components(), and record
-# components through _record_components
+# _triangle_index, _triangle_edges and connected_components()
 COMPLEX_CACHES = {"_edge_triangles", "_vertex_edges", "_triangle_positions",
                   "_triangle_edge_positions", "_components"}
-# the two routes of a boundary elimination and the one forest routine,
-# known only to homology.py: the others call homology._boundary_relations
-# and read its result's rank, free, cycles, reduced_cycles() and
-# kernel_at(), whichever route gave it, and grow no forest of their own
-ROUTE_INTERNALS = {"_tree_cotree", "_DualForest", "_Elimination", "_Forest", "_rooted",
-                   "_tagged"}
+# the two routes of a boundary elimination, known only to homology.py: the
+# others call homology._boundary_relations and read its result's rank,
+# free, cycles, reduced_cycles() and kernel_at(), whichever route gave it
+ROUTE_INTERNALS = {"_tree_cotree", "_DualForest", "_Elimination", "_tagged"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -90,6 +92,36 @@ def test_only_homology_touches_the_boundary_routes(path):
     touches = [f"{name} (line {line})" for name, line in _names(path)
                if name in ROUTE_INTERNALS]
     assert touches == []
+
+
+def _halves_paths(node: ast.AST) -> bool:
+    """Whether node assigns p[x] = p[p[x]] (with more targets, maybe): the
+    path-halving step of a union-find's find."""
+    if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Subscript)
+            and isinstance(node.value.slice, ast.Subscript)):
+        return False
+    inner = node.value.slice
+    p, x = ast.dump(inner.value), ast.dump(inner.slice)
+    return ast.dump(node.value.value) == p and any(
+        isinstance(t, ast.Subscript) and (ast.dump(t.value), ast.dump(t.slice)) == (p, x)
+        for t in node.targets)
+
+
+def test_gf2_has_the_union_find():
+    path = PACKAGE / "gf2.py"
+    assert FOREST_INTERNALS <= {name for name, _ in _names(path)}
+    assert any(_halves_paths(node) for node in ast.walk(_tree(path)))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gf2.py"],
+                         ids=lambda p: p.name)
+def test_only_gf2_has_a_union_find(path):
+    # no other module reads the forest's internals or halves paths itself
+    found = [f"{name} (line {line})" for name, line in _names(path)
+             if name in FOREST_INTERNALS]
+    found += [f"path halving (line {node.lineno})" for node in ast.walk(_tree(path))
+              if _halves_paths(node)]
+    assert found == []
 
 
 def test_homology_eliminates_only_through_its_entry_points():

@@ -1,5 +1,6 @@
 """Surface recognition, classification, constructions, and the catalog."""
 
+import hashlib
 import itertools
 import random
 from typing import Sequence
@@ -10,6 +11,7 @@ from simpsurf.bounds import SurfaceId, minimal_triangle_count, parse_surface_id
 from simpsurf.complex2 import Complex2
 from simpsurf.homology import (betti_numbers, cup_pairing_on_h1, h2_coordinates,
                                homology_summary)
+from simpsurf.io import dumps_complex
 from simpsurf.search import _enumerate_closed
 from simpsurf.surfaces import (_classify_triangles, _nonorientable_word,
                                _orientable_word, _polygon_scheme_complex, _subdivide, attach_circle,
@@ -404,6 +406,17 @@ def test_generic_catalog_entries():
     n4 = catalog(SurfaceId(False, 4))
     assert classify(n4).surface == SurfaceId(False, 4)
     assert betti_numbers(n4) == (0, 4, 1)
+
+
+def test_built_catalog_entries_are_pinned():
+    # the polygon gluing names each vertex by the root of its union-find
+    # tree, so the labels of a built entry depend on the order of the
+    # unions, the end each hangs and the path halving: the saved files,
+    # in this order, hash to one digest
+    digest = hashlib.sha256()
+    for name in ("M3", "M4", "M8", "N4", "N5", "N8"):
+        digest.update(dumps_complex(catalog(parse_surface_id(name)), name=name).encode())
+    assert digest.hexdigest()[:16] == "9268b6818ccc228d"
 
 
 def test_subdivision_counts():
