@@ -3,9 +3,10 @@
 A Complex2 is an immutable value: vertex labels (ints or strings), edges,
 and triangles, all stored in a single canonical order (integer labels
 sort numerically and come before string labels, which sort
-lexicographically).  Editing operations return new complexes; simplex ids
-are positions in the canonical order and are NOT stable across edits, so
-anything that must survive an edit is recorded by vertex tuple instead.
+lexicographically).  A complex is never edited: a changed complex is a
+new value, built by a constructor.  Simplex ids are positions in the
+canonical order of one value and are NOT stable from one value to the
+next, so anything that must carry over is recorded by vertex tuple.
 """
 
 from __future__ import annotations
@@ -158,10 +159,9 @@ class Complex2:
     connected_components() is computed once per value and kept too, the
     trees of the 1-skeleton's own spanning forest (gf2._Forest); nothing
     outside this module writes a cache.  Only int and str labels (not
-    bool) are vertices:
-    has_vertex, has_edge and has_triangle are False for a simplex with any
-    other label, and the vertex, edge and triangle queries and simplex_id
-    raise ValueError for it.
+    bool) are vertices: has_vertex, has_edge and has_triangle are False
+    for a simplex with any other label or the wrong number of vertices,
+    and the vertex and edge queries and simplex_id raise ValueError for it.
     """
 
     __slots__ = ("vertices", "edges", "triangles",
@@ -324,10 +324,12 @@ class Complex2:
         return v
 
     def has_edge(self, e: Sequence[Label]) -> bool:
-        return all(map(_is_label, e)) and canon_edge(*e) in self._edge_index
+        return (len(e) == 2 and all(map(_is_label, e))
+                and canon_edge(*e) in self._edge_index)
 
     def has_triangle(self, t: Sequence[Label]) -> bool:
-        return all(map(_is_label, t)) and canon_triangle(*t) in self._triangle_index
+        return (len(t) == 3 and all(map(_is_label, t))
+                and canon_triangle(*t) in self._triangle_index)
 
     def simplex(self, sid: SimplexId):
         """The vertex tuple (or label, in dimension 0) behind an id."""
@@ -358,15 +360,6 @@ class Complex2:
         if not self.has_edge(e):
             raise ValueError(f"edge {tuple(e)!r} is not in the complex")
         return canon_edge(*e)
-
-    def _as_triangle(self, t) -> Triangle:
-        if isinstance(t, SimplexId):
-            if t.dimension != 2:
-                raise ValueError(f"{t} is not a triangle id")
-            return self.triangles[t.index]
-        if not self.has_triangle(t):
-            raise ValueError(f"triangle {tuple(t)!r} is not in the complex")
-        return canon_triangle(*t)
 
     def edge_degree(self, e) -> int:
         """Number of triangles containing the edge."""
@@ -412,51 +405,6 @@ class Complex2:
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) == 1
-
-    # ------------------------------------------------------------ edits
-
-    def remove_open_triangle(self, t) -> "Complex2":
-        """Drop one 2-simplex, keeping all of its faces.  chi drops by 1."""
-        tri = self._as_triangle(t)
-        return Complex2(self.vertices, self.edges,
-                        [u for u in self.triangles if u != tri])
-
-    def delete_maximal_edge(self, e) -> "Complex2":
-        """Drop a triangle-free edge, keeping its endpoints.  chi grows by 1."""
-        edge = self._as_edge(e)
-        if self._tris_at_edge[edge]:
-            raise ValueError(f"edge {edge!r} lies in a triangle, not maximal")
-        return Complex2(self.vertices,
-                        [f for f in self.edges if f != edge],
-                        self.triangles)
-
-    def remove_isolated_vertex(self, v: Label) -> "Complex2":
-        if self.edges_at_vertex(v):  # a vertex in no edge is in no triangle
-            raise ValueError(f"vertex {v!r} is not isolated")
-        return Complex2([u for u in self.vertices if u != v], self.edges, self.triangles)
-
-    def contract_maximal_edge(self, e) -> "Complex2":
-        """Identify the endpoints of a maximal edge.
-
-        Requires the endpoints to lie in different components of the complex
-        with the edge removed; the quotient is then automatically simplicial
-        (a common neighbour would be a connecting path) and chi is preserved.
-        The surviving label is the canonically smaller endpoint.
-        """
-        edge = self._as_edge(e)
-        if self._tris_at_edge[edge]:
-            raise ValueError(f"edge {edge!r} lies in a triangle, not maximal")
-        keep, gone = edge
-        cut = self.delete_maximal_edge(edge)
-        for comp in cut.connected_components():
-            if keep in comp and gone in comp:
-                raise ValueError(f"endpoints of {edge!r} stay connected without it; "
-                                 "contraction would change homotopy")
-        mapped_edges = [canon_edge(*(keep if v == gone else v for v in f)) for f in cut.edges]
-        mapped_tris = [canon_triangle(*(keep if v == gone else v for v in t)) for t in cut.triangles]
-        if len(set(mapped_edges)) != len(mapped_edges) or len(set(mapped_tris)) != len(mapped_tris):
-            raise ValueError(f"contracting {edge!r} would identify distinct simplices")
-        return Complex2([v for v in cut.vertices if v != gone], mapped_edges, mapped_tris)
 
     # ------------------------------------------------------------ value
 

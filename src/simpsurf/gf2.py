@@ -133,21 +133,6 @@ class Gf2Matrix:
         self.n_cols = n_cols
         self._rows = tuple(rows)
 
-    @classmethod
-    def zeros(cls, n_rows: int, n_cols: int) -> "Gf2Matrix":
-        return cls(n_rows, n_cols, [0] * n_rows)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Gf2Vector], n_cols: Optional[int] = None) -> "Gf2Matrix":
-        if rows:
-            n_cols = rows[0].length if n_cols is None else n_cols
-            for v in rows:
-                if v.length != n_cols:
-                    raise ValueError("ragged rows")
-        elif n_cols is None:
-            raise ValueError("n_cols required for an empty row list")
-        return cls(len(rows), n_cols, [v.bits for v in rows])
-
     def rows(self) -> Iterator[Gf2Vector]:
         for r in self._rows:
             yield Gf2Vector(self.n_cols, r)
@@ -160,16 +145,6 @@ class Gf2Matrix:
                 cols[j] |= 1 << i
                 r &= r - 1
         return Gf2Matrix(self.n_cols, self.n_rows, cols)
-
-    def apply(self, v: Gf2Vector) -> Gf2Vector:
-        """Matrix-vector product; v has one coordinate per column."""
-        if v.length != self.n_cols:
-            raise ValueError(f"vector length {v.length} != {self.n_cols} columns")
-        bits = 0
-        for i, r in enumerate(self._rows):
-            if bin(r & v.bits).count("1") & 1:
-                bits |= 1 << i
-        return Gf2Vector(self.n_rows, bits)
 
     def _rref(self) -> tuple[list[int], list[int]]:
         """Reduced row echelon form; returns (rows, pivot columns).

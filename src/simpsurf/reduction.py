@@ -109,6 +109,8 @@ class PreservationSpec:
         for v in vectors:
             if v.dimension != 2:
                 raise ValueError("functionals must be 2-cochains")
+            if v.coeffs.length != k.n_triangles:
+                raise ValueError("cochain does not match this complex")
             sups.append(frozenset(k.triangles[i] for i in v.coeffs.support()))
         return cls(tuple(sups))
 
@@ -160,7 +162,7 @@ def kill_step(k: Complex2, spec: PreservationSpec) -> tuple[Complex2, Triangle]:
     if not relations:
         raise ValueError("no excess cycles: every 2-cycle is seen by the functionals")
     sigma = k.triangles[_low_bit(_sum(cycles, relations[0]))]
-    return k.remove_open_triangle(sigma), sigma
+    return Complex2(k.vertices, k.edges, [t for t in k.triangles if t != sigma]), sigma
 
 
 # ------------------------------------------------------------ bit vectors

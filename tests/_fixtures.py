@@ -3,9 +3,10 @@
 The Betti numbers, cup ranks, and property-(A) verdicts asserted against
 these complexes were frozen from an independent elimination oracle kept
 outside the package.  failure_reason_oracle recognizes closed surfaces
-on the link graphs alone, apart from the package's recognizer, and
+on the link graphs alone, apart from the package's recognizer,
 kernel_from_rref reads a kernel basis off a reduced row echelon form,
-apart from the tagged elimination behind Gf2Matrix.kernel_basis.
+apart from the tagged elimination behind Gf2Matrix.kernel_basis, and
+apply multiplies a matrix by a vector, one parity per row.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import combinations
 
 from simpsurf.bounds import parse_surface_id
 from simpsurf.complex2 import Complex2
-from simpsurf.gf2 import Gf2Vector
+from simpsurf.gf2 import Gf2Matrix, Gf2Vector
 from simpsurf.search import _triangles
 from simpsurf.surfaces import attach_circle, catalog, wedge
 
@@ -59,6 +60,11 @@ def torus_circle_sphere() -> Complex2:
     sphere_at_0 = [(0, 101, 102), (0, 101, 103), (0, 102, 103), (101, 102, 103)]
     return Complex2.from_triangles(list(TORUS_TRIS) + sphere_at_0,
                                    extra_edges=CIRCLE_EDGES)
+
+
+def apply(m: Gf2Matrix, v: Gf2Vector) -> Gf2Vector:
+    """The product m v: one parity per row."""
+    return Gf2Vector(m.n_rows, sum(row.dot(v) << i for i, row in enumerate(m.rows())))
 
 
 def kernel_from_rref(n_cols: int, rows, pivots) -> list[Gf2Vector]:

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from simpsurf import cli, homology, reduction
 from simpsurf.bounds import parse_surface_id
 from simpsurf.complex2 import Complex2
-from simpsurf.gf2 import Gf2Matrix, _bits_up, _relations
-from simpsurf.homology import (betti_numbers, boundary_matrix, chain_support,
-                               has_property_a, homology_summary)
+from simpsurf.gf2 import Gf2Matrix, Gf2Vector, _bits_up, _relations
+from simpsurf.homology import (CochainVector, betti_numbers, boundary_matrix,
+                               chain_support, cochain, has_property_a,
+                               homology_summary)
 from simpsurf.io import dump_complex
 from simpsurf.reduction import (PreservationSpec, _cycle_basis, _sum, _values,
                                 _WorkingComplex, collapse_all, eliminate_maximal_edges,
@@ -34,6 +35,15 @@ def test_spec_constructors_canonicalize():
     assert spec.rank == 2
     assert spec.supports[0] == frozenset({(0, 1, 3)})
     assert (0, 4, 5) in spec.supports[1]
+    # a 2-cochain is read on the complex it was made for, one coordinate
+    # per triangle: a longer or shorter one is rejected
+    k = torus()
+    spec = PreservationSpec.from_cochain_vectors(k, [cochain(k, 2, [(3, 1, 0)])])
+    assert spec.supports == (frozenset({(0, 1, 3)}),)
+    for length in (3, 100):
+        with pytest.raises(ValueError, match="cochain does not match this complex"):
+            PreservationSpec.from_cochain_vectors(
+                k, [CochainVector(2, Gf2Vector(length, 1 << length - 1))])
 
 
 def test_dual_basis_rank_and_validation():
@@ -322,8 +332,17 @@ def _next_collapse(k: Complex2):
     return None
 
 
+def _without(k: Complex2, vertices, edges, triangles) -> Complex2:
+    """k less the given simplices, rebuilt with the constructor, which
+    rejects a result that is not closed: a deleted edge must lie in no kept
+    triangle, a deleted vertex in no kept edge."""
+    return Complex2([v for v in k.vertices if v not in vertices],
+                    [e for e in k.edges if e not in edges],
+                    [t for t in k.triangles if t not in triangles])
+
+
 def _replay(k: Complex2, spec: PreservationSpec, trace) -> Counter:
-    """Re-apply every recorded move with the immutable Complex2 edits.
+    """Re-apply every recorded move, rebuilding the complex each time.
 
     Each move must be the canonical choice, its precondition must hold,
     and the Betti numbers after it must equal the recorded snapshot.
@@ -347,9 +366,11 @@ def _replay(k: Complex2, spec: PreservationSpec, trace) -> Counter:
             assert next(collapses) == pair
             face, coface = pair
             if isinstance(face, tuple):
-                k = k.remove_open_triangle(coface).delete_maximal_edge(face)
+                assert k.triangles_at_edge(face) == (coface,)
+                k = _without(k, (), {face}, {coface})
             else:
-                k = k.delete_maximal_edge(coface).remove_isolated_vertex(face)
+                assert k.edges_at_vertex(face) == (coface,)
+                k = _without(k, {face}, {coface}, ())
             assert betti_numbers(k) == before
             made = True
         if made:
@@ -372,15 +393,18 @@ def _replay(k: Complex2, spec: PreservationSpec, trace) -> Counter:
             break
         e = loose[0]
         keep, gone = e
-        joined = any(keep in comp and gone in comp
-                     for comp in k.delete_maximal_edge(e).connected_components())
-        if joined:
+        cut = _without(k, (), {e}, ())
+        if any(keep in comp and gone in comp for comp in cut.connected_components()):
             assert next(deleted) == e
-            k = k.delete_maximal_edge(e)
+            k = cut
             check("delete")
         else:
             assert next(contractions) == e
-            k = k.contract_maximal_edge(e)
+            merged = [[tuple(keep if v == gone else v for v in s) for s in simplices]
+                      for simplices in (cut.edges, cut.triangles)]
+            k = Complex2([v for v in cut.vertices if v != gone], *merged)
+            # no two simplices merged
+            assert (k.n_edges, k.n_triangles) == (cut.n_edges, cut.n_triangles)
             spec = spec.mapped({gone: keep})
             check("contract")
     for rest in (snapshots, collapses, contractions, deleted):

@@ -1,18 +1,25 @@
 """Checks on the package source itself, read with ast: what it may import,
 which modules own the span internals, the union-find, the complex caches
 and the routes of a boundary elimination, and that no import is left
-unused."""
+unused.  One more check resolves every name the benchmark's tracer wraps."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import runpy
 import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "simpsurf"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "simpsurf"
 MODULES = sorted(PACKAGE.glob("*.py"))
+# (module, attribute path, ...) of every function bench/tracing.py wraps;
+# run_path executes the file without importing it or caching its bytecode
+TRACER = runpy.run_path(str(ROOT / "bench" / "tracing.py"))
+TRACED = [target[:2] for target in TRACER["_TARGETS"]]
 # how a Gf2Span stores its pivots and rows, known only to gf2.py
 SPAN_INTERNALS = {"_mask", "_pivot_rows", "_add_bits", "_reduce_bits"}
 # how a gf2._Forest stores its union-find and its rooted trees, known only
@@ -154,3 +161,15 @@ def test_every_imported_name_is_used(path):
                 if name not in used:
                     unused.append(f"{name} (line {node.lineno})")
     assert unused == []
+
+
+@pytest.mark.parametrize("module, path", TRACED, ids=lambda x: x)
+def test_every_name_the_tracer_wraps_exists(module, path):
+    # resolved as Tracer.install does: getattr along the outer parts, then
+    # the owner's own __dict__, so a deleted or inherited name fails here
+    # rather than in a traced benchmark run
+    owner = importlib.import_module(f"simpsurf.{module}")
+    *outer, attr = path.split(".")
+    for part in outer:
+        owner = getattr(owner, part)
+    assert callable(owner.__dict__[attr])
