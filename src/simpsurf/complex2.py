@@ -162,6 +162,9 @@ class Complex2:
     bool) are vertices: has_vertex, has_edge and has_triangle are False
     for a simplex with any other label or the wrong number of vertices,
     and the vertex and edge queries and simplex_id raise ValueError for it.
+    has_edge and has_triangle also take a SimplexId, True exactly when it
+    names an edge (a triangle) of this value: the edge ids that the edge
+    queries accept.
     """
 
     __slots__ = ("vertices", "edges", "triangles",
@@ -207,8 +210,9 @@ class Complex2:
     # The lazy indexes.  A loop reads one into a local first: each property
     # read is a call.  The reduction's working state builds its own edges
     # at each vertex and triangles at each edge, as sets it edits.  The
-    # three edge positions of each triangle serve the boundary rows, the
-    # 1-cycles and the cup form's front and back edges.
+    # three edge positions of each triangle serve the boundary
+    # eliminations, the kill audit, the 1-cycles and the cup form's front
+    # and back edges.
 
     @property
     def _tris_at_edge(self) -> dict:
@@ -292,6 +296,8 @@ class Complex2:
     def relabeled(self, mapping: Mapping[Label, Label]) -> "Complex2":
         """Apply an injective vertex relabeling; unmapped labels are kept."""
         image = [mapping.get(v, v) for v in self.vertices]
+        # the labels first: True would merge with 1 in the set below
+        _label_order(image, (), ())
         if len(set(image)) != len(image):
             raise ValueError("relabeling is not injective on the vertex set")
         return Complex2(image,
@@ -323,11 +329,15 @@ class Complex2:
             raise ValueError(f"vertex {v!r} is not in the complex")
         return v
 
-    def has_edge(self, e: Sequence[Label]) -> bool:
+    def has_edge(self, e: Union[Sequence[Label], SimplexId]) -> bool:
+        if isinstance(e, SimplexId):
+            return e.dimension == 1 and e.index < self.n_edges
         return (len(e) == 2 and all(map(_is_label, e))
                 and canon_edge(*e) in self._edge_index)
 
-    def has_triangle(self, t: Sequence[Label]) -> bool:
+    def has_triangle(self, t: Union[Sequence[Label], SimplexId]) -> bool:
+        if isinstance(t, SimplexId):
+            return t.dimension == 2 and t.index < self.n_triangles
         return (len(t) == 3 and all(map(_is_label, t))
                 and canon_triangle(*t) in self._triangle_index)
 
@@ -353,13 +363,10 @@ class Complex2:
         raise ValueError(f"not a simplex: {simplex!r}")
 
     def _as_edge(self, e) -> Edge:
-        if isinstance(e, SimplexId):
-            if e.dimension != 1:
-                raise ValueError(f"{e} is not an edge id")
-            return self.edges[e.index]
+        is_id = isinstance(e, SimplexId)
         if not self.has_edge(e):
-            raise ValueError(f"edge {tuple(e)!r} is not in the complex")
-        return canon_edge(*e)
+            raise ValueError(f"edge {e if is_id else tuple(e)!r} is not in the complex")
+        return self.edges[e.index] if is_id else canon_edge(*e)
 
     def edge_degree(self, e) -> int:
         """Number of triangles containing the edge."""

@@ -88,15 +88,7 @@ class Gf2Vector:
         return self.bits >> i & 1
 
     def support(self) -> tuple[int, ...]:
-        # scan the binary digits, lowest first: shifting a long int once per
-        # coordinate would cost time quadratic in the length
-        digits = bin(self.bits)[:1:-1]
-        out = []
-        i = digits.find("1")
-        while i >= 0:
-            out.append(i)
-            i = digits.find("1", i + 1)
-        return tuple(out)
+        return tuple(_bits_up(self.bits))
 
     def is_zero(self) -> bool:
         return self.bits == 0
@@ -301,11 +293,14 @@ class Gf2Span:
 
 
 def _bits_up(x: int) -> Iterator[int]:
-    """The set bits of x, lowest first."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+    """The set bits of x, lowest first, found by scanning its binary
+    digits: clearing one bit at a time would copy the int per bit, time
+    quadratic in its length when it is dense."""
+    digits = bin(x)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 def _span(rows: Iterable[int], width: int) -> Gf2Span:

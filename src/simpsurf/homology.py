@@ -13,15 +13,15 @@ vertex order: for a triangle v0 < v1 < v2,
 Only the induced pairing on cohomology classes is contractual; cochain
 level values depend on this ordering convention.
 
-cup_pairing_on_h1 never forms a cochain per pair.  One pass over the
-triangles gives two bitmasks per edge e: front[e], the triangles whose
-front edge v0 v1 is e, and back[e], those whose back edge v1 v2 is e.
-The pullback F_a of a 1-cochain a is the OR of front[e] over its support
-(G_a likewise from back), so a cup b is the single AND F_a & G_b.
-cup_product stays as the cochain-level reference.  The form keeps one
-packed int per H^1 class, the H^2 coordinates of its cups with every
-basis class side by side, and its left radical (property (A) asks for it
-to be zero) is the relations among those rows, one gf2._relations call.
+cup_pairing_on_h1 never forms a cochain per pair.  It keeps, for each
+edge e, the b1-bit int coef[e] whose bit i is a_i(e) for the H^1 basis
+a_1 .. a_b1, and walks each 2-cycle z once: the XOR of coef[v1 v2] over
+the triangles v0 v1 v2 of z with bit i set in coef[v0 v1] has bit j equal
+to (a_i cup a_j)(z).  cup_product stays as the cochain-level reference.
+The form keeps one packed int per H^1 class, the H^2 coordinates of its
+cups with every basis class side by side, and its left radical (property
+(A) asks for it to be zero) is the relations among those rows, one
+gf2._relations call.
 
 Every boundary elimination, the summary's, betti_numbers', the
 reduction's audits and the 1-cycle picks', goes through
@@ -75,7 +75,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .complex2 import Complex2
-from .gf2 import Gf2Matrix, Gf2Vector, _bitmask, _Forest, _relations, _span
+from .gf2 import Gf2Matrix, Gf2Vector, _bitmask, _bits_up, _Forest, _relations, _span
 
 __all__ = [
     "ChainVector",
@@ -177,13 +177,6 @@ def boundary_matrix(k: Complex2, n: int) -> Gf2Matrix:
 def betti_numbers(k: Complex2) -> tuple[int, int, int]:
     """Reduced F2 Betti numbers (b0, b1, b2), without representatives."""
     return _betti(k, _boundary_relations(k._triangle_edges, k.n_edges).free)
-
-
-def _boundary_rows(triangle_edges: Iterable[tuple[int, int, int]]) -> list[int]:
-    """Each triangle's boundary, given by its three edge positions (a
-    complex's _triangle_edges), as a bitmask over the edge positions, in
-    triangle order: the rows of the transpose of d2."""
-    return [1 << a | 1 << b | 1 << c for a, b, c in triangle_edges]
 
 
 def _boundary_relations(boundaries: Sequence[Sequence[int]], width: int
@@ -578,18 +571,19 @@ class CupForm:
 
 def cup_pairing_on_h1(k: Complex2,
                       summary: Optional[HomologySummary] = None) -> CupForm:
-    """The cup pairing on the summary's H^1 basis, by bit-sliced pullbacks.
+    """The cup pairing on the summary's H^1 basis, one walk per 2-cycle.
 
-    One pass over the triangles builds, for each edge e, front[e]: the
-    bitmask of the triangles whose front edge v0 v1 is e, and back[e]: the
-    same for the back edge v1 v2.  For each basis cocycle a_i, F_i is the
-    OR of front[e] over the support of a_i and G_i the same over back; the
-    masks of distinct edges are disjoint, so OR is XOR.  The triangles in
-    F_i & G_j are those where a_i(v0 v1) * a_j(v1 v2) = 1: that mask is
-    the cochain cup_product(k, a_i, a_j).  Its H^2 coordinate c is its
-    value on the 2-cycle z_c = cycle_reps[2][c], the parity of
-    (F_i & G_j & z_c).bit_count(), and it is bit j*b2 + c of row i.  A
-    2-cycle with F_i & z_c zero sets no bit of row i, so it is skipped.
+    Coordinate c of [a_i cup a_j] is the value on the 2-cycle
+    z_c = cycle_reps[2][c] of the cochain cup_product(k, a_i, a_j):
+
+        (a_i cup a_j)(z_c) = sum over the triangles t of z_c of
+                             a_i(front t) * a_j(back t),
+
+    with front t = v0 v1 and back t = v1 v2 (positions 0 and 2 of
+    _triangle_edges[t]).  Let coef[e] be the b1-bit int whose bit i is
+    a_i(e).  Then bit j of the XOR of coef[back t] over the triangles t of
+    z_c with bit i set in coef[front t] is that coordinate, and it is bit
+    j*b2 + c of row i.
     """
     if summary is None:
         summary = homology_summary(k)
@@ -598,32 +592,23 @@ def cup_pairing_on_h1(k: Complex2,
         raise ValueError("cochain does not match this complex")
     if summary._complex is not k and summary._complex != k:
         raise ValueError("cochain does not match the summarized complex")
-    front = [0] * k.n_edges
-    back = [0] * k.n_edges
-    for j, (v0v1, _, v1v2) in enumerate(k._triangle_edges):
-        front[v0v1] |= 1 << j
-        back[v1v2] |= 1 << j
-    cycles = [z.coeffs.bits for z in summary._cycles2]
-    b2 = len(cycles)
-    backs = [_pullback(back, a) for a in reps]
-    rows = []
-    for a in reps:
-        f = _pullback(front, a)
-        on_cycles = [(c, fz) for c, z in enumerate(cycles) if (fz := f & z)]
-        row = 0
-        for j, g in enumerate(backs):
-            for c, fz in on_cycles:
-                row |= ((fz & g).bit_count() & 1) << j * b2 + c
-        rows.append(row)
+    coef = [0] * k.n_edges
+    for i, a in enumerate(reps):
+        for e in _bits_up(a.coeffs.bits):
+            coef[e] |= 1 << i
+    b2, edges = len(summary._cycles2), k._triangle_edges
+    rows = [0] * len(reps)
+    for c, z in enumerate(summary._cycles2):
+        on_z = [0] * len(reps)  # bit j of on_z[i]: (a_i cup a_j)(z_c)
+        for t in _bits_up(z.coeffs.bits):
+            front, _, back = edges[t]
+            if at_front := coef[front]:
+                for i in _bits_up(at_front):
+                    on_z[i] ^= coef[back]
+        for i, bits in enumerate(on_z):
+            for j in _bits_up(bits):
+                rows[i] |= 1 << j * b2 + c
     return CupForm(h1_reps=reps, b2=b2, rows=tuple(rows))
-
-
-def _pullback(masks: list[int], a: CochainVector) -> int:
-    """The OR of the triangle masks over the support of the 1-cochain a."""
-    bits = 0
-    for e in a.coeffs.support():
-        bits |= masks[e]
-    return bits
 
 
 @dataclass

@@ -54,8 +54,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .complex2 import Complex2, Edge, Label, Triangle, _label_order, canon_triangle
 from .gf2 import _bits_up, _low_bit, _relations, _span
-from .homology import (CochainVector, _betti, _betti_of_counts, _boundary_relations,
-                       _boundary_rows)
+from .homology import CochainVector, _betti, _betti_of_counts, _boundary_relations
 
 __all__ = [
     "PreservationSpec",
@@ -175,6 +174,15 @@ def _sum(vectors: Sequence[int], mask: int) -> int:
     return total
 
 
+def _boundary(k: Complex2, z: int) -> set[int]:
+    """The boundary of the 2-chain z: the edges, by position, that lie in
+    an odd number of its triangles."""
+    edges, odd = k._triangle_edges, set()
+    for t in _bits_up(z):
+        odd.symmetric_difference_update(edges[t])
+    return odd
+
+
 def _values(masks: Sequence[int], z: int) -> int:
     """Bit i is functional i evaluated on the 2-chain z."""
     return sum(1 << i for i, m in enumerate(masks) if (z & m).bit_count() & 1)
@@ -213,18 +221,18 @@ def _dual_spec(k: Complex2, cycles: Sequence[int],
 
 # ------------------------------------------------------------ kills
 
-def _kill_all(k: Complex2, spec: PreservationSpec, cycles: list[int],
-              boundaries: Sequence[int]) -> list[int]:
+def _kill_all(k: Complex2, spec: PreservationSpec, cycles: list[int]) -> list[int]:
     """Kill invisible cycles until none is left; the killed triangle positions.
 
-    `boundaries` are the boundary rows of k, and `cycles` is the basis
-    _cycle_basis gives for the 2-cycles of k: its vectors have distinct
-    highest bits, in increasing order, and each is zero at the others'
-    highest bits.  That normal form depends only on the cycle space, so
-    after a kill the list is replaced in place by the normal form of the
-    cycles avoiding the killed triangle, using the vectors that contain
-    it, and every kill is the one kill_step makes on the complex at that
-    point.  Positions stay those of k.triangles.
+    `cycles` is the basis _cycle_basis gives for the 2-cycles of k: its
+    vectors have distinct highest bits, in increasing order, and each is
+    zero at the others' highest bits.  That normal form depends only on
+    the cycle space, so after a kill the list is replaced in place by the
+    normal form of the cycles avoiding the killed triangle, using the
+    vectors that contain it, and every kill is the one kill_step makes on
+    the complex at that point.  Positions stay those of k.triangles.  Each
+    invisible cycle is audited to be one: no edge of k lies in an odd
+    number of its triangles (_boundary).
     """
     masks = spec._masks(k._triangle_index)
     values = [_values(masks, z) for z in cycles]
@@ -234,7 +242,7 @@ def _kill_all(k: Complex2, spec: PreservationSpec, cycles: list[int],
         if not relations:
             return killed
         invisible = _sum(cycles, relations[0])
-        assert invisible and _sum(boundaries, invisible) == 0
+        assert invisible and not _boundary(k, invisible)
         assert _values(masks, invisible) == 0
         sigma = _low_bit(invisible)
         killed.append(sigma)
@@ -571,7 +579,7 @@ def simplify_pipeline(k: Complex2, spec: Optional[PreservationSpec] = None,
     if _spec_rank(spec, k._triangle_index, cycles) != spec.rank:
         raise ValueError("functionals are not surjective on the cycle space")
 
-    killed = _kill_all(k, spec, cycles, _boundary_rows(k._triangle_edges))
+    killed = _kill_all(k, spec, cycles)
     b0, b1, b2 = betti
     snapshots: list = [("input", betti)]
     snapshots += [("kill", (b0, b1, b2 - i)) for i in range(1, len(killed) + 1)]

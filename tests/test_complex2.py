@@ -107,6 +107,21 @@ def test_simplex_ids_round_trip():
         SimplexId(3, 0)
 
 
+def test_has_queries_take_exactly_the_ids_edge_degree_accepts():
+    k = Complex2.from_triangles([[0, 1, 2]], extra_edges=[[2, 3]])
+    for sid in [SimplexId(d, i) for d in range(3) for i in range(6)]:
+        try:
+            k.edge_degree(sid)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert k.has_edge(sid) is accepted is (sid.dimension == 1 and sid.index < 4)
+        assert k.has_triangle(sid) is (sid.dimension == 2 and sid.index == 0)
+        if accepted:
+            assert k.has_edge(k.simplex(sid))
+
+
 def test_link_of_vertex():
     k = Complex2.from_triangles(SPHERE)
     nodes, edges = k.link_of_vertex(0)
@@ -256,6 +271,14 @@ def test_relabeled():
     assert hash(k) == hash(Complex2.from_triangles([[0, 1, 2]]))
     with pytest.raises(ValueError, match="injective"):
         k.relabeled({0: 1})
+
+
+def test_relabeled_names_a_bad_label_before_testing_injectivity():
+    # True would merge with the vertex 1 in a set of the image labels
+    k = Complex2.from_triangles([[0, 1, 2]])
+    for bad in (True, 1.5):
+        with pytest.raises(TypeError, match=f"vertex label {bad!r} is not an int or str"):
+            k.relabeled({0: bad})
 
 
 def test_empty_complex():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _fixtures import apply
-from simpsurf.gf2 import Gf2Matrix, Gf2Span, Gf2Vector, _span
+from simpsurf.gf2 import Gf2Matrix, Gf2Span, Gf2Vector, _bits_up, _span
 
 
 def _random_matrix(rng: random.Random, n_rows: int, n_cols: int) -> Gf2Matrix:
@@ -94,6 +94,15 @@ def test_vector_basics():
     assert (v ^ w).support() == (1, 3)
     assert v.dot(w) == 1
     assert Gf2Vector(5).is_zero()
+    # _bits_up against support() on zero, a dense wide int (quadratic if
+    # each bit were cleared by its own copy) and sparse wide ints
+    n = 100_000
+    rng = random.Random(20261020)
+    cases = [(), tuple(range(n)), (0, n - 1), (n - 1,)]
+    cases += [tuple(sorted(rng.sample(range(n), m))) for m in (1, 7, 300)]
+    for support in cases:
+        v = Gf2Vector.from_support(n, support)
+        assert tuple(_bits_up(v.bits)) == v.support() == support
 
 
 def test_vector_validation():

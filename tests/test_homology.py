@@ -268,6 +268,12 @@ def _oracle_cases():
                                          extra_edges=[(60, 61), (61, 62), (0, 60)],
                                          extra_vertices=[99, "z"]))
     cases.append(m8_wedge(4))
+    # the torus with a second cap on the star of a vertex, its apex below
+    # every label: the 2-cycles are both tori, sharing the triangles off
+    # the star, and each carries the torus's cup products
+    _, ring = torus().link_of_vertex(0)
+    cases.append(Complex2.from_triangles(list(torus().triangles)
+                                         + [(-1, a, b) for a, b in ring]))
     # small random complexes: free edges, edges of degree three or more,
     # loose edges and isolated vertices
     for _ in range(30):
@@ -578,8 +584,9 @@ def test_forest_over_the_free_columns_is_the_descending_forest():
         n = k.n_edges
         full, full_comps = _spanning_forest(k, range(n - 1, -1, -1))
         walked = Complex2(k.vertices, k.edges, k.triangles).connected_components()
-        tagged, _ = gf2._relations(homology._boundary_rows(k._triangle_edges), n)
-        plain = gf2._span(homology._boundary_rows(k._triangle_edges), n)
+        rows = [1 << a | 1 << b | 1 << c for a, b, c in k._triangle_edges]
+        tagged, _ = gf2._relations(rows, n)
+        plain = gf2._span(rows, n)
         assert tagged._free(n) == plain._free(n)
         fresh = Complex2(k.vertices, k.edges, k.triangles)
         free = tagged._free(n)
@@ -651,40 +658,49 @@ def test_summary_runs_one_elimination(monkeypatch):
     assert counts["insertions"] == s.b2
 
 
-# one process builds the circulant torus on Z/n, n its argument, orbits of
-# {0,1,3} and {0,2,3}, summarizes it and reads its 1-cycles; it reports
-# the Betti numbers and, per 1-cycle, its number of edges and of vertices
-# of odd degree in it (a cycle has none), then its own peak resident size
-# (ru_maxrss: KiB on Linux, bytes on macOS)
+# one process builds the circulant torus on Z/n, n its first argument,
+# orbits of {0,1,3} and {0,2,3}, and summarizes it; it reports the Betti
+# numbers, then for the query "cycles" per 1-cycle its number of edges and
+# of vertices of odd degree in it (a cycle has none), for "property-a"
+# whether property (A) holds and the radical's dimension, and last its own
+# peak resident size (ru_maxrss: KiB on Linux, bytes on macOS)
 _LARGE_TORUS = """
 import resource, sys
 from collections import Counter
 from simpsurf.complex2 import Complex2
-from simpsurf.homology import homology_summary
-n = int(sys.argv[1])
+from simpsurf.homology import has_property_a, homology_summary
+n, query = int(sys.argv[1]), sys.argv[2]
 k = Complex2.from_triangles([sorted((i + d) % n for d in offsets)
                              for offsets in ((0, 1, 3), (0, 2, 3)) for i in range(n)])
 assert k.n_triangles == 2 * n
 s = homology_summary(k)
 out = list(s.betti)
-for z in s.cycle_reps[1]:
-    ends = Counter(v for i in z.coeffs.support() for v in k.edges[i])
-    out += [len(z.coeffs.support()), sum(d % 2 for d in ends.values())]
+if query == "cycles":
+    for z in s.cycle_reps[1]:
+        ends = Counter(v for i in z.coeffs.support() for v in k.edges[i])
+        out += [len(z.coeffs.support()), sum(d % 2 for d in ends.values())]
+else:
+    result = has_property_a(k, s)
+    out += [int(result.holds), result.radical_dimension]
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(*out, peak // 1024 if sys.platform == "darwin" else peak)
 """
 
 
-def _large_torus(n: int) -> int:
+def _large_torus(n: int, query: str) -> int:
     """The peak resident size, in KiB, of _LARGE_TORUS on Z/n, once its
-    torus homology and its 1-cycles are checked."""
+    torus homology and the answer to the query are checked."""
     env = dict(os.environ, PYTHONPATH=str(Path(homology.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", _LARGE_TORUS, str(n)], env=env,
+    proc = subprocess.run([sys.executable, "-c", _LARGE_TORUS, str(n), query], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    b0, b1, b2, *cycles, peak_kib = map(int, proc.stdout.split())
-    assert (b0, b1, b2) == (0, 2, 1) and len(cycles) == 2 * b1
-    assert all(size > 0 for size in cycles[::2]) and cycles[1::2] == [0] * b1
+    b0, b1, b2, *answer, peak_kib = map(int, proc.stdout.split())
+    assert (b0, b1, b2) == (0, 2, 1)
+    if query == "cycles":
+        assert len(answer) == 2 * b1
+        assert all(size > 0 for size in answer[::2]) and answer[1::2] == [0] * b1
+    else:
+        assert answer == [1, 0]  # property (A) holds: the radical is zero
     return peak_kib
 
 
@@ -695,7 +711,7 @@ def test_summary_of_a_100000_triangle_torus_in_bounded_memory():
     # would hold 10^5 rows up to 2.5 * 10^5 bits wide (the edges, then a
     # tag per triangle), several GiB, and the picks' own elimination once
     # peaked at about 938 MiB here
-    assert _large_torus(50000) < 300 * 1024
+    assert _large_torus(50000, "cycles") < 300 * 1024
 
 
 @pytest.mark.slow
@@ -705,7 +721,16 @@ def test_cycle_reps_of_a_36864_triangle_torus_in_bounded_memory():
     # edges off it, about 46 MiB with the summary (Python 3.11, Linux);
     # one path mask per vertex, as they once were built, peaked at about
     # 227 MiB, and the picks' own elimination at about 158 MiB
-    assert _large_torus(18432) < 100 * 1024
+    assert _large_torus(18432, "cycles") < 100 * 1024
+
+
+@pytest.mark.slow
+def test_property_a_of_a_100000_triangle_torus_in_bounded_memory():
+    # the cup form walks the one 2-cycle with each edge's H^1 coordinates,
+    # about 99 MiB with the summary (Python 3.11, Linux); one triangle mask
+    # per edge for front and back faces, as the form once kept, peaked at
+    # about 1349 MiB
+    assert _large_torus(50000, "property-a") < 150 * 1024
 
 
 def test_cup_form_and_property_a_never_build_the_1_cycles(monkeypatch):
@@ -931,9 +956,10 @@ def test_determinism():
 
 def _cup_form_cases():
     """Complexes for the cup-form cross-check: the fixtures, catalog S2..N5,
-    the empty complex, a point, two graphs (b1 > 0 with b2 = 0), and seeded
+    the empty complex, a point, two graphs (b1 > 0 with b2 = 0), seeded
     wedges with loose circles, spheres (b2 >= 2), a disjoint summand and int
-    or str labelled pieces."""
+    or str labelled pieces, and the oracle cases with an edge in three or
+    more triangles, the only complexes whose 2-cycles can share triangles."""
     three_cycle = Complex2([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
     theta = Complex2(range(5), [(0, m) for m in (2, 3, 4)] + [(1, m) for m in (2, 3, 4)])
     cases = [sphere(), rp2(), torus(), torus_with_circle(), torus_circle_sphere(),
@@ -958,6 +984,8 @@ def _cup_form_cases():
             k = Complex2.from_triangles(k.triangles + far.triangles,
                                         extra_edges=k.edges, extra_vertices=k.vertices)
         cases.append(k)
+    cases += [k for k in _oracle_cases()
+              if any(k.edge_degree(e) >= 3 for e in k.edges) and k not in cases]
     return cases
 
 
@@ -973,6 +1001,8 @@ def test_cup_form_matches_cup_product_and_h2_coordinates():
         shapes["b2>=2"] += s.b2 >= 2
         shapes["disconnected"] += s.b0 > 0
         shapes["mixed"] += len({type(v) for v in k.vertices}) == 2
+        # 2-cycles that may share triangles
+        shapes["branching, b2>=2"] += _route(k) == "_Elimination" and s.b2 >= 2
     assert min(shapes.values()) >= 2
 
 

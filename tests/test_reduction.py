@@ -16,9 +16,9 @@ from simpsurf.homology import (CochainVector, betti_numbers, boundary_matrix,
                                chain_support, cochain, has_property_a,
                                homology_summary)
 from simpsurf.io import dump_complex
-from simpsurf.reduction import (PreservationSpec, _cycle_basis, _sum, _values,
-                                _WorkingComplex, collapse_all, eliminate_maximal_edges,
-                                kill_step, simplify_pipeline)
+from simpsurf.reduction import (PreservationSpec, _boundary, _cycle_basis, _sum,
+                                _values, _WorkingComplex, collapse_all,
+                                eliminate_maximal_edges, kill_step, simplify_pipeline)
 from simpsurf.surfaces import attach_circle, catalog, classify, wedge
 
 from _fixtures import (kernel_from_rref, label_cases, m8_wedge, rp2, sphere, torus,
@@ -715,7 +715,7 @@ def test_results_are_built_as_init_builds_them():
     assert all(seen[label] > 0 for label in ("kill", "collapse", "contract", "delete"))
 
 
-def _kill_all_skipping_an_update(k, spec, cycles, boundaries):
+def _kill_all_skipping_an_update(k, spec, cycles):
     """reduction._kill_all with one fault in its books: at the first kill,
     the other cycles through the killed triangle are not reduced."""
     masks = spec._masks(k._triangle_index)
@@ -726,7 +726,7 @@ def _kill_all_skipping_an_update(k, spec, cycles, boundaries):
         if not relations:
             return killed
         invisible = _sum(cycles, relations[0])
-        assert invisible and _sum(boundaries, invisible) == 0
+        assert invisible and not _boundary(k, invisible)
         assert _values(masks, invisible) == 0
         sigma = next(_bits_up(invisible))
         killed.append(sigma)
@@ -742,9 +742,9 @@ def _kill_all_skipping_an_update(k, spec, cycles, boundaries):
 _original_kill_all = reduction._kill_all  # the test replaces the module's
 
 
-def _kill_all_losing_a_kill(k, spec, cycles, boundaries):
+def _kill_all_losing_a_kill(k, spec, cycles):
     """reduction._kill_all, but the last kill goes unreported."""
-    return _original_kill_all(k, spec, cycles, boundaries)[:-1]
+    return _original_kill_all(k, spec, cycles)[:-1]
 
 
 @pytest.mark.parametrize("mutant", [_kill_all_skipping_an_update,
