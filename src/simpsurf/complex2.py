@@ -48,6 +48,11 @@ def _is_label(v) -> bool:
     return isinstance(v, (int, str)) and not isinstance(v, bool)
 
 
+def _are_labels(s, n: int) -> bool:
+    """Whether s has a length, n, and every item of it can be a vertex."""
+    return hasattr(s, "__len__") and len(s) == n and all(map(_is_label, s))
+
+
 def canon_edge(a: Label, b: Label) -> Edge:
     u, v = sorted((a, b), key=label_key)
     return (u, v)
@@ -160,8 +165,9 @@ class Complex2:
     trees of the 1-skeleton's own spanning forest (gf2._Forest); nothing
     outside this module writes a cache.  Only int and str labels (not
     bool) are vertices: has_vertex, has_edge and has_triangle are False
-    for a simplex with any other label or the wrong number of vertices,
-    and the vertex and edge queries and simplex_id raise ValueError for it.
+    for a simplex with any other label or the wrong number of vertices, or
+    for an argument without a length, and the vertex and edge queries and
+    simplex_id raise ValueError for it.
     has_edge and has_triangle also take a SimplexId, True exactly when it
     names an edge (a triangle) of this value: the edge ids that the edge
     queries accept.
@@ -332,14 +338,12 @@ class Complex2:
     def has_edge(self, e: Union[Sequence[Label], SimplexId]) -> bool:
         if isinstance(e, SimplexId):
             return e.dimension == 1 and e.index < self.n_edges
-        return (len(e) == 2 and all(map(_is_label, e))
-                and canon_edge(*e) in self._edge_index)
+        return _are_labels(e, 2) and canon_edge(*e) in self._edge_index
 
     def has_triangle(self, t: Union[Sequence[Label], SimplexId]) -> bool:
         if isinstance(t, SimplexId):
             return t.dimension == 2 and t.index < self.n_triangles
-        return (len(t) == 3 and all(map(_is_label, t))
-                and canon_triangle(*t) in self._triangle_index)
+        return _are_labels(t, 3) and canon_triangle(*t) in self._triangle_index
 
     def simplex(self, sid: SimplexId):
         """The vertex tuple (or label, in dimension 0) behind an id."""
@@ -365,7 +369,8 @@ class Complex2:
     def _as_edge(self, e) -> Edge:
         is_id = isinstance(e, SimplexId)
         if not self.has_edge(e):
-            raise ValueError(f"edge {e if is_id else tuple(e)!r} is not in the complex")
+            shown = tuple(e) if hasattr(e, "__len__") and not is_id else e
+            raise ValueError(f"edge {shown!r} is not in the complex")
         return self.edges[e.index] if is_id else canon_edge(*e)
 
     def edge_degree(self, e) -> int:

@@ -29,9 +29,14 @@ the dual graph of a surface and the side gluing of a polygon all use it.
 
 How a span stores its pivots and how a forest stores its trees are known
 only to this module; the others use the private span API: _span,
-_relations, and the Gf2Span methods _pivots, _free, _reduced_rows and
-_kernel_at; and the _Forest attributes n and off and its methods roots,
-trees, tree_nodes and cycles.
+_relations, and the Gf2Span methods _added, _pivots, _free,
+_reduced_rows and _kernel_at; and the _Forest attributes n and off and
+its methods roots, trees, tree_nodes and cycles.
+
+Wide ints are read and written through their binary digits: _bits_up
+lists the set bits of an int, and _bitmask builds one from its set
+positions, each in time linear in the digits it scans, where one bit at
+a time would copy the int per bit.
 """
 
 from __future__ import annotations
@@ -67,20 +72,17 @@ class Gf2Vector:
 
     @classmethod
     def from_support(cls, length: int, indices: Iterable[int]) -> "Gf2Vector":
-        bits = 0
+        """The vector with coordinate i set for each index i listed an odd
+        number of times."""
+        indices = list(indices)
         for i in indices:
             if not 0 <= i < length:
                 raise IndexError(f"coordinate {i} out of range for length {length}")
-            bits ^= 1 << i
-        return cls(length, bits)
+        return cls(length, _bitmask(indices))
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[int]) -> "Gf2Vector":
-        bits = 0
-        for i, c in enumerate(coeffs):
-            if c & 1:
-                bits |= 1 << i
-        return cls(len(coeffs), bits)
+        return cls(len(coeffs), _bitmask([i for i, c in enumerate(coeffs) if c & 1]))
 
     def get(self, i: int) -> int:
         if not 0 <= i < self.length:
@@ -132,10 +134,9 @@ class Gf2Matrix:
     def transpose(self) -> "Gf2Matrix":
         cols = [0] * self.n_cols
         for i, r in enumerate(self._rows):
-            while r:
-                j = _low_bit(r)
-                cols[j] |= 1 << i
-                r &= r - 1
+            bit = 1 << i
+            for j in _bits_up(r):
+                cols[j] |= bit
         return Gf2Matrix(self.n_cols, self.n_rows, cols)
 
     def _rref(self) -> tuple[list[int], list[int]]:
@@ -221,6 +222,12 @@ class Gf2Span:
         self._pivot_rows[p] = bits
         self._mask |= 1 << p
         return True
+
+    def _added(self) -> list[tuple[int, int]]:
+        """Each pivot with its row, in the order the rows were added: the
+        residue of the vector added modulo the rows before it, until
+        _reduced_rows back-substitutes."""
+        return list(self._pivot_rows.items())
 
     def _pivots(self) -> list[int]:
         """The pivot columns, in increasing order."""
@@ -419,7 +426,7 @@ class _Forest:
                     a, b = b, a
                 path.append(up[a])
                 a = parent[a]
-            cycles.append(_bitmask(path, len(one)))
+            cycles.append(_bitmask(path))
         return cycles
 
     def _rooting(self, one: Sequence[int], two: Sequence[int]
@@ -450,12 +457,15 @@ class _Forest:
         return parent, up, depth, trees
 
 
-def _bitmask(positions: Iterable[int], width: int) -> int:
-    """The int with the given positions set, below width, read from its
-    binary digits: linear in width, where OR-ing in one bit at a time is
-    quadratic."""
-    digits = bytearray(b"0") * width
+def _bitmask(positions: Sequence[int]) -> int:
+    """The int with bit p set for each position p listed an odd number of
+    times, read from its binary digits between the lowest position and the
+    highest: linear in that span and the positions, where XOR-ing in one
+    bit at a time is quadratic."""
+    if not positions:
+        return 0
+    low, high = min(positions), max(positions)
+    digits = bytearray(b"0") * (high - low + 1)  # highest position first
     for p in positions:
-        digits[p] = 49  # "1"
-    digits.reverse()
-    return int(digits, 2) if width else 0
+        digits[high - p] ^= 1  # "0" <-> "1"
+    return int(digits, 2) << low

@@ -286,7 +286,7 @@ class _DualForest:
         if self.rank == n - 1:
             return []
         # the first tree holds node 0, infinity; triangle t is node t + 1
-        return [_bitmask(nodes, n) >> 1 for nodes in forest.tree_nodes()[1:]]
+        return [_bitmask(nodes) >> 1 for nodes in forest.tree_nodes()[1:]]
 
     def kernel_at(self, columns: Sequence[int]) -> list[int]:
         return self._forest.cycles(columns, self._one, self._two)

@@ -24,24 +24,31 @@ gf2._relations.  The default spec is read off the same cycle basis: one
 triangle per pivot of its echelon form, the dual basis homology_summary
 reports as cocycle_reps[2].
 
+The kills take one elimination in all: the invisible cycles, the sums
+named by the relations among the functionals' values on the cycle basis,
+are put in echelon form over the triangles once, and the kills are its
+pivots in the order added (_kill_all).
+
 The pipeline runs on one private working state, from the input's own
 incidence minus the killed triangles to the result, and builds exactly
 one Complex2: the result.  Each step is witnessed when it is made: a kill
-removes a triangle of a 2-cycle with zero boundary on which every
-functional vanishes, and the functionals' rank is re-checked on the kept
-cycle basis; a collapse has a face of degree one; a deletion has a path
+removes a triangle sigma of a 2-cycle z with zero boundary that avoids
+the earlier kills and on which every functional vanishes, which keeps the
+functionals' rank (the cycles there are those avoiding sigma plus z, and
+f(z) = 0); a collapse has a face of degree one; a deletion has a path
 joining the endpoints without the edge; a contraction has a component of
 the graph without the edge that holds one endpoint and not the other,
 and its endpoints share no neighbour.  One search from both endpoints
 finds either witness, at about twice the cost of the smaller side.  Full
 rank audits run at the phase boundaries (the input, after the kills, the
 result); kills keep every edge, so the one after the kills runs over the
-input's kept triangles and never builds that complex.  The audits pin
-every per-step Betti snapshot, because each move shifts the numbers one
-way only: removing a triangle changes (b1, b2) by (0, -1) or (+1, 0),
-deleting an edge changes (b0, b1) by (0, -1) or (+1, 0), collapses and
-contractions change nothing, and surjectivity, once lost, cannot come
-back while the cycle space only shrinks.
+input's kept triangles and never builds that complex, and it checks that
+no invisible cycle is left: the cycles number the functionals' rank.
+The audits pin every per-step Betti snapshot, because each move shifts
+the numbers one way only: removing a triangle changes (b1, b2) by
+(0, -1) or (+1, 0), deleting an edge changes (b0, b1) by (0, -1) or
+(+1, 0), collapses and contractions change nothing, and surjectivity,
+once lost, cannot come back while the cycle space only shrinks.
 """
 
 from __future__ import annotations
@@ -221,38 +228,40 @@ def _dual_spec(k: Complex2, cycles: Sequence[int],
 
 # ------------------------------------------------------------ kills
 
-def _kill_all(k: Complex2, spec: PreservationSpec, cycles: list[int]) -> list[int]:
+def _kill_all(k: Complex2, spec: PreservationSpec, cycles: Sequence[int]) -> list[int]:
     """Kill invisible cycles until none is left; the killed triangle positions.
 
-    `cycles` is the basis _cycle_basis gives for the 2-cycles of k: its
-    vectors have distinct highest bits, in increasing order, and each is
-    zero at the others' highest bits.  That normal form depends only on
-    the cycle space, so after a kill the list is replaced in place by the
-    normal form of the cycles avoiding the killed triangle, using the
-    vectors that contain it, and every kill is the one kill_step makes on
-    the complex at that point.  Positions stay those of k.triangles.  Each
-    invisible cycle is audited to be one: no edge of k lies in an odd
-    number of its triangles (_boundary).
+    `cycles` is the basis _cycle_basis gives for the 2-cycles of k, with
+    distinct highest bits in increasing order.  The relations among the
+    functionals' values on it sum to a basis of the invisible cycles whose
+    highest bits increase too: relation j's sum has cycle j's highest bit.
+    Added in that order to one span over the triangles, each sum is reduced
+    modulo the earlier ones and stored at its lowest bit, so the kills are
+    the span's pivots in the order added.  Each is the kill kill_step makes
+    at that point, where the cycles are those of k avoiding the earlier
+    kills: the rows stored from then on are invisible cycles there with
+    increasing highest bits, as many as the invisible cycles' dimension,
+    so the first has the least highest bit of any, and is the only one
+    that has it (two would sum to one with a lower), the cycle whose
+    lowest triangle kill_step removes.  Positions stay those of
+    k.triangles; `cycles` is not changed.
+
+    Each kill is witnessed: its row z is nonzero, no edge of k lies in an
+    odd number of its triangles (_boundary), it avoids every earlier kill,
+    and every functional vanishes on it.  That keeps the functionals' rank:
+    z is 1 at the killed triangle sigma, so the cycles Z there split as
+    Z' + <z>, Z' those avoiding sigma, and f(z) = 0 gives f(Z') = f(Z).
     """
     masks = spec._masks(k._triangle_index)
-    values = [_values(masks, z) for z in cycles]
-    killed: list[int] = []
-    while True:
-        relations = _relations(values, spec.rank)[1]
-        if not relations:
-            return killed
-        invisible = _sum(cycles, relations[0])
-        assert invisible and not _boundary(k, invisible)
-        assert _values(masks, invisible) == 0
-        sigma = _low_bit(invisible)
+    relations = _relations([_values(masks, z) for z in cycles], spec.rank)[1]
+    invisible = _span((_sum(cycles, r) for r in relations), k.n_triangles)
+    killed, gone = [], 0
+    for sigma, z in invisible._added():
+        assert z and not _boundary(k, z) and not z & gone
+        assert _values(masks, z) == 0
         killed.append(sigma)
-        hit = [j for j, z in enumerate(cycles) if z >> sigma & 1]
-        lowest = hit[0]
-        for j in hit[1:]:
-            cycles[j] ^= cycles[lowest]
-            values[j] ^= values[lowest]
-        del cycles[lowest], values[lowest]
-        assert _relations(values, spec.rank)[0].dim == spec.rank
+        gone |= 1 << sigma
+    return killed
 
 
 # ------------------------------------------------------------ collapses and edges
@@ -270,9 +279,10 @@ class _WorkingComplex:
     canonical order, which is already a heap.  An entry is pushed whenever a
     simplex may have become a candidate and is checked against the incidence
     when popped, so every move is the canonically first one available, as a
-    scan of the rebuilt complex would find it.  The state is geometry only:
-    functionals are renamed through the recorded contractions afterwards.
-    complex() builds the Complex2 of the state.
+    scan of the rebuilt complex would find it.  The state is geometry only,
+    plus names: the input name of each present triangle a contraction has
+    renamed, through which the functionals are read on the result
+    afterwards.  complex() builds the Complex2 of the state.
     """
 
     def __init__(self, k: Complex2, skip: Iterable[int] = ()) -> None:
@@ -297,6 +307,7 @@ class _WorkingComplex:
                               for e, ts in self.tris_at_edge.items() if not ts]
         self.free_vertices = [(rank[v], v)
                               for v, es in self.edges_at_vertex.items() if len(es) == 1]
+        self.names: dict[Triangle, Triangle] = {}
         self.collapses: list = []
         self.contractions: list[Edge] = []
         self.deleted: list[Edge] = []
@@ -322,6 +333,7 @@ class _WorkingComplex:
 
     def _remove_triangle(self, t: Triangle) -> None:
         self.triangles.remove(t)
+        self.names.pop(t, None)
         for f in combinations(t, 2):
             self.tris_at_edge[f].remove(t)
             self._edge_changed(f)
@@ -408,6 +420,7 @@ class _WorkingComplex:
         for t, u in renamed.items():
             self.triangles.remove(t)
             self.triangles.add(u)
+            self.names[u] = self.names.pop(t, t)
             opposite = self.tris_at_edge[tuple(v for v in t if v != gone)]
             opposite.remove(t)
             opposite.add(u)
@@ -485,13 +498,16 @@ class ReductionTrace:
 
     Snapshots hold ("input" | "kill" | "collapse" | "contract" | "delete",
     (b0, b1, b2)) after each step; across the kill entries b0 and b1 stay
-    fixed while b2 steps down by one each time.  `spec` is None only from
-    eliminate_maximal_edges called without functionals.
+    fixed while b2 steps down by one each time.  `spec` holds the
+    functionals on the result: each support is the result triangles whose
+    input triangle it named, under their result names, so a triangle gone
+    before the end (killed, collapsed, or never present) is left out.  It
+    is None only from eliminate_maximal_edges called without functionals.
     """
 
     input_complex: Complex2
     result: Complex2
-    spec: Optional[PreservationSpec]  # final functionals, renamed through contractions
+    spec: Optional[PreservationSpec]  # final functionals: their result triangles
     killed_triangles: tuple[Triangle, ...]
     collapses: tuple
     contractions: tuple
@@ -510,8 +526,9 @@ def _finish(state: _WorkingComplex, k: Complex2, killed: Sequence[Triangle],
             rank: Optional[int]) -> ReductionTrace:
     """Build the result and audit it against the input's books.
 
-    `spec` is renamed through the contractions, in order, and `rank` is
-    its rank on the input's cycle space, which every step must keep.
+    `spec` is read on the result through the input name of each result
+    triangle, and `rank` is its rank on the input's cycle space, which
+    every step must keep.
     """
     result = state.complex()
     cycles, betti = _cycle_basis(result)
@@ -522,8 +539,9 @@ def _finish(state: _WorkingComplex, k: Complex2, killed: Sequence[Triangle],
     assert not result.maximal_edges()
     assert all(len(ts) != 1 for ts in result._tris_at_edge.values())
     if spec is not None:
-        for keep, gone in state.contractions:
-            spec = spec.mapped({gone: keep})
+        named = {state.names.get(t, t): t for t in result.triangles}
+        spec = PreservationSpec(tuple(frozenset(named[t] for t in sup if t in named)
+                                      for sup in spec.supports))
         assert _spec_rank(spec, result._triangle_index, cycles) == rank
     return ReductionTrace(
         input_complex=k,
@@ -545,7 +563,7 @@ def eliminate_maximal_edges(k: Complex2,
     A maximal edge whose endpoints fall into different components without
     it is contracted (a homotopy equivalence); otherwise it closes a cycle
     and is deleted, splitting off a circle wedge summand.  Functionals in
-    `spec`, when given, are renamed through each contraction.  The books
+    `spec`, when given, are read on the result (ReductionTrace.spec).  The books
     are audited: b1 drops by exactly the number of deletions, b0 and b2
     do not move, the functionals keep their rank on the cycles, and the
     output has no free faces and no maximal edges.  The trace has no kills.
@@ -591,7 +609,7 @@ def simplify_pipeline(k: Complex2, spec: Optional[PreservationSpec] = None,
         gone = set(killed)
         kept = [j for j in range(k.n_triangles) if j not in gone]
         fresh = _boundary_relations([k._triangle_edges[j] for j in kept], k.n_edges).cycles
-        assert [sum(1 << kept[i] for i in _bits_up(z)) for z in fresh] == cycles
+        assert len(fresh) == spec.rank  # nothing invisible is left
         betti = _betti_of_counts(k.n_vertices, k.n_edges, len(kept), b0 + 1,
                                  len(kept) - len(fresh))
         assert betti == snapshots[-1][1]

@@ -92,6 +92,18 @@ def m8_wedge(copies: int) -> Complex2:
     return attach_circle(k, k.vertices[0])
 
 
+def sphere_chain(n: int) -> Complex2:
+    """n octahedra, octahedron i on the vertices 5i .. 5i + 5 with poles
+    5i and 5i + 5, so each shares its upper pole with the next: 8n
+    triangles, b1 = 0 and b2 = n."""
+    triangles = []
+    for i in range(n):
+        ring = [5 * i + 1, 5 * i + 2, 5 * i + 3, 5 * i + 4]
+        for pole in (5 * i, 5 * i + 5):
+            triangles += [(pole, ring[j], ring[j - 1]) for j in range(4)]
+    return Complex2.from_triangles(triangles)
+
+
 def _relabel(k: Complex2, labels: str) -> Complex2:
     """k on int labels, str labels, or both: odd labels become strings."""
     if labels == "int":

@@ -5,6 +5,7 @@ import io
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from simpsurf import cli
 from simpsurf.cli import main, run_report
 from simpsurf.complex2 import Complex2
 from simpsurf.io import dump_complex, dumps_complex, load_complex
+from simpsurf.reduction import PreservationSpec, simplify_pipeline
 from simpsurf.surfaces import attach_circle, wedge
 
 from _fixtures import (TORUS_TRIS, sphere, torus, torus_circle_sphere,
@@ -149,6 +151,34 @@ def test_reduce_writes_canonical_output(capsys, tmp_path, wedge_file,
     assert payload["result"]["betti"] == [0, 2, 1]
     assert load_complex(out_path) == torus()
     assert out_path.read_text() == dumps_complex(torus(), "wedge-reduced")
+
+
+def test_preserve_with_a_contraction_onto_a_killed_name(capsys, tmp_path):
+    # two tetrahedra sharing vertex 1, cones from the apexes "a" and "b" on
+    # the triangle (1, 1001, 1002), and a loose 3-cycle: after the kills
+    # and collapses, contracting (1002, 1003) would rename the killed
+    # (1, 1001, 1003) onto the result triangle (1, 1001, 1002), which the
+    # second functional never counted
+    triangles = [t for quad in ((0, 1, 2, 3), (1, 1001, 1002, 1003))
+                 for t in combinations(quad, 3)]
+    triangles += [t for x in ("a", "b") for t in ((1, 1001, x), (1, 1002, x),
+                                                  (1001, 1002, x))]
+    k = Complex2.from_triangles(triangles, extra_edges=combinations((1003, 1004, 1005), 2))
+    supports = [[[1, 1001, "b"], [1001, 1002, "a"], [1001, 1002, "b"]],
+                [[1, 1001, 1003], [1, 1002, "b"]]]
+    dump_complex(k, tmp_path / "k.json", name="k")
+    (tmp_path / "spec.json").write_text(json.dumps(supports))
+    for command in ("reduce", "report"):
+        code, out, err = run(capsys, command, str(tmp_path / "k.json"), "--preserve",
+                             str(tmp_path / "spec.json"), "--json")
+        assert code == 0 and err == ""
+        assert json.loads(out)
+    trace = simplify_pipeline(k, PreservationSpec.from_triangle_lists(supports))
+    assert (1002, 1003) in trace.contractions
+    assert (1, 1001, 1003) in trace.killed_triangles
+    # the functionals on the result: result triangles only, rank 2 kept
+    assert set().union(*trace.spec.supports) <= set(trace.result.triangles)
+    assert trace.spec.rank == 2 and trace.spec.is_surjective_on_cycles(trace.result)
 
 
 def test_reduce_precondition_exit_3(capsys, torus_file):

@@ -181,6 +181,12 @@ def test_only_int_and_str_labels_are_vertices():
                 query(edge)
     for tri in ((0, 1), (0,), (0, 1, 3, 4)):
         assert not k.has_triangle(tri)
+    # an argument without a length is no simplex either
+    for bad in (5, None, 1.5):
+        assert not k.has_edge(bad) and not k.has_triangle(bad)
+        for query in (k.edge_degree, k.triangles_at_edge):
+            with pytest.raises(ValueError, match="is not in the complex"):
+                query(bad)
     # building a simplex keeps label_key's TypeError
     with pytest.raises(TypeError):
         canon_edge(True, 0)

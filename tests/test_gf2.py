@@ -105,6 +105,35 @@ def test_vector_basics():
         assert tuple(_bits_up(v.bits)) == v.support() == support
 
 
+def _digits_up(bits: int, n: int) -> str:
+    """The n lowest binary digits of bits, lowest first."""
+    return bin(bits)[2:].zfill(n)[::-1][:n]
+
+
+def test_wide_vectors_and_transposes_match_the_reference():
+    # a repeated index cancels
+    assert Gf2Vector.from_support(4, [1, 1, 2]) == Gf2Vector(4, 0b0100)
+    assert repr(Gf2Vector.from_support(4, [1, 1, 2])) == "Gf2Vector('0010')"
+    # 200,000 indices, about a quarter repeated, against their parities
+    n = 300_000
+    rng = random.Random(20261021)
+    indices = [rng.randrange(n) for _ in range(200_000)]
+    odd = [0] * n
+    for i in indices:
+        odd[i] ^= 1
+    v = Gf2Vector.from_support(n, indices)
+    assert _digits_up(v.bits, n) == "".join(map(str, odd))
+    assert Gf2Vector.from_coeffs([c + 2 * rng.randrange(2) for c in odd]) == v
+    assert Gf2Vector.from_coeffs([]) == Gf2Vector(0) == Gf2Vector.from_support(0, [])
+    # an all-ones row of 80,000 columns among sparse and random rows
+    n = 80_000
+    rows = [(1 << n) - 1, 0, 1 << n - 1, rng.getrandbits(n), 0b101]
+    transposed = Gf2Matrix(len(rows), n, rows).transpose()
+    digits = [_digits_up(r, n) for r in rows]
+    assert transposed == Gf2Matrix(n, len(rows), [
+        sum(int(d[j]) << i for i, d in enumerate(digits)) for j in range(n)])
+
+
 def test_vector_validation():
     with pytest.raises(ValueError):
         Gf2Vector(2, 0b100)

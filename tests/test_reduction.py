@@ -3,6 +3,7 @@
 import json
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +22,8 @@ from simpsurf.reduction import (PreservationSpec, _boundary, _cycle_basis, _sum,
                                 eliminate_maximal_edges, kill_step, simplify_pipeline)
 from simpsurf.surfaces import attach_circle, catalog, classify, wedge
 
-from _fixtures import (kernel_from_rref, label_cases, m8_wedge, rp2, sphere, torus,
-                       torus_circle_sphere, torus_with_circle)
+from _fixtures import (kernel_from_rref, label_cases, m8_wedge, rp2, sphere,
+                       sphere_chain, torus, torus_circle_sphere, torus_with_circle)
 
 
 def torus_functional() -> PreservationSpec:
@@ -341,6 +342,12 @@ def _without(k: Complex2, vertices, edges, triangles) -> Complex2:
                     [t for t in k.triangles if t not in triangles])
 
 
+def _present(spec: PreservationSpec, k: Complex2) -> PreservationSpec:
+    """spec with each support restricted to the triangles of k."""
+    return PreservationSpec(tuple(frozenset(filter(k.has_triangle, sup))
+                                  for sup in spec.supports))
+
+
 def _replay(k: Complex2, spec: PreservationSpec, trace) -> Counter:
     """Re-apply every recorded move, rebuilding the complex each time.
 
@@ -405,11 +412,12 @@ def _replay(k: Complex2, spec: PreservationSpec, trace) -> Counter:
             k = Complex2([v for v in cut.vertices if v != gone], *merged)
             # no two simplices merged
             assert (k.n_edges, k.n_triangles) == (cut.n_edges, cut.n_triangles)
-            spec = spec.mapped({gone: keep})
+            # a contraction renames only the triangles present at it
+            spec = _present(spec, cut).mapped({gone: keep})
             check("contract")
     for rest in (snapshots, collapses, contractions, deleted):
         assert next(rest, None) is None
-    assert k == trace.result and spec == trace.spec
+    assert k == trace.result and _present(spec, k) == trace.spec
     assert spec.is_surjective_on_cycles(k)
     return seen
 
@@ -420,6 +428,20 @@ def _book(rng: random.Random) -> Complex2:
     u, v, w = labels[:3]
     return Complex2.from_triangles(
         [t for a in labels[3:] for t in ((u, v, a), (u, w, a), (v, w, a))])
+
+
+def _apex_book(rng: random.Random) -> Complex2:
+    """A tetrahedron, cones from one to three apexes (str labels among
+    them) on one of its triangles, and a loose 3-cycle at one of its
+    vertices: the moves contract edges of killed and collapsed triangles."""
+    labels = rng.sample(range(1000, 1100), 6)
+    tetrahedron = list(combinations(labels[:4], 3))
+    a, b, c = rng.choice(tetrahedron)
+    apexes = rng.sample(["a", "b", labels[4]], rng.randrange(1, 4))
+    loop = [rng.choice(labels[:4]), labels[5], "z"]
+    return Complex2.from_triangles(
+        tetrahedron + [t for x in apexes for t in ((a, b, x), (a, c, x), (b, c, x))],
+        extra_edges=list(combinations(loop, 2)))
 
 
 def test_pipeline_replays_step_by_step():
@@ -474,7 +496,23 @@ def test_pipeline_replays_step_by_step():
         if spec.is_surjective_on_cycles(book):
             seen += _replay(book, spec, simplify_pipeline(book, spec))
             seen["pinned book"] += 1
-    assert seen["pinned book"] >= 20
+    # random explicit specs on branching books, bare or on a tetrahedron:
+    # supports of a few triangles, some outside the complex
+    for i in range(60):
+        k = _book(rng) if i % 2 else _apex_book(rng)
+        spec = PreservationSpec.from_triangle_lists(
+            rng.sample(k.triangles, rng.randrange(1, 4))
+            + [(900, 901, 902)] * (rng.random() < 0.3)
+            for _ in range(rng.randrange(1, 4)))
+        if spec.is_surjective_on_cycles(k):
+            seen += _replay(k, spec, simplify_pipeline(k, spec))
+            seen["random book spec"] += 1
+    # the 30-sphere chain: 29 kills in a row, each checked against kill_step
+    k = sphere_chain(30)
+    trace = simplify_pipeline(k, target_rank=1)
+    assert len(trace.killed_triangles) == 29
+    seen += _replay(k, PreservationSpec.dual_basis(k, 1), trace)
+    assert seen["pinned book"] >= 20 and seen["random book spec"] >= 20, seen
     assert all(seen[label] > 0 for label in ("kill", "collapse", "contract", "delete",
                                              "rank 0", "rank 1", "rank None",
                                              "rank explicit"))
@@ -658,6 +696,31 @@ def test_pipeline_work_is_bounded_per_phase(monkeypatch):
     assert (len(trace.killed_triangles), trace.free_rank) == (1, 17)
     assert counts["searches"] == len(trace.contractions) + trace.free_rank
     assert counts["expansions"] <= 6000, counts
+
+
+def test_kills_are_found_by_one_elimination(monkeypatch):
+    # the kills are the pivots of one echelon form of the invisible cycles:
+    # one gf2._relations call finds them all, beside the rank audits of the
+    # input, the complex after the kills and the result; two calls per kill
+    # made 102 for the 49 kills here
+    calls = []
+    relations = reduction._relations
+    monkeypatch.setattr(reduction, "_relations",
+                        lambda *args: calls.append(args) or relations(*args))
+    trace = simplify_pipeline(sphere_chain(50), target_rank=1)
+    assert len(trace.killed_triangles) == 49
+    assert len(calls) <= 4
+
+
+@pytest.mark.slow
+def test_the_12500_sphere_chain_reduces_to_one_octahedron():
+    # 100,000 triangles, 12,499 kills: a few seconds, where kills that
+    # eliminate again per kill take minutes
+    trace = simplify_pipeline(sphere_chain(12_500), target_rank=1)
+    assert len(trace.killed_triangles) == 12_499
+    result = trace.result
+    assert (result.n_vertices, result.n_edges, result.n_triangles) == (6, 12, 8)
+    assert trace.snapshots[-1][1] == betti_numbers(result) == (0, 0, 1)
 
 
 @pytest.mark.slow
