@@ -23,13 +23,12 @@ cups with every basis class side by side, and its left radical (property
 (A) asks for it to be zero) is the relations among those rows, one
 gf2._relations call.
 
-Every boundary elimination, the summary's, betti_numbers', the
-reduction's audits and the 1-cycle picks', goes through
-_boundary_relations, which reads each triangle boundary off a list of its
-edge positions: the three of _triangle_edges, a kept index of the
-complex, or for the picks those among the edges off a forest, so any
-number of them.  When every edge lies in at most two triangles (every
-surface, with or without boundary, and every wedge of them) the
+Every boundary elimination, the summary's, betti_numbers' and the
+reduction's audits, goes through _boundary_relations, which reads each
+triangle boundary off a list of its edge positions, the three of
+_triangle_edges at every position or at a kept index of the complex.
+The 1-cycles take none.  When every edge lies in at most two triangles
+(every surface, with or without boundary, and every wedge of them) the
 elimination computes only a spanning forest of the dual graph: the
 triangles plus a node at infinity, an edge joining its two triangles, or
 its one triangle to infinity.  The column matroid of the boundary rows is
@@ -43,7 +42,7 @@ the boundaries tagged with their triangles, which also serves the tests
 as the oracle; both routes give the same bits.
 
 One forest routine, gf2._Forest, the package's one union-find, serves
-three users here.  It is Kruskal's algorithm over (edge, end, end)
+two users here.  It is Kruskal's algorithm over (edge, end, end)
 triples taken in a given order, with a find pass that lists its trees and
 one walk up its parent pointers for the fundamental cycles of edges off
 it.  The dual graph is the first user.  The second is the spanning
@@ -53,13 +52,13 @@ never joins two trees): the edges off it pick the H^1 classes, and its
 trees are the components the summary reports; betti_numbers and the
 reduction's audits only count its edges, alpha0 less that being the
 number of components.  Nothing here writes to the complex, which finds
-its own components when asked.  The third is the 1-skeleton's forest
-grown in edge order, whose fundamental cycles are the 1-cycles, built
-only when cycle_reps is first read; the edges whose cycles are taken are
-the free columns of the boundaries restricted to the edges off that
-forest.  The bases the summary returns are those read off the reduced
-row echelon forms of d1, d2 transposed, d2 and the 2-cycles, which are
-unique.
+its own components when asked.  The fundamental cycles of the H^1 picks
+in that forest are the 1-cycles, dual to the H^1 classes (the
+tree-cotree split again), built only when cycle_reps is first read, by
+growing the same forest over every edge.  The H^1 and H^2 bases and the
+2-cycles the summary returns are those read off the reduced row echelon
+forms of d1, d2 transposed, d2 and the 2-cycles, which are unique, and
+in every degree the homology basis is dual to the cohomology basis.
 
 Over F2, H^2 = Hom(H_2, F2), so the class of a 2-cochain w is fixed by its
 values on a basis of 2-cycles.  The H^2 basis is chosen dual to the
@@ -182,9 +181,10 @@ def betti_numbers(k: Complex2) -> tuple[int, int, int]:
 def _boundary_relations(boundaries: Sequence[Sequence[int]], width: int
                         ) -> _DualForest | _Elimination:
     """The boundaries, each given by its positions below width (a
-    triangle's three edge positions in a complex's _triangle_edges, or any
-    number of them), eliminated in order: the one entry point of every
-    boundary elimination.
+    triangle's three edge positions in a complex's _triangle_edges, though
+    any number of them will do), eliminated in order: the one entry point
+    of every boundary elimination, called by betti_numbers,
+    homology_summary and the reduction's audits.
 
     When every position lies in at most two of the boundaries the dual
     forest gives the answer (_tree_cotree); the first position found in a
@@ -321,11 +321,15 @@ class HomologySummary:
     """Betti numbers plus deterministic representative bases.
 
     cycle_reps[d] spans the reduced homology in dimension d; cocycle_reps[d]
-    does the same for cohomology.  In dimension 2 the two bases are dual:
-    cocycle_reps[2][i] is the indicator of one triangle, the i-th pivot of
-    the reduced row echelon form of the 2-cycle space, and cycle_reps[2][j]
-    is the reduced 2-cycle with cocycle_reps[2][i](cycle_reps[2][j]) equal
-    to 1 exactly when i == j.  h2_coordinates reads classes in this basis.
+    does the same for cohomology.  The two bases are dual in every
+    dimension: cocycle_reps[d][i] is 1 on cycle_reps[d][j] exactly when
+    i == j, for d = 0, 1 and 2.  In dimension 2, cocycle_reps[2][i] is the
+    indicator of one triangle, the i-th pivot of the reduced row echelon
+    form of the 2-cycle space, and cycle_reps[2][j] the reduced 2-cycle;
+    h2_coordinates reads classes in this basis.  In dimension 1,
+    cocycle_reps[1][i] is its highest edge, a pick, plus pivot edges, and
+    cycle_reps[1][j] is its pick plus edges of the 1-skeleton's forest,
+    none of them a pick or a pivot.
 
     cycle_reps[1] is built when cycle_reps is first read, and kept; the
     cup form, property (A) and h2_coordinates never read it.
@@ -339,7 +343,8 @@ class HomologySummary:
 
     @cached_property
     def cycle_reps(self) -> dict[int, tuple[ChainVector, ...]]:
-        return {0: self._cycles0, 1: _one_cycles(self._complex), 2: self._cycles2}
+        return {0: self._cycles0, 1: _one_cycles(self._complex, self.cocycle_reps[1]),
+                2: self._cycles2}
 
     @property
     def b0(self) -> int:
@@ -386,24 +391,17 @@ def homology_summary(k: Complex2) -> HomologySummary:
         pivot whose reduced row has f set, the path of item 3) at each
         free column f of the boundaries, in order, that is not an edge of
         that forest;
-      * cycle_reps[1], built on first read (_one_cycles): for each edge f
-        off the forest grown in edge order, in order, picked when f is the
-        highest bit of no boundary restricted to those edges (a free
-        column of the restricted boundaries' elimination, the edges taken
-        from the highest down, so on the dual graph's forest again when no
-        edge lies in three triangles), the forest's cycle through f,
-        walked up the forest's parent pointers as in item 3;
+      * cycle_reps[1], built on first read (_one_cycles): for each pick f
+        of cocycle_reps[1], in order, f plus the path between its ends in
+        that forest, walked up the forest's parent pointers as in item 3;
       * cycle_reps[2] are the reduced 2-cycles and cocycle_reps[2] the
         single triangles at their pivots, so the two bases are dual; on
         the dual graph, the trees ordered by their lowest triangle and
         those lowest triangles.
 
-    Both degree-one bases are the greedy completion, in order, of the
-    boundaries (or coboundaries) to the cycles (or cocycles).  For the
-    cycles: restriction to the edges off the forest is one-to-one on the
-    cycles, and the candidate at f is the unit vector there.  For the
-    cocycles, the completion picks the free columns f that are the highest
-    edge of no nonzero coboundary:
+    The cocycles are the greedy completion, in order, of the coboundaries
+    to the cocycles: it picks the free columns f that are the highest edge
+    of no nonzero coboundary:
 
       * the kernel vector at f has f as its highest edge, since a reduced
         row has no bit below its pivot; distinct free columns give
@@ -418,8 +416,15 @@ def homology_summary(k: Complex2) -> HomologySummary:
     column: a pivot edge never joins two trees, and the forest is grown
     over the free columns alone.  The picks number
     b1 = alpha1 - (alpha0 - #components) - rank d2, and the coboundaries
-    are never eliminated.  The empty complex is reported as having no
-    homology at all.
+    are never eliminated.
+
+    The 1-cycles are dual to the cocycles: the cocycle at a pick f_i is
+    f_i plus pivots, the cycle at f_j is f_j plus forest edges, which are
+    neither picks nor pivots, so one is 1 on the other exactly when
+    i == j.  Every nonzero boundary has its lowest edge at a pivot and no
+    such cycle has a pivot, so no nonzero sum of them bounds; there are
+    b1 of them, a basis of H_1.  The empty complex is reported as having
+    no homology at all.
     """
     n_edges, n_triangles = k.n_edges, k.n_triangles
     boundaries = _boundary_relations(k._triangle_edges, n_edges)
@@ -463,10 +468,11 @@ def _forest(k: Complex2, free: Sequence[int]) -> _Forest:
     down, whose trees are the components.
 
     free are the free columns of the triangle boundaries' elimination, in
-    order.  Every edge that forest keeps is one of them (see
-    homology_summary), so the pivot edges, which never join two trees,
-    are not taken at all, and the edges off the forest, its off list, are
-    the free columns it does not keep, from the highest down.
+    order, or every edge.  Every edge that forest keeps is a free column
+    (see homology_summary), so the pivot edges, which never join two
+    trees, need not be taken, and over the free columns the edges off
+    the forest, its off list, are those it does not keep, from the
+    highest down.
     """
     vertex, edges = k._vertex_index, k.edges
     # a generator: each triple is freed once taken, so none counts toward
@@ -475,33 +481,18 @@ def _forest(k: Complex2, free: Sequence[int]) -> _Forest:
                                   for f in reversed(free) for u, v in (edges[f],)))
 
 
-def _one_cycles(k: Complex2) -> tuple[ChainVector, ...]:
-    """cycle_reps[1] of homology_summary(k): the fundamental cycles of the
-    edges off the 1-skeleton's forest grown in edge order that the greedy
-    completion picks against the triangle boundaries.
-
-    The candidates, the edges off the forest, are picked when they are the
-    highest set bit of no vector in the span of the triangle boundaries
-    restricted to them: the unit vectors, taken in order, that the greedy
-    completion of the restricted span picks.  Candidate j of m is column
-    m - 1 - j of the restricted boundaries, so the pivots of their
-    elimination (_boundary_relations), its lowest bits, are the highest
-    candidates, and the picks are its free columns read from the highest
-    down.  A candidate's column is the set of its triangles, as it was
-    before the restriction, so a complex with no edge in three triangles
-    takes the dual forest.
-    """
+def _one_cycles(k: Complex2, cocycles: Sequence[CochainVector]) -> tuple[ChainVector, ...]:
+    """cycle_reps[1] of homology_summary(k), given its cocycle_reps[1]: the
+    fundamental cycle of each pick, the highest edge of its cocycle, in
+    the 1-skeleton's forest grown from the highest edge down (see
+    homology_summary).  Grown over every edge, _forest keeps the same
+    edges as over the free columns alone."""
     vertex = k._vertex_index
     one = [vertex[u] for u, _ in k.edges]
     two = [vertex[v] for _, v in k.edges]
-    forest = _Forest(k.n_vertices, zip(range(k.n_edges), one, two))
-    m = len(forest.off)
-    column = {e: m - 1 - j for j, e in enumerate(forest.off)}
-    free = _boundary_relations([[column[e] for e in edges if e in column]
-                                for edges in k._triangle_edges], m).free
-    picks = [forest.off[m - 1 - f] for f in reversed(free)]
+    picks = [a.coeffs.bits.bit_length() - 1 for a in cocycles]
     return tuple(ChainVector(1, Gf2Vector(k.n_edges, bits))
-                 for bits in forest.cycles(picks, one, two))
+                 for bits in _forest(k, range(k.n_edges)).cycles(picks, one, two))
 
 
 def h2_coordinates(summary: HomologySummary, w: CochainVector) -> Gf2Vector:

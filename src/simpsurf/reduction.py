@@ -143,11 +143,6 @@ class PreservationSpec:
     def is_surjective_on_cycles(self, k: Complex2) -> bool:
         return _spec_rank(self, k._triangle_index, _cycle_basis(k)[0]) == self.rank
 
-    def mapped(self, relabel: dict) -> "PreservationSpec":
-        return PreservationSpec(tuple(
-            frozenset(canon_triangle(*(relabel.get(v, v) for v in t)) for t in sup)
-            for sup in self.supports))
-
 
 def kill_step(k: Complex2, spec: PreservationSpec) -> tuple[Complex2, Triangle]:
     """Remove one triangle from a cycle invisible to every functional.
@@ -251,9 +246,15 @@ def _kill_all(k: Complex2, spec: PreservationSpec, cycles: Sequence[int]) -> lis
     and every functional vanishes on it.  That keeps the functionals' rank:
     z is 1 at the killed triangle sigma, so the cycles Z there split as
     Z' + <z>, Z' those avoiding sigma, and f(z) = 0 gives f(Z') = f(Z).
+
+    Raises ValueError when the functionals are not surjective on the
+    cycles of k, read off the same values: their span falls short of
+    spec.rank.
     """
     masks = spec._masks(k._triangle_index)
-    relations = _relations([_values(masks, z) for z in cycles], spec.rank)[1]
+    values, relations = _relations([_values(masks, z) for z in cycles], spec.rank)
+    if values.dim != spec.rank:
+        raise ValueError("functionals are not surjective on the cycle space")
     invisible = _span((_sum(cycles, r) for r in relations), k.n_triangles)
     killed, gone = [], 0
     for sigma, z in invisible._added():
@@ -594,9 +595,6 @@ def simplify_pipeline(k: Complex2, spec: Optional[PreservationSpec] = None,
     cycles, betti = _cycle_basis(k)
     if spec is None:
         spec = _dual_spec(k, cycles, target_rank)
-    if _spec_rank(spec, k._triangle_index, cycles) != spec.rank:
-        raise ValueError("functionals are not surjective on the cycle space")
-
     killed = _kill_all(k, spec, cycles)
     b0, b1, b2 = betti
     snapshots: list = [("input", betti)]

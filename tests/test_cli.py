@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simpsurf import cli
+from simpsurf.bounds import parse_surface_id
 from simpsurf.cli import main, run_report
 from simpsurf.complex2 import Complex2
 from simpsurf.io import dump_complex, dumps_complex, load_complex
 from simpsurf.reduction import PreservationSpec, simplify_pipeline
-from simpsurf.surfaces import attach_circle, wedge
+from simpsurf.surfaces import _subdivide, attach_circle, catalog, wedge
 
 from _fixtures import (TORUS_TRIS, sphere, torus, torus_circle_sphere,
                        torus_with_circle)
@@ -391,6 +392,10 @@ def _golden_calls(d: Path) -> list[list[str]]:
                  "point": Complex2((0,), (), ())}
     for name, k in complexes.items():
         dump_complex(k, d / f"{name}.json", name=name)
+    # report's verdicts on a sphere and on a torus that is not minimal
+    dump_complex(catalog(parse_surface_id("S2")), d / "S2.json", name="S2")
+    dump_complex(_subdivide(catalog(parse_surface_id("M1")))[0], d / "M1-sd.json",
+                 name="M1-sd")
     (d / "spec.json").write_text(json.dumps([[[0, 1, 3]]]))
     (d / "bad.json").write_text('{"triangles": [[1, 1, 2]]}')
     for name, h1, h2, prop in (("BS(3,5)", 2, 1, True), ("F2", 2, 0, False)):
@@ -410,6 +415,7 @@ def _golden_calls(d: Path) -> list[list[str]]:
                             str(d / "spec.json"))
     calls += [["reduce", wedge, "--preserve", spec, "-v"],
               ["report", wedge, "--preserve", spec, "--surface", "M1"],
+              ["report", str(d / "S2.json")], ["report", str(d / "M1-sd.json")],
               ["bounds", "--surface", "S2"], ["bounds", "--surface", "M2"],
               ["bounds", "--surface", "N3"],
               ["bounds", "--profile", str(d / "BS(3,5).profile.json")],

@@ -155,13 +155,31 @@ def test_cycle_reps_are_nonbounding_cycles():
 def _greedy_completion(length, seed, candidates):
     """The candidates, in order, that enlarge the span of every seed vector.
 
-    The independent route to the degree-1 bases: the span is built from
-    every column of d2 (or row of d1), one by one, not from reduced rows.
+    The independent route to the H^1 basis: the span is built from every
+    row of d1, one by one, not from reduced rows.
     """
     span = Gf2Span(length)
     for v in seed:
         span.add(v)
     return [v for v in candidates if span.add(v)]
+
+
+def _cycles_at_picks(k: Complex2, cocycles, pivots) -> list[Gf2Vector]:
+    """The independent route to the H_1 basis: for each pick f, the
+    highest edge of a cocycle, the one kernel vector of d1 restricted to
+    f and to the free columns of d2 transposed (those not in pivots) that
+    are not picks.  One dense elimination finds them all: with those
+    columns first and the picks after, the picks are its free columns."""
+    picks = [a.bits.bit_length() - 1 for a in cocycles]
+    rest = [e for e in range(k.n_edges) if e not in set(pivots) | set(picks)]
+    columns = rest + picks
+    d1t = list(boundary_matrix(k, 1).transpose().rows())
+    restricted = Gf2Matrix(len(columns), k.n_vertices,
+                           [d1t[e].bits for e in columns]).transpose()
+    rows, found = restricted._rref()
+    assert found == list(range(len(rest)))
+    return [Gf2Vector.from_support(k.n_edges, [columns[c] for c in z.support()])
+            for z in kernel_from_rref(len(columns), rows, found)]
 
 
 def _degree_one_cases():
@@ -171,9 +189,8 @@ def _degree_one_cases():
               Complex2.from_triangles([], extra_vertices=[0]),
               Complex2.from_triangles(list(rp2().triangles) + [(50, 51, 52)],
                                       extra_edges=[(60, 61)])]
-    # a torus and M2, each with a three-page book on an edge off the
-    # 1-skeleton's forest grown in edge order: that edge is in five
-    # triangles, so both the summary and the 1-cycle picks eliminate
+    # a torus and M2, each with a three-page book on an edge: that edge is
+    # in five triangles, so the summary eliminates
     m2 = catalog(parse_surface_id("M2"))
     for k, (u, v) in ((torus(), (1, 2)), (m2, m2.edges[-1])):
         cases.append(Complex2.from_triangles(list(k.triangles)
@@ -197,19 +214,35 @@ def test_degree_one_bases_match_the_greedy_completion(monkeypatch):
     counts = Counter()
     monkeypatch.setattr(homology, "_Elimination",
                         _counting(counts, "eliminations", homology._Elimination))
-    picks_eliminated = 0
+    summaries_eliminated = 0
     for k in _degree_one_cases():
-        s = homology_summary(k)
         counts.clear()
+        s = homology_summary(k)
+        summaries_eliminated += counts["eliminations"]
+        counts.clear()
+        cycle_reps = s.cycle_reps[1]
+        # reading the 1-cycles eliminates nothing, not even on the books
+        assert counts["eliminations"] == 0
         d1, d2t = boundary_matrix(k, 1), boundary_matrix(k, 2).transpose()
-        cycles = _greedy_completion(k.n_edges, list(d2t.rows()), d1.kernel_basis())
         cocycles = _greedy_completion(k.n_edges, list(d1.rows()), d2t.kernel_basis())
-        assert [z.coeffs for z in s.cycle_reps[1]] == cycles
         assert [a.coeffs for a in s.cocycle_reps[1]] == cocycles
+        cycles = _cycles_at_picks(k, cocycles, d2t._rref()[1])
+        assert [z.coeffs for z in cycle_reps] == cycles
         assert len(cycles) == len(cocycles) == s.b1
-        picks_eliminated += counts["eliminations"]
-    # both books' picks took the elimination
-    assert picks_eliminated >= 2
+    # both books' summaries took the elimination
+    assert summaries_eliminated >= 2
+
+
+def test_bases_are_dual_in_every_degree():
+    shapes = Counter()
+    for k in _oracle_cases() + _degree_one_cases():
+        s = homology_summary(k)
+        for d in (0, 1, 2):
+            for i, a in enumerate(s.cocycle_reps[d]):
+                for j, z in enumerate(s.cycle_reps[d]):
+                    assert a.evaluate(z) == (i == j), (d, i, j)
+            shapes[d] += len(s.cycle_reps[d]) >= 2
+    assert min(shapes.values()) >= 10
 
 
 def _counting(counts, name, fn):
@@ -221,10 +254,11 @@ def _counting(counts, name, fn):
 
 
 def _homology_summary_dense(k: Complex2):
-    """(betti, cycle_reps, cocycle_reps) by four dense eliminations: the
+    """(betti, cycle_reps, cocycle_reps) by dense eliminations: the
     reduced row echelon forms of d1, of d2 transposed, of d2 and of the
-    2-cycle basis, the kernels read off them and the degree-1 picks made
-    by greedy completion against their reduced rows."""
+    2-cycle basis, and the kernels read off them; the H^1 picks made by
+    greedy completion against the reduced rows of d1, and the 1-cycles
+    found at those picks by _cycles_at_picks."""
     d1, d2 = boundary_matrix(k, 1), boundary_matrix(k, 2)
     comps = k.connected_components()
     rows1, pivots1 = d1._rref()
@@ -235,11 +269,10 @@ def _homology_summary_dense(k: Complex2):
     b1 = len(z1) - (k.n_triangles - len(z2))
     cycle0 = tuple(chain(k, 0, [comp[0], comps[0][0]]) for comp in comps[1:])
     cocycle0 = tuple(cochain(k, 0, comp) for comp in comps[1:])
-    seed2t = [Gf2Vector(k.n_edges, r) for r in rows2t[:len(pivots2t)]]
     seed1 = [Gf2Vector(k.n_edges, r) for r in rows1[:len(pivots1)]]
-    cycle1 = tuple(ChainVector(1, v) for v in _greedy_completion(k.n_edges, seed2t, z1))
-    cocycle1 = tuple(CochainVector(1, v)
-                     for v in _greedy_completion(k.n_edges, seed1, cocycles1))
+    picked = _greedy_completion(k.n_edges, seed1, cocycles1)
+    cocycle1 = tuple(CochainVector(1, v) for v in picked)
+    cycle1 = tuple(ChainVector(1, v) for v in _cycles_at_picks(k, picked, pivots2t))
     z2_rows, pivots = Gf2Matrix(len(z2), k.n_triangles, [z.bits for z in z2])._rref()
     cycle2 = tuple(ChainVector(2, Gf2Vector(k.n_triangles, r)) for r in z2_rows)
     cocycle2 = tuple(CochainVector(2, Gf2Vector(k.n_triangles, 1 << p)) for p in pivots)
@@ -331,8 +364,8 @@ def test_a_torus_with_a_book_on_an_edge_takes_the_elimination():
 def test_dual_forest_over_kept_triangles_is_the_elimination():
     # the route over the triangles a skip set leaves, as the audit after
     # the reduction's kills runs it, and over the boundaries restricted to
-    # a subset of the columns, as the 1-cycle picks run it, against the
-    # tagged elimination of the same boundary rows
+    # a subset of the columns, which it takes as well, against the tagged
+    # elimination of the same boundary rows
     rng = random.Random(20261026)
     shapes = Counter()
     for k in _oracle_cases():
@@ -635,8 +668,8 @@ def test_summary_runs_one_elimination(monkeypatch):
     # every edge lies in at most two triangles, so the dual forest gives
     # every basis: no span at all, and the 1-cycles are not built
     assert lengths == [] and counts["insertions"] == 0
-    # reading them builds them, and the picks among the edges off their
-    # forest come off the dual forest of the restricted boundaries: no span
+    # reading them builds them, as fundamental cycles in the 1-skeleton's
+    # forest: no span
     assert len(s.cycle_reps[1]) == s.b1
     assert lengths == [] and counts["insertions"] == 0
     # the book takes the elimination: one span over the tagged triangle
@@ -649,13 +682,10 @@ def test_summary_runs_one_elimination(monkeypatch):
     assert counts["eliminations"] == 0 and counts["row_walks"] == 0
     assert lengths == [book.n_edges + book.n_triangles, book.n_triangles]
     assert counts["insertions"] == s.b2
-    # the book's edge is off the forest the 1-cycles are taken from, so
-    # the restricted boundaries branch too: one tagged span over the edges
-    # off that forest and the triangles, and no reduced 2-cycles
+    # reading the book's 1-cycles walks the same forest: no span either
     lengths.clear()
     assert len(s.cycle_reps[1]) == s.b1
-    assert lengths == [book.n_edges - (book.n_vertices - 1) + book.n_triangles]
-    assert counts["insertions"] == s.b2
+    assert lengths == [] and counts["insertions"] == s.b2
 
 
 # one process builds the circulant torus on Z/n, n its first argument,
@@ -707,20 +737,21 @@ def _large_torus(n: int, query: str) -> int:
 @pytest.mark.slow
 def test_summary_of_a_100000_triangle_torus_in_bounded_memory():
     # every edge lies in two triangles, so the dual forest gives the
-    # summary, and again the picks of the 1-cycles; the tagged elimination
-    # would hold 10^5 rows up to 2.5 * 10^5 bits wide (the edges, then a
-    # tag per triangle), several GiB, and the picks' own elimination once
-    # peaked at about 938 MiB here
+    # summary, and the 1-cycles are fundamental cycles in the 1-skeleton's
+    # forest; the tagged elimination would hold 10^5 rows up to 2.5 * 10^5
+    # bits wide (the edges, then a tag per triangle), several GiB, and an
+    # elimination of its own for the 1-cycle picks once peaked at about
+    # 938 MiB here
     assert _large_torus(50000, "cycles") < 300 * 1024
 
 
 @pytest.mark.slow
 def test_cycle_reps_of_a_36864_triangle_torus_in_bounded_memory():
     # the 1-cycles are walked up the 1-skeleton forest's parent pointers
-    # and picked off the dual forest of the boundaries restricted to the
-    # edges off it, about 46 MiB with the summary (Python 3.11, Linux);
+    # at the H^1 picks, about 50 MiB with the summary (Python 3.11, Linux);
     # one path mask per vertex, as they once were built, peaked at about
-    # 227 MiB, and the picks' own elimination at about 158 MiB
+    # 227 MiB, and an elimination of their own for the picks at about
+    # 158 MiB
     assert _large_torus(18432, "cycles") < 100 * 1024
 
 

@@ -133,18 +133,21 @@ def test_only_gf2_has_a_union_find(path):
 
 def test_homology_eliminates_only_through_its_entry_points():
     # every triangle boundary elimination goes through _boundary_relations,
-    # whose tagged route is _Elimination; besides it only the cup form's
-    # left radical and the brute-force oracle build a span of their own
-    allowed = {"_Elimination", "CupForm", "property_a_brute_force"}
-    calls = []
+    # which only betti_numbers and homology_summary call (the 1-cycles are
+    # read off the summary's forest and take none), and whose tagged route
+    # is _Elimination; besides it only the cup form's left radical and the
+    # brute-force oracle build a span of their own
+    calls = {"_span": set(), "_relations": set(), "_boundary_relations": set()}
     for top in _tree(PACKAGE / "homology.py").body:
         for node in ast.walk(top):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in ("_span", "_relations"):
-                    calls.append((getattr(top, "name", None), name))
-    assert calls and {top for top, _ in calls} <= allowed, calls
+                if name in calls:
+                    calls[name].add(getattr(top, "name", None))
+    spans = calls["_span"] | calls["_relations"]
+    assert spans and spans <= {"_Elimination", "CupForm", "property_a_brute_force"}, calls
+    assert calls["_boundary_relations"] == {"betti_numbers", "homology_summary"}, calls
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
