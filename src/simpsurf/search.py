@@ -18,39 +18,47 @@ and its three apexes relabel to 0..4; it dies at the link of vertex 0
 after a few nodes, yet no parity argument cuts it, so it stays an
 independent check of the parity obstruction.
 
-The searches stay on integer states from start to finish: the enumerator
-keeps bitmasks and hands over each complete state as the ids of its
-triangles, with its orientability, which it carries through the search
-as one more mask (the direction in which each open edge's triangle runs
-it).  The minimum search skips every state whose Euler characteristic or
+The searches stay on integer states from start to finish, and no
+search holds its states: the enumerator keeps bitmasks and hands each
+complete state to a visitor the moment it closes, as the mask of its
+triangles with its triangle count, the labels it uses and its
+orientability, which it carries through the search as one more mask
+(the direction in which each open edge's triangle runs it).  The
+visitor keeps what it needs and the search goes on, so memory stays
+flat however many states there are (308,134 on nine vertices for M2).
+The minimum search drops every state whose Euler characteristic or
 orientability differs from the target's; those two fix the surface once
-every vertex link is a cycle, so the rest are decoded to integer
-triangles and get only the link walk of the recognizer that classify
-runs on.  No Complex2 is built until a search has its witness, which
-classify, with the full recognizer, then confirms.  The link walk takes
-as given what classify checks on the 1-skeleton first, and every
-complete state of the closed search has both by construction: it is
-connected, since each triangle after the seed is placed on an edge
-already present, and each of its edges lies in exactly two triangles,
-since an edge is left open in one triangle or closed in two and no
-triangle is placed on a closed edge.  canonical_form likewise runs on
-vertex indices, so the triple-edge search keys its states as they come
-and builds a Complex2 only for a new class; the branch and bound of
-canonical_form skips every candidate that an automorphism found on the
-way proves equivalent to one already tried.  Nothing here assumes the
-counting results elsewhere in the package.
+every vertex link is a cycle, so the rest get only the link walk of the
+recognizer that classify runs on, one vertex at a time on the vertex's
+star.  A vertex's link is made of the triangles at it and nothing else,
+so each distinct star is walked once per search and its answer reused.
+No Complex2 is built until a search has its witness, which classify,
+with the full recognizer, then confirms.  The link walk takes as given
+what classify checks on the 1-skeleton first, and every complete state
+of the closed search has both by construction: it is connected, since
+each triangle after the seed is placed on an edge already present, and
+each of its edges lies in exactly two triangles, since an edge is left
+open in one triangle or closed in two and no triangle is placed on a
+closed edge.  canonical_form likewise runs on vertex indices, so the
+triple-edge search keys its states as they come and builds a Complex2
+only for a new class; the branch and bound of canonical_form skips
+every candidate that an automorphism found on the way proves equivalent
+to one already tried.  Nothing here assumes the counting results
+elsewhere in the package.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .bounds import SurfaceId
 from .complex2 import Complex2
-from .surfaces import _link_apexes, classify
+from .gf2 import _bits_up
+from .surfaces import _apex_sums, _link_is_cycle, classify
 
 __all__ = [
     "canonical_form",
@@ -272,75 +280,92 @@ def _canonical_key(n: int, tris, edges=()) -> tuple:
     return (n, tuple(key_tris), tuple(key_edges))
 
 
-def _triangles(n_max: int) -> list:
-    """The triangles on labels 0..n_max-1 in combinations order, the
-    order of the triangle ids in the states of a search on n_max labels."""
-    return list(itertools.combinations(range(n_max), 3))
+@functools.cache
+def _triangles(n_max: int) -> tuple:
+    """The triangles on labels 0..n_max-1 in combinations order: bit i of
+    a search state's placed-triangle mask on n_max labels is triangle i."""
+    return tuple(itertools.combinations(range(n_max), 3))
 
 
-def _enumerate_closed(n_max: int, allow_one_triple: bool,
-                      chi_target: Optional[int] = None):
-    """Return (triangle ids, used_vertices, orientable) for every complete
-    state, in search order: no edge lies in exactly one triangle.  With
-    allow_one_triple the search seeds the triple edge, so edge 01 lies in
-    three triangles of every state returned (there is none below five
-    vertices).  chi_target prunes branches that can no longer reach a
-    complete state with that Euler characteristic."""
-    seed = [(0, 1, 2), (0, 1, 3), (0, 1, 4)] if allow_one_triple else [(0, 1, 2)]
-    return _closures(n_max, seed, chi_target)
-
-
-def _closures(n_max: int, seed: list, chi_target: Optional[int] = None):
-    """Every complete state the seed grows into on n_max labels, closing
-    the lowest open edge first, as (triangle ids, used_vertices,
-    orientable); the ids index _triangles(n_max), and a caller decodes
-    only the states it needs as triangles.
-
-    The state is five ints: the edges in exactly one placed triangle, the
-    full edges, the placed triangles, the labels used, and the direction
-    pos in which each open edge's one triangle runs it (bit set when from
-    the lower label to the higher).  A candidate at the open edge is
-    admissible when it is not placed, takes at most the next label and
-    misses the full edges.  Each full seed edge keeps its seed degree d,
-    every other edge ends in two triangles, so 3 alpha2 = 2 alpha1 +
-    extra, extra summing d - 2: that caps alpha2, and chi_target fixes
-    alpha2 = 2 alpha0 - 2 chi + extra.
-
-    orientable says whether the state has a coherent orientation: signs
-    under which every edge lies in two triangles that run it opposite
-    ways.  The sign s of a triangle (a, b, c) runs ab and bc forwards and
-    ac backwards when s = 1.  Each triangle after the first in the seed
-    shares an edge with an earlier one, and each placed triangle sits on
-    an open edge, so the sign of the first fixes every other: a triangle
-    placed at the open edge e takes the sign that runs e opposite to
-    pos's bit, and every other edge it closes must then be run opposite
-    too, one mask test per placement.  A seed edge in three or more
-    triangles makes every state non-orientable.
-    """
-    used = max(map(max, seed)) + 1
-    if used > n_max:
-        return []
-    tris = _triangles(n_max)
+@functools.cache
+def _candidates(n_max: int) -> tuple:
+    """(edge_ids, at_edge) for a search on n_max labels: edge_ids numbers
+    the edges in combinations order, and at_edge[e][d] lists the triangles
+    on edge e that run it forwards (d = 1) or not, in id order, each as its
+    id bit, its edge mask, its top label and the edges it runs forwards
+    under the sign that runs e the other way.  In id order the third
+    vertex of the triangles on an edge ascends, and so does the top."""
     edge_ids = {e: i for i, e in
                 enumerate(itertools.combinations(range(n_max), 2))}
-    # at_edge[e][d], for the triangle on e running it forwards (d = 1) or
-    # not: each candidate's id, id bit, edge mask, top label and the edges
-    # it runs forwards under the sign that runs e the other way
     at_edge: list[tuple[list, list]] = [([], []) for _ in edge_ids]
-    for ti, (a, b, c) in enumerate(tris):
+    for ti, (a, b, c) in enumerate(_triangles(n_max)):
         ab, ac, bc = (1 << edge_ids[e] for e in ((a, b), (a, c), (b, c)))
         m, fwd = ab | ac | bc, ab | bc  # the sign 1 runs fwd forwards, -1 ac
         for e, f0, f1 in ((ab, fwd, ac), (ac, ac, fwd), (bc, fwd, ac)):
             back, ahead = at_edge[e.bit_length() - 1]
-            back.append((ti, 1 << ti, m, c, f0))
-            ahead.append((ti, 1 << ti, m, c, f1))
+            back.append((1 << ti, m, c, f0))
+            ahead.append((1 << ti, m, c, f1))
+    return edge_ids, [(tuple(back), tuple(ahead)) for back, ahead in at_edge]
+
+
+# the closed search seeds one triangle; the triple-edge search seeds the
+# triple edge 01 with its three apexes
+_SEED = [(0, 1, 2)]
+_TRIPLE_SEED = [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
+
+
+def _closures(n_max: int, seed: list,
+              visit: Callable[[int, int, int, bool], object],
+              chi_target: Optional[int] = None) -> int:
+    """Grow the seed on n_max labels, closing the lowest open edge first,
+    call visit(placed, alpha2, used, orientable) on each complete state
+    as it closes, in search order, and return how many there were.
+
+    A complete state has no edge in exactly one triangle.  placed is the
+    mask of its triangles, bit i for triangle i of _triangles(n_max),
+    alpha2 their number and used the number of labels they take, which
+    are 0..used-1; orientable says whether the state has a coherent
+    orientation.  The visitor reads the state before the search moves on
+    and keeps only what it needs, so nothing here grows with the number
+    of states.
+
+    The search state is five ints: the edges in exactly one placed
+    triangle, the full edges, the placed triangles, the labels used, and
+    the direction pos in which each open edge's one triangle runs it (bit
+    set when from the lower label to the higher).  A candidate at the
+    open edge is admissible when it is not placed, takes at most the next
+    label and misses the full edges.  Each full seed edge keeps its seed
+    degree d, every other edge ends in two triangles, so 3 alpha2 =
+    2 alpha1 + extra, extra summing d - 2: that caps alpha2, and
+    chi_target fixes alpha2 = 2 alpha0 - 2 chi + extra.  Each placement
+    is judged where it is made: one that leaves no open edge goes to the
+    visitor, and one past either cap is not entered.
+
+    A coherent orientation is a choice of signs under which every edge
+    lies in two triangles that run it opposite ways.  The sign s of a
+    triangle (a, b, c) runs ab and bc forwards and ac backwards when
+    s = 1.  Each triangle after the first in the seed shares an edge with
+    an earlier one, and each placed triangle sits on an open edge, so the
+    sign of the first fixes every other: a triangle placed at the open
+    edge e takes the sign that runs e opposite to pos's bit, and every
+    other edge it closes must then be run opposite too, one mask test per
+    placement.  A seed edge in three or more triangles makes every state
+    non-orientable.
+    """
+    used = max(map(max, seed)) + 1
+    if used > n_max:
+        return 0
+    edge_ids, at_edge = _candidates(n_max)
 
     degree = Counter(e for t in seed for e in itertools.combinations(t, 2))
     extra = sum(d - 2 for d in degree.values() if d > 2)
     cap = (2 * len(edge_ids) + extra) // 3
+    # the most labels a state may use and still close within cap
+    most_used = n_max
     if chi_target is not None:
         floor = extra - 2 * chi_target  # alpha2 = 2 alpha0 + floor
         cap = min(cap, 2 * n_max + floor)
+        most_used = (cap - floor) // 2
     pos = seen = 0
     orientable = max(degree.values()) <= 2
     for a, b, c in seed:
@@ -351,32 +376,38 @@ def _closures(n_max: int, seed: list, chi_target: Optional[int] = None):
         orientable = orientable and (f ^ pos) & shared == shared
         pos |= f  # the bits of closed edges are never read again
         seen |= ab | ac | bc
-    state = [tris.index(t) for t in seed]
-    out = []
+    closed = 0
 
-    def dfs(one: int, full: int, placed: int, used: int, pos: int,
-            orientable: bool) -> None:
-        if not one:
-            out.append((tuple(state), used, orientable))
-            return
-        if len(state) >= cap:
-            return
-        if chi_target is not None and 2 * used + floor > cap:
-            return
+    def dfs(one: int, full: int, placed: int, alpha2: int, used: int,
+            pos: int, orientable: bool) -> None:
+        """Place each admissible triangle at the lowest open edge of a
+        state that is neither complete nor cut, and go on from there."""
+        nonlocal closed
         e = (one & -one).bit_length() - 1
-        for ti, bit, m, top, f in at_edge[e][pos >> e & 1]:
-            if placed & bit or top > used or m & full:
+        alpha2 += 1
+        for bit, m, top, f in at_edge[e][pos >> e & 1]:
+            if top > used:
+                break  # the tops ascend, so no later candidate fits
+            if placed & bit or m & full:
                 continue
             closing = one & m
-            state.append(ti)
-            dfs(one ^ m, full | closing, placed | bit, max(used, top + 1),
-                pos | f, orientable and (f ^ pos) & closing == closing)
-            state.pop()
+            grown = used + (top == used)
+            now_orientable = orientable and (f ^ pos) & closing == closing
+            rest = one ^ m
+            if not rest:
+                closed += 1
+                visit(placed | bit, alpha2, grown, now_orientable)
+            elif alpha2 < cap and grown <= most_used:
+                dfs(rest, full | closing, placed | bit, alpha2, grown,
+                    pos | f, now_orientable)
 
-    dfs(sum(1 << edge_ids[e] for e, d in degree.items() if d == 1),
-        sum(1 << edge_ids[e] for e, d in degree.items() if d > 1),
-        sum(1 << ti for ti in state), used, pos, orientable)
-    return out
+    # a seed always leaves an edge open
+    if len(seed) < cap and used <= most_used:
+        dfs(sum(1 << edge_ids[e] for e, d in degree.items() if d == 1),
+            sum(1 << edge_ids[e] for e, d in degree.items() if d > 1),
+            sum(1 << _triangles(n_max).index(t) for t in seed), len(seed),
+            used, pos, orientable)
+    return closed
 
 
 def _check_scale(max_vertices: int) -> None:
@@ -398,39 +429,62 @@ class SearchResult:
     target_states: int
 
 
+def _star_link_is_cycle(v: int, star: int, tris: tuple, n: int) -> bool:
+    """Whether the link of v is a single cycle in a complete state whose
+    triangles at v are those of the mask star, bit i for tris[i], on
+    labels below n: classify's link walk on the star alone."""
+    at = [tris[i] for i in _bits_up(star)]
+    return _link_is_cycle(v, at[0], len(at), _apex_sums(at, n)[0], n)
+
+
 def min_triangles_for_surface(max_vertices: int, target: SurfaceId) -> SearchResult:
     """Exhaustively find the least triangle count of the target surface
     on at most max_vertices vertices; found=False when none exists there.
 
-    The enumerator hands over each complete state as triangle ids with
-    its orientability, and states whose Euler characteristic or
-    orientability differs from the target's are skipped.  With both
-    matching, a state is the target exactly when every vertex link is a
-    single cycle, so the rest are decoded to integer triangles and get
-    only the link walk of the recognizer behind classify.  Only the
-    first least one becomes a Complex2, the witness, and classify,
+    Each complete state goes to a visitor as the enumerator closes it.
+    Every edge of it lies in two triangles, so alpha1 = 3 alpha2 / 2 and
+    chi = used - alpha2 / 2, and the visitor drops a state whose chi or
+    orientability differs from the target's.  With both matching, the
+    state is the target exactly when every vertex link is a single
+    cycle, and the link of v is walked on its star, the placed triangles
+    at v, as classify walks it.  The answer for each star is kept per
+    vertex for the call: a vertex's link is made of the triangles at v
+    and nothing else, so the same star gives the same answer in every
+    state, and a star is walked once however many states share it.  Only
+    the first least state becomes a Complex2, the witness, and classify,
     which runs the full recognizer, confirms it."""
     _check_scale(max_vertices)
-    chi = target.euler_characteristic
-    complete = _enumerate_closed(max_vertices, allow_one_triple=False,
-                                 chi_target=chi)
-    tris = _triangles(max_vertices)
-    best = None
+    n = max_vertices
+    chi, orientable = target.euler_characteristic, target.orientable
+    tris = _triangles(n)
+    stars = [0] * n  # the triangles at each vertex
+    for i, t in enumerate(tris):
+        for v in t:
+            stars[v] |= 1 << i
+    # per vertex, each star walked so far -> whether its link is a cycle
+    cycles: list[dict[int, bool]] = [{} for _ in range(n)]
+    best = best_size = None
     hits = 0
-    for ids, used, orientable in complete:
-        # every edge of a complete state lies in two triangles, so
-        # alpha1 = 3 alpha2 / 2 and chi = used - alpha2 / 2
-        if used - len(ids) // 2 != chi or orientable != target.orientable:
-            continue
-        state = [tris[ti] for ti in ids]
-        if _link_apexes(state, used) is None:
-            continue
+
+    def visit(placed: int, alpha2: int, used: int, state_orientable: bool) -> None:
+        nonlocal best, best_size, hits
+        if used - alpha2 // 2 != chi or state_orientable != orientable:
+            return
+        for v in range(used):
+            star = placed & stars[v]
+            cycle = cycles[v].get(star)
+            if cycle is None:
+                cycle = cycles[v][star] = _star_link_is_cycle(v, star, tris, n)
+            if not cycle:
+                return
         hits += 1
-        if best is None or len(state) < len(best):
-            best = state
+        if best is None or alpha2 < best_size:
+            best, best_size = placed, alpha2
+
+    complete = _closures(n, _SEED, visit, chi)
     witness = None
     if best is not None:
-        witness = Complex2.from_triangles(best)
+        witness = Complex2.from_triangles([tris[i] for i in _bits_up(best)])
         got = classify(witness).surface
         if got != target:
             raise AssertionError(
@@ -439,9 +493,9 @@ def min_triangles_for_surface(max_vertices: int, target: SurfaceId) -> SearchRes
         target=target,
         max_vertices=max_vertices,
         found=best is not None,
-        min_triangles=len(best) if best is not None else None,
+        min_triangles=best_size,
         witness=witness,
-        complete_states=len(complete),
+        complete_states=complete,
         target_states=hits,
     )
 
@@ -454,11 +508,13 @@ def complexes_with_one_triple_edge(max_vertices: int) -> list[Complex2]:
     seen = set()
     found = []
     tris = _triangles(max_vertices)
-    for ids, used, _orientable in _enumerate_closed(max_vertices,
-                                                    allow_one_triple=True):
-        state = [tris[ti] for ti in ids]
+
+    def visit(placed: int, _alpha2: int, used: int, _orientable: bool) -> None:
+        state = [tris[i] for i in _bits_up(placed)]
         key = _canonical_key(used, state)
         if key not in seen:
             seen.add(key)
             found.append(Complex2.from_triangles(state))
+
+    _closures(max_vertices, _TRIPLE_SEED, visit)
     return found

@@ -5,14 +5,16 @@ is connected, every edge lies in exactly two triangles, and every vertex
 link is a single cycle.  The first two are read off the 1-skeleton and
 are the callers' to guarantee: classify checks them on its Complex2, and
 every closed state of the desk search has them by construction.  The
-link walk runs on integer triangles for both callers: classify numbers a
-Complex2's vertices in canonical order and hands it the triples, and the
-desk search hands it its integer states directly.  With every edge in
-two triangles, the sum of an edge's two apexes gives one from the other,
-and that is all the link walks and the orientation need.  Orientability
-comes from propagating triangle signs across shared edges (the desk
-search's enumerator carries its own), and the Euler characteristic gives
-the genus.
+link walk (_link_is_cycle) runs on integer triangles, one vertex at a
+time, for both callers: classify numbers a Complex2's vertices in
+canonical order and walks every vertex on the apex sums of all the
+triangles, and the desk search walks one vertex on the apex sums of its
+star, the triangles at it, which are all a link reads.  With every edge
+in two triangles, the sum of an edge's two apexes gives one from the
+other, and that is all the link walks and the orientation need.
+Orientability comes from propagating triangle signs across shared edges
+(the desk search's enumerator carries its own), and the Euler
+characteristic gives the genus.
 """
 
 from __future__ import annotations
@@ -61,28 +63,16 @@ def _directed_boundary(t, sign: int):
     return ((cyc[0], cyc[1]), (cyc[1], cyc[2]), (cyc[2], cyc[0]))
 
 
-def _link_apexes(tris: Sequence[tuple[int, int, int]],
-                 n_vertices: int) -> Optional[dict[int, int]]:
-    """The apex sums of the complex whose triangles are tris, each an
-    increasing triple, and whose vertices are exactly 0..n_vertices-1,
-    when every vertex link is a single cycle; None otherwise.
-
-    The caller guarantees that the complex is connected and that every
-    edge lies in exactly two triangles.  One pass stores, under the key
-    a*n + b of each edge ab, the sum of the third vertices of its two
-    triangles, so one apex gives the other.  The link of v is then
-    2-regular, and it is a single cycle exactly when it is nonempty and
-    the walk from a triangle at v, stepping from x to the other apex of
-    edge vx than the vertex it came from, first returns after deg(v)
-    steps, deg(v) being the number of triangles at v.  The desk search
-    runs this walk alone, on the states whose Euler characteristic and
-    orientability its enumerator has already matched to the target.
-    """
-    n = n_vertices
-    apexes: dict[int, int] = {}  # a*n + b -> sum of the apexes of ab
+def _apex_sums(tris: Sequence[tuple[int, int, int]], n: int) -> tuple:
+    """(apexes, deg, start) for the triangles tris, each an increasing
+    triple on labels below n: apexes maps the key a*n + b of each edge ab
+    to the sum of the third vertices of its triangles, deg counts the
+    triangles at each vertex and start holds one of them (its position in
+    tris) for each vertex that has any."""
+    apexes: dict[int, int] = {}
     get = apexes.get
-    deg = [0] * n  # triangles at each vertex
-    start = [0] * n  # a triangle at each vertex
+    deg = [0] * n
+    start = [0] * n
     for i, (a, b, c) in enumerate(tris):
         ab, ac, bc = a * n + b, a * n + c, b * n + c
         apexes[ab] = get(ab, 0) + c
@@ -92,18 +82,47 @@ def _link_apexes(tris: Sequence[tuple[int, int, int]],
         deg[a] += 1
         deg[b] += 1
         deg[c] += 1
+    return apexes, deg, start
 
+
+def _link_is_cycle(v: int, first: tuple[int, int, int], deg: int,
+                   apexes: dict[int, int], n: int) -> bool:
+    """Whether the link of v is a single cycle, given first, a triangle at
+    v, deg, the number of triangles at v, and the apex sums of _apex_sums
+    on labels below n, whole on every edge at v.
+
+    Every edge at v lies in two triangles, so one apex of an edge vx
+    gives the other, and the link of v is 2-regular: a single cycle
+    exactly when the walk from first, stepping from x to the other apex
+    of edge vx than the vertex it came from, first returns after deg
+    steps.  The walk reads only the triangles at v, its star."""
+    a, b, c = first
+    x = a if a != v else b
+    prev, here, steps = x, a + b + c - v - x, 1
+    while here != x:
+        prev, here = here, apexes[v * n + here if v < here
+                                  else here * n + v] - prev
+        steps += 1
+    return steps == deg
+
+
+def _link_apexes(tris: Sequence[tuple[int, int, int]],
+                 n_vertices: int) -> Optional[dict[int, int]]:
+    """The apex sums of the complex whose triangles are tris, each an
+    increasing triple, and whose vertices are exactly 0..n_vertices-1,
+    when every vertex link is a single cycle; None otherwise.
+
+    The caller guarantees that the complex is connected and that every
+    edge lies in exactly two triangles.  One pass stores the apex sum of
+    every edge (_apex_sums), and _link_is_cycle walks each vertex link
+    on them; a vertex in no triangle has an empty link, which is no
+    cycle.  The desk search runs the same walk on one star at a time.
+    """
+    n = n_vertices
+    apexes, deg, start = _apex_sums(tris, n)
     for v in range(n):
-        if not deg[v]:
-            return None
-        a, b, c = tris[start[v]]
-        x = a if a != v else b
-        prev, here, steps = x, a + b + c - v - x, 1
-        while here != x:
-            prev, here = here, apexes[v * n + here if v < here
-                                      else here * n + v] - prev
-            steps += 1
-        if steps != deg[v]:
+        if not deg[v] or not _link_is_cycle(v, tris[start[v]], deg[v],
+                                            apexes, n):
             return None
     return apexes
 

@@ -16,8 +16,8 @@ from itertools import combinations
 
 from simpsurf.bounds import parse_surface_id
 from simpsurf.complex2 import Complex2
-from simpsurf.gf2 import Gf2Matrix, Gf2Vector
-from simpsurf.search import _triangles
+from simpsurf.gf2 import Gf2Matrix, Gf2Vector, _bits_up
+from simpsurf.search import _SEED, _closures, _triangles
 from simpsurf.surfaces import attach_circle, catalog, wedge
 
 SPHERE_TRIS = [t for t in combinations(range(4), 3)]
@@ -31,12 +31,21 @@ TORUS_TRIS = [tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))) for i in range(7)] + 
 CIRCLE_EDGES = [(0, 7), (0, 8), (7, 8)]
 
 
-def decoded(n_max: int, states) -> list:
-    """Desk-search states on n_max labels as (triangles, used, orientable),
-    each triangle id replaced by its triple."""
+def closed_states(n_max: int, seed=_SEED, chi_target=None) -> list:
+    """The complete states of the desk search on n_max labels from the
+    seed, collected from _closures' visitor in search order, as
+    (triangles, used, orientable); each state's triangles are its
+    placed-triangle mask read in id order, so they come sorted."""
     tris = _triangles(n_max)
-    return [(tuple(tris[ti] for ti in ids), used, orientable)
-            for ids, used, orientable in states]
+    states = []
+
+    def collect(placed, alpha2, used, orientable):
+        state = tuple(tris[i] for i in _bits_up(placed))
+        assert len(state) == alpha2
+        states.append((state, used, orientable))
+
+    assert _closures(n_max, list(seed), collect, chi_target) == len(states)
+    return states
 
 
 def sphere() -> Complex2:

@@ -2,10 +2,13 @@
 
 import functools
 import itertools
+import os
 import random
+import subprocess
 import sys
 import time
 from collections import Counter, defaultdict, deque
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -13,16 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simpsurf import search
-from simpsurf.bounds import SPHERE, parse_surface_id
+from simpsurf.bounds import SPHERE, SurfaceId, parse_surface_id
 from simpsurf.complex2 import Complex2
+from simpsurf.gf2 import _bits_up
 from simpsurf.homology import betti_numbers
-from simpsurf.search import (_canonical_key, _closures, _enumerate_closed,
+from simpsurf.search import (_SEED, _TRIPLE_SEED, SearchResult, _canonical_key,
+                             _check_scale, _closures, _triangles,
                              canonical_form, complexes_with_one_triple_edge,
                              min_triangles_for_surface)
 from simpsurf import surfaces
 from simpsurf.surfaces import _classify_triangles, _link_apexes, catalog, classify
 
-from _fixtures import (RP2_TRIS, SPHERE_TRIS, decoded, rp2, sphere, torus,
+from _fixtures import (RP2_TRIS, SPHERE_TRIS, closed_states, rp2, sphere, torus,
                        torus_circle_sphere, torus_with_circle)
 
 
@@ -64,11 +69,11 @@ def _orientable_reference(tris) -> bool:
 
 def _enumerate_closed_reference(n_max: int, allow_one_triple: bool,
                                 chi_target: Optional[int] = None) -> list:
-    """The reference enumerator: the same depth-first search as
-    _enumerate_closed, kept on a degree list per edge and a flag per
+    """The reference enumerator: the same depth-first search as _closures
+    from the plain seed, kept on a degree list per edge and a flag per
     triangle, with the open edge found by a scan; each state as
-    (triangles, used, orientable), orientable found afterwards by
-    _orientable_reference."""
+    (triangles, used, orientable), the triangles in placement order and
+    orientable found afterwards by _orientable_reference."""
     tris = list(itertools.combinations(range(n_max), 3))
     edge_ids = {e: i for i, e in enumerate(itertools.combinations(range(n_max), 2))}
     n_edges = len(edge_ids)
@@ -154,7 +159,7 @@ def _enumerate_closed_reference(n_max: int, allow_one_triple: bool,
 def _closures_reference(n_max: int, seed: list) -> list:
     """The seeded closing search of _closures, kept on a degree list per
     edge: an edge in two or more triangles takes no further one.  States
-    are (triangles, used, orientable), as decoded from _closures."""
+    are (triangles, used, orientable), the triangles in placement order."""
     tris = list(itertools.combinations(range(n_max), 3))
     deg = {e: 0 for e in itertools.combinations(range(n_max), 2)}
     for t in seed:
@@ -186,6 +191,98 @@ def _closures_reference(n_max: int, seed: list) -> list:
 
     dfs(max(map(max, seed)) + 1)
     return out
+
+
+def _sorted_states(states: list) -> list:
+    """The states with each one's triangles sorted, as the visitor's
+    placed-triangle mask gives them."""
+    return [(tuple(sorted(tris)), used, orientable)
+            for tris, used, orientable in states]
+
+
+@functools.cache
+def _enumerate_closed(n_max: int, allow_one_triple: bool,
+                      chi_target: Optional[int] = None) -> list:
+    """The list of complete states the searches once ran on, as (triangle
+    ids, used, orientable) in search order, rebuilt from the reference
+    enumerators with the triangles in placement order."""
+    tris = _triangles(n_max)
+    if allow_one_triple:
+        states = (_closures_reference(n_max, _TRIPLE_SEED) if n_max >= 5
+                  else [])
+    else:
+        states = _enumerate_closed_reference(n_max, False, chi_target)
+    return [(tuple(tris.index(t) for t in state), used, orientable)
+            for state, used, orientable in states]
+
+
+# min_triangles_for_surface and complexes_with_one_triple_edge as they ran
+# on the list of every complete state, kept verbatim as the oracles for
+# the visitor that sees each state as it closes
+def _min_triangles_reference(max_vertices: int, target: SurfaceId) -> SearchResult:
+    """Exhaustively find the least triangle count of the target surface
+    on at most max_vertices vertices; found=False when none exists there.
+
+    The enumerator hands over each complete state as triangle ids with
+    its orientability, and states whose Euler characteristic or
+    orientability differs from the target's are skipped.  With both
+    matching, a state is the target exactly when every vertex link is a
+    single cycle, so the rest are decoded to integer triangles and get
+    only the link walk of the recognizer behind classify.  Only the
+    first least one becomes a Complex2, the witness, and classify,
+    which runs the full recognizer, confirms it."""
+    _check_scale(max_vertices)
+    chi = target.euler_characteristic
+    complete = _enumerate_closed(max_vertices, allow_one_triple=False,
+                                 chi_target=chi)
+    tris = _triangles(max_vertices)
+    best = None
+    hits = 0
+    for ids, used, orientable in complete:
+        # every edge of a complete state lies in two triangles, so
+        # alpha1 = 3 alpha2 / 2 and chi = used - alpha2 / 2
+        if used - len(ids) // 2 != chi or orientable != target.orientable:
+            continue
+        state = [tris[ti] for ti in ids]
+        if _link_apexes(state, used) is None:
+            continue
+        hits += 1
+        if best is None or len(state) < len(best):
+            best = state
+    witness = None
+    if best is not None:
+        witness = Complex2.from_triangles(best)
+        got = classify(witness).surface
+        if got != target:
+            raise AssertionError(
+                f"search witness for {target} classifies as {got}")
+    return SearchResult(
+        target=target,
+        max_vertices=max_vertices,
+        found=best is not None,
+        min_triangles=len(best) if best is not None else None,
+        witness=witness,
+        complete_states=len(complete),
+        target_states=hits,
+    )
+
+
+def _triple_edge_reference(max_vertices: int) -> list[Complex2]:
+    """All complexes (up to isomorphism, edge-connected) on at most
+    max_vertices vertices in which every edge lies in two triangles except
+    exactly one edge lying in three."""
+    _check_scale(max_vertices)
+    seen = set()
+    found = []
+    tris = _triangles(max_vertices)
+    for ids, used, _orientable in _enumerate_closed(max_vertices,
+                                                    allow_one_triple=True):
+        state = [tris[ti] for ti in ids]
+        key = _canonical_key(used, state)
+        if key not in seen:
+            seen.add(key)
+            found.append(Complex2.from_triangles(state))
+    return found
 
 
 # canonical_form as it ran on labels and label tuples, kept verbatim as
@@ -530,18 +627,28 @@ def test_orbit_pruning_cuts_the_nodes_of_transitive_complexes():
         assert _descend_calls(_TRANSITIVE[name]) <= most, name
 
 
-def _surface_classes(n: int, states) -> dict:
-    """The number of canonical_form classes of each closed surface among
-    the closed states on n labels that use all n, by surface name; the
-    enumerator's orientability must be the recognizer's on each."""
+def _surface_classes(n: int) -> tuple:
+    """(states, classes) for the closed search on n labels, each state
+    read as it closes and none kept: states counts the complete states
+    that use all n labels, and classes maps each closed surface's name to
+    the number of canonical_form classes among them; the enumerator's
+    orientability must be the recognizer's on each."""
+    tris = _triangles(n)
     keys: dict = {}
-    for tris, used, orientable in decoded(n, states):
+    states = 0
+
+    def visit(placed, _alpha2, used, orientable):
+        nonlocal states
         if used == n:
-            reason, surface, _signs = _classify_triangles(tris, used)
+            states += 1
+            state = [tris[i] for i in _bits_up(placed)]
+            reason, surface, _signs = _classify_triangles(state, used)
             if reason is None:
-                assert orientable == surface.orientable, tris
-                keys.setdefault(surface.name, set()).add(_canonical_key(n, tris))
-    return {name: len(classes) for name, classes in keys.items()}
+                assert orientable == surface.orientable, state
+                keys.setdefault(surface.name, set()).add(_canonical_key(n, state))
+
+    _closures(n, _SEED, visit)
+    return states, {name: len(classes) for name, classes in keys.items()}
 
 
 def test_census_of_closed_surfaces_up_to_eight_vertices():
@@ -551,14 +658,13 @@ def test_census_of_closed_surfaces_up_to_eight_vertices():
               7: {"S2": 5, "N1": 3, "M1": 1},
               8: {"S2": 14, "N1": 16, "M1": 7, "N2": 6}}
     for n, counts in census.items():
-        assert _surface_classes(n, _enumerate_closed(n, False)) == counts, n
+        assert _surface_classes(n)[1] == counts, n
 
 
 @pytest.mark.slow
 def test_census_of_closed_surfaces_on_nine_vertices():
-    states = _enumerate_closed(9, False)
-    assert sum(used == 9 for _ids, used, _orientable in states) == 304877
-    counts = _surface_classes(9, states)
+    states, counts = _surface_classes(9)
+    assert states == 304877
     assert counts == {"S2": 50, "N1": 134, "M1": 112, "N2": 187, "N3": 133,
                       "N4": 37, "N5": 2}
     # Huneke's gap: the genus-2 orientable surface needs ten vertices
@@ -566,8 +672,7 @@ def test_census_of_closed_surfaces_on_nine_vertices():
 
 
 def test_integer_core_keys_closed_states_as_canonical_form():
-    states = [s for n in range(3, 8)
-              for s in decoded(n, _enumerate_closed(n, False))]
+    states = [s for n in range(3, 8) for s in closed_states(n)]
     assert len(states) == 186
     for tris, used, _orientable in states:
         k = Complex2.from_triangles(tris)
@@ -657,20 +762,22 @@ def test_no_lonely_triple_edge_at_small_scale():
 
 
 def test_enumerator_matches_the_reference():
-    # the plain search is the reference's, state for state, triangle for
-    # triangle and in orientability; the reference reaches a triple edge
+    # the plain search is the reference's, state for state, in triangle
+    # set and in orientability (the visitor sees a state's triangles as a
+    # mask, not in placement order); the reference reaches a triple edge
     # by riding one on a finished state, and finds no state with it
     # (alpha2 odd), as the seeded start finds none
     compared = []
     for n in range(3, 9):
         for chi in (None, 1, 0, -1):
-            got = decoded(n, _enumerate_closed(n, False, chi))
-            assert got == _enumerate_closed_reference(n, False, chi), (n, chi)
+            got = closed_states(n, chi_target=chi)
+            assert got == _sorted_states(
+                _enumerate_closed_reference(n, False, chi)), (n, chi)
             compared += got
             odd = [state for state
                    in _enumerate_closed_reference(n, True, chi)
                    if len(state[0]) % 2]
-            assert odd == [] and _enumerate_closed(n, True, chi) == [], (n, chi)
+            assert odd == [] and closed_states(n, _TRIPLE_SEED, chi) == [], (n, chi)
     # the flag is compared on pseudo-surfaces too: states with a bad link
     # of either orientability
     bad = Counter(orientable for tris, used, orientable in compared
@@ -684,11 +791,11 @@ def test_seeded_start_finds_every_class():
     # start does: the relabeling argument the triple-edge seed rests on
     def classes(n, states):
         return {canonical_form(Complex2.from_triangles(tris))
-                for tris, _used, _orientable in decoded(n, states)}
+                for tris, _used, _orientable in states}
 
     for n, count in zip(range(4, 8), (1, 2, 5, 16)):
-        seeded = classes(n, _closures(n, [(0, 1, 2), (0, 1, 3)]))
-        assert seeded == classes(n, _enumerate_closed(n, False))
+        seeded = classes(n, closed_states(n, [(0, 1, 2), (0, 1, 3)]))
+        assert seeded == classes(n, closed_states(n))
         assert len(seeded) == count
 
 
@@ -698,15 +805,15 @@ def test_closures_match_the_degree_list_reference():
     for n in range(3, 8):
         for seed in seeds:
             if max(map(max, seed)) < n:
-                assert (decoded(n, _closures(n, seed))
-                        == _closures_reference(n, seed)), (n, seed)
+                assert (closed_states(n, seed)
+                        == _sorted_states(_closures_reference(n, seed))), (n, seed)
 
 
 def test_no_lonely_triple_edge_beyond_the_public_scale():
     # the seeded start dies at the link of vertex 0 within milliseconds,
     # where riding an edge of every finished state does not end at 10
     for n in range(9, 13):
-        assert _enumerate_closed(n, True) == []
+        assert closed_states(n, _TRIPLE_SEED) == []
 
 
 def test_franklin_n2_needs_eight_vertices():
@@ -716,38 +823,100 @@ def test_franklin_n2_needs_eight_vertices():
 
 
 def test_search_classifies_only_states_with_the_target_chi(monkeypatch):
-    # the link walk runs once on each state whose chi and orientability
-    # (the enumerator's) match the target, and nothing else of the
-    # recognizer runs but classify's confirmation of the witness
-    states = decoded(8, _enumerate_closed(8, False, 0))
+    # the link walk runs on the stars of states whose chi and
+    # orientability (the enumerator's) match the target, each (vertex,
+    # star) pair at most once, and nothing else of the recognizer runs
+    # but classify's confirmation of the witness
+    states = closed_states(8, chi_target=0)
     found = [_classify_triangles(tris, used)[1] for tris, used, _o in states]
-    for name, walks, hits, least in (("N2", 804, 300, 16), ("M1", 737, 197, 14)):
+    tris8 = _triangles(8)
+    walk = search._star_link_is_cycle
+    for name, matching, hits, least in (("N2", 804, 300, 16), ("M1", 737, 197, 14)):
         target = parse_surface_id(name)
         assert target.euler_characteristic == 0
         want = [(tris, used) for tris, used, orientable in states
                 if used - len(tris) // 2 == 0 and orientable == target.orientable]
+        assert len(want) == matching, name
+        stars = {(v, sum(1 << tris8.index(t) for t in tris if v in t))
+                 for tris, used in want for v in range(used)}
         walked, recognized = [], []
 
-        def walking(tris, used):
-            walked.append((tuple(tris), used))
-            return _link_apexes(tris, used)
+        def walking(v, star, tris, n):
+            walked.append((v, star))
+            return walk(v, star, tris, n)
 
         def recognizing(tris, used):
             recognized.append(used)
             return _classify_triangles(tris, used)
 
-        monkeypatch.setattr(search, "_link_apexes", walking)
+        monkeypatch.setattr(search, "_star_link_is_cycle", walking)
         monkeypatch.setattr(surfaces, "_classify_triangles", recognizing)
         result = min_triangles_for_surface(8, target)
         monkeypatch.undo()
-        assert walked == want and len(walked) == walks, name
+        assert set(walked) <= stars, name
+        assert len(set(walked)) == len(walked), name
         assert len(recognized) == 1, name
         assert len(states) == result.complete_states == 3850
         assert result.target_states == found.count(target) == hits
         assert result.min_triangles == least
 
 
+def test_search_matches_the_list_reference():
+    # every field, the witness included, is the list-based search's
+    for n in range(3, 9):
+        for name in ("S2", "N1", "M1", "N2", "N3", "M2"):
+            target = parse_surface_id(name)
+            assert (min_triangles_for_surface(n, target)
+                    == _min_triangles_reference(n, target)), (n, name)
+    for n in range(5, 9):
+        assert complexes_with_one_triple_edge(n) == _triple_edge_reference(n), n
+
+
 def test_ringel_n3_needs_nine_vertices():
     result = min_triangles_for_surface(8, parse_surface_id("N3"))
     assert not result.found and result.min_triangles is None
     assert result.complete_states == 4003 and result.target_states == 0
+
+
+# min_triangles_for_surface on nine vertices in a fresh process, the cap
+# lifted to 9 there alone: prints the complete and target state counts,
+# the least triangle count (0 when none) and the growth of the process's
+# peak resident size over the call (ru_maxrss: KiB on Linux, bytes on macOS)
+_NINE_VERTICES = """
+import resource, sys
+from simpsurf import search
+from simpsurf.bounds import parse_surface_id
+search._MAX_VERTICES = 9
+def peak():
+    got = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return got // 1024 if sys.platform == "darwin" else got
+before = peak()
+result = search.min_triangles_for_surface(9, parse_surface_id(sys.argv[1]))
+print(result.complete_states, result.target_states,
+      result.min_triangles or 0, peak() - before)
+"""
+
+
+def _nine_vertex_search(name: str) -> tuple:
+    """(complete states, target states, least triangles or 0, peak growth
+    in KiB) of the search for the named surface on nine vertices."""
+    env = dict(os.environ, PYTHONPATH=str(Path(search.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _NINE_VERTICES, name], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(map(int, proc.stdout.split()))
+
+
+@pytest.mark.slow
+def test_nine_vertex_searches_in_flat_memory():
+    # Huneke's gap: no M2 on nine vertices; Ringel's N3 first appears
+    # there.  Each state goes to the visitor as it closes and none is
+    # kept, so the peak barely moves over the call (Python 3.11, Linux);
+    # the list of every complete state once grew it by about 81 MiB for
+    # M2 and 69 MiB for N3
+    m2 = _nine_vertex_search("M2")
+    assert m2[:3] == (308134, 0, 0) and m2[3] < 40 * 1024
+    n3 = _nine_vertex_search("N3")
+    assert n3[:3] == (266576, 14240, 20) and n3[3] < 40 * 1024
+    with pytest.raises(ValueError):
+        min_triangles_for_surface(9, parse_surface_id("M2"))

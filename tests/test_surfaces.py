@@ -12,7 +12,6 @@ from simpsurf.complex2 import Complex2
 from simpsurf.homology import (betti_numbers, cup_pairing_on_h1, h2_coordinates,
                                homology_summary)
 from simpsurf.io import dumps_complex
-from simpsurf.search import _enumerate_closed
 from simpsurf.surfaces import (_classify_triangles, _nonorientable_word,
                                _orientable_word, _polygon_scheme_complex, _subdivide, attach_circle,
                                catalog, classify, expected_betti,
@@ -20,7 +19,7 @@ from simpsurf.surfaces import (_classify_triangles, _nonorientable_word,
                                surface_hypotheses_report, verify_orientation_witness,
                                wedge)
 
-from _fixtures import (SPHERE_TRIS, decoded, failure_reason_oracle, sphere,
+from _fixtures import (SPHERE_TRIS, closed_states, failure_reason_oracle, sphere,
                        torus, torus_with_circle)
 
 MINIMAL_NAMES = ("S2", "N1", "M1", "N2", "N3", "M2")
@@ -94,7 +93,7 @@ def _random_pinched_surface(rng: random.Random) -> Complex2:
 def test_classify_matches_the_link_graph_oracle():
     inputs = [Complex2.from_triangles(tris) for n in range(3, 8)
               for tris, _used, _orientable
-              in decoded(n, _enumerate_closed(n, False))]
+              in closed_states(n)]
     rng = random.Random("link oracle")
     inputs += [_random_pinched_surface(rng) for _ in range(300)]
     reasons = [failure_reason_oracle(k) for k in inputs]
@@ -192,7 +191,7 @@ def _index_triangles(k: Complex2) -> list:
 
 def test_recognizer_matches_the_reference():
     inputs = [(tris, used) for n in range(3, 9) for tris, used, _orientable
-              in decoded(n, _enumerate_closed(n, False))]
+              in closed_states(n)]
     assert len(inputs) == 4189
     catalogs = [catalog(parse_surface_id(f"{kind}{g}"))
                 for kind in "MN" for g in range(1, 9)]
@@ -214,7 +213,7 @@ def test_closed_states_meet_the_recognizer_precondition():
     # connected, every edge in exactly two triangles: what the link walk
     # (_link_apexes) takes as given from the desk search
     for n in range(3, 9):
-        for tris, used, _orientable in decoded(n, _enumerate_closed(n, False)):
+        for tris, used, _orientable in closed_states(n):
             k = Complex2.from_triangles(tris)
             assert k.vertices == tuple(range(used))
             assert len(k.connected_components()) == 1, tris
@@ -223,7 +222,7 @@ def test_closed_states_meet_the_recognizer_precondition():
 
 def test_recognizer_matches_independent_oracles():
     states = [(tris, used) for n in range(3, 9) for tris, used, _orientable
-              in decoded(n, _enumerate_closed(n, False))]
+              in closed_states(n)]
     assert len(states) == 4189
     # hand-built states, each failing the first check it names
     tetra = list(itertools.combinations(range(4), 3))
