@@ -79,12 +79,14 @@ _SURFACE_ALIASES = {
 
 
 def parse_surface_id(text: str) -> SurfaceId:
-    """Parse 'S2', 'M<g>' (g >= 1), 'N<k>' (k >= 1), or a common alias."""
+    """Parse 'S2', 'M<g>' (g >= 1), 'N<k>' (k >= 1), or a common alias;
+    the genus is written in ASCII digits."""
     text = _SURFACE_ALIASES.get(text.strip().lower(), text.strip())
     if text == "S2":
         return SPHERE
-    if len(text) >= 2 and text[0] in "MN" and text[1:].isdigit():
-        genus = int(text[1:])
+    digits = text[1:]
+    if text[:1] in ("M", "N") and digits.isascii() and digits.isdigit():
+        genus = int(digits)
         if genus >= 1:
             return SurfaceId(text[0] == "M", genus)
     raise ValueError(f"unrecognized surface id {text!r}; expected S2, M<g>, or N<k>")

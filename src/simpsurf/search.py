@@ -41,10 +41,15 @@ each of its edges lies in exactly two triangles, since an edge is left
 open in one triangle or closed in two and no triangle is placed on a
 closed edge.  canonical_form likewise runs on vertex indices, so the
 triple-edge search keys its states as they come and builds a Complex2
-only for a new class; the branch and bound of canonical_form skips
+only for a new class.  The branch and bound of canonical_form skips
 every candidate that an automorphism found on the way proves equivalent
-to one already tried.  Nothing here assumes the counting results
-elsewhere in the package.
+to one already tried, and tries only the candidates that share a
+triangle with the lowest placed vertex still sharing one with an
+unplaced vertex, when there are any: a least labeling always picks one
+of them.  On a vertex-transitive complex, where the automorphisms run
+out once two vertices are placed, the rule keeps the tree small: 1498
+nodes for the circulant torus on 100 vertices.
+Nothing here assumes the counting results elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -130,11 +135,51 @@ def canonical_form(k: Complex2) -> tuple:
     pair, so the key, is unchanged.  The orbits are made at a node only
     once an automorphism exists, and each candidate folds in only those
     found since the one before, so a complex with no automorphism
-    allocates nothing for them.  A vertex-transitive complex, or a heap
-    of interchangeable loose edges, then costs a few descents per label
-    instead of one leaf per automorphism.  Vertices with no edges are
-    placed without branching: refinement gives them a cell of their own,
-    and every labeling of that cell gives the same key.
+    allocates nothing for them.  A heap of interchangeable loose edges
+    then costs a few descents per label instead of one leaf per
+    automorphism.  Vertices with no edges are placed without branching:
+    refinement gives them a cell of their own, and every labeling of that
+    cell gives the same key.
+
+    Orbit pruning runs out once two vertices are placed, since few
+    automorphisms fix both, so one more rule cuts the candidates.  Call
+    two vertices adjacent when they share a triangle.  At a node placing
+    the label x of cell C, let u be the vertex of least label that has an
+    unplaced adjacent vertex.  If u has unplaced adjacent vertices in C,
+    every least labeling below the node gives x to one of them, so only
+    they are tried, and a lone one is placed without a bound.  For let L
+    below the node give x to another vertex, and let L' relabel C's
+    unplaced vertices so that those adjacent to u take C's lowest free
+    labels and the rest the others, each group keeping its order; L'
+    respects the cells and agrees with L on the placed vertices.  The
+    placed labels are the triangle-cell labels below x (cells own
+    consecutive ranges), so a triangle with a vertex below u has every
+    vertex placed, that vertex having no unplaced adjacent vertex, and
+    keeps its code.  The triangles whose least label is u's are the
+    triangles at u with no vertex below u under L and under L' alike, as
+    every label L' moves is x or more.  On them L' raises no label: a
+    vertex adjacent to u takes C's free label of its rank among those
+    vertices, at most the label L gives it.  Every other triangle has its
+    least label above u's.  So the codes of the triangles at u, sorted,
+    are elementwise no greater under L' than under L, and not equal:
+    under L' the label x lies in a triangle at u (whose third vertex is
+    not below u, being adjacent to an unplaced vertex) and under L in
+    none.  L' therefore has the smaller triangle list, and L is not
+    least.  The loose edges play no part, the triangle lists being
+    compared first.  The rule is off where it can cut nothing: when no
+    cell has two vertices, or every vertex in a triangle is adjacent to
+    every other.
+
+    Orbit pruning and the tied-leaf jump stay exact beside the rule.
+    Each skips the labelings below a candidate because an automorphism
+    fixing the placed vertices carries them below a searched candidate.
+    That automorphism keeps cells, labels and adjacency, so it carries a
+    least labeling onto a least labeling, which obeys the rule at every
+    node it passes (each such node has it below) and so lies in the part
+    of the searched subtree that the rule keeps.  Along a path the placed
+    set only grows, so u's position in the label order only moves
+    forward: descend carries it, with the mask of unplaced vertices, and
+    the rule costs a few int operations per node.
     """
     index = k._vertex_index
     return _canonical_key(
@@ -171,16 +216,17 @@ def _canonical_key(n: int, tris, edges=()) -> tuple:
             break
         colors = new
 
-    cells: list[list[int]] = [[] for _ in palette]
+    cells = [0] * len(palette)  # colour -> the mask of its vertices
     for v in range(n):
-        cells[colors[v]].append(v)
-    owner = []  # owner[x] is the cell whose vertices may take label x
+        cells[colors[v]] |= 1 << v
+    owner = []  # owner[x] is the mask of the vertices that may take label x
     left = []  # colour -> the least label its cell has not placed yet
     for cell in cells:
         left.append(len(owner))
-        owner += [cell] * len(cell)
+        owner += [cell] * cell.bit_count()
     # the labels of cells in triangles first, each cell's in ascending order
-    order = sorted(range(n), key=lambda x: (not in_tris[owner[x][0]], x))
+    order = sorted(range(n),
+                   key=lambda x: (not in_tris[owner[x].bit_length() - 1], x))
     label = [n] * n  # n marks a vertex with no label yet
     w = n.bit_length()
     w2 = 2 * w
@@ -216,18 +262,40 @@ def _canonical_key(n: int, tris, edges=()) -> tuple:
     best = None  # (triangle list, loose-edge list) of the least labeling
     best_at: list = []  # label -> vertex in that labeling
     autos: list = []  # the automorphisms found at tied leaves, vertex -> vertex
+    # the lowest-vertex rule is void when no cell has two vertices or
+    # every vertex in a triangle shares a triangle with every other
+    m = len(in_tris)
+    rule = len(cells) < n and len(on_tris) < m * (m - 1) // 2
+    adj = [0] * n  # vertex -> the mask of those sharing a triangle with it
+    for a, b in on_tris if rule else ():
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    seq = [0] * n  # seq[j] is the vertex that takes label order[j]
 
-    def descend(i: int) -> int:
-        """Place the labels order[i:]; return the position whose node the
-        search resumes at, or n to go on as usual."""
+    def descend(i: int, p: int, unplaced: int) -> int:
+        """Place the labels order[i:] on the vertices of the mask unplaced,
+        none of which shares a triangle with a vertex placed at a position
+        below p; return the position whose node the search resumes at, or
+        n to go on as usual."""
         nonlocal best, best_at
         forced = []  # labels with a single candidate, placed without a bound
         while i < n:
-            free = [v for v in owner[order[i]] if label[v] == n]
-            if len(free) > 1 and nbrs[free[0]]:
-                break
-            place(free[0], order[i])
-            forced.append(free[0])
+            free = owner[order[i]] & unplaced
+            v = (free & -free).bit_length() - 1
+            if free != 1 << v and nbrs[v]:
+                if not rule:
+                    break
+                while p < i and not adj[seq[p]] & unplaced:
+                    p += 1
+                if p < i and free & adj[seq[p]]:
+                    free &= adj[seq[p]]
+                    v = (free & -free).bit_length() - 1
+                if free != 1 << v:
+                    break
+            place(v, order[i])
+            seq[i] = v
+            unplaced ^= 1 << v
+            forced.append(v)
             i += 1
         back = n
         if i == n:
@@ -244,6 +312,12 @@ def _canonical_key(n: int, tris, edges=()) -> tuple:
                                 if at[x] != best_at[x])
         elif best is None or lists([x if x < n else left[colors[v]]
                                     for v, x in enumerate(label)]) <= best:
+            cands = []  # the candidates, lowest first
+            while free:
+                low = free & -free
+                cands.append(low.bit_length() - 1)
+                free ^= low
+            free = cands
             orbit = None  # vertex -> orbit id, made at the first automorphism
             folded = 0  # how many of autos orbit has seen
             for k, v in enumerate(free):
@@ -261,7 +335,8 @@ def _canonical_key(n: int, tris, edges=()) -> tuple:
                 if orbit is not None and orbit[v] in {orbit[u] for u in free[:k]}:
                     continue  # an automorphism carries v onto a searched one
                 place(v, order[i])
-                back = descend(i + 1)
+                seq[i] = v
+                back = descend(i + 1, p, unplaced ^ 1 << v)
                 unplace(v)
                 if back < i:
                     break
@@ -270,7 +345,7 @@ def _canonical_key(n: int, tris, edges=()) -> tuple:
             unplace(v)
         return back
 
-    descend(0)
+    descend(0, 0, (1 << n) - 1)
     codes, pairs = best
     mask = (1 << w) - 1
     key_tris = [(c >> w2, c >> w & mask, c & mask) for c in codes]
@@ -411,7 +486,8 @@ def _closures(n_max: int, seed: list,
 
 
 def _check_scale(max_vertices: int) -> None:
-    if not 3 <= max_vertices <= _MAX_VERTICES:
+    if not (isinstance(max_vertices, int)
+            and 3 <= max_vertices <= _MAX_VERTICES):
         raise ValueError(
             f"search supports 3..{_MAX_VERTICES} vertices, got {max_vertices}")
 

@@ -60,6 +60,11 @@ def test_parse_surface_id():
         parse_surface_id("M0")
     with pytest.raises(ValueError):
         parse_surface_id("Q7")
+    # a superscript or a full-width digit is a digit to str.isdigit, yet
+    # no genus: the message names the text instead of int()'s complaint
+    for text in ("M²", "M１", "N٣"):
+        with pytest.raises(ValueError, match="unrecognized surface id"):
+            parse_surface_id(text)
 
 
 MINIMAL_COUNT_TABLE = {

@@ -195,6 +195,9 @@ def test_bounds_surface(capsys):
     assert payload["certificate"]["lower_bound"] == 22
     code, out, _ = run(capsys, "bounds", "--surface", "S2", "--json")
     assert json.loads(out)["certificate"] is None
+    for text in ("M²", "M１"):
+        code, _, err = run(capsys, "bounds", "--surface", text)
+        assert code == 2 and "unrecognized surface id" in err, text
 
 
 def test_huge_genus_builds_no_catalog_witness(capsys):

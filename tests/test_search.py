@@ -528,6 +528,10 @@ def test_canonical_form_matches_the_exhaustive_sweep():
               torus_circle_sphere(), catalog(parse_surface_id("N1")),
               Complex2(()), Complex2(("a", 3, "b", 0))]
     inputs += [Complex2.from_triangles(tris) for tris in _TRANSITIVE.values()]
+    # loose edges beside triangles, which the lowest-vertex rule reads:
+    # one across the octahedron, and a tail of three
+    inputs += [Complex2.from_triangles(_octahedron(), extra_edges=loose)
+               for loose in ([(0, 1)], [(2, 6), (6, 7), (4, 8)])]
     # a triangle beside 1 to 5 isolated vertices with int and with str labels
     inputs += [Complex2.from_triangles([(0, 1, 2)], extra_vertices=extra)
                for j in range(1, 6)
@@ -596,9 +600,10 @@ def test_canonical_form_matches_the_tuple_reference(k):
     assert canonical_form(k) == _canonical_form_reference(k)
 
 
-def _descend_calls(tris: list) -> int:
+def _descend_calls(tris: list, loose: list = ()) -> int:
     """How many nodes the branch and bound of canonical_form visits on the
-    complex of tris: the calls of _canonical_key's inner descend."""
+    complex of tris and the loose edges loose: the calls of
+    _canonical_key's inner descend."""
     descend = next(c for c in _canonical_key.__code__.co_consts
                    if getattr(c, "co_name", None) == "descend")
     calls = 0
@@ -608,7 +613,7 @@ def _descend_calls(tris: list) -> int:
         if event == "call" and frame.f_code is descend:
             calls += 1
 
-    k = Complex2.from_triangles(tris)
+    k = Complex2.from_triangles(tris, extra_edges=loose)
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
@@ -621,10 +626,73 @@ def _descend_calls(tris: list) -> int:
 def test_orbit_pruning_cuts_the_nodes_of_transitive_complexes():
     # the automorphisms found at tied leaves skip the sibling candidates
     # they carry onto searched ones; jump-backs alone visit 540, 216 and
-    # 125 nodes, orbit pruning 240, 104 and 60
+    # 125 nodes, orbit pruning 240, 104 and 60, and with the lowest-vertex
+    # rule 153, 104 and 29
     for name, most in (("circulant-torus-8", 300), ("circulant-torus-7", 130),
                        ("octahedron", 80)):
         assert _descend_calls(_TRANSITIVE[name]) <= most, name
+
+
+def test_canonical_form_keys_circulant_tori_as_the_reference():
+    # the tuple reference has neither orbit pruning nor the lowest-vertex
+    # rule, and its node count grows about fourfold per two vertices
+    for n in range(9, 17):
+        k = Complex2.from_triangles(_circulant_torus(n))
+        assert canonical_form(k) == _canonical_form_reference(k), n
+
+
+def test_canonical_form_is_one_key_on_large_circulant_tori():
+    rng = random.Random("large circulant tori")
+    for n in (20, 27, 33, 40):
+        k = Complex2.from_triangles(_circulant_torus(n))
+        key = canonical_form(k)
+        for _ in range(3):
+            image = rng.sample(range(10 * n), n)
+            relabeled = k.relabeled(dict(zip(k.vertices, image)))
+            assert canonical_form(relabeled) == key, n
+        # the key is itself a labeling of the torus, so it keys to itself
+        assert canonical_form(Complex2.from_triangles(key[1])) == key, n
+
+
+def test_lowest_vertex_rule_keeps_circulant_tori_small():
+    # the counts repeat exactly; orbit pruning alone visits 2069 nodes at
+    # 12 vertices and 25099 at 16
+    for n, most in ((12, 212), (20, 274), (40, 438)):
+        assert _descend_calls(_circulant_torus(n)) <= most, n
+
+
+def test_lowest_vertex_rule_is_off_on_neighbourly_complexes():
+    # every vertex shares a triangle with every other, so the rule could
+    # cut nothing and is not run: the node counts are those without it
+    # (their keys are in the exhaustive sweep)
+    for name, calls in (("circulant-torus-7", 104), ("rp2-6", 25)):
+        assert _descend_calls(_TRANSITIVE[name]) == calls, name
+
+
+def test_lowest_vertex_rule_holds_beside_loose_edges():
+    # the rule reads triangles alone, and the triangle lists are compared
+    # before the loose-edge lists; without the rule the octahedron with a
+    # loose edge across takes 24 nodes and the 12-vertex torus with a
+    # chord 333 (the octahedron's keys are in the exhaustive sweep)
+    assert _descend_calls(_octahedron(), [(0, 1)]) <= 13
+    torus12 = Complex2.from_triangles(_circulant_torus(12),
+                                      extra_edges=[(0, 6)])
+    assert canonical_form(torus12) == _canonical_form_reference(torus12)
+    assert _descend_calls(_circulant_torus(12), [(0, 6)]) <= 94
+    image = random.Random("torus with a chord").sample(range(50), 12)
+    assert (canonical_form(torus12.relabeled(dict(zip(range(12), image))))
+            == canonical_form(torus12))
+
+
+@pytest.mark.slow
+def test_canonical_form_keys_the_100_vertex_circulant_torus():
+    tris = _circulant_torus(100)
+    k = Complex2.from_triangles(tris)
+    image = random.Random("circulant torus 100").sample(range(1000), 100)
+    relabeled = k.relabeled(dict(zip(k.vertices, image)))
+    assert canonical_form(relabeled) == canonical_form(k)
+    # 1498 nodes; orbit pruning alone did not finish 40 vertices in 300 s
+    assert _descend_calls(tris) <= 1500
 
 
 def _surface_classes(n: int) -> tuple:
@@ -730,6 +798,12 @@ def test_scale_guard():
         min_triangles_for_surface(9, SPHERE)
     with pytest.raises(ValueError):
         complexes_with_one_triple_edge(20)
+    # a float in range is no vertex count: the guard, not range(), says so
+    for bad in (6.0, "6"):
+        with pytest.raises(ValueError, match="search supports"):
+            min_triangles_for_surface(bad, SurfaceId(False, 1))
+        with pytest.raises(ValueError, match="search supports"):
+            complexes_with_one_triple_edge(bad)
 
 
 def test_sphere_minimum_is_the_tetrahedron():
