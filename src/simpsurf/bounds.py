@@ -86,7 +86,10 @@ def parse_surface_id(text: str) -> SurfaceId:
         return SPHERE
     digits = text[1:]
     if text[:1] in ("M", "N") and digits.isascii() and digits.isdigit():
-        genus = int(digits)
+        try:
+            genus = int(digits)
+        except ValueError:  # more digits than the interpreter converts
+            genus = 0
         if genus >= 1:
             return SurfaceId(text[0] == "M", genus)
     raise ValueError(f"unrecognized surface id {text!r}; expected S2, M<g>, or N<k>")

@@ -428,6 +428,9 @@ def _cmd_catalog(args) -> _Result:
             return EXIT_OK, None, text.splitlines()
         Path(args.out).write_text(text)
         return EXIT_OK, None, [f"wrote {args.out}"]
+    if args.out:
+        raise FormatError("-o writes one surface's triangulation; give "
+                          "--surface with it")
     rows = []
     for name in MINIMAL_TRIANGULATIONS:
         surface = parse_surface_id(name)

@@ -28,14 +28,15 @@ visitor keeps what it needs and the search goes on, so memory stays
 flat however many states there are (308,134 on nine vertices for M2).
 The minimum search drops every state whose Euler characteristic or
 orientability differs from the target's; those two fix the surface once
-every vertex link is a cycle, so the rest get only the link walk of the
-recognizer that classify runs on, one vertex at a time on the vertex's
-star.  A vertex's link is made of the triangles at it and nothing else,
-so each distinct star is walked once per search and its answer reused.
-No Complex2 is built until a search has its witness, which classify,
-with the full recognizer, then confirms.  The link walk takes as given
-what classify checks on the 1-skeleton first, and every complete state
-of the closed search has both by construction: it is connected, since
+every vertex link is a cycle, so the rest get only a link walk, one
+vertex at a time on the vertex's star: classify's walk, run on sums of
+link neighbours read from a per-vertex table of link edges.  A vertex's
+link is made of the triangles at it and nothing else, so each distinct
+star is walked once per search and its answer reused.  No Complex2 is
+built until a search has its witness, which classify, with the full
+recognizer, then confirms.  The link walk takes as given what classify
+checks on the 1-skeleton first, and every complete state of the closed
+search has both by construction: it is connected, since
 each triangle after the seed is placed on an edge already present, and
 each of its edges lies in exactly two triangles, since an edge is left
 open in one triangle or closed in two and no triangle is placed on a
@@ -63,7 +64,7 @@ from typing import Callable, Optional
 from .bounds import SurfaceId
 from .complex2 import Complex2
 from .gf2 import _bits_up
-from .surfaces import _apex_sums, _link_is_cycle, classify
+from .surfaces import classify
 
 __all__ = [
     "canonical_form",
@@ -365,11 +366,12 @@ def _triangles(n_max: int) -> tuple:
 @functools.cache
 def _candidates(n_max: int) -> tuple:
     """(edge_ids, at_edge) for a search on n_max labels: edge_ids numbers
-    the edges in combinations order, and at_edge[e][d] lists the triangles
-    on edge e that run it forwards (d = 1) or not, in id order, each as its
-    id bit, its edge mask, its top label and the edges it runs forwards
-    under the sign that runs e the other way.  In id order the third
-    vertex of the triangles on an edge ascends, and so does the top."""
+    the edges in combinations order, and at_edge[e][d][used] lists the
+    triangles on edge e that run it forwards (d = 1) or not and that a
+    state with labels 0..used-1 may place, those whose top label is at
+    most used, in id order.  Each comes as its id bit, its edge mask, the
+    label count once it is placed and the edges it runs forwards under
+    the sign that runs e the other way."""
     edge_ids = {e: i for i, e in
                 enumerate(itertools.combinations(range(n_max), 2))}
     at_edge: list[tuple[list, list]] = [([], []) for _ in edge_ids]
@@ -380,7 +382,14 @@ def _candidates(n_max: int) -> tuple:
             back, ahead = at_edge[e.bit_length() - 1]
             back.append((1 << ti, m, c, f0))
             ahead.append((1 << ti, m, c, f1))
-    return edge_ids, [(tuple(back), tuple(ahead)) for back, ahead in at_edge]
+
+    def by_count(side: list) -> tuple:
+        return tuple(tuple((bit, m, max(used, top + 1), f)
+                           for bit, m, top, f in side if top <= used)
+                     for used in range(n_max + 1))
+
+    return edge_ids, [(by_count(back), by_count(ahead))
+                      for back, ahead in at_edge]
 
 
 # the closed search seeds one triangle; the triple-edge search seeds the
@@ -409,7 +418,8 @@ def _closures(n_max: int, seed: list,
     the direction pos in which each open edge's one triangle runs it (bit
     set when from the lower label to the higher).  A candidate at the
     open edge is admissible when it is not placed, takes at most the next
-    label and misses the full edges.  Each full seed edge keeps its seed
+    label (_candidates lists only those for each label count) and misses
+    the full edges.  Each full seed edge keeps its seed
     degree d, every other edge ends in two triangles, so 3 alpha2 =
     2 alpha1 + extra, extra summing d - 2: that caps alpha2, and
     chi_target fixes alpha2 = 2 alpha0 - 2 chi + extra.  Each placement
@@ -460,13 +470,10 @@ def _closures(n_max: int, seed: list,
         nonlocal closed
         e = (one & -one).bit_length() - 1
         alpha2 += 1
-        for bit, m, top, f in at_edge[e][pos >> e & 1]:
-            if top > used:
-                break  # the tops ascend, so no later candidate fits
+        for bit, m, grown, f in at_edge[e][pos >> e & 1][used]:
             if placed & bit or m & full:
                 continue
             closing = one & m
-            grown = used + (top == used)
             now_orientable = orientable and (f ^ pos) & closing == closing
             rest = one ^ m
             if not rest:
@@ -505,12 +512,45 @@ class SearchResult:
     target_states: int
 
 
-def _star_link_is_cycle(v: int, star: int, tris: tuple, n: int) -> bool:
-    """Whether the link of v is a single cycle in a complete state whose
-    triangles at v are those of the mask star, bit i for tris[i], on
-    labels below n: classify's link walk on the star alone."""
-    at = [tris[i] for i in _bits_up(star)]
-    return _link_is_cycle(v, at[0], len(at), _apex_sums(at, n)[0], n)
+@functools.cache
+def _link_edges(n_max: int) -> tuple:
+    """For each vertex v on labels 0..n_max-1, the list indexed by
+    triangle id of the other two vertices of each triangle at v (None
+    for the triangles not at v): bit i of a star is the link edge
+    _link_edges(n_max)[v][i]."""
+    table = [[None] * len(_triangles(n_max)) for _ in range(n_max)]
+    for i, (a, b, c) in enumerate(_triangles(n_max)):
+        table[a][i], table[b][i], table[c][i] = (b, c), (a, c), (a, b)
+    return tuple(map(tuple, table))
+
+
+def _star_link_is_cycle(v: int, star: int, n: int) -> bool:
+    """Whether the link of v is a single cycle in a complete state of a
+    search on n labels whose triangles at v are those of the nonzero mask
+    star, bit i for triangle i of _triangles(n).
+
+    Every edge at v lies in two triangles of the star, as in every
+    complete state, so each link vertex has two link neighbours, and
+    their sum gives one from the other.  The walk from a link edge xy,
+    stepping from y to the other neighbour than the vertex it came from,
+    is classify's walk (surfaces._link_is_cycle) on the star's own sums:
+    the link is a single cycle exactly when the walk first returns to x
+    after as many steps as the star has triangles."""
+    edges = _link_edges(n)[v]
+    sums = [0] * n  # link vertex -> the sum of its two link neighbours
+    count = 0
+    while star:
+        low = star & -star
+        x, y = edges[low.bit_length() - 1]
+        sums[x] += y
+        sums[y] += x
+        count += 1
+        star ^= low
+    prev, here, steps = x, y, 1
+    while here != x:
+        prev, here = here, sums[here] - prev
+        steps += 1
+    return steps == count
 
 
 def min_triangles_for_surface(max_vertices: int, target: SurfaceId) -> SearchResult:
@@ -523,7 +563,7 @@ def min_triangles_for_surface(max_vertices: int, target: SurfaceId) -> SearchRes
     orientability differs from the target's.  With both matching, the
     state is the target exactly when every vertex link is a single
     cycle, and the link of v is walked on its star, the placed triangles
-    at v, as classify walks it.  The answer for each star is kept per
+    at v (_star_link_is_cycle).  The answer for each star is kept per
     vertex for the call: a vertex's link is made of the triangles at v
     and nothing else, so the same star gives the same answer in every
     state, and a star is walked once however many states share it.  Only
@@ -550,7 +590,7 @@ def min_triangles_for_surface(max_vertices: int, target: SurfaceId) -> SearchRes
             star = placed & stars[v]
             cycle = cycles[v].get(star)
             if cycle is None:
-                cycle = cycles[v][star] = _star_link_is_cycle(v, star, tris, n)
+                cycle = cycles[v][star] = _star_link_is_cycle(v, star, n)
             if not cycle:
                 return
         hits += 1

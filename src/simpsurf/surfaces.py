@@ -6,12 +6,12 @@ link is a single cycle.  The first two are read off the 1-skeleton and
 are the callers' to guarantee: classify checks them on its Complex2, and
 every closed state of the desk search has them by construction.  The
 link walk (_link_is_cycle) runs on integer triangles, one vertex at a
-time, for both callers: classify numbers a Complex2's vertices in
-canonical order and walks every vertex on the apex sums of all the
-triangles, and the desk search walks one vertex on the apex sums of its
-star, the triangles at it, which are all a link reads.  With every edge
-in two triangles, the sum of an edge's two apexes gives one from the
-other, and that is all the link walks and the orientation need.
+time: classify numbers a Complex2's vertices in canonical order and
+walks every vertex on the apex sums of all the triangles.  With every
+edge in two triangles, the sum of an edge's two apexes gives one from
+the other, and that is all the link walks and the orientation need.
+The desk search walks each star on a table of its own
+(search._star_link_is_cycle); a test ties the two walks together.
 Orientability comes from propagating triangle signs across shared edges
 (the desk search's enumerator carries its own), and the Euler
 characteristic gives the genus.
@@ -63,39 +63,17 @@ def _directed_boundary(t, sign: int):
     return ((cyc[0], cyc[1]), (cyc[1], cyc[2]), (cyc[2], cyc[0]))
 
 
-def _apex_sums(tris: Sequence[tuple[int, int, int]], n: int) -> tuple:
-    """(apexes, deg, start) for the triangles tris, each an increasing
-    triple on labels below n: apexes maps the key a*n + b of each edge ab
-    to the sum of the third vertices of its triangles, deg counts the
-    triangles at each vertex and start holds one of them (its position in
-    tris) for each vertex that has any."""
-    apexes: dict[int, int] = {}
-    get = apexes.get
-    deg = [0] * n
-    start = [0] * n
-    for i, (a, b, c) in enumerate(tris):
-        ab, ac, bc = a * n + b, a * n + c, b * n + c
-        apexes[ab] = get(ab, 0) + c
-        apexes[ac] = get(ac, 0) + b
-        apexes[bc] = get(bc, 0) + a
-        start[a] = start[b] = start[c] = i
-        deg[a] += 1
-        deg[b] += 1
-        deg[c] += 1
-    return apexes, deg, start
-
-
 def _link_is_cycle(v: int, first: tuple[int, int, int], deg: int,
                    apexes: dict[int, int], n: int) -> bool:
     """Whether the link of v is a single cycle, given first, a triangle at
-    v, deg, the number of triangles at v, and the apex sums of _apex_sums
-    on labels below n, whole on every edge at v.
+    v, deg, the number of triangles at v, and the apex sums of
+    _link_apexes on labels below n.
 
     Every edge at v lies in two triangles, so one apex of an edge vx
     gives the other, and the link of v is 2-regular: a single cycle
     exactly when the walk from first, stepping from x to the other apex
     of edge vx than the vertex it came from, first returns after deg
-    steps.  The walk reads only the triangles at v, its star."""
+    steps."""
     a, b, c = first
     x = a if a != v else b
     prev, here, steps = x, a + b + c - v - x, 1
@@ -113,13 +91,26 @@ def _link_apexes(tris: Sequence[tuple[int, int, int]],
     when every vertex link is a single cycle; None otherwise.
 
     The caller guarantees that the complex is connected and that every
-    edge lies in exactly two triangles.  One pass stores the apex sum of
-    every edge (_apex_sums), and _link_is_cycle walks each vertex link
-    on them; a vertex in no triangle has an empty link, which is no
-    cycle.  The desk search runs the same walk on one star at a time.
+    edge lies in exactly two triangles.  One pass maps the key a*n + b of
+    each edge ab to the sum of the third vertices of its triangles, and
+    counts and keeps one triangle at each vertex; _link_is_cycle then
+    walks each vertex link on those sums.  A vertex in no triangle has
+    an empty link, which is no cycle.
     """
     n = n_vertices
-    apexes, deg, start = _apex_sums(tris, n)
+    apexes: dict[int, int] = {}
+    get = apexes.get
+    deg = [0] * n
+    start = [0] * n  # a triangle at each vertex, by its position in tris
+    for i, (a, b, c) in enumerate(tris):
+        ab, ac, bc = a * n + b, a * n + c, b * n + c
+        apexes[ab] = get(ab, 0) + c
+        apexes[ac] = get(ac, 0) + b
+        apexes[bc] = get(bc, 0) + a
+        start[a] = start[b] = start[c] = i
+        deg[a] += 1
+        deg[b] += 1
+        deg[c] += 1
     for v in range(n):
         if not deg[v] or not _link_is_cycle(v, tris[start[v]], deg[v],
                                             apexes, n):
@@ -192,7 +183,7 @@ def classify(k: Complex2) -> ClassificationResult:
     then vertex links.  The first two are read off the 1-skeleton, so that
     loose edges and isolated vertices count; the triangles then go, with
     vertices numbered in canonical order, to the recognizer, which takes
-    those two as given and whose link walk the desk search also runs.
+    those two as given.
     For orientable surfaces the witness maps each triangle to +1 or -1
     giving a coherent orientation.
     """

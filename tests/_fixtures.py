@@ -22,6 +22,27 @@ from simpsurf.surfaces import attach_circle, catalog, wedge
 
 SPHERE_TRIS = [t for t in combinations(range(4), 3)]
 
+# the head of a script run in a child process to bound its memory: it
+# defines peak_kib(), the child's own peak resident size in KiB.  On Linux
+# a child's ru_maxrss starts at its parent's resident size, since the
+# high-water mark outlives exec, so a large test process would mask the
+# child's peak; VmHWM in /proc/self/status is the peak of the child's own
+# address space, and ru_maxrss (KiB on Linux, bytes on macOS) stands in
+# where there is no /proc
+PEAK_KIB = """
+import resource, sys
+def peak_kib():
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    got = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return got // 1024 if sys.platform == "darwin" else got
+"""
+
 RP2_TRIS = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
             (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
 

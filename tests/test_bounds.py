@@ -61,8 +61,9 @@ def test_parse_surface_id():
     with pytest.raises(ValueError):
         parse_surface_id("Q7")
     # a superscript or a full-width digit is a digit to str.isdigit, yet
-    # no genus: the message names the text instead of int()'s complaint
-    for text in ("M²", "M１", "N٣"):
+    # no genus, and nor are more digits than int() converts (4300 by
+    # default): the message names the text instead of int()'s complaint
+    for text in ("M²", "M１", "N٣", "M" + "9" * 5000):
         with pytest.raises(ValueError, match="unrecognized surface id"):
             parse_surface_id(text)
 

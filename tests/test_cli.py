@@ -195,7 +195,7 @@ def test_bounds_surface(capsys):
     assert payload["certificate"]["lower_bound"] == 22
     code, out, _ = run(capsys, "bounds", "--surface", "S2", "--json")
     assert json.loads(out)["certificate"] is None
-    for text in ("M²", "M１"):
+    for text in ("M²", "M１", "M" + "9" * 5000):
         code, _, err = run(capsys, "bounds", "--surface", text)
         assert code == 2 and "unrecognized surface id" in err, text
 
@@ -431,6 +431,7 @@ def _golden_calls(d: Path) -> list[list[str]]:
               ["homology", str(d / "bad.json")],
               ["property-a", str(d / "absent.json")],
               ["bounds"], ["search", "--max-vertices", "5"],
+              ["catalog", "-o", str(d / "M1-L.json")],
               ["classify", torus_f, "--surface", "Q9"],
               # exit 3: a violated precondition
               ["reduce", torus_f, "--target-rank", "5"],

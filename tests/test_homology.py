@@ -12,8 +12,8 @@ import pytest
 
 import simpsurf.gf2 as gf2
 import simpsurf.homology as homology
-from _fixtures import (_relabel, apply, kernel_from_rref, m8_wedge, rp2, sphere,
-                       torus, torus_circle_sphere, torus_with_circle)
+from _fixtures import (PEAK_KIB, _relabel, apply, kernel_from_rref, m8_wedge, rp2,
+                       sphere, torus, torus_circle_sphere, torus_with_circle)
 from simpsurf.bounds import parse_surface_id
 from simpsurf.complex2 import Complex2
 from simpsurf.gf2 import Gf2Matrix, Gf2Span, Gf2Vector
@@ -693,9 +693,8 @@ def test_summary_runs_one_elimination(monkeypatch):
 # numbers, then for the query "cycles" per 1-cycle its number of edges and
 # of vertices of odd degree in it (a cycle has none), for "property-a"
 # whether property (A) holds and the radical's dimension, and last its own
-# peak resident size (ru_maxrss: KiB on Linux, bytes on macOS)
-_LARGE_TORUS = """
-import resource, sys
+# peak resident size in KiB
+_LARGE_TORUS = PEAK_KIB + """
 from collections import Counter
 from simpsurf.complex2 import Complex2
 from simpsurf.homology import has_property_a, homology_summary
@@ -712,8 +711,7 @@ if query == "cycles":
 else:
     result = has_property_a(k, s)
     out += [int(result.holds), result.radical_dimension]
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(*out, peak // 1024 if sys.platform == "darwin" else peak)
+print(*out, peak_kib())
 """
 
 

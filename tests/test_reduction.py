@@ -1,9 +1,13 @@
 """Kill steps, free collapses, loose-edge elimination, and the pipeline."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +26,9 @@ from simpsurf.reduction import (PreservationSpec, _boundary, _cycle_basis, _sum,
                                 eliminate_maximal_edges, kill_step, simplify_pipeline)
 from simpsurf.surfaces import attach_circle, catalog, classify, wedge
 
-from _fixtures import (kernel_from_rref, label_cases, m8_wedge, rp2, sphere,
-                       sphere_chain, torus, torus_circle_sphere, torus_with_circle)
+from _fixtures import (PEAK_KIB, kernel_from_rref, label_cases, m8_wedge, rp2,
+                       sphere, sphere_chain, torus, torus_circle_sphere,
+                       torus_with_circle)
 
 
 def torus_functional() -> PreservationSpec:
@@ -770,6 +775,60 @@ def test_report_on_the_8_copy_m8_wedge(tmp_path, monkeypatch, capsys):
     assert counts["searches"] == 657 + 113
     assert counts["expansions"] <= 40_000
     assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+
+# simpsurf report in a fresh process, its arguments the process's own:
+# the --json document goes to stdout as the CLI writes it, and the peak
+# resident size in KiB to stderr last
+_REPORT = PEAK_KIB + """
+from simpsurf.cli import main
+code = main(["report", *sys.argv[1:], "--json"])
+print(peak_kib(), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _report_in_a_process(k: Complex2, d: Path, *options: str) -> tuple:
+    """(payload, peak KiB) of report --json on k with the options."""
+    dump_complex(k, d / "k.json", name="k")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _REPORT, str(d / "k.json"),
+                           *options], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout), int(proc.stderr.split()[-1])
+
+
+@pytest.mark.slow
+def test_report_on_a_100000_triangle_torus_in_bounded_memory(tmp_path):
+    # the circulant torus on Z/50000 with a one-triangle spec, which kills
+    # nothing: about 229 MiB (Python 3.11, Linux), where the report once
+    # peaked at about 1098 MiB
+    n = 50_000
+    k = Complex2.from_triangles([sorted((i + d) % n for d in offsets)
+                                 for offsets in ((0, 1, 3), (0, 2, 3))
+                                 for i in range(n)])
+    (tmp_path / "spec.json").write_text(json.dumps([[list(k.triangles[0])]]))
+    payload, peak_kib = _report_in_a_process(k, tmp_path, "--preserve",
+                                             str(tmp_path / "spec.json"))
+    assert payload["certified"]
+    assert payload["classification"]["surface"]["name"] == "M1"
+    pipeline = payload["pipeline"]
+    assert (len(pipeline["killed_triangles"]), pipeline["free_rank"]) == (0, 0)
+    assert peak_kib < 300 * 1024
+
+
+@pytest.mark.slow
+def test_report_on_the_12500_sphere_chain_in_bounded_memory(tmp_path):
+    # 100,000 triangles and 12,499 kills: about 345 MiB (Python 3.11,
+    # Linux), most of it the kills' rows, as wide as their top triangle
+    payload, peak_kib = _report_in_a_process(sphere_chain(12_500), tmp_path,
+                                             "--target-rank", "1")
+    assert payload["certified"]
+    assert payload["classification"]["surface"]["name"] == "S2"
+    pipeline = payload["pipeline"]
+    assert (len(pipeline["killed_triangles"]), pipeline["free_rank"]) == (12_499, 0)
+    assert peak_kib < 450 * 1024
 
 
 def _assert_as_built(r: Complex2) -> None:

@@ -21,13 +21,16 @@ from simpsurf.complex2 import Complex2
 from simpsurf.gf2 import _bits_up
 from simpsurf.homology import betti_numbers
 from simpsurf.search import (_SEED, _TRIPLE_SEED, SearchResult, _canonical_key,
-                             _check_scale, _closures, _triangles,
-                             canonical_form, complexes_with_one_triple_edge,
+                             _check_scale, _closures, _star_link_is_cycle,
+                             _triangles, canonical_form,
+                             complexes_with_one_triple_edge,
                              min_triangles_for_surface)
 from simpsurf import surfaces
-from simpsurf.surfaces import _classify_triangles, _link_apexes, catalog, classify
+from simpsurf.surfaces import (_classify_triangles, _link_apexes, _link_is_cycle,
+                               catalog, classify)
 
-from _fixtures import (RP2_TRIS, SPHERE_TRIS, closed_states, rp2, sphere, torus,
+from _fixtures import (PEAK_KIB, RP2_TRIS, SPHERE_TRIS, closed_states,
+                       failure_reason_oracle, rp2, sphere, torus,
                        torus_circle_sphere, torus_with_circle)
 
 
@@ -915,9 +918,9 @@ def test_search_classifies_only_states_with_the_target_chi(monkeypatch):
                  for tris, used in want for v in range(used)}
         walked, recognized = [], []
 
-        def walking(v, star, tris, n):
+        def walking(v, star, n):
             walked.append((v, star))
-            return walk(v, star, tris, n)
+            return walk(v, star, n)
 
         def recognizing(tris, used):
             recognized.append(used)
@@ -933,6 +936,37 @@ def test_search_classifies_only_states_with_the_target_chi(monkeypatch):
         assert len(states) == result.complete_states == 3850
         assert result.target_states == found.count(target) == hits
         assert result.min_triangles == least
+
+
+def test_star_walk_matches_classify_and_the_oracle():
+    # the desk search walks each star on its own table; on every vertex of
+    # every complete state, pinched ones included, it answers as classify's
+    # walk on the whole state's apex sums, and all its answers together
+    # are the link-graph oracle's verdict on the state
+    states = {}
+    for chi in (None, 1, 0, -1):
+        for n in range(3, 9):
+            for tris, used, _o in closed_states(n, chi_target=chi):
+                states[n, tris] = used
+    verdicts = Counter()
+    for (n, tris), used in states.items():
+        apexes = Counter()  # edge key a * used + b -> the sum of its apexes
+        for a, b, c in tris:
+            apexes[a * used + b] += c
+            apexes[a * used + c] += b
+            apexes[b * used + c] += a
+        cycles = []
+        for v in range(used):
+            at = [t for t in tris if v in t]
+            star = sum(1 << _triangles(n).index(t) for t in at)
+            cycle = _star_link_is_cycle(v, star, n)
+            assert cycle == _link_is_cycle(v, at[0], len(at), apexes, used), \
+                (tris, v)
+            cycles.append(cycle)
+        reason = failure_reason_oracle(Complex2.from_triangles(tris))
+        assert all(cycles) == (reason is None), tris
+        verdicts[reason] += 1
+    assert verdicts == {None: 1774, "bad_link": 2415}
 
 
 def test_search_matches_the_list_reference():
@@ -955,19 +989,15 @@ def test_ringel_n3_needs_nine_vertices():
 # min_triangles_for_surface on nine vertices in a fresh process, the cap
 # lifted to 9 there alone: prints the complete and target state counts,
 # the least triangle count (0 when none) and the growth of the process's
-# peak resident size over the call (ru_maxrss: KiB on Linux, bytes on macOS)
-_NINE_VERTICES = """
-import resource, sys
+# peak resident size over the call, in KiB
+_NINE_VERTICES = PEAK_KIB + """
 from simpsurf import search
 from simpsurf.bounds import parse_surface_id
 search._MAX_VERTICES = 9
-def peak():
-    got = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return got // 1024 if sys.platform == "darwin" else got
-before = peak()
+before = peak_kib()
 result = search.min_triangles_for_surface(9, parse_surface_id(sys.argv[1]))
 print(result.complete_states, result.target_states,
-      result.min_triangles or 0, peak() - before)
+      result.min_triangles or 0, peak_kib() - before)
 """
 
 
