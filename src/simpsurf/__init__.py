@@ -15,7 +15,7 @@ from .bounds import (EXCEPTIONAL_SURFACES, SPHERE, ComplexityCertificate,
                      minimal_triangle_count, parse_surface_id,
                      surface_group_profile, truncated_euler_characteristic,
                      vertex_floor)
-from .complex2 import Complex2, SimplexId, canon_edge, canon_triangle, label_key
+from .complex2 import Complex2, canon_edge, canon_triangle, label_key
 from .gf2 import Gf2Matrix, Gf2Span, Gf2Vector
 from .homology import (ChainVector, CochainVector, CupForm, HomologySummary,
                        PropertyAResult, betti_numbers, boundary_matrix, chain,

@@ -79,19 +79,25 @@ _SURFACE_ALIASES = {
 
 
 def parse_surface_id(text: str) -> SurfaceId:
-    """Parse 'S2', 'M<g>' (g >= 1), 'N<k>' (k >= 1), or a common alias;
-    the genus is written in ASCII digits."""
+    """Parse 'S2', 'M<g>' (g >= 1), 'N<k>' (k >= 1), or a common alias.
+
+    The genus is written in ASCII digits, and it is small enough that
+    every number printed about the surface converts to a string under the
+    interpreter's int-digit limit: the largest, its minimal triangle
+    count, about 4g for M<g> and 2k for N<k>, is converted once here.
+    """
     text = _SURFACE_ALIASES.get(text.strip().lower(), text.strip())
     if text == "S2":
         return SPHERE
     digits = text[1:]
     if text[:1] in ("M", "N") and digits.isascii() and digits.isdigit():
         try:
-            genus = int(digits)
-        except ValueError:  # more digits than the interpreter converts
-            genus = 0
-        if genus >= 1:
-            return SurfaceId(text[0] == "M", genus)
+            surface = SurfaceId(text[0] == "M", int(digits))
+            str(minimal_triangle_count(surface))
+        except ValueError:  # N0, or more digits than the interpreter converts
+            surface = SPHERE
+        if surface.genus >= 1:
+            return surface
     raise ValueError(f"unrecognized surface id {text!r}; expected S2, M<g>, or N<k>")
 
 

@@ -4,14 +4,14 @@ A Complex2 is an immutable value: vertex labels (ints or strings), edges,
 and triangles, all stored in a single canonical order (integer labels
 sort numerically and come before string labels, which sort
 lexicographically).  A complex is never edited: a changed complex is a
-new value, built by a constructor.  Simplex ids are positions in the
-canonical order of one value and are NOT stable from one value to the
+new value, built by a constructor.  A simplex is named by its vertex
+tuple.  Its position in the canonical order of one value, a coordinate
+of the chains and cochains over it, is NOT stable from one value to the
 next, so anything that must carry over is recorded by vertex tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations, count
 from operator import eq
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -20,7 +20,6 @@ from .gf2 import _Forest
 
 __all__ = [
     "Label",
-    "SimplexId",
     "Complex2",
     "label_key",
     "canon_edge",
@@ -48,9 +47,15 @@ def _is_label(v) -> bool:
     return isinstance(v, (int, str)) and not isinstance(v, bool)
 
 
+def _is_sequence(s) -> bool:
+    """Whether s can name an edge or a triangle: it has a length and is
+    not a str, which is one label."""
+    return hasattr(s, "__len__") and not isinstance(s, str)
+
+
 def _are_labels(s, n: int) -> bool:
-    """Whether s has a length, n, and every item of it can be a vertex."""
-    return hasattr(s, "__len__") and len(s) == n and all(map(_is_label, s))
+    """Whether s is a sequence of n items, each of which can be a vertex."""
+    return _is_sequence(s) and len(s) == n and all(map(_is_label, s))
 
 
 def canon_edge(a: Label, b: Label) -> Edge:
@@ -126,20 +131,6 @@ def _degenerate(edges: list, triangles: list, key) -> ValueError:
     raise AssertionError("no degenerate simplex to name")
 
 
-@dataclass(frozen=True)
-class SimplexId:
-    """Position of a simplex in the canonical order of one complex value."""
-
-    dimension: int
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.dimension not in (0, 1, 2):
-            raise ValueError(f"dimension {self.dimension} not in (0, 1, 2)")
-        if self.index < 0:
-            raise ValueError(f"negative index {self.index}")
-
-
 class Complex2:
     """An abstract simplicial complex of dimension at most 2.
 
@@ -163,14 +154,14 @@ class Complex2:
     the triangle positions and the three edge positions of each triangle.
     connected_components() is computed once per value and kept too, the
     trees of the 1-skeleton's own spanning forest (gf2._Forest); nothing
-    outside this module writes a cache.  Only int and str labels (not
-    bool) are vertices: has_vertex, has_edge and has_triangle are False
-    for a simplex with any other label or the wrong number of vertices, or
-    for an argument without a length, and the vertex and edge queries and
-    simplex_id raise ValueError for it.
-    has_edge and has_triangle also take a SimplexId, True exactly when it
-    names an edge (a triangle) of this value: the edge ids that the edge
-    queries accept.
+    outside this module writes a cache.  Every query names a simplex by
+    its vertices: a vertex by its label, an edge or a triangle by a
+    sequence of labels in any order.  Only int and str labels (not bool)
+    are vertices, and a str is a label, never a sequence of them:
+    has_vertex, has_edge and has_triangle are False for a simplex with any
+    other label or the wrong number of vertices, or for an argument
+    without a length, and the vertex and edge queries raise ValueError for
+    it.
     """
 
     __slots__ = ("vertices", "edges", "triangles",
@@ -335,43 +326,17 @@ class Complex2:
             raise ValueError(f"vertex {v!r} is not in the complex")
         return v
 
-    def has_edge(self, e: Union[Sequence[Label], SimplexId]) -> bool:
-        if isinstance(e, SimplexId):
-            return e.dimension == 1 and e.index < self.n_edges
+    def has_edge(self, e: Sequence[Label]) -> bool:
         return _are_labels(e, 2) and canon_edge(*e) in self._edge_index
 
-    def has_triangle(self, t: Union[Sequence[Label], SimplexId]) -> bool:
-        if isinstance(t, SimplexId):
-            return t.dimension == 2 and t.index < self.n_triangles
+    def has_triangle(self, t: Sequence[Label]) -> bool:
         return _are_labels(t, 3) and canon_triangle(*t) in self._triangle_index
 
-    def simplex(self, sid: SimplexId):
-        """The vertex tuple (or label, in dimension 0) behind an id."""
-        pool = (self.vertices, self.edges, self.triangles)[sid.dimension]
-        if sid.index >= len(pool):
-            raise ValueError(f"{sid} out of range")
-        return pool[sid.index]
-
-    def simplex_id(self, simplex) -> SimplexId:
-        try:
-            if isinstance(simplex, (int, str)):
-                return SimplexId(0, self._vertex_index[self._as_vertex(simplex)])
-            vs = tuple(simplex)
-            if len(vs) == 2:
-                return SimplexId(1, self._edge_index[canon_edge(*vs)])
-            if len(vs) == 3:
-                return SimplexId(2, self._triangle_index[canon_triangle(*vs)])
-        except (KeyError, TypeError):
-            # TypeError: a label neither int nor str (tuple(1.0) or label_key)
-            raise ValueError(f"simplex {simplex!r} is not in the complex") from None
-        raise ValueError(f"not a simplex: {simplex!r}")
-
-    def _as_edge(self, e) -> Edge:
-        is_id = isinstance(e, SimplexId)
+    def _as_edge(self, e: Sequence[Label]) -> Edge:
         if not self.has_edge(e):
-            shown = tuple(e) if hasattr(e, "__len__") and not is_id else e
+            shown = tuple(e) if _is_sequence(e) else e
             raise ValueError(f"edge {shown!r} is not in the complex")
-        return self.edges[e.index] if is_id else canon_edge(*e)
+        return canon_edge(*e)
 
     def edge_degree(self, e) -> int:
         """Number of triangles containing the edge."""

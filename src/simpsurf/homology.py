@@ -25,8 +25,8 @@ gf2._relations call.
 
 Every boundary elimination, the summary's, betti_numbers' and the
 reduction's audits, goes through _boundary_relations, which reads each
-triangle boundary off a list of its edge positions, the three of
-_triangle_edges at every position or at a kept index of the complex.
+triangle boundary off its three edge positions in _triangle_edges, at
+every position or at a kept index of the complex.
 The 1-cycles take none.  When every edge lies in at most two triangles
 (every surface, with or without boundary, and every wedge of them) the
 elimination computes only a spanning forest of the dual graph: the
@@ -73,7 +73,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .complex2 import Complex2
+from .complex2 import Complex2, _is_sequence, label_key
 from .gf2 import Gf2Matrix, Gf2Vector, _bitmask, _bits_up, _Forest, _relations, _span
 
 __all__ = [
@@ -128,14 +128,24 @@ def _simplex_pool(k: Complex2, dimension: int):
 
 
 def _simplex_indices(k: Complex2, dimension: int, simplices) -> list[int]:
-    """Positions of the simplices, each checked to have dimension + 1
-    vertices (a vertex is a bare label) before it is looked up."""
+    """Positions of the simplices in the complex's position maps, each
+    checked to have dimension + 1 vertices (a vertex is a bare label, an
+    edge or a triangle a sequence of labels with a length, as in the
+    complex's queries) before it is looked up."""
+    # the triangle positions are a lazy index, built only when read
+    position = (k._triangle_index if dimension == 2
+                else (k._vertex_index, k._edge_index)[dimension])
     out = []
     for s in simplices:
-        vs = (s,) if isinstance(s, (int, str)) else tuple(s)
+        vs = tuple(s) if _is_sequence(s) else (s,)
         if len(vs) != dimension + 1:
             raise ValueError(f"{s!r} is not a {dimension}-simplex")
-        out.append(k.simplex_id(s if dimension == 0 else vs).index)
+        try:
+            # label_key's TypeError: a label neither int nor str
+            out.append(position[k._as_vertex(s) if dimension == 0
+                                else tuple(sorted(vs, key=label_key))])
+        except (KeyError, TypeError):
+            raise ValueError(f"simplex {vs!r} is not in the complex") from None
     return out
 
 
@@ -178,13 +188,12 @@ def betti_numbers(k: Complex2) -> tuple[int, int, int]:
     return _betti(k, _boundary_relations(k._triangle_edges, k.n_edges).free)
 
 
-def _boundary_relations(boundaries: Sequence[Sequence[int]], width: int
+def _boundary_relations(boundaries: Sequence[tuple[int, int, int]], width: int
                         ) -> _DualForest | _Elimination:
-    """The boundaries, each given by its positions below width (a
-    triangle's three edge positions in a complex's _triangle_edges, though
-    any number of them will do), eliminated in order: the one entry point
-    of every boundary elimination, called by betti_numbers,
-    homology_summary and the reduction's audits.
+    """The triangle boundaries, each its triangle's three edge positions
+    below width (as in a complex's _triangle_edges), eliminated in order:
+    the one entry point of every boundary elimination, called by
+    betti_numbers, homology_summary and the reduction's audits.
 
     When every position lies in at most two of the boundaries the dual
     forest gives the answer (_tree_cotree); the first position found in a
@@ -203,12 +212,11 @@ def _boundary_relations(boundaries: Sequence[Sequence[int]], width: int
 class _Elimination:
     """The boundaries eliminated in order, each tagged with its triangle
     (gf2._relations): the route for boundaries with a position in three
-    or more of them, and the oracle the tests hold the dual forest to.
-    A boundary may have any number of positions."""
+    or more of them, and the oracle the tests hold the dual forest to."""
 
-    def __init__(self, boundaries: Sequence[Sequence[int]], width: int) -> None:
+    def __init__(self, boundaries: Sequence[tuple[int, int, int]], width: int) -> None:
         self._tagged, self.cycles = _relations(
-            [sum(map((1).__lshift__, edges)) for edges in boundaries], width)
+            [1 << a | 1 << b | 1 << c for a, b, c in boundaries], width)
         self._n_triangles = len(boundaries)
         self.rank = self._tagged.dim
         self.free = self._tagged._free(width)
@@ -220,7 +228,8 @@ class _Elimination:
         return self._tagged._kernel_at(columns)
 
 
-def _tree_cotree(boundaries: Sequence[Sequence[int]], width: int) -> Optional[_DualForest]:
+def _tree_cotree(boundaries: Sequence[tuple[int, int, int]], width: int
+                 ) -> Optional[_DualForest]:
     """The boundary elimination of triangles none of whose edges lies in
     three of them, read off Kruskal's forest of the dual graph; None at
     the first edge found in a third triangle.
@@ -232,8 +241,7 @@ def _tree_cotree(boundaries: Sequence[Sequence[int]], width: int) -> Optional[_D
     its triangles, so the column matroid is the graphic matroid of that
     graph, and the pivots of the elimination, the greedy column basis in
     column order, are the edges of the forest grown in ascending edge
-    order.  Only the columns matter, so a boundary may have any number of
-    edges: one with none is a triangle alone in its tree, a 2-cycle.
+    order.
     """
     # the ends of each edge: its first triangle and its second, or infinity
     one = [0] * width

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simpsurf import cli
-from simpsurf.bounds import parse_surface_id
+from simpsurf.bounds import (SurfaceId, minimal_triangle_count, parse_surface_id,
+                             vertex_floor)
 from simpsurf.cli import main, run_report
 from simpsurf.complex2 import Complex2
 from simpsurf.io import dump_complex, dumps_complex, load_complex
@@ -198,6 +200,41 @@ def test_bounds_surface(capsys):
     for text in ("M²", "M１", "M" + "9" * 5000):
         code, _, err = run(capsys, "bounds", "--surface", text)
         assert code == 2 and "unrecognized surface id" in err, text
+
+
+def _largest_printable_genus(orientable: bool, digits: int) -> int:
+    """The largest genus whose minimal triangle count, 2 vertex_floor(chi)
+    - 2 chi, has at most the given number of digits: a fixed point of
+    genus = (10^digits + 3 - 2 vertex_floor(chi)) // per, where per is how
+    much -2 chi grows per genus, from 10^digits // per down."""
+    per = 4 if orientable else 2
+    genus = 10 ** digits // per
+    for _ in range(4):
+        chi = SurfaceId(orientable, genus).euler_characteristic
+        genus = (10 ** digits + 3 - 2 * vertex_floor(chi)) // per
+    return genus
+
+
+def test_a_genus_is_accepted_exactly_while_its_numbers_print(capsys):
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not digits:
+        pytest.skip("this interpreter converts ints of any length")
+    for letter, orientable in (("M", True), ("N", False)):
+        genus = _largest_printable_genus(orientable, digits)
+        count = minimal_triangle_count(SurfaceId(orientable, genus))
+        assert count < 10 ** digits <= minimal_triangle_count(SurfaceId(orientable, genus + 1))
+        code, out, err = run(capsys, "bounds", "--surface", f"{letter}{genus}")
+        assert code == 0 and err == ""
+        assert f"minimal triangulation size {count}\n" in out
+        code, out, err = run(capsys, "catalog", "--surface", f"{letter}{genus}")
+        assert code == 3 and out == ""
+        assert err.startswith(f"not applicable: {letter}{genus}: catalog")
+        # the next genus, and 4300 nines, the default limit's worth
+        for text in (f"{letter}{genus + 1}", letter + "9" * 4300):
+            for command in ("bounds", "catalog"):
+                code, out, err = run(capsys, command, "--surface", text)
+                assert code == 2 and out == ""
+                assert err.startswith("error: unrecognized surface id"), (command, text)
 
 
 def test_huge_genus_builds_no_catalog_witness(capsys):

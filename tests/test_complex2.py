@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simpsurf.complex2 import Complex2, SimplexId, canon_edge, canon_triangle, label_key
-from simpsurf.homology import (betti_numbers, cup_pairing_on_h1, has_property_a,
-                               homology_summary)
+from simpsurf.complex2 import Complex2, canon_edge, canon_triangle, label_key
+from simpsurf.homology import (betti_numbers, chain, cup_pairing_on_h1,
+                               has_property_a, homology_summary)
 from simpsurf.reduction import collapse_all, eliminate_maximal_edges, simplify_pipeline
 from simpsurf.search import canonical_form
 
@@ -96,30 +96,44 @@ def test_edge_degree_and_maximal():
         k.edge_degree((1, 5))
 
 
-def test_simplex_ids_round_trip():
-    k = Complex2.from_triangles(SPHERE)
-    sid = k.simplex_id((1, 2, 3))
-    assert sid.dimension == 2
-    assert k.simplex(sid) == (1, 2, 3)
-    assert k.simplex(k.simplex_id((0, 1))) == (0, 1)
-    assert k.edge_degree(k.simplex_id((0, 1))) == 2
-    with pytest.raises(ValueError):
-        SimplexId(3, 0)
+class _NoLength:
+    """An argument with no length, which names no simplex."""
 
 
-def test_has_queries_take_exactly_the_ids_edge_degree_accepts():
-    k = Complex2.from_triangles([[0, 1, 2]], extra_edges=[[2, 3]])
-    for sid in [SimplexId(d, i) for d in range(3) for i in range(6)]:
+def test_has_queries_are_true_exactly_where_the_queries_answer():
+    # int and one-letter str labels, so a str of two or three letters
+    # spells an edge or a triangle it must not be taken for
+    k = Complex2.from_triangles([(0, 1, 2), ("a", "b", "c"), (0, "a", 1)],
+                                extra_edges=[(2, "d")], extra_vertices=[7])
+    bag = [*k.edges, *k.triangles, *map(list, k.edges), *map(list, k.triangles),
+           *(t[::-1] for t in (*k.edges, *k.triangles)),
+           (0, 7), (0, 1, 7), (2, "d", 0), (0, 0), (0, 0, 1), (0,), (0, 1, 2, "a"),
+           (True, 1), (0, True), (1.0, 2), (0, 1, 2.0), (None, 1), ([0], 1, 2),
+           True, False, 0, 1, 7, 1.0, 2.5, None, "a", "ab", "abc", "d2", "",
+           [], _NoLength(), iter((0, 1, 2)), iter((0, 1))]
+    seen = Counter()
+    for x in bag:
+        answers = []
+        for query in (k.edge_degree, k.triangles_at_edge):
+            try:
+                query(x)
+            except ValueError as exc:
+                assert "is not in the complex" in str(exc), x
+                answers.append(False)
+            else:
+                answers.append(True)
         try:
-            k.edge_degree(sid)
+            chain(k, 2, [x])
         except ValueError:
-            accepted = False
+            built = False
         else:
-            accepted = True
-        assert k.has_edge(sid) is accepted is (sid.dimension == 1 and sid.index < 4)
-        assert k.has_triangle(sid) is (sid.dimension == 2 and sid.index == 0)
-        if accepted:
-            assert k.has_edge(k.simplex(sid))
+            built = True
+        assert k.has_edge(x) is answers[0] is answers[1], x
+        assert k.has_triangle(x) is built, x
+        seen["edge"] += answers[0]
+        seen["triangle"] += built
+    # each edge, given as a tuple, a list and reversed; each triangle too
+    assert seen == {"edge": 3 * k.n_edges, "triangle": 3 * k.n_triangles}
 
 
 def test_link_of_vertex():
@@ -158,21 +172,16 @@ def test_only_int_and_str_labels_are_vertices():
         for query in (k.edges_at_vertex, k.triangles_at_vertex, k.link_of_vertex):
             with pytest.raises(ValueError, match="is not in the complex"):
                 query(bad)
-    for bad in (True, False, 1.0, 0.0, 99, "0", None):
-        with pytest.raises(ValueError, match="is not in the complex"):
-            k.simplex_id(bad)
     # the edge and triangle queries follow the same rule, label by label
     assert k.has_edge((0, 1)) and k.has_triangle((0, 1, 3))
     for bad in (True, 1.0, 0.0, None, "0"):
         for edge in ((bad, 1), (0, bad)):
             assert not k.has_edge(edge)
-            for query in (k.simplex_id, k.edge_degree, k.triangles_at_edge):
+            for query in (k.edge_degree, k.triangles_at_edge):
                 with pytest.raises(ValueError, match="is not in the complex"):
                     query(edge)
         for tri in ((bad, 1, 3), (0, 1, bad)):
             assert not k.has_triangle(tri)
-            with pytest.raises(ValueError, match="is not in the complex"):
-                k.simplex_id(tri)
     # and so does a simplex with the wrong number of vertices
     for edge in ((0, 1, 3), (0,), "abc"):
         assert not k.has_edge(edge)
