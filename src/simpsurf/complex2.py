@@ -12,7 +12,7 @@ next, so anything that must carry over is recorded by vertex tuple.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, count
+from itertools import chain, combinations, count, islice
 from operator import eq
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -106,6 +106,12 @@ def _rows(simplices: list, key) -> list[tuple]:
     return [tuple(sorted(s, key=key)) for s in simplices]
 
 
+def _tuple_key(key) -> Optional[Callable]:
+    """The sort key of rows sorted inside by key: None for plain tuple
+    comparison when key is None."""
+    return None if key is None else (lambda s: tuple(map(key, s)))
+
+
 def _columns(rows: list, arity: int) -> Optional[list[tuple]]:
     """The arity columns of sorted rows (empty when there are none), or
     None when a row does not hold arity distinct labels: a row of another
@@ -143,15 +149,20 @@ class Complex2:
     The sorted tuples are split into columns, which the closure (or its
     check) needs anyway, and degenerate simplices are found on those
     columns as equal neighbours; the error names the first, as given,
-    edges before triangles.  from_triangles takes the closure of the
-    sorted simplices, its vertices read off the columns; __init__ checks
-    that the closure was given: first every triangle's edges, then every
-    edge's endpoints.  That endpoint check lives in __init__ alone, the
-    only constructor where an endpoint can be missing.  A build stores the
-    simplex tuples and the vertex and edge positions, which homology, the
-    cup form and canonical_form read.  Four indexes are built on first
-    read and kept: the triangles at each edge, the edges at each vertex,
-    the triangle positions and the three edge positions of each triangle.
+    edges before triangles.  from_triangles, like the loader, takes the
+    closure (_closure): the triangles are sorted once, in the canonical
+    order, the closure's edges gathered from their columns and the given
+    edges in first-seen order, so the edge sort runs over presorted runs,
+    and the vertices read off the columns.  __init__ checks that the
+    closure was given, first every triangle's edges, then every edge's
+    endpoints, and sorts the sets it checked (_setup).  That endpoint
+    check lives in __init__ alone, the only constructor where an endpoint
+    can be missing.  Every build ends in one storing step (_store): the
+    simplex tuples, in order, and the vertex and edge positions, which
+    homology, the cup form and canonical_form read.  Four indexes are
+    built on first read and kept: the triangles at each edge, the edges
+    at each vertex, the triangle positions and the three edge positions
+    of each triangle.
     connected_components() is computed once per value and kept too, the
     trees of the 1-skeleton's own spanning forest (gf2._Forest); nothing
     outside this module writes a cache.  Every query names a simplex by
@@ -194,12 +205,20 @@ class Complex2:
 
     def _setup(self, vert_set: set, edge_set: set, tri_set: set, key) -> None:
         """Store closed canonical simplex sets, already sorted inside by key."""
-        tuple_key = None if key is None else (lambda s: tuple(map(key, s)))
-        self.vertices: tuple[Label, ...] = tuple(sorted(vert_set, key=key))
-        self.edges: tuple[Edge, ...] = tuple(sorted(edge_set, key=tuple_key))
-        self.triangles: tuple[Triangle, ...] = tuple(sorted(tri_set, key=tuple_key))
-        self._vertex_index = dict(zip(self.vertices, range(len(self.vertices))))
-        self._edge_index = dict(zip(self.edges, range(len(self.edges))))
+        tuple_key = _tuple_key(key)
+        self._store(tuple(sorted(vert_set, key=key)),
+                    tuple(sorted(edge_set, key=tuple_key)),
+                    tuple(sorted(tri_set, key=tuple_key)))
+
+    def _store(self, vertices: tuple, edges: tuple, triangles: tuple) -> None:
+        """Store a closed complex's simplices, each sorted inside and the
+        three tuples in the canonical order, with the vertex and edge
+        positions; the caches start empty."""
+        self.vertices: tuple[Label, ...] = vertices
+        self.edges: tuple[Edge, ...] = edges
+        self.triangles: tuple[Triangle, ...] = triangles
+        self._vertex_index = dict(zip(vertices, range(len(vertices))))
+        self._edge_index = dict(zip(edges, range(len(edges))))
         self._edge_triangles = self._vertex_edges = None
         self._triangle_positions = self._triangle_edge_positions = None
         self._components = None
@@ -268,26 +287,38 @@ class Complex2:
         vertices, edges = list(extra_vertices), list(extra_edges)
         triangles = list(triangles)
         key = _label_order(vertices, edges, triangles)
-        k = cls._closure(set(vertices), set(_rows(edges, key)),
-                         set(_rows(triangles, key)), key)
+        k = cls._closure(vertices, _rows(edges, key), _rows(triangles, key), key)
         if k is None:
             raise _degenerate(edges, triangles, key)
         return k
 
     @classmethod
-    def _closure(cls, vert_set: set, edge_set: set, tri_set: set,
+    def _closure(cls, vertices: list, edge_rows: list, tri_rows: list,
                  key) -> Optional["Complex2"]:
-        """The complex of sorted simplices and all their faces, or None
-        when one is degenerate; vert_set and edge_set are completed in
-        place, the vertices read off the columns of the given simplices."""
-        edge_columns, tri_columns = _columns(edge_set, 2), _columns(tri_set, 3)
+        """The complex of the given simplices and all their faces, or None
+        when one is degenerate; the rows are sorted inside by key, and a
+        repeated one is taken once.
+
+        The triangles are sorted once, by key, and split into columns.
+        The closure's edges are gathered from those columns, ab, ac and bc,
+        then the given edges, in first-seen order: the ab edges come in
+        order, so the edge sort runs over presorted runs.  The vertices
+        are read off the columns.
+        """
+        tuple_key = _tuple_key(key)
+        triangles = sorted(tri_rows, key=tuple_key)
+        if any(map(eq, triangles, islice(triangles, 1, None))):
+            triangles = list(dict.fromkeys(triangles))
+        edge_columns, tri_columns = _columns(edge_rows, 2), _columns(triangles, 3)
         if edge_columns is None or tri_columns is None:
             return None
         a, b, c = tri_columns
-        edge_set.update(zip(a, b), zip(a, c), zip(b, c))
+        edges = sorted(dict.fromkeys(chain(zip(a, b), zip(a, c), zip(b, c), edge_rows)),
+                       key=tuple_key)
+        vert_set = set(vertices)
         vert_set.update(*edge_columns, a, b, c)
         k = cls.__new__(cls)
-        k._setup(vert_set, edge_set, tri_set, key)
+        k._store(tuple(sorted(vert_set, key=key)), tuple(edges), tuple(triangles))
         return k
 
     def relabeled(self, mapping: Mapping[Label, Label]) -> "Complex2":

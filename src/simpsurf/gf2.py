@@ -42,7 +42,6 @@ a time would copy the int per bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
@@ -353,7 +352,10 @@ class _Forest:
     The union-find halves its paths inline (each node passed on the way
     up is hung on its grandparent) and hangs the first end's tree on the
     second's.  The forest is rooted, by one breadth-first pass, only when
-    a cycle is asked for; that pass lists the trees too.
+    a cycle is asked for; that pass lists the trees too.  It walks the
+    edges at each node as the caller lists them, which the caller has at
+    hand (a triangle's three edges, a vertex's edges), and skips the
+    edges off the forest itself, so no adjacency list is built here.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]) -> None:
@@ -402,20 +404,21 @@ class _Forest:
         return self.trees(range(self.n))
 
     def cycles(self, columns: Sequence[int], one: Sequence[int],
-               two: Sequence[int]) -> list[int]:
+               two: Sequence[int], incident: Sequence[Iterable[int]]) -> list[int]:
         """The fundamental cycle of each edge in columns: its position
         plus the forest path between its ends, as a mask below len(one).
 
-        one[e] and two[e] are the ends of each edge e, and the forest must
-        have been grown over every position below len(one), so the edges
-        kept are those not off it.  The path is walked up from both ends by
-        parent pointers and depths to where they meet; the first call roots
-        the forest with them.
+        one[e] and two[e] are the ends of each edge e, and incident[a]
+        lists the edges at node a, each once, on the forest or off it, in
+        any order.  The forest must have been grown over every position
+        below len(one), so the edges kept are those not off it.  The path
+        is walked up from both ends by parent pointers and depths to where
+        they meet; the first call roots the forest with them.
         """
         if not columns:
             return []
         if self._rooted is None:
-            self._rooted = self._rooting(one, two)
+            self._rooted = self._rooting(one, two, incident)
         parent, up, depth, _ = self._rooted
         cycles = []
         for f in columns:
@@ -429,16 +432,18 @@ class _Forest:
             cycles.append(_bitmask(path))
         return cycles
 
-    def _rooting(self, one: Sequence[int], two: Sequence[int]
+    def _rooting(self, one: Sequence[int], two: Sequence[int],
+                 incident: Sequence[Iterable[int]]
                  ) -> tuple[list[int], list[int], list[int], list[list[int]]]:
+        """Each node's parent, edge up and depth, and the trees, by one
+        breadth-first pass from the lowest node of each tree over the
+        caller's incidence, skipping the edges off the forest.  The path
+        between two nodes of a forest is unique, so no cycle depends on
+        the order of the pass."""
         n = self.n
         kept = bytearray(b"\1") * len(one)
         for e in self.off:
             kept[e] = 0
-        adjacent: list[list[int]] = [[] for _ in range(n)]
-        for e in compress(range(len(one)), kept):
-            adjacent[one[e]].append(e)
-            adjacent[two[e]].append(e)
         parent, up, depth = [-1] * n, [-1] * n, [-1] * n
         trees = []
         for start in range(n):
@@ -448,8 +453,9 @@ class _Forest:
             nodes = [start]
             for a in nodes:  # grows as the pass goes: breadth first
                 d, came = depth[a] + 1, up[a]
-                for e in adjacent[a]:
-                    if e != came:  # in a forest, the way back is the only edge seen
+                for e in incident[a]:
+                    # in a forest, the way back is the only kept edge seen
+                    if kept[e] and e != came:
                         b = one[e] + two[e] - a
                         parent[b], up[b], depth[b] = a, e, d
                         nodes.append(b)

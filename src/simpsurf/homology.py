@@ -70,7 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, count
 from typing import Iterable, Optional, Sequence
 
 from .complex2 import Complex2, _is_sequence, label_key
@@ -258,7 +258,7 @@ def _tree_cotree(boundaries: Sequence[tuple[int, int, int]], width: int
     # later triangle (or of infinity) on its first triangle's, which keeps
     # the finds short in ascending edge order
     forest = _Forest(len(boundaries) + 1, zip(range(width), two, one))
-    return _DualForest(forest, one, two)
+    return _DualForest(forest, one, two, boundaries)
 
 
 class _DualForest:
@@ -274,13 +274,19 @@ class _DualForest:
         is f plus forest edges: f's fundamental cycle in the forest (f
         alone for a loop).
 
-    The trees come off the rooted forest once a kernel vector has rooted
-    it, and otherwise off one find per node, which is all the reduction's
-    audits ask for; betti_numbers asks for neither.
+    The first kernel vector roots the forest on the dual graph's own
+    incidence: at each triangle its three edges, the boundaries
+    _tree_cotree was given, and at infinity one list of the edges in
+    fewer than two triangles, so no list is made per triangle.  The trees
+    come off the rooted forest once a kernel vector has rooted it, and
+    otherwise off one find per node, which is all the reduction's audits
+    ask for; betti_numbers asks for neither.
     """
 
-    def __init__(self, forest: _Forest, one: list[int], two: list[int]) -> None:
+    def __init__(self, forest: _Forest, one: list[int], two: list[int],
+                 boundaries: Sequence[tuple[int, int, int]]) -> None:
         self._forest, self._one, self._two = forest, one, two
+        self._boundaries = boundaries
         self.free = forest.off
         self.rank = len(one) - len(self.free)
 
@@ -297,7 +303,12 @@ class _DualForest:
         return [_bitmask(nodes) >> 1 for nodes in forest.tree_nodes()[1:]]
 
     def kernel_at(self, columns: Sequence[int]) -> list[int]:
-        return self._forest.cycles(columns, self._one, self._two)
+        # the edges at each node: at infinity those in fewer than two
+        # triangles, at a triangle its own three
+        two = self._two
+        at_infinity = [e for e in range(len(two)) if not two[e]]
+        return self._forest.cycles(columns, self._one, two,
+                                   [at_infinity, *self._boundaries])
 
 
 def _betti(k: Complex2, free: Sequence[int]) -> tuple[int, int, int]:
@@ -498,9 +509,13 @@ def _one_cycles(k: Complex2, cocycles: Sequence[CochainVector]) -> tuple[ChainVe
     vertex = k._vertex_index
     one = [vertex[u] for u, _ in k.edges]
     two = [vertex[v] for _, v in k.edges]
+    incident: list[list[int]] = [[] for _ in k.vertices]
+    for e, a, b in zip(count(), one, two):
+        incident[a].append(e)
+        incident[b].append(e)
     picks = [a.coeffs.bits.bit_length() - 1 for a in cocycles]
-    return tuple(ChainVector(1, Gf2Vector(k.n_edges, bits))
-                 for bits in _forest(k, range(k.n_edges)).cycles(picks, one, two))
+    return tuple(ChainVector(1, Gf2Vector(k.n_edges, bits)) for bits in
+                 _forest(k, range(k.n_edges)).cycles(picks, one, two, incident))
 
 
 def h2_coordinates(summary: HomologySummary, w: CochainVector) -> Gf2Vector:

@@ -19,6 +19,10 @@ simplices.  Only when that pass fails does a scan in document order name
 the fault, so that the message does not depend on how the pass is done.
 The first fault in this order of precedence is reported:
 
+  0. in a file, text that is not readable JSON: a syntax error, bytes
+     that are not UTF-8, or a key repeated in any object, named (json
+     itself would keep the last value); the first object to close with a
+     repeated key names it;
   1. the top level is not an object; unknown keys; a name that is not a
      string; a face list ("vertices", "edges", "triangles") that is not
      a list;
@@ -37,7 +41,9 @@ and label checks, functional by functional; a degenerate one is named
 after them.
 
 A group profile file is one object with keys name, h1, h2, property_a and
-an optional presentation_note.
+an optional presentation_note.  A repeated key in any object of a
+functional or profile file is refused as in a complex file, before any
+other check.
 """
 
 from __future__ import annotations
@@ -73,18 +79,34 @@ class FormatError(ValueError):
 _COMPLEX_KEYS = {"name", "vertices", "edges", "triangles"}
 
 
+def _object(pairs: list) -> dict:
+    """One JSON object, from its key-value pairs in document order; a key
+    given twice is a FormatError naming it, where json would keep the
+    last value."""
+    data = dict(pairs)
+    if len(data) != len(pairs):
+        seen: set = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise FormatError(f"repeated key {key!r}")
+    return data
+
+
 def _read_json(path: Pathish):
     """Parse one JSON file; any input that is not readable JSON is a FormatError.
 
     Besides syntax errors this covers bytes that are not UTF-8, nesting too
-    deep to parse and integers longer than the interpreter will convert.
+    deep to parse, integers longer than the interpreter will convert, and
+    a key repeated in any object.
     """
     source = str(path)
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"),
+                          object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise FormatError(
             f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except FormatError as exc:
+        raise FormatError(f"{source}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"{source}: not readable JSON: {exc}") from exc
 
@@ -145,9 +167,10 @@ def _build(vertices: list, edges: list, triangles: list) -> Optional[Complex2]:
     """The complex of valid face lists, or None when any check fails.
 
     Every label and simplex is checked once: the shape here, the label
-    types by the sort that the closure needs, duplicates by the sizes of
-    the sets of sorted tuples, and degenerate simplices by the closure, on
-    the columns it splits those sets into.
+    types by the sort that the closure needs, repeated vertices and edges
+    by the sizes of their sets, repeated triangles by the closure's count
+    of them, and degenerate simplices by the closure, on the columns of
+    the sorted rows.
     """
     if not (_shaped(edges, 2) and _shaped(triangles, 3)):
         return None
@@ -155,12 +178,13 @@ def _build(vertices: list, edges: list, triangles: list) -> Optional[Complex2]:
         key = _label_order(vertices, edges, triangles)
     except TypeError:
         return None
-    edge_rows, tri_rows = _rows(edges, key), _rows(triangles, key)
-    vert_set, edge_set, tri_set = set(vertices), set(edge_rows), set(tri_rows)
-    if (len(vert_set) != len(vertices) or len(edge_set) != len(edge_rows)
-            or len(tri_set) != len(tri_rows)):
+    edge_rows = _rows(edges, key)
+    if len(set(vertices)) != len(vertices) or len(set(edge_rows)) != len(edge_rows):
         return None
-    return Complex2._closure(vert_set, edge_set, tri_set, key)
+    k = Complex2._closure(vertices, edge_rows, _rows(triangles, key), key)
+    if k is None or k.n_triangles != len(triangles):
+        return None
+    return k
 
 
 def complex_from_dict(data, source: str = "<data>") -> Complex2:

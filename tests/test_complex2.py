@@ -334,10 +334,21 @@ def test_order_is_the_label_key_order(labels, data):
                                       key=label_key))
     assert k.edges == _by_label_key(closure)
     assert k.triangles == _by_label_key(tris)
+    # the positions the closure stores, and each triangle's edges ab, ac
+    # and bc, are read off the same order
+    vertex = {v: i for i, v in enumerate(k.vertices)}
+    edge = {e: i for i, e in enumerate(_by_label_key(closure))}
+    triangle_edges = tuple((edge[a, b], edge[a, c], edge[b, c])
+                           for a, b, c in _by_label_key(tris))
+    assert k._vertex_index == vertex and list(k._vertex_index) == list(vertex)
+    assert k._edge_index == edge and list(k._edge_index) == list(edge)
+    assert k._triangle_edges == triangle_edges
     # __init__ with the closure given, in reverse, builds the same value
     again = Complex2(k.vertices[::-1], [e[::-1] for e in k.edges],
                      [t[::-1] for t in k.triangles])
     assert again._key() == k._key()
+    assert again._vertex_index == vertex and again._edge_index == edge
+    assert again._triangle_edges == triangle_edges
 
 
 @pytest.mark.parametrize("a, b, c", [(1, 2, 3), ("a", "b", "c"), (1, "b", "c")])

@@ -481,10 +481,18 @@ def _check_forest(n: int, edges, rng: random.Random) -> Counter:
     """gf2._Forest over the (position, end, end) triples against the
     naive greedy pass and breadth-first search: the edges off it, its
     trees and the fundamental cycles of a sample of the edges off it.
-    The edges are those at every position below their number."""
+    The edges are those at every position below their number.  The
+    forest is rooted on the edges at each node, as its callers list them:
+    each edge once at each end, kept or not, here in a random order."""
     one, two = [-1] * len(edges), [-1] * len(edges)
+    incident: list[list[int]] = [[] for _ in range(n)]
     for e, a, b in edges:
         one[e], two[e] = a, b
+        incident[a].append(e)
+        if b != a:
+            incident[b].append(e)
+    for at in incident:
+        rng.shuffle(at)
     forest = gf2._Forest(n, iter(edges))
     off, kept = _naive_forest(n, edges)
     assert forest.off == off
@@ -511,7 +519,7 @@ def _check_forest(n: int, edges, rng: random.Random) -> Counter:
                 if a not in paths[0] or a not in paths[1]:
                     bits ^= 1 << up[a]
         cycles.append(bits)
-    assert forest.cycles(columns, one, two) == cycles
+    assert forest.cycles(columns, one, two, incident) == cycles
     # the same trees, rooted once a cycle was asked for
     assert [sorted(nodes) for nodes in forest.tree_nodes()] == trees
     return Counter(loops=sum(a == b for _, a, b in edges),

@@ -1,6 +1,7 @@
 """JSON file formats: canonical emission, closure on load, error context."""
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simpsurf.cli import main
 from simpsurf.complex2 import Complex2, label_key
 from simpsurf.reduction import PreservationSpec
 from simpsurf.io import (FormatError, complex_from_dict, complex_to_dict,
@@ -107,6 +109,35 @@ def test_json_errors_carry_position(tmp_path):
     f.write_text('{"vertices": [1, 2,]}')
     with pytest.raises(FormatError, match="line 1 column 20"):
         load_complex(f)
+
+
+def test_a_repeated_key_is_refused_and_named(tmp_path, capsys):
+    # json would keep the last value; every loader refuses the file, before
+    # any check of what the object holds
+    f = tmp_path / "repeated.json"
+    cases = [
+        (load_complex, '{"triangles": [[0, 1, 2]], "triangles": [[0, 1, 3]]}', "triangles"),
+        (load_complex, '{"name": "a", "edges": [], "name": "b"}', "name"),
+        (load_complex, '{"bogus": 1, "edges": [[0, 1]], "edges": [[0, 1]]}', "edges"),
+        (load_complex, '{"triangles": [{"a": 1, "a": 2}]}', "a"),
+        (load_functionals, '[[[0, 1, 2]], {"x": 1, "y": 2, "x": 3}]', "x"),
+        (load_group_profile,
+         '{"name": "G", "h1": 2, "h2": 1, "property_a": true, "h1": 3}', "h1"),
+    ]
+    for load, text, key in cases:
+        f.write_text(text)
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(f))}: repeated key {key!r}$"):
+            load(f)
+    # the object that closes first names its key
+    f.write_text('{"b": {"a": 1, "a": 2}, "b": 3}')
+    with pytest.raises(FormatError, match=r"repeated key 'a'$"):
+        load_complex(f)
+    f.write_text(cases[0][1])
+    assert main(["homology", str(f), "--json"]) == 2
+    assert "repeated key 'triangles'" in capsys.readouterr().err
+    # the same keys once each load as before
+    f.write_text('{"triangles": [[0, 1, 2]], "edges": [[0, 3]]}')
+    assert load_complex(f) == Complex2.from_triangles([(0, 1, 2)], [(0, 3)])
 
 
 def test_dump_load_identity(tmp_path):
