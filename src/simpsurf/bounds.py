@@ -238,7 +238,8 @@ def euler_bounds_check(k: Complex2) -> EulerBoundsReport:
         failures.append("disconnected")
     if k.n_triangles == 0:
         failures.append("no triangles")
-    if any(len(ts) < 2 for ts in k._tris_at_edge.values()):
+    degrees = k._edge_degrees
+    if 0 in degrees or 1 in degrees:
         failures.append("an edge lies in fewer than two triangles")
     chi = k.euler_characteristic()
     if chi > 2:

@@ -12,8 +12,8 @@ next, so anything that must carry over is recorded by vertex tuple.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, count, islice
-from operator import eq
+from itertools import chain, combinations, compress, count, islice
+from operator import eq, not_
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .gf2 import _Forest
@@ -155,14 +155,20 @@ class Complex2:
     edges in first-seen order, so the edge sort runs over presorted runs,
     and the vertices read off the columns.  __init__ checks that the
     closure was given, first every triangle's edges, then every edge's
-    endpoints, and sorts the sets it checked (_setup).  That endpoint
-    check lives in __init__ alone, the only constructor where an endpoint
-    can be missing.  Every build ends in one storing step (_store): the
-    simplex tuples, in order, and the vertex and edge positions, which
-    homology, the cup form and canonical_form read.  Four indexes are
-    built on first read and kept: the triangles at each edge, the edges
-    at each vertex, the triangle positions and the three edge positions
-    of each triangle.
+    endpoints, on its arguments taken once each in the order given
+    (dict.fromkeys), and sorts those (_setup): a complex put together from
+    the simplices of others, as wedge and relabeled do, sorts presorted
+    runs.  That endpoint check lives in __init__ alone, the only
+    constructor where an endpoint can be missing.  Every build ends in one
+    storing step (_store): the simplex tuples, in order, and the vertex
+    and edge positions, which homology, the cup form and canonical_form
+    read.  Five indexes are built on first read and kept: the triangles
+    at each edge, the edges at each vertex, the triangle positions, the
+    three edge positions of each triangle, and the degree of each edge,
+    counted over those positions.  The degrees serve every check of edge
+    degrees (maximal_edges, classify, euler_bounds_check and the
+    reduction's audit of its result), so none of them builds the
+    triangles at each edge, which the per-edge queries read.
     connected_components() is computed once per value and kept too, the
     trees of the 1-skeleton's own spanning forest (gf2._Forest); nothing
     outside this module writes a cache.  Every query names a simplex by
@@ -179,7 +185,7 @@ class Complex2:
                  "_vertex_index", "_edge_index",
                  # caches, each None until its first read
                  "_edge_triangles", "_vertex_edges", "_triangle_positions",
-                 "_triangle_edge_positions", "_components")
+                 "_triangle_edge_positions", "_edge_degree_counts", "_components")
 
     def __init__(self,
                  vertices: Iterable[Label],
@@ -191,24 +197,27 @@ class Complex2:
         edge_columns, tri_columns = _columns(edge_rows, 2), _columns(tri_rows, 3)
         if edge_columns is None or tri_columns is None:
             raise _degenerate(edges, triangles, key)
-        vert_set, edge_set = set(vertices), set(edge_rows)
+        verts, edge_keys = dict.fromkeys(vertices), dict.fromkeys(edge_rows)
         a, b, c = tri_columns
-        if not edge_set.issuperset(chain(zip(a, b), zip(a, c), zip(b, c))):
+        if not all(map(edge_keys.__contains__, chain(zip(a, b), zip(a, c), zip(b, c)))):
             t, e = next((t, e) for t in tri_rows
-                        for e in combinations(t, 2) if e not in edge_set)
+                        for e in combinations(t, 2) if e not in edge_keys)
             raise ValueError(f"edge {e!r} of triangle {t!r} is missing; "
                              "use from_triangles to take closures")
-        if not vert_set.issuperset(chain(*edge_columns)):
-            v, e = next((v, e) for e in edge_rows for v in e if v not in vert_set)
+        if not all(map(verts.__contains__, chain(*edge_columns))):
+            v, e = next((v, e) for e in edge_rows for v in e if v not in verts)
             raise ValueError(f"endpoint {v!r} of edge {e!r} is missing")
-        self._setup(vert_set, edge_set, set(tri_rows), key)
+        self._setup(verts, edge_keys, dict.fromkeys(tri_rows), key)
 
-    def _setup(self, vert_set: set, edge_set: set, tri_set: set, key) -> None:
-        """Store closed canonical simplex sets, already sorted inside by key."""
+    def _setup(self, vertices: Iterable, edges: Iterable, triangles: Iterable,
+               key) -> None:
+        """Store a closed complex's simplices, each given once and already
+        sorted inside by key, in any order: each is sorted here, and a
+        sequence that comes mostly in order, as runs of it, sorts fastest."""
         tuple_key = _tuple_key(key)
-        self._store(tuple(sorted(vert_set, key=key)),
-                    tuple(sorted(edge_set, key=tuple_key)),
-                    tuple(sorted(tri_set, key=tuple_key)))
+        self._store(tuple(sorted(vertices, key=key)),
+                    tuple(sorted(edges, key=tuple_key)),
+                    tuple(sorted(triangles, key=tuple_key)))
 
     def _store(self, vertices: tuple, edges: tuple, triangles: tuple) -> None:
         """Store a closed complex's simplices, each sorted inside and the
@@ -221,14 +230,15 @@ class Complex2:
         self._edge_index = dict(zip(edges, range(len(edges))))
         self._edge_triangles = self._vertex_edges = None
         self._triangle_positions = self._triangle_edge_positions = None
-        self._components = None
+        self._edge_degree_counts = self._components = None
 
     # The lazy indexes.  A loop reads one into a local first: each property
     # read is a call.  The reduction's working state builds its own edges
-    # at each vertex and triangles at each edge, as sets it edits.  The
-    # three edge positions of each triangle serve the boundary
-    # eliminations, the kill audit, the 1-cycles and the cup form's front
-    # and back edges.
+    # at each vertex and triangles at each edge, as dicts of sets it edits,
+    # and hands them to _setup.  The three edge positions of each triangle
+    # serve the boundary eliminations, the kill audit, the 1-cycles, the
+    # cup form's front and back edges, the edge degrees and classify's
+    # recognizer.
 
     @property
     def _tris_at_edge(self) -> dict:
@@ -271,6 +281,17 @@ class Complex2:
             self._triangle_edge_positions = tuple(zip(
                 map(at, zip(a, b)), map(at, zip(a, c)), map(at, zip(b, c))))
         return self._triangle_edge_positions
+
+    @property
+    def _edge_degrees(self) -> tuple:
+        """The number of triangles at each edge, in order, counted over
+        the triangles' edge positions."""
+        if self._edge_degree_counts is None:
+            degrees = [0] * len(self.edges)
+            for e in chain.from_iterable(self._triangle_edges):
+                degrees[e] += 1
+            self._edge_degree_counts = tuple(degrees)
+        return self._edge_degree_counts
 
     # ------------------------------------------------------------ building
 
@@ -386,8 +407,7 @@ class Complex2:
 
     def maximal_edges(self) -> tuple[Edge, ...]:
         """Edges contained in no triangle, in canonical order."""
-        tris_at_edge = self._tris_at_edge
-        return tuple(e for e in self.edges if not tris_at_edge[e])
+        return tuple(compress(self.edges, map(not_, self._edge_degrees)))
 
     def isolated_vertices(self) -> tuple[Label, ...]:
         edges_at_vertex = self._edges_at_vertex

@@ -270,9 +270,14 @@ def _kill_all(k: Complex2, spec: PreservationSpec, cycles: Sequence[int]) -> lis
 class _WorkingComplex:
     """The complex under collapse and edge elimination, edited in place.
 
-    It starts from a Complex2 less the triangles at the positions in skip:
-    the triangles at each edge are built as sets from the kept triangles,
-    and the edges at each vertex as sets from the input's edges.
+    It starts from a Complex2 less the triangles at the positions in skip.
+    The state is ordered: the triangles are an insertion-ordered dict,
+    the kept triangles in the input's order with each triangle a
+    contraction renames appended, and the triangles at each edge and the
+    edges at each vertex are dicts keyed in the input's order (renamed
+    edges appended), each value a set built from the kept triangles and
+    the input's edges.  So complex() hands the build runs that are
+    already sorted, but for what the contractions appended.
     Three lazy min-heaps hold the candidate free edges, free vertices and
     maximal edges, ordered by the input's vertex positions, which is the
     canonical order; a contraction keeps a vertex of the input, so every
@@ -290,7 +295,7 @@ class _WorkingComplex:
         self.rank = k._vertex_index
         gone = set(skip)
         kept = [t for j, t in enumerate(k.triangles) if j not in gone]
-        self.triangles = set(kept)
+        self.triangles = dict.fromkeys(kept)
         self.tris_at_edge = tris_at_edge = {e: set() for e in k.edges}
         for t in kept:
             a, b, c = t
@@ -333,7 +338,7 @@ class _WorkingComplex:
         return None
 
     def _remove_triangle(self, t: Triangle) -> None:
-        self.triangles.remove(t)
+        del self.triangles[t]
         self.names.pop(t, None)
         for f in combinations(t, 2):
             self.tris_at_edge[f].remove(t)
@@ -419,8 +424,8 @@ class _WorkingComplex:
         renamed = {t: tuple(sorted((keep if v == gone else v for v in t), key=rank))
                    for f in star for t in self.tris_at_edge[f]}
         for t, u in renamed.items():
-            self.triangles.remove(t)
-            self.triangles.add(u)
+            del self.triangles[t]
+            self.triangles[u] = None
             self.names[u] = self.names.pop(t, t)
             opposite = self.tris_at_edge[tuple(v for v in t if v != gone)]
             opposite.remove(t)
@@ -467,15 +472,17 @@ class _WorkingComplex:
 
     def complex(self) -> Complex2:
         """The state as a Complex2.  Its simplices are canonical tuples
-        already, so only the closure is checked, and the sort key is read
-        off the vertex labels alone."""
-        vertices, edges = set(self.edges_at_vertex), set(self.tris_at_edge)
-        if self.triangles:
-            a, b, c = zip(*self.triangles)
-            assert edges.issuperset(chain(zip(a, b), zip(a, c), zip(b, c)))
-        assert vertices.issuperset(chain.from_iterable(edges))
+        already, so only the closure is checked, by membership in the
+        state's own dicts, and the sort key is read off the vertex labels
+        alone.  The dicts go to the build as they are, in the input's
+        order, so each sort runs over presorted runs."""
+        vertices, edges, triangles = self.edges_at_vertex, self.tris_at_edge, self.triangles
+        if triangles:
+            a, b, c = zip(*triangles)
+            assert all(map(edges.__contains__, chain(zip(a, b), zip(a, c), zip(b, c))))
+        assert all(map(vertices.__contains__, chain.from_iterable(edges)))
         k = Complex2.__new__(Complex2)
-        k._setup(vertices, edges, self.triangles, _label_order(vertices, (), ()))
+        k._setup(vertices, edges, triangles, _label_order(vertices, (), ()))
         return k
 
 
@@ -537,8 +544,8 @@ def _finish(state: _WorkingComplex, k: Complex2, killed: Sequence[Triangle],
     m = len(state.deleted)
     assert betti == (b0, b1 - m, b2 - len(killed)) == snapshots[-1][1]
     assert result.euler_characteristic() == k.euler_characteristic() - len(killed) + m
-    assert not result.maximal_edges()
-    assert all(len(ts) != 1 for ts in result._tris_at_edge.values())
+    degrees = result._edge_degrees
+    assert 0 not in degrees and 1 not in degrees  # no maximal edge, no free edge
     if spec is not None:
         named = {state.names.get(t, t): t for t in result.triangles}
         spec = PreservationSpec(tuple(frozenset(named[t] for t in sup if t in named)

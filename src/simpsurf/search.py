@@ -29,8 +29,8 @@ flat however many states there are (308,134 on nine vertices for M2).
 The minimum search drops every state whose Euler characteristic or
 orientability differs from the target's; those two fix the surface once
 every vertex link is a cycle, so the rest get only a link walk, one
-vertex at a time on the vertex's star: classify's walk, run on sums of
-link neighbours read from a per-vertex table of link edges.  A vertex's
+vertex at a time on the vertex's star, on sums of link neighbours read
+from a per-vertex table of link edges.  A vertex's
 link is made of the triangles at it and nothing else, so each distinct
 star is walked once per search and its answer reused.  No Complex2 is
 built until a search has its witness, which classify, with the full
@@ -531,11 +531,12 @@ def _star_link_is_cycle(v: int, star: int, n: int) -> bool:
 
     Every edge at v lies in two triangles of the star, as in every
     complete state, so each link vertex has two link neighbours, and
-    their sum gives one from the other.  The walk from a link edge xy,
-    stepping from y to the other neighbour than the vertex it came from,
-    is classify's walk (surfaces._link_is_cycle) on the star's own sums:
-    the link is a single cycle exactly when the walk first returns to x
-    after as many steps as the star has triangles."""
+    their sum gives one from the other.  The walk from a link edge xy
+    steps from y to the other neighbour than the vertex it came from: the
+    link is a single cycle exactly when the walk first returns to x after
+    as many steps as the star has triangles.  classify's recognizer
+    answers for all the vertices at once, by counting classes of corners
+    (surfaces._corner_classes), and a test ties the two together."""
     edges = _link_edges(n)[v]
     sums = [0] * n  # link vertex -> the sum of its two link neighbours
     count = 0

@@ -3,23 +3,29 @@
 Recognition is purely combinatorial: a complex is a closed surface iff it
 is connected, every edge lies in exactly two triangles, and every vertex
 link is a single cycle.  The first two are read off the 1-skeleton and
-are the callers' to guarantee: classify checks them on its Complex2, and
-every closed state of the desk search has them by construction.  The
-link walk (_link_is_cycle) runs on integer triangles, one vertex at a
-time: classify numbers a Complex2's vertices in canonical order and
-walks every vertex on the apex sums of all the triangles.  With every
-edge in two triangles, the sum of an edge's two apexes gives one from
-the other, and that is all the link walks and the orientation need.
-The desk search walks each star on a table of its own
-(search._star_link_is_cycle); a test ties the two walks together.
-Orientability comes from propagating triangle signs across shared edges
-(the desk search's enumerator carries its own), and the Euler
-characteristic gives the genus.
+are the callers' to guarantee: classify checks them on its Complex2, the
+components and the edge degrees, and every closed state of the desk
+search has them by construction.  The rest (_recognize) runs on the
+triangle-edge index alone, the three edge positions of each triangle
+(Complex2._triangle_edges), which the reduction's audits have built
+already: no label and no vertex is looked up.  One pass pairs each side
+of a triangle with the side across its edge in the edge's other
+triangle (_across).  The corners of the triangles at a vertex are the
+edges of its link, and two of them share a link vertex when they meet
+across a side, so the link is a single cycle exactly when the corners at
+the vertex form one class under that joining, and every link is one
+exactly when all the corners fall into alpha0 classes: one walk around
+each class counts them (_corner_classes).  Orientability comes from
+propagating triangle signs across the paired sides, and the Euler
+characteristic gives the genus.  The desk search walks each star on a
+table of its own (search._star_link_is_cycle); a test ties the two
+together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 from . import catalog_data
@@ -63,116 +69,125 @@ def _directed_boundary(t, sign: int):
     return ((cyc[0], cyc[1]), (cyc[1], cyc[2]), (cyc[2], cyc[0]))
 
 
-def _link_is_cycle(v: int, first: tuple[int, int, int], deg: int,
-                   apexes: dict[int, int], n: int) -> bool:
-    """Whether the link of v is a single cycle, given first, a triangle at
-    v, deg, the number of triangles at v, and the apex sums of
-    _link_apexes on labels below n.
-
-    Every edge at v lies in two triangles, so one apex of an edge vx
-    gives the other, and the link of v is 2-regular: a single cycle
-    exactly when the walk from first, stepping from x to the other apex
-    of edge vx than the vertex it came from, first returns after deg
-    steps."""
-    a, b, c = first
-    x = a if a != v else b
-    prev, here, steps = x, a + b + c - v - x, 1
-    while here != x:
-        prev, here = here, apexes[v * n + here if v < here
-                                  else here * n + v] - prev
-        steps += 1
-    return steps == deg
+# A triangle (a, b, c) has corners 0, 1, 2 at a, b, c and sides 0, 1, 2 on
+# its edges ab, ac, bc, and corner or side i of triangle t is 3t + i.  An
+# edge runs from its first end to its second in every triangle at it,
+# since every triangle lists its vertices in the one canonical order.  A
+# walk around a link leaves a corner by one of its sides, with the end of
+# that side the corner is at; crossing to side j of the triangle across,
+# at the same end, k = 2j + end gives the corner reached there, the other
+# side of that corner, as an offset from j, and the end it is at.
+_CORNER_AT = (0, 1, 0, 2, 1, 2)
+_TURN = (1, 2, -1, 1, -2, -1)
+_END_AT = (0, 0, 0, 1, 1, 1)
 
 
-def _link_apexes(tris: Sequence[tuple[int, int, int]],
-                 n_vertices: int) -> Optional[dict[int, int]]:
-    """The apex sums of the complex whose triangles are tris, each an
-    increasing triple, and whose vertices are exactly 0..n_vertices-1,
-    when every vertex link is a single cycle; None otherwise.
+def _across(triangle_edges: Sequence[tuple[int, int, int]]) -> list[int]:
+    """For each side 3t + i, the side on the same edge in the edge's other
+    triangle; every edge lies in exactly two triangles, so the edge
+    positions are 0 .. 3 alpha2 / 2 - 1."""
+    n_sides = 3 * len(triangle_edges)
+    first = [-1] * (n_sides // 2)  # each edge's first side
+    across = [0] * n_sides
+    for x, e in enumerate(chain.from_iterable(triangle_edges)):
+        w = first[e]
+        if w < 0:
+            first[e] = x
+        else:
+            across[w] = x
+            across[x] = w
+    return across
 
-    The caller guarantees that the complex is connected and that every
-    edge lies in exactly two triangles.  One pass maps the key a*n + b of
-    each edge ab to the sum of the third vertices of its triangles, and
-    counts and keeps one triangle at each vertex; _link_is_cycle then
-    walks each vertex link on those sums.  A vertex in no triangle has
-    an empty link, which is no cycle.
+
+def _corner_classes(across: Sequence[int], limit: int) -> int:
+    """The number of classes of corners joined across sides, counted up to
+    one past limit.
+
+    Every edge lies in two triangles, so every corner is joined to two
+    others, one across each of its sides, and a class is a cycle: the
+    walk from a corner, leaving each corner by the side it did not come
+    in by, returns to it after visiting the class once.
     """
-    n = n_vertices
-    apexes: dict[int, int] = {}
-    get = apexes.get
-    deg = [0] * n
-    start = [0] * n  # a triangle at each vertex, by its position in tris
-    for i, (a, b, c) in enumerate(tris):
-        ab, ac, bc = a * n + b, a * n + c, b * n + c
-        apexes[ab] = get(ab, 0) + c
-        apexes[ac] = get(ac, 0) + b
-        apexes[bc] = get(bc, 0) + a
-        start[a] = start[b] = start[c] = i
-        deg[a] += 1
-        deg[b] += 1
-        deg[c] += 1
-    for v in range(n):
-        if not deg[v] or not _link_is_cycle(v, tris[start[v]], deg[v],
-                                            apexes, n):
-            return None
-    return apexes
+    seen = bytearray(len(across))
+    classes = 0
+    for corner in range(len(across)):
+        if seen[corner]:
+            continue
+        classes += 1
+        if classes > limit:
+            break
+        seen[corner] = 1
+        i = corner % 3
+        # corner i leaves by side 0 (a and b) or 1 (c), at end 0 (a) or 1
+        x, end = corner - i + (i == 2), i > 0
+        while True:
+            y = across[x]
+            j = y % 3
+            k = 2 * j + end
+            reached = y - j + _CORNER_AT[k]
+            if seen[reached]:
+                break
+            seen[reached] = 1
+            x, end = y + _TURN[k], _END_AT[k]
+    return classes
 
 
-def _classify_triangles(tris: Sequence[tuple[int, int, int]],
-                        n_vertices: int) -> tuple:
+def _orientation(across: Sequence[int]) -> Optional[list[int]]:
+    """The coherent orientation with sign 1 on triangle 0, one sign per
+    triangle, or None when there is none.
+
+    A triangle with sign 1 runs its sides 0 and 2 forwards and side 1
+    backwards, and -1 the reverse; two triangles agree on an edge when
+    they run it opposite ways.  Signs propagate from triangle 0 across
+    the paired sides, so a connected surface, whose triangles are all
+    reached, has at most one such orientation.
+    """
+    sign = [0] * (len(across) // 3)
+    sign[0] = 1
+    stack = [0]
+    while stack:
+        t = stack.pop()
+        s = sign[t]
+        for x in range(3 * t, 3 * t + 3):
+            y = across[x]
+            want = -s if (x % 3 == 1) == (y % 3 == 1) else s
+            u = y // 3
+            su = sign[u]
+            if not su:
+                sign[u] = want
+                stack.append(u)
+            elif su != want:
+                return None
+    return sign
+
+
+def _recognize(triangle_edges: Sequence[tuple[int, int, int]],
+               n_vertices: int) -> tuple:
     """(failure_reason, surface, signs) for the complex whose triangles
-    are tris, each an increasing triple, and whose vertices are exactly
-    0..n_vertices-1; signs is the coherent orientation, one sign per
-    triangle, for an orientable surface and None otherwise.
+    have the given edge positions, each triangle's edges ab, ac and bc,
+    and whose vertices number n_vertices; signs is the coherent
+    orientation, one sign per triangle with sign 1 on the first, for an
+    orientable surface and None otherwise.
 
     The caller guarantees that the complex is connected and that every
     edge lies in exactly two triangles: classify checks both on the
     1-skeleton before it calls here.  What is left is the link check,
-    which _link_apexes makes, and the orientation, which reads the apex
-    sums that check leaves.
-
-    Signs propagate over triangle codes (a*n + b)*n + c from sign 1 on
-    the first triangle: a triangle (a, b, c) with sign s runs its edges ab
-    and bc forwards and ac backwards when s = 1, and two triangles on an
-    edge agree when they run it opposite ways.  The Euler characteristic
-    comes from the counts.  The desk search does not come here: its
-    enumerator carries the same orientation test through its own depth-
-    first search, and classify confirms the witness it finds.
+    the corners falling into n_vertices classes, and the orientation.  A
+    link that is not a single cycle splits into two classes or more, or
+    is empty, and a vertex with an empty link has no edge, so it is the
+    whole connected complex: either way the count is off.  The Euler
+    characteristic comes from the counts.  The desk search does not come
+    here: its enumerator carries the same orientation test through its
+    own depth-first search, and classify confirms the witness it finds.
     """
-    n = n_vertices
-    apexes = _link_apexes(tris, n)
-    if apexes is None:
+    across = _across(triangle_edges)
+    if _corner_classes(across, n_vertices) != n_vertices:
         return "bad_link", None, None
-    codes = [(a * n + b) * n + c for a, b, c in tris]
-
-    nn = n * n
-    sign = {codes[0]: 1}
-    stack = [codes[0]]
-    orientable = True
-    while stack and orientable:
-        t = stack.pop()
-        s = sign[t]
-        a, b, c = t // nn, t // n % n, t % n
-        # each edge (p, q), p < q, with its apex and its direction in t
-        for p, q, r, d in ((a, b, c, s), (b, c, a, s), (a, c, b, -s)):
-            o = apexes[p * n + q] - r  # the other triangle's apex
-            if o < p:
-                u, du = (o * n + p) * n + q, 1
-            elif o < q:
-                u, du = (p * n + o) * n + q, -1
-            else:
-                u, du = (p * n + q) * n + o, 1
-            su = sign.get(u)
-            if su is None:
-                sign[u] = -d * du
-                stack.append(u)
-            elif su * du == d:
-                orientable = False
-                break
-
-    chi = n - len(apexes) + len(tris)
-    if orientable:
-        return None, SurfaceId(True, (2 - chi) // 2), [sign[t] for t in codes]
+    n_triangles = len(triangle_edges)
+    chi = n_vertices - 3 * n_triangles // 2 + n_triangles
+    signs = _orientation(across)
+    if signs is not None:
+        return None, SurfaceId(True, (2 - chi) // 2), signs
     return None, SurfaceId(False, 2 - chi), None
 
 
@@ -181,19 +196,24 @@ def classify(k: Complex2) -> ClassificationResult:
 
     Failures are reported in check order: connectivity, then edge degrees,
     then vertex links.  The first two are read off the 1-skeleton, so that
-    loose edges and isolated vertices count; the triangles then go, with
-    vertices numbered in canonical order, to the recognizer, which takes
-    those two as given.
+    loose edges and isolated vertices count: the components, and the
+    degrees counted over the triangles' edge positions
+    (Complex2._edge_degrees).  Those positions then go to the recognizer
+    (_recognize), which takes the two as given, pairs the sides across
+    each edge, counts the classes of corners for the links and propagates
+    the signs.
     For orientable surfaces the witness maps each triangle to +1 or -1
-    giving a coherent orientation.
+    giving a coherent orientation: the one with +1 on the canonically
+    first triangle, which is unique, since a connected closed surface has
+    exactly two coherent orientations, so no order of propagation can
+    give another.
     """
     if len(k.connected_components()) != 1:
         return ClassificationResult(False, "disconnected", None, None)
-    if any(len(ts) != 2 for ts in k._tris_at_edge.values()):
+    degrees = k._edge_degrees
+    if degrees.count(2) != len(degrees):
         return ClassificationResult(False, "bad_edge_degree", None, None)
-    index = k._vertex_index
-    reason, surface, signs = _classify_triangles(
-        [(index[a], index[b], index[c]) for a, b, c in k.triangles], k.n_vertices)
+    reason, surface, signs = _recognize(k._triangle_edges, k.n_vertices)
     if reason is not None:
         return ClassificationResult(False, reason, None, None)
     witness = None if signs is None else dict(zip(k.triangles, signs))
@@ -251,7 +271,7 @@ def surface_hypotheses_report(k: Complex2, target: SurfaceId) -> SurfaceHypothes
     summary = homology_summary(k)
     return SurfaceHypothesesReport(
         target=target,
-        edge_degrees_ok=bool(k.edges) and all(len(ts) == 2 for ts in k._tris_at_edge.values()),
+        edge_degrees_ok=bool(k.edges) and k._edge_degrees.count(2) == k.n_edges,
         betti=summary.betti,
         betti_ok=summary.betti == expected_betti(target),
         cup_pairing_ok=has_property_a(k, summary).holds,

@@ -4,17 +4,22 @@ The Betti numbers, cup ranks, and property-(A) verdicts asserted against
 these complexes were frozen from an independent elimination oracle kept
 outside the package.  failure_reason_oracle recognizes closed surfaces
 on the link graphs alone, apart from the package's recognizer,
-kernel_from_rref reads a kernel basis off a reduced row echelon form,
-apart from the tagged elimination behind Gf2Matrix.kernel_basis, and
-apply multiplies a matrix by a vector, one parity per row.
+classify_reference is a second recognizer on vertex numbers: the apex
+sums of each edge walk the links, and signs propagate over triangle
+codes; classify, which works on the triangles' edge positions, must give
+its reason, surface and witness on every input.  kernel_from_rref reads
+a kernel basis off a reduced row echelon form, apart from the tagged
+elimination behind Gf2Matrix.kernel_basis, and apply multiplies a matrix
+by a vector, one parity per row.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import Optional, Sequence
 
-from simpsurf.bounds import parse_surface_id
+from simpsurf.bounds import SurfaceId, parse_surface_id
 from simpsurf.complex2 import Complex2
 from simpsurf.gf2 import Gf2Matrix, Gf2Vector, _bits_up
 from simpsurf.search import _SEED, _closures, _triangles
@@ -201,3 +206,138 @@ def failure_reason_oracle(k: Complex2):
     if any(not _link_is_single_cycle(k, v) for v in k.vertices):
         return "bad_link"
     return None
+
+
+def triangle_edges(tris: Sequence[tuple]) -> list[tuple[int, int, int]]:
+    """The positions of the edges ab, ac and bc of each increasing triple,
+    the edges numbered as first seen: the recognizer reads only which
+    sides share an edge, so any numbering of the edges 0, 1, ... serves,
+    Complex2._triangle_edges' canonical one too."""
+    at: dict = {}
+    return [(at.setdefault((a, b), len(at)), at.setdefault((a, c), len(at)),
+             at.setdefault((b, c), len(at))) for a, b, c in tris]
+
+
+def link_is_cycle(v: int, first: tuple[int, int, int], deg: int,
+                  apexes: dict[int, int], n: int) -> bool:
+    """Whether the link of v is a single cycle, given first, a triangle at
+    v, deg, the number of triangles at v, and the apex sums of
+    link_apexes on labels below n.
+
+    Every edge at v lies in two triangles, so one apex of an edge vx
+    gives the other, and the link of v is 2-regular: a single cycle
+    exactly when the walk from first, stepping from x to the other apex
+    of edge vx than the vertex it came from, first returns after deg
+    steps."""
+    a, b, c = first
+    x = a if a != v else b
+    prev, here, steps = x, a + b + c - v - x, 1
+    while here != x:
+        prev, here = here, apexes[v * n + here if v < here
+                                  else here * n + v] - prev
+        steps += 1
+    return steps == deg
+
+
+def link_apexes(tris: Sequence[tuple[int, int, int]],
+                n_vertices: int) -> Optional[dict[int, int]]:
+    """The apex sums of the complex whose triangles are tris, each an
+    increasing triple, and whose vertices are exactly 0..n_vertices-1,
+    when every vertex link is a single cycle; None otherwise.
+
+    The caller guarantees that the complex is connected and that every
+    edge lies in exactly two triangles.  One pass maps the key a*n + b of
+    each edge ab to the sum of the third vertices of its triangles, and
+    counts and keeps one triangle at each vertex; link_is_cycle then
+    walks each vertex link on those sums.  A vertex in no triangle has
+    an empty link, which is no cycle.
+    """
+    n = n_vertices
+    apexes: dict[int, int] = {}
+    get = apexes.get
+    deg = [0] * n
+    start = [0] * n  # a triangle at each vertex, by its position in tris
+    for i, (a, b, c) in enumerate(tris):
+        ab, ac, bc = a * n + b, a * n + c, b * n + c
+        apexes[ab] = get(ab, 0) + c
+        apexes[ac] = get(ac, 0) + b
+        apexes[bc] = get(bc, 0) + a
+        start[a] = start[b] = start[c] = i
+        deg[a] += 1
+        deg[b] += 1
+        deg[c] += 1
+    for v in range(n):
+        if not deg[v] or not link_is_cycle(v, tris[start[v]], deg[v],
+                                           apexes, n):
+            return None
+    return apexes
+
+
+def classify_triangles(tris: Sequence[tuple[int, int, int]],
+                       n_vertices: int) -> tuple:
+    """(failure_reason, surface, signs) for the complex whose triangles
+    are tris, each an increasing triple, and whose vertices are exactly
+    0..n_vertices-1; signs is the coherent orientation, one sign per
+    triangle, for an orientable surface and None otherwise.
+
+    The caller guarantees that the complex is connected and that every
+    edge lies in exactly two triangles.  What is left is the link check,
+    which link_apexes makes, and the orientation, which reads the apex
+    sums that check leaves.
+
+    Signs propagate over triangle codes (a*n + b)*n + c from sign 1 on
+    the first triangle: a triangle (a, b, c) with sign s runs its edges ab
+    and bc forwards and ac backwards when s = 1, and two triangles on an
+    edge agree when they run it opposite ways.  The Euler characteristic
+    comes from the counts.
+    """
+    n = n_vertices
+    apexes = link_apexes(tris, n)
+    if apexes is None:
+        return "bad_link", None, None
+    codes = [(a * n + b) * n + c for a, b, c in tris]
+
+    nn = n * n
+    sign = {codes[0]: 1}
+    stack = [codes[0]]
+    orientable = True
+    while stack and orientable:
+        t = stack.pop()
+        s = sign[t]
+        a, b, c = t // nn, t // n % n, t % n
+        # each edge (p, q), p < q, with its apex and its direction in t
+        for p, q, r, d in ((a, b, c, s), (b, c, a, s), (a, c, b, -s)):
+            o = apexes[p * n + q] - r  # the other triangle's apex
+            if o < p:
+                u, du = (o * n + p) * n + q, 1
+            elif o < q:
+                u, du = (p * n + o) * n + q, -1
+            else:
+                u, du = (p * n + q) * n + o, 1
+            su = sign.get(u)
+            if su is None:
+                sign[u] = -d * du
+                stack.append(u)
+            elif su * du == d:
+                orientable = False
+                break
+
+    chi = n - len(apexes) + len(tris)
+    if orientable:
+        return None, SurfaceId(True, (2 - chi) // 2), [sign[t] for t in codes]
+    return None, SurfaceId(False, 2 - chi), None
+
+
+def classify_reference(k: Complex2) -> tuple:
+    """(failure_reason, surface, orientation witness) of k by the
+    reference recognizer: connectivity, then the triangles at each edge,
+    then classify_triangles on the triangles with their vertices numbered
+    in canonical order."""
+    if len(k.connected_components()) != 1:
+        return "disconnected", None, None
+    if any(len(ts) != 2 for ts in k._tris_at_edge.values()):
+        return "bad_edge_degree", None, None
+    index = k._vertex_index
+    reason, surface, signs = classify_triangles(
+        [(index[a], index[b], index[c]) for a, b, c in k.triangles], k.n_vertices)
+    return reason, surface, None if signs is None else dict(zip(k.triangles, signs))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import re
 from collections import Counter
 from itertools import combinations
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simpsurf.cli import run_report
 from simpsurf.complex2 import Complex2, canon_edge, canon_triangle, label_key
 from simpsurf.homology import (betti_numbers, chain, cup_pairing_on_h1,
                                has_property_a, homology_summary)
@@ -15,6 +17,7 @@ from simpsurf.reduction import collapse_all, eliminate_maximal_edges, simplify_p
 from simpsurf.search import canonical_form
 
 from _fixtures import label_cases, torus
+from test_homology import _oracle_cases
 
 SPHERE = [t for t in combinations(range(4), 3)]
 
@@ -266,6 +269,58 @@ def test_reductions_leave_the_input_edge_index_unbuilt():
         simplify_pipeline(k, target_rank=0)
         collapse_all(k)
         eliminate_maximal_edges(k)
+        assert k._edge_triangles is None
+
+
+def _books_and_loose_edges(count: int, seed: int) -> list[Complex2]:
+    """Seeded complexes with edges in no triangle, in one, in two and in
+    three or more: pages on a spine and random triangles with loose edges
+    and isolated vertices, on int and str labels."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        n = rng.randrange(5, 10)
+        pages = [(0, 1, x) for x in range(2, 2 + rng.randrange(3, 6))]
+        triples = list(combinations(range(n), 3))
+        tris = pages + rng.sample(triples, rng.randrange(0, 8))
+        loose = rng.sample(list(combinations(range(n + 3), 2)), rng.randrange(0, 5))
+        k = Complex2.from_triangles(tris, extra_edges=loose,
+                                    extra_vertices=range(n + rng.randrange(0, 3)))
+        if rng.randrange(2):
+            k = k.relabeled({v: f"v{v}" for v in k.vertices})
+        cases.append(k)
+    return cases
+
+
+def test_edge_degrees_agree_with_the_triangles_at_each_edge():
+    cases = _oracle_cases() + _books_and_loose_edges(40, 20261021)
+    assert any(max(k._edge_degrees, default=0) >= 3 for k in cases)
+    for built in cases:
+        k = Complex2(built.vertices, built.edges, built.triangles)
+        assert k._edge_degree_counts is None
+        degrees = k._edge_degrees
+        assert k._edge_degrees is degrees
+        loose = k.maximal_edges()
+        # neither the degrees nor the maximal edges build the triangles
+        # at each edge
+        assert k._edge_triangles is None
+        tris_at_edge = k._tris_at_edge
+        assert degrees == tuple(len(tris_at_edge[e]) for e in k.edges)
+        assert loose == tuple(e for e in k.edges if not tris_at_edge[e])
+        assert all(k.edge_degree(e) == d for e, d in zip(k.edges, degrees))
+
+
+def test_the_report_path_leaves_the_edge_index_unbuilt():
+    # the result's audits, counting bounds and classification read the
+    # edge degrees; none builds the triangles at each edge
+    cases = [built for _, built in label_cases()]
+    cases += [k for k in _oracle_cases() if k.n_triangles <= 100]
+    for built in cases:
+        k = Complex2(built.vertices, built.edges, built.triangles)
+        for target_rank in (None, 0):
+            report = run_report("k", k, target_rank=target_rank)
+            assert report.trace.result._edge_triangles is None
+            assert report.trace.result._edge_degree_counts is not None
         assert k._edge_triangles is None
 
 

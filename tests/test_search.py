@@ -26,12 +26,12 @@ from simpsurf.search import (_SEED, _TRIPLE_SEED, SearchResult, _canonical_key,
                              complexes_with_one_triple_edge,
                              min_triangles_for_surface)
 from simpsurf import surfaces
-from simpsurf.surfaces import (_classify_triangles, _link_apexes, _link_is_cycle,
-                               catalog, classify)
+from simpsurf.surfaces import _recognize, catalog, classify
 
 from _fixtures import (PEAK_KIB, RP2_TRIS, SPHERE_TRIS, closed_states,
-                       failure_reason_oracle, rp2, sphere, torus,
-                       torus_circle_sphere, torus_with_circle)
+                       failure_reason_oracle, link_apexes, link_is_cycle, rp2,
+                       sphere, torus, torus_circle_sphere, torus_with_circle,
+                       triangle_edges)
 
 
 def _orientable_reference(tris) -> bool:
@@ -247,7 +247,7 @@ def _min_triangles_reference(max_vertices: int, target: SurfaceId) -> SearchResu
         if used - len(ids) // 2 != chi or orientable != target.orientable:
             continue
         state = [tris[ti] for ti in ids]
-        if _link_apexes(state, used) is None:
+        if link_apexes(state, used) is None:
             continue
         hits += 1
         if best is None or len(state) < len(best):
@@ -713,7 +713,7 @@ def _surface_classes(n: int) -> tuple:
         if used == n:
             states += 1
             state = [tris[i] for i in _bits_up(placed)]
-            reason, surface, _signs = _classify_triangles(state, used)
+            reason, surface, _signs = _recognize(triangle_edges(state), used)
             if reason is None:
                 assert orientable == surface.orientable, state
                 keys.setdefault(surface.name, set()).add(_canonical_key(n, state))
@@ -858,7 +858,7 @@ def test_enumerator_matches_the_reference():
     # the flag is compared on pseudo-surfaces too: states with a bad link
     # of either orientability
     bad = Counter(orientable for tris, used, orientable in compared
-                  if _classify_triangles(tris, used)[0] == "bad_link")
+                  if _recognize(triangle_edges(tris), used)[0] == "bad_link")
     assert bad[True] and bad[False]
 
 
@@ -905,7 +905,7 @@ def test_search_classifies_only_states_with_the_target_chi(monkeypatch):
     # star) pair at most once, and nothing else of the recognizer runs
     # but classify's confirmation of the witness
     states = closed_states(8, chi_target=0)
-    found = [_classify_triangles(tris, used)[1] for tris, used, _o in states]
+    found = [_recognize(triangle_edges(tris), used)[1] for tris, used, _o in states]
     tris8 = _triangles(8)
     walk = search._star_link_is_cycle
     for name, matching, hits, least in (("N2", 804, 300, 16), ("M1", 737, 197, 14)):
@@ -922,12 +922,12 @@ def test_search_classifies_only_states_with_the_target_chi(monkeypatch):
             walked.append((v, star))
             return walk(v, star, n)
 
-        def recognizing(tris, used):
+        def recognizing(edges, used):
             recognized.append(used)
-            return _classify_triangles(tris, used)
+            return _recognize(edges, used)
 
         monkeypatch.setattr(search, "_star_link_is_cycle", walking)
-        monkeypatch.setattr(surfaces, "_classify_triangles", recognizing)
+        monkeypatch.setattr(surfaces, "_recognize", recognizing)
         result = min_triangles_for_surface(8, target)
         monkeypatch.undo()
         assert set(walked) <= stars, name
@@ -940,9 +940,10 @@ def test_search_classifies_only_states_with_the_target_chi(monkeypatch):
 
 def test_star_walk_matches_classify_and_the_oracle():
     # the desk search walks each star on its own table; on every vertex of
-    # every complete state, pinched ones included, it answers as classify's
-    # walk on the whole state's apex sums, and all its answers together
-    # are the link-graph oracle's verdict on the state
+    # every complete state, pinched ones included, it answers as the
+    # reference recognizer's walk on the whole state's apex sums, and all
+    # its answers together are the verdict of classify's recognizer, which
+    # counts classes of corners, and of the link-graph oracle on the state
     states = {}
     for chi in (None, 1, 0, -1):
         for n in range(3, 9):
@@ -960,11 +961,12 @@ def test_star_walk_matches_classify_and_the_oracle():
             at = [t for t in tris if v in t]
             star = sum(1 << _triangles(n).index(t) for t in at)
             cycle = _star_link_is_cycle(v, star, n)
-            assert cycle == _link_is_cycle(v, at[0], len(at), apexes, used), \
+            assert cycle == link_is_cycle(v, at[0], len(at), apexes, used), \
                 (tris, v)
             cycles.append(cycle)
         reason = failure_reason_oracle(Complex2.from_triangles(tris))
         assert all(cycles) == (reason is None), tris
+        assert _recognize(triangle_edges(tris), used)[0] == reason, tris
         verdicts[reason] += 1
     assert verdicts == {None: 1774, "bad_link": 2415}
 

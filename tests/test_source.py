@@ -28,9 +28,9 @@ SPAN_INTERNALS = {"_mask", "_pivot_rows", "_add_bits", "_reduce_bits"}
 FOREST_INTERNALS = {"_root", "_rooted"}
 # the slots behind a Complex2's lazy indexes and its components, known only
 # to complex2.py: the others read _tris_at_edge, _edges_at_vertex,
-# _triangle_index, _triangle_edges and connected_components()
+# _triangle_index, _triangle_edges, _edge_degrees and connected_components()
 COMPLEX_CACHES = {"_edge_triangles", "_vertex_edges", "_triangle_positions",
-                  "_triangle_edge_positions", "_components"}
+                  "_triangle_edge_positions", "_edge_degree_counts", "_components"}
 # the two routes of a boundary elimination, known only to homology.py: the
 # others call homology._boundary_relations and read its result's rank,
 # free, cycles, reduced_cycles() and kernel_at(), whichever route gave it

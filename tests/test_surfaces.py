@@ -12,15 +12,17 @@ from simpsurf.complex2 import Complex2
 from simpsurf.homology import (betti_numbers, cup_pairing_on_h1, h2_coordinates,
                                homology_summary)
 from simpsurf.io import dumps_complex
-from simpsurf.surfaces import (_classify_triangles, _nonorientable_word,
-                               _orientable_word, _polygon_scheme_complex, _subdivide, attach_circle,
+from simpsurf.surfaces import (_nonorientable_word, _orientable_word,
+                               _polygon_scheme_complex, _recognize, _subdivide, attach_circle,
                                catalog, classify, expected_betti,
                                fundamental_class_cochain, is_closed_surface,
                                surface_hypotheses_report, verify_orientation_witness,
                                wedge)
 
-from _fixtures import (SPHERE_TRIS, closed_states, failure_reason_oracle, sphere,
-                       torus, torus_with_circle)
+from _fixtures import (SPHERE_TRIS, classify_reference, closed_states,
+                       failure_reason_oracle, label_cases, sphere, torus,
+                       torus_with_circle, triangle_edges)
+from test_homology import _oracle_cases
 
 MINIMAL_NAMES = ("S2", "N1", "M1", "N2", "N3", "M2")
 
@@ -102,8 +104,8 @@ def test_classify_matches_the_link_graph_oracle():
         assert classify(k).failure_reason == reason, k.triangles
 
 
-# _classify_triangles as it ran before it took connectivity and edge
-# degrees as given, kept verbatim as the oracle for the apex-sum core
+# a recognizer that checks connectivity and edge degrees itself, on
+# vertex triples, as the oracle for the core that takes them as given
 def _classify_triangles_reference(tris: Sequence[tuple[int, int, int]],
                                   n_vertices: int) -> tuple:
     """(failure_reason, surface, signs) for the complex whose triangles
@@ -202,16 +204,81 @@ def test_recognizer_matches_the_reference():
                not in ("disconnected", "bad_edge_degree")]
     assert len(pinched) == 300
     inputs += [(_index_triangles(k), k.n_vertices) for k in catalogs + pinched]
-    got = [_classify_triangles(tris, n) for tris, n in inputs]
+    got = [_recognize(triangle_edges(tris), n) for tris, n in inputs]
     assert got == [_classify_triangles_reference(tris, n) for tris, n in inputs]
     reasons = [reason for reason, _surface, _signs in got]
     assert reasons.count("bad_link") >= 2000 and reasons.count(None) >= 500
     assert sum(signs is not None for _reason, _surface, signs in got) >= 200
 
 
+def _random_book(rng: random.Random) -> Complex2:
+    """A catalog surface with one to three more triangles on one of its
+    edges, each with a fresh apex: that edge lies in three triangles or
+    more, and each new edge in one."""
+    k = catalog(parse_surface_id(rng.choice(MINIMAL_NAMES)))
+    a, b = rng.choice(k.edges)
+    pages = [(a, b, 100 + j) for j in range(rng.randrange(1, 4))]
+    return Complex2.from_triangles(list(k.triangles) + pages)
+
+
+def _random_apart(rng: random.Random) -> Complex2:
+    """Two catalog surfaces on disjoint labels, or one with an isolated
+    vertex."""
+    k = catalog(parse_surface_id(rng.choice(MINIMAL_NAMES)))
+    if rng.randrange(2):
+        return Complex2.from_triangles(k.triangles, extra_vertices=[500])
+    other = catalog(parse_surface_id(rng.choice(MINIMAL_NAMES)))
+    far = other.relabeled({v: 1000 + v for v in other.vertices})
+    return Complex2.from_triangles(list(k.triangles) + list(far.triangles))
+
+
+def _labeled(k: Complex2, labels: str) -> Complex2:
+    """k on its own labels, on str labels, or on both: every second
+    vertex in canonical order takes a str label."""
+    if labels == "own":
+        return k
+    return k.relabeled({v: f"s{v}" for i, v in enumerate(k.vertices)
+                        if labels == "str" or i % 2})
+
+
+def test_classify_matches_the_reference_recognizer():
+    # classify works on the triangles' edge positions, the reference on
+    # vertex numbers with apex sums and triangle codes; the reason, the
+    # surface and the witness agree on int, str and mixed labels, where
+    # the canonical order, and so the first triangle, differs
+    names = MINIMAL_NAMES + ("N4", "N5", "M3")
+    cases = [catalog(parse_surface_id(name)) for name in names]
+    cases += _oracle_cases()
+    rng = random.Random("classify reference")
+    cases += [_random_pinched_surface(rng) for _ in range(150)]
+    cases += [_random_book(rng) for _ in range(30)]
+    cases += [_random_apart(rng) for _ in range(20)]
+    reasons, witnesses = [], 0
+    for base in cases:
+        for labels in ("own", "str", "mixed"):
+            k = _labeled(base, labels)
+            got = classify(k)
+            reason, surface, witness = classify_reference(k)
+            assert (got.failure_reason, got.surface, got.orientation_witness) \
+                == (reason, surface, witness), (labels, k.triangles)
+            assert got.is_surface == (reason is None)
+            if witness is not None:
+                assert verify_orientation_witness(k, witness)
+                witnesses += 1
+            reasons.append(reason)
+    for _labels, k in label_cases():
+        got = classify(k)
+        assert (got.failure_reason, got.surface, got.orientation_witness) \
+            == classify_reference(k)
+    counts = {reason: reasons.count(reason) for reason in set(reasons)}
+    assert counts["disconnected"] >= 120 and counts["bad_edge_degree"] >= 180
+    assert counts["bad_link"] >= 180 and counts[None] >= 300
+    assert witnesses >= 180
+
+
 def test_closed_states_meet_the_recognizer_precondition():
-    # connected, every edge in exactly two triangles: what the link walk
-    # (_link_apexes) takes as given from the desk search
+    # connected, every edge in exactly two triangles: what the recognizer
+    # (_recognize) takes as given from the desk search
     for n in range(3, 9):
         for tris, used, _orientable in closed_states(n):
             k = Complex2.from_triangles(tris)
@@ -253,7 +320,7 @@ def test_recognizer_matches_independent_oracles():
     for tris, used in states:
         k = Complex2.from_triangles(tris)
         assert k.vertices == tuple(range(used))
-        reason, surface, signs = _classify_triangles(tris, used)
+        reason, surface, signs = _recognize(triangle_edges(tris), used)
         assert reason == failure_reason_oracle(k), tris
         reasons.append(reason)
         if reason is not None:
@@ -278,7 +345,7 @@ def test_recognizer_matches_independent_oracles():
 
 
 def test_an_empty_link_is_a_bad_link():
-    assert _classify_triangles((), 1) == ("bad_link", None, None)
+    assert _recognize((), 1) == ("bad_link", None, None)
     for label in (0, "v"):
         got = classify(Complex2((label,), (), ()))
         assert (got.is_surface, got.failure_reason) == (False, "bad_link")
