@@ -6,12 +6,18 @@ lines otherwise, and alone maps exceptions to exit codes: 0 success, 2
 unreadable or malformed input, 3 violated precondition, 4 requested
 certification failed.  The pipeline is deterministic, so JSON output is
 byte-deterministic and golden-testable.
+
+main() runs each command with the cyclic garbage collector paused and
+gives the caller's setting back on the way out.  Nothing the library
+builds holds a reference cycle, so reference counting frees everything a
+command drops and the collector's passes would only walk live data.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -699,8 +705,29 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Run one command; print its result and map its errors to exit codes."""
+    """Run one command; print its result and map its errors to exit codes.
+
+    The command runs with the cyclic garbage collector paused, and the
+    caller's setting comes back on every way out, a return or an
+    exception.  The library makes no reference cycles (a test holds every
+    command and public entry point to that), so reference counting frees
+    all a command drops, and the collector's automatic passes, triggered
+    by the tuples a large build allocates, would walk the live data and
+    find nothing: a third of a report's time at 10^5 triangles.  The
+    parser is built before the pause: argparse's help formatters leave a
+    little cyclic garbage, once per process.
+    """
     args = _parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(args) -> int:
     try:
         code, payload, lines = args.func(args)
     except (FormatError, OSError) as exc:

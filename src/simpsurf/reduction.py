@@ -613,7 +613,9 @@ def simplify_pipeline(k: Complex2, spec: Optional[PreservationSpec] = None,
         # that complex, over the kept positions.
         gone = set(killed)
         kept = [j for j in range(k.n_triangles) if j not in gone]
-        fresh = _boundary_relations([k._triangle_edges[j] for j in kept], k.n_edges).cycles
+        triangle_edges = k._triangle_edges
+        fresh = _boundary_relations([triangle_edges[j] for j in kept],
+                                    k.n_edges).cycles
         assert len(fresh) == spec.rank  # nothing invisible is left
         betti = _betti_of_counts(k.n_vertices, k.n_edges, len(kept), b0 + 1,
                                  len(kept) - len(fresh))

@@ -252,14 +252,6 @@ def _canonical_key(n: int, tris, edges=()) -> tuple:
         pairs.sort()
         return codes, pairs
 
-    def place(v: int, x: int) -> None:
-        label[v] = x
-        left[colors[v]] = x + 1
-
-    def unplace(v: int) -> None:
-        left[colors[v]] = label[v]
-        label[v] = n
-
     best = None  # (triangle list, loose-edge list) of the least labeling
     best_at: list = []  # label -> vertex in that labeling
     autos: list = []  # the automorphisms found at tied leaves, vertex -> vertex
@@ -277,7 +269,14 @@ def _canonical_key(n: int, tris, edges=()) -> tuple:
         """Place the labels order[i:] on the vertices of the mask unplaced,
         none of which shares a triangle with a vertex placed at a position
         below p; return the position whose node the search resumes at, or
-        n to go on as usual."""
+        n to go on as usual.
+
+        descend calls itself through its own closure cell, a reference
+        cycle that would keep it, lists and every table they read alive
+        until the cyclic collector ran.  The caller deletes the name once
+        the search is done, which empties the cell, so the call's state is
+        freed by reference counting on return.  Placing and unplacing a
+        vertex are written out inline, as they run at every node."""
         nonlocal best, best_at
         forced = []  # labels with a single candidate, placed without a bound
         while i < n:
@@ -293,7 +292,8 @@ def _canonical_key(n: int, tris, edges=()) -> tuple:
                     v = (free & -free).bit_length() - 1
                 if free != 1 << v:
                     break
-            place(v, order[i])
+            label[v] = x = order[i]  # place v
+            left[colors[v]] = x + 1
             seq[i] = v
             unplaced ^= 1 << v
             forced.append(v)
@@ -335,18 +335,24 @@ def _canonical_key(n: int, tris, edges=()) -> tuple:
                     folded = len(autos)
                 if orbit is not None and orbit[v] in {orbit[u] for u in free[:k]}:
                     continue  # an automorphism carries v onto a searched one
-                place(v, order[i])
+                label[v] = x = order[i]  # place v
+                left[colors[v]] = x + 1
                 seq[i] = v
                 back = descend(i + 1, p, unplaced ^ 1 << v)
-                unplace(v)
+                left[colors[v]] = x  # unplace v
+                label[v] = n
                 if back < i:
                     break
                 back = n
-        for v in reversed(forced):
-            unplace(v)
+        for v in reversed(forced):  # unplace them
+            left[colors[v]] = label[v]
+            label[v] = n
         return back
 
-    descend(0, 0, (1 << n) - 1)
+    try:
+        descend(0, 0, (1 << n) - 1)
+    finally:
+        del descend  # break the closure's cycle through its own cell
     codes, pairs = best
     mask = (1 << w) - 1
     key_tris = [(c >> w2, c >> w & mask, c & mask) for c in codes]
@@ -466,7 +472,13 @@ def _closures(n_max: int, seed: list,
     def dfs(one: int, full: int, placed: int, alpha2: int, used: int,
             pos: int, orientable: bool) -> None:
         """Place each admissible triangle at the lowest open edge of a
-        state that is neither complete nor cut, and go on from there."""
+        state that is neither complete nor cut, and go on from there.
+
+        dfs calls itself through its own closure cell, a reference cycle
+        that would keep it, the visitor and everything the visitor holds
+        alive until the cyclic collector ran.  The caller deletes the name
+        once the search is done, which empties the cell, so the search's
+        state is freed by reference counting on return."""
         nonlocal closed
         e = (one & -one).bit_length() - 1
         alpha2 += 1
@@ -484,11 +496,14 @@ def _closures(n_max: int, seed: list,
                     pos | f, now_orientable)
 
     # a seed always leaves an edge open
-    if len(seed) < cap and used <= most_used:
-        dfs(sum(1 << edge_ids[e] for e, d in degree.items() if d == 1),
-            sum(1 << edge_ids[e] for e, d in degree.items() if d > 1),
-            sum(1 << _triangles(n_max).index(t) for t in seed), len(seed),
-            used, pos, orientable)
+    try:
+        if len(seed) < cap and used <= most_used:
+            dfs(sum(1 << edge_ids[e] for e, d in degree.items() if d == 1),
+                sum(1 << edge_ids[e] for e, d in degree.items() if d > 1),
+                sum(1 << _triangles(n_max).index(t) for t in seed),
+                len(seed), used, pos, orientable)
+    finally:
+        del dfs  # break the closure's cycle through its own cell
     return closed
 
 

@@ -1,5 +1,6 @@
 """The command-line surface: exit codes, JSON payloads, golden stability."""
 
+import gc
 import hashlib
 import io
 import json
@@ -121,6 +122,72 @@ def test_main_builds_one_parser_per_process(capsys, monkeypatch, torus_file):
     assert len(built) == 1
     assert outputs[0] == outputs[1] == outputs[2] and outputs[0][0] == 0
     assert fresh() is not fresh()
+
+
+@pytest.mark.parametrize("was_enabled", [True, False])
+def test_main_gives_the_collector_back_as_it_found_it(capsys, tmp_path,
+                                                      monkeypatch, torus_file,
+                                                      was_enabled):
+    (tmp_path / "bad.json").write_text('{"triangles": [[1, 1, 2]]}')
+    calls = [(0, ["homology", torus_file]),
+             (2, ["homology", str(tmp_path / "bad.json")]),
+             (3, ["reduce", torus_file, "--target-rank", "5"]),
+             (4, ["classify", torus_file, "--surface", "N2", "--json"])]
+    enabled = gc.isenabled()
+    try:
+        (gc.enable if was_enabled else gc.disable)()
+        for expected, argv in calls:
+            assert run(capsys, *argv)[0] == expected
+            assert gc.isenabled() is was_enabled, argv
+
+        def broken(args):
+            assert not gc.isenabled()
+            raise RuntimeError("broken command")
+
+        monkeypatch.setattr(cli, "_cmd_homology", broken)
+        cli._parser.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="broken command"):
+                main(["homology", torus_file])
+        finally:
+            cli._parser.cache_clear()
+        assert gc.isenabled() is was_enabled
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+def test_main_runs_no_automatic_collection(tmp_path):
+    m3 = tmp_path / "M3.json"
+    dump_complex(catalog(parse_surface_id("M3")), m3, name="M3")
+    argv = ["report", str(m3), "--json"]
+    starts = []
+
+    def count(phase, info):
+        # a collection counts when it starts inside the command, which
+        # main() runs through _run: the first allocation after main()
+        # turns the collector back on may start one in the caller
+        frame = sys._getframe()
+        while frame is not None and frame.f_code is not cli._run.__code__:
+            frame = frame.f_back
+        starts.append(phase == "start" and frame is not None)
+
+    def collections(call) -> int:
+        with redirect_stdout(io.StringIO()):
+            call()  # warm: the parser and the search tables are built
+            gc.collect()
+            starts.clear()
+            call()
+        return sum(starts)
+
+    gc.callbacks.append(count)
+    try:
+        inside = collections(lambda: main(argv))
+        # the same work with the collector on, as a library caller runs it
+        outside = collections(lambda: cli._run(cli._parser().parse_args(argv)))
+    finally:
+        gc.callbacks.remove(count)
+    assert gc.isenabled()
+    assert inside == 0 and outside >= 1
 
 
 def test_property_a(capsys, torus_file):

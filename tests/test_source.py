@@ -1,7 +1,8 @@
 """Checks on the package source itself, read with ast: what it may import,
 which modules own the span internals, the union-find, the complex caches
-and the routes of a boundary elimination, and that no import is left
-unused.  One more check resolves every name the benchmark's tracer wraps."""
+and the routes of a boundary elimination, that only cli.main touches the
+garbage collector, and that no import is left unused.  One more check
+resolves every name the benchmark's tracer wraps."""
 
 from __future__ import annotations
 
@@ -129,6 +130,22 @@ def test_only_gf2_has_a_union_find(path):
     found += [f"path halving (line {node.lineno})" for node in ast.walk(_tree(path))
               if _halves_paths(node)]
     assert found == []
+
+
+def test_only_cli_main_touches_the_collector():
+    # main() pauses the cyclic garbage collector for one command; a
+    # library function that touched it would change a global setting
+    # under its callers
+    importers = {path.name for path in MODULES for node in ast.walk(_tree(path))
+                 if isinstance(node, ast.Import)
+                 and "gc" in [alias.name for alias in node.names]
+                 or isinstance(node, ast.ImportFrom) and node.module == "gc"}
+    assert importers == {"cli.py"}
+    users = {f.name for f in ast.walk(_tree(PACKAGE / "cli.py"))
+             if isinstance(f, ast.FunctionDef)
+             for node in ast.walk(f)
+             if isinstance(node, ast.Name) and node.id == "gc"}
+    assert users == {"main"}
 
 
 def test_homology_eliminates_only_through_its_entry_points():
