@@ -35,7 +35,7 @@ from .bounds import (EXCEPTIONAL_SURFACES, SPHERE, ComplexityCertificate,
 from .catalog_data import MINIMAL_TRIANGULATIONS
 from .complex2 import Complex2
 from .homology import (betti_numbers, chain_support, cup_pairing_on_h1,
-                       has_property_a, homology_summary)
+                       has_property_a)
 from .io import (FormatError, complex_to_dict, dump_complex, dumps_complex,
                  load_functionals, load_group_profile, load_named_complex)
 from .reduction import PreservationSpec, ReductionTrace, simplify_pipeline
@@ -291,8 +291,7 @@ def _cmd_homology(args) -> _Result:
 
 def _cmd_cup_form(args) -> _Result:
     name, k = _load(args.file)
-    summary = homology_summary(k)
-    form = cup_pairing_on_h1(k, summary)
+    form = cup_pairing_on_h1(k)
     n, b2 = len(form.rows), form.b2
     payload: dict = {"name": name, "b1": n, "b2": b2,
                      "entries": [[[r >> j * b2 + c & 1 for c in range(b2)]

@@ -166,9 +166,10 @@ class Complex2:
     at each edge, the edges at each vertex, the triangle positions, the
     three edge positions of each triangle, and the degree of each edge,
     counted over those positions.  The degrees serve every check of edge
-    degrees (maximal_edges, classify, euler_bounds_check and the
-    reduction's audit of its result), so none of them builds the
-    triangles at each edge, which the per-edge queries read.
+    degrees (edge_degree, maximal_edges, classify, the orientation
+    witness check, euler_bounds_check and the reduction's audit of its
+    result), so none of them builds the triangles at each edge, which
+    triangles_at_edge alone reads.
     connected_components() is computed once per value and kept too, the
     trees of the 1-skeleton's own spanning forest (gf2._Forest); nothing
     outside this module writes a cache.  Every query names a simplex by
@@ -237,8 +238,8 @@ class Complex2:
     # at each vertex and triangles at each edge, as dicts of sets it edits,
     # and hands them to _setup.  The three edge positions of each triangle
     # serve the boundary eliminations, the kill audit, the 1-cycles, the
-    # cup form's front and back edges, the edge degrees and classify's
-    # recognizer.
+    # cup form's front and back edges, the edge degrees, classify's
+    # recognizer and the subdivision of the catalog's polygon schemes.
 
     @property
     def _tris_at_edge(self) -> dict:
@@ -392,7 +393,7 @@ class Complex2:
 
     def edge_degree(self, e) -> int:
         """Number of triangles containing the edge."""
-        return len(self._tris_at_edge[self._as_edge(e)])
+        return self._edge_degrees[self._edge_index[self._as_edge(e)]]
 
     def triangles_at_edge(self, e) -> tuple[Triangle, ...]:
         return self._tris_at_edge[self._as_edge(e)]

@@ -138,15 +138,6 @@ class Gf2Matrix:
                 cols[j] |= bit
         return Gf2Matrix(self.n_cols, self.n_rows, cols)
 
-    def _rref(self) -> tuple[list[int], list[int]]:
-        """Reduced row echelon form; returns (rows, pivot columns).
-
-        Rows come in pivot order, padded with zero rows to n_rows.
-        """
-        span = _span(self._rows, self.n_cols)
-        rows = span._reduced_rows()
-        return rows + [0] * (self.n_rows - len(rows)), span._pivots()
-
     def rank(self) -> int:
         """The dimension of the row space; no back-substitution."""
         return _span(self._rows, self.n_cols).dim
@@ -166,9 +157,8 @@ class Gf2Matrix:
         if b.length != self.n_rows:
             raise ValueError(f"rhs length {b.length} != {self.n_rows} rows")
         n = self.n_cols
-        augmented = Gf2Matrix(self.n_rows, n + 1, [r | (b.bits >> i & 1) << n
-                                                  for i, r in enumerate(self._rows)])
-        rows, pivots = augmented._rref()
+        span = _span((r | (b.bits >> i & 1) << n for i, r in enumerate(self._rows)), n + 1)
+        rows, pivots = span._reduced_rows(), span._pivots()
         if pivots and pivots[-1] == n:
             return None
         return Gf2Vector(n, sum(1 << p for r, p in zip(rows, pivots) if r >> n & 1))

@@ -233,9 +233,8 @@ def load_named_complex(path: Pathish) -> tuple[Optional[str], Complex2]:
     """Read a complex file; returns (declared name or None, complex)."""
     source = str(path)
     data = _read_json(path)
-    if not isinstance(data, dict):
-        raise FormatError(f"{source}: top level must be a JSON object")
-    return data.get("name"), complex_from_dict(data, source)
+    k = complex_from_dict(data, source)
+    return data.get("name"), k
 
 
 def load_complex(path: Pathish) -> Complex2:

@@ -550,8 +550,9 @@ def _star_link_is_cycle(v: int, star: int, n: int) -> bool:
     steps from y to the other neighbour than the vertex it came from: the
     link is a single cycle exactly when the walk first returns to x after
     as many steps as the star has triangles.  classify's recognizer
-    answers for all the vertices at once, by counting classes of corners
-    (surfaces._corner_classes), and a test ties the two together."""
+    answers for all the vertices at once, counting the link cycles with
+    one union-find (surfaces._link_cycles), and a test ties the two
+    together."""
     edges = _link_edges(n)[v]
     sums = [0] * n  # link vertex -> the sum of its two link neighbours
     count = 0

@@ -8,24 +8,25 @@ components and the edge degrees, and every closed state of the desk
 search has them by construction.  The rest (_recognize) runs on the
 triangle-edge index alone, the three edge positions of each triangle
 (Complex2._triangle_edges), which the reduction's audits have built
-already: no label and no vertex is looked up.  One pass pairs each side
-of a triangle with the side across its edge in the edge's other
-triangle (_across).  The corners of the triangles at a vertex are the
-edges of its link, and two of them share a link vertex when they meet
-across a side, so the link is a single cycle exactly when the corners at
-the vertex form one class under that joining, and every link is one
-exactly when all the corners fall into alpha0 classes: one walk around
-each class counts them (_corner_classes).  Orientability comes from
-propagating triangle signs across the paired sides, and the Euler
-characteristic gives the genus.  The desk search walks each star on a
-table of its own (search._star_link_is_cycle); a test ties the two
-together.
+already: no label and no vertex is looked up.  The links are the cycles
+of one small graph, whose nodes are the edges, each seen from either end,
+and whose joins are the triangles' corners, each joining the two edges
+the corner lies on.  Every edge lies in two triangles, so every node is
+on two joins, and each component is one link cycle, which leaves exactly
+one join off a spanning forest: gf2._Forest, the package's one
+union-find, counts the cycles in one call (_link_cycles), and every link
+is a single cycle exactly when there are alpha0 of them.  Orientability
+comes from propagating triangle signs across the sides paired on each
+edge (_across), and the Euler characteristic gives the genus.  The desk
+search walks each star on a table of its own (search._star_link_is_cycle);
+a test ties the two together.  verify_orientation_witness checks a
+witness apart from all this, on the triangles' labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from typing import Optional, Sequence
 
 from . import catalog_data
@@ -69,22 +70,10 @@ def _directed_boundary(t, sign: int):
     return ((cyc[0], cyc[1]), (cyc[1], cyc[2]), (cyc[2], cyc[0]))
 
 
-# A triangle (a, b, c) has corners 0, 1, 2 at a, b, c and sides 0, 1, 2 on
-# its edges ab, ac, bc, and corner or side i of triangle t is 3t + i.  An
-# edge runs from its first end to its second in every triangle at it,
-# since every triangle lists its vertices in the one canonical order.  A
-# walk around a link leaves a corner by one of its sides, with the end of
-# that side the corner is at; crossing to side j of the triangle across,
-# at the same end, k = 2j + end gives the corner reached there, the other
-# side of that corner, as an offset from j, and the end it is at.
-_CORNER_AT = (0, 1, 0, 2, 1, 2)
-_TURN = (1, 2, -1, 1, -2, -1)
-_END_AT = (0, 0, 0, 1, 1, 1)
-
-
 def _across(triangle_edges: Sequence[tuple[int, int, int]]) -> list[int]:
     """For each side 3t + i, the side on the same edge in the edge's other
-    triangle; every edge lies in exactly two triangles, so the edge
+    triangle, where sides 0, 1 and 2 of triangle t lie on its edges ab,
+    ac and bc; every edge lies in exactly two triangles, so the edge
     positions are 0 .. 3 alpha2 / 2 - 1."""
     n_sides = 3 * len(triangle_edges)
     first = [-1] * (n_sides // 2)  # each edge's first side
@@ -97,39 +86,6 @@ def _across(triangle_edges: Sequence[tuple[int, int, int]]) -> list[int]:
             across[w] = x
             across[x] = w
     return across
-
-
-def _corner_classes(across: Sequence[int], limit: int) -> int:
-    """The number of classes of corners joined across sides, counted up to
-    one past limit.
-
-    Every edge lies in two triangles, so every corner is joined to two
-    others, one across each of its sides, and a class is a cycle: the
-    walk from a corner, leaving each corner by the side it did not come
-    in by, returns to it after visiting the class once.
-    """
-    seen = bytearray(len(across))
-    classes = 0
-    for corner in range(len(across)):
-        if seen[corner]:
-            continue
-        classes += 1
-        if classes > limit:
-            break
-        seen[corner] = 1
-        i = corner % 3
-        # corner i leaves by side 0 (a and b) or 1 (c), at end 0 (a) or 1
-        x, end = corner - i + (i == 2), i > 0
-        while True:
-            y = across[x]
-            j = y % 3
-            k = 2 * j + end
-            reached = y - j + _CORNER_AT[k]
-            if seen[reached]:
-                break
-            seen[reached] = 1
-            x, end = y + _TURN[k], _END_AT[k]
-    return classes
 
 
 def _orientation(across: Sequence[int]) -> Optional[list[int]]:
@@ -161,6 +117,26 @@ def _orientation(across: Sequence[int]) -> Optional[list[int]]:
     return sign
 
 
+def _link_cycles(triangle_edges: Sequence[tuple[int, int, int]]) -> int:
+    """The number of vertex-link cycles, summed over the vertices, of a
+    complex whose triangles have the given edge positions, each
+    triangle's edges ab, ac and bc, and whose every edge lies in exactly
+    two triangles.
+
+    Node 2e is edge position e seen from its first end, and node 2e + 1
+    the same edge seen from its second.  A triangle (a, b, c) with edges
+    p = ab, q = ac and r = bc joins 2p and 2q at a, 2p + 1 and 2r at b,
+    and 2q + 1 and 2r + 1 at c: a node is a vertex of the link of the end
+    it is seen from, and a join an edge of that link.  Every node is on
+    two joins, one for each triangle at its edge, so each component is
+    one link cycle, and the forest grown over it leaves exactly one of its
+    joins off.
+    """
+    return len(_Forest(3 * len(triangle_edges), chain.from_iterable(
+        ((0, 2 * p, 2 * q), (0, 2 * p + 1, 2 * r), (0, 2 * q + 1, 2 * r + 1))
+        for p, q, r in triangle_edges)).off)
+
+
 def _recognize(triangle_edges: Sequence[tuple[int, int, int]],
                n_vertices: int) -> tuple:
     """(failure_reason, surface, signs) for the complex whose triangles
@@ -172,20 +148,20 @@ def _recognize(triangle_edges: Sequence[tuple[int, int, int]],
     The caller guarantees that the complex is connected and that every
     edge lies in exactly two triangles: classify checks both on the
     1-skeleton before it calls here.  What is left is the link check,
-    the corners falling into n_vertices classes, and the orientation.  A
-    link that is not a single cycle splits into two classes or more, or
-    is empty, and a vertex with an empty link has no edge, so it is the
-    whole connected complex: either way the count is off.  The Euler
+    n_vertices link cycles in all (_link_cycles), and the orientation.
+    Every vertex with an edge has one link cycle at least, so the count
+    is off exactly when some link splits into two cycles or more, or is
+    empty: a vertex with an empty link has no edge, so it is the whole
+    connected complex, and there is no cycle at all.  The Euler
     characteristic comes from the counts.  The desk search does not come
     here: its enumerator carries the same orientation test through its
     own depth-first search, and classify confirms the witness it finds.
     """
-    across = _across(triangle_edges)
-    if _corner_classes(across, n_vertices) != n_vertices:
+    if _link_cycles(triangle_edges) != n_vertices:
         return "bad_link", None, None
     n_triangles = len(triangle_edges)
     chi = n_vertices - 3 * n_triangles // 2 + n_triangles
-    signs = _orientation(across)
+    signs = _orientation(_across(triangle_edges))
     if signs is not None:
         return None, SurfaceId(True, (2 - chi) // 2), signs
     return None, SurfaceId(False, 2 - chi), None
@@ -199,9 +175,10 @@ def classify(k: Complex2) -> ClassificationResult:
     loose edges and isolated vertices count: the components, and the
     degrees counted over the triangles' edge positions
     (Complex2._edge_degrees).  Those positions then go to the recognizer
-    (_recognize), which takes the two as given, pairs the sides across
-    each edge, counts the classes of corners for the links and propagates
-    the signs.
+    (_recognize), which takes the two as given, counts the link cycles
+    with one union-find, one component of the edge ends joined at the
+    triangles' corners for each cycle, and propagates the signs across
+    the sides paired on each edge.
     For orientable surfaces the witness maps each triangle to +1 or -1
     giving a coherent orientation: the one with +1 on the canonically
     first triangle, which is unique, since a connected closed surface has
@@ -221,18 +198,24 @@ def classify(k: Complex2) -> ClassificationResult:
 
 
 def verify_orientation_witness(k: Complex2, witness: dict) -> bool:
-    """Check a claimed coherent orientation edge by edge."""
+    """Check a claimed coherent orientation on the triangles' labels.
+
+    Every edge must lie in exactly two triangles (the edge degrees), and
+    those two, found by the triangles' edge positions, must run it
+    opposite ways: the edge, as stored, is in the directed boundary of
+    one and reversed in the other's.
+    """
     if set(witness) != set(k.triangles):
         return False
-    for e, ts in k._tris_at_edge.items():
-        if len(ts) != 2:
-            return False
-        d0 = _directed_boundary(ts[0], witness[ts[0]])
-        d1 = _directed_boundary(ts[1], witness[ts[1]])
-        forward = e if e in d0 else (e[1], e[0])
-        if forward not in d0 or (forward[1], forward[0]) not in d1:
-            return False
-    return True
+    degrees = k._edge_degrees
+    if degrees.count(2) != len(degrees):
+        return False
+    edges, balance = k.edges, [0] * len(k.edges)
+    for t, positions in zip(k.triangles, k._triangle_edges):
+        directed = _directed_boundary(t, witness[t])
+        for e in positions:
+            balance[e] += 1 if edges[e] in directed else -1
+    return not any(balance)
 
 
 def expected_betti(surface: SurfaceId) -> tuple[int, int, int]:
@@ -340,29 +323,20 @@ def _subdivide(k: Complex2):
 
     Returns (subdivided, vertex_map, edge_midpoint_map): original vertices
     and edges keep track of their images so boundary paths can be refined.
+    The new vertices are numbered by position: vertex i is i, the
+    midpoint of edge i is alpha0 + i and the center of triangle i is
+    alpha0 + alpha1 + i.
     """
-    new_id: dict = {}
-    for v in k.vertices:
-        new_id[(0, (v,))] = len(new_id)
-    for e in k.edges:
-        new_id[(1, e)] = len(new_id)
-    for t in k.triangles:
-        new_id[(2, t)] = len(new_id)
+    n0, n1 = k.n_vertices, k.n_edges
+    vmap = dict(zip(k.vertices, range(n0)))
+    emid = dict(zip(k.edges, range(n0, n0 + n1)))
     tris = []
-    for t in k.triangles:
-        tid = new_id[(2, t)]
-        for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
-            eid = new_id[(1, e)]
-            for v in e:
-                tris.append((new_id[(0, (v,))], eid, tid))
-    extra_edges = []
-    for e in k.maximal_edges():
-        eid = new_id[(1, e)]
-        extra_edges.extend(((new_id[(0, (e[0],))], eid), (new_id[(0, (e[1],))], eid)))
-    extra_vertices = [new_id[(0, (v,))] for v in k.isolated_vertices()]
+    for tid, (a, b, c), (p, q, r) in zip(count(n0 + n1), k.triangles, k._triangle_edges):
+        a, b, c, p, q, r = vmap[a], vmap[b], vmap[c], n0 + p, n0 + q, n0 + r
+        tris += ((a, p, tid), (b, p, tid), (a, q, tid), (c, q, tid), (b, r, tid), (c, r, tid))
+    extra_edges = [(vmap[v], emid[e]) for e in k.maximal_edges() for v in e]
+    extra_vertices = [vmap[v] for v in k.isolated_vertices()]
     sub = Complex2.from_triangles(tris, extra_edges, extra_vertices)
-    vmap = {v: new_id[(0, (v,))] for v in k.vertices}
-    emid = {e: new_id[(1, e)] for e in k.edges}
     return sub, vmap, emid
 
 

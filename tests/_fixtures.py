@@ -7,10 +7,11 @@ on the link graphs alone, apart from the package's recognizer,
 classify_reference is a second recognizer on vertex numbers: the apex
 sums of each edge walk the links, and signs propagate over triangle
 codes; classify, which works on the triangles' edge positions, must give
-its reason, surface and witness on every input.  kernel_from_rref reads
-a kernel basis off a reduced row echelon form, apart from the tagged
-elimination behind Gf2Matrix.kernel_basis, and apply multiplies a matrix
-by a vector, one parity per row.
+its reason, surface and witness on every input.  rref gives a matrix's
+reduced row echelon form by back-substituting its span, and
+kernel_from_rref reads a kernel basis off one, apart from the tagged
+elimination behind Gf2Matrix.kernel_basis; apply multiplies a matrix by
+a vector, one parity per row.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional, Sequence
 
 from simpsurf.bounds import SurfaceId, parse_surface_id
 from simpsurf.complex2 import Complex2
-from simpsurf.gf2 import Gf2Matrix, Gf2Vector, _bits_up
+from simpsurf.gf2 import Gf2Matrix, Gf2Vector, _bits_up, _span
 from simpsurf.search import _SEED, _closures, _triangles
 from simpsurf.surfaces import attach_circle, catalog, wedge
 
@@ -100,6 +101,14 @@ def torus_circle_sphere() -> Complex2:
 def apply(m: Gf2Matrix, v: Gf2Vector) -> Gf2Vector:
     """The product m v: one parity per row."""
     return Gf2Vector(m.n_rows, sum(row.dot(v) << i for i, row in enumerate(m.rows())))
+
+
+def rref(m: Gf2Matrix) -> tuple[list[int], list[int]]:
+    """The reduced row echelon form of m and its pivot columns: the rows
+    in pivot order, padded with zero rows to n_rows."""
+    span = _span(m._rows, m.n_cols)
+    rows = span._reduced_rows()
+    return rows + [0] * (m.n_rows - len(rows)), span._pivots()
 
 
 def kernel_from_rref(n_cols: int, rows, pivots) -> list[Gf2Vector]:

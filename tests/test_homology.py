@@ -13,7 +13,7 @@ import pytest
 import simpsurf.gf2 as gf2
 import simpsurf.homology as homology
 from _fixtures import (PEAK_KIB, _relabel, apply, kernel_from_rref, m8_wedge, rp2,
-                       sphere, torus, torus_circle_sphere, torus_with_circle)
+                       rref, sphere, torus, torus_circle_sphere, torus_with_circle)
 from simpsurf.bounds import parse_surface_id
 from simpsurf.complex2 import Complex2
 from simpsurf.gf2 import Gf2Matrix, Gf2Span, Gf2Vector
@@ -177,7 +177,7 @@ def _cycles_at_picks(k: Complex2, cocycles, pivots) -> list[Gf2Vector]:
     d1t = list(boundary_matrix(k, 1).transpose().rows())
     restricted = Gf2Matrix(len(columns), k.n_vertices,
                            [d1t[e].bits for e in columns]).transpose()
-    rows, found = restricted._rref()
+    rows, found = rref(restricted)
     assert found == list(range(len(rest)))
     return [Gf2Vector.from_support(k.n_edges, [columns[c] for c in z.support()])
             for z in kernel_from_rref(len(columns), rows, found)]
@@ -227,7 +227,7 @@ def test_degree_one_bases_match_the_greedy_completion(monkeypatch):
         d1, d2t = boundary_matrix(k, 1), boundary_matrix(k, 2).transpose()
         cocycles = _greedy_completion(k.n_edges, list(d1.rows()), d2t.kernel_basis())
         assert [a.coeffs for a in s.cocycle_reps[1]] == cocycles
-        cycles = _cycles_at_picks(k, cocycles, d2t._rref()[1])
+        cycles = _cycles_at_picks(k, cocycles, rref(d2t)[1])
         assert [z.coeffs for z in cycle_reps] == cycles
         assert len(cycles) == len(cocycles) == s.b1
     # both books' summaries took the elimination
@@ -262,11 +262,11 @@ def _homology_summary_dense(k: Complex2):
     found at those picks by _cycles_at_picks."""
     d1, d2 = boundary_matrix(k, 1), boundary_matrix(k, 2)
     comps = k.connected_components()
-    rows1, pivots1 = d1._rref()
-    rows2t, pivots2t = d2.transpose()._rref()
+    rows1, pivots1 = rref(d1)
+    rows2t, pivots2t = rref(d2.transpose())
     z1 = kernel_from_rref(k.n_edges, rows1, pivots1)
     cocycles1 = kernel_from_rref(k.n_edges, rows2t, pivots2t)
-    z2 = kernel_from_rref(k.n_triangles, *d2._rref())
+    z2 = kernel_from_rref(k.n_triangles, *rref(d2))
     b1 = len(z1) - (k.n_triangles - len(z2))
     cycle0 = tuple(chain(k, 0, [comp[0], comps[0][0]]) for comp in comps[1:])
     cocycle0 = tuple(cochain(k, 0, comp) for comp in comps[1:])
@@ -274,7 +274,7 @@ def _homology_summary_dense(k: Complex2):
     picked = _greedy_completion(k.n_edges, seed1, cocycles1)
     cocycle1 = tuple(CochainVector(1, v) for v in picked)
     cycle1 = tuple(ChainVector(1, v) for v in _cycles_at_picks(k, picked, pivots2t))
-    z2_rows, pivots = Gf2Matrix(len(z2), k.n_triangles, [z.bits for z in z2])._rref()
+    z2_rows, pivots = rref(Gf2Matrix(len(z2), k.n_triangles, [z.bits for z in z2]))
     cycle2 = tuple(ChainVector(2, Gf2Vector(k.n_triangles, r)) for r in z2_rows)
     cocycle2 = tuple(CochainVector(2, Gf2Vector(k.n_triangles, 1 << p)) for p in pivots)
     return ((max(len(comps) - 1, 0), b1, len(z2)),
@@ -655,7 +655,8 @@ def test_summary_runs_one_elimination(monkeypatch):
         lengths.append(length)
         span_init(self, length)
 
-    monkeypatch.setattr(Gf2Matrix, "_rref", _counting(counts, "eliminations", Gf2Matrix._rref))
+    # solve is the one reduced row echelon form of a Gf2Matrix
+    monkeypatch.setattr(Gf2Matrix, "solve", _counting(counts, "eliminations", Gf2Matrix.solve))
     monkeypatch.setattr(Gf2Matrix, "rows", _counting(counts, "row_walks", Gf2Matrix.rows))
     monkeypatch.setattr(Gf2Span, "__init__", recording_init)
     monkeypatch.setattr(Gf2Span, "_add_bits", _counting(counts, "insertions", Gf2Span._add_bits))

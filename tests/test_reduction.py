@@ -27,7 +27,7 @@ from simpsurf.reduction import (PreservationSpec, _boundary, _cycle_basis, _sum,
 from simpsurf.surfaces import attach_circle, catalog, classify, wedge
 
 from _fixtures import (PEAK_KIB, kernel_from_rref, label_cases, m8_wedge, rp2,
-                       sphere, sphere_chain, torus, torus_circle_sphere,
+                       rref, sphere, sphere_chain, torus, torus_circle_sphere,
                        torus_with_circle)
 
 
@@ -138,7 +138,7 @@ def test_cycle_basis_is_the_kernel_basis_of_d2():
         # the old route: the reduced row echelon form of d2, its kernel read
         # off the reduced rows
         d2 = boundary_matrix(k, 2)
-        kernel = [z.bits for z in kernel_from_rref(d2.n_cols, *d2._rref())]
+        kernel = [z.bits for z in kernel_from_rref(d2.n_cols, *rref(d2))]
         assert _cycle_basis(k) == (kernel, betti_numbers(k))
         assert kernel == [z.bits for z in d2.kernel_basis()]
     assert shapes["b2>=2"] >= 10 and shapes["large"] == 1
@@ -675,7 +675,8 @@ def test_pipeline_work_is_bounded_per_phase(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(Complex2, "__init__", counting("builds", Complex2.__init__))
-    monkeypatch.setattr(Gf2Matrix, "_rref", counting("rrefs", Gf2Matrix._rref))
+    # solve is the one reduced row echelon form of a Gf2Matrix
+    monkeypatch.setattr(Gf2Matrix, "solve", counting("rrefs", Gf2Matrix.solve))
     monkeypatch.setattr(Gf2Matrix, "kernel_basis",
                         counting("kernels", Gf2Matrix.kernel_basis))
     monkeypatch.setattr(homology, "boundary_matrix",

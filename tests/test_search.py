@@ -943,7 +943,8 @@ def test_star_walk_matches_classify_and_the_oracle():
     # every complete state, pinched ones included, it answers as the
     # reference recognizer's walk on the whole state's apex sums, and all
     # its answers together are the verdict of classify's recognizer, which
-    # counts classes of corners, and of the link-graph oracle on the state
+    # counts the link cycles with one union-find, and of the link-graph
+    # oracle on the state
     states = {}
     for chi in (None, 1, 0, -1):
         for n in range(3, 9):

@@ -12,7 +12,7 @@ from simpsurf.complex2 import Complex2
 from simpsurf.homology import (betti_numbers, cup_pairing_on_h1, h2_coordinates,
                                homology_summary)
 from simpsurf.io import dumps_complex
-from simpsurf.surfaces import (_nonorientable_word, _orientable_word,
+from simpsurf.surfaces import (_link_cycles, _nonorientable_word, _orientable_word,
                                _polygon_scheme_complex, _recognize, _subdivide, attach_circle,
                                catalog, classify, expected_betti,
                                fundamental_class_cochain, is_closed_surface,
@@ -209,6 +209,66 @@ def test_recognizer_matches_the_reference():
     reasons = [reason for reason, _surface, _signs in got]
     assert reasons.count("bad_link") >= 2000 and reasons.count(None) >= 500
     assert sum(signs is not None for _reason, _surface, signs in got) >= 200
+
+
+def _link_components(k: Complex2, v) -> int:
+    """The number of components of the link graph of v, by breadth-first
+    search."""
+    nodes, ledges = k.link_of_vertex(v)
+    adj = {u: [] for u in nodes}
+    for a, b in ledges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen: set = set()
+    components = 0
+    for u in nodes:
+        if u in seen:
+            continue
+        components += 1
+        seen.add(u)
+        queue = [u]
+        for x in queue:
+            fresh = [y for y in adj[x] if y not in seen]
+            seen.update(fresh)
+            queue += fresh
+    return components
+
+
+def test_link_cycles_are_the_link_components():
+    # the union-find count of classify's recognizer is the number of
+    # components of the link graphs, summed over the vertices, on every
+    # input whose edges each lie in two triangles; a pinched vertex has
+    # two link cycles or more
+    cases = [Complex2.from_triangles(tris) for n in range(3, 9)
+             for tris, _used, _orientable in closed_states(n)]
+    assert len(cases) == 4189
+    cases += [catalog(parse_surface_id(name)) for name in
+              ["S2"] + [f"{kind}{g}" for kind in "MN" for g in range(1, 9)]]
+    rng = random.Random("link oracle")
+    pinched = [_random_pinched_surface(rng) for _ in range(300)]
+    cases += pinched
+    over = []
+    for k in cases:
+        components = sum(_link_components(k, v) for v in k.vertices)
+        assert _link_cycles(k._triangle_edges) == components, k.triangles
+        over.append(components > k.n_vertices)
+    assert sum(over[:4189]) >= 2000
+    assert sum(over[-300:]) >= 100 and not any(over[4189:-300])
+
+
+def test_surface_checks_leave_the_edge_index_unbuilt():
+    # classify, the witness check, the hypotheses report and the edge
+    # degrees read the triangles' edge positions; none builds the
+    # triangles at each edge
+    for _labels, built in label_cases():
+        k = Complex2(built.vertices, built.edges, built.triangles)
+        got = classify(k)
+        witness = got.orientation_witness
+        assert (verify_orientation_witness(k, witness or dict.fromkeys(k.triangles, 1))
+                or witness is None)
+        surface_hypotheses_report(k, got.surface or SurfaceId(True, 0))
+        assert [k.edge_degree(e) for e in k.edges] == list(k._edge_degrees)
+        assert k._edge_triangles is None
 
 
 def _random_book(rng: random.Random) -> Complex2:
